@@ -19,7 +19,6 @@ from .errors import (
     OutOfUnitBox,
     PathExitsPolytope,
     RejectionStall,
-    ScaleOutOfRange,
     ShapeMismatch,
     SingularDenominator,
     SingularMixing,
@@ -38,9 +37,7 @@ from .fiber import (
 )
 from .identifiability import (
     ConsistencyReport,
-    ConstraintCount,
     consistency_check,
-    constraint_count,
     diagonal_marginal,
     is_regular,
     kl_divergence,
@@ -50,7 +47,6 @@ from .likelihood import (
     CountTable,
     EmFit,
     ProfileTrace,
-    em_fit,
     em_fit_details,
     loglik,
     permute_latent,
@@ -95,22 +91,20 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BinaryFiberSolution", "BoundaryPoint", "ChainParams", "ConsistencyReport",
-    "ConstraintCount", "ConstraintViolation", "CountTable", "CrossRatios",
-    "DagSpec", "DecomposableSpec", "DegenerateInput", "Dims", "DimsCase",
-    "EmFit", "ExtremeMixing", "GeometryError", "InvalidMixing",
-    "InvalidParameter", "JointTable", "LambdaField", "MarginalTable",
-    "MixingMatrix", "NoRealSolution", "OffVariety", "OutOfUnitBox",
-    "PathExitsPolytope", "ProfileTrace", "RejectionStall", "RhoPiBounds",
-    "ScaleOutOfRange", "Shape", "ShapeMismatch", "SingularDenominator",
-    "SingularMixing", "SingularPair", "ZeroCell", "apply_mixing",
-    "binary_fiber_solve", "binary_surface", "chain_dag",
-    "chain_decomposition", "ci_residuals", "consistency_check",
-    "constraint_count", "cross_ratios", "dag_dimension",
-    "decomposable_dimension", "degenerate_family_323", "diagonal_marginal",
-    "dims", "em_fit", "em_fit_details", "extreme_mixings", "fiber_dimension",
-    "is_regular", "jacobian_rank", "joint_from_chain", "kl_divergence",
-    "loglik", "marginal_13", "marginal_identity_323", "marginal_rank",
-    "merge", "permute_latent", "profile_along_fiber", "quadric_residuals_323",
-    "random_chain", "rho_pi_bounds", "sample_fiber", "solve_fiber_323",
-    "split",
+    "ConstraintViolation", "CountTable", "CrossRatios", "DagSpec",
+    "DecomposableSpec", "DegenerateInput", "Dims", "DimsCase", "EmFit",
+    "ExtremeMixing", "GeometryError", "InvalidMixing", "InvalidParameter",
+    "JointTable", "LambdaField", "MarginalTable", "MixingMatrix",
+    "NoRealSolution", "OffVariety", "OutOfUnitBox", "PathExitsPolytope",
+    "ProfileTrace", "RejectionStall", "RhoPiBounds", "Shape", "ShapeMismatch",
+    "SingularDenominator", "SingularMixing", "SingularPair", "ZeroCell",
+    "apply_mixing", "binary_fiber_solve", "binary_surface", "chain_dag",
+    "chain_decomposition", "ci_residuals", "consistency_check", "cross_ratios",
+    "dag_dimension", "decomposable_dimension", "degenerate_family_323",
+    "diagonal_marginal", "dims", "em_fit_details", "extreme_mixings",
+    "fiber_dimension", "is_regular", "jacobian_rank", "joint_from_chain",
+    "kl_divergence", "loglik", "marginal_13", "marginal_identity_323",
+    "marginal_rank", "merge", "permute_latent", "profile_along_fiber",
+    "quadric_residuals_323", "random_chain", "rho_pi_bounds", "sample_fiber",
+    "solve_fiber_323", "split",
 ]

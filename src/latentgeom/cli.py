@@ -1,7 +1,8 @@
 """Command-line surface: file ingestion, analyses, CSV/JSON emission.
 
-Every subcommand is a pure function of its inputs and the --seed flag;
-repeated runs are byte-identical.  All floating-point output is printed
+Every subcommand is a pure function of its inputs; fiber, consistency
+and emfit, the subcommands that draw random numbers, also take --seed.
+Repeated runs are byte-identical.  All floating-point output is printed
 with 17 significant digits so values round-trip exactly.  Indices in CLI
 files and flags (counts CSV, --ref-cell, reported cells) are 1-based; the
 Python API underneath is 0-based.
@@ -25,7 +26,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -216,49 +216,20 @@ def _model_dict(params: model.ChainParams) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# run configuration
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved options of one invocation (seed defaults to 0)."""
-
-    command: str
-    inputs: tuple[str, ...] = ()
-    shape: tuple[int, ...] | None = None
-    r2: int | None = None
-    seed: int = 0
-    tol: float | None = None
-    restarts: int = 64
-    steps: int = 33
-    samples: int = 101
-    n: int = 0
-    maxiter: int = 500
-    ref_cell: tuple[int, int] = (1, 1)
-    vertex: int | None = None
-    q_path: str | None = None
-    side: str = "a"
-    z: float | None = None
-    c1: float | None = None
-    c2: float | None = None
-    output: str | None = None
-    fmt: str | None = None
-
-
-# ---------------------------------------------------------------------------
 # subcommands
 
-def cmd_dims(cfg: RunConfig) -> int:
-    d = model.dims(model.Shape(*cfg.shape))
+def cmd_dims(args: argparse.Namespace) -> int:
+    d = model.dims(model.Shape(args.r1, args.r2, args.r3))
     report = {
         "d": d.d, "t": d.t, "s": d.s, "m": d.m, "fiber": d.fiber,
         "case": d.case.value, "constraints": d.constraint_count,
     }
-    _emit(_render_json(report) + "\n", cfg.output)
+    _emit(_render_json(report) + "\n", args.output)
     return 0
 
 
-def cmd_check(cfg: RunConfig) -> int:
-    path = cfg.inputs[0]
+def cmd_check(args: argparse.Namespace) -> int:
+    path = args.file
     data = _load_json(path)
     if "p1" in data:
         params = load_model(path)
@@ -267,16 +238,18 @@ def cmd_check(cfg: RunConfig) -> int:
     else:
         joint = load_joint(path)
         kind = "joint"
-    ref0 = (cfg.ref_cell[0] - 1, cfg.ref_cell[1] - 1)
-    try:
-        residuals = model.ci_residuals(joint, ref0)
-    except InvalidParameter as exc:
-        raise CliUsageError(str(exc))
+    ref_i, ref_k = args.ref_cell
+    r1, _, r3 = joint.shape.astuple()
+    if not (1 <= ref_i <= r1 and 1 <= ref_k <= r3):
+        raise CliUsageError(
+            f"--ref-cell {ref_i} {ref_k} out of range for a {r1} x {r3} marginal")
+    ref0 = (ref_i - 1, ref_k - 1)
+    residuals = model.ci_residuals(joint, ref0)
     marginal, lambdas = reparam.split(joint)
     report = {
         "kind": kind,
         "shape": list(joint.shape.astuple()),
-        "ref_cell": list(cfg.ref_cell),
+        "ref_cell": [ref_i, ref_k],
         "ci_residuals": {
             "count": residuals.size,
             "max_abs": float(np.abs(residuals).max()),
@@ -303,12 +276,17 @@ def cmd_check(cfg: RunConfig) -> int:
         report["cross_ratios"] = None
         report["zero_cell"] = [exc.cell[0] + 1, exc.cell[1] + 1]
         report["identity_residual_323"] = None
-    _emit(_render_json(report) + "\n", cfg.output)
+    _emit(_render_json(report) + "\n", args.output)
     return 0
 
 
-def cmd_fig3(cfg: RunConfig) -> int:
-    z, c1, c2 = cfg.z, cfg.c1, cfg.c2
+def cmd_fig3(args: argparse.Namespace) -> int:
+    z, c1, c2 = args.z, args.c1, args.c2
+    # the solver validates z, c1 and c2 before the curves divide by z
+    try:
+        points = reparam.binary_fiber_solve(z, c1, c2).points
+    except NoRealSolution:
+        points = None
     lines = [
         "# binary fiber cross-section at fixed lam(2,1) = c1, lam(1,2) = c2",
         "# z = d(1,1) d(2,2) / (d(1,2) d(2,1)); swapping the marginal's rows "
@@ -317,32 +295,31 @@ def cmd_fig3(cfg: RunConfig) -> int:
     ]
     s = 1.0 - (1.0 - c1 - c2) / z
     p = c1 * c2 / z
-    xs = [(i + 1) / (cfg.samples + 1) for i in range(cfg.samples)]
+    xs = [(i + 1) / (args.samples + 1) for i in range(args.samples)]
     for x in xs:
         lines.append(f"line,{_fmt(x)},{_fmt(s - x)}")
     for x in xs:
         lines.append(f"hyperbola,{_fmt(x)},{_fmt(p / x)}")
-    try:
-        sol = reparam.binary_fiber_solve(z, c1, c2)
-        for x, y in sol.points:
-            lines.append(f"intersection,{_fmt(x)},{_fmt(y)}")
-    except NoRealSolution:
+    if points is None:
         lines.append("# warning: no real intersection")
-    _emit("\n".join(lines) + "\n", cfg.output)
+    else:
+        for x, y in points:
+            lines.append(f"intersection,{_fmt(x)},{_fmt(y)}")
+    _emit("\n".join(lines) + "\n", args.output)
     return 0
 
 
-def cmd_fiber(cfg: RunConfig) -> int:
-    params = load_model(cfg.inputs[0])
-    points = sample_fiber(params, cfg.n, seed=cfg.seed)
-    _emit(_render_json([_model_dict(p) for p in points]) + "\n", cfg.output)
+def cmd_fiber(args: argparse.Namespace) -> int:
+    params = load_model(args.file)
+    points = sample_fiber(params, args.n, seed=args.seed)
+    _emit(_render_json([_model_dict(p) for p in points]) + "\n", args.output)
     return 0
 
 
-def cmd_vertices(cfg: RunConfig) -> int:
-    params = load_model(cfg.inputs[0])
+def cmd_vertices(args: argparse.Namespace) -> int:
+    params = load_model(args.file)
     out = []
-    for vertex in extreme_mixings(params, side=cfg.side):
+    for vertex in extreme_mixings(params, side=args.side):
         out.append({
             "pi": float(vertex.q.q[0, 0]),
             "rho": float(vertex.q.q[1, 0]),
@@ -353,22 +330,21 @@ def cmd_vertices(cfg: RunConfig) -> int:
                 for mat, r, c in vertex.zeros
             ],
         })
-    _emit(_render_json(out) + "\n", cfg.output)
+    _emit(_render_json(out) + "\n", args.output)
     return 0
 
 
-def cmd_consistency(cfg: RunConfig) -> int:
-    path = cfg.inputs[0]
+def cmd_consistency(args: argparse.Namespace) -> int:
+    path = args.file
     if path.endswith(".csv"):
         counts = load_counts(path)
         cells = counts.counts / counts.total
         target = model.MarginalTable(counts.shape, cells)
     else:
         target = load_marginal(path)
-    tol = cfg.tol if cfg.tol is not None else 1e-8
     report = identifiability.consistency_check(
-        target, cfg.r2, restarts=cfg.restarts, tol=tol, seed=cfg.seed,
-        maxiter=cfg.maxiter)
+        target, args.r2, restarts=args.restarts, tol=args.tol, seed=args.seed,
+        maxiter=args.maxiter)
     payload = {
         "feasible": report.feasible,
         "best_divergence": report.best_divergence,
@@ -378,53 +354,51 @@ def cmd_consistency(cfg: RunConfig) -> int:
         "tol": report.tol,
         "witness": _model_dict(report.witness) if report.witness else None,
     }
-    _emit(_render_json(payload) + "\n", cfg.output)
+    _emit(_render_json(payload) + "\n", args.output)
     return 0
 
 
-def cmd_profile(cfg: RunConfig) -> int:
-    params = load_model(cfg.inputs[1])
+def cmd_profile(args: argparse.Namespace) -> int:
+    params = load_model(args.model)
     r1, _, r3 = params.shape.astuple()
-    counts = load_counts(cfg.inputs[0], shape=(r1, r3))
-    if cfg.q_path is not None:
-        q_end = load_q(cfg.q_path)
+    counts = load_counts(args.counts, shape=(r1, r3))
+    if args.q is not None:
+        q_end = load_q(args.q)
     else:
-        vertex = cfg.vertex if cfg.vertex is not None else 0
-        vertices = extreme_mixings(params, side=cfg.side)
-        if not 0 <= vertex < len(vertices):
+        vertices = extreme_mixings(params, side=args.side)
+        if not 0 <= args.vertex < len(vertices):
             raise CliUsageError(
-                f"--vertex {vertex} out of range (have {len(vertices)})")
-        q_end = vertices[vertex].q
+                f"--vertex {args.vertex} out of range (have {len(vertices)})")
+        q_end = vertices[args.vertex].q
     lines = ["t,loglik,min_entry"]
     try:
-        trace = likelihood.profile_along_fiber(counts, params, q_end, cfg.steps)
+        trace = likelihood.profile_along_fiber(counts, params, q_end, args.steps)
         for t, ll, me in zip(trace.t, trace.loglik, trace.min_entry):
             lines.append(f"{_fmt(t)},{_fmt(ll)},{_fmt(me)}")
     except PathExitsPolytope as exc:
         for t, ll, me in exc.prefix:
             lines.append(f"{_fmt(t)},{_fmt(ll)},{_fmt(me)}")
         lines.append(f"# path exits polytope at t={_fmt(exc.exit_t)}")
-    _emit("\n".join(lines) + "\n", cfg.output)
+    _emit("\n".join(lines) + "\n", args.output)
     return 0
 
 
-def cmd_emfit(cfg: RunConfig) -> int:
-    shape = model.Shape(*cfg.shape)
-    counts = load_counts(cfg.inputs[0], shape=(shape.r1, shape.r3))
-    tol = cfg.tol if cfg.tol is not None else 1e-10
-    fit = likelihood.em_fit_details(counts, shape, seed=cfg.seed,
-                                    maxiter=cfg.maxiter, tol=tol)
+def cmd_emfit(args: argparse.Namespace) -> int:
+    shape = model.Shape(args.r1, args.r2, args.r3)
+    counts = load_counts(args.counts, shape=(shape.r1, shape.r3))
+    fit = likelihood.em_fit_details(counts, shape, seed=args.seed,
+                                    maxiter=args.maxiter, tol=args.tol)
     payload = {
         "model": _model_dict(fit.params),
         "summary": {
             "loglik": fit.loglik,
             "iterations": fit.iterations,
             "converged": fit.converged,
-            "seed": cfg.seed,
+            "seed": args.seed,
             "total_count": counts.total,
         },
     }
-    _emit(_render_json(payload) + "\n", cfg.output)
+    _emit(_render_json(payload) + "\n", args.output)
     return 0
 
 
@@ -442,127 +416,68 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, fmt_default):
-        p.add_argument("--seed", type=int, default=0,
-                       help="RNG seed (default 0)")
+    def command(name, summary):
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--output", default=None, help="write here, not stdout")
-        p.add_argument("--format", dest="fmt", choices=("json", "csv"),
-                       default=fmt_default,
-                       help=f"output format (only {fmt_default!r} supported)")
         return p
 
-    p = common(sub.add_parser("dims", help="dimension bookkeeping of a shape"),
-               "json")
+    p = command("dims", "dimension bookkeeping of a shape")
     p.add_argument("r1", type=int)
     p.add_argument("r2", type=int)
     p.add_argument("r3", type=int)
 
-    p = common(sub.add_parser(
-        "check", help="quadric residuals, split and cross-ratios of a model "
-                      "or joint file"), "json")
+    p = command("check", "quadric residuals, split and cross-ratios of a "
+                         "model or joint file")
     p.add_argument("file")
     p.add_argument("--ref-cell", nargs=2, type=int, default=(1, 1),
                    metavar=("I", "K"), help="1-based reference cell")
 
-    p = common(sub.add_parser(
-        "fig3", help="line/hyperbola/intersection plot data of the binary "
-                     "fiber cross-section"), "csv")
+    p = command("fig3", "line/hyperbola/intersection plot data of the binary "
+                        "fiber cross-section")
     p.add_argument("--z", type=float, required=True,
                    help="marginal cross-ratio d11*d22/(d12*d21)")
     p.add_argument("--c1", type=float, required=True, help="lam(2,1)")
     p.add_argument("--c2", type=float, required=True, help="lam(1,2)")
     p.add_argument("--samples", type=int, default=101)
 
-    p = common(sub.add_parser("fiber", help="sample the unidentifiable fiber "
-                                            "of a model"), "json")
+    p = command("fiber", "sample the unidentifiable fiber of a model")
+    p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     p.add_argument("file")
     p.add_argument("--n", type=int, default=10)
 
-    p = common(sub.add_parser(
-        "vertices", help="boundary mixings with their degeneracy flags"),
-        "json")
+    p = command("vertices", "boundary mixings with their degeneracy flags")
     p.add_argument("file")
     p.add_argument("--side", choices=("a", "b"), default="a")
 
-    p = common(sub.add_parser(
-        "consistency", help="can this marginal come from an r2-state hidden "
-                            "variable?"), "json")
+    p = command("consistency", "can this marginal come from an r2-state "
+                               "hidden variable?")
+    p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     p.add_argument("file", help="counts .csv or marginal .json")
     p.add_argument("--r2", type=int, required=True)
     p.add_argument("--restarts", type=int, default=64)
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--maxiter", type=int, default=500)
 
-    p = common(sub.add_parser(
-        "profile", help="log-likelihood trace along a fiber path"), "csv")
+    p = command("profile", "log-likelihood trace along a fiber path")
     p.add_argument("counts", help="counts .csv")
     p.add_argument("model", help="model .json")
-    p.add_argument("--vertex", type=int, default=None,
+    p.add_argument("--vertex", type=int, default=0,
                    help="index into the extreme mixings (default 0)")
-    p.add_argument("--q", dest="q_path", default=None,
+    p.add_argument("--q", default=None,
                    help="mixing matrix .json instead of a vertex")
     p.add_argument("--side", choices=("a", "b"), default="a")
     p.add_argument("--steps", type=int, default=33)
 
-    p = common(sub.add_parser("emfit", help="EM fit of counts at a shape"),
-               "json")
+    p = command("emfit", "EM fit of counts at a shape")
+    p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     p.add_argument("counts", help="counts .csv")
     p.add_argument("r1", type=int)
     p.add_argument("r2", type=int)
     p.add_argument("r3", type=int)
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--maxiter", type=int, default=500)
 
     return parser
-
-
-_NATURAL_FORMAT = {
-    "dims": "json", "check": "json", "fig3": "csv", "fiber": "json",
-    "vertices": "json", "consistency": "json", "profile": "csv",
-    "emfit": "json",
-}
-
-
-def _config(args: argparse.Namespace) -> RunConfig:
-    fmt = getattr(args, "fmt", None)
-    if fmt is not None and fmt != _NATURAL_FORMAT[args.command]:
-        raise CliUsageError(
-            f"only --format {_NATURAL_FORMAT[args.command]} is supported here"
-        )
-    seed = getattr(args, "seed", 0)
-    if not 0 <= seed < 2 ** 64:
-        raise CliUsageError(f"--seed must be an unsigned 64-bit integer, got {seed}")
-    base = dict(
-        command=args.command,
-        seed=seed,
-        output=getattr(args, "output", None),
-        fmt=fmt,
-    )
-    if args.command == "dims":
-        return RunConfig(shape=(args.r1, args.r2, args.r3), **base)
-    if args.command == "check":
-        return RunConfig(inputs=(args.file,),
-                         ref_cell=tuple(args.ref_cell), **base)
-    if args.command == "fig3":
-        return RunConfig(z=args.z, c1=args.c1, c2=args.c2,
-                         samples=args.samples, **base)
-    if args.command == "fiber":
-        return RunConfig(inputs=(args.file,), n=args.n, **base)
-    if args.command == "vertices":
-        return RunConfig(inputs=(args.file,), side=args.side, **base)
-    if args.command == "consistency":
-        return RunConfig(inputs=(args.file,), r2=args.r2,
-                         restarts=args.restarts, tol=args.tol,
-                         maxiter=args.maxiter, **base)
-    if args.command == "profile":
-        return RunConfig(inputs=(args.counts, args.model), vertex=args.vertex,
-                         q_path=args.q_path, side=args.side,
-                         steps=args.steps, **base)
-    if args.command == "emfit":
-        return RunConfig(inputs=(args.counts,),
-                         shape=(args.r1, args.r2, args.r3), tol=args.tol,
-                         maxiter=args.maxiter, **base)
-    raise CliUsageError(f"unknown command {args.command!r}")
 
 
 _HANDLERS = {
@@ -585,21 +500,18 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 2 on usage errors and 0 on --help
         return int(exc.code or 0)
     try:
-        cfg = _config(args)
-        return _HANDLERS[args.command](cfg)
-    except CliUsageError as exc:
-        print(f"latentgeom {args.command}: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except InvalidParameter as exc:
-        # bad flag/argument values (e.g. a cardinality below 2)
+        seed = getattr(args, "seed", 0)
+        if not 0 <= seed < 2 ** 64:
+            raise CliUsageError(
+                f"--seed must be an unsigned 64-bit integer, got {seed}")
+        return _HANDLERS[args.command](args)
+    except (CliUsageError, GeometryError) as exc:
+        # bad flag values, and analysis errors the report cannot carry
         print(f"latentgeom {args.command}: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except CliFileError as exc:
         print(f"latentgeom {args.command}: {exc}", file=sys.stderr)
         return FILE_ERROR
-    except GeometryError as exc:
-        print(f"latentgeom {args.command}: {exc}", file=sys.stderr)
-        return USAGE_ERROR
 
 
 def run() -> None:

@@ -42,7 +42,8 @@ class NoRealSolution(GeometryError):
 
 
 class OutOfUnitBox(GeometryError):
-    """An algebraic solution exists but leaves [0, 1] in a named coordinate."""
+    """A solved or scaled coordinate leaves [0, 1]: a fiber solution, or a
+    free parameter of a degenerate family that pushes an entry out."""
 
     def __init__(self, coordinate: str, value: float, roots=None):
         self.coordinate = coordinate
@@ -84,15 +85,6 @@ class SingularDenominator(GeometryError):
         self.name = name
         self.value = value
         super().__init__(f"denominator {name} = {value:.17g} is too close to zero")
-
-
-class ScaleOutOfRange(GeometryError):
-    """A free parameter of a degenerate family pushes a scaled entry outside [0, 1]."""
-
-    def __init__(self, name: str, value: float):
-        self.name = name
-        self.value = value
-        super().__init__(f"{name} = {value:.17g} lies outside [0, 1]")
 
 
 class InvalidMixing(GeometryError):

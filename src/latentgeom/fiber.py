@@ -29,10 +29,10 @@ from .errors import (
 )
 from .model import (
     INTERIOR_EPS,
-    RANK_CUTOFF,
     SUM_TOL,
     ChainParams,
     _frozen,
+    _numerical_rank,
 )
 
 #: entries in (-CLAMP_EPS, 0) are roundoff and snap to exact zero
@@ -334,8 +334,4 @@ def fiber_dimension(params: ChainParams) -> int:
     for m in _row_sum_zero_basis(params.shape.r2):
         rows.append(np.concatenate([(-params.a @ m).ravel(),
                                     (m @ params.b).ravel()]))
-    mat = np.vstack(rows)
-    sv = np.linalg.svd(mat, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return 0
-    return int(np.sum(sv > RANK_CUTOFF * sv[0]))
+    return _numerical_rank(np.vstack(rows))

@@ -1,37 +1,34 @@
 """Deciding whether an observed marginal admits a hidden-variable chain model.
 
-Necessary checks run first and can prove infeasibility outright: the
+A necessary check runs first and can prove infeasibility outright: the
 marginal matrix must have ordinary rank <= r2 (it factors through an
-r2-state variable), and a strictly positive 3 x 3 marginal with r2 = 2
-must satisfy the rank-2 cross-ratio identity.  When r2 >= min(r1, r3) the
-model imposes no constraint and an exact witness is written down directly
-(copy the smaller observed variable into the hidden one).  Otherwise a
-multistart EM search minimises KL(target || model marginal); "infeasible"
-then means "not found within budget" and the report distinguishes the two
-situations through ``proven_infeasible_by``.
+r2-state variable).  The rank-2 cross-ratio identity of a positive 3 x 3
+marginal equals delta00 det(delta) / (delta10 delta20 delta01 delta02), so
+it vanishes exactly when the rank is <= 2 and is not checked separately.
+When r2 >= min(r1, r3) the model imposes no constraint and an exact
+witness is written down directly (copy the smaller observed variable into
+the hidden one).  Otherwise a multistart EM search minimises
+KL(target || model marginal); "infeasible" then means "not found within
+budget" and the report distinguishes the two situations through
+``proven_infeasible_by``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InvalidParameter
-from .likelihood import _ZeroResponsibility, _em_run
+from .likelihood import _ZeroResponsibility, _check_budget, _em_run
 from .model import (
-    RANK_CUTOFF,
     ChainParams,
     MarginalTable,
     Shape,
+    _numerical_rank,
     joint_from_chain,
     marginal_13,
 )
-from .reparam import cross_ratios, marginal_identity_323
-
-#: |identity residual| above this fails the 3x3 / r2=2 necessary check
-IDENTITY_CHECK_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -75,20 +72,22 @@ def diagonal_marginal(r1: int, r3: int) -> MarginalTable:
 
 def marginal_rank(target: MarginalTable) -> int:
     """Ordinary matrix rank with the package-wide relative SVD cutoff."""
-    sv = np.linalg.svd(target.cells, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return 0
-    return int(np.sum(sv > RANK_CUTOFF * sv[0]))
+    return _numerical_rank(target.cells)
 
 
 def kl_divergence(target: MarginalTable, model: MarginalTable) -> float:
-    """KL(target || model) over the target's support; +inf on support escape."""
+    """KL(target || model) over the target's support; +inf on support escape.
+
+    Rounding can push the sum of a near-exact fit a few ulps below zero;
+    the result is clamped at 0, the divergence's true lower bound.
+    """
     p = target.cells
     q = model.cells
     mask = p > 0.0
     if (q[mask] <= 0.0).any():
         return float("inf")
-    return float(np.sum(p[mask] * (np.log(p[mask]) - np.log(q[mask]))))
+    kl = float(np.sum(p[mask] * (np.log(p[mask]) - np.log(q[mask]))))
+    return max(0.0, kl)
 
 
 def _unconstrained_witness(target: MarginalTable, r2: int) -> ChainParams:
@@ -133,9 +132,9 @@ def consistency_check(target: MarginalTable, r2: int, restarts: int = 64,
                       maxiter: int = 500) -> ConsistencyReport:
     """Decide whether ``target`` is reachable by a chain model with r2 states.
 
-    Necessary checks short-circuit (rank <= r2 always; the cross-ratio
-    identity for strictly positive 3 x 3 targets with r2 = 2).  Feasible
-    verdicts are certified by the witness parameters: the reported
+    The necessary check rank <= r2 short-circuits; it is the only one, since
+    the cross-ratio identity of a 3 x 3 target is the same condition.
+    Feasible verdicts are certified by the witness parameters: the reported
     divergence is recomputed from them, independently of the search.
     Restarts are reduced in seed order and stop early once one beats the
     tolerance, so the report is deterministic for a given seed.
@@ -144,12 +143,9 @@ def consistency_check(target: MarginalTable, r2: int, restarts: int = 64,
         raise InvalidParameter(f"r2 must be >= 2, got {r2}")
     if restarts < 1:
         raise InvalidParameter(f"restarts must be >= 1, got {restarts}")
+    _check_budget(maxiter, tol)
     r1, r3 = target.shape
-    checks: dict[str, bool] = {}
-    checks["rank"] = marginal_rank(target) <= r2
-    if (r1, r3) == (3, 3) and r2 == 2 and (target.cells > 0.0).all():
-        residual = marginal_identity_323(cross_ratios(target))
-        checks["identity_323"] = abs(residual) < IDENTITY_CHECK_TOL
+    checks = {"rank": marginal_rank(target) <= r2}
     failed = [name for name, ok in checks.items() if not ok]
     if failed:
         return ConsistencyReport(
@@ -182,22 +178,6 @@ def consistency_check(target: MarginalTable, r2: int, restarts: int = 64,
     return ConsistencyReport(
         feasible=bool(best < tol), best_divergence=best, witness=witness,
         necessary_checks=checks, proven_infeasible_by=None, tol=tol)
-
-
-class ConstraintCount(NamedTuple):
-    """Number of marginal constraints, plus whether the shape is in the
-    unconstrained regime (r2 >= min(r1, r3), where the count is zero)."""
-
-    count: int
-    case_i: bool
-
-
-def constraint_count(shape: Shape) -> ConstraintCount:
-    """(r1 - r2)(r3 - r2) marginal constraints when r2 < min(r1, r3)."""
-    r1, r2, r3 = shape.astuple()
-    if r2 >= min(r1, r3):
-        return ConstraintCount(count=0, case_i=True)
-    return ConstraintCount(count=(r1 - r2) * (r3 - r2), case_i=False)
 
 
 def is_regular(params: ChainParams) -> bool:

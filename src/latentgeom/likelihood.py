@@ -79,6 +79,15 @@ class _ZeroResponsibility(Exception):
     """Internal: the E-step hit delta = 0 on an observed cell."""
 
 
+def _check_budget(maxiter: int, tol: float) -> None:
+    """Reject maxiter < 0 and a tol that is not a finite positive real: no
+    divergence is below a tol <= 0, and EM never converges under one."""
+    if maxiter < 0:
+        raise InvalidParameter(f"maxiter must be >= 0, got {maxiter}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise InvalidParameter(f"tol must be a positive real, got {tol!r}")
+
+
 def _em_run(weights: np.ndarray, shape: Shape, rng: np.random.Generator,
             maxiter: int, tol: float,
             trace: list[float] | None = None) -> tuple[ChainParams, float, int, bool]:
@@ -162,6 +171,7 @@ def em_fit_details(counts: CountTable, shape: Shape, seed: int = 0,
     (flat initialisations make this all but impossible, but the policy is
     deterministic).
     """
+    _check_budget(maxiter, tol)
     r1, _, r3 = shape.astuple()
     if counts.shape != (r1, r3):
         raise ShapeMismatch(
@@ -178,13 +188,6 @@ def em_fit_details(counts: CountTable, shape: Shape, seed: int = 0,
         except _ZeroResponsibility:
             continue
     raise RuntimeError("EM restarted 16 times on zero responsibilities")
-
-
-def em_fit(counts: CountTable, shape: Shape, seed: int = 0,
-           maxiter: int = 500, tol: float = 1e-10) -> ChainParams:
-    """EM fit of the chain model to observed counts."""
-    return em_fit_details(counts, shape, seed=seed, maxiter=maxiter,
-                          tol=tol).params
 
 
 @dataclass(frozen=True)

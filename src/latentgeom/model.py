@@ -477,7 +477,15 @@ def _cells_from_chart(shape: Shape, x: np.ndarray) -> np.ndarray:
     return np.einsum("i,ij,jk->ijk", p1, a, b).ravel()
 
 
-def jacobian_rank(params: ChainParams, eps: float = FD_STEP) -> int:
+def _numerical_rank(mat: np.ndarray) -> int:
+    """Count singular values above ``RANK_CUTOFF`` times the largest."""
+    sv = np.linalg.svd(mat, compute_uv=False)
+    if sv.size == 0 or sv[0] == 0.0:
+        return 0
+    return int(np.sum(sv > RANK_CUTOFF * sv[0]))
+
+
+def jacobian_rank(params: ChainParams) -> int:
     """Numerical rank of the parametrisation map at an interior point.
 
     Central differences of the map from the minimal chart (one coordinate
@@ -499,13 +507,11 @@ def jacobian_rank(params: ChainParams, eps: float = FD_STEP) -> int:
     for m in range(ncols):
         hi = x0.copy()
         lo = x0.copy()
-        hi[m] += eps
-        lo[m] -= eps
-        jac[:, m] = (_cells_from_chart(shape, hi) - _cells_from_chart(shape, lo)) / (2 * eps)
-    sv = np.linalg.svd(jac, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return 0
-    return int(np.sum(sv > RANK_CUTOFF * sv[0]))
+        hi[m] += FD_STEP
+        lo[m] -= FD_STEP
+        jac[:, m] = (_cells_from_chart(shape, hi)
+                     - _cells_from_chart(shape, lo)) / (2 * FD_STEP)
+    return _numerical_rank(jac)
 
 
 def random_chain(shape: Shape, rng: np.random.Generator,

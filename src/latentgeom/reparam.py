@@ -35,7 +35,6 @@ from .errors import (
     NoRealSolution,
     OffVariety,
     OutOfUnitBox,
-    ScaleOutOfRange,
     ShapeMismatch,
     SingularDenominator,
     SingularPair,
@@ -390,8 +389,7 @@ def _field_from_first_component(shape: Shape, z: CrossRatios,
     return LambdaField(shape, values)
 
 
-def solve_fiber_323(z: CrossRatios, lam21: float, lam22: float,
-                    identity_tol: float = IDENTITY_TOL) -> LambdaField:
+def solve_fiber_323(z: CrossRatios, lam21: float, lam22: float) -> LambdaField:
     """Recover all nine hidden conditionals of a 3 x 3 marginal with a
     two-state hidden variable from the two free ones.
 
@@ -424,8 +422,8 @@ def solve_fiber_323(z: CrossRatios, lam21: float, lam22: float,
             raise InvalidParameter(f"{name} must lie in [0, 1], got {v!r}")
     scale = max(1.0, float(np.abs(z.values).max()))
     ident = marginal_identity_323(z)
-    if abs(ident) > identity_tol * scale:
-        raise OffVariety(ident, identity_tol * scale)
+    if abs(ident) > IDENTITY_TOL * scale:
+        raise OffVariety(ident, IDENTITY_TOL * scale)
     z1, z2, z3, z4 = (float(v) for v in z.values.ravel())
     shape = Shape(3, 2, 3)
 
@@ -505,7 +503,7 @@ def degenerate_family_323(z: CrossRatios, lam21: float, lam31: float,
     state, so merging with any compatible marginal puts structural zeros in
     the first latent state's reference-row cells theta(I, 0, .).
     ``branch = "zeros"`` swaps the two latent labels.  Scaled values that
-    leave [0, 1] raise :class:`ScaleOutOfRange` naming the entry.
+    leave [0, 1] raise :class:`OutOfUnitBox` naming the entry.
     """
     if z.values.shape != (2, 2):
         raise InvalidParameter("family requires a 3 x 3 marginal's cross-ratios")
@@ -525,7 +523,7 @@ def degenerate_family_323(z: CrossRatios, lam21: float, lam31: float,
         for fk in (1, 2):
             v = frees[fi] / float(z.values[fi - 1, fk - 1])
             if v > 1.0 + 1e-12:
-                raise ScaleOutOfRange(names[(fi, fk)], v)
+                raise OutOfUnitBox(names[(fi, fk)], v)
             mu[fi, fk] = min(v, 1.0)
     rows, cols = _relabel_frame(z)
     values = np.empty((3, 3, 2))

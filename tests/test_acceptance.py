@@ -24,7 +24,7 @@ from latentgeom import (
     cross_ratios,
     diagonal_marginal,
     dims,
-    em_fit,
+    em_fit_details,
     extreme_mixings,
     fiber_dimension,
     jacobian_rank,
@@ -177,7 +177,7 @@ def test_c08_flat_ridge():
         marg = marginal_13(joint_from_chain(truth))
         draws = np.random.default_rng(seed).multinomial(2000, marg.flat)
         counts = CountTable(marg.shape, draws.reshape(marg.shape))
-        fitted = em_fit(counts, Shape(3, 2, 3), seed=seed)
+        fitted = em_fit_details(counts, Shape(3, 2, 3), seed=seed).params
         vertex = extreme_mixings(fitted)[0]
         trace = profile_along_fiber(counts, fitted, vertex.q, 21)
         worst_range = max(worst_range, trace.range)
@@ -235,7 +235,7 @@ def test_c11_em_sanity():
     marg = marginal_13(joint_from_chain(truth))
     draws = np.random.default_rng(123).multinomial(100_000, marg.flat)
     counts = CountTable(marg.shape, draws.reshape(marg.shape))
-    fitted = em_fit(counts, Shape(3, 2, 3), seed=0)
+    fitted = em_fit_details(counts, Shape(3, 2, 3), seed=0).params
     kl = kl_divergence(marg, marginal_13(joint_from_chain(fitted)))
     trace: list[float] = []
     _em_run(counts.counts.astype(float), Shape(3, 2, 3),

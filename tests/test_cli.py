@@ -129,6 +129,18 @@ def test_check_malformed_file(capsys, tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("cell", [("9", "9"), ("0", "1"), ("1", "4")])
+def test_check_ref_cell_out_of_range_is_reported_one_based(capsys, model_file,
+                                                           cell):
+    path, _ = model_file
+    code = main(["check", path, "--ref-cell", *cell])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (f"latentgeom check: --ref-cell {cell[0]} {cell[1]} "
+                            "out of range for a 3 x 3 marginal\n")
+
+
 # ---------------------------------------------------------------- fig3
 
 def test_fig3_reference_intersections(capsys):
@@ -171,6 +183,17 @@ def test_fig3_curves_satisfy_equations(capsys):
         elif ln.startswith("hyperbola"):
             x, y = (float(v) for v in ln.split(",")[1:])
             assert x * y == pytest.approx(c1 * c2 / z, abs=1e-12)
+
+
+@pytest.mark.parametrize("z, shown", [("0", "0.0"), ("-0", "-0.0"),
+                                      ("nan", "nan")])
+def test_fig3_nonpositive_z_is_a_usage_error(capsys, z, shown):
+    code = main(["fig3", "--z", z, "--c1", "0.3", "--c2", "0.2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == \
+        f"latentgeom fig3: z must be a positive real, got {shown}\n"
 
 
 # ---------------------------------------------------------------- fiber/vertices
@@ -233,6 +256,32 @@ def test_consistency_model_marginal_feasible(capsys, tmp_path, model_file):
     assert data["feasible"] is True
     assert data["best_divergence"] < 1e-8
     assert data["witness"] is not None
+
+
+def test_consistency_best_divergence_is_never_negative(capsys, tmp_path):
+    # the exact witness of this table rounds to a KL of -4.6e-17 unclamped
+    path = tmp_path / "counts.csv"
+    path.write_text("i,k,count\n1,1,5\n1,2,3\n2,1,4\n2,2,0\n")
+    code, out = run(capsys, "consistency", str(path), "--r2", "2")
+    assert code == 0
+    data = json.loads(out)
+    assert data["feasible"] is True
+    assert data["best_divergence"] >= 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["--tol", "-1"], ["--tol", "0"], ["--tol", "nan"], ["--tol", "inf"],
+    ["--maxiter", "-5"],
+])
+def test_em_budget_out_of_range_is_a_usage_error(capsys, counts_file, argv):
+    for command in (["consistency", counts_file, "--r2", "2"],
+                    ["emfit", counts_file, "3", "2", "3"]):
+        code = main(command + argv)
+        captured = capsys.readouterr()
+        assert code == 2, command + argv
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith(f"latentgeom {command[0]}: ")
 
 
 # ---------------------------------------------------------------- profile/emfit

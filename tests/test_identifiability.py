@@ -3,12 +3,13 @@ import pytest
 
 from latentgeom import (
     ChainParams,
+    DimsCase,
     InvalidParameter,
     MarginalTable,
     Shape,
     consistency_check,
-    constraint_count,
     diagonal_marginal,
+    dims,
     joint_from_chain,
     kl_divergence,
     marginal_13,
@@ -43,6 +44,15 @@ def test_diagonal_feasible_at_r2_3_with_tiny_kl():
     assert kl_divergence(diagonal_marginal(3, 3), witness_marg) < 1e-9
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"maxiter": -1}, {"tol": 0.0}, {"tol": -1e-8}, {"tol": float("nan")},
+    {"tol": float("inf")},
+])
+def test_consistency_rejects_out_of_range_budget(kwargs):
+    with pytest.raises(InvalidParameter):
+        consistency_check(diagonal_marginal(3, 3), r2=2, **kwargs)
+
+
 # ---------------------------------------------------------------- search
 
 def test_self_consistency_of_chain_marginals():
@@ -70,11 +80,13 @@ def test_unconstrained_case_is_exact_for_any_positive_target():
 
 
 def test_identity_check_runs_on_positive_3x3_targets():
+    # the rank-2 identity is the rank check in other coordinates, so only
+    # the rank check runs, and it alone proves the target infeasible
     target = seeded_marginal((3, 3), 20260809)
     report = consistency_check(target, r2=2)
     assert not report.feasible
     assert report.necessary_checks["rank"] is False
-    assert report.necessary_checks["identity_323"] is False
+    assert "identity_323" not in report.necessary_checks
     assert report.proven_infeasible_by == "rank"
 
 
@@ -108,11 +120,11 @@ def test_monotonicity_in_r2_by_witness_embedding():
 # ---------------------------------------------------------------- counting
 
 def test_constraint_count_golden():
-    assert constraint_count(Shape(3, 2, 3)) == (1, False)
-    assert constraint_count(Shape(4, 3, 4)) == (1, False)
-    assert constraint_count(Shape(5, 2, 4)) == (6, False)
-    got = constraint_count(Shape(2, 3, 2))
-    assert got.count == 0 and got.case_i
+    for shape, count in (((3, 2, 3), 1), ((4, 3, 4), 1), ((5, 2, 4), 6)):
+        got = dims(Shape(*shape))
+        assert (got.constraint_count, got.case) == (count, DimsCase.R2_SMALL)
+    got = dims(Shape(2, 3, 2))
+    assert got.constraint_count == 0 and got.case is DimsCase.R2_LARGE
 
 
 def test_is_regular():

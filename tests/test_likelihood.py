@@ -12,7 +12,6 @@ from latentgeom import (
     PathExitsPolytope,
     Shape,
     ShapeMismatch,
-    em_fit,
     em_fit_details,
     extreme_mixings,
     joint_from_chain,
@@ -76,7 +75,7 @@ def test_loglik_invariant_on_fiber_50_pairs():
 def test_em_generative_round_trip():
     truth = seeded_chain((3, 2, 3), 77, floor=0.05)
     counts = counts_from(truth, 100_000, 123)
-    fit = em_fit(counts, Shape(3, 2, 3), seed=0)
+    fit = em_fit_details(counts, Shape(3, 2, 3), seed=0).params
     marg_true = marginal_13(joint_from_chain(truth))
     marg_fit = marginal_13(joint_from_chain(fit))
     assert kl_divergence(marg_true, marg_fit) < 1e-3
@@ -98,7 +97,7 @@ def test_em_infeasible_target_keeps_gap():
     cells = np.zeros((3, 3), dtype=int)
     cells[0, 0], cells[1, 1], cells[2, 2] = 3334, 3333, 3333
     counts = CountTable((3, 3), cells)
-    fit = em_fit(counts, Shape(3, 2, 3), seed=0, maxiter=2000)
+    fit = em_fit_details(counts, Shape(3, 2, 3), seed=0, maxiter=2000).params
     target = MarginalTable((3, 3), cells / cells.sum())
     gap = kl_divergence(target, marginal_13(joint_from_chain(fit)))
     assert gap > 1e-2
@@ -107,7 +106,8 @@ def test_em_infeasible_target_keeps_gap():
 def test_em_single_cell_concentrates():
     cells = np.zeros((3, 3), dtype=int)
     cells[0, 0] = 5
-    fit = em_fit(CountTable((3, 3), cells), Shape(3, 2, 3), seed=1)
+    fit = em_fit_details(CountTable((3, 3), cells), Shape(3, 2, 3),
+                         seed=1).params
     delta = marginal_13(joint_from_chain(fit)).cells
     assert delta[0, 0] > 0.999
     assert loglik(CountTable((3, 3), cells), fit) > 5 * math.log(0.999)
@@ -120,6 +120,23 @@ def test_em_details_metadata():
     assert fit.converged
     assert fit.iterations <= 500
     assert math.isfinite(fit.loglik)
+    assert fit.loglik == pytest.approx(loglik(counts, fit.params), abs=1e-9)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"maxiter": -5}, {"tol": 0.0}, {"tol": -1.0}, {"tol": float("nan")},
+    {"tol": float("inf")},
+])
+def test_em_details_rejects_out_of_range_budget(kwargs):
+    counts = counts_from(seeded_chain((2, 2, 2), 3), 100, 5)
+    with pytest.raises(InvalidParameter):
+        em_fit_details(counts, Shape(2, 2, 2), **kwargs)
+
+
+def test_em_details_zero_maxiter_reports_the_start():
+    counts = counts_from(seeded_chain((2, 2, 2), 3), 100, 5)
+    fit = em_fit_details(counts, Shape(2, 2, 2), maxiter=0)
+    assert fit.iterations == 0 and not fit.converged
     assert fit.loglik == pytest.approx(loglik(counts, fit.params), abs=1e-9)
 
 

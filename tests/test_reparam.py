@@ -10,7 +10,6 @@ from latentgeom import (
     NoRealSolution,
     OffVariety,
     OutOfUnitBox,
-    ScaleOutOfRange,
     Shape,
     ShapeMismatch,
     SingularDenominator,
@@ -357,7 +356,7 @@ def test_degenerate_family_scale_out_of_range():
     z = cross_ratios(marg)
     small = min(z.z1, z.z2, z.z3, z.z4)
     assert small < 0.99
-    with pytest.raises(ScaleOutOfRange):
+    with pytest.raises(OutOfUnitBox):
         degenerate_family_323(z, 1.0, 1.0)
 
 
