@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -409,8 +410,22 @@ class CliUsageError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose errors are one-line :class:`CliUsageError`s
+    and which reads a negative number in exponent form (``-1e-05``) as a
+    value, not as an option."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+    def error(self, message):
+        raise CliUsageError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="latentgeom",
         description="Geometry of the hidden-middle chain model on (Y1, Y3) data",
     )
@@ -496,8 +511,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+    except CliUsageError as exc:
+        print(exc, file=sys.stderr)
+        return USAGE_ERROR
     except SystemExit as exc:
-        # argparse exits 2 on usage errors and 0 on --help
+        # --help
         return int(exc.code or 0)
     try:
         seed = getattr(args, "seed", 0)

@@ -32,8 +32,6 @@ SUM_TOL = 1e-12
 INTERIOR_EPS = 1e-9
 #: relative singular-value cutoff for numerical ranks
 RANK_CUTOFF = 1e-8
-#: central-difference step for the parametrisation Jacobian
-FD_STEP = 1e-6
 
 
 def _frozen(values, dtype=float) -> np.ndarray:
@@ -293,18 +291,11 @@ def ci_residuals(joint: JointTable, ref_cell: tuple[int, int] = (0, 0)) -> np.nd
     ref_i, ref_k = int(ref_cell[0]), int(ref_cell[1])
     if not (0 <= ref_i < r1 and 0 <= ref_k < r3):
         raise InvalidParameter(f"reference cell {ref_cell} out of range")
-    th = joint.cells
-    others_i = [i for i in range(r1) if i != ref_i]
-    others_k = [k for k in range(r3) if k != ref_k]
-    out = np.empty(r2 * (r1 - 1) * (r3 - 1))
-    pos = 0
-    for j in range(r2):
-        for i in others_i:
-            for k in others_k:
-                out[pos] = th[ref_i, j, ref_k] * th[i, j, k] \
-                    - th[ref_i, j, k] * th[i, j, ref_k]
-                pos += 1
-    return out
+    th = joint.cells.transpose(1, 0, 2)
+    # every (j, i, k); the residuals at i = I or k = K vanish and are dropped
+    res = (th[:, ref_i, None, ref_k, None] * th
+           - th[:, ref_i, None, :] * th[:, :, ref_k, None])
+    return res[:, np.arange(r1) != ref_i][:, :, np.arange(r3) != ref_k].ravel()
 
 
 @dataclass(frozen=True)
@@ -446,37 +437,6 @@ def chain_decomposition(shape: Shape) -> DecomposableSpec:
     )
 
 
-def _chart_size(shape: Shape) -> int:
-    r1, r2, r3 = shape.astuple()
-    return (r1 - 1) + r1 * (r2 - 1) + r2 * (r3 - 1)
-
-
-def _chart_coords(params: ChainParams) -> np.ndarray:
-    return np.concatenate([
-        params.p1[:-1],
-        params.a[:, :-1].ravel(),
-        params.b[:, :-1].ravel(),
-    ])
-
-
-def _cells_from_chart(shape: Shape, x: np.ndarray) -> np.ndarray:
-    # Raw evaluation of the forward map on chart coordinates; no validation,
-    # so finite-difference probes may step outside the simplex.
-    r1, r2, r3 = shape.astuple()
-    n1 = r1 - 1
-    na = r1 * (r2 - 1)
-    p1 = np.empty(r1)
-    p1[:-1] = x[:n1]
-    p1[-1] = 1.0 - p1[:-1].sum()
-    a = np.empty((r1, r2))
-    a[:, :-1] = x[n1:n1 + na].reshape(r1, r2 - 1)
-    a[:, -1] = 1.0 - a[:, :-1].sum(axis=1)
-    b = np.empty((r2, r3))
-    b[:, :-1] = x[n1 + na:].reshape(r2, r3 - 1)
-    b[:, -1] = 1.0 - b[:, :-1].sum(axis=1)
-    return np.einsum("i,ij,jk->ijk", p1, a, b).ravel()
-
-
 def _numerical_rank(mat: np.ndarray) -> int:
     """Count singular values above ``RANK_CUTOFF`` times the largest."""
     sv = np.linalg.svd(mat, compute_uv=False)
@@ -485,33 +445,61 @@ def _numerical_rank(mat: np.ndarray) -> int:
     return int(np.sum(sv > RANK_CUTOFF * sv[0]))
 
 
+def _row_chart_jacobian(n: int) -> np.ndarray:
+    """Derivative (n x (n - 1)) of a probability row with respect to its
+    chart coordinates, the first n - 1 entries; the last entry is one minus
+    their sum."""
+    d = np.eye(n, n - 1)
+    d[-1] = -1.0
+    return d
+
+
+def _clique_margin_jacobian(params: ChainParams) -> np.ndarray:
+    """Jacobian of the clique-margin map x -> (u, v) at ``params``.
+
+    u(i, j) = theta(i, j, +) = p1(i) a(i, j) and v(j, k) = theta(+, j, k)
+    = m(j) b(j, k) with m = p1 @ a.  Rows are u then v, each in C order;
+    columns are the minimal chart p1[:-1], a[:, :-1], b[:, :-1] (C order).
+    """
+    r1, r2, r3 = params.shape.astuple()
+    p1, a, b = params.p1, params.a, params.b
+    d1, d2, d3 = (_row_chart_jacobian(n) for n in (r1, r2, r3))
+    rows1, rows2 = np.arange(r1), np.arange(r2)
+    # u(i, j) depends on a only through row i, v(j, k) on b only through row j
+    du_da = np.zeros((r1, r2, r1, r2 - 1))
+    du_da[rows1, :, rows1, :] = np.einsum("i,jq->ijq", p1, d2)
+    dv_db = np.zeros((r2, r3, r2, r3 - 1))
+    dv_db[rows2, :, rows2, :] = np.einsum("j,kq->jkq", p1 @ a, d3)
+    nu, nv = r1 * r2, r2 * r3
+    return np.block([
+        [np.einsum("ij,il->ijl", a, d1).reshape(nu, r1 - 1),
+         du_da.reshape(nu, r1 * (r2 - 1)),
+         np.zeros((nu, r2 * (r3 - 1)))],
+        [np.einsum("il,ij,jk->jkl", d1, a, b).reshape(nv, r1 - 1),
+         np.einsum("l,jq,jk->jklq", p1, d2, b).reshape(nv, r1 * (r2 - 1)),
+         dv_db.reshape(nv, r2 * (r3 - 1))],
+    ])
+
+
 def jacobian_rank(params: ChainParams) -> int:
     """Numerical rank of the parametrisation map at an interior point.
 
-    Central differences of the map from the minimal chart (one coordinate
-    dropped per probability row) into the full cell table; the map is
-    affine in each single chart coordinate, so the central difference is
-    exact up to roundoff.  Singular values above ``RANK_CUTOFF`` times the
-    largest count toward the rank.
+    The map runs from the minimal chart (one coordinate dropped per
+    probability row) to the joint table.  Its rank is read off the
+    closed-form Jacobian of the clique margins u(i, j) = theta(i, j, +)
+    and v(j, k) = theta(+, j, k) instead of the cells: (u, v) is linear in
+    theta, and on the open simplex theta(i, j, k) = u(i, j) v(j, k) / m(j)
+    with m(j) = sum_i u(i, j) is a smooth function of (u, v), so both maps
+    have the same Jacobian rank.  The clique-margin matrix has
+    r1 r2 + r2 r3 rows instead of r1 r2 r3.  Singular values above
+    ``RANK_CUTOFF`` times the largest count toward the rank.
     """
     if params.min_entry <= INTERIOR_EPS:
         raise BoundaryPoint(
             f"min parameter entry {params.min_entry:.3e} <= {INTERIOR_EPS}; "
             "the rank statement holds on the open simplex only"
         )
-    shape = params.shape
-    x0 = _chart_coords(params)
-    ncols = x0.size
-    assert ncols == _chart_size(shape)
-    jac = np.empty((shape.ncells, ncols))
-    for m in range(ncols):
-        hi = x0.copy()
-        lo = x0.copy()
-        hi[m] += FD_STEP
-        lo[m] -= FD_STEP
-        jac[:, m] = (_cells_from_chart(shape, hi)
-                     - _cells_from_chart(shape, lo)) / (2 * FD_STEP)
-    return _numerical_rank(jac)
+    return _numerical_rank(_clique_margin_jacobian(params))
 
 
 def random_chain(shape: Shape, rng: np.random.Generator,

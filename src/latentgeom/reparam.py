@@ -203,12 +203,8 @@ def cross_ratios(marginal: MarginalTable,
     zero = np.argwhere(d == 0.0)
     if zero.size:
         raise ZeroCell((int(zero[0][0]), int(zero[0][1])))
-    rows = [i for i in range(r1) if i != ref_i]
-    cols = [k for k in range(r3) if k != ref_k]
-    values = np.empty((r1 - 1, r3 - 1))
-    for ii, i in enumerate(rows):
-        for kk, k in enumerate(cols):
-            values[ii, kk] = d[ref_i, ref_k] * d[i, k] / (d[ref_i, k] * d[i, ref_k])
+    values = d[ref_i, ref_k] * d / (d[ref_i, None, :] * d[:, ref_k, None])
+    values = values[np.arange(r1) != ref_i][:, np.arange(r3) != ref_k]
     return CrossRatios((r1, r3), (ref_i, ref_k), values)
 
 
@@ -239,7 +235,8 @@ def binary_fiber_solve(z: float, c1: float, c2: float) -> BinaryFiberSolution:
     so u, v are the roots of x^2 - S x + P.  A negative discriminant means
     the (z, c1, c2) triple is inconsistent with the model
     (:class:`NoRealSolution`); real roots outside [0, 1] raise
-    :class:`OutOfUnitBox` with the roots attached.
+    :class:`OutOfUnitBox` with the roots attached.  A z so small that S, P
+    or the discriminant overflows raises :class:`InvalidParameter`.
     """
     if not (math.isfinite(z) and z > 0):
         raise InvalidParameter(f"z must be a positive real, got {z!r}")
@@ -249,6 +246,10 @@ def binary_fiber_solve(z: float, c1: float, c2: float) -> BinaryFiberSolution:
     s = 1.0 - (1.0 - c1 - c2) / z
     p = c1 * c2 / z
     disc = s * s - 4.0 * p
+    if not math.isfinite(disc):  # also when s or p overflowed
+        raise InvalidParameter(
+            f"z = {z!r} is too small at c1 = {c1!r}, c2 = {c2!r}: "
+            "the fiber quadratic overflows")
     if disc < 0.0:
         raise NoRealSolution(disc)
     sq = math.sqrt(disc)

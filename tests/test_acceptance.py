@@ -5,12 +5,15 @@ tolerance is pinned here, not configured elsewhere.
 """
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import latentgeom
 from latentgeom import (
     CountTable,
     GeometryError,
@@ -272,11 +275,15 @@ def test_c12_cli_determinism(tmp_path):
         ["profile", str(counts_path), str(model_path), "--steps", "7"],
         ["emfit", str(counts_path), "3", "2", "3", "--seed", "6"],
     ]
+    # the child processes import the same package as this test
+    package_root = str(Path(latentgeom.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
     ok = True
     for argv in commands:
         runs = [
             subprocess.run([sys.executable, "-m", "latentgeom", *argv],
-                           capture_output=True, check=True)
+                           capture_output=True, check=True, env=env)
             for _ in range(2)
         ]
         ok = ok and runs[0].stdout == runs[1].stdout

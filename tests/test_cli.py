@@ -72,6 +72,23 @@ def test_unknown_flag_rejected(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, err", [
+    ([], "latentgeom: the following arguments are required: command\n"),
+    (["dims", "3", "2"],
+     "latentgeom dims: the following arguments are required: r3\n"),
+    (["dims", "3", "2", "3", "--frobnicate"],
+     "latentgeom: unrecognized arguments: --frobnicate\n"),
+    (["fig3", "--z", "x", "--c1", "0", "--c2", "0"],
+     "latentgeom fig3: argument --z: invalid float value: 'x'\n"),
+])
+def test_parse_error_is_one_line(capsys, argv, err):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == err
+
+
 # ---------------------------------------------------------------- check
 
 def test_check_model_report(capsys, model_file):
@@ -194,6 +211,30 @@ def test_fig3_nonpositive_z_is_a_usage_error(capsys, z, shown):
     assert captured.out == ""
     assert captured.err == \
         f"latentgeom fig3: z must be a positive real, got {shown}\n"
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--z", "-1e-05", "z must be a positive real, got -1e-05"),
+    ("--c1", "-2.5E+00", "c1 must lie in [0, 1], got -2.5"),
+    ("--c2", "-.5", "c2 must lie in [0, 1], got -0.5"),
+])
+def test_fig3_negative_number_is_a_value(capsys, flag, value, message):
+    argv = {"--z": "2", "--c1": "0.3", "--c2": "0.2"}
+    argv[flag] = value
+    code = main(["fig3"] + [x for kv in argv.items() for x in kv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == f"latentgeom fig3: {message}\n"
+
+
+@pytest.mark.parametrize("z", ["5e-324", "1e-310", "1e-200"])
+def test_fig3_overflowing_z_is_a_usage_error(capsys, z):
+    code = main(["fig3", f"--z={z}", "--c1", "0.3", "--c2", "0.2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (f"latentgeom fig3: z = {float(z)!r} is too small at "
+                            "c1 = 0.3, c2 = 0.2: the fiber quadratic overflows\n")
 
 
 # ---------------------------------------------------------------- fiber/vertices

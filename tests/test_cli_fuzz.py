@@ -18,7 +18,7 @@ from latentgeom.cli import main  # noqa: E402
 from conftest import seeded_chain  # noqa: E402
 
 REALS = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
-    [0.0, -0.0, 1.0, -1.0, 0.5, 2.0, 5e-324])
+    [0.0, -0.0, 1.0, -1.0, 0.5, 2.0, 5e-324, 1e-310])
 
 
 @pytest.fixture(scope="module")
@@ -40,14 +40,15 @@ def run(argv):
         code = main(argv)
     assert code in (0, 2, 3), argv
     assert err.getvalue().count("\n") <= 1, err.getvalue()
-    return code
+    return code, out.getvalue()
 
 
 @settings(max_examples=60, deadline=None)
 @given(z=REALS, c1=REALS, c2=REALS)
 def test_fig3_any_reals(z, c1, c2):
-    code = run(["fig3", f"--z={z!r}", f"--c1={c1!r}", f"--c2={c2!r}",
-                "--samples=3"])
+    code, out = run(["fig3", f"--z={z!r}", f"--c1={c1!r}", f"--c2={c2!r}",
+                     "--samples=3"])
+    assert "nan" not in out
     if not (math.isfinite(z) and z > 0 and 0 <= c1 <= 1 and 0 <= c2 <= 1):
         assert code == 2
 
@@ -59,6 +60,6 @@ def test_em_budget_any_values(inputs, command, tol, maxiter):
     marginal, counts = inputs
     head = (["consistency", marginal, "--r2", "2", "--restarts", "2"]
             if command == "consistency" else ["emfit", counts, "3", "2", "3"])
-    code = run(head + [f"--tol={tol!r}", f"--maxiter={maxiter}"])
+    code, _ = run(head + [f"--tol={tol!r}", f"--maxiter={maxiter}"])
     valid = maxiter >= 0 and math.isfinite(tol) and tol > 0
     assert code == (0 if valid else 2)

@@ -20,6 +20,7 @@ from latentgeom import (
     joint_from_chain,
     marginal_13,
 )
+from latentgeom.model import RANK_CUTOFF, _clique_margin_jacobian
 from conftest import seeded_chain, seeded_joint
 
 SWEEP = [(r1, r2, r3) for r1 in range(2, 7) for r2 in range(2, 7)
@@ -114,6 +115,31 @@ def test_chain_joint_satisfies_all_quadrics():
             expected = th[ref_i, 0, ref_k] * th[i, 0, k] \
                 - th[ref_i, 0, k] * th[i, 0, ref_k]
             assert res[0] == expected
+
+
+def loop_ci_residuals(joint, ref_cell):
+    # reference: the documented enumeration, one residual at a time
+    r1, r2, r3 = joint.shape.astuple()
+    ref_i, ref_k = ref_cell
+    th = joint.cells
+    out = []
+    for j in range(r2):
+        for i in range(r1):
+            for k in range(r3):
+                if i != ref_i and k != ref_k:
+                    out.append(th[ref_i, j, ref_k] * th[i, j, k]
+                               - th[ref_i, j, k] * th[i, j, ref_k])
+    return np.array(out)
+
+
+@pytest.mark.parametrize("shape", [(2, 2, 2), (3, 2, 3), (4, 3, 2),
+                                   (2, 4, 5), (6, 2, 3)])
+def test_ci_residuals_equal_loop_reference(shape):
+    joint = seeded_joint(shape, 7)
+    for ref_i in range(shape[0]):
+        for ref_k in range(shape[2]):
+            got = ci_residuals(joint, (ref_i, ref_k))
+            assert np.array_equal(got, loop_ci_residuals(joint, (ref_i, ref_k)))
 
 
 def test_ci_residual_hand_value():
@@ -263,6 +289,91 @@ def test_jacobian_rank_equals_t(shape, expected):
     for seed in range(5):
         params = seeded_chain(shape, 9000 + seed)
         assert jacobian_rank(params) == expected
+
+
+def fd_cell_jacobian_rank(params, step=1e-6):
+    # reference: central differences of the full cell map on the minimal
+    # chart; the map is affine in each chart coordinate
+    r1, r2, r3 = params.shape.astuple()
+    x0 = np.concatenate([params.p1[:-1], params.a[:, :-1].ravel(),
+                         params.b[:, :-1].ravel()])
+
+    def cells(x):
+        p1 = np.append(x[:r1 - 1], 1 - x[:r1 - 1].sum())
+        a = x[r1 - 1:r1 * r2 - 1].reshape(r1, r2 - 1)
+        a = np.hstack([a, 1 - a.sum(axis=1, keepdims=True)])
+        b = x[r1 * r2 - 1:].reshape(r2, r3 - 1)
+        b = np.hstack([b, 1 - b.sum(axis=1, keepdims=True)])
+        return np.einsum("i,ij,jk->ijk", p1, a, b).ravel()
+
+    cols = []
+    for m in range(x0.size):
+        dx = np.zeros(x0.size)
+        dx[m] = step
+        cols.append((cells(x0 + dx) - cells(x0 - dx)) / (2 * step))
+    sv = np.linalg.svd(np.array(cols).T, compute_uv=False)
+    return int(np.sum(sv > RANK_CUTOFF * sv[0]))
+
+
+def pushed_chain(shape, seed, block, eps):
+    """A seeded chain whose first entry of p1, of a[0] or of b[0] is eps."""
+    params = seeded_chain(shape, seed)
+    rows = {"p1": params.p1.copy(), "a": params.a.copy(), "b": params.b.copy()}
+    row = rows[block] if block == "p1" else rows[block][0]
+    row[1:] *= (1 - eps) / row[1:].sum()
+    row[0] = eps
+    out = ChainParams(params.shape, rows["p1"], rows["a"], rows["b"])
+    assert out.min_entry == eps
+    return out
+
+
+@pytest.mark.parametrize("shape", [(2, 2, 2), (3, 2, 3), (4, 3, 4), (2, 3, 2)])
+def test_jacobian_rank_equals_cell_map_rank(shape):
+    for seed in range(5):
+        params = seeded_chain(shape, 9000 + seed)
+        assert jacobian_rank(params) == fd_cell_jacobian_rank(params)
+
+
+def test_jacobian_rank_equals_cell_map_rank_10x3x10():
+    params = seeded_chain((10, 3, 10), 4, floor=1e-3)
+    assert jacobian_rank(params) == fd_cell_jacobian_rank(params) == 56
+
+
+@pytest.mark.parametrize("eps", [1e-7, 2e-9])
+@pytest.mark.parametrize("block", ["p1", "a", "b"])
+@pytest.mark.parametrize("shape", [(2, 2, 2), (3, 2, 3), (4, 3, 4)])
+def test_jacobian_rank_equals_cell_map_rank_near_boundary(shape, block, eps):
+    for seed in range(3):
+        params = pushed_chain(shape, 100 + seed, block, eps)
+        assert jacobian_rank(params) == fd_cell_jacobian_rank(params)
+
+
+@pytest.mark.parametrize("shape", [(2, 2, 2), (3, 2, 3)])
+def test_clique_margin_jacobian_matches_sympy(shape):
+    sympy = pytest.importorskip("sympy")
+    r1, r2, r3 = shape
+    x = sympy.symbols(f"x0:{(r1 - 1) + r1 * (r2 - 1) + r2 * (r3 - 1)}")
+
+    def simplex_rows(coords, nrows, n):
+        rows = [list(coords[r * (n - 1):(r + 1) * (n - 1)]) for r in range(nrows)]
+        return [row + [1 - sum(row)] for row in rows]
+
+    n1, na = r1 - 1, r1 * (r2 - 1)
+    (p1,) = simplex_rows(x[:n1], 1, r1)
+    a = simplex_rows(x[n1:n1 + na], r1, r2)
+    b = simplex_rows(x[n1 + na:], r2, r3)
+    m = [sum(p1[i] * a[i][j] for i in range(r1)) for j in range(r2)]
+    u = [p1[i] * a[i][j] for i in range(r1) for j in range(r2)]
+    v = [m[j] * b[j][k] for j in range(r2) for k in range(r3)]
+    symbolic = sympy.lambdify(x, sympy.Matrix(u + v).jacobian(x), "numpy")
+
+    params = seeded_chain(shape, 31)
+    point = np.concatenate([params.p1[:-1], params.a[:, :-1].ravel(),
+                            params.b[:, :-1].ravel()])
+    expected = np.array(symbolic(*point), dtype=float)
+    got = _clique_margin_jacobian(params)
+    assert got.shape == (r1 * r2 + r2 * r3, len(x))
+    assert np.allclose(got, expected, rtol=0, atol=1e-15)
 
 
 def test_jacobian_rank_rejects_boundary():

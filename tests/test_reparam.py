@@ -27,7 +27,7 @@ from latentgeom import (
     solve_fiber_323,
     split,
 )
-from conftest import seeded_chain, seeded_joint
+from conftest import seeded_chain, seeded_joint, seeded_marginal
 
 
 def binary_system_residuals(l11, l21, l12, l22, z):
@@ -102,6 +102,25 @@ def test_cross_ratios_independence_is_one():
     marg = MarginalTable((3, 3), np.outer(row, col))
     z = cross_ratios(marg)
     assert np.abs(z.values - 1.0).max() < 1e-14
+
+
+def loop_cross_ratios(marg, ref_cell):
+    # reference: one ratio at a time, rows and columns ascending
+    r1, r3 = marg.shape
+    ref_i, ref_k = ref_cell
+    d = marg.cells
+    return np.array([[d[ref_i, ref_k] * d[i, k] / (d[ref_i, k] * d[i, ref_k])
+                      for k in range(r3) if k != ref_k]
+                     for i in range(r1) if i != ref_i])
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (3, 3), (2, 5), (4, 3), (6, 6)])
+def test_cross_ratios_equal_loop_reference(shape):
+    marg = seeded_marginal(shape, 3)
+    for ref_i in range(shape[0]):
+        for ref_k in range(shape[1]):
+            got = cross_ratios(marg, (ref_i, ref_k)).values
+            assert np.array_equal(got, loop_cross_ratios(marg, (ref_i, ref_k)))
 
 
 def test_cross_ratio_hand_value():
