@@ -412,13 +412,14 @@ class CliUsageError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     """Argument parser whose errors are one-line :class:`CliUsageError`s
-    and which reads a negative number in exponent form (``-1e-05``) as a
-    value, not as an option."""
+    and which reads a negative number in exponent form (``-1e-05``) or a
+    negative ``inf``, ``infinity`` or ``nan`` in any case as a value, not
+    as an option."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = re.compile(
-            r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+            r"^-((\d+\.?\d*|\.\d+)([eE][-+]?\d+)?|(?i:inf(inity)?|nan))$")
 
     def error(self, message):
         raise CliUsageError(f"{self.prog}: {message}")

@@ -5,12 +5,14 @@ marginal matrix must have ordinary rank <= r2 (it factors through an
 r2-state variable).  The rank-2 cross-ratio identity of a positive 3 x 3
 marginal equals delta00 det(delta) / (delta10 delta20 delta01 delta02), so
 it vanishes exactly when the rank is <= 2 and is not checked separately.
-When r2 >= min(r1, r3) the model imposes no constraint and an exact
-witness is written down directly (copy the smaller observed variable into
-the hidden one).  Otherwise a multistart EM search minimises
-KL(target || model marginal); "infeasible" then means "not found within
-budget" and the report distinguishes the two situations through
-``proven_infeasible_by``.
+When r2 >= min(r1, r3), or when the rank is <= 2 (a nonnegative matrix of
+rank <= 2 has equal nonnegative rank, Cohen & Rothblum 1993), an exact
+witness is written down directly: the rows of p(Y3 | Y2) are the vertices
+of a simplex holding every row p(Y3 | Y1 = i), and p(Y2 | Y1) holds their
+barycentric weights.  Only 3 <= rank <= r2 < min(r1, r3) runs a multistart
+EM search minimising KL(target || model marginal); "infeasible" then means
+"not found within budget" and the report distinguishes the two situations
+through ``proven_infeasible_by``.
 """
 
 from __future__ import annotations
@@ -64,10 +66,7 @@ def diagonal_marginal(r1: int, r3: int) -> MarginalTable:
     """
     if r3 < r1:
         raise InvalidParameter(f"requires r3 >= r1, got ({r1}, {r3})")
-    cells = np.zeros((r1, r3))
-    for i in range(r1):
-        cells[i, i] = 1.0 / r1
-    return MarginalTable((r1, r3), cells)
+    return MarginalTable((r1, r3), np.eye(r1, r3) / r1)
 
 
 def marginal_rank(target: MarginalTable) -> int:
@@ -90,41 +89,43 @@ def kl_divergence(target: MarginalTable, model: MarginalTable) -> float:
     return max(0.0, kl)
 
 
-def _unconstrained_witness(target: MarginalTable, r2: int) -> ChainParams:
-    """Exact parametrisation when r2 >= min(r1, r3): copy the smaller
-    observed variable through the hidden one."""
+def _exact_witness(target: MarginalTable, r2: int) -> ChainParams:
+    """Chain parameters that reproduce ``target`` exactly, for
+    r2 >= min(r1, r3) or rank <= 2.
+
+    The rows of ``b`` are the vertices of a simplex that holds every
+    conditional row p(Y3 | Y1 = i), and row i of ``a`` holds that row's
+    barycentric weights, so a @ b is the conditional table.  The vertices
+    are the unit vectors when r2 >= r3 (Y2 copies Y3), the rows themselves
+    when r2 >= r1 (Y2 copies Y1), and otherwise the two ends of the segment
+    the rows of a rank <= 2 target lie on.  Unused states get a zero ``a``
+    column and a uniform ``b`` row; a state of Y1 with zero mass gets a
+    uniform ``a`` row, or its own uniform vertex when Y2 copies Y1.
+    """
     r1, r3 = target.shape
-    delta = target.cells
-    p1 = delta.sum(axis=1)
-    shape = Shape(r1, r2, r3)
+    p1 = target.cells.sum(axis=1)
+    live = p1 > 0.0
+    rows = target.cells[live] / p1[live, None]
+    a = np.full((r1, r2), 1.0 / r2)
+    b = np.full((r2, r3), 1.0 / r3)
     if r2 >= r3:
-        # Y2 carries Y3: a(i, j) = p(Y3 = j | Y1 = i), b deterministic
-        a = np.zeros((r1, r2))
-        for i in range(r1):
-            if p1[i] > 0.0:
-                a[i, :r3] = delta[i] / p1[i]
-            else:
-                a[i] = 1.0 / r2
-        b = np.zeros((r2, r3))
-        for j in range(r2):
-            if j < r3:
-                b[j, j] = 1.0
-            else:
-                b[j] = 1.0 / r3
+        a[live] = np.pad(rows, ((0, 0), (0, r2 - r3)))
+        b[:r3] = np.eye(r3)
+    elif r2 >= r1:
+        a = np.eye(r1, r2)
+        b[np.flatnonzero(live)] = rows
     else:
-        # Y2 carries Y1: a deterministic, b(j, k) = p(Y3 = k | Y1 = j)
-        a = np.zeros((r1, r2))
-        for i in range(r1):
-            a[i, i] = 1.0
-        b = np.zeros((r2, r3))
-        for j in range(r2):
-            if j < r1 and p1[j] > 0.0:
-                b[j] = delta[j] / p1[j]
-            else:
-                b[j] = 1.0 / r3
+        # the rows lie on a segment: project them on its direction
+        centred = rows - rows.mean(axis=0)
+        s = rows @ np.linalg.svd(centred, full_matrices=False)[2][0]
+        lo, hi = int(np.argmin(s)), int(np.argmax(s))
+        span = s[hi] - s[lo]
+        t = (s - s[lo]) / span if span > 0.0 else np.ones(len(s))
+        b[0], b[1] = rows[lo], rows[hi]
+        a[live] = np.pad(np.column_stack([1.0 - t, t]), ((0, 0), (0, r2 - 2)))
     a /= a.sum(axis=1, keepdims=True)
     b /= b.sum(axis=1, keepdims=True)
-    return ChainParams(shape, p1 / p1.sum(), a, b)
+    return ChainParams(Shape(r1, r2, r3), p1 / p1.sum(), a, b)
 
 
 def consistency_check(target: MarginalTable, r2: int, restarts: int = 64,
@@ -133,11 +134,15 @@ def consistency_check(target: MarginalTable, r2: int, restarts: int = 64,
     """Decide whether ``target`` is reachable by a chain model with r2 states.
 
     The necessary check rank <= r2 short-circuits; it is the only one, since
-    the cross-ratio identity of a 3 x 3 target is the same condition.
+    the cross-ratio identity of a 3 x 3 target is the same condition.  A
+    target that passes it is decided exactly when r2 >= min(r1, r3) or its
+    rank is <= 2: the closed-form witness of :func:`_exact_witness` reaches
+    it, and ``restarts``, ``maxiter`` and ``seed`` are not used.  Only
+    3 <= rank <= r2 < min(r1, r3) runs the multistart EM search.
     Feasible verdicts are certified by the witness parameters: the reported
-    divergence is recomputed from them, independently of the search.
-    Restarts are reduced in seed order and stop early once one beats the
-    tolerance, so the report is deterministic for a given seed.
+    divergence is recomputed from them, independently of the construction
+    or the search.  Restarts are reduced in seed order and stop early once
+    one beats the tolerance, so the report is deterministic for a given seed.
     """
     if r2 < 2:
         raise InvalidParameter(f"r2 must be >= 2, got {r2}")
@@ -145,21 +150,21 @@ def consistency_check(target: MarginalTable, r2: int, restarts: int = 64,
         raise InvalidParameter(f"restarts must be >= 1, got {restarts}")
     _check_budget(maxiter, tol)
     r1, r3 = target.shape
-    checks = {"rank": marginal_rank(target) <= r2}
-    failed = [name for name, ok in checks.items() if not ok]
-    if failed:
+    rank = marginal_rank(target)
+    checks = {"rank": rank <= r2}
+    if not checks["rank"]:
         return ConsistencyReport(
             feasible=False, best_divergence=float("inf"), witness=None,
-            necessary_checks=checks, proven_infeasible_by=failed[0], tol=tol)
+            necessary_checks=checks, proven_infeasible_by="rank", tol=tol)
 
-    shape = Shape(r1, r2, r3)
-    if r2 >= min(r1, r3):
-        witness = _unconstrained_witness(target, r2)
+    if r2 >= min(r1, r3) or rank <= 2:
+        witness = _exact_witness(target, r2)
         best = kl_divergence(target, marginal_13(joint_from_chain(witness)))
         return ConsistencyReport(
             feasible=bool(best < tol), best_divergence=best, witness=witness,
             necessary_checks=checks, proven_infeasible_by=None, tol=tol)
 
+    shape = Shape(r1, r2, r3)
     weights = target.cells
     best = float("inf")
     witness = None

@@ -371,22 +371,19 @@ def _quadric_residuals_323(z: CrossRatios, lam: np.ndarray) -> np.ndarray:
     return out
 
 
-def _relabel_frame(z: CrossRatios) -> tuple[list[int], list[int]]:
-    """Row/column orders that move the reference cell to (0, 0)."""
+def _frame_index(z: CrossRatios) -> tuple[np.ndarray, np.ndarray]:
+    """``np.ix_`` index of the frame that moves the reference cell to
+    (0, 0): ``x[_frame_index(z)]`` is the 3 x 3 array ``x`` in that frame."""
     ref_i, ref_k = z.ref_cell
     rows = [ref_i] + [i for i in range(z.marginal_shape[0]) if i != ref_i]
     cols = [ref_k] + [k for k in range(z.marginal_shape[1]) if k != ref_k]
-    return rows, cols
+    return np.ix_(rows, cols)
 
 
 def _field_from_first_component(shape: Shape, z: CrossRatios,
                                 lam: np.ndarray) -> LambdaField:
-    rows, cols = _relabel_frame(z)
     values = np.empty((3, 3, 2))
-    for fi, i in enumerate(rows):
-        for fk, k in enumerate(cols):
-            values[i, k, 0] = lam[fi, fk]
-            values[i, k, 1] = 1.0 - lam[fi, fk]
+    values[_frame_index(z)] = np.stack([lam, 1.0 - lam], axis=-1)
     return LambdaField(shape, values)
 
 
@@ -481,11 +478,7 @@ def quadric_residuals_323(z: CrossRatios, lambdas: LambdaField) -> np.ndarray:
     """Evaluate the eight z-form quadric residuals on a full lambda field."""
     if lambdas.shape.astuple() != (3, 2, 3):
         raise InvalidParameter("residuals require shape (3, 2, 3)")
-    rows, cols = _relabel_frame(z)
-    lam = np.empty((3, 3))
-    for fi, i in enumerate(rows):
-        for fk, k in enumerate(cols):
-            lam[fi, fk] = lambdas.values[i, k, 0]
+    lam = lambdas.values[:, :, 0][_frame_index(z)]
     return _quadric_residuals_323(z, lam)
 
 
@@ -526,11 +519,7 @@ def degenerate_family_323(z: CrossRatios, lam21: float, lam31: float,
             if v > 1.0 + 1e-12:
                 raise OutOfUnitBox(names[(fi, fk)], v)
             mu[fi, fk] = min(v, 1.0)
-    rows, cols = _relabel_frame(z)
+    pair = [1.0 - mu, mu] if branch == "ones" else [mu, 1.0 - mu]
     values = np.empty((3, 3, 2))
-    pinned_j = 1 if branch == "ones" else 0
-    for fi, i in enumerate(rows):
-        for fk, k in enumerate(cols):
-            values[i, k, pinned_j] = mu[fi, fk]
-            values[i, k, 1 - pinned_j] = 1.0 - mu[fi, fk]
+    values[_frame_index(z)] = np.stack(pair, axis=-1)
     return LambdaField(Shape(3, 2, 3), values)

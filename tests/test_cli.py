@@ -217,6 +217,11 @@ def test_fig3_nonpositive_z_is_a_usage_error(capsys, z, shown):
     ("--z", "-1e-05", "z must be a positive real, got -1e-05"),
     ("--c1", "-2.5E+00", "c1 must lie in [0, 1], got -2.5"),
     ("--c2", "-.5", "c2 must lie in [0, 1], got -0.5"),
+    ("--z", "-inf", "z must be a positive real, got -inf"),
+    ("--z", "-Infinity", "z must be a positive real, got -inf"),
+    ("--z", "-NaN", "z must be a positive real, got nan"),
+    ("--c1", "-INF", "c1 must lie in [0, 1], got -inf"),
+    ("--c2", "-nan", "c2 must lie in [0, 1], got nan"),
 ])
 def test_fig3_negative_number_is_a_value(capsys, flag, value, message):
     argv = {"--z": "2", "--c1": "0.3", "--c2": "0.2"}

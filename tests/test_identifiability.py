@@ -15,6 +15,7 @@ from latentgeom import (
     marginal_13,
     marginal_rank,
 )
+from latentgeom import identifiability
 from conftest import seeded_chain, seeded_marginal
 
 
@@ -79,6 +80,60 @@ def test_unconstrained_case_is_exact_for_any_positive_target():
         assert report.best_divergence < 1e-12
 
 
+def test_rank_two_target_is_exact_without_a_search_budget():
+    # one EM iteration from one start cannot reach this target; the
+    # closed-form witness does
+    target = marginal_13(joint_from_chain(seeded_chain((3, 2, 3), 1600)))
+    report = consistency_check(target, r2=2, restarts=1, maxiter=1)
+    assert report.feasible
+    assert report.best_divergence < 1e-14
+    assert report.proven_infeasible_by is None
+
+
+def test_rank_two_target_with_three_hidden_states_runs_no_search(monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("EM search ran on a rank-2 target")
+
+    monkeypatch.setattr(identifiability, "_em_run", no_search)
+    target = marginal_13(joint_from_chain(seeded_chain((4, 2, 4), 1601)))
+    assert marginal_rank(target) == 2
+    report = consistency_check(target, r2=3)
+    assert report.feasible
+    assert report.best_divergence < 1e-14
+    assert report.witness.shape == Shape(4, 3, 4)
+    # the third hidden state is unused: zero a column, uniform b row
+    assert np.array_equal(report.witness.a[:, 2], np.zeros(4))
+    assert np.array_equal(report.witness.b[2], np.full(4, 0.25))
+
+
+def test_rank_one_target_puts_every_row_on_one_vertex():
+    # dyadic cells: every conditional row is exactly the same, span = 0
+    target = MarginalTable((4, 5), np.outer([0.125, 0.125, 0.25, 0.5],
+                                            [0.5, 0.125, 0.125, 0.125, 0.125]))
+    report = consistency_check(target, r2=2, restarts=1, maxiter=1)
+    assert report.feasible
+    assert report.best_divergence < 1e-14
+    assert np.array_equal(report.witness.a, np.tile([0.0, 1.0], (4, 1)))
+
+
+@pytest.mark.parametrize("cells, r2, a_dead, b_dead", [
+    # Y2 copies Y3: a zero-mass row of Y1 spreads uniformly over Y2
+    ([[0.1, 0.2, 0.1], [0.0, 0.0, 0.0], [0.2, 0.3, 0.1], [0.0, 0.0, 0.0]],
+     4, np.full(4, 0.25), None),
+    # Y2 copies Y1: a zero-mass row keeps its own state, a uniform vertex
+    ([[0.1, 0.2, 0.0, 0.1], [0.0, 0.0, 0.0, 0.0], [0.2, 0.1, 0.2, 0.1]],
+     3, np.eye(3)[1], np.full(4, 0.25)),
+])
+def test_zero_mass_rows_of_exact_witness(cells, r2, a_dead, b_dead):
+    target = MarginalTable(np.shape(cells), np.array(cells))
+    report = consistency_check(target, r2=r2)
+    assert report.feasible
+    assert report.best_divergence < 1e-15
+    assert np.array_equal(report.witness.a[1], a_dead)
+    if b_dead is not None:
+        assert np.array_equal(report.witness.b[1], b_dead)
+
+
 def test_identity_check_runs_on_positive_3x3_targets():
     # the rank-2 identity is the rank check in other coordinates, so only
     # the rank check runs, and it alone proves the target infeasible
@@ -106,8 +161,7 @@ def test_monotonicity_in_r2_by_witness_embedding():
         params = seeded_chain((3, 2, 3), 1500 + seed)
         target = marginal_13(joint_from_chain(params))
         report = consistency_check(target, r2=2, seed=seed)
-        if not report.feasible:
-            continue
+        assert report.feasible
         w = report.witness
         # embed: dead third latent state, uniform emission row
         a = np.hstack([w.a, np.zeros((3, 1))])

@@ -1,17 +1,71 @@
 """Invariants checked as properties over generated inputs."""
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from latentgeom import Shape, dims, jacobian_rank  # noqa: E402
-from conftest import seeded_chain  # noqa: E402
+from latentgeom import (  # noqa: E402
+    Shape,
+    apply_mixing,
+    consistency_check,
+    dims,
+    extreme_mixings,
+    jacobian_rank,
+    joint_from_chain,
+    marginal_13,
+    merge,
+    permute_latent,
+    split,
+)
+from conftest import seeded_chain, seeded_joint  # noqa: E402
+
+SEEDS = st.integers(0, 2 ** 32 - 1)
 
 
 @settings(max_examples=60, deadline=None)
 @given(r1=st.integers(2, 5), r2=st.integers(2, 3), r3=st.integers(2, 5),
-       seed=st.integers(0, 2 ** 32 - 1))
+       seed=SEEDS)
 def test_jacobian_rank_is_model_dimension(r1, r2, r3, seed):
     params = seeded_chain((r1, r2, r3), seed)
     assert jacobian_rank(params) == dims(Shape(r1, r2, r3)).t
+
+
+@settings(max_examples=60, deadline=None)
+@given(r1=st.integers(2, 8), r3=st.integers(2, 8), seed=SEEDS)
+def test_two_state_chain_marginals_are_exact(r1, r3, seed):
+    params = seeded_chain((r1, 2, r3), seed)
+    report = consistency_check(marginal_13(joint_from_chain(params)), r2=2)
+    assert report.feasible
+    assert report.best_divergence <= 1e-14
+    if r3 > 2:
+        # not the copy of Y3: the witness vertices are the two extreme
+        # conditional rows, the b rows of the side-"a" fiber vertex
+        vertex = apply_mixing(params, extreme_mixings(params)[0].q).b
+        b = report.witness.b
+        assert min(np.abs(b - vertex).max(),
+                   np.abs(b - vertex[::-1]).max()) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(r1=st.integers(2, 6), r2=st.integers(2, 4), r3=st.integers(2, 6),
+       seed=SEEDS)
+def test_split_merge_round_trip(r1, r2, r3, seed):
+    joint = seeded_joint((r1, r2, r3), seed)
+    back = merge(*split(joint))
+    assert np.abs(back.cells - joint.cells).max() <= 1e-15
+
+
+@settings(max_examples=60, deadline=None)
+@given(r2=st.integers(2, 5), seed=SEEDS, data=st.data())
+def test_permute_latent_twice_is_the_identity(r2, seed, data):
+    params = seeded_chain((3, r2, 4), seed)
+    perm = data.draw(st.permutations(range(r2)))
+    inverse = np.argsort(perm)
+    back = permute_latent(permute_latent(params, perm), inverse)
+    assert np.array_equal(back.a, params.a) and np.array_equal(back.b, params.b)
+    if r2 == 2:
+        twice = permute_latent(permute_latent(params))
+        assert np.array_equal(twice.a, params.a)
+        assert np.array_equal(twice.b, params.b)

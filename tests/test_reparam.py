@@ -379,6 +379,54 @@ def test_degenerate_family_scale_out_of_range():
         degenerate_family_323(z, 1.0, 1.0)
 
 
+# ---------------------------------------------------------------- frame relabelling
+
+def loop_field(ref_cell, first, pinned=0):
+    # reference: write the frame's cell (fi, fk) to the original labels one
+    # cell at a time, the frame having the reference cell at (0, 0)
+    ref_i, ref_k = ref_cell
+    rows = [ref_i] + [i for i in range(3) if i != ref_i]
+    cols = [ref_k] + [k for k in range(3) if k != ref_k]
+    values = np.empty((3, 3, 2))
+    for fi, i in enumerate(rows):
+        for fk, k in enumerate(cols):
+            values[i, k, pinned] = first[fi, fk]
+            values[i, k, 1 - pinned] = 1.0 - first[fi, fk]
+    return values, rows, cols
+
+
+@pytest.mark.parametrize("ref_cell", [(i, k) for i in range(3) for k in range(3)])
+def test_frame_relabelling_equals_loop_reference(ref_cell):
+    from latentgeom.reparam import (
+        _field_from_first_component,
+        _quadric_residuals_323,
+    )
+    z = cross_ratios(marginal_13(joint_from_chain(seeded_chain((3, 2, 3), 7))),
+                     ref_cell)
+    lam = np.random.default_rng(8).uniform(0.05, 0.95, (3, 3))
+    field = _field_from_first_component(Shape(3, 2, 3), z, lam)
+    expected, rows, cols = loop_field(ref_cell, lam)
+    assert np.array_equal(field.values, expected)
+
+    frame = np.empty((3, 3))
+    for fi, i in enumerate(rows):
+        for fk, k in enumerate(cols):
+            frame[fi, fk] = field.values[i, k, 0]
+    assert np.array_equal(quadric_residuals_323(z, field),
+                          _quadric_residuals_323(z, frame))
+
+    l21 = 0.5 * min(1.0, float(z.values[0].min()))
+    l31 = 0.5 * min(1.0, float(z.values[1].min()))
+    mu = np.ones((3, 3))
+    for fi, free in ((1, l21), (2, l31)):
+        mu[fi, 0] = free
+        for fk in (1, 2):
+            mu[fi, fk] = min(free / float(z.values[fi - 1, fk - 1]), 1.0)
+    for branch, pinned in (("ones", 1), ("zeros", 0)):
+        got = degenerate_family_323(z, l21, l31, branch=branch)
+        assert np.array_equal(got.values, loop_field(ref_cell, mu, pinned)[0])
+
+
 # ---------------------------------------------------------------- label swap
 
 def test_label_swap_preserves_marginal():
