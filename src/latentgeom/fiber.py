@@ -294,17 +294,6 @@ def sample_fiber(params: ChainParams, n: int, seed: int = 0) -> list[ChainParams
     return out
 
 
-def _row_sum_zero_basis(r2: int) -> list[np.ndarray]:
-    basis = []
-    for j in range(r2):
-        for l in range(r2 - 1):
-            m = np.zeros((r2, r2))
-            m[j, l] = 1.0
-            m[j, r2 - 1] = -1.0
-            basis.append(m)
-    return basis
-
-
 def fiber_dimension(params: ChainParams) -> int:
     """Tangent dimension of the mixing orbit at the identity.
 
@@ -330,8 +319,12 @@ def fiber_dimension(params: ChainParams) -> int:
         else:
             raise BoundaryPoint("fiber dimension requires (one-sided) interior "
                                 "parameters")
-    rows = []
-    for m in _row_sum_zero_basis(params.shape.r2):
-        rows.append(np.concatenate([(-params.a @ m).ravel(),
-                                    (m @ params.b).ravel()]))
-    return _numerical_rank(np.vstack(rows))
+    r2 = params.shape.r2
+    eye = np.eye(r2)
+    # the rows -a M and M b for the basis M = e_j (e_l - e_last)^T, l < last
+    diffs = eye[:-1] - eye[-1]
+    minus_am = np.einsum("ij,lc->jlic", -params.a, diffs)
+    mb = np.einsum("jJ,lk->jlJk", eye, params.b[:-1] - params.b[-1])
+    count = r2 * (r2 - 1)
+    return _numerical_rank(np.hstack([minus_am.reshape(count, -1),
+                                      mb.reshape(count, -1)]))

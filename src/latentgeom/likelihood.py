@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import (
+    GeometryError,
     InvalidMixing,
     InvalidParameter,
     PathExitsPolytope,
@@ -75,10 +77,6 @@ def loglik(counts: CountTable, params: ChainParams) -> float:
     return float(np.sum(counts.counts[mask] * np.log(delta[mask])))
 
 
-class _ZeroResponsibility(Exception):
-    """Internal: the E-step hit delta = 0 on an observed cell."""
-
-
 def _check_budget(maxiter: int, tol: float) -> None:
     """Reject maxiter < 0 and a tol that is not a finite positive real: no
     divergence is below a tol <= 0, and EM never converges under one."""
@@ -88,68 +86,145 @@ def _check_budget(maxiter: int, tol: float) -> None:
         raise InvalidParameter(f"tol must be a positive real, got {tol!r}")
 
 
-def _em_run(weights: np.ndarray, shape: Shape, rng: np.random.Generator,
-            maxiter: int, tol: float,
-            trace: list[float] | None = None) -> tuple[ChainParams, float, int, bool]:
-    """One EM run on nonnegative cell weights (counts or probabilities).
+class _EmRuns(NamedTuple):
+    """Final iterates of R EM restarts, restart axis first.
 
+    ``loglik`` is -inf for a restart whose E-step met a zero-probability
+    observed cell; ``errors`` maps a restart whose log-likelihood decreased
+    to the error its caller raises when it reaches that restart.
+    """
+
+    p1: np.ndarray           # (R, r1)
+    a: np.ndarray            # (R, r1, r2)
+    b: np.ndarray            # (R, r2, r3)
+    loglik: np.ndarray       # (R,)
+    iterations: np.ndarray   # (R,)
+    converged: np.ndarray    # (R,)
+    errors: dict[int, GeometryError]
+
+    def params(self, shape: Shape, r: int) -> ChainParams:
+        """Chain parameters of restart ``r``, rows renormalised."""
+        p1, a, b = self.p1[r], self.a[r], self.b[r]
+        return ChainParams(shape, p1 / p1.sum(),
+                           a / a.sum(axis=1, keepdims=True),
+                           b / b.sum(axis=1, keepdims=True))
+
+
+def _em_batch(weights: np.ndarray, shape: Shape,
+              rngs: list[np.random.Generator], maxiter: int, tol: float,
+              trace: list[float] | None = None) -> _EmRuns:
+    """EM runs on nonnegative cell weights (counts or probabilities), one
+    restart per generator, all advanced together on a leading restart axis.
+
+    Each restart starts from flat-Dirichlet rows drawn from its generator.
     E-step: responsibilities lambda_j(i, k) from the current parameters;
-    M-step: closed-form row updates of p1, a, b.  The per-step
-    log-likelihood must not decrease beyond rounding slack.  Returns
-    (params, loglik, iterations, converged).
+    M-step: closed-form row updates of p1, a, b.  A restart stops when its
+    log-likelihood gains less than ``tol`` (converged, reporting the iterate
+    before the update), when it decreases beyond rounding slack (an error),
+    when an observed cell gets zero probability, or after ``maxiter``
+    updates (reporting the final iterate).  Only then does it leave the
+    working arrays.  Every restart follows the arithmetic of a run on its
+    own, operation for operation and in the same summation order, so its
+    results are bitwise those of R = 1 and do not depend on the other
+    restarts.  ``trace`` receives the log-likelihoods of the running
+    restarts at every iteration, in restart order.
     """
     r1, r2, r3 = shape.astuple()
+    count = len(rngs)
+    p1 = np.empty((count, r1))
+    a = np.empty((count, r1, r2))
+    b = np.empty((count, r2, r3))
+    for r, rng in enumerate(rngs):
+        p1[r] = rng.dirichlet(np.ones(r1))
+        a[r] = rng.dirichlet(np.ones(r2), size=r1)
+        b[r] = rng.dirichlet(np.ones(r3), size=r2)
+    out = _EmRuns(np.empty_like(p1), np.empty_like(a), np.empty_like(b),
+                  np.full(count, NEG_INF), np.zeros(count, dtype=int),
+                  np.zeros(count, dtype=bool), {})
     total = float(weights.sum())
-    p1 = rng.dirichlet(np.ones(r1))
-    a = np.vstack([rng.dirichlet(np.ones(r2)) for _ in range(r1)])
-    b = np.vstack([rng.dirichlet(np.ones(r3)) for _ in range(r2)])
     observed = weights > 0
-
-    def current_ll() -> tuple[float, np.ndarray, np.ndarray]:
-        cells = np.einsum("i,ij,jk->ijk", p1, a, b)
-        delta = cells.sum(axis=1)
-        if (delta[observed] <= 0.0).any():
-            raise _ZeroResponsibility
-        value = float(np.sum(weights[observed] * np.log(delta[observed])))
-        return value, cells, delta
-
+    # with every cell observed the log-likelihood terms need no gather and
+    # every delta is positive
+    gather = None if observed.all() else np.flatnonzero(observed)
+    w_obs = weights[observed]
+    w3 = weights[:, :, None]
+    # a row mass of a sums w(i, k) lambda_j(i, k) with max_j lambda >= 1/r2:
+    # positive for every row holding a weight of normal size
+    a_rows_positive = bool((weights.max(axis=1) >= np.finfo(float).tiny).all())
+    live = np.arange(count)      # restart index of each working row
     ll_old = None
-    converged = False
-    iterations = 0
-    ll = NEG_INF
-    for it in range(maxiter):
-        ll, cells, delta = current_ll()
-        if trace is not None:
-            trace.append(ll)
+
+    def leave(rows, iterations, converged, ll=None):
+        """Store the restarts at ``rows`` and drop them from the working
+        arrays; returns the mask of the rows kept."""
+        nonlocal p1, a, b, live, ll_old
+        idx = live[rows]
+        out.p1[idx], out.a[idx], out.b[idx] = p1[rows], a[rows], b[rows]
+        out.iterations[idx] = iterations
+        out.converged[idx] = converged
+        if ll is not None:
+            out.loglik[idx] = ll[rows]
+        keep = ~rows
+        p1, a, b, live = p1[keep], a[keep], b[keep], live[keep]
         if ll_old is not None:
-            if ll < ll_old - EM_SLACK * max(1.0, abs(ll_old)):
-                raise RuntimeError(
-                    f"EM log-likelihood decreased: {ll_old!r} -> {ll!r}"
-                )
-            if ll - ll_old < tol:
-                converged = True
-                break
-        ll_old = ll
-        iterations = it + 1
-        safe = np.where(delta > 0.0, delta, 1.0)
-        resp = cells.transpose(0, 2, 1) / safe[:, :, None]  # lambda_j(i, k)
-        nhat = weights[:, :, None] * resp                   # (i, k, j)
-        p1 = nhat.sum(axis=(1, 2)) / total
-        a_mass = nhat.sum(axis=1)                           # (i, j)
-        a_rows = a_mass.sum(axis=1, keepdims=True)
-        a = np.where(a_rows > 0.0, a_mass / np.where(a_rows > 0, a_rows, 1.0),
-                     1.0 / r2)
-        b_mass = nhat.sum(axis=0).T                         # (j, k)
-        b_rows = b_mass.sum(axis=1, keepdims=True)
-        b = np.where(b_rows > 0.0, b_mass / np.where(b_rows > 0, b_rows, 1.0),
-                     1.0 / r3)
-    else:
-        # maxiter exhausted after an update: report the final iterate's value
-        ll, _, _ = current_ll()
-    params = ChainParams(shape, p1 / p1.sum(),
-                         a / a.sum(axis=1, keepdims=True),
-                         b / b.sum(axis=1, keepdims=True))
-    return params, ll, iterations, converged
+            ll_old = ll_old[keep]
+        return keep
+
+    def evaluate():
+        cells = np.einsum("ri,rij,rjk->rijk", p1, a, b)
+        delta = cells.sum(axis=2)
+        flat = delta.reshape(len(live), -1)
+        # rows must be C-contiguous: numpy sums a contiguous row pairwise,
+        # as it sums the 1-d terms of a single run, and a strided one in order
+        terms = flat if gather is None else flat.take(gather, axis=1)
+        # -inf exactly when an observed cell has zero probability
+        ll = (w_obs * np.log(terms)).sum(axis=1)
+        if NEG_INF in ll.tolist():
+            keep = leave(ll == NEG_INF, 0, False)
+            cells, delta, ll = cells[keep], delta[keep], ll[keep]
+        return cells, delta, ll
+
+    with np.errstate(divide="ignore"):
+        for it in range(maxiter):
+            cells, delta, ll = evaluate()
+            if trace is not None:
+                trace.extend(ll.tolist())
+            if ll_old is not None:
+                gain = ll - ll_old
+                # with EM_SLACK >= 0 a decrease beyond it is a gain below tol
+                if EM_SLACK < 0.0 or min(gain.tolist(), default=tol) < tol:
+                    floor = ll_old - EM_SLACK * np.maximum(1.0, np.abs(ll_old))
+                    for r in np.flatnonzero(ll < floor):
+                        out.errors[int(live[r])] = GeometryError(
+                            f"EM log-likelihood decreased: {float(ll_old[r])!r}"
+                            f" -> {float(ll[r])!r}")
+                    keep = leave((ll < floor) | (gain < tol), it, True, ll)
+                    cells, delta, ll = cells[keep], delta[keep], ll[keep]
+            if not len(live):
+                return out
+            ll_old = ll
+            safe = delta if gather is None else np.where(delta > 0.0, delta, 1.0)
+            resp = cells.transpose(0, 1, 3, 2) / safe[:, :, :, None]
+            nhat = w3 * resp                      # (r, i, k, j)
+            p1 = nhat.sum(axis=(2, 3)) / total
+            a_mass = nhat.sum(axis=2)             # (r, i, j)
+            a_rows = a_mass.sum(axis=2, keepdims=True)
+            if a_rows_positive:
+                a = a_mass / a_rows
+            else:
+                a = np.where(a_rows > 0.0,
+                             a_mass / np.where(a_rows > 0, a_rows, 1.0), 1.0 / r2)
+            b_mass = nhat.sum(axis=1).transpose(0, 2, 1)   # (r, j, k)
+            b_rows = b_mass.sum(axis=2, keepdims=True)
+            if b_rows.all():
+                b = b_mass / b_rows
+            else:
+                b = np.where(b_rows > 0.0,
+                             b_mass / np.where(b_rows > 0, b_rows, 1.0), 1.0 / r3)
+        # maxiter exhausted after an update: report the final iterates' values
+        _, _, ll = evaluate()
+    leave(np.ones(len(live), dtype=bool), maxiter, False, ll)
+    return out
 
 
 @dataclass(frozen=True)
@@ -169,7 +244,8 @@ def em_fit_details(counts: CountTable, shape: Shape, seed: int = 0,
     Initial rows are seeded flat-Dirichlet draws.  If the E-step ever hits
     a zero-probability observed cell the run restarts with the next seed
     (flat initialisations make this all but impossible, but the policy is
-    deterministic).
+    deterministic).  After 16 such restarts, or when the log-likelihood
+    decreases beyond rounding slack, :class:`GeometryError` is raised.
     """
     _check_budget(maxiter, tol)
     r1, _, r3 = shape.astuple()
@@ -179,15 +255,16 @@ def em_fit_details(counts: CountTable, shape: Shape, seed: int = 0,
         )
     weights = counts.counts.astype(float)
     for attempt in range(16):
-        rng = np.random.default_rng(seed + attempt)
-        try:
-            params, ll, iters, converged = _em_run(
-                weights, shape, rng, maxiter, tol)
-            return EmFit(params=params, loglik=ll, iterations=iters,
-                         converged=converged)
-        except _ZeroResponsibility:
-            continue
-    raise RuntimeError("EM restarted 16 times on zero responsibilities")
+        runs = _em_batch(weights, shape, [np.random.default_rng(seed + attempt)],
+                         maxiter, tol)
+        if runs.errors:
+            raise runs.errors[0]
+        if runs.loglik[0] > NEG_INF:
+            return EmFit(params=runs.params(shape, 0),
+                         loglik=float(runs.loglik[0]),
+                         iterations=int(runs.iterations[0]),
+                         converged=bool(runs.converged[0]))
+    raise GeometryError("EM restarted 16 times on zero responsibilities")
 
 
 @dataclass(frozen=True)

@@ -41,7 +41,7 @@ from latentgeom import (
     solve_fiber_323,
     split,
 )
-from latentgeom.likelihood import _em_run
+from latentgeom.likelihood import _em_batch
 from conftest import seeded_chain
 
 
@@ -241,8 +241,8 @@ def test_c11_em_sanity():
     fitted = em_fit_details(counts, Shape(3, 2, 3), seed=0).params
     kl = kl_divergence(marg, marginal_13(joint_from_chain(fitted)))
     trace: list[float] = []
-    _em_run(counts.counts.astype(float), Shape(3, 2, 3),
-            np.random.default_rng(0), maxiter=400, tol=1e-12, trace=trace)
+    _em_batch(counts.counts.astype(float), Shape(3, 2, 3),
+              [np.random.default_rng(0)], maxiter=400, tol=1e-12, trace=trace)
     diffs = np.diff(np.array(trace))
     slack = 1e-12 * np.maximum(1.0, np.abs(np.array(trace[:-1])))
     monotone = bool((diffs >= -slack).all())

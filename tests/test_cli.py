@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -8,6 +9,7 @@ from latentgeom import (
     joint_from_chain,
     marginal_13,
 )
+from latentgeom import likelihood
 from latentgeom.cli import main
 from conftest import seeded_chain
 
@@ -36,6 +38,16 @@ def counts_file(tmp_path):
         for k in range(3):
             lines.append(f"{i + 1},{k + 1},{draws[i, k]}")
     path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+@pytest.fixture()
+def slack_file(tmp_path):
+    """The unit square's slack matrix as counts: rank 3, nonnegative rank 4."""
+    slack = [[0, 1, 0, 1], [1, 0, 0, 1], [1, 0, 1, 0], [0, 1, 1, 0]]
+    path = tmp_path / "slack.csv"
+    path.write_text("i,k,count\n" + "".join(
+        f"{i + 1},{k + 1},{slack[i][k]}\n" for i in range(4) for k in range(4)))
     return str(path)
 
 
@@ -330,6 +342,15 @@ def test_em_budget_out_of_range_is_a_usage_error(capsys, counts_file, argv):
         assert captured.err.startswith(f"latentgeom {command[0]}: ")
 
 
+def test_consistency_search_stdout_golden(capsys, slack_file):
+    code, out = run(capsys, "consistency", slack_file, "--r2", "3",
+                    "--restarts", "5", "--maxiter", "60")
+    assert code == 0
+    assert json.loads(out)["feasible"] is False
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "0c2b8c92c506403f65baf6f747cb6d0bf775025ee29dd353edf9fa3b58ad5491")
+
+
 # ---------------------------------------------------------------- profile/emfit
 
 def test_profile_flat_ridge_csv(capsys, model_file, counts_file):
@@ -377,6 +398,27 @@ def test_emfit_summary(capsys, counts_file, tmp_path):
     assert data["summary"]["converged"] is True
     assert data["summary"]["total_count"] == 2000
     assert data["model"]["shape"] == [3, 2, 3]
+
+
+def test_emfit_stdout_golden(capsys, counts_file):
+    code, out = run(capsys, "emfit", counts_file, "3", "2", "3", "--seed", "1")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "3cb4355a4a64272248c7b5061e17012062d246b1dddf324a05df3391eab99d4a")
+
+
+def test_em_decrease_is_a_one_line_error(capsys, monkeypatch, counts_file,
+                                         slack_file):
+    monkeypatch.setattr(likelihood, "EM_SLACK", -1.0)
+    for argv in (["emfit", counts_file, "3", "2", "3"],
+                 ["consistency", slack_file, "--r2", "3"]):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith(
+            f"latentgeom {argv[0]}: EM log-likelihood decreased: ")
 
 
 def test_counts_csv_validation(capsys, tmp_path, model_file):

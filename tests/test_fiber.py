@@ -239,6 +239,33 @@ def test_fiber_dimension_case_one_matches_t_minus_m():
         assert fiber_dimension(params) == dims(params.shape).fiber
 
 
+@pytest.mark.parametrize("shape", [(3, 2, 3), (4, 3, 4), (2, 4, 3),
+                                   (6, 5, 7)])
+def test_fiber_dimension_rows_equal_loop_reference(monkeypatch, shape):
+    from latentgeom import fiber
+
+    def loop_rows(params):
+        r2 = params.shape.r2
+        rows = []
+        for j in range(r2):
+            for l in range(r2 - 1):
+                m = np.zeros((r2, r2))
+                m[j, l], m[j, r2 - 1] = 1.0, -1.0
+                rows.append(np.concatenate([(-params.a @ m).ravel(),
+                                            (m @ params.b).ravel()]))
+        return np.vstack(rows)
+
+    seen = []
+    real = fiber._numerical_rank
+    monkeypatch.setattr(fiber, "_numerical_rank",
+                        lambda rows: seen.append(rows) or real(rows))
+    for seed in range(3):
+        params = seeded_chain(shape, 450 + seed)
+        rank = fiber_dimension(params)
+        assert np.array_equal(seen[-1], loop_rows(params))
+        assert rank == real(loop_rows(params))
+
+
 def test_fiber_dimension_boundary_and_one_sided():
     interior_b = [[0.3, 0.7], [0.8, 0.2]]
     one_sided = ChainParams(

@@ -4,6 +4,7 @@ import pytest
 from latentgeom import (
     ChainParams,
     DimsCase,
+    GeometryError,
     InvalidParameter,
     MarginalTable,
     Shape,
@@ -94,7 +95,7 @@ def test_rank_two_target_with_three_hidden_states_runs_no_search(monkeypatch):
     def no_search(*args, **kwargs):
         raise AssertionError("EM search ran on a rank-2 target")
 
-    monkeypatch.setattr(identifiability, "_em_run", no_search)
+    monkeypatch.setattr(identifiability, "_em_batch", no_search)
     target = marginal_13(joint_from_chain(seeded_chain((4, 2, 4), 1601)))
     assert marginal_rank(target) == 2
     report = consistency_check(target, r2=3)
@@ -104,6 +105,50 @@ def test_rank_two_target_with_three_hidden_states_runs_no_search(monkeypatch):
     # the third hidden state is unused: zero a column, uniform b row
     assert np.array_equal(report.witness.a[:, 2], np.zeros(4))
     assert np.array_equal(report.witness.b[2], np.full(4, 0.25))
+
+
+def test_report_lists_the_divergence_of_every_restart_examined():
+    # this target is first certified by restart 4, in the block 3..6
+    target = marginal_13(joint_from_chain(seeded_chain((5, 3, 5), 1704)))
+    report = consistency_check(target, r2=3, seed=0)
+    assert report.feasible
+    assert report.restarts_tried == len(report.divergences) == 5
+    assert report.divergences[-1] == report.best_divergence < report.tol
+    assert min(report.divergences[:-1]) >= report.tol
+    kl = kl_divergence(target, marginal_13(joint_from_chain(report.witness)))
+    assert kl == report.best_divergence
+    for exact_or_proven in (consistency_check(target, r2=5),
+                            consistency_check(target, r2=2)):
+        assert exact_or_proven.restarts_tried == 0
+        assert exact_or_proven.divergences == ()
+
+
+@pytest.mark.parametrize("failing, raised", [(0, True), (3, True),
+                                             (5, False), (6, False)])
+def test_failed_restart_is_raised_only_when_reached(monkeypatch, failing,
+                                                    raised):
+    target = marginal_13(joint_from_chain(seeded_chain((5, 3, 5), 1704)))
+    expected = consistency_check(target, r2=3, seed=0)
+    real = identifiability._em_batch
+    done = [0]
+
+    def failing_batch(weights, shape, rngs, maxiter, tol):
+        runs = real(weights, shape, rngs, maxiter, tol)
+        if done[0] <= failing < done[0] + len(rngs):
+            runs.errors[failing - done[0]] = GeometryError("restart failed")
+        done[0] += len(rngs)
+        return runs
+
+    monkeypatch.setattr(identifiability, "_em_batch", failing_batch)
+    if raised:
+        with pytest.raises(GeometryError, match="restart failed"):
+            consistency_check(target, r2=3, seed=0)
+    else:
+        # restarts after the certified one (4) are never examined
+        report = consistency_check(target, r2=3, seed=0)
+        assert report.divergences == expected.divergences
+        assert np.array_equal(report.witness.a, expected.witness.a)
+        assert np.array_equal(report.witness.b, expected.witness.b)
 
 
 def test_rank_one_target_puts_every_row_on_one_vertex():

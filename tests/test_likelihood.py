@@ -6,6 +6,7 @@ import pytest
 from latentgeom import (
     ChainParams,
     CountTable,
+    GeometryError,
     InvalidParameter,
     MarginalTable,
     MixingMatrix,
@@ -23,7 +24,7 @@ from latentgeom import (
     rho_pi_bounds,
     sample_fiber,
 )
-from latentgeom.likelihood import _em_run
+from latentgeom.likelihood import _em_batch
 from conftest import seeded_chain
 
 
@@ -85,8 +86,8 @@ def test_em_monotone_loglik_trace():
     truth = seeded_chain((3, 2, 3), 13)
     counts = counts_from(truth, 2_000, 7)
     trace: list[float] = []
-    _em_run(counts.counts.astype(float), Shape(3, 2, 3),
-            np.random.default_rng(0), maxiter=300, tol=1e-12, trace=trace)
+    _em_batch(counts.counts.astype(float), Shape(3, 2, 3),
+              [np.random.default_rng(0)], maxiter=300, tol=1e-12, trace=trace)
     assert len(trace) > 5
     diffs = np.diff(np.array(trace))
     slack = 1e-12 * np.maximum(1.0, np.abs(np.array(trace[:-1])))
@@ -138,6 +139,28 @@ def test_em_details_zero_maxiter_reports_the_start():
     fit = em_fit_details(counts, Shape(2, 2, 2), maxiter=0)
     assert fit.iterations == 0 and not fit.converged
     assert fit.loglik == pytest.approx(loglik(counts, fit.params), abs=1e-9)
+
+
+def test_em_gives_up_after_16_zero_responsibility_restarts(monkeypatch):
+    class NoMassOnFirstRow:
+        def dirichlet(self, alpha, size=None):
+            row = np.full(len(alpha), 1.0 / len(alpha))
+            if size is not None:
+                return np.tile(row, (size, 1))
+            row[0], row[1] = 0.0, 2.0 * row[1]
+            return row
+
+    seeds = []
+
+    def default_rng(seed):
+        seeds.append(seed)
+        return NoMassOnFirstRow()
+
+    monkeypatch.setattr(np.random, "default_rng", default_rng)
+    counts = CountTable((3, 3), np.full((3, 3), 2))
+    with pytest.raises(GeometryError, match="restarted 16 times"):
+        em_fit_details(counts, Shape(3, 2, 3), seed=5)
+    assert seeds == list(range(5, 21))
 
 
 # ---------------------------------------------------------------- profiles
