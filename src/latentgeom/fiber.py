@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,6 +32,7 @@ from .model import (
     INTERIOR_EPS,
     SUM_TOL,
     ChainParams,
+    _fields_eq,
     _frozen,
     _numerical_rank,
 )
@@ -39,6 +41,10 @@ from .model import (
 CLAMP_EPS = 1e-12
 #: |det| at or below this counts as singular
 DET_EPS = 1e-12
+#: attempts :func:`sample_fiber` evaluates in one stacked kernel call
+_BLOCK = 8
+#: step-size factor of :func:`sample_fiber` after a rejection
+_SHRINK = 2.0 ** (-1.0 / 3.0)
 
 
 @dataclass(frozen=True)
@@ -50,6 +56,8 @@ class MixingMatrix:
     """
 
     q: np.ndarray
+
+    __eq__ = _fields_eq
 
     def __post_init__(self):
         q = np.asarray(self.q, dtype=float)
@@ -86,16 +94,76 @@ class MixingMatrix:
         return float(np.linalg.det(self.q))
 
 
+class _Mixed(NamedTuple):
+    """The action of a stack of K mixing matrices, stack axis first.
+
+    ``a`` and ``b`` are a q^{-1} and q b before clamping.  ``bad`` marks a q
+    that :class:`MixingMatrix` rejects with :class:`InvalidParameter` (a
+    non-finite entry or a row sum off 1); ``valid`` marks a q with
+    |det| > DET_EPS whose action passes the clamp test of
+    :func:`_clamp_rows`.  A bad or singular q is replaced by the identity
+    before solving, so its ``a`` and ``b`` are placeholders.
+    """
+
+    det: np.ndarray     # (K,)
+    a: np.ndarray       # (K, r1, r2)
+    b: np.ndarray       # (K, r2, r3)
+    bad: np.ndarray     # (K,)
+    valid: np.ndarray   # (K,)
+
+
+def _mix(params: ChainParams, qs: np.ndarray) -> _Mixed:
+    """Apply every matrix of the stack ``qs`` (K, r2, r2) to ``params``.
+
+    Each member gets exactly the arithmetic of a stack of one: the same
+    determinant, the same analytic inverse for r2 = 2 and the same LAPACK
+    solve otherwise, so results do not depend on the other members.
+    """
+    count, r2 = qs.shape[:2]
+    # the placeholders may divide by zero where the serial checks would
+    # have stopped first
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # a non-finite entry makes its row sum non-finite, so one test
+        # covers both checks of MixingMatrix
+        bad = ~(np.abs(qs.sum(axis=2) - 1.0) <= SUM_TOL).all(axis=1)
+        det = np.linalg.det(qs)
+        invertible = ~bad & (np.abs(det) > DET_EPS)
+        if not invertible.all():
+            qs = np.where(invertible[:, None, None], qs, np.eye(r2))
+        if r2 == 2:
+            # analytic inverse keeps boundary zeros exact: row i of a q^{-1}
+            # is ((a_i0 - rho)/(pi - rho), (pi - a_i0)/(pi - rho))
+            pi, rho = qs[:, 0, 0, None], qs[:, 1, 0, None]
+            col = params.a[:, 0]
+            a = np.empty((count, len(col), 2))
+            a[:, :, 0] = (col - rho) / (pi - rho)
+            a[:, :, 1] = (pi - col) / (pi - rho)
+        else:
+            a = np.linalg.solve(qs.transpose(0, 2, 1),
+                                params.a.T).transpose(0, 2, 1)
+        b = qs @ params.b
+        # the clamp tests of a and b reject a worst entry below -CLAMP_EPS,
+        # never a NaN, which fmin passes over
+        valid = invertible & ~(np.fmin(a.min(axis=(1, 2)), b.min(axis=(1, 2)))
+                               < -CLAMP_EPS)
+    return _Mixed(det, a, b, bad, valid)
+
+
+def _snap(rows: np.ndarray) -> np.ndarray:
+    """Snap entries in (-CLAMP_EPS, 0], -0.0 included, to exact zero and
+    renormalise along the last axis."""
+    out = rows.copy()
+    out[(out > -CLAMP_EPS) & (out <= 0.0)] = 0.0
+    return out / out.sum(axis=-1, keepdims=True)
+
+
 def _clamp_rows(name: str, rows: np.ndarray) -> np.ndarray:
     """Snap roundoff negatives to exact zero, reject real ones, renormalise."""
     worst = float(rows.min())
     if worst < -CLAMP_EPS:
         idx = tuple(int(x) for x in np.argwhere(rows == rows.min())[0])
         raise InvalidMixing(name, idx, worst)
-    out = rows.copy()
-    out[(out > -CLAMP_EPS) & (out < 0.0)] = 0.0
-    out[out == 0.0] = 0.0  # normalise -0.0 away
-    return out / out.sum(axis=1, keepdims=True)
+    return _snap(rows)
 
 
 def apply_mixing(params: ChainParams, q: MixingMatrix) -> ChainParams:
@@ -105,28 +173,20 @@ def apply_mixing(params: ChainParams, q: MixingMatrix) -> ChainParams:
     cancel inside the matrix product.  Entries of a' or b' in
     (-1e-12, 0) are snapped to exact zero and the row renormalised; larger
     negativity means q left the validity polytope and raises
-    :class:`InvalidMixing` with the most violated entry.
+    :class:`InvalidMixing` with the most violated entry.  This is the
+    stacked kernel behind :func:`sample_fiber` and
+    :func:`~latentgeom.likelihood.profile_along_fiber` run on a stack of
+    one, so all three give the same bits for the same q.
     """
     r2 = params.shape.r2
     if q.size != r2:
         raise ShapeMismatch(f"q is {q.size} x {q.size}, model has r2 = {r2}")
-    det = q.det
+    mixed = _mix(params, q.q[None])
+    det = float(mixed.det[0])
     if abs(det) <= DET_EPS:
         raise SingularMixing(f"|det q| = {abs(det):.3e} <= {DET_EPS}")
-    if r2 == 2:
-        # analytic inverse keeps boundary zeros exact: row i of a q^{-1} is
-        # ((a_i0 - rho)/(pi - rho), (pi - a_i0)/(pi - rho))
-        pi = float(q.q[0, 0])
-        rho = float(q.q[1, 0])
-        col = params.a[:, 0]
-        a_new = np.column_stack([(col - rho) / (pi - rho),
-                                 (pi - col) / (pi - rho)])
-    else:
-        a_new = np.linalg.solve(q.q.T, params.a.T).T
-    b_new = q.q @ params.b
-    a_new = _clamp_rows("a", a_new)
-    b_new = _clamp_rows("b", b_new)
-    return ChainParams(params.shape, params.p1, a_new, b_new)
+    return ChainParams(params.shape, params.p1, _clamp_rows("a", mixed.a[0]),
+                       _clamp_rows("b", mixed.b[0]))
 
 
 @dataclass(frozen=True)
@@ -186,16 +246,18 @@ def _b_side_interval(b: np.ndarray) -> tuple[float, int, float, int]:
     boundary and :class:`DegenerateInput` is raised.
     """
     b0, b1 = b[0], b[1]
-    hi_candidates = [(b1[k] / (b1[k] - b0[k]), k)
-                     for k in range(b.shape[1]) if b0[k] < b1[k]]
-    lo_candidates = [(b1[k] / (b1[k] - b0[k]), k)
-                     for k in range(b.shape[1]) if b0[k] > b1[k]]
-    if not hi_candidates or not lo_candidates:
+    hi = np.flatnonzero(b0 < b1)
+    lo = np.flatnonzero(b0 > b1)
+    if not hi.size or not lo.size:
         raise DegenerateInput(
             "rows of p(Y3|Y2) do not straddle; no boundary mixing exists"
         )
-    u_hi, k_hi = min(hi_candidates)
-    u_lo, k_lo = max(lo_candidates)
+    u_his = b1[hi] / (b1[hi] - b0[hi])
+    u_los = b1[lo] / (b1[lo] - b0[lo])
+    # ties go to the smallest column for u_hi and the largest for u_lo
+    k_hi = int(hi[np.argmin(u_his)])
+    k_lo = int(lo[lo.size - 1 - np.argmax(u_los[::-1])])
+    u_hi, u_lo = u_his.min(), u_los.max()
     return u_lo, k_lo, u_hi, k_hi
 
 
@@ -262,6 +324,13 @@ def sample_fiber(params: ChainParams, n: int, seed: int = 0) -> list[ChainParams
     than n points are accepted within the cap of max(200, 100 n) attempts,
     a :class:`RejectionStall` warning reports the acceptance rate and the
     accepted points are returned as-is.
+
+    Attempts are evaluated in blocks of 8 by one stacked call of the mixing
+    kernel, at the step sizes t, t 2^(-1/3), ... they would have if all of
+    them were rejected.  The block is kept up to its first accepted attempt
+    and the rest is discarded, its normal draws kept for the next block, so
+    the points, the attempt count and any error are exactly those of
+    proposing one attempt at a time.
     """
     if n < 0:
         raise InvalidParameter(f"n must be >= 0, got {n}")
@@ -274,16 +343,33 @@ def sample_fiber(params: ChainParams, n: int, seed: int = 0) -> list[ChainParams
     t = 0.5
     cap = max(200, 100 * n)
     attempts = 0
+    draws = np.empty((0, r2, r2))    # recentred draws not yet proposed
     while len(out) < n and attempts < cap:
-        attempts += 1
-        m = rng.standard_normal((r2, r2))
-        m -= m.mean(axis=1, keepdims=True)
-        try:
-            q = MixingMatrix(eye + t * m)
-            out.append(apply_mixing(params, q))
-            t = min(t * 2.0, 4.0)
-        except (SingularMixing, InvalidMixing):
-            t = max(t * 2.0 ** (-1.0 / 3.0), 1e-8)
+        size = min(_BLOCK, cap - attempts)
+        if len(draws) < size:
+            # one (BLOCK, r2, r2) draw is the stream of BLOCK (r2, r2) draws
+            fresh = rng.standard_normal((_BLOCK, r2, r2))
+            fresh -= fresh.mean(axis=2, keepdims=True)
+            draws = np.concatenate([draws, fresh])
+        steps = [t]
+        for _ in range(size - 1):
+            steps.append(max(steps[-1] * _SHRINK, 1e-8))
+        qs = eye + np.array(steps)[:, None, None] * draws[:size]
+        mixed = _mix(params, qs)
+        stops = np.flatnonzero(mixed.valid | mixed.bad)
+        used = int(stops[0]) + 1 if stops.size else size
+        attempts += used
+        draws = draws[used:]
+        if not stops.size:
+            t = max(steps[-1] * _SHRINK, 1e-8)
+            continue
+        first = used - 1
+        if mixed.bad[first]:
+            MixingMatrix(qs[first])    # raises the InvalidParameter
+        out.append(ChainParams(params.shape, params.p1,
+                               _clamp_rows("a", mixed.a[first]),
+                               _clamp_rows("b", mixed.b[first])))
+        t = min(steps[first] * 2.0, 4.0)
     if len(out) < n:
         warnings.warn(
             RejectionStall(

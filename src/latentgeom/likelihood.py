@@ -24,8 +24,16 @@ from .errors import (
     ShapeMismatch,
     SingularMixing,
 )
-from .fiber import MixingMatrix, apply_mixing
-from .model import ChainParams, Shape, _frozen, joint_from_chain, marginal_13
+from .fiber import MixingMatrix, _mix, _snap, apply_mixing
+from .model import (
+    SUM_TOL,
+    ChainParams,
+    Shape,
+    _fields_eq,
+    _frozen,
+    joint_from_chain,
+    marginal_13,
+)
 
 NEG_INF = float("-inf")
 #: relative per-step slack on EM monotonicity (double rounding at |ll| scale)
@@ -38,6 +46,8 @@ class CountTable:
 
     shape: tuple[int, int]
     counts: np.ndarray
+
+    __eq__ = _fields_eq
 
     def __post_init__(self):
         shape = (int(self.shape[0]), int(self.shape[1]))
@@ -277,6 +287,8 @@ class ProfileTrace:
     start: ChainParams
     q_end: MixingMatrix
 
+    __eq__ = _fields_eq
+
     def __post_init__(self):
         t = np.asarray(self.t, dtype=float)
         ll = np.asarray(self.loglik, dtype=float)
@@ -297,9 +309,17 @@ class ProfileTrace:
         return float(self.loglik.max() - self.loglik.min())
 
 
-def _q_at(q_end: np.ndarray, t: float) -> np.ndarray:
-    r2 = q_end.shape[0]
-    return (1.0 - t) * np.eye(r2) + t * q_end
+def _q_path(q_end: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """The stack of q(t) = (1 - t) I + t Q for the path parameters ``ts``."""
+    ts = ts[:, None, None]
+    return (1.0 - ts) * np.eye(q_end.shape[0]) + ts * q_end
+
+
+def _stochastic(rows: np.ndarray) -> np.ndarray:
+    """Per stack member: every row nonnegative and summing to 1 within
+    SUM_TOL (NaN fails), the check :class:`ChainParams` makes."""
+    return ((rows >= 0.0).all(axis=(1, 2))
+            & (np.abs(rows.sum(axis=2) - 1.0) <= SUM_TOL).all(axis=1))
 
 
 def profile_along_fiber(counts: CountTable, params: ChainParams,
@@ -311,6 +331,13 @@ def profile_along_fiber(counts: CountTable, params: ChainParams,
     endpoint.  If some q(t) leaves the validity polytope the exit point is
     located by bisection and :class:`PathExitsPolytope` carries the valid
     prefix rows and the exit parameter.
+
+    All steps go through one stacked call of the mixing kernel and one
+    stacked log-likelihood, each member with the arithmetic and summation
+    order of :func:`apply_mixing` and :func:`loglik` on its own.  From the
+    first step the stack cannot accept, the steps run one at a time as
+    before, bisection included, so the trace, the prefix and ``exit_t`` are
+    bitwise those of a step-by-step walk.
     """
     if steps < 2:
         raise InvalidParameter(f"steps must be >= 2, got {steps}")
@@ -325,19 +352,39 @@ def profile_along_fiber(counts: CountTable, params: ChainParams,
         )
 
     def evaluate(t: float) -> tuple[float, float]:
-        q = MixingMatrix(_q_at(q_end.q, t))
+        q = MixingMatrix(_q_path(q_end.q, np.array([t]))[0])
         moved = apply_mixing(params, q)
         return (loglik(counts, moved),
                 float(min(moved.p1.min(), moved.a.min(), moved.b.min())))
 
-    rows: list[tuple[float, float, float]] = []
     ts = np.linspace(0.0, 1.0, steps)
-    for idx, t in enumerate(ts):
+    mixed = _mix(params, _q_path(q_end.q, ts))
+    # steps the kernel rejects carry placeholders that may divide by zero
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a, b = _snap(mixed.a), _snap(mixed.b)
+        cells = np.einsum("i,kij,kjl->kijl", params.p1, a, b)
+        delta = cells.sum(axis=2)
+        # C-contiguous rows: numpy sums each pairwise, as loglik sums its terms
+        terms = delta.reshape(steps, -1).take(np.flatnonzero(counts.counts),
+                                              axis=1)
+        # -inf exactly when an observed cell has zero probability
+        ll = (counts.counts[counts.counts > 0] * np.log(terms)).sum(axis=1)
+    min_entry = np.minimum(np.minimum(params.p1.min(), a.min(axis=(1, 2))),
+                           b.min(axis=(1, 2)))
+    # the steps on which apply_mixing and loglik would raise nothing
+    ok = (mixed.valid & _stochastic(a) & _stochastic(b)
+          & (np.abs(cells.reshape(steps, -1).sum(axis=1) - 1.0) <= SUM_TOL)
+          & (np.abs(delta.reshape(steps, -1).sum(axis=1) - 1.0) <= SUM_TOL))
+    first = steps if ok.all() else int(np.argmin(ok))
+    rows = list(zip(ts[:first].tolist(), ll[:first].tolist(),
+                    min_entry[:first].tolist()))
+    for idx in range(first, steps):
+        t = float(ts[idx])
         try:
-            ll, me = evaluate(float(t))
+            ll_t, me = evaluate(t)
         except (InvalidMixing, SingularMixing):
             lo = float(ts[idx - 1]) if idx > 0 else 0.0
-            hi = float(t)
+            hi = t
             for _ in range(80):
                 mid = 0.5 * (lo + hi)
                 try:
@@ -348,7 +395,7 @@ def profile_along_fiber(counts: CountTable, params: ChainParams,
                 if hi - lo < 1e-12:
                     break
             raise PathExitsPolytope(rows, lo)
-        rows.append((float(t), ll, me))
+        rows.append((t, ll_t, me))
     arr = np.array(rows)
     return ProfileTrace(t=arr[:, 0], loglik=arr[:, 1], min_entry=arr[:, 2],
                         start=params, q_end=q_end)

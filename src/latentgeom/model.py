@@ -18,7 +18,7 @@ construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Mapping, Sequence
 
@@ -38,6 +38,18 @@ def _frozen(values, dtype=float) -> np.ndarray:
     out = np.array(values, dtype=dtype)
     out.flags.writeable = False
     return out
+
+
+def _fields_eq(self, other) -> bool:
+    """Field-wise ``==`` for dataclasses with array fields: arrays compare
+    with ``np.array_equal``, every other field with ``==``."""
+    if type(other) is not type(self):
+        return NotImplemented
+    for f in fields(self):
+        x, y = getattr(self, f.name), getattr(other, f.name)
+        if not (np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y):
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -76,6 +88,8 @@ class JointTable:
 
     shape: Shape
     cells: np.ndarray
+
+    __eq__ = _fields_eq
 
     def __post_init__(self):
         cells = np.asarray(self.cells, dtype=float)
@@ -143,6 +157,8 @@ class ChainParams:
     a: np.ndarray
     b: np.ndarray
 
+    __eq__ = _fields_eq
+
     def __post_init__(self):
         r1, r2, r3 = self.shape.astuple()
         p1 = np.asarray(self.p1, dtype=float)
@@ -176,6 +192,8 @@ class MarginalTable:
 
     shape: tuple[int, int]
     cells: np.ndarray
+
+    __eq__ = _fields_eq
 
     def __post_init__(self):
         shape = (int(self.shape[0]), int(self.shape[1]))

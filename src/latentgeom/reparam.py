@@ -40,7 +40,7 @@ from .errors import (
     SingularPair,
     ZeroCell,
 )
-from .model import JointTable, MarginalTable, Shape, _frozen, marginal_13
+from .model import JointTable, MarginalTable, Shape, _fields_eq, _frozen, marginal_13
 
 #: denominators below this are treated as vanishing
 DENOM_EPS = 1e-12
@@ -62,6 +62,8 @@ class LambdaField:
     shape: Shape
     values: np.ndarray
     unconstrained: np.ndarray = field(default=None)
+
+    __eq__ = _fields_eq
 
     def __post_init__(self):
         r1, r2, r3 = self.shape.astuple()
@@ -138,6 +140,8 @@ class CrossRatios:
     marginal_shape: tuple[int, int]
     ref_cell: tuple[int, int]
     values: np.ndarray
+
+    __eq__ = _fields_eq
 
     def __post_init__(self):
         r1, r3 = (int(self.marginal_shape[0]), int(self.marginal_shape[1]))

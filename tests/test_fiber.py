@@ -160,6 +160,41 @@ def test_extreme_mixings_b_side():
             assert np.abs(marginal_of(moved) - base).max() < 1e-12
 
 
+def b_side_interval_loop(b):
+    """The index loop that computed the b-side bounds, kept as reference."""
+    b0, b1 = b[0], b[1]
+    hi_candidates = [(b1[k] / (b1[k] - b0[k]), k)
+                     for k in range(b.shape[1]) if b0[k] < b1[k]]
+    lo_candidates = [(b1[k] / (b1[k] - b0[k]), k)
+                     for k in range(b.shape[1]) if b0[k] > b1[k]]
+    if not hi_candidates or not lo_candidates:
+        raise DegenerateInput("rows do not straddle")
+    u_hi, k_hi = min(hi_candidates)
+    u_lo, k_lo = max(lo_candidates)
+    return u_lo, k_lo, u_hi, k_hi
+
+
+def test_b_side_interval_equals_loop():
+    from latentgeom.fiber import _b_side_interval
+    rng = np.random.default_rng(17)
+    cases = [seeded_chain((3, 2, r3), 600 + r3).b for r3 in range(2, 9)]
+    # ties: equal bounds at several columns on both sides
+    cases += [np.array([[0.1, 0.4, 0.1, 0.4], [0.4, 0.1, 0.4, 0.1]]),
+              np.array([[0.2, 0.2, 0.3, 0.3], [0.3, 0.3, 0.2, 0.2]])]
+    cases += [rng.dirichlet(np.ones(r3), size=2) for r3 in (2, 3, 5, 9)
+              for _ in range(50)]
+    for b in cases:
+        got = _b_side_interval(b)
+        want = b_side_interval_loop(b)
+        assert got == want
+        assert all(np.array(x).tobytes() == np.array(y).tobytes()
+                   for x, y in zip(got, want))
+    for b in (np.array([[0.3, 0.7], [0.3, 0.7]]),
+              np.array([[0.2, 0.3, 0.5], [0.3, 0.3, 0.4]])[[0, 0]]):
+        with pytest.raises(DegenerateInput):
+            _b_side_interval(b)
+
+
 def test_extreme_mixings_degenerate_inputs():
     boundary = ChainParams(
         Shape(2, 2, 2), [0.5, 0.5],
@@ -206,17 +241,17 @@ def test_sample_fiber_deterministic():
 
 def test_sample_fiber_stall_warns_and_returns_partial(monkeypatch):
     # the adaptive step keeps interior models from stalling, so force
-    # rejection to exercise the reporting path
+    # rejection to exercise the reporting path: with CLAMP_EPS = -1 the
+    # clamp test rejects any a' with an entry below 1
     import latentgeom.fiber as fiber_mod
 
-    def always_invalid(params, q):
-        raise InvalidMixing("a", (0, 0), -1.0)
-
-    monkeypatch.setattr(fiber_mod, "apply_mixing", always_invalid)
+    monkeypatch.setattr(fiber_mod, "CLAMP_EPS", -1.0)
     params = seeded_chain((2, 2, 2), 10)
-    with pytest.warns(RejectionStall):
+    with pytest.warns(RejectionStall) as record:
         points = fiber_mod.sample_fiber(params, 5, seed=1)
     assert points == []
+    # every attempt up to the cap of max(200, 100 n) was made
+    assert "accepted 0/5 fiber points in 500 attempts" in str(record[0].message)
 
 
 # ---------------------------------------------------------------- orbit rank

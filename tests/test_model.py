@@ -382,3 +382,69 @@ def test_jacobian_rank_rejects_boundary():
                          [[0.2, 0.8], [0.9, 0.1]])
     with pytest.raises(BoundaryPoint):
         jacobian_rank(params)
+
+
+# ---------------------------------------------------------------- equality
+
+def test_value_types_compare_field_wise():
+    from latentgeom import (CountTable, MixingMatrix, em_fit_details,
+                            extreme_mixings, profile_along_fiber)
+    params = seeded_chain((3, 2, 3), 60)
+    twin = ChainParams(params.shape, params.p1.copy(), params.a.copy(),
+                       params.b.copy())
+    assert params == twin and not params != twin
+    other = seeded_chain((3, 2, 3), 61)
+    assert params != other
+    assert params != other.shape       # another type is never equal
+    with pytest.raises(TypeError):
+        hash(params)                    # arrays keep the types unhashable
+
+    assert MixingMatrix.identity(2) == MixingMatrix(np.eye(2))
+    assert MixingMatrix.identity(2) != MixingMatrix.from_pi_rho(0.9, 0.2)
+    with pytest.raises(TypeError):
+        hash(MixingMatrix.identity(2))
+    assert extreme_mixings(params) == extreme_mixings(twin)
+    assert extreme_mixings(params) != extreme_mixings(other)
+
+    counts = CountTable((3, 3), np.arange(1, 10).reshape(3, 3))
+    vertex = extreme_mixings(params)[0].q
+    trace = profile_along_fiber(counts, params, vertex, 5)
+    assert trace == profile_along_fiber(counts, twin, vertex, 5)
+    assert trace != profile_along_fiber(counts, params, vertex, 6)
+    with pytest.raises(TypeError):
+        hash(trace)
+
+    fit = em_fit_details(counts, params.shape, seed=3, maxiter=20)
+    assert fit == em_fit_details(counts, params.shape, seed=3, maxiter=20)
+    assert fit != em_fit_details(counts, params.shape, seed=4, maxiter=20)
+
+
+def test_table_types_compare_field_wise():
+    from latentgeom import CountTable, cross_ratios, split
+    joint = seeded_joint((3, 2, 3), 64)
+    marginal, lambdas = split(joint)
+    counts = CountTable((3, 3), np.arange(9).reshape(3, 3) + 1)
+    for value in (joint, marginal, lambdas, cross_ratios(marginal), counts):
+        twin = type(value)(**{f: getattr(value, f)
+                              for f in value.__dataclass_fields__})
+        assert value == twin and value is not twin
+        with pytest.raises(TypeError):
+            hash(value)
+    assert joint != seeded_joint((3, 2, 3), 65)
+    assert counts != CountTable((3, 3), np.arange(9).reshape(3, 3) + 2)
+
+
+def test_consistency_reports_compare_with_and_without_witness():
+    from latentgeom import consistency_check, diagonal_marginal
+    target = marginal_13(joint_from_chain(seeded_chain((3, 2, 3), 62)))
+    found = consistency_check(target, r2=2)
+    assert found.witness is not None
+    assert found == consistency_check(target, r2=2)
+    # rank 3 > r2 = 2: proven infeasible, no witness
+    none = consistency_check(diagonal_marginal(3, 3), r2=2)
+    assert none.witness is None
+    assert none == consistency_check(diagonal_marginal(3, 3), r2=2)
+    assert found != none and none != found
+    other = consistency_check(
+        marginal_13(joint_from_chain(seeded_chain((3, 2, 3), 63))), r2=2)
+    assert found != other

@@ -7,6 +7,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from latentgeom import (  # noqa: E402
+    MixingMatrix,
     Shape,
     apply_mixing,
     consistency_check,
@@ -69,3 +70,31 @@ def test_permute_latent_twice_is_the_identity(r2, seed, data):
         twice = permute_latent(permute_latent(params))
         assert np.array_equal(twice.a, params.a)
         assert np.array_equal(twice.b, params.b)
+
+
+def _interior_mixing(params, rng):
+    """q = I + s M with |s M| <= 0.3 min_entry in the max-row-sum norm,
+    which keeps a q^{-1} and q b nonnegative."""
+    r2 = params.shape.r2
+    m = rng.standard_normal((r2, r2))
+    m -= m.mean(axis=1, keepdims=True)
+    scale = 0.3 * params.min_entry / np.abs(m).sum(axis=1).max()
+    return MixingMatrix(np.eye(r2) + scale * m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(r1=st.integers(2, 6), r2=st.integers(2, 4), r3=st.integers(2, 6),
+       seed=SEEDS)
+def test_mixing_composition(r1, r2, r3, seed):
+    rng = np.random.default_rng(seed)
+    params = seeded_chain((r1, r2, r3), seed)
+    q1 = _interior_mixing(params, rng)
+    moved = apply_mixing(params, q1)
+    q2 = _interior_mixing(moved, rng)
+    twice = apply_mixing(moved, q2)
+    once = apply_mixing(params, MixingMatrix(q2.q @ q1.q))
+    assert np.abs(twice.a - once.a).max() <= 1e-12
+    assert np.abs(twice.b - once.b).max() <= 1e-12
+    base = marginal_13(joint_from_chain(params)).cells
+    for p in (moved, twice, once):
+        assert np.abs(marginal_13(joint_from_chain(p)).cells - base).max() <= 1e-12
