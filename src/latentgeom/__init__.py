@@ -19,7 +19,6 @@ from .errors import (
     OutOfUnitBox,
     PathExitsPolytope,
     RejectionStall,
-    ShapeMismatch,
     SingularDenominator,
     SingularMixing,
     SingularPair,
@@ -96,7 +95,7 @@ __all__ = [
     "ExtremeMixing", "GeometryError", "InvalidMixing", "InvalidParameter",
     "JointTable", "LambdaField", "MarginalTable", "MixingMatrix",
     "NoRealSolution", "OffVariety", "OutOfUnitBox", "PathExitsPolytope",
-    "ProfileTrace", "RejectionStall", "RhoPiBounds", "Shape", "ShapeMismatch",
+    "ProfileTrace", "RejectionStall", "RhoPiBounds", "Shape",
     "SingularDenominator", "SingularMixing", "SingularPair", "ZeroCell",
     "apply_mixing", "binary_fiber_solve", "binary_surface", "chain_dag",
     "chain_decomposition", "ci_residuals", "consistency_check", "cross_ratios",

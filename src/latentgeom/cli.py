@@ -19,6 +19,11 @@ joint JSON     {"shape": [r1, r2, r3], "cells": [... r1*r2*r3 floats ...]}
 marginal JSON  {"shape": [r1, r3], "cells": [... r1*r3 floats, k fastest ...]}
 q JSON         {"q": [[...]]}
 counts CSV     header "i,k,count", 1-based indices, missing cells are 0
+
+A shape is a JSON list of integers of its length.  Without a model to
+give it, a counts table has as many rows and columns as the largest i and
+k listed; list a cell of an all-zero last row or column with count 0 to
+keep it.
 """
 
 from __future__ import annotations
@@ -103,74 +108,74 @@ def _emit(text: str, output: str | None) -> None:
 # ---------------------------------------------------------------------------
 # file ingestion (all raising CliFileError on malformed content)
 
-def _load_json(path: str) -> dict:
+def _read(path: str) -> str:
     try:
-        raw = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliFileError(f"{path}: {exc}") from exc
+
+
+class _Fields(dict):
+    """A JSON object whose missing fields raise a one-line error."""
+
+    def __missing__(self, field: str):
+        raise ValueError(f"missing field {field!r}")
+
+
+def _load(path: str, build):
+    """Parse the JSON object in ``path`` and return ``build`` of its fields;
+    every failure is one :class:`CliFileError` naming the file."""
+    raw = _read(path)
     try:
         data = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise CliFileError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:
+        # an integer literal too long to convert, or nesting too deep
+        raise CliFileError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise CliFileError(f"{path}: top-level JSON object expected")
-    return data
-
-
-def _require(data: dict, field: str, path: str):
-    if field not in data:
-        raise CliFileError(f"{path}: missing field {field!r}")
-    return data[field]
-
-
-def load_model(path: str) -> model.ChainParams:
-    data = _load_json(path)
     try:
-        shape = model.Shape(*(int(v) for v in _require(data, "shape", path)))
-        return model.ChainParams(
-            shape,
-            np.asarray(_require(data, "p1", path), dtype=float),
-            np.asarray(_require(data, "a", path), dtype=float),
-            np.asarray(_require(data, "b", path), dtype=float),
-        )
-    except (InvalidParameter, TypeError, ValueError) as exc:
+        return build(_Fields(data))
+    except (GeometryError, OverflowError, TypeError, ValueError) as exc:
         raise CliFileError(f"{path}: {exc}") from exc
 
 
-def load_joint(path: str) -> model.JointTable:
-    data = _load_json(path)
-    try:
-        shape = model.Shape(*(int(v) for v in _require(data, "shape", path)))
-        return model.JointTable.from_flat(
-            shape, np.asarray(_require(data, "cells", path), dtype=float))
-    except (InvalidParameter, TypeError, ValueError) as exc:
-        raise CliFileError(f"{path}: {exc}") from exc
+def _shape(data: _Fields, length: int) -> list[int]:
+    """The ``shape`` field: a list of ``length`` integers, read as given."""
+    shape = data["shape"]
+    if not (isinstance(shape, list) and len(shape) == length
+            and all(type(v) is int for v in shape)):
+        raise ValueError(f"shape must be a list of {length} integers, "
+                         f"got {shape!r}")
+    return shape
 
 
-def load_marginal(path: str) -> model.MarginalTable:
-    data = _load_json(path)
-    try:
-        r1, r3 = (int(v) for v in _require(data, "shape", path))
-        cells = np.asarray(_require(data, "cells", path), dtype=float)
-        return model.MarginalTable((r1, r3), cells.reshape(r1, r3))
-    except (InvalidParameter, TypeError, ValueError) as exc:
-        raise CliFileError(f"{path}: {exc}") from exc
+def _model(data: _Fields) -> model.ChainParams:
+    return model.ChainParams(model.Shape(*_shape(data, 3)),
+                             *(np.asarray(data[k], dtype=float)
+                               for k in ("p1", "a", "b")))
 
 
-def load_q(path: str) -> MixingMatrix:
-    data = _load_json(path)
-    try:
-        return MixingMatrix(np.asarray(_require(data, "q", path), dtype=float))
-    except (GeometryError, TypeError, ValueError) as exc:
-        raise CliFileError(f"{path}: {exc}") from exc
+def _joint(data: _Fields) -> model.JointTable:
+    return model.JointTable.from_flat(model.Shape(*_shape(data, 3)),
+                                      np.asarray(data["cells"], dtype=float))
+
+
+def _marginal(data: _Fields) -> model.MarginalTable:
+    r1, r3 = _shape(data, 2)
+    cells = np.asarray(data["cells"], dtype=float)
+    return model.MarginalTable((r1, r3), cells.reshape(r1, r3))
+
+
+def _q(data: _Fields) -> MixingMatrix:
+    return MixingMatrix(np.asarray(data["q"], dtype=float))
 
 
 def load_counts(path: str, shape: tuple[int, int] | None = None) -> likelihood.CountTable:
-    """Counts CSV with header ``i,k,count`` and 1-based indices."""
-    try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise CliFileError(f"{path}: {exc}") from exc
+    """Counts CSV with header ``i,k,count`` and 1-based indices; without
+    ``shape``, the largest i and k listed give the table's size."""
+    lines = _read(path).splitlines()
     rows: list[tuple[int, int, int]] = []
     body = [ln.strip() for ln in lines if ln.strip() and not ln.startswith("#")]
     if not body or [f.strip() for f in body[0].split(",")] != ["i", "k", "count"]:
@@ -194,16 +199,17 @@ def load_counts(path: str, shape: tuple[int, int] | None = None) -> likelihood.C
         shape = (max(r[0] for r in rows), max(r[1] for r in rows))
     counts = np.zeros(shape, dtype=np.int64)
     seen = set()
-    for i, k, c in rows:
-        if i > shape[0] or k > shape[1]:
-            raise CliFileError(f"{path}: cell ({i}, {k}) outside shape {shape}")
-        if (i, k) in seen:
-            raise CliFileError(f"{path}: duplicate cell ({i}, {k})")
-        seen.add((i, k))
-        counts[i - 1, k - 1] = c
     try:
+        for i, k, c in rows:
+            if i > shape[0] or k > shape[1]:
+                raise CliFileError(f"{path}: cell ({i}, {k}) outside shape {shape}")
+            if (i, k) in seen:
+                raise CliFileError(f"{path}: duplicate cell ({i}, {k})")
+            seen.add((i, k))
+            # a count beyond int64 raises OverflowError
+            counts[i - 1, k - 1] = c
         return likelihood.CountTable(shape, counts)
-    except InvalidParameter as exc:
+    except (InvalidParameter, OverflowError) as exc:
         raise CliFileError(f"{path}: {exc}") from exc
 
 
@@ -230,15 +236,12 @@ def cmd_dims(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    path = args.file
-    data = _load_json(path)
-    if "p1" in data:
-        params = load_model(path)
-        joint = model.joint_from_chain(params)
-        kind = "model"
+    source = _load(args.file,
+                   lambda data: (_model if "p1" in data else _joint)(data))
+    if isinstance(source, model.ChainParams):
+        kind, joint = "model", model.joint_from_chain(source)
     else:
-        joint = load_joint(path)
-        kind = "joint"
+        kind, joint = "joint", source
     ref_i, ref_k = args.ref_cell
     r1, _, r3 = joint.shape.astuple()
     if not (1 <= ref_i <= r1 and 1 <= ref_k <= r3):
@@ -311,14 +314,14 @@ def cmd_fig3(args: argparse.Namespace) -> int:
 
 
 def cmd_fiber(args: argparse.Namespace) -> int:
-    params = load_model(args.file)
+    params = _load(args.file, _model)
     points = sample_fiber(params, args.n, seed=args.seed)
     _emit(_render_json([_model_dict(p) for p in points]) + "\n", args.output)
     return 0
 
 
 def cmd_vertices(args: argparse.Namespace) -> int:
-    params = load_model(args.file)
+    params = _load(args.file, _model)
     out = []
     for vertex in extreme_mixings(params, side=args.side):
         out.append({
@@ -342,7 +345,7 @@ def cmd_consistency(args: argparse.Namespace) -> int:
         cells = counts.counts / counts.total
         target = model.MarginalTable(counts.shape, cells)
     else:
-        target = load_marginal(path)
+        target = _load(path, _marginal)
     report = identifiability.consistency_check(
         target, args.r2, restarts=args.restarts, tol=args.tol, seed=args.seed,
         maxiter=args.maxiter)
@@ -360,11 +363,11 @@ def cmd_consistency(args: argparse.Namespace) -> int:
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
-    params = load_model(args.model)
+    params = _load(args.model, _model)
     r1, _, r3 = params.shape.astuple()
     counts = load_counts(args.counts, shape=(r1, r3))
     if args.q is not None:
-        q_end = load_q(args.q)
+        q_end = _load(args.q, _q)
     else:
         vertices = extreme_mixings(params, side=args.side)
         if not 0 <= args.vertex < len(vertices):

@@ -14,11 +14,8 @@ class GeometryError(Exception):
 
 
 class InvalidParameter(GeometryError, ValueError):
-    """An input violates a documented type invariant (range, shape, sum)."""
-
-
-class ShapeMismatch(GeometryError, ValueError):
-    """Two values that must share a shape do not."""
+    """An input violates a documented type invariant (range, shape, sum),
+    or two values that must share a shape do not."""
 
 
 class BoundaryPoint(GeometryError):

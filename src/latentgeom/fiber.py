@@ -25,7 +25,6 @@ from .errors import (
     InvalidMixing,
     InvalidParameter,
     RejectionStall,
-    ShapeMismatch,
     SingularMixing,
 )
 from .model import (
@@ -37,7 +36,7 @@ from .model import (
     _numerical_rank,
 )
 
-#: entries in (-CLAMP_EPS, 0) are roundoff and snap to exact zero
+#: entries in [-CLAMP_EPS, 0) are roundoff and snap to exact zero
 CLAMP_EPS = 1e-12
 #: |det| at or below this counts as singular
 DET_EPS = 1e-12
@@ -150,10 +149,11 @@ def _mix(params: ChainParams, qs: np.ndarray) -> _Mixed:
 
 
 def _snap(rows: np.ndarray) -> np.ndarray:
-    """Snap entries in (-CLAMP_EPS, 0], -0.0 included, to exact zero and
-    renormalise along the last axis."""
+    """Snap entries in [-CLAMP_EPS, 0], -0.0 included, to exact zero and
+    renormalise along the last axis: every entry the clamp test accepts
+    ends nonnegative."""
     out = rows.copy()
-    out[(out > -CLAMP_EPS) & (out <= 0.0)] = 0.0
+    out[(out >= -CLAMP_EPS) & (out <= 0.0)] = 0.0
     return out / out.sum(axis=-1, keepdims=True)
 
 
@@ -171,33 +171,36 @@ def apply_mixing(params: ChainParams, q: MixingMatrix) -> ChainParams:
 
     The observed (Y1, Y3) marginal is exactly invariant because the factors
     cancel inside the matrix product.  Entries of a' or b' in
-    (-1e-12, 0) are snapped to exact zero and the row renormalised; larger
+    [-1e-12, 0) are snapped to exact zero and the row renormalised; larger
     negativity means q left the validity polytope and raises
     :class:`InvalidMixing` with the most violated entry.  This is the
     stacked kernel behind :func:`sample_fiber` and
     :func:`~latentgeom.likelihood.profile_along_fiber` run on a stack of
-    one, so all three give the same bits for the same q.
+    one, so all three give the same bits for the same q.  A singular q
+    never gets here: :class:`MixingMatrix` rejects it.
     """
     r2 = params.shape.r2
     if q.size != r2:
-        raise ShapeMismatch(f"q is {q.size} x {q.size}, model has r2 = {r2}")
+        raise InvalidParameter(f"q is {q.size} x {q.size}, model has r2 = {r2}")
     mixed = _mix(params, q.q[None])
-    det = float(mixed.det[0])
-    if abs(det) <= DET_EPS:
-        raise SingularMixing(f"|det q| = {abs(det):.3e} <= {DET_EPS}")
     return ChainParams(params.shape, params.p1, _clamp_rows("a", mixed.a[0]),
                        _clamp_rows("b", mixed.b[0]))
 
 
 @dataclass(frozen=True)
 class RhoPiBounds:
-    """Closed-form validity bounds for the 2 x 2 mixing parametrisation.
+    """Closed-form a-side bounds of the 2 x 2 mixing parametrisation.
 
-    On the branch pi > rho the action stays in the polytope exactly for
-    rho in [0, rho_max] and pi in [pi_min, 1], where rho_max = min_i a(i, 0)
+    On the branch pi > rho, a q^{-1} stays nonnegative exactly for
+    rho <= rho_max and pi >= pi_min, where rho_max = min_i a(i, 0)
     (achieved at row ``i_min``) and pi_min = max_i a(i, 0) (row ``i_max``).
-    The mirrored branch pi < rho uses the same numbers with the roles
-    swapped: pi in [0, rho_max], rho in [pi_min, 1].
+    q b stays nonnegative exactly for pi and rho in the interval
+    [u_lo, u_hi] of ``u`` on which u b[0] + (1 - u) b[1] is nonnegative,
+    with u_lo <= 0 and u_hi >= 1 (the whole line if the rows of b are
+    equal).  So the action is valid exactly on the rectangle
+    pi in [pi_min, u_hi], rho in [u_lo, rho_max], which contains
+    [pi_min, 1] x [0, rho_max].  The mirrored branch pi < rho swaps the
+    roles of pi and rho.
     """
 
     rho_max: float
@@ -292,26 +295,21 @@ def extreme_mixings(params: ChainParams, side: str = "a") -> list[ExtremeMixing]
                 "constant p(Y2 = 1|Y1): the validity rectangle pinches to a "
                 "segment and the informative corner is singular"
             )
+        pi, rho = bounds.pi_min, bounds.rho_max
         zeros = (("a", bounds.i_min, 0), ("a", bounds.i_max, 1))
         mirrored_zeros = (("a", bounds.i_max, 0), ("a", bounds.i_min, 1))
-        return [
-            ExtremeMixing(
-                q=MixingMatrix.from_pi_rho(bounds.pi_min, bounds.rho_max),
-                branch="main", zeros=zeros),
-            ExtremeMixing(
-                q=MixingMatrix.from_pi_rho(bounds.rho_max, bounds.pi_min),
-                branch="mirrored", zeros=mirrored_zeros),
-        ]
-    if params.min_entry <= 0.0:
-        raise DegenerateInput("b-side construction requires interior parameters")
-    u_lo, k_lo, u_hi, k_hi = _b_side_interval(params.b)
-    zeros = (("b", 0, k_hi), ("b", 1, k_lo))
-    mirrored_zeros = (("b", 0, k_lo), ("b", 1, k_hi))
+    else:
+        if params.min_entry <= 0.0:
+            raise DegenerateInput("b-side construction requires interior "
+                                  "parameters")
+        rho, k_lo, pi, k_hi = _b_side_interval(params.b)
+        zeros = (("b", 0, k_hi), ("b", 1, k_lo))
+        mirrored_zeros = (("b", 0, k_lo), ("b", 1, k_hi))
     return [
-        ExtremeMixing(q=MixingMatrix.from_pi_rho(u_hi, u_lo),
-                      branch="main", zeros=zeros),
-        ExtremeMixing(q=MixingMatrix.from_pi_rho(u_lo, u_hi),
-                      branch="mirrored", zeros=mirrored_zeros),
+        ExtremeMixing(q=MixingMatrix.from_pi_rho(pi, rho), branch="main",
+                      zeros=zeros),
+        ExtremeMixing(q=MixingMatrix.from_pi_rho(rho, pi), branch="mirrored",
+                      zeros=mirrored_zeros),
     ]
 
 
@@ -366,9 +364,9 @@ def sample_fiber(params: ChainParams, n: int, seed: int = 0) -> list[ChainParams
         first = used - 1
         if mixed.bad[first]:
             MixingMatrix(qs[first])    # raises the InvalidParameter
-        out.append(ChainParams(params.shape, params.p1,
-                               _clamp_rows("a", mixed.a[first]),
-                               _clamp_rows("b", mixed.b[first])))
+        # a valid attempt passed the clamp test: snapping is all that is left
+        out.append(ChainParams(params.shape, params.p1, _snap(mixed.a[first]),
+                               _snap(mixed.b[first])))
         t = min(steps[first] * 2.0, 4.0)
     if len(out) < n:
         warnings.warn(

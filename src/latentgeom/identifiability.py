@@ -152,14 +152,15 @@ def consistency_check(target: MarginalTable, r2: int, restarts: int = 64,
     or the search.  Restarts are reduced in seed order and stop early once
     one beats the tolerance, so the report is deterministic for a given seed.
 
-    The search runs its restarts in blocks of 1, 2, 4, 8, ... (the last one
-    cut at ``restarts``), each block advanced together by one EM kernel, so
-    a target certified by an early restart costs about one run while a
-    search that exhausts its budget pays the per-iteration overhead about
-    log2(restarts) times instead of ``restarts`` times.  Every restart
-    follows the arithmetic of a run on its own, and restarts after the
-    first certified one are never examined, so the report does not depend
-    on the blocks.  An EM run whose log-likelihood decreases raises
+    The search runs its restarts in blocks of 1, 2, 4, ..., 64 and then 64
+    at a time (the last one cut at ``restarts``), each block advanced
+    together by one EM kernel, so a target certified by an early restart
+    costs about one run while a search that exhausts the default budget of
+    64 pays the per-iteration overhead 7 times instead of 64 times.  The
+    cap holds a block's arrays at 64 restarts whatever ``restarts`` is.
+    Every restart follows the arithmetic of a run on its own, and restarts
+    after the first certified one are never examined, so the report does
+    not depend on the blocks.  An EM run whose log-likelihood decreases raises
     :class:`GeometryError` when the reduction reaches it.
     """
     if r2 < 2:
@@ -206,7 +207,7 @@ def consistency_check(target: MarginalTable, r2: int, restarts: int = 64,
                 witness = params
             if best < tol:
                 break
-        start, size = block.stop, 2 * size
+        start, size = block.stop, min(2 * size, 64)
     return ConsistencyReport(
         feasible=bool(best < tol), best_divergence=best, witness=witness,
         necessary_checks=checks, proven_infeasible_by=None, tol=tol,

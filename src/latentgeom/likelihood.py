@@ -21,16 +21,15 @@ from .errors import (
     InvalidMixing,
     InvalidParameter,
     PathExitsPolytope,
-    ShapeMismatch,
     SingularMixing,
 )
 from .fiber import MixingMatrix, _mix, _snap, apply_mixing
 from .model import (
-    SUM_TOL,
     ChainParams,
     Shape,
     _fields_eq,
     _frozen,
+    _stochastic,
     joint_from_chain,
     marginal_13,
 )
@@ -72,19 +71,40 @@ class CountTable:
         return int(self.counts.sum())
 
 
+def _observed(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """The positive cell weights and their flat indices (None when every
+    cell is positive): the arguments of :func:`_loglik_rows`."""
+    observed = weights > 0
+    return weights[observed], None if observed.all() else np.flatnonzero(observed)
+
+
+def _loglik_rows(w_obs: np.ndarray, gather: np.ndarray | None,
+                 delta: np.ndarray) -> np.ndarray:
+    """Observed-cell log-likelihood sum w log delta of each member of a
+    stack of marginals ``delta`` (K, r1, r3), over the cells at the flat
+    indices ``gather`` (all cells if None) with weights ``w_obs``.
+
+    -inf exactly when an observed cell has zero probability; the caller
+    silences the divide warning of log(0).
+    """
+    flat = delta.reshape(len(delta), -1)
+    # rows must be C-contiguous: numpy sums a contiguous row pairwise, as
+    # it sums the 1-d terms of a single run, and a strided one in order
+    terms = flat if gather is None else flat.take(gather, axis=1)
+    return (w_obs * np.log(terms)).sum(axis=1)
+
+
 def loglik(counts: CountTable, params: ChainParams) -> float:
     """Observed-margin log-likelihood; -inf when the model's marginal puts
     zero mass on an observed cell (a comparison outcome, not an error)."""
     r1, _, r3 = params.shape.astuple()
     if counts.shape != (r1, r3):
-        raise ShapeMismatch(
+        raise InvalidParameter(
             f"counts shape {counts.shape} does not match model ({r1}, {r3})"
         )
     delta = marginal_13(joint_from_chain(params)).cells
-    mask = counts.counts > 0
-    if (delta[mask] <= 0.0).any():
-        return NEG_INF
-    return float(np.sum(counts.counts[mask] * np.log(delta[mask])))
+    with np.errstate(divide="ignore"):
+        return float(_loglik_rows(*_observed(counts.counts), delta[None])[0])
 
 
 def _check_budget(maxiter: int, tol: float) -> None:
@@ -152,11 +172,8 @@ def _em_batch(weights: np.ndarray, shape: Shape,
                   np.full(count, NEG_INF), np.zeros(count, dtype=int),
                   np.zeros(count, dtype=bool), {})
     total = float(weights.sum())
-    observed = weights > 0
-    # with every cell observed the log-likelihood terms need no gather and
-    # every delta is positive
-    gather = None if observed.all() else np.flatnonzero(observed)
-    w_obs = weights[observed]
+    # with every cell observed (gather None) every delta is positive
+    w_obs, gather = _observed(weights)
     w3 = weights[:, :, None]
     # a row mass of a sums w(i, k) lambda_j(i, k) with max_j lambda >= 1/r2:
     # positive for every row holding a weight of normal size
@@ -183,12 +200,7 @@ def _em_batch(weights: np.ndarray, shape: Shape,
     def evaluate():
         cells = np.einsum("ri,rij,rjk->rijk", p1, a, b)
         delta = cells.sum(axis=2)
-        flat = delta.reshape(len(live), -1)
-        # rows must be C-contiguous: numpy sums a contiguous row pairwise,
-        # as it sums the 1-d terms of a single run, and a strided one in order
-        terms = flat if gather is None else flat.take(gather, axis=1)
-        # -inf exactly when an observed cell has zero probability
-        ll = (w_obs * np.log(terms)).sum(axis=1)
+        ll = _loglik_rows(w_obs, gather, delta)
         if NEG_INF in ll.tolist():
             keep = leave(ll == NEG_INF, 0, False)
             cells, delta, ll = cells[keep], delta[keep], ll[keep]
@@ -260,7 +272,7 @@ def em_fit_details(counts: CountTable, shape: Shape, seed: int = 0,
     _check_budget(maxiter, tol)
     r1, _, r3 = shape.astuple()
     if counts.shape != (r1, r3):
-        raise ShapeMismatch(
+        raise InvalidParameter(
             f"counts shape {counts.shape} does not match model ({r1}, {r3})"
         )
     weights = counts.counts.astype(float)
@@ -315,13 +327,6 @@ def _q_path(q_end: np.ndarray, ts: np.ndarray) -> np.ndarray:
     return (1.0 - ts) * np.eye(q_end.shape[0]) + ts * q_end
 
 
-def _stochastic(rows: np.ndarray) -> np.ndarray:
-    """Per stack member: every row nonnegative and summing to 1 within
-    SUM_TOL (NaN fails), the check :class:`ChainParams` makes."""
-    return ((rows >= 0.0).all(axis=(1, 2))
-            & (np.abs(rows.sum(axis=2) - 1.0) <= SUM_TOL).all(axis=1))
-
-
 def profile_along_fiber(counts: CountTable, params: ChainParams,
                         q_end: MixingMatrix, steps: int) -> ProfileTrace:
     """Trace the log-likelihood along the straight path to ``q_end``.
@@ -332,17 +337,18 @@ def profile_along_fiber(counts: CountTable, params: ChainParams,
     located by bisection and :class:`PathExitsPolytope` carries the valid
     prefix rows and the exit parameter.
 
-    All steps go through one stacked call of the mixing kernel and one
-    stacked log-likelihood, each member with the arithmetic and summation
-    order of :func:`apply_mixing` and :func:`loglik` on its own.  From the
-    first step the stack cannot accept, the steps run one at a time as
-    before, bisection included, so the trace, the prefix and ``exit_t`` are
-    bitwise those of a step-by-step walk.
+    All steps go through one stacked call of the mixing kernel, one
+    stacked log-likelihood and the probability-row test of the value
+    types, each member with the arithmetic and summation order of
+    :func:`apply_mixing` and :func:`loglik` on its own.  The first step the
+    stack rejects is evaluated on its own, which raises its error, or
+    starts the bisection, exactly as a step-by-step walk would; so the
+    trace, the prefix and ``exit_t`` are bitwise those of that walk.
     """
     if steps < 2:
         raise InvalidParameter(f"steps must be >= 2, got {steps}")
     if q_end.size != params.shape.r2:
-        raise ShapeMismatch(
+        raise InvalidParameter(
             f"q is {q_end.size} x {q_end.size}, model has r2 = {params.shape.r2}"
         )
     base_ll = loglik(counts, params)
@@ -351,11 +357,10 @@ def profile_along_fiber(counts: CountTable, params: ChainParams,
             "counts lie outside the support of the starting model"
         )
 
-    def evaluate(t: float) -> tuple[float, float]:
+    def evaluate(t: float) -> None:
+        """Raise what one step of a step-by-step walk raises at ``t``."""
         q = MixingMatrix(_q_path(q_end.q, np.array([t]))[0])
-        moved = apply_mixing(params, q)
-        return (loglik(counts, moved),
-                float(min(moved.p1.min(), moved.a.min(), moved.b.min())))
+        loglik(counts, apply_mixing(params, q))
 
     ts = np.linspace(0.0, 1.0, steps)
     mixed = _mix(params, _q_path(q_end.q, ts))
@@ -364,27 +369,25 @@ def profile_along_fiber(counts: CountTable, params: ChainParams,
         a, b = _snap(mixed.a), _snap(mixed.b)
         cells = np.einsum("i,kij,kjl->kijl", params.p1, a, b)
         delta = cells.sum(axis=2)
-        # C-contiguous rows: numpy sums each pairwise, as loglik sums its terms
-        terms = delta.reshape(steps, -1).take(np.flatnonzero(counts.counts),
-                                              axis=1)
-        # -inf exactly when an observed cell has zero probability
-        ll = (counts.counts[counts.counts > 0] * np.log(terms)).sum(axis=1)
+        ll = _loglik_rows(*_observed(counts.counts), delta)
     min_entry = np.minimum(np.minimum(params.p1.min(), a.min(axis=(1, 2))),
                            b.min(axis=(1, 2)))
-    # the steps on which apply_mixing and loglik would raise nothing
-    ok = (mixed.valid & _stochastic(a) & _stochastic(b)
-          & (np.abs(cells.reshape(steps, -1).sum(axis=1) - 1.0) <= SUM_TOL)
-          & (np.abs(delta.reshape(steps, -1).sum(axis=1) - 1.0) <= SUM_TOL))
+    # the steps on which apply_mixing and loglik raise nothing: the kernel's
+    # clamp test and the checks of ChainParams, JointTable and MarginalTable
+    ok = (mixed.valid & _stochastic(params.p1[None]) & _stochastic(a)
+          & _stochastic(b)
+          & _stochastic(cells.reshape(steps, 1, -1))
+          & _stochastic(delta.reshape(steps, 1, -1)))
     first = steps if ok.all() else int(np.argmin(ok))
     rows = list(zip(ts[:first].tolist(), ll[:first].tolist(),
                     min_entry[:first].tolist()))
-    for idx in range(first, steps):
-        t = float(ts[idx])
+    if first < steps:
+        # the mask is exact, so this step raises
         try:
-            ll_t, me = evaluate(t)
+            evaluate(float(ts[first]))
         except (InvalidMixing, SingularMixing):
-            lo = float(ts[idx - 1]) if idx > 0 else 0.0
-            hi = t
+            lo = float(ts[first - 1]) if first > 0 else 0.0
+            hi = float(ts[first])
             for _ in range(80):
                 mid = 0.5 * (lo + hi)
                 try:
@@ -395,7 +398,6 @@ def profile_along_fiber(counts: CountTable, params: ChainParams,
                 if hi - lo < 1e-12:
                     break
             raise PathExitsPolytope(rows, lo)
-        rows.append((t, ll_t, me))
     arr = np.array(rows)
     return ProfileTrace(t=arr[:, 0], loglik=arr[:, 1], min_entry=arr[:, 2],
                         start=params, q_end=q_end)

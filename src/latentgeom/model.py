@@ -52,6 +52,33 @@ def _fields_eq(self, other) -> bool:
     return True
 
 
+def _stochastic(rows: np.ndarray) -> np.ndarray:
+    """Per member of a stack of row blocks (..., n, m): every row
+    nonnegative and summing to 1 within ``SUM_TOL``; a NaN or an infinity
+    fails.  The one probability-row test of the package: the value types
+    run it on a stack of one, the stacked fiber walks on many."""
+    # min and max propagate a NaN, which then fails the comparison
+    return ((rows.min(axis=(-2, -1)) >= 0.0)
+            & (np.abs(rows.sum(axis=-1) - 1.0).max(axis=-1) <= SUM_TOL))
+
+
+def _check_table(table, shape: tuple[int, ...]) -> None:
+    """Freeze and validate the ``cells`` of a probability table: the given
+    shape, then :func:`_stochastic` on the cells as one row."""
+    cells = _frozen(table.cells)
+    if cells.shape != shape:
+        raise InvalidParameter(f"cells have shape {cells.shape}, expected {shape}")
+    if not _stochastic(cells.reshape(1, -1)):
+        if not np.isfinite(cells).all():
+            raise InvalidParameter("cells contain non-finite values")
+        if (cells < 0).any():
+            idx = tuple(int(x) for x in np.argwhere(cells < 0)[0])
+            raise InvalidParameter(f"cell {idx} is negative: {cells[idx]!r}")
+        raise InvalidParameter(
+            f"cells sum to {float(cells.sum())!r}, not 1 within {SUM_TOL}")
+    object.__setattr__(table, "cells", cells)
+
+
 @dataclass(frozen=True)
 class Shape:
     """Cardinalities (r1, r2, r3) of the three variables; each must be >= 2."""
@@ -92,21 +119,7 @@ class JointTable:
     __eq__ = _fields_eq
 
     def __post_init__(self):
-        cells = np.asarray(self.cells, dtype=float)
-        expected = self.shape.astuple()
-        if cells.shape != expected:
-            raise InvalidParameter(
-                f"cells have shape {cells.shape}, expected {expected}"
-            )
-        if not np.isfinite(cells).all():
-            raise InvalidParameter("cells contain non-finite values")
-        if (cells < 0).any():
-            idx = tuple(int(x) for x in np.argwhere(cells < 0)[0])
-            raise InvalidParameter(f"cell {idx} is negative: {cells[idx]!r}")
-        total = float(cells.sum())
-        if abs(total - 1.0) > SUM_TOL:
-            raise InvalidParameter(f"cells sum to {total!r}, not 1 within {SUM_TOL}")
-        object.__setattr__(self, "cells", _frozen(cells))
+        _check_table(self, self.shape.astuple())
 
     @classmethod
     def from_flat(cls, shape: Shape, flat: Sequence[float]) -> "JointTable":
@@ -129,19 +142,19 @@ class JointTable:
         return bool((self.cells > 0).all())
 
 
-def _check_stochastic_rows(name: str, rows: np.ndarray) -> None:
+def _check_rows(name: str, rows: np.ndarray) -> None:
+    if _stochastic(rows):
+        return
     if not np.isfinite(rows).all():
         raise InvalidParameter(f"{name} contains non-finite values")
     if (rows < 0).any():
         idx = tuple(int(x) for x in np.argwhere(rows < 0)[0])
         raise InvalidParameter(f"{name}{idx} is negative: {rows[idx]!r}")
     sums = rows.sum(axis=-1)
-    bad = np.abs(sums - 1.0) > SUM_TOL
-    if bad.any():
-        which = int(np.flatnonzero(bad.ravel())[0])
-        raise InvalidParameter(
-            f"row {which} of {name} sums to {sums.ravel()[which]!r}, not 1"
-        )
+    which = int(np.flatnonzero(np.abs(sums.ravel() - 1.0) > SUM_TOL)[0])
+    raise InvalidParameter(
+        f"row {which} of {name} sums to {sums.ravel()[which]!r}, not 1"
+    )
 
 
 @dataclass(frozen=True)
@@ -161,21 +174,16 @@ class ChainParams:
 
     def __post_init__(self):
         r1, r2, r3 = self.shape.astuple()
-        p1 = np.asarray(self.p1, dtype=float)
-        a = np.asarray(self.a, dtype=float)
-        b = np.asarray(self.b, dtype=float)
-        if p1.shape != (r1,):
-            raise InvalidParameter(f"p1 has shape {p1.shape}, expected ({r1},)")
-        if a.shape != (r1, r2):
-            raise InvalidParameter(f"a has shape {a.shape}, expected ({r1}, {r2})")
-        if b.shape != (r2, r3):
-            raise InvalidParameter(f"b has shape {b.shape}, expected ({r2}, {r3})")
-        _check_stochastic_rows("p1", p1[None, :])
-        _check_stochastic_rows("a", a)
-        _check_stochastic_rows("b", b)
-        object.__setattr__(self, "p1", _frozen(p1))
-        object.__setattr__(self, "a", _frozen(a))
-        object.__setattr__(self, "b", _frozen(b))
+        arrays = {name: np.asarray(getattr(self, name), dtype=float)
+                  for name in ("p1", "a", "b")}
+        for (name, rows), shape in zip(arrays.items(),
+                                       ((r1,), (r1, r2), (r2, r3))):
+            if rows.shape != shape:
+                raise InvalidParameter(
+                    f"{name} has shape {rows.shape}, expected {shape}")
+        for name, rows in arrays.items():
+            _check_rows(name, rows.reshape(-1, rows.shape[-1]))
+            object.__setattr__(self, name, _frozen(rows))
 
     @property
     def min_entry(self) -> float:
@@ -200,20 +208,7 @@ class MarginalTable:
         if shape[0] < 1 or shape[1] < 1:
             raise InvalidParameter(f"invalid marginal shape {shape}")
         object.__setattr__(self, "shape", shape)
-        cells = np.asarray(self.cells, dtype=float)
-        if cells.shape != shape:
-            raise InvalidParameter(
-                f"cells have shape {cells.shape}, expected {shape}"
-            )
-        if not np.isfinite(cells).all():
-            raise InvalidParameter("cells contain non-finite values")
-        if (cells < 0).any():
-            idx = tuple(int(x) for x in np.argwhere(cells < 0)[0])
-            raise InvalidParameter(f"cell {idx} is negative: {cells[idx]!r}")
-        total = float(cells.sum())
-        if abs(total - 1.0) > SUM_TOL:
-            raise InvalidParameter(f"cells sum to {total!r}, not 1 within {SUM_TOL}")
-        object.__setattr__(self, "cells", _frozen(cells))
+        _check_table(self, shape)
 
     @property
     def flat(self) -> np.ndarray:

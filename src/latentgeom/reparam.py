@@ -35,7 +35,6 @@ from .errors import (
     NoRealSolution,
     OffVariety,
     OutOfUnitBox,
-    ShapeMismatch,
     SingularDenominator,
     SingularPair,
     ZeroCell,
@@ -115,7 +114,7 @@ def merge(marginal: MarginalTable, lambdas: LambdaField) -> JointTable:
     """Inverse of :func:`split`: theta(i, j, k) = delta(i, k) lambda_j(i, k)."""
     r1, r2, r3 = lambdas.shape.astuple()
     if marginal.shape != (r1, r3):
-        raise ShapeMismatch(
+        raise InvalidParameter(
             f"marginal shape {marginal.shape} does not match lambda field "
             f"({r1}, {r3})"
         )

@@ -158,6 +158,82 @@ def test_check_malformed_file(capsys, tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("command, shape", [
+    ("vertices", [2.9, 2, "2"]),
+    ("vertices", "323"),
+    ("vertices", [True, 2, 2]),
+    ("vertices", [2, 2]),
+    ("vertices", [[2], 2, 2]),
+    ("vertices", None),
+    ("check", [2.0, 2, 2]),
+    ("check", [2, 2, 2, 2]),
+    ("consistency", [2.5, "2"]),
+    ("consistency", "22"),
+    ("consistency", [2, False]),
+    ("consistency", [2, 2, 1]),
+])
+def test_shape_must_be_a_list_of_integers(capsys, tmp_path, command, shape):
+    # entries are not truncated or read digit by digit: anything but a
+    # list of integers of the shape's length is a malformed file
+    path = tmp_path / "input.json"
+    if command == "consistency":
+        data = {"shape": shape, "cells": [0.25] * 4}
+        argv = ["consistency", str(path), "--r2", "2"]
+    else:
+        data = {"shape": shape, "p1": [0.5, 0.5], "a": [[0.5, 0.5]] * 2,
+                "b": [[0.3, 0.7], [0.6, 0.4]]}
+        argv = [command, str(path)]
+    path.write_text(json.dumps(data))
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    length = 2 if command == "consistency" else 3
+    assert captured.err == (f"latentgeom {command}: {path}: shape must be a "
+                            f"list of {length} integers, got {shape!r}\n")
+
+
+@pytest.mark.parametrize("name, content", [
+    ("model.json", b"\xff{}"),
+    ("model.json", b'{"shape": [3, 2, 3], "p1": [1' + b"0" * 5000 + b"]}"),
+    ("model.json", b'{"shape": [3, 2, 3], "p1": [1' + b"0" * 400 + b"]}"),
+    ("model.json", b'{"shape": ' + b"[" * 100000 + b"]" * 100000 + b"}"),
+    ("counts.csv", b"i,k,count\n1,1,99999999999999999999\n"),
+], ids=["not-utf8", "int-too-long", "int-beyond-float", "too-deep",
+        "count-beyond-int64"])
+def test_unreadable_values_are_file_errors(capsys, tmp_path, name, content):
+    # bytes that are not UTF-8, integers too long to parse or to convert,
+    # nesting too deep to parse and counts beyond int64 end in exit 3 with
+    # one line naming the file, not in a traceback
+    path = tmp_path / name
+    path.write_bytes(content)
+    argv = (["vertices", str(path)] if name == "model.json"
+            else ["consistency", str(path), "--r2", "2"])
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err.startswith(f"latentgeom {argv[0]}: {path}")
+    assert captured.err.count("\n") == 1
+
+
+def test_counts_shape_is_the_largest_index_listed(capsys, tmp_path):
+    # without a model the table has as many rows and columns as the largest
+    # i and k listed; a 0 count keeps an all-zero last row
+    from latentgeom.cli import load_counts
+    rows = "i,k,count\n1,1,3\n1,2,1\n2,1,1\n2,3,4\n"
+    short, kept = tmp_path / "short.csv", tmp_path / "kept.csv"
+    short.write_text(rows)
+    kept.write_text(rows + "3,1,0\n")
+    assert load_counts(str(short)).shape == (2, 3)
+    table = load_counts(str(kept))
+    assert table.shape == (3, 3)
+    assert table.counts[2].tolist() == [0, 0, 0]
+    for path, r1 in ((short, 2), (kept, 3)):
+        code, out = run(capsys, "consistency", str(path), "--r2", "2")
+        assert code == 0
+        assert json.loads(out)["witness"]["shape"] == [r1, 2, 3]
+
+
 @pytest.mark.parametrize("cell", [("9", "9"), ("0", "1"), ("1", "4")])
 def test_check_ref_cell_out_of_range_is_reported_one_based(capsys, model_file,
                                                            cell):

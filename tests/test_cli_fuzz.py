@@ -63,3 +63,146 @@ def test_em_budget_any_values(inputs, command, tol, maxiter):
     code, _ = run(head + [f"--tol={tol!r}", f"--maxiter={maxiter}"])
     valid = maxiter >= 0 and math.isfinite(tol) and tol > 0
     assert code == (0 if valid else 2)
+
+
+# ------------------------------------------------------------ malformed files
+
+SIZES = st.integers(-1, 6)
+#: entries that int() would read as a size: truncation must not accept them
+NEAR = st.sampled_from([2.0, 3.0, 2.9, 3.5, "2", "3", True])
+ODD = st.one_of(st.floats(allow_nan=True, allow_infinity=True),
+                st.text(max_size=3), st.sampled_from(["323", "33"]),
+                st.booleans(), st.none(), st.lists(SIZES, max_size=2))
+CELL = st.one_of(st.floats(0.0, 1.0),
+                 st.sampled_from([math.nan, math.inf, -math.inf, -0.5, 2.0]))
+
+
+def shapes(length):
+    """Shapes of every JSON kind: integer lists (of any length), lists with
+    entries int() would truncate or parse, and bare scalars, strings, null
+    and nested lists."""
+    return st.one_of(st.lists(SIZES, min_size=length, max_size=length),
+                     st.lists(st.one_of(SIZES, NEAR), min_size=length,
+                              max_size=length),
+                     st.lists(st.one_of(SIZES, NEAR, ODD), max_size=4), ODD)
+
+
+def integer_shape(shape, length):
+    return (isinstance(shape, list) and len(shape) == length
+            and all(type(v) is int for v in shape))
+
+
+@st.composite
+def corrupted(draw, values, length):
+    """A valid list (or list of rows) with entries replaced, the last row
+    dropped or a row cut short."""
+    values = [list(v) if isinstance(v, list) else v for v in values]
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(values) - 1))
+        if isinstance(values[at], list):
+            if draw(st.booleans()):
+                values[at] = values[at][:draw(st.integers(0, length))]
+            elif values[at]:
+                values[at][draw(st.integers(0, len(values[at]) - 1))] = \
+                    draw(CELL)
+        else:
+            values[at] = draw(CELL)
+    if draw(st.booleans()) and len(values) > 1:
+        values = values[:-1]
+    return values
+
+
+@st.composite
+def with_fault(draw, data, shape_length):
+    """``data`` as it is, or with one fault: a redrawn shape, a corrupted
+    field or a missing field."""
+    data = dict(data)
+    fields = [f for f in data if f != "shape"]
+    faults = [None, "missing", *fields] + ["shape"] * bool(shape_length)
+    fault = draw(st.sampled_from(faults))
+    if fault == "shape":
+        data["shape"] = draw(shapes(shape_length))
+    elif fault == "missing":
+        del data[draw(st.sampled_from(sorted(data)))]
+    elif fault in fields:
+        length = len(data[fault][0]) if isinstance(data[fault][0], list) \
+            else len(data[fault])
+        data[fault] = draw(corrupted(data[fault], length))
+    return data
+
+
+@st.composite
+def json_inputs(draw):
+    """Model, joint, marginal and q objects, each valid or with one fault."""
+    params = seeded_chain((3, 2, 3), draw(st.integers(0, 3)))
+    table = joint_from_chain(params)
+    model = {"shape": [3, 2, 3], "p1": params.p1.tolist(),
+             "a": params.a.tolist(), "b": params.b.tolist()}
+    joint = {"shape": [3, 2, 3], "cells": table.flat.tolist()}
+    marginal = {"shape": [3, 3], "cells": marginal_13(table).flat.tolist()}
+    q = {"q": [[0.9, 0.1], [0.2, 0.8]]}
+    return (draw(with_fault(model, 3)), draw(with_fault(joint, 3)),
+            draw(with_fault(marginal, 2)), draw(with_fault(q, 0)))
+
+
+FIELD = st.one_of(st.integers(1, 6).map(str),
+                  st.sampled_from(["", "x", "1.5", "-1", "0", " 2 ", "1e3"]))
+
+
+@st.composite
+def counts_csvs(draw):
+    """Counts files over indices 1-6, half of them with junk fields, wrong
+    field counts or duplicate cells."""
+    dirty = draw(st.booleans())
+    header = "i,k,count"
+    if dirty:
+        header = draw(st.sampled_from([header, "i,k", "k,i,count"]))
+    top = draw(st.integers(1, 6))
+    cells = draw(st.lists(st.tuples(st.integers(1, top), st.integers(1, top)),
+                          max_size=9, unique=not dirty))
+    lines = [header]
+    for i, k in cells:
+        fields = [str(i), str(k), str(draw(st.integers(0, 20)))]
+        if dirty and draw(st.integers(0, 3)) == 0:
+            fields[draw(st.integers(0, 2))] = draw(FIELD)
+        if dirty and draw(st.integers(0, 9)) == 0:
+            fields.append(draw(FIELD))
+        lines.append(",".join(fields))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("malformed")
+
+
+@settings(max_examples=80, deadline=None)
+@given(files=json_inputs(), csv=counts_csvs())
+def test_malformed_files_end_in_one_line(workdir, files, csv):
+    model, joint, marginal, q = files
+    paths = {}
+    for name, data in (("model", model), ("joint", joint),
+                       ("marginal", marginal), ("q", q)):
+        paths[name] = str(workdir / f"{name}.json")
+        (workdir / f"{name}.json").write_text(json.dumps(data))
+    paths["counts"] = str(workdir / "counts.csv")
+    (workdir / "counts.csv").write_text(csv)
+    search = ["--r2", "2", "--restarts", "2", "--maxiter", "5"]
+    model_ok = integer_shape(model.get("shape", [3, 2, 3]), 3)
+    for argv, shape_ok in (
+            (["check", paths["model"]], model_ok),
+            (["check", paths["joint"]],
+             integer_shape(joint.get("shape", [3, 2, 3]), 3)),
+            (["vertices", paths["model"]], model_ok),
+            (["consistency", paths["marginal"], *search],
+             integer_shape(marginal.get("shape", [3, 3]), 2)),
+            (["consistency", paths["counts"], *search], True),
+            (["profile", paths["counts"], paths["model"], "--steps", "3"],
+             model_ok),
+            (["profile", paths["counts"], paths["model"], "--q", paths["q"],
+              "--steps", "3"], model_ok),
+            (["emfit", paths["counts"], "3", "2", "3", "--maxiter", "5"],
+             True)):
+        code, _ = run(argv)
+        if not shape_ok:
+            assert code == 3, argv

@@ -303,3 +303,27 @@ def test_decrease_raises_the_reference_message(monkeypatch):
     with pytest.raises(GeometryError, match="EM log-likelihood decreased") as got:
         em_fit_details(counts, Shape(3, 2, 3), seed=0, maxiter=60)
     assert str(got.value) == str(expected.value)
+
+
+def test_search_blocks_are_capped_at_64_restarts(monkeypatch):
+    # the square slack has nonnegative rank 4, so no restart at r2 = 3 is
+    # certified and the search spends its whole budget
+    from latentgeom import identifiability
+    sizes = []
+    real = identifiability._em_batch
+
+    def recording(weights, shape, rngs, maxiter, tol):
+        sizes.append(len(rngs))
+        return real(weights, shape, rngs, maxiter, tol)
+
+    monkeypatch.setattr(identifiability, "_em_batch", recording)
+    target = MarginalTable((4, 4), SQUARE_SLACK / SQUARE_SLACK.sum())
+    report = consistency_check(target, 3, restarts=300, seed=5, maxiter=5)
+    assert sizes == [1, 2, 4, 8, 16, 32, 64, 64, 64, 45]
+    feasible, best, witness, divergences = _reference_search(
+        target, 3, 300, 1e-8, 5, 5)
+    assert not feasible and report.feasible == feasible
+    assert np.array_equal(report.best_divergence, best)
+    assert _same_params(report.witness, witness)
+    assert np.array_equal(report.divergences, divergences)
+    assert report.restarts_tried == 300

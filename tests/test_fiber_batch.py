@@ -46,7 +46,8 @@ def serial_clamp_rows(name, rows):
         idx = tuple(int(x) for x in np.argwhere(rows == rows.min())[0])
         raise InvalidMixing(name, idx, worst)
     out = rows.copy()
-    out[(out > -CLAMP_EPS) & (out < 0.0)] = 0.0
+    # every entry the test above accepts, -CLAMP_EPS included, snaps to 0
+    out[(out >= -CLAMP_EPS) & (out < 0.0)] = 0.0
     out[out == 0.0] = 0.0
     return out / out.sum(axis=1, keepdims=True)
 
@@ -311,7 +312,6 @@ def test_profile_row_sum_errors_match_serial(monkeypatch):
     # a row-sum tolerance below rounding makes ChainParams, JointTable or
     # MarginalTable reject some steps with InvalidParameter: the stacked
     # walk must hand exactly those steps to the step-by-step walk
-    import latentgeom.likelihood as likelihood_mod
     import latentgeom.model as model_mod
     cases = []
     for seed in range(40):
@@ -321,7 +321,6 @@ def test_profile_row_sum_errors_match_serial(monkeypatch):
         cases.append((counts_for(params, rng), params,
                       path_end(params, rng, kind)))
     monkeypatch.setattr(model_mod, "SUM_TOL", 1e-17)
-    monkeypatch.setattr(likelihood_mod, "SUM_TOL", 1e-17)
     moved_rows_rejected = 0
     for counts, params, q_end in cases:
         ours = profile_outcome(profile_along_fiber, counts, params, q_end, 17)
@@ -332,7 +331,57 @@ def test_profile_row_sum_errors_match_serial(monkeypatch):
     assert moved_rows_rejected
 
 
+def test_profile_table_sum_errors_match_serial(monkeypatch):
+    # below rounding, a step whose rows of a and b sum to 1 exactly can
+    # still have a joint or marginal table that does not: the stacked mask
+    # must reject that step where JointTable or MarginalTable would.  The
+    # messages of two such steps often read the same, so the mixing each
+    # walk applied last, the one that raised, must match too
+    import sys
+    import latentgeom.likelihood as likelihood_mod
+    import latentgeom.model as model_mod
+    cases = []
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        r1, r2, r3 = (int(x) for x in rng.integers(2, [6, 4, 6]))
+        params = random_chain(Shape(r1, r2, r3), rng, min_entry=0.02)
+        cases.append((counts_for(params, rng), params,
+                      path_end(params, rng, "interior")))
+    applied = []
+    for module, name in ((likelihood_mod, "apply_mixing"),
+                         (sys.modules[__name__], "serial_apply_mixing")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda p, q, real=real:
+                            applied.append(q.q) or real(p, q))
+    monkeypatch.setattr(model_mod, "SUM_TOL", 1e-17)
+    tables_rejected = 0
+    for counts, params, q_end in cases:
+        outcomes = []
+        for fn in (profile_along_fiber, serial_profile_along_fiber):
+            applied.clear()
+            outcomes.append((profile_outcome(fn, counts, params, q_end, 17),
+                             applied[-1].tobytes() if applied else None))
+        assert outcomes[0] == outcomes[1]
+        tables_rejected += (outcomes[0][0][0] == "error"
+                            and "cells sum to" in outcomes[0][0][1]
+                            and outcomes[0][1] is not None)
+    assert tables_rejected
+
+
 # ------------------------------------------------------------ the kernel itself
+
+def test_clamp_snaps_an_entry_of_exactly_minus_clamp_eps():
+    # the clamp test accepts an entry of -CLAMP_EPS, so the snap zeroes it
+    # and the point is valid
+    b = np.array([[0.5 + CLAMP_EPS, 0.5, -CLAMP_EPS], [0.2, 0.3, 0.5]])
+    out = fiber._clamp_rows("b", b)
+    assert out[0, 2] == 0.0 and (out >= 0.0).all()
+    assert np.array_equal(out, serial_clamp_rows("b", b))
+    assert np.array_equal(fiber._snap(b[None])[0], out)
+    ChainParams(Shape(2, 2, 3), [0.5, 0.5], [[0.5, 0.5], [0.5, 0.5]], out)
+    with pytest.raises(InvalidMixing):
+        fiber._clamp_rows("b", b - [[0.0, 0.0, CLAMP_EPS], [0.0, 0.0, 0.0]])
+
 
 @pytest.mark.parametrize("r2", [2, 3, 4])
 def test_kernel_masks_singular_and_bad_members_without_warnings(r2):

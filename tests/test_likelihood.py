@@ -12,7 +12,6 @@ from latentgeom import (
     MixingMatrix,
     PathExitsPolytope,
     Shape,
-    ShapeMismatch,
     em_fit_details,
     extreme_mixings,
     joint_from_chain,
@@ -21,6 +20,7 @@ from latentgeom import (
     marginal_13,
     permute_latent,
     profile_along_fiber,
+    random_chain,
     rho_pi_bounds,
     sample_fiber,
 )
@@ -56,8 +56,35 @@ def test_loglik_support_mismatch_is_minus_inf():
     assert loglik(CountTable((2, 2), counts), params) == float("-inf")
 
 
+def test_loglik_equals_masked_sum_bitwise():
+    # the reference: a 1-d sum over the boolean-masked observed cells, -inf
+    # when one of them has zero probability; the library sums gathered rows
+    # of a stack, which must give the same bits
+    for seed in range(300):
+        rng = np.random.default_rng(seed)
+        r1, r2, r3 = (int(x) for x in rng.integers(2, [12, 5, 12]))
+        params = random_chain(Shape(r1, r2, r3), rng)
+        if seed % 3 == 0:
+            b = params.b.copy()
+            b[:, 0] = 0.0
+            params = ChainParams(params.shape, params.p1, params.a,
+                                 b / b.sum(axis=1, keepdims=True))
+        counts = rng.integers(0, 2 if seed % 2 else 50, size=(r1, r3))
+        counts[0, 0] += 1
+        counts = CountTable((r1, r3), counts)
+        delta = marginal_13(joint_from_chain(params)).cells
+        mask = counts.counts > 0
+        want = (float("-inf") if (delta[mask] <= 0.0).any() else
+                float(np.sum(counts.counts[mask] * np.log(delta[mask]))))
+        got = loglik(counts, params)
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
 def test_loglik_shape_mismatch():
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(InvalidParameter,
+                       match=r"counts shape \(2, 2\) does not match model "
+                             r"\(3, 3\)"):
         loglik(CountTable((2, 2), [[1, 0], [0, 1]]), uniform_params(3, 2, 3))
 
 

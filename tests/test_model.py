@@ -448,3 +448,12 @@ def test_consistency_reports_compare_with_and_without_witness():
     other = consistency_check(
         marginal_13(joint_from_chain(seeded_chain((3, 2, 3), 63))), r2=2)
     assert found != other
+
+
+def test_public_names_are_unique_and_resolve():
+    import latentgeom
+    assert len(set(latentgeom.__all__)) == len(latentgeom.__all__)
+    for name in latentgeom.__all__:
+        assert getattr(latentgeom, name) is not None, name
+    # shape errors are InvalidParameter
+    assert not hasattr(latentgeom, "ShapeMismatch")

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from latentgeom import (  # noqa: E402
+    InvalidMixing,
     MixingMatrix,
     Shape,
     apply_mixing,
@@ -18,8 +19,11 @@ from latentgeom import (  # noqa: E402
     marginal_13,
     merge,
     permute_latent,
+    random_chain,
+    rho_pi_bounds,
     split,
 )
+from latentgeom.fiber import _b_side_interval  # noqa: E402
 from conftest import seeded_chain, seeded_joint  # noqa: E402
 
 SEEDS = st.integers(0, 2 ** 32 - 1)
@@ -98,3 +102,30 @@ def test_mixing_composition(r1, r2, r3, seed):
     base = marginal_13(joint_from_chain(params)).cells
     for p in (moved, twice, once):
         assert np.abs(marginal_13(joint_from_chain(p)).cells - base).max() <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(r1=st.integers(2, 6), r3=st.integers(2, 6), seed=SEEDS)
+def test_r2_2_validity_rectangle(r1, r3, seed):
+    # on the branch pi > rho the action is valid exactly on the rectangle
+    # [pi_min, u_hi] x [u_lo, rho_max]: the a side bounds pi from below and
+    # rho from above, the b side bounds both to [u_lo, u_hi]
+    params = random_chain(Shape(r1, 2, r3), np.random.default_rng(seed),
+                          min_entry=0.05)
+    bounds = rho_pi_bounds(params)
+    u_lo, _, u_hi, _ = _b_side_interval(params.b)
+    # far corners cancel to rounding of size u * 1e-16
+    assume(bounds.pi_min > bounds.rho_max and u_hi - u_lo < 1e3)
+    for pi in (bounds.pi_min, u_hi):
+        for rho in (u_lo, bounds.rho_max):
+            moved = apply_mixing(params, MixingMatrix.from_pi_rho(pi, rho))
+            assert moved.min_entry >= 0.0
+    # a step past each edge from its midpoint, sized to leave a negative
+    # entry far beyond CLAMP_EPS
+    step = 1e-6 * (1.0 + u_hi - u_lo)
+    pi_mid = 0.5 * (bounds.pi_min + u_hi)
+    rho_mid = 0.5 * (u_lo + bounds.rho_max)
+    for pi, rho in ((bounds.pi_min - step, rho_mid), (u_hi + step, rho_mid),
+                    (pi_mid, u_lo - step), (pi_mid, bounds.rho_max + step)):
+        with pytest.raises(InvalidMixing):
+            apply_mixing(params, MixingMatrix.from_pi_rho(pi, rho))

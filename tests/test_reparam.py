@@ -11,7 +11,6 @@ from latentgeom import (
     OffVariety,
     OutOfUnitBox,
     Shape,
-    ShapeMismatch,
     SingularDenominator,
     SingularPair,
     ZeroCell,
@@ -90,7 +89,9 @@ def test_merge_zero_marginal_propagates():
 def test_merge_shape_mismatch():
     lam = LambdaField(Shape(2, 2, 2), np.full((2, 2, 2), 0.5))
     marg = MarginalTable((2, 3), np.full((2, 3), 1 / 6))
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(InvalidParameter,
+                       match=r"marginal shape \(2, 3\) does not match lambda "
+                             r"field \(2, 2\)"):
         merge(marg, lam)
 
 
