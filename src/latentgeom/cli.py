@@ -23,12 +23,17 @@ counts CSV     header "i,k,count", 1-based indices, missing cells are 0
 A shape is a JSON list of integers of its length.  Without a model to
 give it, a counts table has as many rows and columns as the largest i and
 k listed; list a cell of an all-zero last row or column with count 0 to
-keep it.
+keep it.  A counts table has at most MAX_COUNT_CELLS cells: a larger size
+is exit 3 when a file implies it and exit 2 when emfit's arguments do.
+
+:func:`main` may be called repeatedly in one process; the argument parser
+is built on the first call and shared by the later ones.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -48,6 +53,9 @@ from .fiber import MixingMatrix, extreme_mixings, sample_fiber
 
 USAGE_ERROR = 2
 FILE_ERROR = 3
+#: the most cells (rows x columns) a counts table may have; a larger size,
+#: implied by a file or by emfit's arguments, is refused before allocation
+MAX_COUNT_CELLS = 10 ** 6
 
 
 class CliFileError(Exception):
@@ -57,43 +65,46 @@ class CliFileError(Exception):
 # ---------------------------------------------------------------------------
 # deterministic rendering
 
+#: the scalar types rendered by :func:`_fmt` (bools are ints)
+_SCALARS = (float, int, np.floating, np.integer, np.bool_)
+
+
 def _fmt(x) -> str:
+    if type(x) is float:
+        # x - x is 0.0 exactly when x is finite
+        return format(x, ".17g") if x - x == 0.0 else json.dumps(str(x))
     if isinstance(x, (bool, np.bool_)):
         return "true" if x else "false"
     if isinstance(x, (int, np.integer)):
         return str(int(x))
-    if isinstance(x, (float, np.floating)):
-        v = float(x)
-        if v != v or v in (float("inf"), float("-inf")):
-            return json.dumps(str(v))
-        return format(v, ".17g")
+    if isinstance(x, np.floating):
+        return _fmt(float(x))
     raise TypeError(f"cannot format {type(x)!r}")
 
 
 def _render_json(obj, indent: int = 0) -> str:
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    if isinstance(obj, _SCALARS):
+        return _fmt(obj)
     if obj is None:
         return "null"
     if isinstance(obj, str):
         return json.dumps(obj)
-    if isinstance(obj, (bool, np.bool_, int, np.integer, float, np.floating)):
-        return _fmt(obj)
+    pad = "  " * indent
+    inner = "  " * (indent + 1)
     if isinstance(obj, dict):
         if not obj:
             return "{}"
         items = [f"{inner}{json.dumps(str(k))}: {_render_json(v, indent + 1)}"
                  for k, v in obj.items()]
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        seq = list(obj)
-        if not seq:
+    if isinstance(obj, (list, tuple)):
+        if not obj:
             return "[]"
-        scalar = all(isinstance(v, (bool, np.bool_, int, np.integer,
-                                    float, np.floating)) for v in seq)
-        if scalar:
-            return "[" + ", ".join(_fmt(v) for v in seq) + "]"
-        items = [f"{inner}{_render_json(v, indent + 1)}" for v in seq]
+        if all(isinstance(v, _SCALARS) for v in obj):
+            return "[" + ", ".join(map(_fmt, obj)) + "]"
+        items = [f"{inner}{_render_json(v, indent + 1)}" for v in obj]
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
     raise TypeError(f"cannot render {type(obj)!r}")
 
@@ -172,6 +183,14 @@ def _q(data: _Fields) -> MixingMatrix:
     return MixingMatrix(np.asarray(data["q"], dtype=float))
 
 
+def _too_many_cells(r1: int, r3: int) -> str:
+    """Why an r1 x r3 counts table is refused, or '' when it is not."""
+    if r1 * r3 <= MAX_COUNT_CELLS:
+        return ""
+    return (f"a {r1} x {r3} counts table exceeds the limit of "
+            f"{MAX_COUNT_CELLS} cells")
+
+
 def load_counts(path: str, shape: tuple[int, int] | None = None) -> likelihood.CountTable:
     """Counts CSV with header ``i,k,count`` and 1-based indices; without
     ``shape``, the largest i and k listed give the table's size."""
@@ -197,6 +216,8 @@ def load_counts(path: str, shape: tuple[int, int] | None = None) -> likelihood.C
         raise CliFileError(f"{path}: no count rows")
     if shape is None:
         shape = (max(r[0] for r in rows), max(r[1] for r in rows))
+    if too_large := _too_many_cells(*shape):
+        raise CliFileError(f"{path}: {too_large}")
     counts = np.zeros(shape, dtype=np.int64)
     seen = set()
     try:
@@ -217,8 +238,8 @@ def _model_dict(params: model.ChainParams) -> dict:
     return {
         "shape": list(params.shape.astuple()),
         "p1": params.p1,
-        "a": [row for row in params.a],
-        "b": [row for row in params.b],
+        "a": params.a,
+        "b": params.b,
     }
 
 
@@ -270,7 +291,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     }
     try:
         z = reparam.cross_ratios(marginal, ref0)
-        report["cross_ratios"] = [row for row in z.values]
+        report["cross_ratios"] = z.values
         report["zero_cell"] = None
         if z.values.shape == (2, 2):
             report["identity_residual_323"] = reparam.marginal_identity_323(z)
@@ -327,7 +348,7 @@ def cmd_vertices(args: argparse.Namespace) -> int:
         out.append({
             "pi": float(vertex.q.q[0, 0]),
             "rho": float(vertex.q.q[1, 0]),
-            "q": [row for row in vertex.q.q],
+            "q": vertex.q.q,
             "branch": vertex.branch,
             "zeros": [
                 {"matrix": mat, "row": r + 1, "col": c + 1}
@@ -342,7 +363,8 @@ def cmd_consistency(args: argparse.Namespace) -> int:
     path = args.file
     if path.endswith(".csv"):
         counts = load_counts(path)
-        cells = counts.counts / counts.total
+        # the exact total may exceed int64; as a float it divides as before
+        cells = counts.counts / float(counts.total)
         target = model.MarginalTable(counts.shape, cells)
     else:
         target = _load(path, _marginal)
@@ -377,7 +399,8 @@ def cmd_profile(args: argparse.Namespace) -> int:
     lines = ["t,loglik,min_entry"]
     try:
         trace = likelihood.profile_along_fiber(counts, params, q_end, args.steps)
-        for t, ll, me in zip(trace.t, trace.loglik, trace.min_entry):
+        for t, ll, me in zip(trace.t.tolist(), trace.loglik.tolist(),
+                             trace.min_entry.tolist()):
             lines.append(f"{_fmt(t)},{_fmt(ll)},{_fmt(me)}")
     except PathExitsPolytope as exc:
         for t, ll, me in exc.prefix:
@@ -389,6 +412,8 @@ def cmd_profile(args: argparse.Namespace) -> int:
 
 def cmd_emfit(args: argparse.Namespace) -> int:
     shape = model.Shape(args.r1, args.r2, args.r3)
+    if too_large := _too_many_cells(shape.r1, shape.r3):
+        raise CliUsageError(too_large)
     counts = load_counts(args.counts, shape=(shape.r1, shape.r3))
     fit = likelihood.em_fit_details(counts, shape, seed=args.seed,
                                     maxiter=args.maxiter, tol=args.tol)
@@ -428,7 +453,11 @@ class _Parser(argparse.ArgumentParser):
         raise CliUsageError(f"{self.prog}: {message}")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by every
+    later one: parsing never mutates it, each call gets a fresh namespace,
+    and every default is immutable."""
     parser = _Parser(
         prog="latentgeom",
         description="Geometry of the hidden-middle chain model on (Y1, Y3) data",

@@ -30,6 +30,7 @@ from .model import (
     _fields_eq,
     _frozen,
     _stochastic,
+    _table_shape,
     joint_from_chain,
     marginal_13,
 )
@@ -49,7 +50,7 @@ class CountTable:
     __eq__ = _fields_eq
 
     def __post_init__(self):
-        shape = (int(self.shape[0]), int(self.shape[1]))
+        shape = _table_shape(self.shape, "counts")
         counts = np.asarray(self.counts)
         if counts.shape != shape:
             raise InvalidParameter(
@@ -61,14 +62,16 @@ class CountTable:
         counts = counts.astype(np.int64)
         if (counts < 0).any():
             raise InvalidParameter("counts must be nonnegative")
-        if counts.sum() < 1:
-            raise InvalidParameter("total count must be >= 1")
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "counts", _frozen(counts, dtype=np.int64))
+        if self.total < 1:
+            raise InvalidParameter("total count must be >= 1")
 
     @property
     def total(self) -> int:
-        return int(self.counts.sum())
+        """The exact total: a sum in Python integers, where an int64 sum
+        would wrap at 2**63."""
+        return sum(self.counts.ravel().tolist())
 
 
 def _observed(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:

@@ -62,6 +62,23 @@ def _stochastic(rows: np.ndarray) -> np.ndarray:
             & (np.abs(rows.sum(axis=-1) - 1.0).max(axis=-1) <= SUM_TOL))
 
 
+#: what a size must be: a Python or numpy integer, never a float or a
+#: string that int() would truncate or parse
+_INTEGER = (int, np.integer)
+
+
+def _table_shape(shape, what: str) -> tuple[int, int]:
+    """The (rows, columns) of a two-way table, each an integer by the rule
+    of :class:`Shape`."""
+    try:
+        rows, cols = shape
+    except (TypeError, ValueError):
+        rows = cols = None
+    if not (isinstance(rows, _INTEGER) and isinstance(cols, _INTEGER)):
+        raise InvalidParameter(f"{what} shape must be two integers, got {shape!r}")
+    return int(rows), int(cols)
+
+
 def _check_table(table, shape: tuple[int, ...]) -> None:
     """Freeze and validate the ``cells`` of a probability table: the given
     shape, then :func:`_stochastic` on the cells as one row."""
@@ -90,7 +107,7 @@ class Shape:
     def __post_init__(self):
         for name in ("r1", "r2", "r3"):
             v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)):
+            if not isinstance(v, _INTEGER):
                 raise InvalidParameter(f"{name} must be an integer, got {v!r}")
             if v < 2:
                 raise InvalidParameter(f"{name} must be >= 2, got {v}")
@@ -204,7 +221,7 @@ class MarginalTable:
     __eq__ = _fields_eq
 
     def __post_init__(self):
-        shape = (int(self.shape[0]), int(self.shape[1]))
+        shape = _table_shape(self.shape, "marginal")
         if shape[0] < 1 or shape[1] < 1:
             raise InvalidParameter(f"invalid marginal shape {shape}")
         object.__setattr__(self, "shape", shape)

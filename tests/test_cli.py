@@ -536,3 +536,130 @@ def test_float_output_has_17_significant_digits(capsys, model_file):
     raw = out.split('"marginal": [')[1].split("]")[0].split(",")
     for text, value in zip(raw, marginal):
         assert float(text) == value
+
+
+# ---------------------------------------------------------------- one parser
+
+def test_reused_parser_keeps_calls_independent(capsys, tmp_path, model_file,
+                                               counts_file, slack_file):
+    # every subcommand, usage errors, file errors and help, each run once
+    # with a parser of its own and then on the shared parser in both orders
+    from latentgeom.cli import _build_parser
+    path, _ = model_file
+    marg = tmp_path / "marg.json"
+    marg.write_text(json.dumps({"shape": [3, 3], "cells": [1 / 9] * 9}))
+    qpath = tmp_path / "q.json"
+    qpath.write_text(json.dumps({"q": [[0.9, 0.1], [0.2, 0.8]]}))
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    missing = str(tmp_path / "missing.json")
+    argvs = [
+        ["dims", "3", "2", "3"],
+        ["dims", "4", "3", "4", "--output", str(tmp_path / "dims.json")],
+        ["check", path],
+        ["check", path, "--ref-cell", "2", "3"],
+        ["fig3", "--z", "1.25", "--c1", "0.3", "--c2", "0.6", "--samples", "4"],
+        ["fig3", "--z", "-1e-05", "--c1", "0.3", "--c2", "0.2"],
+        ["fiber", path, "--n", "3", "--seed", "7"],
+        ["fiber", path],
+        ["vertices", path, "--side", "b"],
+        ["vertices", path],
+        ["consistency", str(marg), "--r2", "2"],
+        ["consistency", slack_file, "--r2", "3", "--restarts", "3",
+         "--maxiter", "20", "--seed", "4"],
+        ["consistency", counts_file, "--r2", "2", "--tol", "nan"],
+        ["profile", counts_file, path, "--steps", "5"],
+        ["profile", counts_file, path, "--q", str(qpath), "--steps", "4"],
+        ["profile", counts_file, path, "--vertex", "9"],
+        ["emfit", counts_file, "3", "2", "3", "--seed", "2", "--maxiter", "30"],
+        ["emfit", counts_file, "3", "2", "3"],
+        [], ["frobnicate"], ["dims", "3", "2"], ["dims", "1", "2", "2"],
+        ["dims", "3", "2", "3", "--frobnicate"], ["fiber", path, "--seed", "-1"],
+        ["vertices", path, "--side", "c"], ["check", str(bad)], ["check", missing],
+        ["profile", counts_file, missing],
+        ["--help"], ["dims", "--help"], ["check", "--help"], ["fig3", "--help"],
+        ["fiber", "--help"], ["vertices", "--help"], ["consistency", "--help"],
+        ["profile", "--help"], ["emfit", "--help"],
+    ]
+
+    def call(argv):
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    fresh = []
+    for argv in argvs:
+        _build_parser.cache_clear()
+        fresh.append(call(argv))
+    forward = [call(argv) for argv in argvs]
+    backward = [call(argv) for argv in reversed(argvs)][::-1]
+    for argv, alone, first, second in zip(argvs, fresh, forward, backward):
+        assert first == alone, argv
+        assert second == alone, argv
+    assert {code for code, _, _ in fresh} == {0, 2, 3}
+    assert _build_parser() is _build_parser()
+
+
+# ---------------------------------------------------------------- counts limits
+
+@pytest.mark.parametrize("row, shape", [
+    ("1000000000000000,1,1", "1000000000000000 x 1"),
+    ("1001,1000,1", "1001 x 1000"),
+    ("1,1000001,0", "1 x 1000001"),
+])
+def test_counts_table_beyond_the_cell_limit_is_a_file_error(capsys, tmp_path,
+                                                            row, shape):
+    # the size implied by the largest indices is refused before allocation
+    path = tmp_path / "huge.csv"
+    path.write_text(f"i,k,count\n1,1,1\n{row}\n")
+    code = main(["consistency", str(path), "--r2", "2"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == (f"latentgeom consistency: {path}: a {shape} counts "
+                            "table exceeds the limit of 1000000 cells\n")
+
+
+def test_counts_table_implied_by_a_model_beyond_the_limit(capsys, tmp_path,
+                                                         counts_file):
+    # a 1001 x 2 x 1000 model implies a 1001 x 1000 counts table
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"shape": [1001, 2, 1000],
+                                "p1": [1 / 1001] * 1001,
+                                "a": [[0.5, 0.5]] * 1001,
+                                "b": [[1 / 1000] * 1000] * 2}))
+    code = main(["profile", counts_file, str(path)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == (f"latentgeom profile: {counts_file}: a 1001 x 1000 "
+                            "counts table exceeds the limit of 1000000 cells\n")
+
+
+@pytest.mark.parametrize("r1, r3", [("1001", "1000"), ("2", "500001"),
+                                    ("1000000000000000", "2")])
+def test_emfit_shape_beyond_the_cell_limit_is_a_usage_error(capsys, counts_file,
+                                                           r1, r3):
+    code = main(["emfit", counts_file, r1, "2", r3])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (f"latentgeom emfit: a {r1} x {r3} counts table "
+                            "exceeds the limit of 1000000 cells\n")
+
+
+@pytest.mark.parametrize("cells", [2, 4, 5])
+def test_count_totals_past_int64_are_exact(capsys, tmp_path, cells):
+    # totals of 2**63, 2**64 and 5 * 2**62, which an int64 sum wraps, in a
+    # 2 x 3 table
+    path = tmp_path / "wrap.csv"
+    at = [(1, 1), (2, 2), (1, 2), (2, 1), (1, 3)][:cells]
+    path.write_text("i,k,count\n2,3,0\n" + "".join(
+        f"{i},{k},{2 ** 62}\n" for i, k in at))
+    code, out = run(capsys, "emfit", str(path), "2", "2", "3")
+    assert code == 0
+    assert f'"total_count": {cells * 2 ** 62}\n' in out
+    assert json.loads(out)["summary"]["total_count"] == cells * 2 ** 62
+    code, out = run(capsys, "consistency", str(path), "--r2", "2")
+    assert code == 0
+    assert json.loads(out)["feasible"] is True

@@ -12,9 +12,10 @@ import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis.extra import numpy as hnp  # noqa: E402
 
 from latentgeom import joint_from_chain, marginal_13  # noqa: E402
-from latentgeom.cli import main  # noqa: E402
+from latentgeom.cli import _fmt, _render_json, main  # noqa: E402
 from conftest import seeded_chain  # noqa: E402
 
 REALS = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
@@ -206,3 +207,89 @@ def test_malformed_files_end_in_one_line(workdir, files, csv):
         code, _ = run(argv)
         if not shape_ok:
             assert code == 3, argv
+
+
+# ------------------------------------------------------------ renderer
+
+def reference_fmt(x) -> str:
+    """The renderer's scalar format as it was first written: one isinstance
+    chain for every value."""
+    if isinstance(x, (bool, np.bool_)):
+        return "true" if x else "false"
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    if isinstance(x, (float, np.floating)):
+        v = float(x)
+        if v != v or v in (float("inf"), float("-inf")):
+            return json.dumps(str(v))
+        return format(v, ".17g")
+    raise TypeError(f"cannot format {type(x)!r}")
+
+
+def reference_render_json(obj, indent: int = 0) -> str:
+    """The JSON renderer as it was first written: arrays walked element by
+    element, each element through :func:`reference_fmt`."""
+    pad = "  " * indent
+    inner = "  " * (indent + 1)
+    if obj is None:
+        return "null"
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, (bool, np.bool_, int, np.integer, float, np.floating)):
+        return reference_fmt(obj)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [f"{inner}{json.dumps(str(k))}: "
+                 f"{reference_render_json(v, indent + 1)}"
+                 for k, v in obj.items()]
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        seq = list(obj)
+        if not seq:
+            return "[]"
+        scalar = all(isinstance(v, (bool, np.bool_, int, np.integer,
+                                    float, np.floating)) for v in seq)
+        if scalar:
+            return "[" + ", ".join(reference_fmt(v) for v in seq) + "]"
+        items = [f"{inner}{reference_render_json(v, indent + 1)}" for v in seq]
+        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+    raise TypeError(f"cannot render {type(obj)!r}")
+
+
+FLOATS = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
+    [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 1e-310,
+     2.2250738585072014e-308, 1.7976931348623157e308, 0.1, 1 / 3])
+INTS = st.integers(-2 ** 63, 2 ** 63 - 1)
+SCALARS = st.one_of(
+    FLOATS, st.integers(-10 ** 30, 10 ** 30), st.booleans(),
+    FLOATS.map(np.float64), st.floats(width=32).map(np.float32),
+    INTS.map(np.int64), st.integers(-2 ** 31, 2 ** 31 - 1).map(np.int32),
+    st.integers(0, 255).map(np.uint8), st.booleans().map(np.bool_))
+SIDES = hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=4)
+ARRAYS = st.one_of(
+    hnp.arrays(np.float64, SIDES, elements=FLOATS),
+    hnp.arrays(np.float32, SIDES, elements=st.floats(width=32)),
+    hnp.arrays(np.int64, SIDES, elements=INTS),
+    hnp.arrays(np.bool_, SIDES))
+LEAVES = st.one_of(SCALARS, ARRAYS, st.none(), st.text(max_size=4))
+TREES = st.recursive(
+    LEAVES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=3) | st.integers(-3, 3), children,
+                        max_size=4)),
+    max_leaves=24)
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=SCALARS)
+def test_fmt_matches_reference(x):
+    assert _fmt(x) == reference_fmt(x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(obj=TREES)
+def test_render_json_matches_reference(obj):
+    assert _render_json(obj) == reference_render_json(obj)

@@ -88,6 +88,17 @@ def test_loglik_shape_mismatch():
         loglik(CountTable((2, 2), [[1, 0], [0, 1]]), uniform_params(3, 2, 3))
 
 
+@pytest.mark.parametrize("cells", [2, 4, 5])
+def test_count_total_is_exact_past_int64(cells):
+    # totals of 2**63, 2**64 and 5 * 2**62: an int64 sum wraps to 0, 0 and
+    # 2**62
+    counts = np.zeros((2, 3), dtype=np.int64)
+    counts.flat[:cells] = 2 ** 62
+    table = CountTable((2, 3), counts)
+    assert table.total == cells * 2 ** 62
+    assert type(table.total) is int
+
+
 def test_loglik_invariant_on_fiber_50_pairs():
     for seed in range(50):
         params = seeded_chain((3, 2, 3), 600 + seed)

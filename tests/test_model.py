@@ -4,11 +4,13 @@ import pytest
 from latentgeom import (
     BoundaryPoint,
     ChainParams,
+    CountTable,
     DagSpec,
     DecomposableSpec,
     DimsCase,
     InvalidParameter,
     JointTable,
+    MarginalTable,
     Shape,
     chain_dag,
     chain_decomposition,
@@ -42,6 +44,25 @@ def uniform_chain(r1, r2, r3):
 def test_shape_rejects_small_cardinalities(bad):
     with pytest.raises(InvalidParameter):
         Shape(*bad)
+
+
+@pytest.mark.parametrize("shape", [(2.9, "3"), (2.0, 3), (2, "3"), (2, 3.5),
+                                   (2, 3, 1), (6,), "23", 6, None])
+def test_table_shapes_are_integers_not_truncated(shape):
+    # the rule of Shape: a float or a string is refused, not read by int()
+    cells = np.full((2, 3), 1 / 6)
+    with pytest.raises(InvalidParameter, match="shape must be two integers"):
+        MarginalTable(shape, cells)
+    with pytest.raises(InvalidParameter, match="shape must be two integers"):
+        CountTable(shape, np.ones((2, 3), dtype=int))
+
+
+def test_table_shapes_take_numpy_integers():
+    shape = (np.int64(2), np.int32(3))
+    assert MarginalTable(shape, np.full((2, 3), 1 / 6)).shape == (2, 3)
+    counts = CountTable(shape, np.ones((2, 3), dtype=int))
+    assert counts.shape == (2, 3)
+    assert all(type(v) is int for v in counts.shape)
 
 
 def test_joint_table_validates_sum_and_sign():
