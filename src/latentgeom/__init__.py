@@ -53,18 +53,12 @@ from .likelihood import (
 )
 from .model import (
     ChainParams,
-    DagSpec,
-    DecomposableSpec,
     Dims,
     DimsCase,
     JointTable,
     MarginalTable,
     Shape,
-    chain_dag,
-    chain_decomposition,
     ci_residuals,
-    dag_dimension,
-    decomposable_dimension,
     dims,
     jacobian_rank,
     joint_from_chain,
@@ -90,20 +84,18 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BinaryFiberSolution", "BoundaryPoint", "ChainParams", "ConsistencyReport",
-    "ConstraintViolation", "CountTable", "CrossRatios", "DagSpec",
-    "DecomposableSpec", "DegenerateInput", "Dims", "DimsCase", "EmFit",
-    "ExtremeMixing", "GeometryError", "InvalidMixing", "InvalidParameter",
-    "JointTable", "LambdaField", "MarginalTable", "MixingMatrix",
-    "NoRealSolution", "OffVariety", "OutOfUnitBox", "PathExitsPolytope",
-    "ProfileTrace", "RejectionStall", "RhoPiBounds", "Shape",
-    "SingularDenominator", "SingularMixing", "SingularPair", "ZeroCell",
-    "apply_mixing", "binary_fiber_solve", "binary_surface", "chain_dag",
-    "chain_decomposition", "ci_residuals", "consistency_check", "cross_ratios",
-    "dag_dimension", "decomposable_dimension", "degenerate_family_323",
-    "diagonal_marginal", "dims", "em_fit_details", "extreme_mixings",
-    "fiber_dimension", "is_regular", "jacobian_rank", "joint_from_chain",
-    "kl_divergence", "loglik", "marginal_13", "marginal_identity_323",
-    "marginal_rank", "merge", "permute_latent", "profile_along_fiber",
-    "quadric_residuals_323", "random_chain", "rho_pi_bounds", "sample_fiber",
-    "solve_fiber_323", "split",
+    "ConstraintViolation", "CountTable", "CrossRatios", "DegenerateInput",
+    "Dims", "DimsCase", "EmFit", "ExtremeMixing", "GeometryError",
+    "InvalidMixing", "InvalidParameter", "JointTable", "LambdaField",
+    "MarginalTable", "MixingMatrix", "NoRealSolution", "OffVariety",
+    "OutOfUnitBox", "PathExitsPolytope", "ProfileTrace", "RejectionStall",
+    "RhoPiBounds", "Shape", "SingularDenominator", "SingularMixing",
+    "SingularPair", "ZeroCell", "apply_mixing", "binary_fiber_solve",
+    "binary_surface", "ci_residuals", "consistency_check", "cross_ratios",
+    "degenerate_family_323", "diagonal_marginal", "dims", "em_fit_details",
+    "extreme_mixings", "fiber_dimension", "is_regular", "jacobian_rank",
+    "joint_from_chain", "kl_divergence", "loglik", "marginal_13",
+    "marginal_identity_323", "marginal_rank", "merge", "permute_latent",
+    "profile_along_fiber", "quadric_residuals_323", "random_chain",
+    "rho_pi_bounds", "sample_fiber", "solve_fiber_323", "split",
 ]

@@ -23,8 +23,9 @@ counts CSV     header "i,k,count", 1-based indices, missing cells are 0
 A shape is a JSON list of integers of its length.  Without a model to
 give it, a counts table has as many rows and columns as the largest i and
 k listed; list a cell of an all-zero last row or column with count 0 to
-keep it.  A counts table has at most MAX_COUNT_CELLS cells: a larger size
-is exit 3 when a file implies it and exit 2 when emfit's arguments do.
+keep it.  MAX_COUNT_CELLS bounds counts tables, the r1 x r2 x r3 joint
+table of consistency and emfit, and fig3 --samples, fiber --n and profile
+--steps: past it a file's counts table is exit 3, anything else exit 2.
 
 :func:`main` may be called repeatedly in one process; the argument parser
 is built on the first call and shared by the later ones.
@@ -35,6 +36,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import re
 import sys
 from pathlib import Path
@@ -53,8 +55,9 @@ from .fiber import MixingMatrix, extreme_mixings, sample_fiber
 
 USAGE_ERROR = 2
 FILE_ERROR = 3
-#: the most cells (rows x columns) a counts table may have; a larger size,
-#: implied by a file or by emfit's arguments, is refused before allocation
+#: the most cells a counts table (rows x columns) or the joint table of a
+#: fitted chain (r1 x r2 x r3) may have, and the most values --samples, --n
+#: and --steps may ask for; a larger size is refused before allocation
 MAX_COUNT_CELLS = 10 ** 6
 
 
@@ -183,12 +186,18 @@ def _q(data: _Fields) -> MixingMatrix:
     return MixingMatrix(np.asarray(data["q"], dtype=float))
 
 
-def _too_many_cells(r1: int, r3: int) -> str:
-    """Why an r1 x r3 counts table is refused, or '' when it is not."""
-    if r1 * r3 <= MAX_COUNT_CELLS:
+def _too_many_cells(what: str, *sizes: int) -> str:
+    """Why a ``what`` of the given sizes is refused, or '' when it is not."""
+    if math.prod(sizes) <= MAX_COUNT_CELLS:
         return ""
-    return (f"a {r1} x {r3} counts table exceeds the limit of "
+    return (f"a {' x '.join(map(str, sizes))} {what} exceeds the limit of "
             f"{MAX_COUNT_CELLS} cells")
+
+
+def _check_length(flag: str, value: int) -> None:
+    """Refuse a flag that asks for more than MAX_COUNT_CELLS values."""
+    if value > MAX_COUNT_CELLS:
+        raise CliUsageError(f"{flag} must be at most {MAX_COUNT_CELLS}, got {value}")
 
 
 def load_counts(path: str, shape: tuple[int, int] | None = None) -> likelihood.CountTable:
@@ -216,7 +225,7 @@ def load_counts(path: str, shape: tuple[int, int] | None = None) -> likelihood.C
         raise CliFileError(f"{path}: no count rows")
     if shape is None:
         shape = (max(r[0] for r in rows), max(r[1] for r in rows))
-    if too_large := _too_many_cells(*shape):
+    if too_large := _too_many_cells("counts table", *shape):
         raise CliFileError(f"{path}: {too_large}")
     counts = np.zeros(shape, dtype=np.int64)
     seen = set()
@@ -293,10 +302,8 @@ def cmd_check(args: argparse.Namespace) -> int:
         z = reparam.cross_ratios(marginal, ref0)
         report["cross_ratios"] = z.values
         report["zero_cell"] = None
-        if z.values.shape == (2, 2):
-            report["identity_residual_323"] = reparam.marginal_identity_323(z)
-        else:
-            report["identity_residual_323"] = None
+        report["identity_residual_323"] = (
+            reparam.marginal_identity_323(z) if z.values.shape == (2, 2) else None)
     except ZeroCell as exc:
         report["cross_ratios"] = None
         report["zero_cell"] = [exc.cell[0] + 1, exc.cell[1] + 1]
@@ -312,6 +319,7 @@ def cmd_fig3(args: argparse.Namespace) -> int:
         points = reparam.binary_fiber_solve(z, c1, c2).points
     except NoRealSolution:
         points = None
+    _check_length("--samples", args.samples)
     lines = [
         "# binary fiber cross-section at fixed lam(2,1) = c1, lam(1,2) = c2",
         "# z = d(1,1) d(2,2) / (d(1,2) d(2,1)); swapping the marginal's rows "
@@ -336,6 +344,7 @@ def cmd_fig3(args: argparse.Namespace) -> int:
 
 def cmd_fiber(args: argparse.Namespace) -> int:
     params = _load(args.file, _model)
+    _check_length("--n", args.n)
     points = sample_fiber(params, args.n, seed=args.seed)
     _emit(_render_json([_model_dict(p) for p in points]) + "\n", args.output)
     return 0
@@ -368,6 +377,9 @@ def cmd_consistency(args: argparse.Namespace) -> int:
         target = model.MarginalTable(counts.shape, cells)
     else:
         target = _load(path, _marginal)
+    r1, r3 = target.shape
+    if too_large := _too_many_cells("joint table", r1, args.r2, r3):
+        raise CliUsageError(too_large)
     report = identifiability.consistency_check(
         target, args.r2, restarts=args.restarts, tol=args.tol, seed=args.seed,
         maxiter=args.maxiter)
@@ -396,6 +408,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
             raise CliUsageError(
                 f"--vertex {args.vertex} out of range (have {len(vertices)})")
         q_end = vertices[args.vertex].q
+    _check_length("--steps", args.steps)
     lines = ["t,loglik,min_entry"]
     try:
         trace = likelihood.profile_along_fiber(counts, params, q_end, args.steps)
@@ -412,7 +425,8 @@ def cmd_profile(args: argparse.Namespace) -> int:
 
 def cmd_emfit(args: argparse.Namespace) -> int:
     shape = model.Shape(args.r1, args.r2, args.r3)
-    if too_large := _too_many_cells(shape.r1, shape.r3):
+    if too_large := (_too_many_cells("counts table", shape.r1, shape.r3)
+                     or _too_many_cells("joint table", *shape.astuple())):
         raise CliUsageError(too_large)
     counts = load_counts(args.counts, shape=(shape.r1, shape.r3))
     fit = likelihood.em_fit_details(counts, shape, seed=args.seed,

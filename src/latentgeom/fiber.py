@@ -104,7 +104,6 @@ class _Mixed(NamedTuple):
     before solving, so its ``a`` and ``b`` are placeholders.
     """
 
-    det: np.ndarray     # (K,)
     a: np.ndarray       # (K, r1, r2)
     b: np.ndarray       # (K, r2, r3)
     bad: np.ndarray     # (K,)
@@ -145,7 +144,7 @@ def _mix(params: ChainParams, qs: np.ndarray) -> _Mixed:
         # never a NaN, which fmin passes over
         valid = invertible & ~(np.fmin(a.min(axis=(1, 2)), b.min(axis=(1, 2)))
                                < -CLAMP_EPS)
-    return _Mixed(det, a, b, bad, valid)
+    return _Mixed(a, b, bad, valid)
 
 
 def _snap(rows: np.ndarray) -> np.ndarray:

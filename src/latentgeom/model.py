@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -326,145 +326,6 @@ def ci_residuals(joint: JointTable, ref_cell: tuple[int, int] = (0, 0)) -> np.nd
     res = (th[:, ref_i, None, ref_k, None] * th
            - th[:, ref_i, None, :] * th[:, :, ref_k, None])
     return res[:, np.arange(r1) != ref_i][:, :, np.arange(r3) != ref_k].ravel()
-
-
-@dataclass(frozen=True)
-class DagSpec:
-    """A directed acyclic graph given in topological order.
-
-    ``nodes`` lists (name, cardinality) pairs; ``parents`` maps a node name
-    to the set of its parents, all of which must appear earlier in
-    ``nodes``.  Cardinalities must be >= 2.
-    """
-
-    nodes: tuple[tuple[str, int], ...]
-    parents: Mapping[str, frozenset[str]]
-
-    def __post_init__(self):
-        nodes = tuple((str(n), int(c)) for n, c in self.nodes)
-        names = [n for n, _ in nodes]
-        if len(set(names)) != len(names):
-            raise InvalidParameter("duplicate node names")
-        for n, c in nodes:
-            if c < 2:
-                raise InvalidParameter(f"cardinality of {n!r} must be >= 2, got {c}")
-        seen: set[str] = set()
-        parents = {}
-        for n, _ in nodes:
-            ps = frozenset(self.parents.get(n, frozenset()))
-            for p in ps:
-                if p not in seen:
-                    raise InvalidParameter(
-                        f"parent {p!r} of {n!r} does not precede it"
-                    )
-            parents[n] = ps
-            seen.add(n)
-        extra = set(self.parents) - set(names)
-        if extra:
-            raise InvalidParameter(f"parents given for unknown nodes {sorted(extra)}")
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "parents", parents)
-
-
-def dag_dimension(spec: DagSpec) -> int:
-    """Parameter count of a DAG model: sum over nodes of
-    (product of parent cardinalities) * (own cardinality - 1)."""
-    cards = dict(spec.nodes)
-    total = 0
-    for name, card in spec.nodes:
-        pdim = 1
-        for p in spec.parents[name]:
-            pdim *= cards[p]
-        total += pdim * (card - 1)
-    return total
-
-
-@dataclass(frozen=True)
-class DecomposableSpec:
-    """Cliques C_1..C_m and separators S_2..S_m of a decomposable graph.
-
-    Each separator must be a nonempty subset of its own clique and of some
-    earlier clique (running intersection).  ``cards`` maps node names to
-    cardinalities >= 2.
-    """
-
-    cards: Mapping[str, int]
-    cliques: tuple[frozenset[str], ...]
-    separators: tuple[frozenset[str], ...]
-
-    def __post_init__(self):
-        cards = {str(n): int(c) for n, c in dict(self.cards).items()}
-        for n, c in cards.items():
-            if c < 2:
-                raise InvalidParameter(f"cardinality of {n!r} must be >= 2, got {c}")
-        cliques = tuple(frozenset(c) for c in self.cliques)
-        seps = tuple(frozenset(s) for s in self.separators)
-        if not cliques:
-            raise InvalidParameter("at least one clique required")
-        if len(seps) != len(cliques) - 1:
-            raise InvalidParameter(
-                f"{len(cliques)} cliques require {len(cliques) - 1} separators, "
-                f"got {len(seps)}"
-            )
-        mentioned = set().union(*cliques, *seps)
-        unknown = mentioned - set(cards)
-        if unknown:
-            raise InvalidParameter(f"no cardinality for nodes {sorted(unknown)}")
-        for idx, sep in enumerate(seps):
-            pos = idx + 1  # separator S_{pos+1} sits between clique pos and earlier ones
-            if not sep:
-                raise InvalidParameter(
-                    f"separator {pos + 1} is empty (disconnected cliques rejected)"
-                )
-            if not sep <= cliques[pos]:
-                raise InvalidParameter(
-                    f"separator {pos + 1} is not contained in clique {pos + 1}"
-                )
-            if not any(sep <= cliques[j] for j in range(pos)):
-                raise InvalidParameter(
-                    f"separator {pos + 1} violates running intersection: "
-                    f"not contained in any earlier clique"
-                )
-        object.__setattr__(self, "cards", cards)
-        object.__setattr__(self, "cliques", cliques)
-        object.__setattr__(self, "separators", seps)
-
-
-def decomposable_dimension(spec: DecomposableSpec) -> int:
-    """Dimension of a decomposable model as an alternating sum of saturated
-    clique and separator dimensions: sum (cells(C) - 1) - sum (cells(S) - 1).
-
-    The (cells - 1) form telescopes to the DAG parameter count of any
-    perfect ordering of the same graph; the raw cell-count alternating sum
-    would overcount by the number of separators.
-    """
-    def block_dim(nodes: frozenset[str]) -> int:
-        cells = 1
-        for n in nodes:
-            cells *= spec.cards[n]
-        return cells - 1
-
-    return sum(block_dim(c) for c in spec.cliques) \
-        - sum(block_dim(s) for s in spec.separators)
-
-
-def chain_dag(shape: Shape) -> DagSpec:
-    """The DAG Y1 -> Y2 -> Y3 at the given cardinalities."""
-    r1, r2, r3 = shape.astuple()
-    return DagSpec(
-        nodes=(("Y1", r1), ("Y2", r2), ("Y3", r3)),
-        parents={"Y2": frozenset({"Y1"}), "Y3": frozenset({"Y2"})},
-    )
-
-
-def chain_decomposition(shape: Shape) -> DecomposableSpec:
-    """Clique/separator form {Y1 Y2}, {Y2 Y3} / {Y2} of the chain."""
-    r1, r2, r3 = shape.astuple()
-    return DecomposableSpec(
-        cards={"Y1": r1, "Y2": r2, "Y3": r3},
-        cliques=(frozenset({"Y1", "Y2"}), frozenset({"Y2", "Y3"})),
-        separators=(frozenset({"Y2"}),),
-    )
 
 
 def _numerical_rank(mat: np.ndarray) -> int:

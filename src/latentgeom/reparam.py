@@ -39,7 +39,15 @@ from .errors import (
     SingularPair,
     ZeroCell,
 )
-from .model import JointTable, MarginalTable, Shape, _fields_eq, _frozen, marginal_13
+from .model import (
+    SUM_TOL,
+    JointTable,
+    MarginalTable,
+    Shape,
+    _fields_eq,
+    _frozen,
+    marginal_13,
+)
 
 #: denominators below this are treated as vanishing
 DENOM_EPS = 1e-12
@@ -47,6 +55,18 @@ DENOM_EPS = 1e-12
 IDENTITY_TOL = 1e-8
 #: acceptance tolerance for solved-field quadric residuals
 RESIDUAL_TOL = 1e-9
+#: roundoff allowed outside [0, 1]; a coordinate within it is clipped
+BOX_TOL = 1e-12
+
+
+def _outside_unit_box(values) -> tuple[int, ...] | None:
+    """Index of the first entry (C order) of ``values`` below -BOX_TOL or
+    above 1 + BOX_TOL, or None; a NaN is not outside."""
+    values = np.asarray(values, dtype=float)
+    outside = (values < -BOX_TOL) | (values > 1.0 + BOX_TOL)
+    if not outside.any():
+        return None
+    return tuple(int(x) for x in np.argwhere(outside)[0])
 
 
 @dataclass(frozen=True)
@@ -73,13 +93,11 @@ class LambdaField:
             )
         if not np.isfinite(values).all():
             raise InvalidParameter("values contain non-finite entries")
-        if (values < -1e-12).any() or (values > 1 + 1e-12).any():
-            idx = tuple(int(x) for x in
-                        np.argwhere((values < -1e-12) | (values > 1 + 1e-12))[0])
+        if (idx := _outside_unit_box(values)) is not None:
             raise InvalidParameter(f"values{idx} = {values[idx]!r} outside [0, 1]")
         sums = values.sum(axis=2)
-        if (np.abs(sums - 1.0) > 1e-12).any():
-            idx = tuple(int(x) for x in np.argwhere(np.abs(sums - 1.0) > 1e-12)[0])
+        if (np.abs(sums - 1.0) > SUM_TOL).any():
+            idx = tuple(int(x) for x in np.argwhere(np.abs(sums - 1.0) > SUM_TOL)[0])
             raise InvalidParameter(f"lambda slice {idx} sums to {sums[idx]!r}")
         flags = self.unconstrained
         if flags is None:
@@ -262,15 +280,12 @@ def binary_fiber_solve(z: float, c1: float, c2: float) -> BinaryFiberSolution:
         u = 0.5 * (s - sq)
     v = p / u if u != 0.0 else 0.0
     lo, hi = (u, v) if u <= v else (v, u)
-    for name, root in (("smaller root", lo), ("larger root", hi)):
-        if root < -1e-12 or root > 1.0 + 1e-12:
-            raise OutOfUnitBox(name, root, roots=(lo, hi))
+    if (idx := _outside_unit_box((lo, hi))) is not None:
+        raise OutOfUnitBox(("smaller root", "larger root")[idx[0]],
+                           (lo, hi)[idx[0]], roots=(lo, hi))
     lo = min(max(lo, 0.0), 1.0)
     hi = min(max(hi, 0.0), 1.0)
-    if lo == hi:
-        points = ((lo, hi),)
-    else:
-        points = ((lo, hi), (hi, lo))
+    points = ((lo, hi),) if lo == hi else ((lo, hi), (hi, lo))
     return BinaryFiberSolution(z=z, c1=c1, c2=c2, points=points)
 
 
@@ -377,10 +392,7 @@ def _quadric_residuals_323(z: CrossRatios, lam: np.ndarray) -> np.ndarray:
 def _frame_index(z: CrossRatios) -> tuple[np.ndarray, np.ndarray]:
     """``np.ix_`` index of the frame that moves the reference cell to
     (0, 0): ``x[_frame_index(z)]`` is the 3 x 3 array ``x`` in that frame."""
-    ref_i, ref_k = z.ref_cell
-    rows = [ref_i] + [i for i in range(z.marginal_shape[0]) if i != ref_i]
-    cols = [ref_k] + [k for k in range(z.marginal_shape[1]) if k != ref_k]
-    return np.ix_(rows, cols)
+    return np.ix_((z.ref_cell[0], *z.rows), (z.ref_cell[1], *z.cols))
 
 
 def _field_from_first_component(shape: Shape, z: CrossRatios,
@@ -460,14 +472,8 @@ def solve_fiber_323(z: CrossRatios, lam21: float, lam22: float) -> LambdaField:
                             "lam(1,1) - lam(1,2)")
     lam[2, 2] = checked_div(lam[0, 2] * lam[2, 0], z4 * l00, "z4 lam(1,1)")
 
-    names = [["lam(1,1)", "lam(1,2)", "lam(1,3)"],
-             ["lam(2,1)", "lam(2,2)", "lam(2,3)"],
-             ["lam(3,1)", "lam(3,2)", "lam(3,3)"]]
-    for i in range(3):
-        for k in range(3):
-            v = lam[i, k]
-            if v < -1e-12 or v > 1.0 + 1e-12:
-                raise OutOfUnitBox(names[i][k], v)
+    if (idx := _outside_unit_box(lam)) is not None:
+        raise OutOfUnitBox(f"lam({idx[0] + 1},{idx[1] + 1})", lam[idx])
     lam = np.clip(lam, 0.0, 1.0)
 
     res = _quadric_residuals_323(z, lam)
@@ -509,19 +515,12 @@ def degenerate_family_323(z: CrossRatios, lam21: float, lam31: float,
     for name, v in (("lam21", lam21), ("lam31", lam31)):
         if not (0.0 <= v <= 1.0):
             raise InvalidParameter(f"{name} must lie in [0, 1], got {v!r}")
-    mu = np.empty((3, 3))
-    mu[0, :] = 1.0
-    mu[1, 0] = lam21
-    mu[2, 0] = lam31
-    names = {(1, 1): "lam(2,2)", (1, 2): "lam(2,3)",
-             (2, 1): "lam(3,2)", (2, 2): "lam(3,3)"}
-    frees = {1: lam21, 2: lam31}
-    for fi in (1, 2):
-        for fk in (1, 2):
-            v = frees[fi] / float(z.values[fi - 1, fk - 1])
-            if v > 1.0 + 1e-12:
-                raise OutOfUnitBox(names[(fi, fk)], v)
-            mu[fi, fk] = min(v, 1.0)
+    scaled = np.array([[lam21], [lam31]], dtype=float) / z.values
+    if (idx := _outside_unit_box(scaled)) is not None:
+        raise OutOfUnitBox(f"lam({idx[0] + 2},{idx[1] + 2})", float(scaled[idx]))
+    mu = np.ones((3, 3))
+    mu[1:, 0] = lam21, lam31
+    mu[1:, 1:] = np.minimum(scaled, 1.0)
     pair = [1.0 - mu, mu] if branch == "ones" else [mu, 1.0 - mu]
     values = np.empty((3, 3, 2))
     values[_frame_index(z)] = np.stack(pair, axis=-1)

@@ -648,6 +648,74 @@ def test_emfit_shape_beyond_the_cell_limit_is_a_usage_error(capsys, counts_file,
                             "exceeds the limit of 1000000 cells\n")
 
 
+@pytest.mark.parametrize("r2", ["111112", "1000000000000000"])
+def test_emfit_joint_table_beyond_the_cell_limit_is_a_usage_error(
+        capsys, counts_file, r2):
+    # the 3 x 3 counts table is within the limit, the 3 x r2 x 3 chain is not
+    code = main(["emfit", counts_file, "3", r2, "3"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (f"latentgeom emfit: a 3 x {r2} x 3 joint table "
+                            "exceeds the limit of 1000000 cells\n")
+
+
+@pytest.mark.parametrize("row, r2, shape", [
+    ("3,3,1", "111112", "3 x 111112 x 3"),
+    ("3,3,1", "1000000000000000", "3 x 1000000000000000 x 3"),
+    # a marginal of more than 5 * 10**5 cells at r2 = 2
+    ("1000,501,1", "2", "1000 x 2 x 501"),
+])
+def test_consistency_joint_table_beyond_the_cell_limit_is_a_usage_error(
+        capsys, tmp_path, row, r2, shape):
+    path = tmp_path / "counts.csv"
+    path.write_text(f"i,k,count\n1,1,1\n{row}\n")
+    code = main(["consistency", str(path), "--r2", r2])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (f"latentgeom consistency: a {shape} joint table "
+                            "exceeds the limit of 1000000 cells\n")
+
+
+def test_consistency_marginal_file_at_a_huge_r2_is_a_usage_error(capsys,
+                                                                tmp_path):
+    path = tmp_path / "marg.json"
+    path.write_text(json.dumps({"shape": [3, 3], "cells": [1 / 9] * 9}))
+    code = main(["consistency", str(path), "--r2", "1000000000000000"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == ("latentgeom consistency: a 3 x 1000000000000000 x 3 "
+                            "joint table exceeds the limit of 1000000 cells\n")
+
+
+@pytest.mark.parametrize("flag, value", [("--samples", "1000001"),
+                                         ("--n", "1000001"),
+                                         ("--steps", "1000000000000000")])
+def test_length_flags_beyond_the_cell_limit_are_usage_errors(
+        capsys, model_file, counts_file, flag, value):
+    command, argv = {
+        "--samples": ("fig3", ["--z", "2", "--c1", "0.2", "--c2", "0.3"]),
+        "--n": ("fiber", [model_file[0]]),
+        "--steps": ("profile", [counts_file, model_file[0]]),
+    }[flag]
+    code = main([command, *argv, flag, value])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (f"latentgeom {command}: {flag} must be at most "
+                            f"1000000, got {value}\n")
+
+
+def test_cell_limit_is_inclusive():
+    from latentgeom.cli import MAX_COUNT_CELLS, _too_many_cells
+    assert MAX_COUNT_CELLS == 10 ** 6
+    assert _too_many_cells("joint table", 100, 100, 100) == ""
+    assert _too_many_cells("joint table", 100, 100, 101) == (
+        "a 100 x 100 x 101 joint table exceeds the limit of 1000000 cells")
+
+
 @pytest.mark.parametrize("cells", [2, 4, 5])
 def test_count_totals_past_int64_are_exact(capsys, tmp_path, cells):
     # totals of 2**63, 2**64 and 5 * 2**62, which an int64 sum wraps, in a

@@ -5,18 +5,12 @@ from latentgeom import (
     BoundaryPoint,
     ChainParams,
     CountTable,
-    DagSpec,
-    DecomposableSpec,
     DimsCase,
     InvalidParameter,
     JointTable,
     MarginalTable,
     Shape,
-    chain_dag,
-    chain_decomposition,
     ci_residuals,
-    dag_dimension,
-    decomposable_dimension,
     dims,
     jacobian_rank,
     joint_from_chain,
@@ -239,66 +233,12 @@ def test_residual_count_matches_s_sweep():
 
 # ---------------------------------------------------------------- DAG dims
 
-def test_dag_dimension_chain_323():
-    assert dag_dimension(chain_dag(Shape(3, 2, 3))) == 9
-
-
-def test_dag_dimension_single_node():
-    assert dag_dimension(DagSpec(nodes=(("Y", 4),), parents={})) == 3
-
-
-def test_dag_dimension_complete_dag_is_saturated():
-    spec = DagSpec(
-        nodes=(("Y1", 2), ("Y2", 2), ("Y3", 2)),
-        parents={"Y2": frozenset({"Y1"}),
-                 "Y3": frozenset({"Y1", "Y2"})},
-    )
-    assert dag_dimension(spec) == 7
-
-
-def test_dag_rejects_forward_parents():
-    with pytest.raises(InvalidParameter):
-        DagSpec(nodes=(("Y1", 2), ("Y2", 2)),
-                parents={"Y1": frozenset({"Y2"})})
-
-
 def test_dag_chain_matches_model_dimension_sweep():
+    # the DAG parameter count: per node, its parent configurations times
+    # (cardinality - 1)
     for r1, r2, r3 in SWEEP:
-        sh = Shape(r1, r2, r3)
-        assert dag_dimension(chain_dag(sh)) == dims(sh).t
-
-
-def test_decomposable_chain_323():
-    assert decomposable_dimension(chain_decomposition(Shape(3, 2, 3))) == 9
-
-
-def test_decomposable_single_clique_saturated():
-    spec = DecomposableSpec(cards={"Y1": 2, "Y2": 2, "Y3": 2},
-                            cliques=(frozenset({"Y1", "Y2", "Y3"}),),
-                            separators=())
-    assert decomposable_dimension(spec) == 7
-
-
-def test_decomposable_rejects_empty_separator():
-    with pytest.raises(InvalidParameter):
-        DecomposableSpec(cards={"Y1": 2, "Y2": 2},
-                         cliques=(frozenset({"Y1"}), frozenset({"Y2"})),
-                         separators=(frozenset(),))
-
-
-def test_decomposable_rejects_running_intersection_violation():
-    with pytest.raises(InvalidParameter):
-        DecomposableSpec(
-            cards={"A": 2, "B": 2, "C": 2},
-            cliques=(frozenset({"A"}), frozenset({"B", "C"})),
-            separators=(frozenset({"C"}),))
-
-
-def test_decomposable_matches_dag_sweep():
-    for r1, r2, r3 in SWEEP:
-        sh = Shape(r1, r2, r3)
-        assert decomposable_dimension(chain_decomposition(sh)) \
-            == dag_dimension(chain_dag(sh))
+        dag_count = (r1 - 1) + r1 * (r2 - 1) + r2 * (r3 - 1)
+        assert dag_count == dims(Shape(r1, r2, r3)).t
 
 
 # ---------------------------------------------------------------- rank
@@ -471,9 +411,31 @@ def test_consistency_reports_compare_with_and_without_witness():
     assert found != other
 
 
+#: the public API; a name added to or removed from ``latentgeom.__all__``
+#: must be added to or removed from this set in the same change
+PUBLIC_NAMES = {
+    "BinaryFiberSolution", "BoundaryPoint", "ChainParams", "ConsistencyReport",
+    "ConstraintViolation", "CountTable", "CrossRatios", "DegenerateInput",
+    "Dims", "DimsCase", "EmFit", "ExtremeMixing", "GeometryError",
+    "InvalidMixing", "InvalidParameter", "JointTable", "LambdaField",
+    "MarginalTable", "MixingMatrix", "NoRealSolution", "OffVariety",
+    "OutOfUnitBox", "PathExitsPolytope", "ProfileTrace", "RejectionStall",
+    "RhoPiBounds", "Shape", "SingularDenominator", "SingularMixing",
+    "SingularPair", "ZeroCell", "apply_mixing", "binary_fiber_solve",
+    "binary_surface", "ci_residuals", "consistency_check", "cross_ratios",
+    "degenerate_family_323", "diagonal_marginal", "dims", "em_fit_details",
+    "extreme_mixings", "fiber_dimension", "is_regular", "jacobian_rank",
+    "joint_from_chain", "kl_divergence", "loglik", "marginal_13",
+    "marginal_identity_323", "marginal_rank", "merge", "permute_latent",
+    "profile_along_fiber", "quadric_residuals_323", "random_chain",
+    "rho_pi_bounds", "sample_fiber", "solve_fiber_323", "split",
+}
+
+
 def test_public_names_are_unique_and_resolve():
     import latentgeom
     assert len(set(latentgeom.__all__)) == len(latentgeom.__all__)
+    assert set(latentgeom.__all__) == PUBLIC_NAMES
     for name in latentgeom.__all__:
         assert getattr(latentgeom, name) is not None, name
     # shape errors are InvalidParameter

@@ -212,6 +212,28 @@ def test_binary_surface_residual_oracle_1000():
         checked += 1
 
 
+def test_binary_surface_formulas_satisfy_both_quadrics_identically():
+    sympy = pytest.importorskip("sympy")
+    l12, l22, z = sympy.symbols("lam12 lam22 z", positive=True)
+    n = 1 - l12 - z * (1 - l22)
+    l21 = n * l22 / (l22 - l12)
+    l11 = n * l12 / (z * (l22 - l12))
+    for residual in binary_system_residuals(l11, l21, l12, l22, z):
+        assert sympy.simplify(residual) == 0
+    # and binary_surface computes exactly these formulas
+    formulas = sympy.lambdify((l12, l22, z), (l21, l11), "math")
+    rng = np.random.default_rng(5)
+    checked = 0
+    while checked < 200:
+        a, b = rng.uniform(0.02, 0.98, 2)
+        zz = admissible_z(a, b, rng) if abs(b - a) >= 1e-3 else None
+        if zz is None:
+            continue
+        assert np.allclose(binary_surface(a, b, zz), formulas(a, b, zz),
+                           rtol=1e-12, atol=1e-15)
+        checked += 1
+
+
 def test_binary_surface_z_one_degenerate_branch():
     l21, l11 = binary_surface(0.3, 0.7, 1.0)
     assert (l21, l11) == (0.7, 0.3)
@@ -286,6 +308,56 @@ def test_solve_fiber_323_round_trip():
         got = solve_fiber_323(z, float(true[1, 0]), float(true[1, 1]))
         assert np.abs(got.values[:, :, 0] - true).max() < 1e-9
         assert np.abs(quadric_residuals_323(z, got)).max() < 1e-9
+
+
+def elimination_323(z1, z2, z3, z4, l21, l22):
+    """The elimination chain of :func:`solve_fiber_323`'s docstring, in the
+    frame where the reference cell is (0, 0)."""
+    lam = [[None] * 3 for _ in range(3)]
+    lam[1][0], lam[1][1] = l21, l22
+    phi1 = 1 - l21 - z1 * (1 - l22)
+    lam[0][0] = l21 * phi1 / (z1 * (l22 - l21))
+    lam[0][1] = l22 * phi1 / (l22 - l21)
+    l00, l01 = lam[0][0], lam[0][1]
+    phi2 = 1 - l21 - z2 * (1 - l00)
+    lam[1][2] = l21 * phi2 / (z2 * (l00 - l21))
+    lam[0][2] = l00 * phi2 / (l00 - l21)
+    phi3 = 1 - l01 - z3 * (1 - l00)
+    lam[2][1] = l01 * phi3 / (z3 * (l00 - l01))
+    lam[2][0] = l00 * phi3 / (l00 - l01)
+    lam[2][2] = lam[0][2] * lam[2][0] / (z4 * l00)
+    return lam
+
+
+def test_solve_fiber_323_elimination_satisfies_all_eight_quadrics():
+    sympy = pytest.importorskip("sympy")
+    z1, z2, z3, z4, l21, l22 = sympy.symbols("z1 z2 z3 z4 lam21 lam22",
+                                             positive=True)
+    # z4 eliminated with the rank-2 identity
+    # z1 z4 - z2 z3 - (z1 + z4) + (z2 + z3) = 0
+    on_variety = (z2 * z3 - z2 - z3 + z1) / (z1 - 1)
+    lam = elimination_323(z1, z2, z3, on_variety, l21, l22)
+    zs = [[z1, z2], [z3, on_variety]]
+    for i in (1, 2):
+        for k in (1, 2):
+            zz = zs[i - 1][k - 1]
+            for residual in (
+                    zz * lam[0][0] * lam[i][k] - lam[0][k] * lam[i][0],
+                    zz * (1 - lam[0][0]) * (1 - lam[i][k])
+                    - (1 - lam[0][k]) * (1 - lam[i][0])):
+                assert sympy.cancel(sympy.together(residual)) == 0
+    # and solve_fiber_323 computes exactly this chain
+    formulas = sympy.lambdify((z1, z2, z3, z4, l21, l22),
+                              elimination_323(z1, z2, z3, z4, l21, l22), "math")
+    for seed in range(25):
+        params = seeded_chain((3, 2, 3), 500 + seed)
+        marg, lam = split(joint_from_chain(params))
+        z = cross_ratios(marg)
+        free = float(lam.values[1, 0, 0]), float(lam.values[1, 1, 0])
+        got = solve_fiber_323(z, *free)
+        expected = formulas(*z.values.ravel().tolist(), *free)
+        assert np.allclose(got.values[:, :, 0], expected, rtol=1e-12,
+                           atol=1e-15)
 
 
 def test_solve_fiber_323_round_trip_other_ref_cell():
