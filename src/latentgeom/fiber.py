@@ -31,6 +31,7 @@ from .model import (
     INTERIOR_EPS,
     SUM_TOL,
     ChainParams,
+    _check_count,
     _fields_eq,
     _frozen,
     _numerical_rank,
@@ -329,8 +330,8 @@ def sample_fiber(params: ChainParams, n: int, seed: int = 0) -> list[ChainParams
     the points, the attempt count and any error are exactly those of
     proposing one attempt at a time.
     """
-    if n < 0:
-        raise InvalidParameter(f"n must be >= 0, got {n}")
+    _check_count("n", n, 0)
+    _check_count("seed", seed, 0)
     if params.min_entry <= 0.0:
         raise BoundaryPoint("fiber sampling requires interior parameters")
     r2 = params.shape.r2

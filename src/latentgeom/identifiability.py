@@ -27,6 +27,7 @@ from .model import (
     ChainParams,
     MarginalTable,
     Shape,
+    _check_count,
     _numerical_rank,
     joint_from_chain,
     marginal_13,
@@ -163,10 +164,9 @@ def consistency_check(target: MarginalTable, r2: int, restarts: int = 64,
     not depend on the blocks.  An EM run whose log-likelihood decreases raises
     :class:`GeometryError` when the reduction reaches it.
     """
-    if r2 < 2:
-        raise InvalidParameter(f"r2 must be >= 2, got {r2}")
-    if restarts < 1:
-        raise InvalidParameter(f"restarts must be >= 1, got {restarts}")
+    _check_count("r2", r2, 2)
+    _check_count("restarts", restarts, 1)
+    _check_count("seed", seed, 0)
     _check_budget(maxiter, tol)
     r1, r3 = target.shape
     rank = marginal_rank(target)

@@ -27,6 +27,7 @@ from .fiber import MixingMatrix, _mix, _snap, apply_mixing
 from .model import (
     ChainParams,
     Shape,
+    _check_count,
     _fields_eq,
     _frozen,
     _stochastic,
@@ -111,10 +112,10 @@ def loglik(counts: CountTable, params: ChainParams) -> float:
 
 
 def _check_budget(maxiter: int, tol: float) -> None:
-    """Reject maxiter < 0 and a tol that is not a finite positive real: no
-    divergence is below a tol <= 0, and EM never converges under one."""
-    if maxiter < 0:
-        raise InvalidParameter(f"maxiter must be >= 0, got {maxiter}")
+    """Reject a maxiter that is not an integer >= 0 and a tol that is not
+    a finite positive real: no divergence is below a tol <= 0, and EM never
+    converges under one."""
+    _check_count("maxiter", maxiter, 0)
     if not (math.isfinite(tol) and tol > 0):
         raise InvalidParameter(f"tol must be a positive real, got {tol!r}")
 
@@ -272,6 +273,7 @@ def em_fit_details(counts: CountTable, shape: Shape, seed: int = 0,
     deterministic).  After 16 such restarts, or when the log-likelihood
     decreases beyond rounding slack, :class:`GeometryError` is raised.
     """
+    _check_count("seed", seed, 0)
     _check_budget(maxiter, tol)
     r1, _, r3 = shape.astuple()
     if counts.shape != (r1, r3):
@@ -348,8 +350,7 @@ def profile_along_fiber(counts: CountTable, params: ChainParams,
     starts the bisection, exactly as a step-by-step walk would; so the
     trace, the prefix and ``exit_t`` are bitwise those of that walk.
     """
-    if steps < 2:
-        raise InvalidParameter(f"steps must be >= 2, got {steps}")
+    _check_count("steps", steps, 2)
     if q_end.size != params.shape.r2:
         raise InvalidParameter(
             f"q is {q_end.size} x {q_end.size}, model has r2 = {params.shape.r2}"

@@ -32,6 +32,8 @@ SUM_TOL = 1e-12
 INTERIOR_EPS = 1e-9
 #: relative singular-value cutoff for numerical ranks
 RANK_CUTOFF = 1e-8
+#: safety factor kappa of the rank certificate, derived in jacobian_rank
+_RANK_KAPPA = 4.0
 
 
 def _frozen(values, dtype=float) -> np.ndarray:
@@ -65,6 +67,15 @@ def _stochastic(rows: np.ndarray) -> np.ndarray:
 #: what a size must be: a Python or numpy integer, never a float or a
 #: string that int() would truncate or parse
 _INTEGER = (int, np.integer)
+
+
+def _check_count(name: str, value, low: int) -> None:
+    """Reject a size, count or seed that is not an integer by the rule of
+    ``_INTEGER``, or is below ``low``."""
+    if not isinstance(value, _INTEGER):
+        raise InvalidParameter(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise InvalidParameter(f"{name} must be >= {low}, got {value}")
 
 
 def _table_shape(shape, what: str) -> tuple[int, int]:
@@ -107,10 +118,7 @@ class Shape:
     def __post_init__(self):
         for name in ("r1", "r2", "r3"):
             v = getattr(self, name)
-            if not isinstance(v, _INTEGER):
-                raise InvalidParameter(f"{name} must be an integer, got {v!r}")
-            if v < 2:
-                raise InvalidParameter(f"{name} must be >= 2, got {v}")
+            _check_count(name, v, 2)
             object.__setattr__(self, name, int(v))
 
     def astuple(self) -> tuple[int, int, int]:
@@ -351,25 +359,51 @@ def _clique_margin_jacobian(params: ChainParams) -> np.ndarray:
     u(i, j) = theta(i, j, +) = p1(i) a(i, j) and v(j, k) = theta(+, j, k)
     = m(j) b(j, k) with m = p1 @ a.  Rows are u then v, each in C order;
     columns are the minimal chart p1[:-1], a[:, :-1], b[:, :-1] (C order).
+    The u rows do not depend on b, so the matrix is block lower triangular.
     """
     r1, r2, r3 = params.shape.astuple()
     p1, a, b = params.p1, params.a, params.b
     d1, d2, d3 = (_row_chart_jacobian(n) for n in (r1, r2, r3))
-    rows1, rows2 = np.arange(r1), np.arange(r2)
+    nu, na = r1 * r2, r1 * r2 - 1
+    jac = np.zeros((nu + r2 * r3, na + r2 * (r3 - 1)))
+    u, v = jac[:nu].reshape(r1, r2, -1), jac[nu:].reshape(r2, r3, -1)
+    rows1, rows2 = np.arange(r1)[:, None, None], np.arange(r2)[:, None, None]
     # u(i, j) depends on a only through row i, v(j, k) on b only through row j
-    du_da = np.zeros((r1, r2, r1, r2 - 1))
-    du_da[rows1, :, rows1, :] = np.einsum("i,jq->ijq", p1, d2)
-    dv_db = np.zeros((r2, r3, r2, r3 - 1))
-    dv_db[rows2, :, rows2, :] = np.einsum("j,kq->jkq", p1 @ a, d3)
-    nu, nv = r1 * r2, r2 * r3
-    return np.block([
-        [np.einsum("ij,il->ijl", a, d1).reshape(nu, r1 - 1),
-         du_da.reshape(nu, r1 * (r2 - 1)),
-         np.zeros((nu, r2 * (r3 - 1)))],
-        [np.einsum("il,ij,jk->jkl", d1, a, b).reshape(nv, r1 - 1),
-         np.einsum("l,jq,jk->jklq", p1, d2, b).reshape(nv, r1 * (r2 - 1)),
-         dv_db.reshape(nv, r2 * (r3 - 1))],
-    ])
+    u[:, :, :r1 - 1] = a[:, :, None] * d1[:, None, :]
+    u[rows1, np.arange(r2)[:, None],
+      r1 - 1 + rows1 * (r2 - 1) + np.arange(r2 - 1)] = p1[:, None, None] * d2
+    # dv(j, k) / dp1(l) = (a(l, j) - a(last, j)) b(j, k), each product rounded
+    ab = a[:, :, None] * b
+    v[:, :, :r1 - 1] = (ab[:-1] - ab[-1]).transpose(1, 2, 0)
+    v[:, :, r1 - 1:na] = ((b[:, :, None, None] * p1[:, None])
+                          * d2[:, None, None, :]).reshape(r2, r3, -1)
+    v[rows2, np.arange(r3)[:, None],
+      na + rows2 * (r3 - 1) + np.arange(r3 - 1)] = (p1 @ a)[:, None, None] * d3
+    return jac
+
+
+def _sigma_min_bound(params: ChainParams, jac: np.ndarray) -> float:
+    """A lower bound, from norms alone, on the smallest singular value of
+    ``jac``, the clique-margin Jacobian at ``params``.
+
+    ``jac = [[A, 0], [C, D]]`` with A the u rows over the p1 and a columns
+    and ``D = blockdiag_j(m(j) d3)``, ``d_n = _row_chart_jacobian(n)``.
+    ``L = [[A^+, 0], [-D^+ C A^+, D^+]]`` is a left inverse of ``jac``, so
+    ``sigma_min(jac) >= 1 / ||L||`` and ``||L|| <= ||A^+|| + ||D^+||
+    + ||D^+|| ||C||_F ||A^+||``.  Since ``d_n^T d_n = I + 11^T``,
+    ``sigma_min(d_n) >= 1`` and ``||D^+|| <= 1 / min m``.  A Helmert
+    rotation of the u rows of each a row maps A to ``[[d1 / sqrt(r2), 0],
+    [A2, blockdiag_i(p1(i) E)]]`` with ``sigma(E) = sigma(d2)`` and
+    ``||A2||_F <= ||A_p||_F``, ``A_p`` the p1 columns of A, so the same
+    triangular argument gives ``||A^+|| <= sqrt(r2) + (1 + sqrt(r2)
+    ||A_p||_F) / min p1``.
+    """
+    r1, r2, _ = params.shape.astuple()
+    nu, root = r1 * r2, np.sqrt(r2)
+    norm = np.linalg.norm
+    a_inv = root + (1.0 + root * norm(jac[:nu, :r1 - 1])) / params.p1.min()
+    d_inv = 1.0 / (params.p1 @ params.a).min()
+    return 1.0 / (a_inv + d_inv + d_inv * norm(jac[nu:, :nu - 1]) * a_inv)
 
 
 def jacobian_rank(params: ChainParams) -> int:
@@ -384,13 +418,33 @@ def jacobian_rank(params: ChainParams) -> int:
     have the same Jacobian rank.  The clique-margin matrix has
     r1 r2 + r2 r3 rows instead of r1 r2 r3.  Singular values above
     ``RANK_CUTOFF`` times the largest count toward the rank.
+
+    A certificate comes first: when the bound b of :func:`_sigma_min_bound`
+    exceeds ``kappa RANK_CUTOFF ||J||_F``, every singular value the SVD
+    would compute clears the cutoff, and the rank is the column count t.
+    Only where the bound falls short, near the boundary, are the singular
+    values computed; both paths give the same answer.  kappa = 4 covers
+    what separates b from the SVD's view of J.  The computed singular
+    values lie within ``p eps ||J||`` of the exact ones (LAPACK's backward
+    error, p a modest function of the m x n size, at worst a small multiple
+    of m n); the rows of a sum to 1 only within ``SUM_TOL``, so the
+    rotated block is ``diag_i(sum_j a(i, j)) d1 / sqrt(r2)`` and its part
+    of the bound shrinks by a factor at least ``1 - SUM_TOL``; and the
+    norms in b carry relative rounding below ``(m + n) eps``.  Every
+    computed singular value then exceeds ``RANK_CUTOFF`` times the computed
+    largest if ``kappa (1 - SUM_TOL)(1 - (m + n) eps) >= 1 + p eps
+    (1 + 1 / RANK_CUTOFF)``, which kappa = 4 satisfies for every p up to
+    1.3e8, 1500 m n at 30 x 5 x 30.
     """
     if params.min_entry <= INTERIOR_EPS:
         raise BoundaryPoint(
             f"min parameter entry {params.min_entry:.3e} <= {INTERIOR_EPS}; "
             "the rank statement holds on the open simplex only"
         )
-    return _numerical_rank(_clique_margin_jacobian(params))
+    jac = _clique_margin_jacobian(params)
+    if _sigma_min_bound(params, jac) > _RANK_KAPPA * RANK_CUTOFF * np.linalg.norm(jac):
+        return jac.shape[1]
+    return _numerical_rank(jac)
 
 
 def random_chain(shape: Shape, rng: np.random.Generator,

@@ -10,6 +10,20 @@ def seeded_chain(shape: tuple[int, int, int], seed: int,
                         min_entry=floor)
 
 
+def pushed_chain(shape: tuple[int, int, int], seed: int, block: str,
+                 eps: float, row: int = 0) -> ChainParams:
+    """A seeded chain whose first entry of p1, of a[row] or of b[row] is
+    eps, its smallest entry."""
+    params = seeded_chain(shape, seed)
+    rows = {"p1": params.p1.copy(), "a": params.a.copy(), "b": params.b.copy()}
+    pushed = rows[block] if block == "p1" else rows[block][row]
+    pushed[1:] *= (1 - eps) / pushed[1:].sum()
+    pushed[0] = eps
+    out = ChainParams(params.shape, rows["p1"], rows["a"], rows["b"])
+    assert out.min_entry == eps
+    return out
+
+
 def seeded_joint(shape: tuple[int, int, int], seed: int) -> JointTable:
     """A generic (not conditionally independent) joint table."""
     rng = np.random.default_rng(seed)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from latentgeom import (
     MixingMatrix,
     PathExitsPolytope,
     Shape,
+    consistency_check,
     em_fit_details,
     extreme_mixings,
     joint_from_chain,
@@ -25,7 +27,7 @@ from latentgeom import (
     sample_fiber,
 )
 from latentgeom.likelihood import _em_batch
-from conftest import seeded_chain
+from conftest import seeded_chain, seeded_marginal
 
 
 def uniform_params(r1, r2, r3):
@@ -287,3 +289,34 @@ def test_fiber_solution_pair_maps_under_label_swap():
     for (gx, gy), (ix, iy) in zip(got, images):
         assert gx == pytest.approx(ix, abs=1e-12)
         assert gy == pytest.approx(iy, abs=1e-12)
+
+
+# ---------------------------------------------------------------- integer arguments
+
+@pytest.mark.parametrize("call,kwargs,message", [
+    ("sample_fiber", {"n": 2.5}, "n must be an integer, got 2.5"),
+    ("sample_fiber", {"n": "3"}, "n must be an integer, got '3'"),
+    ("sample_fiber", {"seed": -1}, "seed must be >= 0, got -1"),
+    ("sample_fiber", {"seed": 1.0}, "seed must be an integer, got 1.0"),
+    ("em_fit_details", {"maxiter": 2.5}, "maxiter must be an integer, got 2.5"),
+    ("em_fit_details", {"seed": -3}, "seed must be >= 0, got -3"),
+    ("consistency_check", {"seed": 1.5}, "seed must be an integer, got 1.5"),
+    ("consistency_check", {"seed": -1}, "seed must be >= 0, got -1"),
+    ("consistency_check", {"restarts": 4.0}, "restarts must be an integer, got 4.0"),
+    ("consistency_check", {"maxiter": 10.0}, "maxiter must be an integer, got 10.0"),
+    ("consistency_check", {"r2": 2.5}, "r2 must be an integer, got 2.5"),
+    ("profile_along_fiber", {"steps": 3.0}, "steps must be an integer, got 3.0"),
+])
+def test_non_integer_or_negative_counts_and_seeds_are_invalid(call, kwargs, message):
+    params = seeded_chain((3, 2, 3), 7)
+    counts = counts_from(params, 200, 7)
+    calls = {
+        "sample_fiber": lambda n=2, seed=0: sample_fiber(params, n, seed=seed),
+        "em_fit_details": lambda **kw: em_fit_details(counts, params.shape, **kw),
+        "consistency_check": lambda r2=3, **kw: consistency_check(
+            seeded_marginal((4, 4), 7), r2, **kw),
+        "profile_along_fiber": lambda steps: profile_along_fiber(
+            counts, params, MixingMatrix.identity(2), steps),
+    }
+    with pytest.raises(InvalidParameter, match=f"^{re.escape(message)}$"):
+        calls[call](**kwargs)

@@ -16,8 +16,9 @@ from latentgeom import (
     joint_from_chain,
     marginal_13,
 )
-from latentgeom.model import RANK_CUTOFF, _clique_margin_jacobian
-from conftest import seeded_chain, seeded_joint
+from latentgeom import model
+from latentgeom.model import RANK_CUTOFF, _clique_margin_jacobian, _row_chart_jacobian
+from conftest import pushed_chain, seeded_chain, seeded_joint
 
 SWEEP = [(r1, r2, r3) for r1 in range(2, 7) for r2 in range(2, 7)
          for r3 in range(2, 7)]
@@ -276,18 +277,6 @@ def fd_cell_jacobian_rank(params, step=1e-6):
     return int(np.sum(sv > RANK_CUTOFF * sv[0]))
 
 
-def pushed_chain(shape, seed, block, eps):
-    """A seeded chain whose first entry of p1, of a[0] or of b[0] is eps."""
-    params = seeded_chain(shape, seed)
-    rows = {"p1": params.p1.copy(), "a": params.a.copy(), "b": params.b.copy()}
-    row = rows[block] if block == "p1" else rows[block][0]
-    row[1:] *= (1 - eps) / row[1:].sum()
-    row[0] = eps
-    out = ChainParams(params.shape, rows["p1"], rows["a"], rows["b"])
-    assert out.min_entry == eps
-    return out
-
-
 @pytest.mark.parametrize("shape", [(2, 2, 2), (3, 2, 3), (4, 3, 4), (2, 3, 2)])
 def test_jacobian_rank_equals_cell_map_rank(shape):
     for seed in range(5):
@@ -335,6 +324,74 @@ def test_clique_margin_jacobian_matches_sympy(shape):
     got = _clique_margin_jacobian(params)
     assert got.shape == (r1 * r2 + r2 * r3, len(x))
     assert np.allclose(got, expected, rtol=0, atol=1e-15)
+
+
+def einsum_clique_margin_jacobian(params):
+    # reference: the clique-margin Jacobian assembled block by block
+    r1, r2, r3 = params.shape.astuple()
+    p1, a, b = params.p1, params.a, params.b
+    d1, d2, d3 = (_row_chart_jacobian(n) for n in (r1, r2, r3))
+    rows1, rows2 = np.arange(r1), np.arange(r2)
+    du_da = np.zeros((r1, r2, r1, r2 - 1))
+    du_da[rows1, :, rows1, :] = np.einsum("i,jq->ijq", p1, d2)
+    dv_db = np.zeros((r2, r3, r2, r3 - 1))
+    dv_db[rows2, :, rows2, :] = np.einsum("j,kq->jkq", p1 @ a, d3)
+    nu, nv = r1 * r2, r2 * r3
+    return np.block([
+        [np.einsum("ij,il->ijl", a, d1).reshape(nu, r1 - 1),
+         du_da.reshape(nu, r1 * (r2 - 1)),
+         np.zeros((nu, r2 * (r3 - 1)))],
+        [np.einsum("il,ij,jk->jkl", d1, a, b).reshape(nv, r1 - 1),
+         np.einsum("l,jq,jk->jklq", p1, d2, b).reshape(nv, r1 * (r2 - 1)),
+         dv_db.reshape(nv, r2 * (r3 - 1))],
+    ])
+
+
+@pytest.mark.parametrize("shape", [(2, 2, 2), (3, 2, 3), (2, 5, 3), (6, 4, 2),
+                                   (10, 3, 10), (30, 5, 30)])
+def test_clique_margin_jacobian_equals_the_einsum_reference(shape):
+    for seed in range(3):
+        params = seeded_chain(shape, 40 + seed, floor=1e-3)
+        assert np.array_equal(_clique_margin_jacobian(params),
+                              einsum_clique_margin_jacobian(params))
+
+
+def test_row_chart_jacobian_singular_values_are_at_least_one():
+    # the premise of the rank certificate, up to the SVD's own rounding
+    for n in range(2, 51):
+        sv = np.linalg.svd(_row_chart_jacobian(n), compute_uv=False)
+        assert sv.min() >= 1 - n * np.finfo(float).eps
+
+
+def test_row_chart_jacobian_gram_matches_sympy():
+    # d_n^T d_n = I + 11^T exactly, with eigenvalues 1 (n - 2 times) and n
+    sympy = pytest.importorskip("sympy")
+    for n in range(2, 12):
+        d = sympy.Matrix(_row_chart_jacobian(n).astype(int))
+        gram = d.T * d
+        assert gram == sympy.eye(n - 1) + sympy.ones(n - 1, n - 1)
+        assert gram.eigenvals() == ({1: n - 2, n: 1} if n > 2 else {2: 1})
+
+
+@pytest.mark.parametrize("shape", [(10, 3, 10), (30, 5, 30)])
+def test_jacobian_rank_certifies_interior_chains_without_an_svd(monkeypatch, shape):
+    def no_svd(mat):
+        raise AssertionError("the norm bound should have decided the rank")
+
+    monkeypatch.setattr(model, "_numerical_rank", no_svd)
+    for seed in range(3):
+        params = seeded_chain(shape, seed, floor=1e-3)
+        assert jacobian_rank(params) == dims(Shape(*shape)).t
+
+
+def test_jacobian_rank_falls_back_to_the_svd_near_the_boundary(monkeypatch):
+    seen = []
+    real = model._numerical_rank
+    monkeypatch.setattr(model, "_numerical_rank",
+                        lambda mat: seen.append(mat.shape) or real(mat))
+    params = pushed_chain((3, 2, 3), 100, "p1", eps=2e-9)
+    assert jacobian_rank(params) == fd_cell_jacobian_rank(params)
+    assert seen == [(12, 9)]
 
 
 def test_jacobian_rank_rejects_boundary():

@@ -24,7 +24,14 @@ from latentgeom import (  # noqa: E402
     split,
 )
 from latentgeom.fiber import _b_side_interval  # noqa: E402
-from conftest import seeded_chain, seeded_joint  # noqa: E402
+from latentgeom.model import (  # noqa: E402
+    RANK_CUTOFF,
+    _RANK_KAPPA,
+    _clique_margin_jacobian,
+    _numerical_rank,
+    _sigma_min_bound,
+)
+from conftest import pushed_chain, seeded_chain, seeded_joint  # noqa: E402
 
 SEEDS = st.integers(0, 2 ** 32 - 1)
 
@@ -35,6 +42,26 @@ SEEDS = st.integers(0, 2 ** 32 - 1)
 def test_jacobian_rank_is_model_dimension(r1, r2, r3, seed):
     params = seeded_chain((r1, r2, r3), seed)
     assert jacobian_rank(params) == dims(Shape(r1, r2, r3)).t
+
+
+@settings(max_examples=150, deadline=None)
+@given(r1=st.integers(2, 8), r2=st.integers(2, 8), r3=st.integers(2, 8),
+       seed=SEEDS, block=st.sampled_from(["p1", "a", "b"]), row=st.integers(0, 7),
+       eps=st.sampled_from([1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 2e-9,
+                            1.1e-9]))
+def test_jacobian_rank_is_the_svd_rank(r1, r2, r3, seed, block, row, eps):
+    # one row of p1, a or b pushed towards the boundary
+    params = pushed_chain((r1, r2, r3), seed, block, eps,
+                          row=row % (r1 if block == "a" else r2))
+    jac = _clique_margin_jacobian(params)
+    svd_rank = _numerical_rank(jac)
+    assert jacobian_rank(params) == svd_rank
+    # the bound is a lower bound, up to the SVD's rounding of sv[-1]
+    sv = np.linalg.svd(jac, compute_uv=False)
+    bound = _sigma_min_bound(params, jac)
+    assert bound <= sv[-1] + 64 * np.finfo(float).eps * sv[0]
+    if bound > _RANK_KAPPA * RANK_CUTOFF * np.linalg.norm(jac):
+        assert svd_rank == jac.shape[1]
 
 
 @settings(max_examples=60, deadline=None)
