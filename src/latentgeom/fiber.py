@@ -6,9 +6,10 @@ marginal exactly unchanged.  Matrices keeping (a', b') entrywise
 nonnegative form the validity polytope; for r2 = 2 it is described in
 closed form by the (pi, rho) parametrisation with rows (pi, 1 - pi) and
 (rho, 1 - rho).  Pushing (pi, rho) to the polytope corners produces the
-maximally informative boundary representations with structural zeros; the
-tangent rank of the action at the identity measures the fiber dimension,
-r2 (r2 - 1) at interior points whenever r2 < min(r1, r3).
+maximally informative boundary representations with structural zeros.  The
+tangent rank of the action at the identity is the dimension of the orbit,
+which fills the fiber (``dims(...).fiber``) unless
+min(r1, r3) < r2 < max(r1, r3); see :func:`fiber_dimension`.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .errors import (
     RejectionStall,
     SingularMixing,
 )
+from . import model
 from .model import (
     INTERIOR_EPS,
     SUM_TOL,
@@ -45,6 +47,8 @@ DET_EPS = 1e-12
 _BLOCK = 8
 #: step-size factor of :func:`sample_fiber` after a rejection
 _SHRINK = 2.0 ** (-1.0 / 3.0)
+#: float64 machine epsilon, the unit of :func:`_point`'s row-sum bound
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -166,6 +170,38 @@ def _clamp_rows(name: str, rows: np.ndarray) -> np.ndarray:
     return _snap(rows)
 
 
+def _point(params: ChainParams, a: np.ndarray, b: np.ndarray) -> ChainParams:
+    """The point (params.p1, a, b) for rows ``a`` and ``b`` that :func:`_snap`
+    built from a kernel result that passed the clamp test.
+
+    Equal to ``ChainParams(params.shape, params.p1, a, b)``, but it shares
+    ``params.shape`` and the frozen ``params.p1``, freezes ``a`` and ``b`` in
+    place and skips the checks the construction proves.  The shapes are
+    those of ``params``.  If the snapped array holds no NaN, neither did its
+    input (a NaN spreads along its row through the row sum), so the clamp
+    test saw its true minimum and every entry became >= 0.  Each row was then
+    divided by its own sum s: if s overflowed, the row is all zeros;
+    otherwise it sums to 1 within (r - 1/2) eps < (r + 1) eps to first order,
+    for rows of length r ((r - 1) eps / 2 each from the sum s and from
+    summing the quotients, eps / 2 from the division).  A NaN makes the
+    array's sum NaN and an all-zero row takes it about 1 below the row
+    count, so one sum rules both out.  Where that sum test fails, or
+    (r + 1) eps exceeds ``model.SUM_TOL`` read at call time, the point goes
+    through :class:`ChainParams`, which runs every check and raises its own
+    error.
+    """
+    for rows in (a, b):
+        if not (abs(float(rows.sum()) - len(rows)) <= 0.5
+                and (rows.shape[1] + 1) * _EPS <= model.SUM_TOL):
+            return ChainParams(params.shape, params.p1, a, b)
+    a.flags.writeable = False
+    b.flags.writeable = False
+    point = object.__new__(ChainParams)
+    # the fields a frozen dataclass's __init__ would set, in one update
+    point.__dict__.update(shape=params.shape, p1=params.p1, a=a, b=b)
+    return point
+
+
 def apply_mixing(params: ChainParams, q: MixingMatrix) -> ChainParams:
     """Transform the parameters along the fiber: a' = a q^{-1}, b' = q b.
 
@@ -183,8 +219,8 @@ def apply_mixing(params: ChainParams, q: MixingMatrix) -> ChainParams:
     if q.size != r2:
         raise InvalidParameter(f"q is {q.size} x {q.size}, model has r2 = {r2}")
     mixed = _mix(params, q.q[None])
-    return ChainParams(params.shape, params.p1, _clamp_rows("a", mixed.a[0]),
-                       _clamp_rows("b", mixed.b[0]))
+    return _point(params, _clamp_rows("a", mixed.a[0]),
+                  _clamp_rows("b", mixed.b[0]))
 
 
 @dataclass(frozen=True)
@@ -365,8 +401,7 @@ def sample_fiber(params: ChainParams, n: int, seed: int = 0) -> list[ChainParams
         if mixed.bad[first]:
             MixingMatrix(qs[first])    # raises the InvalidParameter
         # a valid attempt passed the clamp test: snapping is all that is left
-        out.append(ChainParams(params.shape, params.p1, _snap(mixed.a[first]),
-                               _snap(mixed.b[first])))
+        out.append(_point(params, _snap(mixed.a[first]), _snap(mixed.b[first])))
         t = min(steps[first] * 2.0, 4.0)
     if len(out) < n:
         warnings.warn(
@@ -384,8 +419,13 @@ def fiber_dimension(params: ChainParams) -> int:
     The derivative of q -> (a q^{-1}, q b) at q = I in direction M is
     (-a M, M b), a linear map on the r2 (r2 - 1) dimensional space of
     zero-row-sum matrices; its numerical rank (relative cutoff 1e-8) is the
-    orbit dimension.  At interior points with r2 < min(r1, r3) this equals
-    r2 (r2 - 1); in the large-r2 regime it reports the smaller value t - m.
+    orbit dimension.  M is in the kernel exactly when a M = 0 and M b = 0
+    (M b = 0 already gives M 1 = M b 1 = 0), so where a and b have full rank
+    the orbit dimension is r2 (r2 - 1) - (r2 - min(r1, r2)) (r2 - min(r2, r3)).
+    That is ``dims(...).fiber`` when r2 <= min(r1, r3) or r2 >= max(r1, r3).
+    When min(r1, r3) < r2 < max(r1, r3) it is smaller by
+    (max(r1, r3) - r2) (r2 - min(r1, r3)): at 6x4x3 the orbit has dimension
+    12 and the fiber 14, as the mixing action does not reach all of it.
 
     Parameters with boundary zeros raise :class:`BoundaryPoint`, except for
     one-sided degeneracy (p1 interior and exactly one of a, b interior),

@@ -64,15 +64,16 @@ def _stochastic(rows: np.ndarray) -> np.ndarray:
             & (np.abs(rows.sum(axis=-1) - 1.0).max(axis=-1) <= SUM_TOL))
 
 
-#: what a size must be: a Python or numpy integer, never a float or a
-#: string that int() would truncate or parse
-_INTEGER = (int, np.integer)
+def _is_integer(value) -> bool:
+    """What a size must be: a Python or numpy integer, never a float or a
+    string that int() would truncate or parse, nor a ``bool``."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _check_count(name: str, value, low: int) -> None:
     """Reject a size, count or seed that is not an integer by the rule of
-    ``_INTEGER``, or is below ``low``."""
-    if not isinstance(value, _INTEGER):
+    :func:`_is_integer`, or is below ``low``."""
+    if not _is_integer(value):
         raise InvalidParameter(f"{name} must be an integer, got {value!r}")
     if value < low:
         raise InvalidParameter(f"{name} must be >= {low}, got {value}")
@@ -85,7 +86,7 @@ def _table_shape(shape, what: str) -> tuple[int, int]:
         rows, cols = shape
     except (TypeError, ValueError):
         rows = cols = None
-    if not (isinstance(rows, _INTEGER) and isinstance(cols, _INTEGER)):
+    if not (_is_integer(rows) and _is_integer(cols)):
         raise InvalidParameter(f"{what} shape must be two integers, got {shape!r}")
     return int(rows), int(cols)
 

@@ -267,11 +267,27 @@ def test_fiber_dimension(shape, expected):
 
 
 def test_fiber_dimension_case_one_matches_t_minus_m():
-    # r2 >= min(r1, r3): the orbit realises the full fiber dimension t - m
+    # r2 >= max(r1, r3): the orbit realises the full fiber dimension t - m
     from latentgeom import dims
     for seed in range(5):
         params = seeded_chain((2, 3, 2), 400 + seed)
         assert fiber_dimension(params) == dims(params.shape).fiber
+
+
+@pytest.mark.parametrize("shape,orbit", [
+    ((6, 4, 3), 12), ((3, 4, 6), 12), ((5, 3, 2), 6), ((8, 5, 4), 20),
+    ((3, 5, 3), 16),
+])
+def test_orbit_rank_falls_short_of_fiber_between_r1_and_r3(shape, orbit):
+    # the orbit fills the fiber unless min(r1, r3) < r2 < max(r1, r3); there
+    # it is smaller by (max(r1, r3) - r2)(r2 - min(r1, r3)): 14, 14, 8 and
+    # 23 against the orbit's 12, 12, 6 and 20.  At 3x5x3 the two agree
+    from latentgeom import dims
+    r1, r2, r3 = shape
+    gap = max(0, max(r1, r3) - r2) * max(0, r2 - min(r1, r3))
+    for seed in range(5):
+        params = seeded_chain(shape, 500 + seed)
+        assert fiber_dimension(params) == orbit == dims(params.shape).fiber - gap
 
 
 @pytest.mark.parametrize("shape", [(3, 2, 3), (4, 3, 4), (2, 4, 3),

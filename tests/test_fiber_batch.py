@@ -23,6 +23,7 @@ from latentgeom import (
     RejectionStall,
     Shape,
     SingularMixing,
+    apply_mixing,
     extreme_mixings,
     loglik,
     profile_along_fiber,
@@ -401,3 +402,66 @@ def test_kernel_masks_singular_and_bad_members_without_warnings(r2):
     assert mixed.bad.tolist() == [False, False, True, True, False]
     with pytest.raises(SingularMixing):
         MixingMatrix(singular)
+
+
+# ------------------------------------------------------------ the point constructor
+
+@settings(max_examples=60, deadline=None)
+@given(**SHAPES, seed=SEEDS, floor=st.sampled_from([1e-3, 1e-7, 1e-13]))
+def test_fiber_points_equal_checked_chain_params(r1, r2, r3, seed, floor):
+    # every point either walk returns is the value ChainParams would build,
+    # frozen, and shares the input's shape and p1
+    rng = np.random.default_rng(seed)
+    params = near_boundary_chain((r1, r2, r3), rng, floor)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RejectionStall)
+        points = sample_fiber(params, 5, seed=seed)
+    m = rng.standard_normal((r2, r2))
+    m -= m.mean(axis=1, keepdims=True)
+    points.append(apply_mixing(
+        params, MixingMatrix(np.eye(r2) + interior_scale(params, m) * m)))
+    for point in points:
+        assert point == ChainParams(params.shape, params.p1, point.a, point.b)
+        assert point.shape is params.shape and point.p1 is params.p1
+        assert not (point.a.flags.writeable or point.b.flags.writeable)
+
+
+def point_outcome(params, a, b):
+    """What fiber._point and ChainParams each make of the rows a and b."""
+    outcomes = []
+    for build in (fiber._point,
+                  lambda p, a, b: ChainParams(p.shape, p.p1, a, b)):
+        try:
+            point = build(params, a.copy(), b.copy())
+            outcomes.append((bits(point.p1), bits(point.a), bits(point.b)))
+        except InvalidParameter as exc:
+            outcomes.append(("error", str(exc)))
+    assert outcomes[0] == outcomes[1]
+    return outcomes[0]
+
+
+def test_point_falls_back_to_chain_params(monkeypatch):
+    # rows the construction does not prove go through ChainParams, with its
+    # error and message: a NaN row, a row whose sum overflowed to zeros,
+    # and any row while SUM_TOL is below the (r + 1) eps bound
+    import latentgeom.model as model_mod
+    params = ChainParams(Shape(3, 2, 3), [0.25, 0.25, 0.5],
+                         [[0.5, 0.5], [0.25, 0.75], [0.5, 0.5]],
+                         [[0.5, 0.25, 0.25], [0.2, 0.3, 0.5]])
+    nan_a = params.a.copy()
+    nan_a[1] = np.nan
+    with np.errstate(over="ignore"):
+        overflowed = fiber._snap(np.array([[1e308, 1e308, 1.0],
+                                           [0.2, 0.3, 0.5]]))
+    assert not overflowed[0].any()
+    # snapped, this row sums to 1 - 2**-53
+    short = fiber._snap(np.array([[0.1, 0.2, 0.3], [0.2, 0.3, 0.5]]))
+    assert short.sum(axis=1)[0] != 1.0
+    assert point_outcome(params, nan_a, params.b) == (
+        "error", "a contains non-finite values")
+    assert point_outcome(params, params.a, overflowed)[1].startswith(
+        "row 0 of b sums to")
+    assert point_outcome(params, params.a, short)[0] == bits(params.p1)
+    monkeypatch.setattr(model_mod, "SUM_TOL", 1e-17)
+    assert point_outcome(params, params.a, short)[1].startswith(
+        "row 0 of b sums to")

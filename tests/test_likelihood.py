@@ -306,6 +306,13 @@ def test_fiber_solution_pair_maps_under_label_swap():
     ("consistency_check", {"maxiter": 10.0}, "maxiter must be an integer, got 10.0"),
     ("consistency_check", {"r2": 2.5}, "r2 must be an integer, got 2.5"),
     ("profile_along_fiber", {"steps": 3.0}, "steps must be an integer, got 3.0"),
+    # bool is an int subclass but never a count: True is not 1 point
+    ("sample_fiber", {"n": True}, "n must be an integer, got True"),
+    ("sample_fiber", {"seed": False}, "seed must be an integer, got False"),
+    ("em_fit_details", {"maxiter": True}, "maxiter must be an integer, got True"),
+    ("consistency_check", {"restarts": True},
+     "restarts must be an integer, got True"),
+    ("profile_along_fiber", {"steps": True}, "steps must be an integer, got True"),
 ])
 def test_non_integer_or_negative_counts_and_seeds_are_invalid(call, kwargs, message):
     params = seeded_chain((3, 2, 3), 7)

@@ -42,9 +42,10 @@ def test_shape_rejects_small_cardinalities(bad):
 
 
 @pytest.mark.parametrize("shape", [(2.9, "3"), (2.0, 3), (2, "3"), (2, 3.5),
-                                   (2, 3, 1), (6,), "23", 6, None])
+                                   (2, 3, 1), (6,), "23", 6, None, (True, 3)])
 def test_table_shapes_are_integers_not_truncated(shape):
-    # the rule of Shape: a float or a string is refused, not read by int()
+    # the rule of Shape: a float, a string or a bool is refused, not read by
+    # int()
     cells = np.full((2, 3), 1 / 6)
     with pytest.raises(InvalidParameter, match="shape must be two integers"):
         MarginalTable(shape, cells)
