@@ -73,7 +73,7 @@ class MixingMatrix:
         if (np.abs(sums - 1.0) > SUM_TOL).any():
             which = int(np.flatnonzero(np.abs(sums - 1.0) > SUM_TOL)[0])
             raise InvalidParameter(
-                f"row {which} of q sums to {sums[which]!r}, not 1"
+                f"row {which} of q sums to {float(sums[which])!r}, not 1"
             )
         det = float(np.linalg.det(q))
         if abs(det) <= DET_EPS:

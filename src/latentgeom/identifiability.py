@@ -44,7 +44,9 @@ class ConsistencyReport:
     means the search budget was exhausted.  ``divergences`` holds the final
     KL divergence of each EM restart the search examined, in seed order
     (inf for a restart stopped by a zero-probability observed cell); it is
-    empty when no search ran.
+    empty when no search ran.  ``restart_iterations`` holds, aligned with
+    ``divergences``, the number of EM updates each of those restarts made
+    before it stopped.
     """
 
     feasible: bool
@@ -54,6 +56,7 @@ class ConsistencyReport:
     proven_infeasible_by: str | None
     tol: float
     divergences: tuple[float, ...] = ()
+    restart_iterations: tuple[int, ...] = ()
 
     def __post_init__(self):
         if self.feasible and not self.best_divergence < self.tol:
@@ -187,6 +190,7 @@ def consistency_check(target: MarginalTable, r2: int, restarts: int = 64,
     best = float("inf")
     witness = None
     divergences: list[float] = []
+    iterations: list[int] = []
     start, size = 0, 1
     while start < restarts and not best < tol:
         block = range(start, min(start + size, restarts))
@@ -196,6 +200,7 @@ def consistency_check(target: MarginalTable, r2: int, restarts: int = 64,
         for r in range(len(block)):
             if r in runs.errors:
                 raise runs.errors[r]
+            iterations.append(int(runs.iterations[r]))
             if runs.loglik[r] == NEG_INF:
                 divergences.append(float("inf"))
                 continue
@@ -211,7 +216,7 @@ def consistency_check(target: MarginalTable, r2: int, restarts: int = 64,
     return ConsistencyReport(
         feasible=bool(best < tol), best_divergence=best, witness=witness,
         necessary_checks=checks, proven_infeasible_by=None, tol=tol,
-        divergences=tuple(divergences))
+        divergences=tuple(divergences), restart_iterations=tuple(iterations))
 
 
 def is_regular(params: ChainParams) -> bool:

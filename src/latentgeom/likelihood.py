@@ -10,8 +10,12 @@ endpoints exactly as likely as the interior start.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import numbers
 from dataclasses import dataclass
+from itertools import compress
+from operator import sub
 from typing import NamedTuple
 
 import numpy as np
@@ -86,7 +90,8 @@ def _loglik_rows(w_obs: np.ndarray, gather: np.ndarray | None,
                  delta: np.ndarray) -> np.ndarray:
     """Observed-cell log-likelihood sum w log delta of each member of a
     stack of marginals ``delta`` (K, r1, r3), over the cells at the flat
-    indices ``gather`` (all cells if None) with weights ``w_obs``.
+    indices ``gather`` (all cells if None) with weights ``w_obs``, one row
+    of them or one for each member.
 
     -inf exactly when an observed cell has zero probability; the caller
     silences the divide warning of log(0).
@@ -95,7 +100,7 @@ def _loglik_rows(w_obs: np.ndarray, gather: np.ndarray | None,
     # rows must be C-contiguous: numpy sums a contiguous row pairwise, as
     # it sums the 1-d terms of a single run, and a strided one in order
     terms = flat if gather is None else flat.take(gather, axis=1)
-    return (w_obs * np.log(terms)).sum(axis=1)
+    return np.add.reduce(w_obs * np.log(terms), 1)
 
 
 def loglik(counts: CountTable, params: ChainParams) -> float:
@@ -114,17 +119,23 @@ def loglik(counts: CountTable, params: ChainParams) -> float:
 def _check_budget(maxiter: int, tol: float) -> None:
     """Reject a maxiter that is not an integer >= 0 and a tol that is not
     a finite positive real: no divergence is below a tol <= 0, and EM never
-    converges under one."""
+    converges under one.  A ``bool`` is not a tol, and a real tol is shown
+    as a Python float in the message."""
     _check_count("maxiter", maxiter, 0)
-    if not (math.isfinite(tol) and tol > 0):
-        raise InvalidParameter(f"tol must be a positive real, got {tol!r}")
+    shown = tol
+    if isinstance(tol, numbers.Real) and not isinstance(tol, bool):
+        with contextlib.suppress(OverflowError):    # an int past float range
+            shown = float(tol)
+    if not (isinstance(shown, float) and math.isfinite(shown) and shown > 0):
+        raise InvalidParameter(f"tol must be a positive real, got {shown!r}")
 
 
 class _EmRuns(NamedTuple):
     """Final iterates of R EM restarts, restart axis first.
 
     ``loglik`` is -inf for a restart whose E-step met a zero-probability
-    observed cell; ``errors`` maps a restart whose log-likelihood decreased
+    observed cell; ``iterations`` counts the updates a restart made before
+    it stopped; ``errors`` maps a restart whose log-likelihood decreased
     to the error its caller raises when it reaches that restart.
     """
 
@@ -162,23 +173,43 @@ def _em_batch(weights: np.ndarray, shape: Shape,
     results are bitwise those of R = 1 and do not depend on the other
     restarts.  ``trace`` receives the log-likelihoods of the running
     restarts at every iteration, in restart order.
+
+    The order of every sum is fixed by the memory layout.  numpy adds
+    along a strided axis one slice after another, in index order, and sums
+    a contiguous run pairwise (8 ways at once from 8 terms on).  The
+    working arrays keep the axes (r, i, j, k) of the joint table, with
+    size 1 where a factor does not vary: p1 is (r, i, 1, 1), a is
+    (r, i, j, 1) and b is (r, 1, j, k).  So ``cells = p1 a b`` is
+    (p1 a) b, the product order of ``einsum``, laid out in (r, i, j, k)
+    order like the expected counts ``nhat``, and the products, quotients
+    and M-step sums need no views or transposes.  The sums
+    over j (``delta``, by slice adds) and over i (``b_mass``) are
+    sequential; those over the contiguous k rows (``a_mass``, ``b_rows``,
+    the log-likelihood), j rows (``a_rows``) and (j, k) blocks (``p1``) are
+    pairwise.  The restart axis is outermost, so each restart's sums cover
+    its own contiguous block in the order of a run on its own.
     """
     r1, r2, r3 = shape.astuple()
     count = len(rngs)
-    p1 = np.empty((count, r1))
-    a = np.empty((count, r1, r2))
-    b = np.empty((count, r2, r3))
+    out = _EmRuns(np.empty((count, r1)), np.empty((count, r1, r2)),
+                  np.empty((count, r2, r3)), np.full(count, NEG_INF),
+                  np.zeros(count, dtype=int), np.zeros(count, dtype=bool), {})
     for r, rng in enumerate(rngs):
-        p1[r] = rng.dirichlet(np.ones(r1))
-        a[r] = rng.dirichlet(np.ones(r2), size=r1)
-        b[r] = rng.dirichlet(np.ones(r3), size=r2)
-    out = _EmRuns(np.empty_like(p1), np.empty_like(a), np.empty_like(b),
-                  np.full(count, NEG_INF), np.zeros(count, dtype=int),
-                  np.zeros(count, dtype=bool), {})
+        out.p1[r] = rng.dirichlet(np.ones(r1))
+        out.a[r] = rng.dirichlet(np.ones(r2), size=r1)
+        out.b[r] = rng.dirichlet(np.ones(r3), size=r2)
+    # the working rows, on the axes (r, i, j, k) of the joint table
+    p1 = out.p1.reshape(count, r1, 1, 1)
+    a = out.a.reshape(count, r1, r2, 1)
+    b = out.b.reshape(count, 1, r2, r3)
     total = float(weights.sum())
     # with every cell observed (gather None) every delta is positive
     w_obs, gather = _observed(weights)
-    w3 = weights[:, :, None]
+    # the weights of every working restart, laid out like the terms of the
+    # log-likelihood and like nhat: a product of equal shapes skips numpy's
+    # broadcasting machinery
+    w_obs = np.tile(w_obs, (count, 1))
+    w_rijk = np.broadcast_to(weights[:, None, :], (count, r1, r2, r3)).copy()
     # a row mass of a sums w(i, k) lambda_j(i, k) with max_j lambda >= 1/r2:
     # positive for every row holding a weight of normal size
     a_rows_positive = bool((weights.max(axis=1) >= np.finfo(float).tiny).all())
@@ -188,67 +219,78 @@ def _em_batch(weights: np.ndarray, shape: Shape,
     def leave(rows, iterations, converged, ll=None):
         """Store the restarts at ``rows`` and drop them from the working
         arrays; returns the mask of the rows kept."""
-        nonlocal p1, a, b, live, ll_old
+        nonlocal p1, a, b, live, ll_old, w_obs, w_rijk
         idx = live[rows]
-        out.p1[idx], out.a[idx], out.b[idx] = p1[rows], a[rows], b[rows]
+        out.p1[idx] = p1[rows].reshape(-1, r1)
+        out.a[idx] = a[rows].reshape(-1, r1, r2)
+        out.b[idx] = b[rows].reshape(-1, r2, r3)
         out.iterations[idx] = iterations
         out.converged[idx] = converged
         if ll is not None:
             out.loglik[idx] = ll[rows]
         keep = ~rows
         p1, a, b, live = p1[keep], a[keep], b[keep], live[keep]
+        w_obs, w_rijk = w_obs[:len(live)], w_rijk[:len(live)]
         if ll_old is not None:
-            ll_old = ll_old[keep]
+            ll_old = list(compress(ll_old, keep.tolist()))
         return keep
 
-    def evaluate():
-        cells = np.einsum("ri,rij,rjk->rijk", p1, a, b)
-        delta = cells.sum(axis=2)
+    def evaluate(updates):
+        cells = p1 * a * b
+        # the sum over j, slice by slice as numpy sums a strided axis
+        delta = cells[:, :, :1] + cells[:, :, 1:2]           # (r, i, 1, k)
+        for j in range(2, r2):
+            np.add(delta, cells[:, :, j:j + 1], out=delta)
         ll = _loglik_rows(w_obs, gather, delta)
-        if NEG_INF in ll.tolist():
-            keep = leave(ll == NEG_INF, 0, False)
+        values = ll.tolist()
+        if NEG_INF in values:
+            keep = leave(ll == NEG_INF, updates, False)
             cells, delta, ll = cells[keep], delta[keep], ll[keep]
-        return cells, delta, ll
+            values = ll.tolist()
+        return cells, delta, ll, values
 
     with np.errstate(divide="ignore"):
         for it in range(maxiter):
-            cells, delta, ll = evaluate()
+            cells, delta, ll, values = evaluate(it)
             if trace is not None:
-                trace.extend(ll.tolist())
-            if ll_old is not None:
-                gain = ll - ll_old
-                # with EM_SLACK >= 0 a decrease beyond it is a gain below tol
-                if EM_SLACK < 0.0 or min(gain.tolist(), default=tol) < tol:
-                    floor = ll_old - EM_SLACK * np.maximum(1.0, np.abs(ll_old))
-                    for r in np.flatnonzero(ll < floor):
-                        out.errors[int(live[r])] = GeometryError(
-                            f"EM log-likelihood decreased: {float(ll_old[r])!r}"
-                            f" -> {float(ll[r])!r}")
-                    keep = leave((ll < floor) | (gain < tol), it, True, ll)
-                    cells, delta, ll = cells[keep], delta[keep], ll[keep]
+                trace.extend(values)
+            # with EM_SLACK >= 0 a decrease beyond it is a gain below tol
+            if ll_old is not None and (
+                    EM_SLACK < 0.0
+                    or min(map(sub, values, ll_old), default=tol) < tol):
+                old = np.array(ll_old)
+                floor = old - EM_SLACK * np.maximum(1.0, np.abs(old))
+                for r in np.flatnonzero(ll < floor):
+                    out.errors[int(live[r])] = GeometryError(
+                        f"EM log-likelihood decreased: {float(old[r])!r}"
+                        f" -> {float(ll[r])!r}")
+                keep = leave((ll < floor) | (ll - old < tol), it, True, ll)
+                cells, delta = cells[keep], delta[keep]
+                values = ll[keep].tolist()
             if not len(live):
                 return out
-            ll_old = ll
+            ll_old = values
             safe = delta if gather is None else np.where(delta > 0.0, delta, 1.0)
-            resp = cells.transpose(0, 1, 3, 2) / safe[:, :, :, None]
-            nhat = w3 * resp                      # (r, i, k, j)
-            p1 = nhat.sum(axis=(2, 3)) / total
-            a_mass = nhat.sum(axis=2)             # (r, i, j)
-            a_rows = a_mass.sum(axis=2, keepdims=True)
+            # responsibilities, then expected counts, in the cells' memory
+            nhat = np.multiply(np.divide(cells, safe, out=cells), w_rijk,
+                               out=cells)
+            p1 = np.divide(np.add.reduce(nhat, (2, 3), keepdims=True), total)
+            a_mass = np.add.reduce(nhat, 3, keepdims=True)
+            a_rows = np.add.reduce(a_mass, 2, keepdims=True)
             if a_rows_positive:
-                a = a_mass / a_rows
+                a = np.divide(a_mass, a_rows)
             else:
                 a = np.where(a_rows > 0.0,
                              a_mass / np.where(a_rows > 0, a_rows, 1.0), 1.0 / r2)
-            b_mass = nhat.sum(axis=1).transpose(0, 2, 1)   # (r, j, k)
-            b_rows = b_mass.sum(axis=2, keepdims=True)
-            if b_rows.all():
-                b = b_mass / b_rows
+            b_mass = np.add.reduce(nhat, 1, keepdims=True)
+            b_rows = np.add.reduce(b_mass, 3, keepdims=True)
+            if np.count_nonzero(b_rows) == b_rows.size:
+                b = np.divide(b_mass, b_rows)
             else:
                 b = np.where(b_rows > 0.0,
                              b_mass / np.where(b_rows > 0, b_rows, 1.0), 1.0 / r3)
         # maxiter exhausted after an update: report the final iterates' values
-        _, _, ll = evaluate()
+        _, _, ll, _ = evaluate(maxiter)
     leave(np.ones(len(live), dtype=bool), maxiter, False, ll)
     return out
 

@@ -102,7 +102,7 @@ def _check_table(table, shape: tuple[int, ...]) -> None:
             raise InvalidParameter("cells contain non-finite values")
         if (cells < 0).any():
             idx = tuple(int(x) for x in np.argwhere(cells < 0)[0])
-            raise InvalidParameter(f"cell {idx} is negative: {cells[idx]!r}")
+            raise InvalidParameter(f"cell {idx} is negative: {float(cells[idx])!r}")
         raise InvalidParameter(
             f"cells sum to {float(cells.sum())!r}, not 1 within {SUM_TOL}")
     object.__setattr__(table, "cells", cells)
@@ -175,11 +175,11 @@ def _check_rows(name: str, rows: np.ndarray) -> None:
         raise InvalidParameter(f"{name} contains non-finite values")
     if (rows < 0).any():
         idx = tuple(int(x) for x in np.argwhere(rows < 0)[0])
-        raise InvalidParameter(f"{name}{idx} is negative: {rows[idx]!r}")
+        raise InvalidParameter(f"{name}{idx} is negative: {float(rows[idx])!r}")
     sums = rows.sum(axis=-1)
     which = int(np.flatnonzero(np.abs(sums.ravel() - 1.0) > SUM_TOL)[0])
     raise InvalidParameter(
-        f"row {which} of {name} sums to {sums.ravel()[which]!r}, not 1"
+        f"row {which} of {name} sums to {float(sums.ravel()[which])!r}, not 1"
     )
 
 

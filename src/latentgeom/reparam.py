@@ -94,11 +94,11 @@ class LambdaField:
         if not np.isfinite(values).all():
             raise InvalidParameter("values contain non-finite entries")
         if (idx := _outside_unit_box(values)) is not None:
-            raise InvalidParameter(f"values{idx} = {values[idx]!r} outside [0, 1]")
+            raise InvalidParameter(f"values{idx} = {float(values[idx])!r} outside [0, 1]")
         sums = values.sum(axis=2)
         if (np.abs(sums - 1.0) > SUM_TOL).any():
             idx = tuple(int(x) for x in np.argwhere(np.abs(sums - 1.0) > SUM_TOL)[0])
-            raise InvalidParameter(f"lambda slice {idx} sums to {sums[idx]!r}")
+            raise InvalidParameter(f"lambda slice {idx} sums to {float(sums[idx])!r}")
         flags = self.unconstrained
         if flags is None:
             flags = np.zeros((r1, r3), dtype=bool)

@@ -193,6 +193,21 @@ def test_shape_must_be_a_list_of_integers(capsys, tmp_path, command, shape):
                             f"list of {length} integers, got {shape!r}\n")
 
 
+def test_row_sum_message_prints_a_plain_float(capsys, tmp_path):
+    # the sum is a numpy float; the message shows its value, not its repr
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({
+        "shape": [3, 2, 3], "p1": [0.2, 0.3, 0.5],
+        "a": [[0.5, 0.4], [0.6, 0.4], [0.5, 0.5]],
+        "b": [[0.2, 0.5, 0.3], [0.6, 0.1, 0.3]]}))
+    code = main(["fiber", str(path), "--n", "2"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == (f"latentgeom fiber: {path}: row 0 of a sums to "
+                            f"0.9, not 1\n")
+
+
 @pytest.mark.parametrize("name, content", [
     ("model.json", b"\xff{}"),
     ("model.json", b'{"shape": [3, 2, 3], "p1": [1' + b"0" * 5000 + b"]}"),

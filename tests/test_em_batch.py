@@ -37,10 +37,10 @@ SQUARE_SLACK = np.array([[0.0, 1.0, 0.0, 1.0],
 
 
 class _Zero(Exception):
-    pass
+    """A zero-probability observed cell, met after ``args[0]`` updates."""
 
 
-def _reference_run(weights, shape, rng, maxiter, tol):
+def _reference_run(weights, shape, rng, maxiter, tol, trace=None):
     r1, r2, r3 = shape.astuple()
     total = float(weights.sum())
     p1 = rng.dirichlet(np.ones(r1))
@@ -52,7 +52,7 @@ def _reference_run(weights, shape, rng, maxiter, tol):
         cells = np.einsum("i,ij,jk->ijk", p1, a, b)
         delta = cells.sum(axis=1)
         if (delta[observed] <= 0.0).any():
-            raise _Zero
+            raise _Zero(iterations)
         value = float(np.sum(weights[observed] * np.log(delta[observed])))
         return value, cells, delta
 
@@ -61,6 +61,8 @@ def _reference_run(weights, shape, rng, maxiter, tol):
     iterations = 0
     for it in range(maxiter):
         ll, cells, delta = current_ll()
+        if trace is not None:
+            trace.append(ll)
         if ll_old is not None:
             if ll < ll_old - likelihood.EM_SLACK * max(1.0, abs(ll_old)):
                 raise RuntimeError(
@@ -93,21 +95,25 @@ def _reference_run(weights, shape, rng, maxiter, tol):
 def _reference_search(target, r2, restarts, tol, seed, maxiter, rng_of=None):
     rng_of = rng_of or (lambda k: np.random.default_rng([seed, k]))
     r1, r3 = target.shape
-    best, witness, divergences = float("inf"), None, []
+    best, witness, divergences, iterations = float("inf"), None, [], []
     for restart in range(restarts):
         try:
-            params, _, _, _ = _reference_run(target.cells, Shape(r1, r2, r3),
-                                             rng_of(restart), maxiter, 1e-12)
-        except _Zero:
+            params, _, done, _ = _reference_run(
+                target.cells, Shape(r1, r2, r3), rng_of(restart), maxiter,
+                1e-12)
+        except _Zero as zero:
             divergences.append(float("inf"))
+            iterations.append(zero.args[0])
             continue
         kl = kl_divergence(target, marginal_13(joint_from_chain(params)))
         divergences.append(kl)
+        iterations.append(done)
         if kl < best:
             best, witness = kl, params
         if best < tol:
             break
-    return bool(best < tol), best, witness, tuple(divergences)
+    return (bool(best < tol), best, witness, tuple(divergences),
+            tuple(iterations))
 
 
 def _reference_fit(counts, shape, seed, maxiter, tol):
@@ -164,13 +170,15 @@ def test_search_equals_serial_reference(case, restarts, maxiter, tol, seed):
     target, r2 = case
     report = consistency_check(target, r2, restarts=restarts, tol=tol,
                                seed=seed, maxiter=maxiter)
-    feasible, best, witness, divergences = _reference_search(
+    feasible, best, witness, divergences, iterations = _reference_search(
         target, r2, restarts, tol, seed, maxiter)
     assert report.feasible == feasible
     assert np.array_equal(report.best_divergence, best)
     assert _same_params(report.witness, witness)
     assert np.array_equal(report.divergences, divergences)
     assert report.restarts_tried == len(divergences)
+    assert report.restart_iterations == iterations
+    assert all(type(n) is int for n in report.restart_iterations)
 
 
 @settings(max_examples=40, deadline=None)
@@ -193,6 +201,37 @@ def test_fit_equals_serial_reference(r1, r2, r3, data, seed, maxiter, tol):
     assert fit.converged == converged
 
 
+def _check_batch(weights, shape, seed, restarts, maxiter, tol):
+    """One kernel call against a reference run per restart: final iterates,
+    logliks, counts and the trace, all bitwise.  The logliks matter: they
+    decide convergence, so a rounding difference in one would change which
+    iterate a later run reports."""
+    trace = []
+    runs = _em_batch(weights, shape, [np.random.default_rng([seed, k])
+                                      for k in range(restarts)],
+                     maxiter, tol, trace)
+    traces = []
+    for k in range(restarts):
+        traces.append([])
+        try:
+            params, ll, iterations, converged = _reference_run(
+                weights, shape, np.random.default_rng([seed, k]), maxiter,
+                tol, traces[-1])
+        except _Zero as zero:
+            assert runs.loglik[k] == float("-inf")
+            assert runs.iterations[k] == zero.args[0]
+            assert not runs.converged[k]
+            continue
+        assert _same_params(runs.params(shape, k), params)
+        assert np.array_equal(runs.loglik[k], ll)
+        assert runs.iterations[k] == iterations
+        assert runs.converged[k] == converged
+    assert not runs.errors
+    # the kernel traces the running restarts of each iteration in order
+    assert trace == [t[it] for it in range(max(map(len, traces)))
+                     for t in traces if it < len(t)]
+
+
 @settings(max_examples=40, deadline=None)
 @given(r1=st.integers(2, 6), r2=st.integers(2, 4), r3=st.integers(2, 6),
        data=st.data(), seed=SEEDS, restarts=st.integers(1, 8),
@@ -200,22 +239,38 @@ def test_fit_equals_serial_reference(r1, r2, r3, data, seed, maxiter, tol):
        tol=st.sampled_from([1e-12, 1e-6]))
 def test_batch_equals_serial_reference(r1, r2, r3, data, seed, restarts,
                                        maxiter, tol):
-    # logliks too: they decide convergence, so a rounding difference in one
-    # would change which iterate a later run reports
     flat = data.draw(st.lists(st.integers(0, 9), min_size=r1 * r3,
                               max_size=r1 * r3))
     assume(sum(flat) > 0)
     weights = np.reshape(flat, (r1, r3)) / sum(flat)
-    shape = Shape(r1, r2, r3)
-    runs = _em_batch(weights, shape, [np.random.default_rng([seed, k])
-                                      for k in range(restarts)], maxiter, tol)
-    for k in range(restarts):
-        params, ll, iterations, converged = _reference_run(
-            weights, shape, np.random.default_rng([seed, k]), maxiter, tol)
-        assert _same_params(runs.params(shape, k), params)
-        assert np.array_equal(runs.loglik[k], ll)
-        assert runs.iterations[k] == iterations
-        assert runs.converged[k] == converged
+    _check_batch(weights, Shape(r1, r2, r3), seed, restarts, maxiter, tol)
+
+
+@settings(max_examples=25, deadline=None)
+@given(r1=st.integers(2, 10), r2=st.integers(2, 5), r3=st.integers(9, 12),
+       data=st.data(), seed=SEEDS, restarts=st.integers(1, 8),
+       maxiter=st.sampled_from([1, 7, 60]),
+       tol=st.sampled_from([1e-12, 1e-6]))
+def test_wide_batch_with_zero_cells_equals_serial_reference(
+        r1, r2, r3, data, seed, restarts, maxiter, tol):
+    # from 8 terms numpy sums a contiguous row 8 ways at once, so rows of
+    # 9 to 12 cells pin the pairwise k-sums; one zero cell at least puts
+    # every restart on the gathered log-likelihood
+    flat = data.draw(st.lists(st.integers(0, 9), min_size=r1 * r3,
+                              max_size=r1 * r3))
+    flat[data.draw(st.integers(0, r1 * r3 - 1))] = 0
+    assume(sum(flat) > 0)
+    weights = np.reshape(flat, (r1, r3)) / sum(flat)
+    _check_batch(weights, Shape(r1, r2, r3), seed, restarts, maxiter, tol)
+
+
+# r2 = 9 puts the rows of a past 8 terms too
+@pytest.mark.parametrize("shape", [(10, 5, 12), (9, 3, 9), (4, 9, 5)])
+def test_batch_of_64_restarts_equals_serial_reference(shape):
+    r1, _, r3 = shape
+    rng = np.random.default_rng(sum(shape))
+    counts = rng.integers(0, 9, size=(r1, r3)) * (rng.random((r1, r3)) > 0.2)
+    _check_batch(counts / counts.sum(), Shape(*shape), 11, 64, 60, 1e-10)
 
 
 class _FixedStart:
@@ -271,6 +326,18 @@ def test_restarts_in_one_batch_follow_the_reference(counts, zero, maxiter):
     assert not runs.errors
 
 
+def test_zero_cell_after_an_update_reports_the_updates_made():
+    # the subnormal weight's row gets p1 = 0 from the first M-step, so the
+    # second E-step meets a zero-probability observed cell
+    weights = np.array([[5e-324, 0.0, 0.0], [1.0, 2.0, 3.0], [3.0, 1.0, 2.0]])
+    runs = _em_batch(weights, Shape(3, 2, 3),
+                     [np.random.default_rng([3, k]) for k in range(4)],
+                     60, 1e-12)
+    assert runs.loglik.tolist() == [float("-inf")] * 4
+    assert runs.iterations.tolist() == [1] * 4
+    _check_batch(weights, Shape(3, 2, 3), 3, 4, 60, 1e-12)
+
+
 def test_search_reports_zero_responsibility_restarts_as_infinite(monkeypatch):
     target = MarginalTable((4, 4), SQUARE_SLACK / SQUARE_SLACK.sum())
     real = np.random.default_rng
@@ -291,6 +358,9 @@ def test_search_reports_zero_responsibility_restarts_as_infinite(monkeypatch):
     assert report.divergences == expected[3]
     assert [np.isinf(d) for d in report.divergences] == [
         k % 3 == 1 for k in range(10)]
+    # a zero cell in the first E-step stops a restart before any update
+    assert report.restart_iterations == expected[4]
+    assert [report.restart_iterations[k] for k in (1, 4, 7)] == [0, 0, 0]
     assert np.array_equal(report.best_divergence, expected[1])
     assert _same_params(report.witness, expected[2])
 
@@ -320,10 +390,11 @@ def test_search_blocks_are_capped_at_64_restarts(monkeypatch):
     target = MarginalTable((4, 4), SQUARE_SLACK / SQUARE_SLACK.sum())
     report = consistency_check(target, 3, restarts=300, seed=5, maxiter=5)
     assert sizes == [1, 2, 4, 8, 16, 32, 64, 64, 64, 45]
-    feasible, best, witness, divergences = _reference_search(
+    feasible, best, witness, divergences, iterations = _reference_search(
         target, 3, 300, 1e-8, 5, 5)
     assert not feasible and report.feasible == feasible
     assert np.array_equal(report.best_divergence, best)
     assert _same_params(report.witness, witness)
     assert np.array_equal(report.divergences, divergences)
     assert report.restarts_tried == 300
+    assert report.restart_iterations == iterations

@@ -113,6 +113,8 @@ def test_report_lists_the_divergence_of_every_restart_examined():
     report = consistency_check(target, r2=3, seed=0)
     assert report.feasible
     assert report.restarts_tried == len(report.divergences) == 5
+    assert len(report.restart_iterations) == 5
+    assert all(0 < n <= 500 for n in report.restart_iterations)
     assert report.divergences[-1] == report.best_divergence < report.tol
     assert min(report.divergences[:-1]) >= report.tol
     kl = kl_divergence(target, marginal_13(joint_from_chain(report.witness)))
@@ -121,6 +123,7 @@ def test_report_lists_the_divergence_of_every_restart_examined():
                             consistency_check(target, r2=2)):
         assert exact_or_proven.restarts_tried == 0
         assert exact_or_proven.divergences == ()
+        assert exact_or_proven.restart_iterations == ()
 
 
 @pytest.mark.parametrize("failing, raised", [(0, True), (3, True),
@@ -147,6 +150,7 @@ def test_failed_restart_is_raised_only_when_reached(monkeypatch, failing,
         # restarts after the certified one (4) are never examined
         report = consistency_check(target, r2=3, seed=0)
         assert report.divergences == expected.divergences
+        assert report.restart_iterations == expected.restart_iterations
         assert np.array_equal(report.witness.a, expected.witness.a)
         assert np.array_equal(report.witness.b, expected.witness.b)
 

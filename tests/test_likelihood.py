@@ -327,3 +327,34 @@ def test_non_integer_or_negative_counts_and_seeds_are_invalid(call, kwargs, mess
     }
     with pytest.raises(InvalidParameter, match=f"^{re.escape(message)}$"):
         calls[call](**kwargs)
+
+
+@pytest.mark.parametrize("tol, shown", [
+    (True, "True"), (False, "False"), ("x", "'x'"), ("1e-8", "'1e-8'"),
+    (None, "None"), (1j, "1j"), (np.float64("nan"), "nan"),
+    (math.inf, "inf"), (np.float64(-1.0), "-1.0"), (0, "0.0"),
+    (10 ** 400, repr(10 ** 400)),
+])
+@pytest.mark.parametrize("call", ["em_fit_details", "consistency_check"])
+def test_tol_must_be_a_finite_positive_real(call, tol, shown):
+    # one rule for tol: a bool or a non-real is refused like a non-finite
+    # or nonpositive real, and a real shows as a plain float
+    params = seeded_chain((3, 2, 3), 7)
+    counts = counts_from(params, 200, 7)
+    message = f"tol must be a positive real, got {shown}"
+    with pytest.raises(InvalidParameter, match=f"^{re.escape(message)}$"):
+        if call == "em_fit_details":
+            em_fit_details(counts, params.shape, tol=tol)
+        else:
+            consistency_check(seeded_marginal((4, 4), 7), 3, tol=tol)
+
+
+@pytest.mark.parametrize("tol", [1, np.float32(1e-3), np.int64(1)])
+def test_tol_takes_numpy_and_integer_reals(tol):
+    params = seeded_chain((3, 2, 3), 7)
+    counts = counts_from(params, 200, 7)
+    fit = em_fit_details(counts, params.shape, maxiter=5, tol=tol)
+    assert fit.iterations <= 5
+    report = consistency_check(seeded_marginal((4, 4), 7), 3, tol=tol,
+                               restarts=2, maxiter=5)
+    assert report.tol == tol

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,9 @@ from latentgeom import (
     DimsCase,
     InvalidParameter,
     JointTable,
+    LambdaField,
     MarginalTable,
+    MixingMatrix,
     Shape,
     ci_residuals,
     dims,
@@ -51,6 +55,28 @@ def test_table_shapes_are_integers_not_truncated(shape):
         MarginalTable(shape, cells)
     with pytest.raises(InvalidParameter, match="shape must be two integers"):
         CountTable(shape, np.ones((2, 3), dtype=int))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: ChainParams(Shape(2, 2, 2), [0.5, 0.5], [[0.5, 0.4], [0.5, 0.5]],
+                         [[0.5, 0.5]] * 2), "row 0 of a sums to 0.9, not 1"),
+    (lambda: ChainParams(Shape(2, 2, 2), [0.5, 0.5], [[1.25, -0.25]] * 2,
+                         [[0.5, 0.5]] * 2), "a(0, 1) is negative: -0.25"),
+    (lambda: MarginalTable((2, 2), [[0.75, -0.25], [0.25, 0.25]]),
+     "cell (0, 1) is negative: -0.25"),
+    (lambda: MixingMatrix([[0.5, 0.4], [0.2, 0.8]]),
+     "row 0 of q sums to 0.9, not 1"),
+    (lambda: LambdaField(Shape(2, 2, 2), np.full((2, 2, 2), 0.25)),
+     "lambda slice (0, 0) sums to 0.5"),
+    (lambda: LambdaField(Shape(2, 2, 2), np.full((2, 2, 2), 1.5)),
+     "values(0, 0, 0) = 1.5 outside [0, 1]"),
+], ids=["a-row-sum", "a-negative", "cell-negative", "q-row-sum",
+        "lambda-slice-sum", "lambda-outside"])
+def test_value_messages_print_plain_floats(build, message):
+    # an entry or a sum read from an array is a numpy float; messages show
+    # its value (0.9), not its repr (np.float64(0.9))
+    with pytest.raises(InvalidParameter, match=f"^{re.escape(message)}$"):
+        build()
 
 
 def test_table_shapes_take_numpy_integers():
