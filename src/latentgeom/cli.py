@@ -115,8 +115,11 @@ def _render_json(obj, indent: int = 0) -> str:
 def _emit(text: str, output: str | None) -> None:
     if output is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(output).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise CliFileError(f"{output}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -76,6 +76,8 @@ def diagonal_marginal(r1: int, r3: int) -> MarginalTable:
     variable exactly when r2 >= r1; the witness is the chain that copies
     Y1 into Y2 into Y3.
     """
+    _check_count("r1", r1, 1)
+    _check_count("r3", r3, 1)
     if r3 < r1:
         raise InvalidParameter(f"requires r3 >= r1, got ({r1}, {r3})")
     return MarginalTable((r1, r3), np.eye(r1, r3) / r1)

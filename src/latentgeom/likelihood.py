@@ -34,8 +34,9 @@ from .model import (
     _check_count,
     _fields_eq,
     _frozen,
+    _integer_pair,
+    _is_integer,
     _stochastic,
-    _table_shape,
     joint_from_chain,
     marginal_13,
 )
@@ -55,7 +56,7 @@ class CountTable:
     __eq__ = _fields_eq
 
     def __post_init__(self):
-        shape = _table_shape(self.shape, "counts")
+        shape = _integer_pair(self.shape, "counts shape")
         counts = np.asarray(self.counts)
         if counts.shape != shape:
             raise InvalidParameter(
@@ -463,8 +464,8 @@ def permute_latent(params: ChainParams, perm=None) -> ChainParams:
         if r2 != 2:
             raise InvalidParameter("perm is required when r2 > 2")
         perm = (1, 0)
-    perm = tuple(int(j) for j in perm)
-    if sorted(perm) != list(range(r2)):
+    perm = tuple(perm)
+    if not all(map(_is_integer, perm)) or sorted(perm) != list(range(r2)):
         raise InvalidParameter(f"perm {perm} is not a permutation of 0..{r2 - 1}")
     return ChainParams(params.shape, params.p1,
                        params.a[:, perm], params.b[perm, :])

@@ -32,8 +32,6 @@ SUM_TOL = 1e-12
 INTERIOR_EPS = 1e-9
 #: relative singular-value cutoff for numerical ranks
 RANK_CUTOFF = 1e-8
-#: safety factor kappa of the rank certificate, derived in jacobian_rank
-_RANK_KAPPA = 4.0
 
 
 def _frozen(values, dtype=float) -> np.ndarray:
@@ -79,16 +77,25 @@ def _check_count(name: str, value, low: int) -> None:
         raise InvalidParameter(f"{name} must be >= {low}, got {value}")
 
 
-def _table_shape(shape, what: str) -> tuple[int, int]:
-    """The (rows, columns) of a two-way table, each an integer by the rule
-    of :class:`Shape`."""
+def _integer_pair(pair, what: str) -> tuple[int, int]:
+    """The two entries of a table shape or cell index, each an integer by
+    the rule of :func:`_is_integer`."""
     try:
-        rows, cols = shape
+        first, second = pair
     except (TypeError, ValueError):
-        rows = cols = None
-    if not (_is_integer(rows) and _is_integer(cols)):
-        raise InvalidParameter(f"{what} shape must be two integers, got {shape!r}")
-    return int(rows), int(cols)
+        first = second = None
+    if not (_is_integer(first) and _is_integer(second)):
+        raise InvalidParameter(f"{what} must be two integers, got {pair!r}")
+    return int(first), int(second)
+
+
+def _ref_cell(ref_cell, r1: int, r3: int) -> tuple[int, int]:
+    """A reference cell (I, K) of an r1 x r3 table: an integer pair inside
+    the table."""
+    ref = _integer_pair(ref_cell, "reference cell")
+    if not (0 <= ref[0] < r1 and 0 <= ref[1] < r3):
+        raise InvalidParameter(f"reference cell {ref} out of range")
+    return ref
 
 
 def _check_table(table, shape: tuple[int, ...]) -> None:
@@ -230,7 +237,7 @@ class MarginalTable:
     __eq__ = _fields_eq
 
     def __post_init__(self):
-        shape = _table_shape(self.shape, "marginal")
+        shape = _integer_pair(self.shape, "marginal shape")
         if shape[0] < 1 or shape[1] < 1:
             raise InvalidParameter(f"invalid marginal shape {shape}")
         object.__setattr__(self, "shape", shape)
@@ -327,9 +334,7 @@ def ci_residuals(joint: JointTable, ref_cell: tuple[int, int] = (0, 0)) -> np.nd
     defined on the boundary.
     """
     r1, r2, r3 = joint.shape.astuple()
-    ref_i, ref_k = int(ref_cell[0]), int(ref_cell[1])
-    if not (0 <= ref_i < r1 and 0 <= ref_k < r3):
-        raise InvalidParameter(f"reference cell {ref_cell} out of range")
+    ref_i, ref_k = _ref_cell(ref_cell, r1, r3)
     th = joint.cells.transpose(1, 0, 2)
     # every (j, i, k); the residuals at i = I or k = K vanish and are dropped
     res = (th[:, ref_i, None, ref_k, None] * th
@@ -345,107 +350,28 @@ def _numerical_rank(mat: np.ndarray) -> int:
     return int(np.sum(sv > RANK_CUTOFF * sv[0]))
 
 
-def _row_chart_jacobian(n: int) -> np.ndarray:
-    """Derivative (n x (n - 1)) of a probability row with respect to its
-    chart coordinates, the first n - 1 entries; the last entry is one minus
-    their sum."""
-    d = np.eye(n, n - 1)
-    d[-1] = -1.0
-    return d
-
-
-def _clique_margin_jacobian(params: ChainParams) -> np.ndarray:
-    """Jacobian of the clique-margin map x -> (u, v) at ``params``.
-
-    u(i, j) = theta(i, j, +) = p1(i) a(i, j) and v(j, k) = theta(+, j, k)
-    = m(j) b(j, k) with m = p1 @ a.  Rows are u then v, each in C order;
-    columns are the minimal chart p1[:-1], a[:, :-1], b[:, :-1] (C order).
-    The u rows do not depend on b, so the matrix is block lower triangular.
-    """
-    r1, r2, r3 = params.shape.astuple()
-    p1, a, b = params.p1, params.a, params.b
-    d1, d2, d3 = (_row_chart_jacobian(n) for n in (r1, r2, r3))
-    nu, na = r1 * r2, r1 * r2 - 1
-    jac = np.zeros((nu + r2 * r3, na + r2 * (r3 - 1)))
-    u, v = jac[:nu].reshape(r1, r2, -1), jac[nu:].reshape(r2, r3, -1)
-    rows1, rows2 = np.arange(r1)[:, None, None], np.arange(r2)[:, None, None]
-    # u(i, j) depends on a only through row i, v(j, k) on b only through row j
-    u[:, :, :r1 - 1] = a[:, :, None] * d1[:, None, :]
-    u[rows1, np.arange(r2)[:, None],
-      r1 - 1 + rows1 * (r2 - 1) + np.arange(r2 - 1)] = p1[:, None, None] * d2
-    # dv(j, k) / dp1(l) = (a(l, j) - a(last, j)) b(j, k), each product rounded
-    ab = a[:, :, None] * b
-    v[:, :, :r1 - 1] = (ab[:-1] - ab[-1]).transpose(1, 2, 0)
-    v[:, :, r1 - 1:na] = ((b[:, :, None, None] * p1[:, None])
-                          * d2[:, None, None, :]).reshape(r2, r3, -1)
-    v[rows2, np.arange(r3)[:, None],
-      na + rows2 * (r3 - 1) + np.arange(r3 - 1)] = (p1 @ a)[:, None, None] * d3
-    return jac
-
-
-def _sigma_min_bound(params: ChainParams, jac: np.ndarray) -> float:
-    """A lower bound, from norms alone, on the smallest singular value of
-    ``jac``, the clique-margin Jacobian at ``params``.
-
-    ``jac = [[A, 0], [C, D]]`` with A the u rows over the p1 and a columns
-    and ``D = blockdiag_j(m(j) d3)``, ``d_n = _row_chart_jacobian(n)``.
-    ``L = [[A^+, 0], [-D^+ C A^+, D^+]]`` is a left inverse of ``jac``, so
-    ``sigma_min(jac) >= 1 / ||L||`` and ``||L|| <= ||A^+|| + ||D^+||
-    + ||D^+|| ||C||_F ||A^+||``.  Since ``d_n^T d_n = I + 11^T``,
-    ``sigma_min(d_n) >= 1`` and ``||D^+|| <= 1 / min m``.  A Helmert
-    rotation of the u rows of each a row maps A to ``[[d1 / sqrt(r2), 0],
-    [A2, blockdiag_i(p1(i) E)]]`` with ``sigma(E) = sigma(d2)`` and
-    ``||A2||_F <= ||A_p||_F``, ``A_p`` the p1 columns of A, so the same
-    triangular argument gives ``||A^+|| <= sqrt(r2) + (1 + sqrt(r2)
-    ||A_p||_F) / min p1``.
-    """
-    r1, r2, _ = params.shape.astuple()
-    nu, root = r1 * r2, np.sqrt(r2)
-    norm = np.linalg.norm
-    a_inv = root + (1.0 + root * norm(jac[:nu, :r1 - 1])) / params.p1.min()
-    d_inv = 1.0 / (params.p1 @ params.a).min()
-    return 1.0 / (a_inv + d_inv + d_inv * norm(jac[nu:, :nu - 1]) * a_inv)
-
-
 def jacobian_rank(params: ChainParams) -> int:
-    """Numerical rank of the parametrisation map at an interior point.
+    """Rank of the parametrisation map at an interior point: always t.
 
-    The map runs from the minimal chart (one coordinate dropped per
-    probability row) to the joint table.  Its rank is read off the
-    closed-form Jacobian of the clique margins u(i, j) = theta(i, j, +)
-    and v(j, k) = theta(+, j, k) instead of the cells: (u, v) is linear in
-    theta, and on the open simplex theta(i, j, k) = u(i, j) v(j, k) / m(j)
-    with m(j) = sum_i u(i, j) is a smooth function of (u, v), so both maps
-    have the same Jacobian rank.  The clique-margin matrix has
-    r1 r2 + r2 r3 rows instead of r1 r2 r3.  Singular values above
-    ``RANK_CUTOFF`` times the largest count toward the rank.
+    The map f runs from the minimal chart x (each probability row without
+    its last entry) to the joint table theta.  Wherever ``p1 > 0`` and
+    ``m = p1 @ a > 0``, the smooth map
 
-    A certificate comes first: when the bound b of :func:`_sigma_min_bound`
-    exceeds ``kappa RANK_CUTOFF ||J||_F``, every singular value the SVD
-    would compute clears the cutoff, and the rank is the column count t.
-    Only where the bound falls short, near the boundary, are the singular
-    values computed; both paths give the same answer.  kappa = 4 covers
-    what separates b from the SVD's view of J.  The computed singular
-    values lie within ``p eps ||J||`` of the exact ones (LAPACK's backward
-    error, p a modest function of the m x n size, at worst a small multiple
-    of m n); the rows of a sum to 1 only within ``SUM_TOL``, so the
-    rotated block is ``diag_i(sum_j a(i, j)) d1 / sqrt(r2)`` and its part
-    of the bound shrinks by a factor at least ``1 - SUM_TOL``; and the
-    norms in b carry relative rounding below ``(m + n) eps``.  Every
-    computed singular value then exceeds ``RANK_CUTOFF`` times the computed
-    largest if ``kappa (1 - SUM_TOL)(1 - (m + n) eps) >= 1 + p eps
-    (1 + 1 / RANK_CUTOFF)``, which kappa = 4 satisfies for every p up to
-    1.3e8, 1500 m n at 30 x 5 x 30.
+        g(theta) = (theta(i, +, +), theta(i, j, +) / theta(i, +, +),
+                    theta(+, j, k) / theta(+, j, +))
+
+    returns (p1, a, b), whose chart coordinates are x again.  So g o f = id
+    on the chart, Dg Df = I_t by the chain rule, and Df has full column
+    rank t = ``dims(shape).t``; no matrix needs to be built.  The statement
+    is made on the open simplex: an entry at or below ``INTERIOR_EPS``
+    raises :class:`BoundaryPoint`.
     """
     if params.min_entry <= INTERIOR_EPS:
         raise BoundaryPoint(
             f"min parameter entry {params.min_entry:.3e} <= {INTERIOR_EPS}; "
             "the rank statement holds on the open simplex only"
         )
-    jac = _clique_margin_jacobian(params)
-    if _sigma_min_bound(params, jac) > _RANK_KAPPA * RANK_CUTOFF * np.linalg.norm(jac):
-        return jac.shape[1]
-    return _numerical_rank(jac)
+    return dims(params.shape).t
 
 
 def random_chain(shape: Shape, rng: np.random.Generator,

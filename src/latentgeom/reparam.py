@@ -46,6 +46,8 @@ from .model import (
     Shape,
     _fields_eq,
     _frozen,
+    _integer_pair,
+    _ref_cell,
     marginal_13,
 )
 
@@ -161,10 +163,8 @@ class CrossRatios:
     __eq__ = _fields_eq
 
     def __post_init__(self):
-        r1, r3 = (int(self.marginal_shape[0]), int(self.marginal_shape[1]))
-        ref = (int(self.ref_cell[0]), int(self.ref_cell[1]))
-        if not (0 <= ref[0] < r1 and 0 <= ref[1] < r3):
-            raise InvalidParameter(f"reference cell {ref} out of range")
+        r1, r3 = _integer_pair(self.marginal_shape, "marginal shape")
+        ref = _ref_cell(self.ref_cell, r1, r3)
         values = np.asarray(self.values, dtype=float)
         if values.shape != (r1 - 1, r3 - 1):
             raise InvalidParameter(
@@ -217,9 +217,7 @@ def cross_ratios(marginal: MarginalTable,
     involved in a ratio (in practice: any cell of the table) is zero.
     """
     r1, r3 = marginal.shape
-    ref_i, ref_k = int(ref_cell[0]), int(ref_cell[1])
-    if not (0 <= ref_i < r1 and 0 <= ref_k < r3):
-        raise InvalidParameter(f"reference cell {ref_cell} out of range")
+    ref_i, ref_k = _ref_cell(ref_cell, r1, r3)
     d = marginal.cells
     zero = np.argwhere(d == 0.0)
     if zero.size:

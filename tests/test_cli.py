@@ -84,6 +84,18 @@ def test_unknown_flag_rejected(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("where", ["missing-dir", "directory"])
+def test_unwritable_output_is_a_file_error(capsys, tmp_path, where):
+    target = str(tmp_path / "no" / "such" / "x.json" if where == "missing-dir"
+                 else tmp_path)
+    code = main(["dims", "2", "2", "2", "--output", target])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith(f"latentgeom dims: {target}: ")
+    assert captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv, err", [
     ([], "latentgeom: the following arguments are required: command\n"),
     (["dims", "3", "2"],

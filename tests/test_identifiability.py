@@ -29,6 +29,13 @@ def test_diagonal_marginal_golden():
         diagonal_marginal(3, 2)
 
 
+@pytest.mark.parametrize("r1, r3", [(True, 3), (2.0, 3), (-1, 3), (2, "3"),
+                                    (0, 3)])
+def test_diagonal_marginal_sizes_are_counts(r1, r3):
+    with pytest.raises(InvalidParameter, match="must be"):
+        diagonal_marginal(r1, r3)
+
+
 def test_diagonal_infeasible_at_r2_2_proven_by_rank():
     report = consistency_check(diagonal_marginal(3, 3), r2=2)
     assert not report.feasible

@@ -278,6 +278,16 @@ def test_permute_latent_general_r2_needs_perm():
     assert np.array_equal(back.a, params.a)
 
 
+@pytest.mark.parametrize("perm", [(1.7, 0.2), (True, False), "10", (1.0, 0)])
+def test_permute_latent_perm_entries_are_integers(perm):
+    # not read by int(): each of these would swap the two labels
+    params = seeded_chain((3, 2, 3), 51)
+    with pytest.raises(InvalidParameter, match="is not a permutation"):
+        permute_latent(params, perm)
+    swapped = permute_latent(params, np.array([1, 0]))
+    assert np.array_equal(swapped.a, permute_latent(params).a)
+
+
 def test_fiber_solution_pair_maps_under_label_swap():
     # the label swap sends solutions at (z, c1, c2) to solutions at
     # (z, 1-c1, 1-c2), coordinatewise 1 - x

@@ -143,6 +143,22 @@ def test_named_cross_ratios_require_3x3():
         cross_ratios(marg).z1
 
 
+@pytest.mark.parametrize("ref_cell", [(0.9, 1.5), (1, 2.0), (False, 1), "12"])
+def test_cross_ratios_ref_cell_is_an_integer_pair(ref_cell):
+    marg = seeded_marginal((3, 3), 3)
+    with pytest.raises(InvalidParameter, match="reference cell must be two integers"):
+        cross_ratios(marg, ref_cell)
+    with pytest.raises(InvalidParameter, match="reference cell must be two integers"):
+        CrossRatios((3, 3), ref_cell, np.ones((2, 2)))
+    assert cross_ratios(marg, (np.int64(1), 2)) == cross_ratios(marg, (1, 2))
+
+
+@pytest.mark.parametrize("shape", [(3.0, 3), (3, 3.9), ("3", 3), (True, 3)])
+def test_cross_ratios_marginal_shape_is_an_integer_pair(shape):
+    with pytest.raises(InvalidParameter, match="marginal shape must be two integers"):
+        CrossRatios(shape, (0, 0), np.ones((2, 2)))
+
+
 # ---------------------------------------------------------------- binary solve
 
 def test_binary_fiber_solve_reference_point():
