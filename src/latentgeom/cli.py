@@ -28,7 +28,10 @@ table of consistency and emfit, and fig3 --samples, fiber --n and profile
 --steps: past it a file's counts table is exit 3, anything else exit 2.
 
 :func:`main` may be called repeatedly in one process; the argument parser
-is built on the first call and shared by the later ones.
+is built on the first call and shared by the later ones.  The module
+imports only :mod:`model` and :mod:`errors`; each subcommand imports the
+rest of what it uses when it runs, so a start of ``dims`` loads no EM,
+fiber or reparametrisation code.
 """
 
 from __future__ import annotations
@@ -40,10 +43,11 @@ import math
 import re
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import identifiability, likelihood, model, reparam
+from . import model
 from .errors import (
     GeometryError,
     InvalidParameter,
@@ -51,7 +55,10 @@ from .errors import (
     PathExitsPolytope,
     ZeroCell,
 )
-from .fiber import MixingMatrix, extreme_mixings, sample_fiber
+
+if TYPE_CHECKING:
+    from .fiber import MixingMatrix
+    from .likelihood import CountTable
 
 USAGE_ERROR = 2
 FILE_ERROR = 3
@@ -186,6 +193,7 @@ def _marginal(data: _Fields) -> model.MarginalTable:
 
 
 def _q(data: _Fields) -> MixingMatrix:
+    from .fiber import MixingMatrix
     return MixingMatrix(np.asarray(data["q"], dtype=float))
 
 
@@ -203,9 +211,10 @@ def _check_length(flag: str, value: int) -> None:
         raise CliUsageError(f"{flag} must be at most {MAX_COUNT_CELLS}, got {value}")
 
 
-def load_counts(path: str, shape: tuple[int, int] | None = None) -> likelihood.CountTable:
+def load_counts(path: str, shape: tuple[int, int] | None = None) -> CountTable:
     """Counts CSV with header ``i,k,count`` and 1-based indices; without
     ``shape``, the largest i and k listed give the table's size."""
+    from .likelihood import CountTable
     lines = _read(path).splitlines()
     rows: list[tuple[int, int, int]] = []
     body = [ln.strip() for ln in lines if ln.strip() and not ln.startswith("#")]
@@ -241,7 +250,7 @@ def load_counts(path: str, shape: tuple[int, int] | None = None) -> likelihood.C
             seen.add((i, k))
             # a count beyond int64 raises OverflowError
             counts[i - 1, k - 1] = c
-        return likelihood.CountTable(shape, counts)
+        return CountTable(shape, counts)
     except (InvalidParameter, OverflowError) as exc:
         raise CliFileError(f"{path}: {exc}") from exc
 
@@ -269,6 +278,7 @@ def cmd_dims(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
+    from . import reparam
     source = _load(args.file,
                    lambda data: (_model if "p1" in data else _joint)(data))
     if isinstance(source, model.ChainParams):
@@ -316,6 +326,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_fig3(args: argparse.Namespace) -> int:
+    from . import reparam
     z, c1, c2 = args.z, args.c1, args.c2
     # the solver validates z, c1 and c2 before the curves divide by z
     try:
@@ -346,6 +357,7 @@ def cmd_fig3(args: argparse.Namespace) -> int:
 
 
 def cmd_fiber(args: argparse.Namespace) -> int:
+    from .fiber import sample_fiber
     params = _load(args.file, _model)
     _check_length("--n", args.n)
     points = sample_fiber(params, args.n, seed=args.seed)
@@ -354,6 +366,7 @@ def cmd_fiber(args: argparse.Namespace) -> int:
 
 
 def cmd_vertices(args: argparse.Namespace) -> int:
+    from .fiber import extreme_mixings
     params = _load(args.file, _model)
     out = []
     for vertex in extreme_mixings(params, side=args.side):
@@ -372,6 +385,7 @@ def cmd_vertices(args: argparse.Namespace) -> int:
 
 
 def cmd_consistency(args: argparse.Namespace) -> int:
+    from . import identifiability
     path = args.file
     if path.endswith(".csv"):
         counts = load_counts(path)
@@ -400,6 +414,8 @@ def cmd_consistency(args: argparse.Namespace) -> int:
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
+    from . import likelihood
+    from .fiber import extreme_mixings
     params = _load(args.model, _model)
     r1, _, r3 = params.shape.astuple()
     counts = load_counts(args.counts, shape=(r1, r3))
@@ -427,6 +443,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
 
 
 def cmd_emfit(args: argparse.Namespace) -> int:
+    from . import likelihood
     shape = model.Shape(args.r1, args.r2, args.r3)
     if too_large := (_too_many_cells("counts table", shape.r1, shape.r3)
                      or _too_many_cells("joint table", *shape.astuple())):

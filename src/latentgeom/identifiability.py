@@ -22,13 +22,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameter
-from .likelihood import NEG_INF, _check_budget, _em_batch
+from .likelihood import NEG_INF, _at_observed, _check_budget, _em_batch, _observed
 from .model import (
     ChainParams,
     MarginalTable,
     Shape,
     _check_count,
     _numerical_rank,
+    _stochastic,
     joint_from_chain,
     marginal_13,
 )
@@ -88,19 +89,24 @@ def marginal_rank(target: MarginalTable) -> int:
     return _numerical_rank(target.cells)
 
 
+def _kl_rows(target: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """:func:`kl_divergence` of the ``target`` cells to each member of a
+    stack of marginals ``delta`` (K, r1, r3)."""
+    p, gather = _observed(target)
+    q = _at_observed(gather, delta)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kl = np.add.reduce(p * (np.log(p) - np.log(q)), 1)
+        return np.where((q <= 0.0).any(axis=1), np.inf,
+                        np.where(kl > 0.0, kl, 0.0))
+
+
 def kl_divergence(target: MarginalTable, model: MarginalTable) -> float:
     """KL(target || model) over the target's support; +inf on support escape.
 
     Rounding can push the sum of a near-exact fit a few ulps below zero;
     the result is clamped at 0, the divergence's true lower bound.
     """
-    p = target.cells
-    q = model.cells
-    mask = p > 0.0
-    if (q[mask] <= 0.0).any():
-        return float("inf")
-    kl = float(np.sum(p[mask] * (np.log(p[mask]) - np.log(q[mask]))))
-    return max(0.0, kl)
+    return float(_kl_rows(target.cells, model.cells[None])[0])
 
 
 def _exact_witness(target: MarginalTable, r2: int) -> ChainParams:
@@ -168,6 +174,14 @@ def consistency_check(target: MarginalTable, r2: int, restarts: int = 64,
     after the first certified one are never examined, so the report does
     not depend on the blocks.  An EM run whose log-likelihood decreases raises
     :class:`GeometryError` when the reduction reaches it.
+
+    A block's divergences are computed together, on stacks of its
+    renormalised rows, joint tables and marginals, each member with the
+    arithmetic and summation order of ``ChainParams``, ``joint_from_chain``,
+    ``marginal_13`` and :func:`kl_divergence` on its own, and the checks of
+    those value types as one stacked mask each.  Only a new best restart
+    is built as a validated ``ChainParams``; a restart the masks reject is
+    built on its own, which raises the value type's error.
     """
     _check_count("r2", r2, 2)
     _check_count("restarts", restarts, 1)
@@ -199,19 +213,29 @@ def consistency_check(target: MarginalTable, r2: int, restarts: int = 64,
         runs = _em_batch(target.cells, shape,
                          [np.random.default_rng([seed, k]) for k in block],
                          maxiter, tol=1e-12)
-        for r in range(len(block)):
+        n = len(block)
+        p1, a, b = runs.rows()
+        cells = np.einsum("ri,rij,rjk->rijk", p1, a, b)
+        delta = cells.sum(axis=2)
+        ok = (_stochastic(p1[:, None]) & _stochastic(a) & _stochastic(b)
+              & _stochastic(cells.reshape(n, 1, -1))
+              & _stochastic(delta.reshape(n, 1, -1))).tolist()
+        kls = _kl_rows(target.cells, delta).tolist()
+        for r in range(n):
             if r in runs.errors:
                 raise runs.errors[r]
             iterations.append(int(runs.iterations[r]))
             if runs.loglik[r] == NEG_INF:
                 divergences.append(float("inf"))
                 continue
-            params = runs.params(shape, r)
-            kl = kl_divergence(target, marginal_13(joint_from_chain(params)))
+            if not ok[r]:
+                # the masks are exact, so this raises
+                marginal_13(joint_from_chain(runs.params(shape, r)))
+            kl = kls[r]
             divergences.append(kl)
             if kl < best:
                 best = kl
-                witness = params
+                witness = ChainParams(shape, p1[r], a[r], b[r])
             if best < tol:
                 break
         start, size = block.stop, min(2 * size, 64)

@@ -87,6 +87,16 @@ def _observed(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     return weights[observed], None if observed.all() else np.flatnonzero(observed)
 
 
+def _at_observed(gather: np.ndarray | None, delta: np.ndarray) -> np.ndarray:
+    """The cells at the flat indices ``gather`` (all cells if None) of each
+    member of a stack of marginals ``delta`` (K, r1, r3), one row each."""
+    flat = delta.reshape(len(delta), -1)
+    # rows must be C-contiguous: numpy sums a contiguous row pairwise, as
+    # it sums the 1-d terms of a single table, and a strided one in order;
+    # a boolean mask would give strided rows
+    return flat if gather is None else flat.take(gather, axis=1)
+
+
 def _loglik_rows(w_obs: np.ndarray, gather: np.ndarray | None,
                  delta: np.ndarray) -> np.ndarray:
     """Observed-cell log-likelihood sum w log delta of each member of a
@@ -97,11 +107,7 @@ def _loglik_rows(w_obs: np.ndarray, gather: np.ndarray | None,
     -inf exactly when an observed cell has zero probability; the caller
     silences the divide warning of log(0).
     """
-    flat = delta.reshape(len(delta), -1)
-    # rows must be C-contiguous: numpy sums a contiguous row pairwise, as
-    # it sums the 1-d terms of a single run, and a strided one in order
-    terms = flat if gather is None else flat.take(gather, axis=1)
-    return np.add.reduce(w_obs * np.log(terms), 1)
+    return np.add.reduce(w_obs * np.log(_at_observed(gather, delta)), 1)
 
 
 def loglik(counts: CountTable, params: ChainParams) -> float:
@@ -148,12 +154,15 @@ class _EmRuns(NamedTuple):
     converged: np.ndarray    # (R,)
     errors: dict[int, GeometryError]
 
+    def rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The stacks p1, a and b of every restart, rows renormalised."""
+        return (self.p1 / self.p1.sum(axis=1, keepdims=True),
+                self.a / self.a.sum(axis=2, keepdims=True),
+                self.b / self.b.sum(axis=2, keepdims=True))
+
     def params(self, shape: Shape, r: int) -> ChainParams:
         """Chain parameters of restart ``r``, rows renormalised."""
-        p1, a, b = self.p1[r], self.a[r], self.b[r]
-        return ChainParams(shape, p1 / p1.sum(),
-                           a / a.sum(axis=1, keepdims=True),
-                           b / b.sum(axis=1, keepdims=True))
+        return ChainParams(shape, *(rows[r] for rows in self.rows()))
 
 
 def _em_batch(weights: np.ndarray, shape: Shape,
@@ -464,8 +473,10 @@ def permute_latent(params: ChainParams, perm=None) -> ChainParams:
         if r2 != 2:
             raise InvalidParameter("perm is required when r2 > 2")
         perm = (1, 0)
-    perm = tuple(perm)
-    if not all(map(_is_integer, perm)) or sorted(perm) != list(range(r2)):
+    with contextlib.suppress(TypeError):    # a non-iterable stays as given
+        perm = tuple(perm)
+    if not (isinstance(perm, tuple) and all(map(_is_integer, perm))
+            and sorted(perm) == list(range(r2))):
         raise InvalidParameter(f"perm {perm} is not a permutation of 0..{r2 - 1}")
     return ChainParams(params.shape, params.p1,
                        params.a[:, perm], params.b[perm, :])

@@ -57,9 +57,11 @@ def _stochastic(rows: np.ndarray) -> np.ndarray:
     nonnegative and summing to 1 within ``SUM_TOL``; a NaN or an infinity
     fails.  The one probability-row test of the package: the value types
     run it on a stack of one, the stacked fiber walks on many."""
-    # min and max propagate a NaN, which then fails the comparison
+    # min and max propagate a NaN, which then fails the comparison; the
+    # sums run over |rows|, equal to rows wherever the min test passes, so
+    # that a row holding both infinities sums to inf, not with a warning to NaN
     return ((rows.min(axis=(-2, -1)) >= 0.0)
-            & (np.abs(rows.sum(axis=-1) - 1.0).max(axis=-1) <= SUM_TOL))
+            & (np.abs(np.abs(rows).sum(axis=-1) - 1.0).max(axis=-1) <= SUM_TOL))
 
 
 def _is_integer(value) -> bool:

@@ -1,6 +1,22 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 
+import latentgeom
 from latentgeom import ChainParams, JointTable, MarginalTable, Shape, random_chain
+
+
+def run_fresh(*args: str) -> subprocess.CompletedProcess:
+    """``python *args`` in a fresh interpreter that imports the same package
+    as the tests and writes no bytecode, so it compiles what it imports."""
+    package_root = str(Path(latentgeom.__file__).parents[1])
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env, timeout=120)
 
 
 def seeded_chain(shape: tuple[int, int, int], seed: int,

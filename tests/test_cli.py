@@ -11,7 +11,7 @@ from latentgeom import (
 )
 from latentgeom import likelihood
 from latentgeom.cli import main
-from conftest import seeded_chain
+from conftest import run_fresh, seeded_chain
 
 
 @pytest.fixture()
@@ -226,12 +226,15 @@ def test_row_sum_message_prints_a_plain_float(capsys, tmp_path):
     ("model.json", b'{"shape": [3, 2, 3], "p1": [1' + b"0" * 400 + b"]}"),
     ("model.json", b'{"shape": ' + b"[" * 100000 + b"]" * 100000 + b"}"),
     ("counts.csv", b"i,k,count\n1,1,99999999999999999999\n"),
+    ("model.json", b'{"shape": [3, 2, 3], "p1": [Infinity, -Infinity, 1], '
+                   b'"a": [[1, 0], [1, 0], [1, 0]], "b": [[1, 0, 0], [1, 0, 0]]}'),
 ], ids=["not-utf8", "int-too-long", "int-beyond-float", "too-deep",
-        "count-beyond-int64"])
+        "count-beyond-int64", "both-infinities"])
 def test_unreadable_values_are_file_errors(capsys, tmp_path, name, content):
     # bytes that are not UTF-8, integers too long to parse or to convert,
-    # nesting too deep to parse and counts beyond int64 end in exit 3 with
-    # one line naming the file, not in a traceback
+    # nesting too deep to parse, counts beyond int64 and a row holding both
+    # infinities (whose plain sum warns) end in exit 3 with one line naming
+    # the file, not in a traceback
     path = tmp_path / name
     path.write_bytes(content)
     argv = (["vertices", str(path)] if name == "model.json"
@@ -758,3 +761,47 @@ def test_count_totals_past_int64_are_exact(capsys, tmp_path, cells):
     code, out = run(capsys, "consistency", str(path), "--r2", "2")
     assert code == 0
     assert json.loads(out)["feasible"] is True
+
+
+# ---------------------------------------------------------------- fresh starts
+
+#: paths whose handler imports its analysis module when it runs, beyond
+#: those test_acceptance.py's determinism check starts; the last six are
+#: file errors (exit 3) met after the handler's imports
+FRESH_STARTS = {
+    "profile-q": ["profile", "{counts}", "{model}", "--q", "{q}", "--steps", "5"],
+    "check-joint": ["check", "{joint}"],
+    "vertices-b": ["vertices", "{model}", "--side", "b"],
+    "consistency-csv": ["consistency", "{counts}", "--r2", "2"],
+    "consistency-search": ["consistency", "{slack}", "--r2", "3",
+                           "--restarts", "2", "--maxiter", "20"],
+    "check-bad": ["check", "{bad}"],
+    "fiber-bad": ["fiber", "{bad}"],
+    "vertices-bad": ["vertices", "{bad}"],
+    "consistency-bad": ["consistency", "{bad_csv}", "--r2", "2"],
+    "profile-bad": ["profile", "{bad_csv}", "{model}"],
+    "emfit-bad": ["emfit", "{bad_csv}", "3", "2", "3"],
+}
+
+
+@pytest.mark.parametrize("case", FRESH_STARTS)
+def test_fresh_start_matches_in_process(capsys, tmp_path, model_file,
+                                        counts_file, slack_file, case):
+    joint = tmp_path / "joint.json"
+    joint.write_text(json.dumps({"shape": [2, 2, 2],
+                                 "cells": [0.5, 0, 0, 0, 0, 0.5, 0, 0]}))
+    q = tmp_path / "q.json"
+    q.write_text(json.dumps({"q": [[0.9, 0.1], [0.2, 0.8]]}))
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    bad_csv = tmp_path / "bad.csv"
+    bad_csv.write_text("i,j,count\n1,1,1\n")
+    files = {"model": model_file[0], "counts": counts_file, "slack": slack_file,
+             "joint": joint, "q": q, "bad": bad, "bad_csv": bad_csv}
+    argv = [arg.format(**files) for arg in FRESH_STARTS[case]]
+    code = main(argv)
+    captured = capsys.readouterr()
+    fresh = run_fresh("-m", "latentgeom", *argv)
+    assert (fresh.returncode, fresh.stdout, fresh.stderr) == (
+        code, captured.out, captured.err)
+    assert code == (3 if case.endswith("-bad") else 0)

@@ -162,6 +162,27 @@ def test_failed_restart_is_raised_only_when_reached(monkeypatch, failing,
         assert np.array_equal(report.witness.b, expected.witness.b)
 
 
+def test_restart_the_stacked_checks_reject_raises_the_value_type_error(
+        monkeypatch):
+    # restart 1 gets a negative p1 entry: its marginal leaves the support,
+    # so it is no new best, and it still raises what its ChainParams raises
+    slack = np.array([[0, 1, 0, 1], [1, 0, 0, 1], [1, 0, 1, 0], [0, 1, 1, 0]])
+    target = MarginalTable((4, 4), slack / slack.sum())
+    real = identifiability._em_batch
+    done = [0]
+
+    def corrupting_batch(weights, shape, rngs, maxiter, tol):
+        runs = real(weights, shape, rngs, maxiter, tol)
+        if done[0] <= 1 < done[0] + len(rngs):
+            runs.p1[1 - done[0]] = [-1.0, 2.0, 1.0, 1.0]
+        done[0] += len(rngs)
+        return runs
+
+    monkeypatch.setattr(identifiability, "_em_batch", corrupting_batch)
+    with pytest.raises(InvalidParameter, match=r"p1\(0, 0\) is negative"):
+        consistency_check(target, r2=3, restarts=3, maxiter=5)
+
+
 def test_rank_one_target_puts_every_row_on_one_vertex():
     # dyadic cells: every conditional row is exactly the same, span = 0
     target = MarginalTable((4, 5), np.outer([0.125, 0.125, 0.25, 0.5],

@@ -1,0 +1,81 @@
+"""What a fresh interpreter loads: ``import latentgeom`` loads only the
+errors module, and every other public name is imported on first access."""
+
+import json
+
+import pytest
+
+from conftest import run_fresh
+from test_model import PUBLIC_NAMES
+
+SUBMODULES = ("model", "fiber", "likelihood", "identifiability", "reparam")
+
+#: appended to a fresh script: print the package modules it loaded
+REPORT = ("\nimport json, sys\nprint(json.dumps(sorted("
+          "m for m in sys.modules if m.startswith('latentgeom'))))")
+
+
+def loaded_by(script: str) -> list[str]:
+    proc = run_fresh("-c", script + REPORT)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_import_loads_only_errors():
+    assert loaded_by("import latentgeom") == ["latentgeom", "latentgeom.errors"]
+
+
+def test_dims_adds_only_cli_and_model():
+    assert loaded_by("from latentgeom import cli\n"
+                     "assert cli.main(['dims', '3', '2', '3']) == 0") == [
+        "latentgeom", "latentgeom.cli", "latentgeom.errors", "latentgeom.model"]
+
+
+def test_module_start_of_dims_loads_only_cli_and_model():
+    # what ``python -m latentgeom dims 3 2 3`` runs, then the modules left
+    script = ("import runpy, sys\n"
+              "sys.argv = ['latentgeom', 'dims', '3', '2', '3']\n"
+              "try:\n"
+              "    runpy.run_module('latentgeom', run_name='__main__')\n"
+              "except SystemExit as exc:\n"
+              "    assert exc.code == 0, exc.code\n")
+    assert loaded_by(script) == [
+        "latentgeom", "latentgeom.cli", "latentgeom.errors", "latentgeom.model"]
+
+
+def test_every_public_name_and_submodule_resolves():
+    script = f"""
+import sys
+import latentgeom
+assert set(latentgeom.__all__) <= set(dir(latentgeom))
+for name in {sorted(PUBLIC_NAMES)!r}:
+    value = getattr(latentgeom, name)
+    # the object its defining module holds, cached in the package
+    assert getattr(sys.modules[value.__module__], name) is value, name
+    assert vars(latentgeom)[name] is value, name
+for module in {SUBMODULES!r}:
+    assert getattr(latentgeom, module) is sys.modules['latentgeom.' + module]
+assert not hasattr(latentgeom, 'cli') and not hasattr(latentgeom, 'frobnicate')
+from latentgeom import cli
+assert latentgeom.cli is cli
+"""
+    assert loaded_by(script) == [
+        "latentgeom", *(f"latentgeom.{m}" for m in sorted(
+            ["cli", "errors", *SUBMODULES]))]
+
+
+def test_star_import_binds_exactly_all():
+    script = """
+namespace = {}
+exec('from latentgeom import *', namespace)
+import latentgeom
+assert set(namespace) - {'__builtins__'} == set(latentgeom.__all__)
+"""
+    assert "latentgeom.reparam" in loaded_by(script)
+
+
+def test_unknown_name_is_an_attribute_error():
+    import latentgeom
+    with pytest.raises(AttributeError, match="has no attribute 'frobnicate'"):
+        latentgeom.frobnicate
+    assert latentgeom.__all__ == sorted(PUBLIC_NAMES)

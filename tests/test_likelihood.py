@@ -278,9 +278,11 @@ def test_permute_latent_general_r2_needs_perm():
     assert np.array_equal(back.a, params.a)
 
 
-@pytest.mark.parametrize("perm", [(1.7, 0.2), (True, False), "10", (1.0, 0)])
+@pytest.mark.parametrize("perm", [(1.7, 0.2), (True, False), "10", (1.0, 0),
+                                  5, 2.0])
 def test_permute_latent_perm_entries_are_integers(perm):
-    # not read by int(): each of these would swap the two labels
+    # not read by int(): each of the first four would swap the two labels;
+    # the last two are no sequence of labels at all
     params = seeded_chain((3, 2, 3), 51)
     with pytest.raises(InvalidParameter, match="is not a permutation"):
         permute_latent(params, perm)
