@@ -14,6 +14,7 @@ min(r1, r3) < r2 < max(r1, r3); see :func:`fiber_dimension`.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -43,11 +44,15 @@ from .model import (
 CLAMP_EPS = 1e-12
 #: |det| at or below this counts as singular
 DET_EPS = 1e-12
-#: attempts :func:`sample_fiber` evaluates in one stacked kernel call
+#: attempts :func:`sample_fiber` evaluates in one stacked kernel call at
+#: r2 >= 3, and the fewest proposals it draws at once at r2 = 2
 _BLOCK = 8
+#: the most proposals :func:`sample_fiber` draws at once at r2 = 2
+_DRAWS = 1024
 #: step-size factor of :func:`sample_fiber` after a rejection
 _SHRINK = 2.0 ** (-1.0 / 3.0)
-#: float64 machine epsilon, the unit of :func:`_point`'s row-sum bound
+#: float64 machine epsilon, the unit of the rounding bounds of :func:`_point`
+#: and :func:`_binary_verdict`
 _EPS = float(np.finfo(float).eps)
 
 
@@ -349,36 +354,102 @@ def extreme_mixings(params: ChainParams, side: str = "a") -> list[ExtremeMixing]
     ]
 
 
-def sample_fiber(params: ChainParams, n: int, seed: int = 0) -> list[ChainParams]:
-    """Draw n points of the fiber through ``params`` by rejection.
-
-    Proposals are q = I + t M with M a seeded standard-normal matrix
-    recentred to zero row sums; t adapts towards roughly 25% acceptance
-    (doubled on acceptance, shrunk by 2^(-1/3) on rejection).  If fewer
-    than n points are accepted within the cap of max(200, 100 n) attempts,
-    a :class:`RejectionStall` warning reports the acceptance rate and the
-    accepted points are returned as-is.
-
-    Attempts are evaluated in blocks of 8 by one stacked call of the mixing
-    kernel, at the step sizes t, t 2^(-1/3), ... they would have if all of
-    them were rejected.  The block is kept up to its first accepted attempt
-    and the rest is discarded, its normal draws kept for the next block, so
-    the points, the attempt count and any error are exactly those of
-    proposing one attempt at a time.
+def _binary_verdict(params: ChainParams):
+    """``verdict(pi, q01, rho, q11)`` is ``_mix(params, q[None]).valid[0]``
+    for q = [[pi, q01], [rho, q11]] with row sums within ``SUM_TOL``, or None
+    where these bounds (eps = ``_EPS``; each band over twice its bound, to
+    cover its own rounding) cannot tell.  Row i of a' is
+    (c_i - rho, pi - c_i) / (pi - rho) for c = a[:, 0]: rounded subtraction
+    and division are monotone, so its least entry is bitwise the least of
+    the four values at min(c) and max(c).  An entry x b_0k + y b_1k of q b
+    is within (1 + eps) eps (|x| + |y|) of exact here and in the kernel,
+    fused or not (0 <= b <= 1).  The kernel's det is
+    sign * exp(log|u_00| + log|u_11|) of an LU: with pivot row 0,
+    u_11 = q11 - (rho / pi) q01 takes at most four roundings, so pi u_11 is
+    within eps/2 |det q| + 1.51 eps |q01 rho| of det q (pivot row 1 swaps
+    the products), and the logs and the exp, an ulp each with |log| < 745,
+    add under 2300 eps relatively; d = pi q11 - q01 rho is within
+    eps/2 (s + |d|) of det q, for s = |pi q11| + |q01 rho|.  A singular q
+    fails too, so a certain clamp failure settles the verdict.
     """
-    _check_count("n", n, 0)
-    _check_count("seed", seed, 0)
-    if params.min_entry <= 0.0:
-        raise BoundaryPoint("fiber sampling requires interior parameters")
+    col = params.a[:, 0]
+    c_lo, c_hi = float(col.min()), float(col.max())
+    b_cols = list(zip(*params.b.tolist()))
+
+    def verdict(pi: float, q01: float, rho: float, q11: float) -> bool | None:
+        den = pi - rho
+        if den == 0.0:
+            return None
+        if min((c_lo - rho) / den, (c_hi - rho) / den,
+               (pi - c_lo) / den, (pi - c_hi) / den) < -CLAMP_EPS:
+            return False
+        low = math.inf
+        for x, y in b_cols:
+            low = min(low, pi * x + q01 * y, rho * x + q11 * y)
+        band = 8.0 * _EPS * (abs(pi) + abs(q01) + abs(rho) + abs(q11))
+        if low + band < -CLAMP_EPS:
+            return False
+        s, d = abs(pi * q11) + abs(q01 * rho), abs(pi * q11 - q01 * rho)
+        # True where both clamps pass and |det| > DET_EPS for certain
+        return (low - band >= -CLAMP_EPS
+                and d - _EPS * (8.0 * s + 8192.0 * d) > DET_EPS) or None
+
+    return verdict
+
+
+def _binary_walk(params: ChainParams, n: int, rng: np.random.Generator,
+                 cap: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """:func:`sample_fiber`'s walk at r2 = 2: returns the unclamped a' and
+    b' of the accepted proposals, stacked by one kernel call, and the
+    attempt count.  q is ``eye + t * draw`` by the same operations, up to
+    the sign of a zero off the diagonal, which nothing in the kernel sees.
+    """
+    verdict = _binary_verdict(params)
+    draws: list[list[float]] = []
+    accepted: list[tuple[float, ...]] = []
+    t, attempts = 0.5, 0
+    while len(accepted) < n and attempts < cap:
+        if not draws:
+            # about what the rest needs at the walk's 25% acceptance
+            size = min(4 * (n - len(accepted)) + _BLOCK, _DRAWS)
+            fresh = rng.standard_normal((size, 2, 2))
+            fresh -= fresh.mean(axis=2, keepdims=True)
+            draws = fresh.reshape(size, 4).tolist()[::-1]    # popped in order
+        d00, d01, d10, d11 = draws.pop()
+        attempts += 1
+        q = (1.0 + t * d00, t * d01, t * d10, 1.0 + t * d11)
+        if not (abs((q[0] + q[1]) - 1.0) <= SUM_TOL
+                and abs((q[2] + q[3]) - 1.0) <= SUM_TOL):
+            MixingMatrix(np.reshape(q, (2, 2)))    # raises InvalidParameter
+        ok = verdict(*q)
+        if ok is None:
+            ok = bool(_mix(params, np.reshape(q, (1, 2, 2))).valid[0])
+        if ok:
+            accepted.append(q)
+            t = min(t * 2.0, 4.0)
+        else:
+            t = max(t * _SHRINK, 1e-8)
+    mixed = _mix(params, np.reshape(accepted, (-1, 2, 2)))
+    if not mixed.valid.all():
+        raise RuntimeError("the mixing kernel rejects an accepted proposal")
+    return mixed.a, mixed.b, attempts
+
+
+def _block_walk(params: ChainParams, n: int, rng: np.random.Generator,
+                cap: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """:func:`sample_fiber`'s walk for any r2, returning what
+    :func:`_binary_walk` returns.  Attempts go through the kernel in blocks
+    of 8 at the step sizes t, t 2^(-1/3), ... they would have if all were
+    rejected; a block is kept up to its first accepted attempt and the rest
+    discarded, its normal draws kept for the next block.
+    """
     r2 = params.shape.r2
-    rng = np.random.default_rng(seed)
     eye = np.eye(r2)
-    out: list[ChainParams] = []
-    t = 0.5
-    cap = max(200, 100 * n)
-    attempts = 0
+    a_rows: list[np.ndarray] = []
+    b_rows: list[np.ndarray] = []
+    t, attempts = 0.5, 0
     draws = np.empty((0, r2, r2))    # recentred draws not yet proposed
-    while len(out) < n and attempts < cap:
+    while len(a_rows) < n and attempts < cap:
         size = min(_BLOCK, cap - attempts)
         if len(draws) < size:
             # one (BLOCK, r2, r2) draw is the stream of BLOCK (r2, r2) draws
@@ -400,9 +471,39 @@ def sample_fiber(params: ChainParams, n: int, seed: int = 0) -> list[ChainParams
         first = used - 1
         if mixed.bad[first]:
             MixingMatrix(qs[first])    # raises the InvalidParameter
-        # a valid attempt passed the clamp test: snapping is all that is left
-        out.append(_point(params, _snap(mixed.a[first]), _snap(mixed.b[first])))
+        a_rows.append(mixed.a[first])
+        b_rows.append(mixed.b[first])
         t = min(steps[first] * 2.0, 4.0)
+    count = len(a_rows)
+    return (np.array(a_rows).reshape(count, *params.a.shape),
+            np.array(b_rows).reshape(count, *params.b.shape), attempts)
+
+
+def sample_fiber(params: ChainParams, n: int, seed: int = 0) -> list[ChainParams]:
+    """Draw n points of the fiber through ``params`` by rejection.
+
+    Proposals are q = I + t M with M a seeded standard-normal matrix
+    recentred to zero row sums; t adapts towards roughly 25% acceptance
+    (doubled on acceptance, shrunk by 2^(-1/3) on rejection).  If fewer
+    than n points are accepted within the cap of max(200, 100 n) attempts,
+    a :class:`RejectionStall` warning reports the acceptance rate and the
+    accepted points are returned as-is.
+
+    At r2 = 2 each proposal is decided on floats by bounds proven against
+    the mixing kernel, which then runs once on all accepted proposals; for
+    r2 >= 3 attempts go through it in stacked blocks.  The accepted rows are
+    snapped in one stack per factor, and the points, the attempt count, the
+    warning and any error are exactly those of one attempt at a time.
+    """
+    _check_count("n", n, 0)
+    _check_count("seed", seed, 0)
+    if params.min_entry <= 0.0:
+        raise BoundaryPoint("fiber sampling requires interior parameters")
+    walk = _binary_walk if params.shape.r2 == 2 else _block_walk
+    a, b, attempts = walk(params, n, np.random.default_rng(seed),
+                          max(200, 100 * n))
+    # the accepted rows passed the clamp test: snapping is all that is left
+    out = [_point(params, *rows) for rows in zip(_snap(a), _snap(b))]
     if len(out) < n:
         warnings.warn(
             RejectionStall(

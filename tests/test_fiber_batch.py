@@ -16,6 +16,7 @@ import pytest
 from latentgeom import (
     ChainParams,
     CountTable,
+    DegenerateInput,
     InvalidMixing,
     InvalidParameter,
     MixingMatrix,
@@ -34,7 +35,7 @@ from latentgeom import fiber
 from latentgeom.fiber import CLAMP_EPS, DET_EPS
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 SEEDS = st.integers(0, 2 ** 32 - 1)
 
@@ -222,6 +223,9 @@ SHAPES = dict(r1=st.integers(2, 8), r2=st.integers(2, 5), r3=st.integers(2, 8))
 
 @settings(max_examples=60, deadline=None)
 @given(**SHAPES, n=st.integers(0, 60), seed=SEEDS)
+# the cli's fiber command samples 50 points of a 3 x 2 x 3 chain
+@example(r1=3, r2=2, r3=3, n=50, seed=0)
+@example(r1=3, r2=2, r3=3, n=50, seed=2 ** 32 - 1)
 def test_sample_fiber_matches_serial(r1, r2, r3, n, seed):
     params = random_chain(Shape(r1, r2, r3), np.random.default_rng(seed),
                           min_entry=1e-3)
@@ -240,27 +244,33 @@ def test_sample_fiber_near_boundary_matches_serial(r1, r2, r3, n, seed, floor):
 
 
 def test_sample_fiber_reaches_step_floor_cap_and_attempt_cap():
-    # the schedule's edges: t pinned at its 1e-8 floor by a chain near the
+    # the schedule's edges, at r2 = 2 (decided in closed form) and r2 = 3
+    # (stacked blocks): t pinned at its 1e-8 floor by a chain near the
     # boundary, t at its cap of 4 on a chain with identical rows in a and in
     # b (q b = b for every q, so large steps are often accepted), and the
     # attempt cap with a stall
-    floor_hit = step_cap_hit = stalled = False
+    edges = set()
     for seed in range(6):
         rng = np.random.default_rng(seed)
         flat = random_chain(Shape(3, 2, 3), rng, min_entry=0.05)
         flat = ChainParams(flat.shape, flat.p1, np.tile(flat.a[0], (3, 1)),
                            np.tile(flat.b[0], (2, 1)))
-        for params in (near_boundary_chain((5, 3, 5), rng, 1e-13), flat):
+        near = near_boundary_chain((5, 3, 5), rng, 1e-13)
+        near_binary = near_boundary_chain(
+            (3, 2, 3), np.random.default_rng(100 + seed), 1e-13)
+        for params in (near, flat, near_binary):
             seen = []
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 serial_sample_fiber(params, 10, seed=seed, steps_seen=seen)
-            floor_hit |= 1e-8 in seen
-            step_cap_hit |= 4.0 in seen
-            stalled |= bool(caught)
+            r2 = params.shape.r2
+            edges |= {("floor", r2)} if 1e-8 in seen else set()
+            edges |= {("cap", r2)} if 4.0 in seen else set()
+            edges |= {("stall", r2)} if caught else set()
             assert (sample_outcome(sample_fiber, params, 10, seed)
                     == sample_outcome(serial_sample_fiber, params, 10, seed))
-    assert floor_hit and step_cap_hit and stalled
+    assert {("floor", 2), ("floor", 3), ("cap", 2), ("stall", 2),
+            ("stall", 3)} <= edges
 
 
 @pytest.mark.parametrize("sum_tol", [-1.0, 1e-17])
@@ -279,6 +289,109 @@ def test_sample_fiber_row_sum_errors_match_serial(monkeypatch, sum_tol):
             assert ours == sample_outcome(serial_sample_fiber, params, n, seed)
             errors += ours[0] == "error"
     assert errors
+
+
+# ------------------------------------------------------------ r2 = 2 verdicts
+
+def nudged(value):
+    """``value``, moved by up to two ulps and by +-CLAMP_EPS."""
+    out = [value, value + CLAMP_EPS, value - CLAMP_EPS]
+    for direction in (np.inf, -np.inf):
+        out += [float(np.nextafter(value, direction)),
+                float(np.nextafter(np.nextafter(value, direction), direction))]
+    return out
+
+
+def boundary_proposals(params):
+    """Matrices q on and near the edges of the r2 = 2 validity region: the
+    vertices of both sides moved by a few ulps or by +-CLAMP_EPS, and
+    nearly singular q with |det| close to DET_EPS around the middle of the
+    first column of a.  Rows keep (pi, 1 - pi) and (rho, 1 - rho) as
+    computed, so they sum to 1 within a few ulps."""
+    corners = []
+    for side in ("a", "b"):
+        try:
+            corners += [(v.q.q[0, 0], v.q.q[1, 0])
+                        for v in extreme_mixings(params, side)]
+        except DegenerateInput:
+            pass
+    mid = float(params.a[:, 0].mean())
+    for det in DET_EPS * np.array([0.5, 1.0 - 1e-3, 1.0, 1.0 + 1e-3, 2.0,
+                                   1e3]):
+        corners.append((mid + det / 2.0, mid - det / 2.0))
+    for pi, rho in corners:
+        for pi_moved in nudged(float(pi)):
+            for rho_moved in nudged(float(rho)):
+                yield np.array([[pi_moved, 1.0 - pi_moved],
+                                [rho_moved, 1.0 - rho_moved]])
+
+
+@settings(max_examples=12, deadline=None)
+@given(r1=st.integers(2, 8), r3=st.integers(2, 8), seed=SEEDS)
+def test_binary_verdict_agrees_with_kernel_on_the_boundary(r1, r3, seed):
+    # random draws never land on the edges of the validity region.  There
+    # every verdict the bounds settle must be the kernel's, at CLAMP_EPS as
+    # given and at the kernel's smallest entry of a' and of q b, where < and
+    # <= differ; proposals they cannot settle must exist (nearly singular q
+    # whose a' and q b pass, on a chain with a constant first column of a)
+    rng = np.random.default_rng(seed)
+    base = random_chain(Shape(r1, 2, r3), rng, min_entry=1e-3)
+    chains = [
+        base,
+        ChainParams(base.shape, base.p1, np.tile(base.a[0], (r1, 1)), base.b),
+        ChainParams(base.shape, base.p1, base.a, np.tile(base.b[0], (2, 1))),
+    ]
+    settled = unsettled = 0
+    for params in chains:
+        verdict = fiber._binary_verdict(params)
+        for q in boundary_proposals(params):
+            mixed = fiber._mix(params, q[None])
+            assert not mixed.bad[0]
+            for clamp in (CLAMP_EPS, -float(mixed.a.min()),
+                          -float(mixed.b.min())):
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(fiber, "CLAMP_EPS", clamp)
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("error")
+                        kernel = fiber._mix(params, q[None]).valid[0]
+                    ours = verdict(*q.ravel().tolist())
+                if ours is None:
+                    unsettled += 1
+                else:
+                    settled += 1
+                    assert ours == kernel
+    assert settled and unsettled
+
+
+def test_binary_sample_fiber_makes_one_kernel_call(monkeypatch):
+    # with every proposal settled in closed form, the kernel runs once, on
+    # the stack of all accepted points
+    stacks = []
+    real = fiber._mix
+    monkeypatch.setattr(fiber, "_mix",
+                        lambda p, qs: stacks.append(len(qs)) or real(p, qs))
+    params = random_chain(Shape(3, 2, 3), np.random.default_rng(5),
+                          min_entry=0.02)
+    assert len(sample_fiber(params, 50, seed=5)) == 50
+    assert stacks == [50]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_binary_walk_matches_serial_when_the_kernel_decides(monkeypatch, seed):
+    # a verdict that settles nothing sends every proposal through the
+    # kernel on its own, which must give the serial walk's outcome too
+    stacks = []
+    real = fiber._mix
+    monkeypatch.setattr(fiber, "_mix",
+                        lambda p, qs: stacks.append(len(qs)) or real(p, qs))
+    monkeypatch.setattr(fiber, "_binary_verdict",
+                        lambda params: lambda *q: None)
+    rng = np.random.default_rng(seed)
+    params = (near_boundary_chain((4, 2, 3), rng, 1e-13) if seed % 2
+              else random_chain(Shape(4, 2, 3), rng))
+    ours = sample_outcome(sample_fiber, params, 12, seed)
+    assert ours == sample_outcome(serial_sample_fiber, params, 12, seed)
+    assert stacks[:-1] == [1] * (len(stacks) - 1) and len(stacks) > 12
 
 
 # ------------------------------------------------------------ profile_along_fiber
