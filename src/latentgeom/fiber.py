@@ -51,7 +51,7 @@ _BLOCK = 8
 _DRAWS = 1024
 #: step-size factor of :func:`sample_fiber` after a rejection
 _SHRINK = 2.0 ** (-1.0 / 3.0)
-#: float64 machine epsilon, the unit of the rounding bounds of :func:`_point`
+#: float64 machine epsilon, the unit of the rounding bounds of :func:`_points`
 #: and :func:`_binary_verdict`
 _EPS = float(np.finfo(float).eps)
 
@@ -175,36 +175,37 @@ def _clamp_rows(name: str, rows: np.ndarray) -> np.ndarray:
     return _snap(rows)
 
 
-def _point(params: ChainParams, a: np.ndarray, b: np.ndarray) -> ChainParams:
-    """The point (params.p1, a, b) for rows ``a`` and ``b`` that :func:`_snap`
-    built from a kernel result that passed the clamp test.
+def _points(params: ChainParams, a: np.ndarray, b: np.ndarray) -> list[ChainParams]:
+    """The points (params.p1, a[k], b[k]) for stacks of rows ``a`` and ``b``
+    that :func:`_snap` built from kernel results that passed the clamp test.
 
-    Equal to ``ChainParams(params.shape, params.p1, a, b)``, but it shares
-    ``params.shape`` and the frozen ``params.p1``, freezes ``a`` and ``b`` in
-    place and skips the checks the construction proves.  The shapes are
-    those of ``params``.  If the snapped array holds no NaN, neither did its
-    input (a NaN spreads along its row through the row sum), so the clamp
-    test saw its true minimum and every entry became >= 0.  Each row was then
-    divided by its own sum s: if s overflowed, the row is all zeros;
-    otherwise it sums to 1 within (r - 1/2) eps < (r + 1) eps to first order,
-    for rows of length r ((r - 1) eps / 2 each from the sum s and from
-    summing the quotients, eps / 2 from the division).  A NaN makes the
-    array's sum NaN and an all-zero row takes it about 1 below the row
-    count, so one sum rules both out.  Where that sum test fails, or
-    (r + 1) eps exceeds ``model.SUM_TOL`` read at call time, the point goes
-    through :class:`ChainParams`, which runs every check and raises its own
-    error.
+    Equal to ``ChainParams(params.shape, params.p1, a[k], b[k])``, but they
+    share ``params.shape`` and the frozen ``params.p1``, freeze ``a`` and
+    ``b`` in place and skip the checks the construction proves.  The
+    shapes are those of ``params``.  If the snapped array holds no NaN,
+    neither did its input (a NaN spreads along its row through the row
+    sum), so the clamp test saw its true minimum and every entry became
+    >= 0.  Each row was then divided by its own sum s: if s overflowed, the
+    row is all zeros; otherwise it sums to 1 within (r - 1/2) eps <
+    (r + 1) eps to first order, for rows of length r ((r - 1) eps / 2 each
+    from the sum s and from summing the quotients, eps / 2 from the
+    division).  A NaN makes a stack's sum NaN, and an all-zero row takes
+    it about 1 below its N rows (the rest, and their sum, are off by about
+    2 N r eps), so one sum per factor rules both out.  Where it does not,
+    or (r + 1) eps exceeds ``model.SUM_TOL`` read at call time, every point
+    goes through :class:`ChainParams`, whose checks raise the error of the
+    first point that fails one.
     """
     for rows in (a, b):
-        if not (abs(float(rows.sum()) - len(rows)) <= 0.5
-                and (rows.shape[1] + 1) * _EPS <= model.SUM_TOL):
-            return ChainParams(params.shape, params.p1, a, b)
-    a.flags.writeable = False
-    b.flags.writeable = False
-    point = object.__new__(ChainParams)
-    # the fields a frozen dataclass's __init__ would set, in one update
-    point.__dict__.update(shape=params.shape, p1=params.p1, a=a, b=b)
-    return point
+        if not (abs(float(rows.sum()) - len(rows) * rows.shape[1]) <= 0.5
+                and (rows.shape[2] + 1) * _EPS <= model.SUM_TOL):
+            return [ChainParams(params.shape, params.p1, *ab) for ab in zip(a, b)]
+    a.flags.writeable = b.flags.writeable = False
+    points = [object.__new__(ChainParams) for _ in range(len(a))]
+    for point, ak, bk in zip(points, a, b):
+        # the fields a frozen dataclass's __init__ would set, in one update
+        point.__dict__.update(shape=params.shape, p1=params.p1, a=ak, b=bk)
+    return points
 
 
 def apply_mixing(params: ChainParams, q: MixingMatrix) -> ChainParams:
@@ -224,8 +225,8 @@ def apply_mixing(params: ChainParams, q: MixingMatrix) -> ChainParams:
     if q.size != r2:
         raise InvalidParameter(f"q is {q.size} x {q.size}, model has r2 = {r2}")
     mixed = _mix(params, q.q[None])
-    return _point(params, _clamp_rows("a", mixed.a[0]),
-                  _clamp_rows("b", mixed.b[0]))
+    return _points(params, _clamp_rows("a", mixed.a[0])[None],
+                   _clamp_rows("b", mixed.b[0])[None])[0]
 
 
 @dataclass(frozen=True)
@@ -503,7 +504,7 @@ def sample_fiber(params: ChainParams, n: int, seed: int = 0) -> list[ChainParams
     a, b, attempts = walk(params, n, np.random.default_rng(seed),
                           max(200, 100 * n))
     # the accepted rows passed the clamp test: snapping is all that is left
-    out = [_point(params, *rows) for rows in zip(_snap(a), _snap(b))]
+    out = _points(params, _snap(a), _snap(b))
     if len(out) < n:
         warnings.warn(
             RejectionStall(

@@ -22,7 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameter
-from .likelihood import NEG_INF, _at_observed, _check_budget, _em_batch, _observed
+from .fiber import _EPS
+from .likelihood import (NEG_INF, _at_observed, _check_budget, _em_batch,
+                         _observed, _unit_rows)
 from .model import (
     ChainParams,
     MarginalTable,
@@ -106,7 +108,24 @@ def kl_divergence(target: MarginalTable, model: MarginalTable) -> float:
     Rounding can push the sum of a near-exact fit a few ulps below zero;
     the result is clamped at 0, the divergence's true lower bound.
     """
+    if target.shape != model.shape:
+        raise InvalidParameter(
+            f"target has shape {target.shape}, model has shape {model.shape}")
     return float(_kl_rows(target.cells, model.cells[None])[0])
+
+
+def _examine(target: np.ndarray, p1: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple:
+    """For the final p1, a and b of a stack of EM restarts: those rows
+    renormalised, the mask of the restarts that ``ChainParams``,
+    ``joint_from_chain`` and ``marginal_13`` accept, and each divergence from
+    ``target``, each with the arithmetic of those and :func:`kl_divergence`."""
+    p1, a, b = _unit_rows(p1, a, b)
+    cells = np.einsum("ri,rij,rjk->rijk", p1, a, b)
+    delta = cells.sum(axis=2)
+    ok = (_stochastic(p1[:, None]) & _stochastic(a) & _stochastic(b)
+          & _stochastic(cells.reshape(len(p1), 1, -1))
+          & _stochastic(delta.reshape(len(p1), 1, -1))).tolist()
+    return p1, a, b, ok, _kl_rows(target, delta).tolist()
 
 
 def _exact_witness(target: MarginalTable, r2: int) -> ChainParams:
@@ -164,24 +183,26 @@ def consistency_check(target: MarginalTable, r2: int, restarts: int = 64,
     or the search.  Restarts are reduced in seed order and stop early once
     one beats the tolerance, so the report is deterministic for a given seed.
 
-    The search runs its restarts in blocks of 1, 2, 4, ..., 64 and then 64
-    at a time (the last one cut at ``restarts``), each block advanced
-    together by one EM kernel, so a target certified by an early restart
-    costs about one run while a search that exhausts the default budget of
-    64 pays the per-iteration overhead 7 times instead of 64 times.  The
-    cap holds a block's arrays at 64 restarts whatever ``restarts`` is.
-    Every restart follows the arithmetic of a run on its own, and restarts
-    after the first certified one are never examined, so the report does
-    not depend on the blocks.  An EM run whose log-likelihood decreases raises
-    :class:`GeometryError` when the reduction reaches it.
+    The search is one run of the EM kernel, which takes the restarts in
+    seed order as lanes free up: one lane at first, twice as many, up to
+    64, after each restart that stops uncertified.  Every restart follows
+    the arithmetic of a run on its own, and a restart that certifies drops
+    only restarts after it, which the reduction never reaches; so the
+    report does not depend on the schedule.  An EM run whose log-likelihood
+    decreases raises :class:`GeometryError` when the reduction reaches it.
 
-    A block's divergences are computed together, on stacks of its
-    renormalised rows, joint tables and marginals, each member with the
-    arithmetic and summation order of ``ChainParams``, ``joint_from_chain``,
-    ``marginal_13`` and :func:`kl_divergence` on its own, and the checks of
-    those value types as one stacked mask each.  Only a new best restart
-    is built as a validated ``ChainParams``; a restart the masks reject is
-    built on its own, which raises the value type's error.
+    A stopped restart is first tested on the log-likelihood L the kernel
+    computed.  Its divergence is H - L' for H = sum p log p and L' the
+    log-likelihood of its renormalised rows.  To first order, renormalising
+    moves the row sums of p1, a and b by r1 + r2 r3, r2 + 1 and r3 + 1 ulps
+    at most, either product order is within a relative (r2 + 2) eps of a
+    model cell, and H, L and the divergence, sums of at most r1 r3 log
+    terms, are within (r1 r3 + 3) eps of |H|, |L| and |H| + |L|.  As
+    r2 >= 3 and r1, r3 >= 4, all of it is below 2 r1 r2 r3 eps (1 + |H| +
+    |L|), half the margin: a restart with L <= H - tol - margin cannot
+    certify, and one above it is checked exactly.  The divergences are
+    computed once, at the end, by :func:`_examine`; a restart its masks
+    reject is built on its own, which raises the value type's error.
     """
     _check_count("r2", r2, 2)
     _check_count("restarts", restarts, 1)
@@ -203,47 +224,37 @@ def consistency_check(target: MarginalTable, r2: int, restarts: int = 64,
             necessary_checks=checks, proven_infeasible_by=None, tol=tol)
 
     shape = Shape(r1, r2, r3)
-    best = float("inf")
-    witness = None
-    divergences: list[float] = []
-    iterations: list[int] = []
-    start, size = 0, 1
-    while start < restarts and not best < tol:
-        block = range(start, min(start + size, restarts))
-        runs = _em_batch(target.cells, shape,
-                         [np.random.default_rng([seed, k]) for k in block],
-                         maxiter, tol=1e-12)
-        n = len(block)
-        p1, a, b = runs.rows()
-        cells = np.einsum("ri,rij,rjk->rijk", p1, a, b)
-        delta = cells.sum(axis=2)
-        ok = (_stochastic(p1[:, None]) & _stochastic(a) & _stochastic(b)
-              & _stochastic(cells.reshape(n, 1, -1))
-              & _stochastic(delta.reshape(n, 1, -1))).tolist()
-        kls = _kl_rows(target.cells, delta).tolist()
-        for r in range(n):
-            if r in runs.errors:
-                raise runs.errors[r]
-            iterations.append(int(runs.iterations[r]))
-            if runs.loglik[r] == NEG_INF:
-                divergences.append(float("inf"))
-                continue
-            if not ok[r]:
-                # the masks are exact, so this raises
-                marginal_13(joint_from_chain(runs.params(shape, r)))
-            kl = kls[r]
-            divergences.append(kl)
-            if kl < best:
-                best = kl
-                witness = ChainParams(shape, p1[r], a[r], b[r])
-            if best < tol:
-                break
-        start, size = block.stop, min(2 * size, 64)
+    p = target.cells[target.cells > 0.0]
+    entropy = float(p @ np.log(p))
+
+    def certifies(p1, a, b, ll):     # the docstring's bound, then exactly
+        margin = 4 * r1 * r2 * r3 * _EPS * (1.0 + abs(entropy) + abs(ll))
+        return (ll > entropy - tol - margin and _examine(
+            target.cells, p1[None], a[None], b[None])[4][0] < tol)
+
+    runs = _em_batch(target.cells, shape,
+                     (np.random.default_rng([seed, k]) for k in range(restarts)),
+                     maxiter, tol=1e-12, certifies=certifies)
+    p1, a, b, ok, kls = _examine(target.cells, runs.p1, runs.a, runs.b)
+    best, witness, divergences = float("inf"), None, []
+    for r, kl in enumerate(kls):
+        if r in runs.errors:
+            raise runs.errors[r]
+        if runs.loglik[r] == NEG_INF:
+            kl = float("inf")
+        elif not ok[r]:
+            # the masks are exact, so this raises
+            marginal_13(joint_from_chain(ChainParams(shape, p1[r], a[r], b[r])))
+        divergences.append(kl)
+        if kl < best:
+            best, witness = kl, ChainParams(shape, p1[r], a[r], b[r])
+        if best < tol:
+            break
     return ConsistencyReport(
         feasible=bool(best < tol), best_divergence=best, witness=witness,
         necessary_checks=checks, proven_infeasible_by=None, tol=tol,
-        divergences=tuple(divergences), restart_iterations=tuple(iterations))
-
+        divergences=tuple(divergences),
+        restart_iterations=tuple(runs.iterations[:len(divergences)].tolist()))
 
 def is_regular(params: ChainParams) -> bool:
     """True iff p(Y2|Y1) or p(Y3|Y2) is strictly positive throughout."""

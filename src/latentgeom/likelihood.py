@@ -13,8 +13,9 @@ from __future__ import annotations
 import contextlib
 import math
 import numbers
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, count
 from operator import sub
 from typing import NamedTuple
 
@@ -65,6 +66,8 @@ class CountTable:
         if not np.issubdtype(counts.dtype, np.integer):
             if not np.all(counts == np.floor(counts)):
                 raise InvalidParameter("counts must be integers")
+            if not (np.abs(counts) < 2.0 ** 63).all():    # no int64 holds it
+                raise InvalidParameter("counts must be finite and below 2**63")
         counts = counts.astype(np.int64)
         if (counts < 0).any():
             raise InvalidParameter("counts must be nonnegative")
@@ -154,22 +157,24 @@ class _EmRuns(NamedTuple):
     converged: np.ndarray    # (R,)
     errors: dict[int, GeometryError]
 
-    def rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The stacks p1, a and b of every restart, rows renormalised."""
-        return (self.p1 / self.p1.sum(axis=1, keepdims=True),
-                self.a / self.a.sum(axis=2, keepdims=True),
-                self.b / self.b.sum(axis=2, keepdims=True))
-
     def params(self, shape: Shape, r: int) -> ChainParams:
         """Chain parameters of restart ``r``, rows renormalised."""
-        return ChainParams(shape, *(rows[r] for rows in self.rows()))
+        return ChainParams(shape, *(x[r] for x in _unit_rows(self.p1, self.a, self.b)))
+
+
+def _unit_rows(p1: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple:
+    """Stacks of p1, a and b, each row divided by its sum."""
+    return (p1 / p1.sum(axis=1, keepdims=True),
+            a / a.sum(axis=2, keepdims=True),
+            b / b.sum(axis=2, keepdims=True))
 
 
 def _em_batch(weights: np.ndarray, shape: Shape,
-              rngs: list[np.random.Generator], maxiter: int, tol: float,
-              trace: list[float] | None = None) -> _EmRuns:
+              rngs: Iterable[np.random.Generator], maxiter: int, tol: float,
+              trace: list[float] | None = None,
+              certifies: Callable[..., bool] | None = None) -> _EmRuns:
     """EM runs on nonnegative cell weights (counts or probabilities), one
-    restart per generator, all advanced together on a leading restart axis.
+    restart per generator, advanced together on a leading restart axis.
 
     Each restart starts from flat-Dirichlet rows drawn from its generator.
     E-step: responsibilities lambda_j(i, k) from the current parameters;
@@ -183,6 +188,12 @@ def _em_batch(weights: np.ndarray, shape: Shape,
     results are bitwise those of R = 1 and do not depend on the other
     restarts.  ``trace`` receives the log-likelihoods of the running
     restarts at every iteration, in restart order.
+
+    Restarts join in generator order as lanes free up, counting updates
+    from the iteration they join.  One lane at first is doubled, up to 64,
+    by each restart that stops uncertified (a false final ``certifies(p1,
+    a, b, loglik)``, or any without it); one that certifies drops those
+    after it, and the results end with the first that certifies.
 
     The order of every sum is fixed by the memory layout.  numpy adds
     along a strided axis one slice after another, in index order, and sums
@@ -200,86 +211,105 @@ def _em_batch(weights: np.ndarray, shape: Shape,
     its own contiguous block in the order of a run on its own.
     """
     r1, r2, r3 = shape.astuple()
-    count = len(rngs)
-    out = _EmRuns(np.empty((count, r1)), np.empty((count, r1, r2)),
-                  np.empty((count, r2, r3)), np.full(count, NEG_INF),
-                  np.zeros(count, dtype=int), np.zeros(count, dtype=bool), {})
-    for r, rng in enumerate(rngs):
-        out.p1[r] = rng.dirichlet(np.ones(r1))
-        out.a[r] = rng.dirichlet(np.ones(r2), size=r1)
-        out.b[r] = rng.dirichlet(np.ones(r3), size=r2)
-    # the working rows, on the axes (r, i, j, k) of the joint table
-    p1 = out.p1.reshape(count, r1, 1, 1)
-    a = out.a.reshape(count, r1, r2, 1)
-    b = out.b.reshape(count, 1, r2, r3)
+    rngs = iter(rngs)
     total = float(weights.sum())
     # with every cell observed (gather None) every delta is positive
-    w_obs, gather = _observed(weights)
-    # the weights of every working restart, laid out like the terms of the
-    # log-likelihood and like nhat: a product of equal shapes skips numpy's
-    # broadcasting machinery
-    w_obs = np.tile(w_obs, (count, 1))
-    w_rijk = np.broadcast_to(weights[:, None, :], (count, r1, r2, r3)).copy()
+    w_row, gather = _observed(weights)
     # a row mass of a sums w(i, k) lambda_j(i, k) with max_j lambda >= 1/r2:
     # positive for every row holding a weight of normal size
     a_rows_positive = bool((weights.max(axis=1) >= np.finfo(float).tiny).all())
-    live = np.arange(count)      # restart index of each working row
-    ll_old = None
+    finals: list[tuple] = []  # start, then (p1, a, b, loglik, updates, converged)
+    errors: dict[int, GeometryError] = {}
+    examined = math.inf          # how many restarts the results cover
+    lanes = 1
+    live: list[int] = []         # restart index of each working row
+    born: list[int] = []         # iteration at which each working row joined
+    ll_old: list[float] = []     # last values of the rows that joined before
+    p1, a, b = (np.empty((0, r1, 1, 1)), np.empty((0, r1, r2, 1)),
+                np.empty((0, 1, r2, r3)))
+    # the weights of every working restart, laid out like the terms of the
+    # log-likelihood and like nhat: a product of equal shapes skips numpy's
+    # broadcasting machinery
+    w_all = w_obs = np.empty((0, len(w_row)))
+    w_rijk_all = w_rijk = np.empty((0, r1, r2, r3))
 
-    def leave(rows, iterations, converged, ll=None):
-        """Store the restarts at ``rows`` and drop them from the working
-        arrays; returns the mask of the rows kept."""
-        nonlocal p1, a, b, live, ll_old, w_obs, w_rijk
-        idx = live[rows]
-        out.p1[idx] = p1[rows].reshape(-1, r1)
-        out.a[idx] = a[rows].reshape(-1, r1, r2)
-        out.b[idx] = b[rows].reshape(-1, r2, r3)
-        out.iterations[idx] = iterations
-        out.converged[idx] = converged
-        if ll is not None:
-            out.loglik[idx] = ll[rows]
-        keep = ~rows
-        p1, a, b, live = p1[keep], a[keep], b[keep], live[keep]
-        w_obs, w_rijk = w_obs[:len(live)], w_rijk[:len(live)]
-        if ll_old is not None:
-            ll_old = list(compress(ll_old, keep.tolist()))
-        return keep
-
-    def evaluate(updates):
-        cells = p1 * a * b
-        # the sum over j, slice by slice as numpy sums a strided axis
-        delta = cells[:, :, :1] + cells[:, :, 1:2]           # (r, i, 1, k)
-        for j in range(2, r2):
-            np.add(delta, cells[:, :, j:j + 1], out=delta)
-        ll = _loglik_rows(w_obs, gather, delta)
+    def leave(rows, converged):
+        """Store and drop the restarts at ``rows`` and any after a certified
+        one; returns the values of the rows left."""
+        nonlocal p1, a, b, cells, delta, ll, w_obs, w_rijk, examined, lanes
         values = ll.tolist()
-        if NEG_INF in values:
-            keep = leave(ll == NEG_INF, updates, False)
-            cells, delta, ll = cells[keep], delta[keep], ll[keep]
-            values = ll.tolist()
-        return cells, delta, ll, values
+        for n in np.flatnonzero(rows).tolist():
+            k = live[n]
+            finals[k] = (p1[n].reshape(r1), a[n].reshape(r1, r2),
+                         b[n].reshape(r2, r3), values[n], it - born[n],
+                         converged)
+            if certifies is not None and certifies(*finals[k][:4]):
+                examined = min(examined, k + 1)
+            else:
+                lanes = min(2 * lanes, 64)
+        keep = ~rows & (np.array(live) < examined)
+        p1, a, b, cells, delta, ll = (x[keep] for x in (p1, a, b, cells, delta, ll))
+        for x in (live, born, ll_old):
+            x[:] = compress(x, keep.tolist())
+        w_obs, w_rijk = w_all[:len(live)], w_rijk_all[:len(live)]
+        return ll.tolist()
 
     with np.errstate(divide="ignore"):
-        for it in range(maxiter):
-            cells, delta, ll, values = evaluate(it)
+        for it in count():
+            # draw the starts of the next restarts into the free lanes
+            first = len(finals)
+            while len(live) < lanes and len(finals) < examined:
+                rng = next(rngs, None)
+                if rng is None:
+                    examined = len(finals)
+                    break
+                live.append(len(finals))
+                born.append(it)
+                finals.append((rng.dirichlet(np.ones(r1)),
+                               rng.dirichlet(np.ones(r2), size=r1),
+                               rng.dirichlet(np.ones(r3), size=r2)))
+            if len(finals) > first:
+                p1, a, b = (np.concatenate((x, np.reshape(new, (-1, *x.shape[1:]))))
+                            for x, new in zip((p1, a, b), zip(*finals[first:])))
+                if len(live) > len(w_all):
+                    w_all = np.tile(w_row, (lanes, 1))
+                    w_rijk_all = np.broadcast_to(weights[:, None, :],
+                                                 (lanes, r1, r2, r3)).copy()
+                w_obs, w_rijk = w_all[:len(live)], w_rijk_all[:len(live)]
+            if not live:
+                break
+            cells = p1 * a * b
+            # the sum over j, slice by slice as numpy sums a strided axis
+            delta = cells[:, :, :1] + cells[:, :, 1:2]           # (r, i, 1, k)
+            for j in range(2, r2):
+                np.add(delta, cells[:, :, j:j + 1], out=delta)
+            ll = _loglik_rows(w_obs, gather, delta)
+            values = ll.tolist()
+            # the rows that joined maxiter iterations ago, a prefix, report
+            # their final iterates' values
+            due = born.count(it - maxiter)
+            if due or NEG_INF in values:
+                values = leave((ll == NEG_INF) | (np.arange(len(live)) < due),
+                               False)
             if trace is not None:
                 trace.extend(values)
-            # with EM_SLACK >= 0 a decrease beyond it is a gain below tol
-            if ll_old is not None and (
-                    EM_SLACK < 0.0
-                    or min(map(sub, values, ll_old), default=tol) < tol):
+            # with EM_SLACK >= 0 a decrease beyond it is a gain below tol;
+            # the rows that joined in this iteration have no previous value
+            if ll_old and (EM_SLACK < 0.0
+                           or min(map(sub, values, ll_old)) < tol):
                 old = np.array(ll_old)
+                head = ll[:len(old)]
                 floor = old - EM_SLACK * np.maximum(1.0, np.abs(old))
-                for r in np.flatnonzero(ll < floor):
-                    out.errors[int(live[r])] = GeometryError(
+                for r in np.flatnonzero(head < floor).tolist():
+                    errors[live[r]] = GeometryError(
                         f"EM log-likelihood decreased: {float(old[r])!r}"
                         f" -> {float(ll[r])!r}")
-                keep = leave((ll < floor) | (ll - old < tol), it, True, ll)
-                cells, delta = cells[keep], delta[keep]
-                values = ll[keep].tolist()
-            if not len(live):
-                return out
+                stops = np.zeros(len(live), dtype=bool)
+                stops[:len(old)] = (head < floor) | (head - old < tol)
+                values = leave(stops, True)
             ll_old = values
+            if not live:
+                continue
             safe = delta if gather is None else np.where(delta > 0.0, delta, 1.0)
             # responsibilities, then expected counts, in the cells' memory
             nhat = np.multiply(np.divide(cells, safe, out=cells), w_rijk,
@@ -299,10 +329,8 @@ def _em_batch(weights: np.ndarray, shape: Shape,
             else:
                 b = np.where(b_rows > 0.0,
                              b_mass / np.where(b_rows > 0, b_rows, 1.0), 1.0 / r3)
-        # maxiter exhausted after an update: report the final iterates' values
-        _, _, ll, _ = evaluate(maxiter)
-    leave(np.ones(len(live), dtype=bool), maxiter, False, ll)
-    return out
+    return _EmRuns(*map(np.array, zip(*finals[:examined])),
+                   {k: e for k, e in errors.items() if k < examined})
 
 
 @dataclass(frozen=True)
@@ -332,18 +360,18 @@ def em_fit_details(counts: CountTable, shape: Shape, seed: int = 0,
         raise InvalidParameter(
             f"counts shape {counts.shape} does not match model ({r1}, {r3})"
         )
-    weights = counts.counts.astype(float)
-    for attempt in range(16):
-        runs = _em_batch(weights, shape, [np.random.default_rng(seed + attempt)],
-                         maxiter, tol)
-        if runs.errors:
-            raise runs.errors[0]
-        if runs.loglik[0] > NEG_INF:
-            return EmFit(params=runs.params(shape, 0),
-                         loglik=float(runs.loglik[0]),
-                         iterations=int(runs.iterations[0]),
-                         converged=bool(runs.converged[0]))
-    raise GeometryError("EM restarted 16 times on zero responsibilities")
+    # the results end at the first restart with a finite log-likelihood
+    runs = _em_batch(counts.counts.astype(float), shape,
+                     (np.random.default_rng(seed + k) for k in range(16)),
+                     maxiter, tol, certifies=lambda p1, a, b, ll: ll > NEG_INF)
+    r = len(runs.loglik) - 1
+    if r in runs.errors:
+        raise runs.errors[r]
+    if runs.loglik[r] == NEG_INF:
+        raise GeometryError("EM restarted 16 times on zero responsibilities")
+    return EmFit(params=runs.params(shape, r), loglik=float(runs.loglik[r]),
+                 iterations=int(runs.iterations[r]),
+                 converged=bool(runs.converged[r]))
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@
 ``_reference_run`` is the one-restart EM loop the kernel replaced, and
 ``_reference_search`` / ``_reference_fit`` its restart loops in
 ``consistency_check`` and ``em_fit_details``.  Every restart of the kernel
-must follow the reference's arithmetic exactly, whatever block it runs in.
+must follow the reference's arithmetic exactly, whenever it joins the kernel.
 ``_reference_kl`` is the one-table divergence that the search's stacked
 divergences replaced.
 """
@@ -173,7 +173,7 @@ def search_targets(draw):
 
 
 @settings(max_examples=30, deadline=None)
-@given(case=search_targets(), restarts=st.sampled_from([1, 3, 5, 64]),
+@given(case=search_targets(), restarts=st.sampled_from([1, 3, 5, 64, 100]),
        maxiter=st.sampled_from([0, 1, 7, 60]),
        tol=st.sampled_from([1e-8, 1e-3]), seed=SEEDS)
 def test_search_equals_serial_reference(case, restarts, maxiter, tol, seed):
@@ -229,6 +229,31 @@ def test_fit_equals_serial_reference(r1, r2, r3, data, seed, maxiter, tol):
     assert fit.converged == converged
 
 
+def _joined(stops):
+    """The kernel iteration at which each restart joins, for restarts that
+    never certify and stop after ``stops[k]`` updates: one lane at first,
+    doubled up to 64 by each restart that stops, and the free lanes filled
+    in restart order at the start of each iteration."""
+    joined, live, lanes, it = [], [], 1, 0
+    while len(joined) < len(stops) or live:
+        while len(live) < lanes and len(joined) < len(stops):
+            live.append(len(joined))
+            joined.append(it)
+        done = [k for k in live if it - joined[k] == stops[k]]
+        live = [k for k in live if k not in done]
+        lanes = min(lanes * 2 ** len(done), 64)
+        it += 1
+    return joined
+
+
+def _interleaved(traces, joined):
+    """What the kernel traces: at each iteration, the values of the
+    restarts running in it, in restart order."""
+    end = max(j + len(t) for j, t in zip(joined, traces))
+    return [t[it - j] for it in range(end) for j, t in zip(joined, traces)
+            if 0 <= it - j < len(t)]
+
+
 def _check_batch(weights, shape, seed, restarts, maxiter, tol):
     """One kernel call against a reference run per restart: final iterates,
     logliks, counts and the trace, all bitwise.  The logliks matter: they
@@ -238,7 +263,7 @@ def _check_batch(weights, shape, seed, restarts, maxiter, tol):
     runs = _em_batch(weights, shape, [np.random.default_rng([seed, k])
                                       for k in range(restarts)],
                      maxiter, tol, trace)
-    traces = []
+    traces, stops = [], []
     for k in range(restarts):
         traces.append([])
         try:
@@ -249,15 +274,18 @@ def _check_batch(weights, shape, seed, restarts, maxiter, tol):
             assert runs.loglik[k] == float("-inf")
             assert runs.iterations[k] == zero.args[0]
             assert not runs.converged[k]
+            stops.append(zero.args[0])
             continue
         assert _same_params(runs.params(shape, k), params)
         assert np.array_equal(runs.loglik[k], ll)
         assert runs.iterations[k] == iterations
         assert runs.converged[k] == converged
+        stops.append(iterations)
+    assert len(runs.loglik) == restarts
     assert not runs.errors
-    # the kernel traces the running restarts of each iteration in order
-    assert trace == [t[it] for it in range(max(map(len, traces)))
-                     for t in traces if it < len(t)]
+    # the kernel traces the running restarts of each iteration in order,
+    # each restart from the iteration at which it joined
+    assert trace == _interleaved(traces, _joined(stops))
 
 
 @settings(max_examples=40, deadline=None)
@@ -354,6 +382,71 @@ def test_restarts_in_one_batch_follow_the_reference(counts, zero, maxiter):
     assert not runs.errors
 
 
+def test_late_joiners_follow_the_reference():
+    # restart 0 runs alone for its 7 updates; restarts 1 and 2 then join
+    # together and restart 1 meets a zero cell at once, so restart 3 joins
+    # one iteration later, from restart 0's start, and runs to maxiter
+    weights = np.array([[4, 1, 0], [2, 5, 1], [0, 3, 6]], dtype=float)
+    shape = Shape(3, 2, 3)
+    starts = STARTS[:3] + STARTS[:1]
+    trace = []
+    runs = _em_batch(weights, shape, [_FixedStart(*s) for s in starts], 7,
+                     1e-12, trace)
+    traces = []
+    for r, start in enumerate(starts):
+        traces.append([])
+        if r == 1:
+            with pytest.raises(_Zero):
+                _reference_run(weights, shape, _FixedStart(*start), 7, 1e-12,
+                               traces[-1])
+            assert runs.loglik[r] == float("-inf")
+            assert runs.iterations[r] == 0 and not runs.converged[r]
+            continue
+        params, ll, iterations, converged = _reference_run(
+            weights, shape, _FixedStart(*start), 7, 1e-12, traces[-1])
+        assert _same_params(runs.params(shape, r), params)
+        assert np.array_equal(runs.loglik[r], ll)
+        assert runs.iterations[r] == iterations
+        assert runs.converged[r] == converged
+    assert runs.iterations[3] == 7 and not runs.converged[3]
+    assert trace == _interleaved(traces, [0, 8, 8, 9])
+    assert not runs.errors
+
+
+def test_certified_restart_ends_the_admissions():
+    # restarts 0 and 1 stop after two updates, and restarts 3 to 5 join
+    # while restart 2 runs; restart 2 certifies, which drops them and takes
+    # no further generator
+    weights = np.array([[4, 1, 0], [2, 5, 1], [0, 3, 6]], dtype=float)
+    shape = Shape(3, 2, 3)
+    starts = [STARTS[3], STARTS[2]] + [STARTS[0]] * 10
+    taken = []
+
+    def rngs():
+        for start in starts:
+            taken.append(start)
+            yield _FixedStart(*start)
+
+    traces = [[], [], []]
+    expected = [_reference_run(weights, shape, _FixedStart(*s), 60, 1e-12, t)
+                for s, t in zip(starts, traces)]
+    assert expected[0][2] == expected[1][2] == 2 and expected[2][2:] == (60, False)
+    trace = []
+    runs = _em_batch(weights, shape, rngs(), 60, 1e-12, trace,
+                     certifies=lambda p1, a, b, ll: ll == expected[2][1])
+    assert len(runs.loglik) == 3
+    assert len(taken) == 6
+    # restarts 3 to 5 join at iteration 6; restart 2 reaches maxiter at
+    # iteration 63, which drops them before that iteration is traced
+    cut = traces[2][:63 - 6]
+    assert trace == _interleaved(traces + [cut] * 3, [0, 3, 3, 6, 6, 6])
+    for r, (params, ll, iterations, converged) in enumerate(expected):
+        assert _same_params(runs.params(shape, r), params)
+        assert np.array_equal(runs.loglik[r], ll)
+        assert runs.iterations[r] == iterations
+        assert runs.converged[r] == converged
+
+
 def test_zero_cell_after_an_update_reports_the_updates_made():
     # the subnormal weight's row gets p1 = 0 from the first M-step, so the
     # second E-step meets a zero-probability observed cell
@@ -403,23 +496,26 @@ def test_decrease_raises_the_reference_message(monkeypatch):
     assert str(got.value) == str(expected.value)
 
 
-def test_search_blocks_are_capped_at_64_restarts(monkeypatch):
+def test_search_runs_at_most_64_restarts_at_once(monkeypatch):
     # the square slack has nonnegative rank 4, so no restart at r2 = 3 is
     # certified and the search spends its whole budget
-    from latentgeom import identifiability
-    sizes = []
-    real = identifiability._em_batch
+    live = []
+    real = likelihood._loglik_rows
 
-    def recording(weights, shape, rngs, maxiter, tol):
-        sizes.append(len(rngs))
-        return real(weights, shape, rngs, maxiter, tol)
+    def recording(w_obs, gather, delta):
+        live.append(len(delta))
+        return real(w_obs, gather, delta)
 
-    monkeypatch.setattr(identifiability, "_em_batch", recording)
+    monkeypatch.setattr(likelihood, "_loglik_rows", recording)
     target = MarginalTable((4, 4), SQUARE_SLACK / SQUARE_SLACK.sum())
     report = consistency_check(target, 3, restarts=300, seed=5, maxiter=5)
-    assert sizes == [1, 2, 4, 8, 16, 32, 64, 64, 64, 45]
     feasible, best, witness, divergences, iterations = _reference_search(
         target, 3, 300, 1e-8, 5, 5)
+    # one E-step per iteration, over the restarts running in it
+    joined = _joined(iterations)
+    assert live == [sum(j <= it <= j + n for j, n in zip(joined, iterations))
+                    for it in range(max(joined) + 6)]
+    assert live[0] == 1 and max(live) == 64
     assert not feasible and report.feasible == feasible
     assert np.array_equal(report.best_divergence, best)
     assert _same_params(report.witness, witness)

@@ -540,9 +540,10 @@ def test_fiber_points_equal_checked_chain_params(r1, r2, r3, seed, floor):
 
 
 def point_outcome(params, a, b):
-    """What fiber._point and ChainParams each make of the rows a and b."""
+    """What fiber._points, on a stack of one, and ChainParams each make of
+    the rows a and b."""
     outcomes = []
-    for build in (fiber._point,
+    for build in (lambda p, a, b: fiber._points(p, a[None], b[None])[0],
                   lambda p, a, b: ChainParams(p.shape, p.p1, a, b)):
         try:
             point = build(params, a.copy(), b.copy())
@@ -578,3 +579,34 @@ def test_point_falls_back_to_chain_params(monkeypatch):
     monkeypatch.setattr(model_mod, "SUM_TOL", 1e-17)
     assert point_outcome(params, params.a, short)[1].startswith(
         "row 0 of b sums to")
+
+
+def test_stacked_points_fall_back_to_chain_params_one_by_one(monkeypatch):
+    # one point the stacked sum test rejects sends every point through
+    # ChainParams: the first point ChainParams rejects raises its own
+    # error, and the points it accepts are the same values
+    import latentgeom.model as model_mod
+    params = ChainParams(Shape(3, 2, 3), [0.25, 0.25, 0.5],
+                         [[0.5, 0.5], [0.25, 0.75], [0.5, 0.5]],
+                         [[0.5, 0.25, 0.25], [0.2, 0.3, 0.5]])
+    nan_a = params.a.copy()
+    nan_a[1] = np.nan
+    with np.errstate(over="ignore"):
+        overflowed = fiber._snap(np.array([[1e308, 1e308, 1.0],
+                                           [0.2, 0.3, 0.5]]))
+    with pytest.raises(InvalidParameter, match="a contains non-finite"):
+        fiber._points(params, np.stack([params.a, nan_a, params.a]),
+                      np.stack([params.b, params.b, overflowed]))
+    with pytest.raises(InvalidParameter, match="row 0 of b sums to"):
+        fiber._points(params, np.stack([params.a, params.a, nan_a]),
+                      np.stack([params.b, overflowed, params.b]))
+    a, b = np.stack([params.a, params.a[::-1]]), np.stack([params.b] * 2)
+    fast = fiber._points(params, a.copy(), b.copy())
+    assert all(p.p1 is params.p1 for p in fast)
+    # below the (r + 1) eps bound every point is checked; these rows sum
+    # to 1 exactly, so each passes
+    monkeypatch.setattr(model_mod, "SUM_TOL", 5e-16)
+    slow = fiber._points(params, a.copy(), b.copy())
+    assert all(p.p1 is not params.p1 for p in slow)
+    assert [(bits(p.a), bits(p.b)) for p in slow] == [
+        (bits(p.a), bits(p.b)) for p in fast]

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,19 @@ def test_diagonal_feasible_at_r2_3_with_tiny_kl():
     # soundness: the witness reproduces the target independently
     witness_marg = marginal_13(joint_from_chain(report.witness))
     assert kl_divergence(diagonal_marginal(3, 3), witness_marg) < 1e-9
+
+
+@pytest.mark.parametrize("model_shape", [(1, 4), (3, 3)])
+def test_kl_divergence_rejects_a_model_of_another_shape(model_shape):
+    # a 1 x 4 model has the target's cell count and broadcast to 0.0; a
+    # 3 x 3 one raised numpy's broadcast error
+    target = MarginalTable((2, 2), np.full((2, 2), 0.25))
+    model = MarginalTable(model_shape,
+                          np.full(model_shape, 1.0 / np.prod(model_shape)))
+    with pytest.raises(InvalidParameter,
+                       match=rf"target has shape \(2, 2\), model has shape "
+                             rf"{re.escape(str(model_shape))}"):
+        kl_divergence(target, model)
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -115,7 +130,7 @@ def test_rank_two_target_with_three_hidden_states_runs_no_search(monkeypatch):
 
 
 def test_report_lists_the_divergence_of_every_restart_examined():
-    # this target is first certified by restart 4, in the block 3..6
+    # this target is first certified by restart 4
     target = marginal_13(joint_from_chain(seeded_chain((5, 3, 5), 1704)))
     report = consistency_check(target, r2=3, seed=0)
     assert report.feasible
@@ -140,13 +155,12 @@ def test_failed_restart_is_raised_only_when_reached(monkeypatch, failing,
     target = marginal_13(joint_from_chain(seeded_chain((5, 3, 5), 1704)))
     expected = consistency_check(target, r2=3, seed=0)
     real = identifiability._em_batch
-    done = [0]
+    examined = []
 
-    def failing_batch(weights, shape, rngs, maxiter, tol):
-        runs = real(weights, shape, rngs, maxiter, tol)
-        if done[0] <= failing < done[0] + len(rngs):
-            runs.errors[failing - done[0]] = GeometryError("restart failed")
-        done[0] += len(rngs)
+    def failing_batch(*args, **kwargs):
+        runs = real(*args, **kwargs)
+        runs.errors[failing] = GeometryError("restart failed")
+        examined.append(len(runs.loglik))
         return runs
 
     monkeypatch.setattr(identifiability, "_em_batch", failing_batch)
@@ -160,6 +174,30 @@ def test_failed_restart_is_raised_only_when_reached(monkeypatch, failing,
         assert report.restart_iterations == expected.restart_iterations
         assert np.array_equal(report.witness.a, expected.witness.a)
         assert np.array_equal(report.witness.b, expected.witness.b)
+    # one kernel call, which stops at the certified restart
+    assert examined == [5]
+
+
+def test_restart_certified_by_one_ulp_stops_the_search(monkeypatch):
+    # a tol one ulp above restart 0's divergence: the log-likelihood bound
+    # must let it through to the exact check, which ends the search there
+    slack = np.array([[0, 1, 0, 1], [1, 0, 0, 1], [1, 0, 1, 0], [0, 1, 1, 0]])
+    target = MarginalTable((4, 4), slack / slack.sum())
+    first = consistency_check(target, r2=3, restarts=1, maxiter=5)
+    tol = float(np.nextafter(first.best_divergence, np.inf))
+    real = identifiability._em_batch
+    examined = []
+
+    def recording(*args, **kwargs):
+        runs = real(*args, **kwargs)
+        examined.append(len(runs.loglik))
+        return runs
+
+    monkeypatch.setattr(identifiability, "_em_batch", recording)
+    report = consistency_check(target, r2=3, tol=tol, maxiter=5)
+    assert report.feasible and report.restarts_tried == 1
+    assert report.best_divergence == first.best_divergence
+    assert examined == [1]
 
 
 def test_restart_the_stacked_checks_reject_raises_the_value_type_error(
@@ -169,13 +207,10 @@ def test_restart_the_stacked_checks_reject_raises_the_value_type_error(
     slack = np.array([[0, 1, 0, 1], [1, 0, 0, 1], [1, 0, 1, 0], [0, 1, 1, 0]])
     target = MarginalTable((4, 4), slack / slack.sum())
     real = identifiability._em_batch
-    done = [0]
 
-    def corrupting_batch(weights, shape, rngs, maxiter, tol):
-        runs = real(weights, shape, rngs, maxiter, tol)
-        if done[0] <= 1 < done[0] + len(rngs):
-            runs.p1[1 - done[0]] = [-1.0, 2.0, 1.0, 1.0]
-        done[0] += len(rngs)
+    def corrupting_batch(*args, **kwargs):
+        runs = real(*args, **kwargs)
+        runs.p1[1] = [-1.0, 2.0, 1.0, 1.0]
         return runs
 
     monkeypatch.setattr(identifiability, "_em_batch", corrupting_batch)

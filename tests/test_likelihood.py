@@ -101,6 +101,17 @@ def test_count_total_is_exact_past_int64(cells):
     assert type(table.total) is int
 
 
+@pytest.mark.parametrize("value", [float("inf"), -float("inf"), 1e30,
+                                   2.0 ** 63, -2.0 ** 64])
+def test_count_table_rejects_floats_outside_int64(value):
+    # the suite turns the RuntimeWarning of an invalid cast into a failure
+    with pytest.raises(InvalidParameter,
+                       match=r"counts must be finite and below 2\*\*63"):
+        CountTable((1, 2), [[1.0, value]])
+    # the largest float below 2**63 is a count
+    assert CountTable((1, 1), [[2.0 ** 63 - 1024]]).total == 2 ** 63 - 1024
+
+
 def test_loglik_invariant_on_fiber_50_pairs():
     for seed in range(50):
         params = seeded_chain((3, 2, 3), 600 + seed)
