@@ -38,16 +38,17 @@ from .model import (
     _fields_eq,
     _frozen,
     _numerical_rank,
+    _reals,
 )
 
 #: entries in [-CLAMP_EPS, 0) are roundoff and snap to exact zero
 CLAMP_EPS = 1e-12
 #: |det| at or below this counts as singular
 DET_EPS = 1e-12
-#: attempts :func:`sample_fiber` evaluates in one stacked kernel call at
-#: r2 >= 3, and the fewest proposals it draws at once at r2 = 2
+#: the fewest proposals :func:`sample_fiber` draws at once
 _BLOCK = 8
-#: the most proposals :func:`sample_fiber` draws at once at r2 = 2
+#: the most proposals :func:`sample_fiber` draws at once, and so the longest
+#: path :func:`_walk` checks in one kernel call
 _DRAWS = 1024
 #: step-size factor of :func:`sample_fiber` after a rejection
 _SHRINK = 2.0 ** (-1.0 / 3.0)
@@ -69,7 +70,7 @@ class MixingMatrix:
     __eq__ = _fields_eq
 
     def __post_init__(self):
-        q = np.asarray(self.q, dtype=float)
+        q = _reals(self.q, "entries of q must be real numbers")
         if q.ndim != 2 or q.shape[0] != q.shape[1] or q.shape[0] < 2:
             raise InvalidParameter(f"q must be square of size >= 2, got {q.shape}")
         if not np.isfinite(q).all():
@@ -436,48 +437,65 @@ def _binary_walk(params: ChainParams, n: int, rng: np.random.Generator,
     return mixed.a, mixed.b, attempts
 
 
-def _block_walk(params: ChainParams, n: int, rng: np.random.Generator,
-                cap: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """:func:`sample_fiber`'s walk for any r2, returning what
-    :func:`_binary_walk` returns.  Attempts go through the kernel in blocks
-    of 8 at the step sizes t, t 2^(-1/3), ... they would have if all were
-    rejected; a block is kept up to its first accepted attempt and the rest
-    discarded, its normal draws kept for the next block.
-    """
+def _exits(params: ChainParams, draws: np.ndarray) -> np.ndarray:
+    """The exit step :func:`_walk` predicts for each direction M of
+    ``draws``: the least t > 0 at which q = I + t M fails, to first order,
+    a (I + t C) + CLAMP_EPS (1 + t tr M) >= 0 (C = tr(M) I - M is the t-term
+    of adj q), 1 + t tr M > DET_EPS or the exact b + t M b + CLAMP_EPS >= 0.
+    Each is c (1 + t s), c > 0: it fails at t = -1 / s for the least s < 0."""
+    count, r2 = draws.shape[:2]
+    trace = np.trace(draws, axis1=1, axis2=2)[:, None, None]
+    slopes = np.concatenate([
+        ((params.a @ (trace * np.eye(r2) - draws) + CLAMP_EPS * trace)
+         / (params.a + CLAMP_EPS)).reshape(count, -1),
+        (draws @ params.b / (params.b + CLAMP_EPS)).reshape(count, -1),
+        trace[:, 0] / (1.0 - DET_EPS)], axis=1).min(axis=1)
+    with np.errstate(divide="ignore"):
+        return np.where(slopes < 0.0, -1.0 / slopes, np.inf)
+
+
+def _walk(params: ChainParams, n: int, rng: np.random.Generator,
+          cap: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """:func:`sample_fiber`'s walk at r2 >= 3, returning what
+    :func:`_binary_walk` returns.  It accepts a step below the exit
+    :func:`_exits` predicts, checks that path in one kernel call and keeps
+    it up to the first verdict the kernel overrules, or raises at a bad q.
+    A path no longer than twice the stretch last kept, or 8 blocks, bounds
+    the kernel work a misprediction wastes."""
     r2 = params.shape.r2
-    eye = np.eye(r2)
-    a_rows: list[np.ndarray] = []
-    b_rows: list[np.ndarray] = []
-    t, attempts = 0.5, 0
-    draws = np.empty((0, r2, r2))    # recentred draws not yet proposed
-    while len(a_rows) < n and attempts < cap:
-        size = min(_BLOCK, cap - attempts)
-        if len(draws) < size:
-            # one (BLOCK, r2, r2) draw is the stream of BLOCK (r2, r2) draws
-            fresh = rng.standard_normal((_BLOCK, r2, r2))
-            fresh -= fresh.mean(axis=2, keepdims=True)
-            draws = np.concatenate([draws, fresh])
-        steps = [t]
-        for _ in range(size - 1):
-            steps.append(max(steps[-1] * _SHRINK, 1e-8))
-        qs = eye + np.array(steps)[:, None, None] * draws[:size]
+    rows = [(np.empty((0, *params.a.shape)), np.empty((0, *params.b.shape)))]
+    t, got, attempts, exits, span = 0.5, 0, 0, [], _DRAWS
+    while got < n and attempts < cap:
+        if not exits:
+            # about what the rest needs at the walk's 25% acceptance
+            size = min(5 * (n - got) + _BLOCK, _DRAWS)
+            draws = rng.standard_normal((size, r2, r2))
+            draws -= draws.mean(axis=2, keepdims=True)
+            exits = _exits(params, draws).tolist()
+        steps, guesses, ahead = [], [], got
+        for exit_t in exits[:min(span, cap - attempts)]:
+            steps.append(t)
+            guesses.append(ok := t < exit_t)
+            t = min(t * 2.0, 4.0) if ok else max(t * _SHRINK, 1e-8)
+            if ok and (ahead := ahead + 1) == n:
+                break
+        qs = np.eye(r2) + (np.array(steps)[:, None, None]
+                           * draws[:len(steps)])
         mixed = _mix(params, qs)
-        stops = np.flatnonzero(mixed.valid | mixed.bad)
-        used = int(stops[0]) + 1 if stops.size else size
+        wrong = np.flatnonzero((mixed.valid != guesses) | mixed.bad)
+        used = int(wrong[0]) + 1 if wrong.size else len(steps)
+        if mixed.bad[used - 1]:
+            MixingMatrix(qs[used - 1])    # raises the InvalidParameter
+        keep = mixed.valid[:used]
+        rows.append((mixed.a[:used][keep], mixed.b[:used][keep]))
+        t = steps[used - 1]
+        t = min(t * 2.0, 4.0) if keep[-1] else max(t * _SHRINK, 1e-8)
+        got += int(np.count_nonzero(keep))
         attempts += used
-        draws = draws[used:]
-        if not stops.size:
-            t = max(steps[-1] * _SHRINK, 1e-8)
-            continue
-        first = used - 1
-        if mixed.bad[first]:
-            MixingMatrix(qs[first])    # raises the InvalidParameter
-        a_rows.append(mixed.a[first])
-        b_rows.append(mixed.b[first])
-        t = min(steps[first] * 2.0, 4.0)
-    count = len(a_rows)
-    return (np.array(a_rows).reshape(count, *params.a.shape),
-            np.array(b_rows).reshape(count, *params.b.shape), attempts)
+        span = max(2 * used, 8 * _BLOCK)
+        draws, exits = draws[used:], exits[used:]
+    a, b = zip(*rows)
+    return np.concatenate(a), np.concatenate(b), attempts
 
 
 def sample_fiber(params: ChainParams, n: int, seed: int = 0) -> list[ChainParams]:
@@ -491,16 +509,17 @@ def sample_fiber(params: ChainParams, n: int, seed: int = 0) -> list[ChainParams
     accepted points are returned as-is.
 
     At r2 = 2 each proposal is decided on floats by bounds proven against
-    the mixing kernel, which then runs once on all accepted proposals; for
-    r2 >= 3 attempts go through it in stacked blocks.  The accepted rows are
-    snapped in one stack per factor, and the points, the attempt count, the
-    warning and any error are exactly those of one attempt at a time.
+    the mixing kernel, which then runs once on all accepted proposals; at
+    r2 >= 3 one kernel call checks a whole path of predicted verdicts.  The
+    accepted rows are snapped in one stack per factor, and the points, the
+    attempt count, the warning and any error are exactly those of one
+    attempt at a time.
     """
     _check_count("n", n, 0)
     _check_count("seed", seed, 0)
     if params.min_entry <= 0.0:
         raise BoundaryPoint("fiber sampling requires interior parameters")
-    walk = _binary_walk if params.shape.r2 == 2 else _block_walk
+    walk = _binary_walk if params.shape.r2 == 2 else _walk
     a, b, attempts = walk(params, n, np.random.default_rng(seed),
                           max(200, 100 * n))
     # the accepted rows passed the clamp test: snapping is all that is left

@@ -37,6 +37,7 @@ from .model import (
     _frozen,
     _integer_pair,
     _is_integer,
+    _reals,
     _stochastic,
     joint_from_chain,
     marginal_13,
@@ -58,13 +59,14 @@ class CountTable:
 
     def __post_init__(self):
         shape = _integer_pair(self.shape, "counts shape")
-        counts = np.asarray(self.counts)
+        counts = _reals(self.counts, "counts must be integers")
         if counts.shape != shape:
             raise InvalidParameter(
                 f"counts have shape {counts.shape}, expected {shape}"
             )
         if not np.issubdtype(counts.dtype, np.integer):
-            if not np.all(counts == np.floor(counts)):
+            # a bool is no count, as it is no size
+            if counts.dtype == bool or not np.all(counts == np.floor(counts)):
                 raise InvalidParameter("counts must be integers")
             if not (np.abs(counts) < 2.0 ** 63).all():    # no int64 holds it
                 raise InvalidParameter("counts must be finite and below 2**63")

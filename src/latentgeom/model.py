@@ -40,6 +40,21 @@ def _frozen(values, dtype=float) -> np.ndarray:
     return out
 
 
+def _reals(values, message: str) -> np.ndarray:
+    """``values`` as an array of bools, integers or floats: the value types'
+    one numeric conversion.  Objects, such as integers past int64, become
+    floats; a string, a complex or a ragged nesting raises
+    ``InvalidParameter(message)``, where numpy would parse or fail."""
+    try:
+        out = np.asarray(values)
+        out = out.astype(float) if out.dtype.kind == "O" else out
+        if out.dtype.kind not in "biuf":
+            raise ValueError
+    except (TypeError, ValueError):
+        raise InvalidParameter(message) from None
+    return out
+
+
 def _fields_eq(self, other) -> bool:
     """Field-wise ``==`` for dataclasses with array fields: arrays compare
     with ``np.array_equal``, every other field with ``==``."""
@@ -103,7 +118,7 @@ def _ref_cell(ref_cell, r1: int, r3: int) -> tuple[int, int]:
 def _check_table(table, shape: tuple[int, ...]) -> None:
     """Freeze and validate the ``cells`` of a probability table: the given
     shape, then :func:`_stochastic` on the cells as one row."""
-    cells = _frozen(table.cells)
+    cells = _frozen(_reals(table.cells, "cells must be real numbers"))
     if cells.shape != shape:
         raise InvalidParameter(f"cells have shape {cells.shape}, expected {shape}")
     if not _stochastic(cells.reshape(1, -1)):
@@ -159,7 +174,7 @@ class JointTable:
     @classmethod
     def from_flat(cls, shape: Shape, flat: Sequence[float]) -> "JointTable":
         """Build from the documented flat order (k fastest, then j, then i)."""
-        arr = np.asarray(flat, dtype=float)
+        arr = _reals(flat, "cells must be real numbers")
         if arr.size != shape.ncells:
             raise InvalidParameter(
                 f"flat table has {arr.size} entries, expected {shape.ncells}"
@@ -209,7 +224,8 @@ class ChainParams:
 
     def __post_init__(self):
         r1, r2, r3 = self.shape.astuple()
-        arrays = {name: np.asarray(getattr(self, name), dtype=float)
+        arrays = {name: _reals(getattr(self, name),
+                               f"entries of {name} must be real numbers")
                   for name in ("p1", "a", "b")}
         for (name, rows), shape in zip(arrays.items(),
                                        ((r1,), (r1, r2), (r2, r3))):

@@ -243,22 +243,29 @@ def test_sample_fiber_near_boundary_matches_serial(r1, r2, r3, n, seed, floor):
             == sample_outcome(serial_sample_fiber, params, n, seed))
 
 
+def flat_chain(shape, rng):
+    """A chain with identical rows in a and in b: q b = b for every q, so
+    large steps are often accepted."""
+    params = random_chain(Shape(*shape), rng, min_entry=0.05)
+    r1, r2, _ = shape
+    return ChainParams(params.shape, params.p1, np.tile(params.a[0], (r1, 1)),
+                       np.tile(params.b[0], (r2, 1)))
+
+
 def test_sample_fiber_reaches_step_floor_cap_and_attempt_cap():
     # the schedule's edges, at r2 = 2 (decided in closed form) and r2 = 3
-    # (stacked blocks): t pinned at its 1e-8 floor by a chain near the
-    # boundary, t at its cap of 4 on a chain with identical rows in a and in
-    # b (q b = b for every q, so large steps are often accepted), and the
+    # (predicted, then checked by the kernel): t pinned at its 1e-8 floor by
+    # a chain near the boundary, t at its cap of 4 on a flat chain, and the
     # attempt cap with a stall
     edges = set()
     for seed in range(6):
         rng = np.random.default_rng(seed)
-        flat = random_chain(Shape(3, 2, 3), rng, min_entry=0.05)
-        flat = ChainParams(flat.shape, flat.p1, np.tile(flat.a[0], (3, 1)),
-                           np.tile(flat.b[0], (2, 1)))
+        flat = flat_chain((3, 2, 3), rng)
         near = near_boundary_chain((5, 3, 5), rng, 1e-13)
         near_binary = near_boundary_chain(
             (3, 2, 3), np.random.default_rng(100 + seed), 1e-13)
-        for params in (near, flat, near_binary):
+        flat_3 = flat_chain((3, 3, 3), np.random.default_rng(200 + seed))
+        for params in (near, flat, near_binary, flat_3):
             seen = []
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
@@ -269,8 +276,29 @@ def test_sample_fiber_reaches_step_floor_cap_and_attempt_cap():
             edges |= {("stall", r2)} if caught else set()
             assert (sample_outcome(sample_fiber, params, 10, seed)
                     == sample_outcome(serial_sample_fiber, params, 10, seed))
-    assert {("floor", 2), ("floor", 3), ("cap", 2), ("stall", 2),
+    assert {("floor", 2), ("floor", 3), ("cap", 2), ("cap", 3), ("stall", 2),
             ("stall", 3)} <= edges
+
+
+def row_sum_cases():
+    return [(random_chain(Shape(r1, r2, r1), np.random.default_rng(seed),
+                          min_entry=0.02), seed)
+            for seed, (r1, r2) in enumerate([(3, 2), (4, 3), (6, 4), (5, 5)])]
+
+
+def row_sum_errors(monkeypatch, sum_tol, cases):
+    """Check each case against the serial walk with ``fiber.SUM_TOL`` at
+    ``sum_tol``; returns how many of them raised."""
+    errors = 0
+    with monkeypatch.context() as patch:
+        patch.setattr(fiber, "SUM_TOL", sum_tol)
+        for params, seed in cases:
+            for n in (1, 5, 20):
+                ours = sample_outcome(sample_fiber, params, n, seed)
+                assert ours == sample_outcome(serial_sample_fiber, params, n,
+                                              seed)
+                errors += ours[0] == "error"
+    return errors
 
 
 @pytest.mark.parametrize("sum_tol", [-1.0, 1e-17])
@@ -278,17 +306,78 @@ def test_sample_fiber_row_sum_errors_match_serial(monkeypatch, sum_tol):
     # a row-sum tolerance below rounding makes MixingMatrix reject some
     # proposals (all of them at -1) with InvalidParameter: the stacked walk
     # must raise exactly where the serial one does, and not before
-    cases = [(random_chain(Shape(r1, r2, r1), np.random.default_rng(seed),
-                           min_entry=0.02), seed)
-             for seed, (r1, r2) in enumerate([(3, 2), (4, 3), (6, 4), (5, 5)])]
-    monkeypatch.setattr(fiber, "SUM_TOL", sum_tol)
-    errors = 0
-    for params, seed in cases:
-        for n in (1, 5, 20):
-            ours = sample_outcome(sample_fiber, params, n, seed)
-            assert ours == sample_outcome(serial_sample_fiber, params, n, seed)
-            errors += ours[0] == "error"
-    assert errors
+    assert row_sum_errors(monkeypatch, sum_tol, row_sum_cases())
+
+
+# ------------------------------------------------------------ r2 >= 3 predictions
+
+@pytest.mark.parametrize("r2", [2, 3, 4, 5])
+def test_kernel_members_equal_their_stacks_of_one(r2):
+    # the walk at r2 >= 3 runs the kernel on paths of up to _DRAWS attempts
+    # and keeps a prefix: each member must get the bits of a stack of one,
+    # valid, outside the polytope, singular or bad alike
+    rng = np.random.default_rng(r2)
+    params = random_chain(Shape(int(rng.integers(2, 31)), r2,
+                                int(rng.integers(2, 31))), rng, min_entry=1e-3)
+    m = rng.standard_normal((fiber._DRAWS, r2, r2))
+    m -= m.mean(axis=2, keepdims=True)
+    # steps from 1e-4 to 4, the walk's cap
+    qs = np.eye(r2) + 4.0 ** rng.uniform(-6.6, 1.0, (fiber._DRAWS, 1, 1)) * m
+    qs[1::7] = np.full((r2, r2), 1.0 / r2)
+    qs[2::11, 0, 0] += 1.0
+    qs[3::13, -1, -1] = np.nan
+    alone = [fiber._mix(params, q[None]) for q in qs]
+    for size in (1, 8, 300, fiber._DRAWS):
+        mixed = fiber._mix(params, qs[:size])
+        for k in range(size):
+            assert ([bits(field[k]) for field in mixed]
+                    == [bits(field[0]) for field in alone[k]])
+    singular = np.zeros(fiber._DRAWS, dtype=bool)
+    singular[1::7] = True
+    singular &= ~mixed.bad
+    assert singular.any() and not mixed.valid[singular].any()
+    assert mixed.valid.any() and mixed.bad.any()
+    assert (~mixed.valid & ~mixed.bad & ~singular).any()
+
+
+@pytest.mark.parametrize("guess", ["accept", "reject", "random"])
+def test_sample_fiber_outcome_does_not_depend_on_the_exit_prediction(
+        monkeypatch, guess):
+    # every verdict that steers the walk is the kernel's, so a prediction
+    # that is always or randomly wrong costs kernel calls, never bits
+    rng = np.random.default_rng(18)
+    monkeypatch.setattr(fiber, "_exits", {
+        "accept": lambda params, draws: np.full(len(draws), np.inf),
+        "reject": lambda params, draws: np.zeros(len(draws)),
+        "random": lambda params, draws: rng.uniform(0.0, 4.0, len(draws)),
+    }[guess])
+    for seed, shape in enumerate([(4, 3, 5), (10, 3, 10), (6, 4, 3),
+                                  (5, 5, 7), (30, 5, 30), (3, 6, 4)]):
+        chain_rng = np.random.default_rng(seed)
+        params = (near_boundary_chain(shape, chain_rng, 1e-7) if seed % 2
+                  else random_chain(Shape(*shape), chain_rng, min_entry=1e-3))
+        for n in (0, 1, 10, 25):
+            assert (sample_outcome(sample_fiber, params, n, seed)
+                    == sample_outcome(serial_sample_fiber, params, n, seed))
+    for sum_tol in (-1.0, 1e-17):
+        assert row_sum_errors(monkeypatch, sum_tol, row_sum_cases()[1:])
+
+
+def test_walk_makes_one_kernel_call_for_a_typical_sample(monkeypatch):
+    # at 10 x 3 x 10 the predicted path of n = 10 holds up, so one kernel
+    # call serves the sample; at n = 400 no stack exceeds _DRAWS, which
+    # bounds the memory of a large sample
+    stacks = []
+    real = fiber._mix
+    monkeypatch.setattr(fiber, "_mix",
+                        lambda p, qs: stacks.append(len(qs)) or real(p, qs))
+    params = random_chain(Shape(10, 3, 10), np.random.default_rng(0),
+                          min_entry=1e-3)
+    assert len(sample_fiber(params, 10, seed=0)) == 10
+    assert len(stacks) == 1
+    stacks.clear()
+    assert len(sample_fiber(params, 400, seed=1)) == 400
+    assert max(stacks) == fiber._DRAWS
 
 
 # ------------------------------------------------------------ r2 = 2 verdicts

@@ -112,6 +112,17 @@ def test_count_table_rejects_floats_outside_int64(value):
     assert CountTable((1, 1), [[2.0 ** 63 - 1024]]).total == 2 ** 63 - 1024
 
 
+@pytest.mark.parametrize("value", ["1", "a", None, True, np.True_])
+def test_count_table_rejects_entries_that_are_not_integers(value):
+    # a string or None is no number and a bool is no count, as it is no
+    # size: each is refused, not parsed, floored or read as 1
+    with pytest.raises(InvalidParameter, match="^counts must be integers$"):
+        CountTable((1, 1), [[value]])
+    with pytest.raises(InvalidParameter,
+                       match=r"^counts must be finite and below 2\*\*63$"):
+        CountTable((1, 2), [[1, 2 ** 64]])
+
+
 def test_loglik_invariant_on_fiber_50_pairs():
     for seed in range(50):
         params = seeded_chain((3, 2, 3), 600 + seed)

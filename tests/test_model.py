@@ -78,6 +78,29 @@ def test_value_messages_print_plain_floats(build, message):
         build()
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: ChainParams(Shape(2, 2, 2), [0.5, 0.5], [["a", 1.0], [0.5, 0.5]],
+                         [[0.5, 0.5]] * 2), "entries of a must be real numbers"),
+    (lambda: ChainParams(Shape(2, 2, 2), [0.5, 0.5], [[0.5, 0.5]] * 2,
+                         [[0.5, 0.5], [0.5]]), "entries of b must be real numbers"),
+    (lambda: MarginalTable((1, 2), [["a", 1.0]]), "cells must be real numbers"),
+    (lambda: JointTable(Shape(2, 2, 2), [[["0.5", 0.5]] * 2] * 2),
+     "cells must be real numbers"),
+    (lambda: JointTable.from_flat(Shape(2, 2, 2), ["a"] + [0.125] * 7),
+     "cells must be real numbers"),
+    (lambda: MixingMatrix([["a", 1.0], [0.0, 1.0]]),
+     "entries of q must be real numbers"),
+    (lambda: MixingMatrix([[1.0 + 0.5j, 0.0], [0.0, 1.0]]),
+     "entries of q must be real numbers"),
+], ids=["a-string", "b-ragged", "marginal-string", "joint-numeric-string",
+        "flat-string", "q-string", "q-complex"])
+def test_entries_that_are_not_real_numbers_are_invalid(build, message):
+    # numpy would parse "0.5", drop an imaginary part or raise its own
+    # ValueError; the value types refuse each with one message
+    with pytest.raises(InvalidParameter, match=f"^{re.escape(message)}$"):
+        build()
+
+
 def test_table_shapes_take_numpy_integers():
     shape = (np.int64(2), np.int32(3))
     assert MarginalTable(shape, np.full((2, 3), 1 / 6)).shape == (2, 3)
