@@ -177,24 +177,23 @@ def _shape(data: _Fields, length: int) -> list[int]:
 
 def _model(data: _Fields) -> model.ChainParams:
     return model.ChainParams(model.Shape(*_shape(data, 3)),
-                             *(np.asarray(data[k], dtype=float)
-                               for k in ("p1", "a", "b")))
+                             data["p1"], data["a"], data["b"])
 
 
 def _joint(data: _Fields) -> model.JointTable:
     return model.JointTable.from_flat(model.Shape(*_shape(data, 3)),
-                                      np.asarray(data["cells"], dtype=float))
+                                      data["cells"])
 
 
 def _marginal(data: _Fields) -> model.MarginalTable:
     r1, r3 = _shape(data, 2)
-    cells = np.asarray(data["cells"], dtype=float)
+    cells = model._reals(data["cells"], "cells must be real numbers")
     return model.MarginalTable((r1, r3), cells.reshape(r1, r3))
 
 
 def _q(data: _Fields) -> MixingMatrix:
     from .fiber import MixingMatrix
-    return MixingMatrix(np.asarray(data["q"], dtype=float))
+    return MixingMatrix(data["q"])
 
 
 def _too_many_cells(what: str, *sizes: int) -> str:

@@ -14,7 +14,6 @@ min(r1, r3) < r2 < max(r1, r3); see :func:`fiber_dimension`.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -52,8 +51,7 @@ _BLOCK = 8
 _DRAWS = 1024
 #: step-size factor of :func:`sample_fiber` after a rejection
 _SHRINK = 2.0 ** (-1.0 / 3.0)
-#: float64 machine epsilon, the unit of the rounding bounds of :func:`_points`
-#: and :func:`_binary_verdict`
+#: float64 machine epsilon, the unit of the rounding bound of :func:`_points`
 _EPS = float(np.finfo(float).eps)
 
 
@@ -356,112 +354,44 @@ def extreme_mixings(params: ChainParams, side: str = "a") -> list[ExtremeMixing]
     ]
 
 
-def _binary_verdict(params: ChainParams):
-    """``verdict(pi, q01, rho, q11)`` is ``_mix(params, q[None]).valid[0]``
-    for q = [[pi, q01], [rho, q11]] with row sums within ``SUM_TOL``, or None
-    where these bounds (eps = ``_EPS``; each band over twice its bound, to
-    cover its own rounding) cannot tell.  Row i of a' is
-    (c_i - rho, pi - c_i) / (pi - rho) for c = a[:, 0]: rounded subtraction
-    and division are monotone, so its least entry is bitwise the least of
-    the four values at min(c) and max(c).  An entry x b_0k + y b_1k of q b
-    is within (1 + eps) eps (|x| + |y|) of exact here and in the kernel,
-    fused or not (0 <= b <= 1).  The kernel's det is
-    sign * exp(log|u_00| + log|u_11|) of an LU: with pivot row 0,
-    u_11 = q11 - (rho / pi) q01 takes at most four roundings, so pi u_11 is
-    within eps/2 |det q| + 1.51 eps |q01 rho| of det q (pivot row 1 swaps
-    the products), and the logs and the exp, an ulp each with |log| < 745,
-    add under 2300 eps relatively; d = pi q11 - q01 rho is within
-    eps/2 (s + |d|) of det q, for s = |pi q11| + |q01 rho|.  A singular q
-    fails too, so a certain clamp failure settles the verdict.
-    """
-    col = params.a[:, 0]
-    c_lo, c_hi = float(col.min()), float(col.max())
-    b_cols = list(zip(*params.b.tolist()))
-
-    def verdict(pi: float, q01: float, rho: float, q11: float) -> bool | None:
-        den = pi - rho
-        if den == 0.0:
-            return None
-        if min((c_lo - rho) / den, (c_hi - rho) / den,
-               (pi - c_lo) / den, (pi - c_hi) / den) < -CLAMP_EPS:
-            return False
-        low = math.inf
-        for x, y in b_cols:
-            low = min(low, pi * x + q01 * y, rho * x + q11 * y)
-        band = 8.0 * _EPS * (abs(pi) + abs(q01) + abs(rho) + abs(q11))
-        if low + band < -CLAMP_EPS:
-            return False
-        s, d = abs(pi * q11) + abs(q01 * rho), abs(pi * q11 - q01 * rho)
-        # True where both clamps pass and |det| > DET_EPS for certain
-        return (low - band >= -CLAMP_EPS
-                and d - _EPS * (8.0 * s + 8192.0 * d) > DET_EPS) or None
-
-    return verdict
-
-
-def _binary_walk(params: ChainParams, n: int, rng: np.random.Generator,
-                 cap: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """:func:`sample_fiber`'s walk at r2 = 2: returns the unclamped a' and
-    b' of the accepted proposals, stacked by one kernel call, and the
-    attempt count.  q is ``eye + t * draw`` by the same operations, up to
-    the sign of a zero off the diagonal, which nothing in the kernel sees.
-    """
-    verdict = _binary_verdict(params)
-    draws: list[list[float]] = []
-    accepted: list[tuple[float, ...]] = []
-    t, attempts = 0.5, 0
-    while len(accepted) < n and attempts < cap:
-        if not draws:
-            # about what the rest needs at the walk's 25% acceptance
-            size = min(4 * (n - len(accepted)) + _BLOCK, _DRAWS)
-            fresh = rng.standard_normal((size, 2, 2))
-            fresh -= fresh.mean(axis=2, keepdims=True)
-            draws = fresh.reshape(size, 4).tolist()[::-1]    # popped in order
-        d00, d01, d10, d11 = draws.pop()
-        attempts += 1
-        q = (1.0 + t * d00, t * d01, t * d10, 1.0 + t * d11)
-        if not (abs((q[0] + q[1]) - 1.0) <= SUM_TOL
-                and abs((q[2] + q[3]) - 1.0) <= SUM_TOL):
-            MixingMatrix(np.reshape(q, (2, 2)))    # raises InvalidParameter
-        ok = verdict(*q)
-        if ok is None:
-            ok = bool(_mix(params, np.reshape(q, (1, 2, 2))).valid[0])
-        if ok:
-            accepted.append(q)
-            t = min(t * 2.0, 4.0)
-        else:
-            t = max(t * _SHRINK, 1e-8)
-    mixed = _mix(params, np.reshape(accepted, (-1, 2, 2)))
-    if not mixed.valid.all():
-        raise RuntimeError("the mixing kernel rejects an accepted proposal")
-    return mixed.a, mixed.b, attempts
-
-
 def _exits(params: ChainParams, draws: np.ndarray) -> np.ndarray:
-    """The exit step :func:`_walk` predicts for each direction M of
-    ``draws``: the least t > 0 at which q = I + t M fails, to first order,
-    a (I + t C) + CLAMP_EPS (1 + t tr M) >= 0 (C = tr(M) I - M is the t-term
-    of adj q), 1 + t tr M > DET_EPS or the exact b + t M b + CLAMP_EPS >= 0.
-    Each is c (1 + t s), c > 0: it fails at t = -1 / s for the least s < 0."""
+    """The verdicts :func:`_walk` predicts for each direction M of ``draws``:
+    rows (exit, lo, hi), where q = I + t M is predicted valid for t < exit or
+    lo <= t <= hi.  The forms a (I + t C) + CLAMP_EPS (1 + t tr M)
+    (C = tr(M) I - M is the t-term of adj q), 1 + t tr M - DET_EPS and the
+    exact b + t M b + CLAMP_EPS are each c (1 + t s), c > 0, with a root
+    t = -1 / s for s < 0 (inf for s >= 0); exit is the least root.  The
+    first two are first order in t, and exact at r2 = 2, where
+    det q = 1 + t tr M as det M = 0.  There the branch det q < -DET_EPS is
+    valid too, where every a-side form is <= 0 and every b-side form >= 0:
+    from lo, the largest root of the a-side forms and of 1 + t tr M + DET_EPS,
+    to hi, the least b-side root.  For r2 >= 3, lo = hi = inf."""
     count, r2 = draws.shape[:2]
     trace = np.trace(draws, axis1=1, axis2=2)[:, None, None]
-    slopes = np.concatenate([
-        ((params.a @ (trace * np.eye(r2) - draws) + CLAMP_EPS * trace)
-         / (params.a + CLAMP_EPS)).reshape(count, -1),
-        (draws @ params.b / (params.b + CLAMP_EPS)).reshape(count, -1),
-        trace[:, 0] / (1.0 - DET_EPS)], axis=1).min(axis=1)
+    a_side = ((params.a @ (trace * np.eye(r2) - draws) + CLAMP_EPS * trace)
+              / (params.a + CLAMP_EPS)).reshape(count, -1)
+    b_side = (draws @ params.b / (params.b + CLAMP_EPS)).reshape(count, -1)
+    # the root of a slope is monotone in it: the least root is that of the
+    # least slope, the largest that of the largest
+    slopes = np.zeros((3, count))
+    slopes[0] = np.concatenate([a_side, b_side, trace[:, 0] / (1.0 - DET_EPS)],
+                               axis=1).min(axis=1)
+    if r2 == 2:
+        slopes[1] = np.concatenate([a_side, trace[:, 0] / (1.0 + DET_EPS)],
+                                   axis=1).max(axis=1)
+        slopes[2] = b_side.min(axis=1)
     with np.errstate(divide="ignore"):
-        return np.where(slopes < 0.0, -1.0 / slopes, np.inf)
+        return np.where(slopes < 0.0, -1.0 / slopes, np.inf).T
 
 
 def _walk(params: ChainParams, n: int, rng: np.random.Generator,
           cap: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """:func:`sample_fiber`'s walk at r2 >= 3, returning what
-    :func:`_binary_walk` returns.  It accepts a step below the exit
-    :func:`_exits` predicts, checks that path in one kernel call and keeps
-    it up to the first verdict the kernel overrules, or raises at a bad q.
-    A path no longer than twice the stretch last kept, or 8 blocks, bounds
-    the kernel work a misprediction wastes."""
+    """:func:`sample_fiber`'s walk: returns the unclamped a' and b' of the
+    accepted proposals and the attempt count.  It accepts a step where
+    :func:`_exits` predicts a valid q, checks that path in one kernel call
+    and keeps it up to the first verdict the kernel overrules, or raises at
+    a bad q.  A path no longer than twice the stretch last kept, or 8
+    blocks, bounds the kernel work a misprediction wastes."""
     r2 = params.shape.r2
     rows = [(np.empty((0, *params.a.shape)), np.empty((0, *params.b.shape)))]
     t, got, attempts, exits, span = 0.5, 0, 0, [], _DRAWS
@@ -473,9 +403,9 @@ def _walk(params: ChainParams, n: int, rng: np.random.Generator,
             draws -= draws.mean(axis=2, keepdims=True)
             exits = _exits(params, draws).tolist()
         steps, guesses, ahead = [], [], got
-        for exit_t in exits[:min(span, cap - attempts)]:
+        for exit_t, lo, hi in exits[:min(span, cap - attempts)]:
             steps.append(t)
-            guesses.append(ok := t < exit_t)
+            guesses.append(ok := t < exit_t or lo <= t <= hi)
             t = min(t * 2.0, 4.0) if ok else max(t * _SHRINK, 1e-8)
             if ok and (ahead := ahead + 1) == n:
                 break
@@ -508,20 +438,17 @@ def sample_fiber(params: ChainParams, n: int, seed: int = 0) -> list[ChainParams
     a :class:`RejectionStall` warning reports the acceptance rate and the
     accepted points are returned as-is.
 
-    At r2 = 2 each proposal is decided on floats by bounds proven against
-    the mixing kernel, which then runs once on all accepted proposals; at
-    r2 >= 3 one kernel call checks a whole path of predicted verdicts.  The
-    accepted rows are snapped in one stack per factor, and the points, the
-    attempt count, the warning and any error are exactly those of one
-    attempt at a time.
+    One kernel call checks a whole path of predicted verdicts, and a
+    verdict the kernel overrules ends the path there.  The accepted rows
+    are snapped in one stack per factor, and the points, the attempt count,
+    the warning and any error are exactly those of one attempt at a time.
     """
     _check_count("n", n, 0)
     _check_count("seed", seed, 0)
     if params.min_entry <= 0.0:
         raise BoundaryPoint("fiber sampling requires interior parameters")
-    walk = _binary_walk if params.shape.r2 == 2 else _walk
-    a, b, attempts = walk(params, n, np.random.default_rng(seed),
-                          max(200, 100 * n))
+    a, b, attempts = _walk(params, n, np.random.default_rng(seed),
+                           max(200, 100 * n))
     # the accepted rows passed the clamp test: snapping is all that is left
     out = _points(params, _snap(a), _snap(b))
     if len(out) < n:

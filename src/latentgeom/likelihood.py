@@ -59,7 +59,7 @@ class CountTable:
 
     def __post_init__(self):
         shape = _integer_pair(self.shape, "counts shape")
-        counts = _reals(self.counts, "counts must be integers")
+        counts = _reals(self.counts, "counts must be integers", floats=False)
         if counts.shape != shape:
             raise InvalidParameter(
                 f"counts have shape {counts.shape}, expected {shape}"
@@ -389,9 +389,8 @@ class ProfileTrace:
     __eq__ = _fields_eq
 
     def __post_init__(self):
-        t = np.asarray(self.t, dtype=float)
-        ll = np.asarray(self.loglik, dtype=float)
-        me = np.asarray(self.min_entry, dtype=float)
+        t, ll, me = (_reals(column, "trace entries must be real numbers")
+                     for column in (self.t, self.loglik, self.min_entry))
         if not (t.ndim == 1 and t.shape == ll.shape == me.shape):
             raise InvalidParameter("trace columns must be 1-d and equal length")
         if t.size < 1 or (np.diff(t) <= 0).any():

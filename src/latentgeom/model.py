@@ -40,11 +40,13 @@ def _frozen(values, dtype=float) -> np.ndarray:
     return out
 
 
-def _reals(values, message: str) -> np.ndarray:
-    """``values`` as an array of bools, integers or floats: the value types'
-    one numeric conversion.  Objects, such as integers past int64, become
-    floats; a string, a complex or a ragged nesting raises
-    ``InvalidParameter(message)``, where numpy would parse or fail."""
+def _reals(values, message: str, floats: bool = True) -> np.ndarray:
+    """``values`` as an array of floats, or with ``floats=False`` of the
+    bools, integers or floats given: the value types' one numeric
+    conversion.  Objects, such as integers past int64, become floats; a
+    string, a complex or a ragged nesting raises
+    ``InvalidParameter(message)``, where numpy would parse or fail.  Floats
+    keep the checks that follow from integer sums, which wrap at 2**63."""
     try:
         out = np.asarray(values)
         out = out.astype(float) if out.dtype.kind == "O" else out
@@ -52,7 +54,7 @@ def _reals(values, message: str) -> np.ndarray:
             raise ValueError
     except (TypeError, ValueError):
         raise InvalidParameter(message) from None
-    return out
+    return out.astype(float, copy=False) if floats else out
 
 
 def _fields_eq(self, other) -> bool:

@@ -47,6 +47,7 @@ from .model import (
     _fields_eq,
     _frozen,
     _integer_pair,
+    _reals,
     _ref_cell,
     marginal_13,
 )
@@ -88,7 +89,7 @@ class LambdaField:
 
     def __post_init__(self):
         r1, r2, r3 = self.shape.astuple()
-        values = np.asarray(self.values, dtype=float)
+        values = _reals(self.values, "lambda values must be real numbers")
         if values.shape != (r1, r3, r2):
             raise InvalidParameter(
                 f"values have shape {values.shape}, expected ({r1}, {r3}, {r2})"
@@ -165,7 +166,7 @@ class CrossRatios:
     def __post_init__(self):
         r1, r3 = _integer_pair(self.marginal_shape, "marginal shape")
         ref = _ref_cell(self.ref_cell, r1, r3)
-        values = np.asarray(self.values, dtype=float)
+        values = _reals(self.values, "cross-ratios must be real numbers")
         if values.shape != (r1 - 1, r3 - 1):
             raise InvalidParameter(
                 f"values have shape {values.shape}, expected ({r1 - 1}, {r3 - 1})"

@@ -228,17 +228,35 @@ def test_row_sum_message_prints_a_plain_float(capsys, tmp_path):
     ("counts.csv", b"i,k,count\n1,1,99999999999999999999\n"),
     ("model.json", b'{"shape": [3, 2, 3], "p1": [Infinity, -Infinity, 1], '
                    b'"a": [[1, 0], [1, 0], [1, 0]], "b": [[1, 0, 0], [1, 0, 0]]}'),
+    ("model.json", b'{"shape": [5, 2, 2], "p1": [4611686018427387904, '
+                   b'4611686018427387904, 4611686018427387904, '
+                   b'4611686018427387904, 1], "a": [[1, 0], [1, 0], [1, 0], '
+                   b'[1, 0], [1, 0]], "b": [[1, 0], [0, 1]]}'),
+    ("model.json", b'{"shape": [3, 2, 3], "p1": ["0.2", "0.3", "0.5"], '
+                   b'"a": [[0.5, 0.5], [0.6, 0.4], [0.3, 0.7]], '
+                   b'"b": [[0.2, 0.5, 0.3], [0.6, 0.1, 0.3]]}'),
+    ("joint.json", b'{"shape": [2, 2, 2], "cells": ["0.125", 0.125, 0.125, '
+                   b'0.125, 0.125, 0.125, 0.125, 0.125]}'),
+    ("marginal.json", b'{"shape": [2, 2], "cells": ["0.25", 0.25, 0.25, 0.25]}'),
+    ("q.json", b'{"q": [["1.0", "0.0"], [0.0, 1.0]]}'),
 ], ids=["not-utf8", "int-too-long", "int-beyond-float", "too-deep",
-        "count-beyond-int64", "both-infinities"])
-def test_unreadable_values_are_file_errors(capsys, tmp_path, name, content):
+        "count-beyond-int64", "both-infinities", "ints-wrapping-int64",
+        "model-numeric-string", "joint-numeric-string",
+        "marginal-numeric-string", "q-numeric-string"])
+def test_unreadable_values_are_file_errors(capsys, tmp_path, model_file,
+                                           counts_file, name, content):
     # bytes that are not UTF-8, integers too long to parse or to convert,
-    # nesting too deep to parse, counts beyond int64 and a row holding both
-    # infinities (whose plain sum warns) end in exit 3 with one line naming
+    # nesting too deep to parse, counts beyond int64, a row holding both
+    # infinities (whose plain sum warns), integers whose int64 sum wraps to
+    # 1 and numbers written as strings end in exit 3 with one line naming
     # the file, not in a traceback
-    path = tmp_path / name
+    path = tmp_path / "given" / name
+    path.parent.mkdir()
     path.write_bytes(content)
-    argv = (["vertices", str(path)] if name == "model.json"
-            else ["consistency", str(path), "--r2", "2"])
+    argv = {"model.json": ["vertices", str(path)],
+            "joint.json": ["check", str(path)],
+            "q.json": ["profile", counts_file, model_file[0], "--q", str(path)],
+            }.get(name, ["consistency", str(path), "--r2", "2"])
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 3

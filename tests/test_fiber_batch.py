@@ -16,7 +16,6 @@ import pytest
 from latentgeom import (
     ChainParams,
     CountTable,
-    DegenerateInput,
     InvalidMixing,
     InvalidParameter,
     MixingMatrix,
@@ -253,8 +252,7 @@ def flat_chain(shape, rng):
 
 
 def test_sample_fiber_reaches_step_floor_cap_and_attempt_cap():
-    # the schedule's edges, at r2 = 2 (decided in closed form) and r2 = 3
-    # (predicted, then checked by the kernel): t pinned at its 1e-8 floor by
+    # the schedule's edges, at r2 = 2 and r2 = 3: t pinned at its 1e-8 floor by
     # a chain near the boundary, t at its cap of 4 on a flat chain, and the
     # attempt cap with a stall
     edges = set()
@@ -309,11 +307,11 @@ def test_sample_fiber_row_sum_errors_match_serial(monkeypatch, sum_tol):
     assert row_sum_errors(monkeypatch, sum_tol, row_sum_cases())
 
 
-# ------------------------------------------------------------ r2 >= 3 predictions
+# ------------------------------------------------------------ predicted paths
 
 @pytest.mark.parametrize("r2", [2, 3, 4, 5])
 def test_kernel_members_equal_their_stacks_of_one(r2):
-    # the walk at r2 >= 3 runs the kernel on paths of up to _DRAWS attempts
+    # the walk runs the kernel on paths of up to _DRAWS attempts
     # and keeps a prefix: each member must get the bits of a stack of one,
     # valid, outside the polytope, singular or bad alike
     rng = np.random.default_rng(r2)
@@ -347,30 +345,41 @@ def test_sample_fiber_outcome_does_not_depend_on_the_exit_prediction(
     # that is always or randomly wrong costs kernel calls, never bits
     rng = np.random.default_rng(18)
     monkeypatch.setattr(fiber, "_exits", {
-        "accept": lambda params, draws: np.full(len(draws), np.inf),
-        "reject": lambda params, draws: np.zeros(len(draws)),
-        "random": lambda params, draws: rng.uniform(0.0, 4.0, len(draws)),
+        "accept": lambda params, draws: np.full((len(draws), 3), np.inf),
+        "reject": lambda params, draws: np.zeros((len(draws), 3)),
+        "random": lambda params, draws: rng.uniform(0.0, 4.0, (len(draws), 3)),
     }[guess])
-    for seed, shape in enumerate([(4, 3, 5), (10, 3, 10), (6, 4, 3),
-                                  (5, 5, 7), (30, 5, 30), (3, 6, 4)]):
+    # (shape, floor of the near-boundary chain, or 0 for a plain one)
+    cases = [((4, 3, 5), 0), ((10, 3, 10), 1e-7), ((6, 4, 3), 0),
+             ((5, 5, 7), 1e-7), ((30, 5, 30), 0), ((3, 6, 4), 1e-7),
+             ((3, 2, 3), 0), ((4, 2, 3), 1e-13), ((12, 2, 7), 0),
+             ((5, 2, 9), 1e-7)]
+    for seed, (shape, floor) in enumerate(cases):
         chain_rng = np.random.default_rng(seed)
-        params = (near_boundary_chain(shape, chain_rng, 1e-7) if seed % 2
+        params = (near_boundary_chain(shape, chain_rng, floor) if floor
                   else random_chain(Shape(*shape), chain_rng, min_entry=1e-3))
         for n in (0, 1, 10, 25):
             assert (sample_outcome(sample_fiber, params, n, seed)
                     == sample_outcome(serial_sample_fiber, params, n, seed))
     for sum_tol in (-1.0, 1e-17):
-        assert row_sum_errors(monkeypatch, sum_tol, row_sum_cases()[1:])
+        assert row_sum_errors(monkeypatch, sum_tol, row_sum_cases())
 
 
 def test_walk_makes_one_kernel_call_for_a_typical_sample(monkeypatch):
     # at 10 x 3 x 10 the predicted path of n = 10 holds up, so one kernel
-    # call serves the sample; at n = 400 no stack exceeds _DRAWS, which
-    # bounds the memory of a large sample
+    # call serves the sample.  At 3 x 2 x 3 a path of n = 50 holds up too,
+    # as steps past det q = 0 are predicted on the branch det q < 0.  At
+    # n = 400 no stack exceeds _DRAWS, which bounds the memory of a large
+    # sample
     stacks = []
     real = fiber._mix
     monkeypatch.setattr(fiber, "_mix",
                         lambda p, qs: stacks.append(len(qs)) or real(p, qs))
+    binary = random_chain(Shape(3, 2, 3), np.random.default_rng(5),
+                          min_entry=0.02)
+    assert len(sample_fiber(binary, 50, seed=5)) == 50
+    assert len(stacks) == 1
+    stacks.clear()
     params = random_chain(Shape(10, 3, 10), np.random.default_rng(0),
                           min_entry=1e-3)
     assert len(sample_fiber(params, 10, seed=0)) == 10
@@ -378,109 +387,6 @@ def test_walk_makes_one_kernel_call_for_a_typical_sample(monkeypatch):
     stacks.clear()
     assert len(sample_fiber(params, 400, seed=1)) == 400
     assert max(stacks) == fiber._DRAWS
-
-
-# ------------------------------------------------------------ r2 = 2 verdicts
-
-def nudged(value):
-    """``value``, moved by up to two ulps and by +-CLAMP_EPS."""
-    out = [value, value + CLAMP_EPS, value - CLAMP_EPS]
-    for direction in (np.inf, -np.inf):
-        out += [float(np.nextafter(value, direction)),
-                float(np.nextafter(np.nextafter(value, direction), direction))]
-    return out
-
-
-def boundary_proposals(params):
-    """Matrices q on and near the edges of the r2 = 2 validity region: the
-    vertices of both sides moved by a few ulps or by +-CLAMP_EPS, and
-    nearly singular q with |det| close to DET_EPS around the middle of the
-    first column of a.  Rows keep (pi, 1 - pi) and (rho, 1 - rho) as
-    computed, so they sum to 1 within a few ulps."""
-    corners = []
-    for side in ("a", "b"):
-        try:
-            corners += [(v.q.q[0, 0], v.q.q[1, 0])
-                        for v in extreme_mixings(params, side)]
-        except DegenerateInput:
-            pass
-    mid = float(params.a[:, 0].mean())
-    for det in DET_EPS * np.array([0.5, 1.0 - 1e-3, 1.0, 1.0 + 1e-3, 2.0,
-                                   1e3]):
-        corners.append((mid + det / 2.0, mid - det / 2.0))
-    for pi, rho in corners:
-        for pi_moved in nudged(float(pi)):
-            for rho_moved in nudged(float(rho)):
-                yield np.array([[pi_moved, 1.0 - pi_moved],
-                                [rho_moved, 1.0 - rho_moved]])
-
-
-@settings(max_examples=12, deadline=None)
-@given(r1=st.integers(2, 8), r3=st.integers(2, 8), seed=SEEDS)
-def test_binary_verdict_agrees_with_kernel_on_the_boundary(r1, r3, seed):
-    # random draws never land on the edges of the validity region.  There
-    # every verdict the bounds settle must be the kernel's, at CLAMP_EPS as
-    # given and at the kernel's smallest entry of a' and of q b, where < and
-    # <= differ; proposals they cannot settle must exist (nearly singular q
-    # whose a' and q b pass, on a chain with a constant first column of a)
-    rng = np.random.default_rng(seed)
-    base = random_chain(Shape(r1, 2, r3), rng, min_entry=1e-3)
-    chains = [
-        base,
-        ChainParams(base.shape, base.p1, np.tile(base.a[0], (r1, 1)), base.b),
-        ChainParams(base.shape, base.p1, base.a, np.tile(base.b[0], (2, 1))),
-    ]
-    settled = unsettled = 0
-    for params in chains:
-        verdict = fiber._binary_verdict(params)
-        for q in boundary_proposals(params):
-            mixed = fiber._mix(params, q[None])
-            assert not mixed.bad[0]
-            for clamp in (CLAMP_EPS, -float(mixed.a.min()),
-                          -float(mixed.b.min())):
-                with pytest.MonkeyPatch.context() as patch:
-                    patch.setattr(fiber, "CLAMP_EPS", clamp)
-                    with warnings.catch_warnings():
-                        warnings.simplefilter("error")
-                        kernel = fiber._mix(params, q[None]).valid[0]
-                    ours = verdict(*q.ravel().tolist())
-                if ours is None:
-                    unsettled += 1
-                else:
-                    settled += 1
-                    assert ours == kernel
-    assert settled and unsettled
-
-
-def test_binary_sample_fiber_makes_one_kernel_call(monkeypatch):
-    # with every proposal settled in closed form, the kernel runs once, on
-    # the stack of all accepted points
-    stacks = []
-    real = fiber._mix
-    monkeypatch.setattr(fiber, "_mix",
-                        lambda p, qs: stacks.append(len(qs)) or real(p, qs))
-    params = random_chain(Shape(3, 2, 3), np.random.default_rng(5),
-                          min_entry=0.02)
-    assert len(sample_fiber(params, 50, seed=5)) == 50
-    assert stacks == [50]
-
-
-@pytest.mark.parametrize("seed", range(4))
-def test_binary_walk_matches_serial_when_the_kernel_decides(monkeypatch, seed):
-    # a verdict that settles nothing sends every proposal through the
-    # kernel on its own, which must give the serial walk's outcome too
-    stacks = []
-    real = fiber._mix
-    monkeypatch.setattr(fiber, "_mix",
-                        lambda p, qs: stacks.append(len(qs)) or real(p, qs))
-    monkeypatch.setattr(fiber, "_binary_verdict",
-                        lambda params: lambda *q: None)
-    rng = np.random.default_rng(seed)
-    params = (near_boundary_chain((4, 2, 3), rng, 1e-13) if seed % 2
-              else random_chain(Shape(4, 2, 3), rng))
-    ours = sample_outcome(sample_fiber, params, 12, seed)
-    assert ours == sample_outcome(serial_sample_fiber, params, 12, seed)
-    assert stacks[:-1] == [1] * (len(stacks) - 1) and len(stacks) > 12
 
 
 # ------------------------------------------------------------ profile_along_fiber

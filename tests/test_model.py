@@ -7,12 +7,14 @@ from latentgeom import (
     BoundaryPoint,
     ChainParams,
     CountTable,
+    CrossRatios,
     DimsCase,
     InvalidParameter,
     JointTable,
     LambdaField,
     MarginalTable,
     MixingMatrix,
+    ProfileTrace,
     Shape,
     ci_residuals,
     dims,
@@ -92,11 +94,36 @@ def test_value_messages_print_plain_floats(build, message):
      "entries of q must be real numbers"),
     (lambda: MixingMatrix([[1.0 + 0.5j, 0.0], [0.0, 1.0]]),
      "entries of q must be real numbers"),
+    (lambda: LambdaField(Shape(2, 2, 2), [[["a", 0.5]] * 2] * 2),
+     "lambda values must be real numbers"),
+    (lambda: LambdaField(Shape(2, 2, 2), [[["0.5", "0.5"]] * 2] * 2),
+     "lambda values must be real numbers"),
+    (lambda: CrossRatios((3, 3), (0, 0), [["2", 1.0], [1.0, 1.0]]),
+     "cross-ratios must be real numbers"),
+    (lambda: ProfileTrace(["0", 1.0], [0.0, 0.0], [0.1, 0.1], None, None),
+     "trace entries must be real numbers"),
+    (lambda: ProfileTrace([0.0, 1.0], [0.0, "x"], [0.1, 0.1], None, None),
+     "trace entries must be real numbers"),
 ], ids=["a-string", "b-ragged", "marginal-string", "joint-numeric-string",
-        "flat-string", "q-string", "q-complex"])
+        "flat-string", "q-string", "q-complex", "lambda-string",
+        "lambda-numeric-string", "cross-ratio-numeric-string",
+        "trace-numeric-string", "trace-string"])
 def test_entries_that_are_not_real_numbers_are_invalid(build, message):
     # numpy would parse "0.5", drop an imaginary part or raise its own
     # ValueError; the value types refuse each with one message
+    with pytest.raises(InvalidParameter, match=f"^{re.escape(message)}$"):
+        build()
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: ChainParams(Shape(5, 2, 2), [2 ** 62] * 4 + [1], [[1, 0]] * 5,
+                         [[1, 0], [0, 1]]),
+     "row 0 of p1 sums to 1.8446744073709552e+19, not 1"),
+    (lambda: MixingMatrix([[2 ** 62, 2 ** 62, 1 - 2 ** 63], [1, 0, 0],
+                           [0, 0, 1]]), "row 0 of q sums to 0.0, not 1"),
+], ids=["p1", "q"])
+def test_integer_entries_are_checked_as_floats(build, message):
+    # in int64 these rows sum to 1, as the sums wrap at 2**63
     with pytest.raises(InvalidParameter, match=f"^{re.escape(message)}$"):
         build()
 

@@ -40,3 +40,37 @@ def test_every_private_module_name_is_used_in_the_package():
             for name, node in module_private_names(tree)
             if loads[name] == loaded_names(node)[name]]
     assert dead == []
+
+
+def own_nodes(scope: ast.AST):
+    # the nodes of a module or function, not those of the functions in it
+    stack = list(ast.iter_child_nodes(scope))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def imported_names(scope: ast.AST):
+    # the names a module or function binds by its own import statements
+    for node in own_nodes(scope):
+        if isinstance(node, ast.Import):
+            yield from (a.asname or a.name.partition(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            yield from (a.asname or a.name for a in node.names)
+
+
+def test_every_imported_name_is_read():
+    # an import that nothing reads is dead code, and it costs a cold start
+    # the module's load; the package imports ``errors`` for its namespace
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for scope in [tree, *(n for n in ast.walk(tree) if isinstance(
+                n, (ast.FunctionDef, ast.AsyncFunctionDef)))]:
+            reads = {n.id for n in ast.walk(scope) if isinstance(n, ast.Name)
+                     and isinstance(n.ctx, ast.Load)}
+            unread += [(path.name, name) for name in imported_names(scope)
+                       if name not in reads]
+    assert unread == [("__init__.py", "errors")]
