@@ -2,10 +2,11 @@
 
 Every subcommand is a pure function of its inputs; fiber, consistency
 and emfit, the subcommands that draw random numbers, also take --seed.
-Repeated runs are byte-identical.  All floating-point output is printed
-with 17 significant digits so values round-trip exactly.  Indices in CLI
-files and flags (counts CSV, --ref-cell, reported cells) are 1-based; the
-Python API underneath is 0-based.
+Repeated runs are byte-identical.  Floats print with 17 significant digits
+so values round-trip exactly: a finite x as ``'%.17g' % x``, the same text as
+``format(x, '.17g')``, and one ``%`` fills the layout of a whole float array,
+chain or CSV row.  Indices in CLI files and flags (counts CSV, --ref-cell,
+reported cells) are 1-based; the Python API underneath is 0-based.
 
 Exit codes: 0 for completed analyses (an infeasible marginal or a missing
 intersection is a result, not a failure), 2 for usage errors, 3 for
@@ -92,17 +93,48 @@ def _fmt(x) -> str:
     raise TypeError(f"cannot format {type(x)!r}")
 
 
+def _fill(template: str, values: tuple) -> str:
+    """``template``'s ``%.17g`` slots filled by ``values`` as :func:`_fmt`
+    prints them; only inf and nan print an n, which :func:`_fmt` quotes."""
+    text = template % values
+    if "n" in text:
+        text = template.replace("%.17g", "%s") % tuple(map(_fmt, values))
+    return text
+
+
+@functools.lru_cache(maxsize=256)
+def _layout(shape: tuple[int, ...] | model.Shape, indent: int) -> str:
+    """What :func:`_render_json` prints at ``indent`` for a non-empty float
+    array of ``shape`` or for a chain of that :class:`model.Shape`, with a
+    ``%.17g`` slot per value: in C order, and p1, a, b for a chain."""
+    pad, inner = "  " * indent, "  " * (indent + 1)
+    if isinstance(shape, model.Shape):
+        r1, r2, r3 = shape.astuple()
+        fields = [f'"shape": [{r1}, {r2}, {r3}]'] + [
+            f'"{name}": {_layout(sides, indent + 1)}'
+            for name, sides in (("p1", (r1,)), ("a", (r1, r2)), ("b", (r2, r3)))]
+        return "{\n" + ",\n".join(inner + f for f in fields) + "\n" + pad + "}"
+    if len(shape) == 1:
+        return "[" + ", ".join(["%.17g"] * shape[0]) + "]"
+    rows = [inner + _layout(shape[1:], indent + 1)] * shape[0]
+    return "[\n" + ",\n".join(rows) + "\n" + pad + "]"
+
+
 def _render_json(obj, indent: int = 0) -> str:
     if isinstance(obj, np.ndarray):
+        if obj.dtype.kind == "f" and obj.ndim and obj.size:
+            return _fill(_layout(obj.shape, indent), tuple(obj.ravel().tolist()))
         obj = obj.tolist()
+    if isinstance(obj, model.ChainParams):
+        return _fill(_layout(obj.shape, indent), tuple(
+            obj.p1.tolist() + obj.a.ravel().tolist() + obj.b.ravel().tolist()))
     if isinstance(obj, _SCALARS):
         return _fmt(obj)
     if obj is None:
         return "null"
     if isinstance(obj, str):
         return json.dumps(obj)
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
+    pad, inner = "  " * indent, "  " * (indent + 1)
     if isinstance(obj, dict):
         if not obj:
             return "{}"
@@ -254,15 +286,6 @@ def load_counts(path: str, shape: tuple[int, int] | None = None) -> CountTable:
         raise CliFileError(f"{path}: {exc}") from exc
 
 
-def _model_dict(params: model.ChainParams) -> dict:
-    return {
-        "shape": list(params.shape.astuple()),
-        "p1": params.p1,
-        "a": params.a,
-        "b": params.b,
-    }
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -342,15 +365,13 @@ def cmd_fig3(args: argparse.Namespace) -> int:
     s = 1.0 - (1.0 - c1 - c2) / z
     p = c1 * c2 / z
     xs = [(i + 1) / (args.samples + 1) for i in range(args.samples)]
-    for x in xs:
-        lines.append(f"line,{_fmt(x)},{_fmt(s - x)}")
-    for x in xs:
-        lines.append(f"hyperbola,{_fmt(x)},{_fmt(p / x)}")
+    xy = "%.17g,%.17g"
+    lines += ["line," + _fill(xy, (x, s - x)) for x in xs]
+    lines += ["hyperbola," + _fill(xy, (x, p / x)) for x in xs]
     if points is None:
         lines.append("# warning: no real intersection")
     else:
-        for x, y in points:
-            lines.append(f"intersection,{_fmt(x)},{_fmt(y)}")
+        lines += ["intersection," + _fill(xy, point) for point in points]
     _emit("\n".join(lines) + "\n", args.output)
     return 0
 
@@ -360,7 +381,7 @@ def cmd_fiber(args: argparse.Namespace) -> int:
     params = _load(args.file, _model)
     _check_length("--n", args.n)
     points = sample_fiber(params, args.n, seed=args.seed)
-    _emit(_render_json([_model_dict(p) for p in points]) + "\n", args.output)
+    _emit(_render_json(points) + "\n", args.output)
     return 0
 
 
@@ -406,7 +427,7 @@ def cmd_consistency(args: argparse.Namespace) -> int:
                              for k, v in report.necessary_checks.items()},
         "proven_by": report.proven_infeasible_by,
         "tol": report.tol,
-        "witness": _model_dict(report.witness) if report.witness else None,
+        "witness": report.witness,
     }
     _emit(_render_json(payload) + "\n", args.output)
     return 0
@@ -428,14 +449,13 @@ def cmd_profile(args: argparse.Namespace) -> int:
         q_end = vertices[args.vertex].q
     _check_length("--steps", args.steps)
     lines = ["t,loglik,min_entry"]
+    row = "%.17g,%.17g,%.17g"
     try:
         trace = likelihood.profile_along_fiber(counts, params, q_end, args.steps)
-        for t, ll, me in zip(trace.t.tolist(), trace.loglik.tolist(),
-                             trace.min_entry.tolist()):
-            lines.append(f"{_fmt(t)},{_fmt(ll)},{_fmt(me)}")
+        lines += [_fill(row, values) for values in zip(
+            trace.t.tolist(), trace.loglik.tolist(), trace.min_entry.tolist())]
     except PathExitsPolytope as exc:
-        for t, ll, me in exc.prefix:
-            lines.append(f"{_fmt(t)},{_fmt(ll)},{_fmt(me)}")
+        lines += [_fill(row, values) for values in exc.prefix]
         lines.append(f"# path exits polytope at t={_fmt(exc.exit_t)}")
     _emit("\n".join(lines) + "\n", args.output)
     return 0
@@ -451,7 +471,7 @@ def cmd_emfit(args: argparse.Namespace) -> int:
     fit = likelihood.em_fit_details(counts, shape, seed=args.seed,
                                     maxiter=args.maxiter, tol=args.tol)
     payload = {
-        "model": _model_dict(fit.params),
+        "model": fit.params,
         "summary": {
             "loglik": fit.loglik,
             "iterations": fit.iterations,

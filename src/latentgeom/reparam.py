@@ -103,9 +103,9 @@ class LambdaField:
             idx = tuple(int(x) for x in np.argwhere(np.abs(sums - 1.0) > SUM_TOL)[0])
             raise InvalidParameter(f"lambda slice {idx} sums to {float(sums[idx])!r}")
         flags = self.unconstrained
-        if flags is None:
-            flags = np.zeros((r1, r3), dtype=bool)
-        flags = np.asarray(flags, dtype=bool)
+        flags = np.zeros((r1, r3), bool) if flags is None else np.asarray(flags)
+        if flags.dtype != bool:
+            raise InvalidParameter("unconstrained flags must be booleans")
         if flags.shape != (r1, r3):
             raise InvalidParameter(
                 f"unconstrained flags have shape {flags.shape}, expected ({r1}, {r3})"

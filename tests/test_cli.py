@@ -576,6 +576,56 @@ def test_byte_identical_reruns(capsys, model_file, counts_file):
         assert first == second, argv
 
 
+#: stdout sha256 of the subcommands that print many floats, recorded before
+#: arrays, models and CSV rows were formatted through cached templates
+STDOUT_GOLDENS = {
+    "fiber-323-n50": (
+        ["fiber", "{model}", "--n", "50"],
+        "efa2c3a49a36c26e224a8eea94f90f204135899cab98bbabc15023894f543383"),
+    "fiber-434-n10": (
+        ["fiber", "{wide}", "--n", "10"],
+        "1e86d4d548a33ab6ccda9381250fd3f4620097da0eb67ed8e1532afd10955cb4"),
+    "vertices": (
+        ["vertices", "{model}"],
+        "3f0b1307abc41854bd11654a8338e8eb063098e7bdc1e02985f523a46b3ff47a"),
+    "check": (
+        ["check", "{model}"],
+        "3769686b9720efa4383dfb01021137c069a0d8f9dd4de54b46cdc262577423dd"),
+    "profile": (
+        ["profile", "{counts}", "{model}"],
+        "7e8dbe504fcd67df630ec0a28b79542c1673daac040a91e216abf69499d72201"),
+    "profile-exit": (
+        ["profile", "{counts}", "{model}", "--steps", "8", "--q", "{q}"],
+        "56b80cd2e51812f9fbe02fdd17123b84c69d2ab439ecd07c9e0b354b32c6d24c"),
+    "fig3": (
+        ["fig3", "--z", "1.25", "--c1", "0.3", "--c2", "0.6"],
+        "8c174436c230419b078fabd108e74fad0927a0bfc06043b6a18c1e68ead950cc"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STDOUT_GOLDENS))
+def test_stdout_golden(capsys, tmp_path, model_file, counts_file, name):
+    path, params = model_file
+    wide = seeded_chain((4, 3, 4), 9)
+    wide_path = tmp_path / "wide.json"
+    wide_path.write_text(json.dumps({
+        "shape": [4, 3, 4], "p1": list(wide.p1),
+        "a": [list(r) for r in wide.a], "b": [list(r) for r in wide.b]}))
+    # the path of test_profile_exit_marker, which leaves the polytope
+    from latentgeom import rho_pi_bounds
+    bounds = rho_pi_bounds(params)
+    pi = bounds.pi_min - 0.2
+    qpath = tmp_path / "q.json"
+    qpath.write_text(json.dumps(
+        {"q": [[pi, 1 - pi], [bounds.rho_max, 1 - bounds.rho_max]]}))
+    files = {"model": path, "wide": str(wide_path), "counts": counts_file,
+             "q": str(qpath)}
+    argv, digest = STDOUT_GOLDENS[name]
+    code, out = run(capsys, *(a.format(**files) for a in argv))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_float_output_has_17_significant_digits(capsys, model_file):
     path, _ = model_file
     _, out = run(capsys, "check", path)

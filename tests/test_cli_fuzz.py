@@ -14,8 +14,14 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 from hypothesis.extra import numpy as hnp  # noqa: E402
 
-from latentgeom import joint_from_chain, marginal_13  # noqa: E402
-from latentgeom.cli import _fmt, _render_json, main  # noqa: E402
+from latentgeom import (  # noqa: E402
+    ChainParams,
+    Shape,
+    joint_from_chain,
+    marginal_13,
+    random_chain,
+)
+from latentgeom.cli import _fill, _fmt, _render_json, main  # noqa: E402
 from conftest import seeded_chain  # noqa: E402
 
 REALS = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
@@ -231,12 +237,18 @@ def reference_render_json(obj, indent: int = 0) -> str:
     element, each element through :func:`reference_fmt`."""
     pad = "  " * indent
     inner = "  " * (indent + 1)
+    if isinstance(obj, ChainParams):
+        return reference_render_json({"shape": list(obj.shape.astuple()),
+                                      "p1": obj.p1, "a": obj.a, "b": obj.b},
+                                     indent)
     if obj is None:
         return "null"
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, (bool, np.bool_, int, np.integer, float, np.floating)):
         return reference_fmt(obj)
+    if isinstance(obj, np.ndarray) and obj.ndim == 0:
+        return reference_fmt(obj[()])
     if isinstance(obj, dict):
         if not obj:
             return "{}"
@@ -259,20 +271,47 @@ def reference_render_json(obj, indent: int = 0) -> str:
 
 FLOATS = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
     [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 1e-310,
-     2.2250738585072014e-308, 1.7976931348623157e308, 0.1, 1 / 3])
+     -1e-310, 2.2250738585072014e-308, 2.2250738585072009e-308,
+     1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1 / 3])
 INTS = st.integers(-2 ** 63, 2 ** 63 - 1)
 SCALARS = st.one_of(
     FLOATS, st.integers(-10 ** 30, 10 ** 30), st.booleans(),
     FLOATS.map(np.float64), st.floats(width=32).map(np.float32),
     INTS.map(np.int64), st.integers(-2 ** 31, 2 ** 31 - 1).map(np.int32),
     st.integers(0, 255).map(np.uint8), st.booleans().map(np.bool_))
-SIDES = hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=4)
+SIDES = hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=4)
+#: floats drawn mostly finite, so that an array holds one inf or nan among
+#: numbers the layout path would print
+SPARSE_NONFINITE = st.floats(-2.0, 2.0) | st.sampled_from(
+    [math.inf, -math.inf, math.nan])
+
+
+@st.composite
+def chains(draw):
+    """Chain parameters of shapes 2..6, some with a row at the vertex
+    (1, -0, 0, ...) of its simplex."""
+    shape = Shape(*draw(st.tuples(*[st.integers(2, 6)] * 3)))
+    params = random_chain(shape, np.random.default_rng(
+        draw(st.integers(0, 2 ** 32 - 1))))
+    if draw(st.booleans()):
+        b = params.b.copy()
+        b[-1] = 0.0
+        b[-1, :2] = 1.0, -0.0
+        params = ChainParams(shape, params.p1, params.a, b)
+    return params
+
+
+CHAINS = chains()
 ARRAYS = st.one_of(
     hnp.arrays(np.float64, SIDES, elements=FLOATS),
+    hnp.arrays(np.float64, SIDES, elements=SPARSE_NONFINITE),
+    hnp.arrays(np.float64, (), elements=FLOATS),
+    hnp.arrays(np.float32, (), elements=st.floats(width=32)),
     hnp.arrays(np.float32, SIDES, elements=st.floats(width=32)),
     hnp.arrays(np.int64, SIDES, elements=INTS),
     hnp.arrays(np.bool_, SIDES))
-LEAVES = st.one_of(SCALARS, ARRAYS, st.none(), st.text(max_size=4))
+LEAVES = st.one_of(SCALARS, ARRAYS, st.none(), st.text(max_size=4), CHAINS,
+                   st.lists(CHAINS, max_size=3))
 TREES = st.recursive(
     LEAVES,
     lambda children: st.one_of(
@@ -293,3 +332,17 @@ def test_fmt_matches_reference(x):
 @given(obj=TREES)
 def test_render_json_matches_reference(obj):
     assert _render_json(obj) == reference_render_json(obj)
+
+
+@settings(max_examples=500, deadline=None)
+@given(x=FLOATS)
+def test_percent_format_is_format(x):
+    # the layout templates rely on this for every float, finite or not
+    assert "%.17g" % x == format(x, ".17g")
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(FLOATS, min_size=2, max_size=3).map(tuple))
+def test_csv_row_matches_reference(values):
+    template = ",".join(["%.17g"] * len(values))
+    assert _fill(template, values) == ",".join(map(reference_fmt, values))

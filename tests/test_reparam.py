@@ -86,6 +86,26 @@ def test_merge_zero_marginal_propagates():
     assert np.array_equal(joint.cells[0, :, 0], [0.0, 0.0])
 
 
+@pytest.mark.parametrize("flags", [
+    [["no", "no"], ["", "x"]],
+    [[2, 0.5], [0, 0]],
+    [[1, 0], [0, 1]],
+    np.zeros((2, 2)),
+])
+def test_unconstrained_flags_must_be_booleans(flags):
+    with pytest.raises(InvalidParameter,
+                       match="unconstrained flags must be booleans"):
+        LambdaField(Shape(2, 2, 2), np.full((2, 2, 2), 0.5), flags)
+
+
+def test_unconstrained_flags_keep_their_values():
+    flags = [[True, False], [np.False_, np.True_]]
+    lam = LambdaField(Shape(2, 2, 2), np.full((2, 2, 2), 0.5), flags)
+    assert lam.unconstrained.tolist() == [[True, False], [False, True]]
+    with pytest.raises(InvalidParameter, match=r"flags have shape \(2,\)"):
+        LambdaField(Shape(2, 2, 2), np.full((2, 2, 2), 0.5), [True, False])
+
+
 def test_merge_shape_mismatch():
     lam = LambdaField(Shape(2, 2, 2), np.full((2, 2, 2), 0.5))
     marg = MarginalTable((2, 3), np.full((2, 3), 1 / 6))
