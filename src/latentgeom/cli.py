@@ -355,6 +355,7 @@ def cmd_fig3(args: argparse.Namespace) -> int:
         points = reparam.binary_fiber_solve(z, c1, c2).points
     except NoRealSolution:
         points = None
+    model._check_count("--samples", args.samples, 0)
     _check_length("--samples", args.samples)
     lines = [
         "# binary fiber cross-section at fixed lam(2,1) = c1, lam(1,2) = c2",

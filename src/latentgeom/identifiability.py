@@ -9,8 +9,10 @@ When r2 >= min(r1, r3), or when the rank is <= 2 (a nonnegative matrix of
 rank <= 2 has equal nonnegative rank, Cohen & Rothblum 1993), an exact
 witness is written down directly: the rows of p(Y3 | Y2) are the vertices
 of a simplex holding every row p(Y3 | Y1 = i), and p(Y2 | Y1) holds their
-barycentric weights.  Only 3 <= rank <= r2 < min(r1, r3) runs a multistart
-EM search minimising KL(target || model marginal); "infeasible" then means
+barycentric weights.  At rank 3 a tangent walk looks for such a polygon
+nested between the rows' hull and the simplex.  Only a rank-3 target it
+does not certify and 4 <= rank <= r2 < min(r1, r3) run a multistart EM
+search minimising KL(target || model marginal); "infeasible" then means
 "not found within budget" and the report distinguishes the two situations
 through ``proven_infeasible_by``.
 """
@@ -22,10 +24,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameter
-from .fiber import _EPS
+from .fiber import _EPS, CLAMP_EPS
 from .likelihood import (NEG_INF, _at_observed, _check_budget, _em_batch,
                          _observed, _unit_rows)
 from .model import (
+    RANK_CUTOFF,
     ChainParams,
     MarginalTable,
     Shape,
@@ -148,7 +151,8 @@ def _exact_witness(target: MarginalTable, r2: int) -> ChainParams:
     a = np.full((r1, r2), 1.0 / r2)
     b = np.full((r2, r3), 1.0 / r3)
     if r2 >= r3:
-        a[live] = np.pad(rows, ((0, 0), (0, r2 - r3)))
+        a[live] = 0.0
+        a[live, :r3] = rows
         b[:r3] = np.eye(r3)
     elif r2 >= r1:
         a = np.eye(r1, r2)
@@ -161,7 +165,102 @@ def _exact_witness(target: MarginalTable, r2: int) -> ChainParams:
         span = s[hi] - s[lo]
         t = (s - s[lo]) / span if span > 0.0 else np.ones(len(s))
         b[0], b[1] = rows[lo], rows[hi]
-        a[live] = np.pad(np.column_stack([1.0 - t, t]), ((0, 0), (0, r2 - 2)))
+        a[live] = 0.0
+        a[live, :2] = np.column_stack([1.0 - t, t])
+    a /= a.sum(axis=1, keepdims=True)
+    b /= b.sum(axis=1, keepdims=True)
+    return ChainParams(Shape(r1, r2, r3), p1 / p1.sum(), a, b)
+
+
+def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:  # u x v in the plane
+    return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
+
+
+def _nested_polygon_witness(target: MarginalTable, r2: int) -> ChainParams | None:
+    """Chain parameters that reproduce a rank-3 ``target``, 3 <= r2 <
+    min(r1, r3), through a polygon between the hull P of the rows p(Y3 |
+    Y1 = i) and their plane's cut Q of the simplex (Gillis & Glineur 2012);
+    None if none is found.  A walk from Q's boundary follows the tangent to
+    P, with P on its left, to the boundary, r2 times; its points bound a
+    polygon holding P once it goes round (Aggarwal, Booth, O'Rourke, Suri &
+    Yap 1989).  The walks start at every cut: Q's corners, and the points
+    where the tangent point changes, pulled back r2 steps.  Points within
+    RANK_CUTOFF are one; entries of a and b <= CLAMP_EPS are zero.
+    """
+    r1, r3 = target.shape
+    p1 = target.cells.sum(axis=1)
+    live = p1 > 0.0
+    rows = target.cells[live] / p1[live, None]
+    mean, near = rows.mean(axis=0), RANK_CUTOFF
+    frame = np.linalg.svd(rows - mean, full_matrices=False)[2][:2]
+    y = (rows - mean) @ frame.T          # the rows in the plane's 2-d frame
+    # Q's corners, where two lines x_k = c_k + g_k . y = 0 meet inside the
+    # rest, in angle order; a column zero on the whole plane bounds nothing
+    g, c = frame.T[np.hypot(*frame) > near], mean[np.hypot(*frame) > near]
+    det = np.outer(g[:, 0], g[:, 1]) - np.outer(g[:, 1], g[:, 0])
+    meet = np.abs(det) > near
+    v = np.stack([np.outer(g[:, 1], c) - np.outer(c, g[:, 1]), np.outer(
+        c, g[:, 0]) - np.outer(g[:, 0], c)], axis=-1)[meet] / det[meet, None]
+    v = v[(v @ g.T + c >= -near).all(axis=1)]
+    v = v[np.argsort(np.arctan2(v[:, 1], v[:, 0]))]
+    v = v[np.hypot(*(v - np.roll(v, 1, axis=0)).T) > near]
+    edge = np.roll(v, -1, axis=0) - v
+    m, length, angle = len(v), np.hypot(*edge.T), np.arctan2(*v.T[::-1])
+
+    def leave(z, d):    # where rays z + lam d leave Q: e + t, v[e] + t edge[e]
+        gd = d @ g.T
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lam = np.where(gd < -near * np.hypot(*d.T)[:, None] * np.hypot(*g.T),
+                           (z @ g.T + c) / -gd, np.inf).min(axis=1)
+        z = z + np.maximum(lam, 0.0)[:, None] * d
+        e = (np.searchsorted(angle, np.arctan2(*z.T[::-1]), side="right") - 1) % m
+        t = np.clip(np.einsum("ij,ij->i", z - v[e], edge[e]) / length[e] ** 2, 0, 1)
+        # an exit within near of a corner is the corner
+        t = np.where(np.abs(t - np.round(t)) * length[e] <= near, np.round(t), t)
+        return e + t, v[e] + t[:, None] * edge[e]
+
+    def walk(s, sign):  # starts s >= 0 and r2 steps, counterclockwise or back
+        path = [(s, v[(e := s.astype(int) % m)] + (s % 1)[:, None] * edge[e])]
+        for _ in range(r2):
+            s, z = path[-1]
+            # -z . (y - z) and -z x (y - z): the turn from the mean to each row
+            zz = (z * z).sum(axis=1)[:, None]
+            along, across = zz - z @ y.T, z[:, 1:] * y[:, 0] - z[:, :1] * y[:, 1]
+            turn = sign * np.arctan2(across, along)
+            turn[along ** 2 + across ** 2 <= near ** 2 * zz] = np.inf
+            out, z = leave(z, y[np.argmin(turn, axis=1)] - z)
+            path.append((s + sign * ((sign * (out - s) + near) % m - near), z))
+        return path
+
+    # the hull's edges y_i -> y_j, with every row on their left, cut Q
+    i, j = np.nonzero(~np.eye(len(y), dtype=bool))
+    d = y[j] - y[i]
+    hull = (np.hypot(*d.T) > near) & (_cross(d[:, None], y - y[i][:, None])
+                                      >= -near * np.hypot(*d.T)[:, None]).all(axis=1)
+    cuts = np.concatenate([np.arange(m, dtype=float), leave(y[i[hull]], -d[hull])[0]])
+    cuts = np.concatenate([s for s, _ in walk(cuts, -1)]) % m
+    path = walk(cuts, 1)
+    # the furthest walk's points up to the step that closes the polygon
+    best = int(np.argmax(path[-1][0] - cuts))
+    s, z = (np.array([part[best] for part in parts]) for parts in zip(*path))
+    z = z[:np.argmax(s >= s[0] + m - near)]
+    if s[-1] < s[0] + m - near or len(z) < 3:
+        return None
+    # weights in the fan triangle (z0, z_n, z_n+1), not flat, a row is deepest in
+    ab, ac, ay = z[1:-1, None] - z[0], z[2:, None] - z[0], y - z[0]
+    area = _cross(ab, ac)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = np.stack([_cross(ay, ac), _cross(ab, ay)]) / area
+        w = np.concatenate([1.0 - w.sum(axis=0, keepdims=True), w])
+        n = np.argmax(np.where(area > near * np.sqrt((ab * ab).sum(-1) * (
+            ac * ac).sum(-1)), w.min(axis=0), -np.inf), axis=0)
+    a, b = np.full((r1, r2), 1.0 / r2), np.full((r2, r3), 1.0 / r3)
+    a[live] = 0.0
+    a[np.flatnonzero(live)[:, None], np.stack([0 * n, n + 1, n + 2], axis=1)] = (
+        w[:, n, np.arange(len(y))].T)
+    b[:len(z)] = mean + z @ frame
+    a[a <= CLAMP_EPS] = 0.0
+    b[b <= CLAMP_EPS] = 0.0
     a /= a.sum(axis=1, keepdims=True)
     b /= b.sum(axis=1, keepdims=True)
     return ChainParams(Shape(r1, r2, r3), p1 / p1.sum(), a, b)
@@ -173,11 +272,14 @@ def consistency_check(target: MarginalTable, r2: int, restarts: int = 64,
     """Decide whether ``target`` is reachable by a chain model with r2 states.
 
     The necessary check rank <= r2 short-circuits; it is the only one, since
-    the cross-ratio identity of a 3 x 3 target is the same condition.  A
-    target that passes it is decided exactly when r2 >= min(r1, r3) or its
-    rank is <= 2: the closed-form witness of :func:`_exact_witness` reaches
-    it, and ``restarts``, ``maxiter`` and ``seed`` are not used.  Only
-    3 <= rank <= r2 < min(r1, r3) runs the multistart EM search.
+    the cross-ratio identity of a 3 x 3 target is the same condition, and it
+    needs no SVD when r2 >= min(r1, r3).  A target that passes it is
+    decided exactly when r2 >= min(r1, r3) or its rank is <= 2: the
+    closed-form witness of :func:`_exact_witness` reaches it.  A rank-3
+    target is reported the same way when :func:`_nested_polygon_witness`
+    certifies it.  ``restarts``, ``maxiter`` and ``seed`` are then not used.
+    Only the other targets with 3 <= rank <= r2 < min(r1, r3) run the
+    multistart EM search.
     Feasible verdicts are certified by the witness parameters: the reported
     divergence is recomputed from them, independently of the construction
     or the search.  Restarts are reduced in seed order and stop early once
@@ -185,11 +287,14 @@ def consistency_check(target: MarginalTable, r2: int, restarts: int = 64,
 
     The search is one run of the EM kernel, which takes the restarts in
     seed order as lanes free up: one lane at first, twice as many, up to
-    64, after each restart that stops uncertified.  Every restart follows
-    the arithmetic of a run on its own, and a restart that certifies drops
-    only restarts after it, which the reduction never reaches; so the
-    report does not depend on the schedule.  An EM run whose log-likelihood
-    decreases raises :class:`GeometryError` when the reduction reaches it.
+    64, after each restart that stops uncertified.  At r2 = 3 all 64 open
+    at once: b's rows then span the target's plane, so with no triangle
+    found only a restart within tol of the feasible set could stop early.
+    Every restart follows the arithmetic of a run on its own, and a restart
+    that certifies drops only restarts after it, which the reduction never
+    reaches; so the report does not depend on the schedule.  An EM run
+    whose log-likelihood decreases raises :class:`GeometryError` when the
+    reduction reaches it.
 
     A stopped restart is first tested on the log-likelihood L the kernel
     computed.  Its divergence is H - L' for H = sum p log p and L' the
@@ -209,19 +314,21 @@ def consistency_check(target: MarginalTable, r2: int, restarts: int = 64,
     _check_count("seed", seed, 0)
     _check_budget(maxiter, tol)
     r1, r3 = target.shape
-    rank = marginal_rank(target)
+    rank = 0 if r2 >= min(r1, r3) else marginal_rank(target)  # 0: exact, no SVD
     checks = {"rank": rank <= r2}
     if not checks["rank"]:
         return ConsistencyReport(
             feasible=False, best_divergence=float("inf"), witness=None,
             necessary_checks=checks, proven_infeasible_by="rank", tol=tol)
 
-    if r2 >= min(r1, r3) or rank <= 2:
-        witness = _exact_witness(target, r2)
+    witness = (_exact_witness(target, r2) if rank <= 2 else
+               _nested_polygon_witness(target, r2) if rank == 3 else None)
+    if witness is not None:
         best = kl_divergence(target, marginal_13(joint_from_chain(witness)))
-        return ConsistencyReport(
-            feasible=bool(best < tol), best_divergence=best, witness=witness,
-            necessary_checks=checks, proven_infeasible_by=None, tol=tol)
+        if rank <= 2 or best < tol:
+            return ConsistencyReport(
+                feasible=bool(best < tol), best_divergence=best, witness=witness,
+                necessary_checks=checks, proven_infeasible_by=None, tol=tol)
 
     shape = Shape(r1, r2, r3)
     p = target.cells[target.cells > 0.0]
@@ -234,7 +341,8 @@ def consistency_check(target: MarginalTable, r2: int, restarts: int = 64,
 
     runs = _em_batch(target.cells, shape,
                      (np.random.default_rng([seed, k]) for k in range(restarts)),
-                     maxiter, tol=1e-12, certifies=certifies)
+                     maxiter, tol=1e-12, certifies=certifies,
+                     lanes=64 if r2 == 3 else 1)
     p1, a, b, ok, kls = _examine(target.cells, runs.p1, runs.a, runs.b)
     best, witness, divergences = float("inf"), None, []
     for r, kl in enumerate(kls):

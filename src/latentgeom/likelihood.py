@@ -174,7 +174,8 @@ def _unit_rows(p1: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple:
 def _em_batch(weights: np.ndarray, shape: Shape,
               rngs: Iterable[np.random.Generator], maxiter: int, tol: float,
               trace: list[float] | None = None,
-              certifies: Callable[..., bool] | None = None) -> _EmRuns:
+              certifies: Callable[..., bool] | None = None,
+              lanes: int = 1) -> _EmRuns:
     """EM runs on nonnegative cell weights (counts or probabilities), one
     restart per generator, advanced together on a leading restart axis.
 
@@ -192,10 +193,11 @@ def _em_batch(weights: np.ndarray, shape: Shape,
     restarts at every iteration, in restart order.
 
     Restarts join in generator order as lanes free up, counting updates
-    from the iteration they join.  One lane at first is doubled, up to 64,
-    by each restart that stops uncertified (a false final ``certifies(p1,
-    a, b, loglik)``, or any without it); one that certifies drops those
-    after it, and the results end with the first that certifies.
+    from the iteration they join.  ``lanes`` lanes at first are doubled, up
+    to 64, by each restart that stops uncertified (a false final
+    ``certifies(p1, a, b, loglik)``, or any without it); one that certifies
+    drops those after it, and the results end with the first that
+    certifies.
 
     The order of every sum is fixed by the memory layout.  numpy adds
     along a strided axis one slice after another, in index order, and sums
@@ -223,7 +225,6 @@ def _em_batch(weights: np.ndarray, shape: Shape,
     finals: list[tuple] = []  # start, then (p1, a, b, loglik, updates, converged)
     errors: dict[int, GeometryError] = {}
     examined = math.inf          # how many restarts the results cover
-    lanes = 1
     live: list[int] = []         # restart index of each working row
     born: list[int] = []         # iteration at which each working row joined
     ll_old: list[float] = []     # last values of the rows that joined before

@@ -51,6 +51,18 @@ def slack_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture()
+def cube_file(tmp_path):
+    """The unit cube's slack matrix as counts, vertices by facets: rank 4,
+    nonnegative rank 6."""
+    cube = [[x for i in (4, 2, 1) for x in (v // i % 2, 1 - v // i % 2)]
+            for v in range(8)]
+    path = tmp_path / "cube.csv"
+    path.write_text("i,k,count\n" + "".join(
+        f"{i + 1},{k + 1},{cube[i][k]}\n" for i in range(8) for k in range(6)))
+    return str(path)
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -308,6 +320,25 @@ def test_fig3_reference_intersections(capsys):
     assert (x1, y1) == pytest.approx((0.72, 0.20), abs=1e-9)
 
 
+@pytest.mark.parametrize("samples", ["-3", "-1"])
+def test_fig3_negative_samples_is_a_usage_error(capsys, samples):
+    # like fiber --n and profile --steps: one line, exit 2, no rows
+    code = main(["fig3", "--z", "1.25", "--c1", "0.3", "--c2", "0.6",
+                 "--samples", samples])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"latentgeom fig3: --samples must be >= 0, got {samples}\n"
+
+
+def test_fig3_zero_samples_prints_only_the_intersections(capsys):
+    code, out = run(capsys, "fig3", "--z", "1.25", "--c1", "0.3",
+                    "--c2", "0.6", "--samples", "0")
+    assert code == 0
+    assert [ln.split(",")[0] for ln in out.splitlines()[3:]] == [
+        "intersection", "intersection"]
+
+
 def test_fig3_independence_case(capsys):
     _, out = run(capsys, "fig3", "--z", "1", "--c1", "0.3", "--c2", "0.6",
                  "--samples", "3")
@@ -473,6 +504,17 @@ def test_consistency_search_stdout_golden(capsys, slack_file):
     assert json.loads(out)["feasible"] is False
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "0c2b8c92c506403f65baf6f747cb6d0bf775025ee29dd353edf9fa3b58ad5491")
+
+
+def test_consistency_rank_four_search_stdout_golden(capsys, cube_file):
+    # only the EM search decides a rank-4 table; the digest is that of the
+    # search before rank-3 tables were decided by nested polygons
+    code, out = run(capsys, "consistency", cube_file, "--r2", "4",
+                    "--restarts", "5", "--maxiter", "60")
+    assert code == 0
+    assert json.loads(out)["feasible"] is False
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "177fe92bf4fc51504fa21702739b250a045b7f72a68542ad94e0e7870cd7fc05")
 
 
 # ---------------------------------------------------------------- profile/emfit

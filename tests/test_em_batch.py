@@ -29,6 +29,7 @@ from latentgeom import (  # noqa: E402
 )
 from latentgeom import likelihood  # noqa: E402
 from latentgeom.likelihood import _em_batch  # noqa: E402
+from conftest import seeded_chain  # noqa: E402
 
 SEEDS = st.integers(0, 2 ** 32 - 1)
 #: slack matrix of the unit square: rank 3, nonnegative rank 4
@@ -147,15 +148,16 @@ def _same_params(p, q):
 
 @st.composite
 def search_targets(draw):
-    """Tables with 3 <= rank <= r2 < min(r1, r3), the ones EM decides:
-    the square slack matrix (nonnegative rank 4 at r2 = 3) or the marginal
-    of a chain with small integer weights, zero cells included."""
+    """Tables that EM decides: the square slack matrix (rank 3, nonnegative
+    rank 4, so no nested triangle at r2 = 3), or the marginal of a chain
+    with small integer weights, zero cells included, with 4 <= rank <= r2 <
+    min(r1, r3)."""
     if draw(st.booleans()):
         rows = draw(st.permutations(range(4)))
         cols = draw(st.permutations(range(4)))
         cells = SQUARE_SLACK[list(rows)][:, list(cols)]
         return MarginalTable((4, 4), cells / cells.sum()), 3
-    r2 = draw(st.integers(3, 4))
+    r2 = draw(st.integers(4, 5))
     r1 = draw(st.integers(r2 + 1, r2 + 2))
     r3 = draw(st.integers(r2 + 1, r2 + 2))
 
@@ -168,7 +170,7 @@ def search_targets(draw):
 
     p1, a, b = weights(1, r1)[0], weights(r1, r2), weights(r2, r3)
     cells = (p1[:, None] * a) @ b
-    assume(3 <= marginal_rank(MarginalTable((r1, r3), cells)) <= r2)
+    assume(4 <= marginal_rank(MarginalTable((r1, r3), cells)) <= r2)
     return MarginalTable((r1, r3), cells / cells.sum()), r2
 
 
@@ -229,12 +231,12 @@ def test_fit_equals_serial_reference(r1, r2, r3, data, seed, maxiter, tol):
     assert fit.converged == converged
 
 
-def _joined(stops):
+def _joined(stops, lanes=1):
     """The kernel iteration at which each restart joins, for restarts that
-    never certify and stop after ``stops[k]`` updates: one lane at first,
-    doubled up to 64 by each restart that stops, and the free lanes filled
-    in restart order at the start of each iteration."""
-    joined, live, lanes, it = [], [], 1, 0
+    never certify and stop after ``stops[k]`` updates: ``lanes`` lanes at
+    first, doubled up to 64 by each restart that stops, and the free lanes
+    filled in restart order at the start of each iteration."""
+    joined, live, it = [], [], 0
     while len(joined) < len(stops) or live:
         while len(live) < lanes and len(joined) < len(stops):
             live.append(len(joined))
@@ -496,9 +498,12 @@ def test_decrease_raises_the_reference_message(monkeypatch):
     assert str(got.value) == str(expected.value)
 
 
-def test_search_runs_at_most_64_restarts_at_once(monkeypatch):
-    # the square slack has nonnegative rank 4, so no restart at r2 = 3 is
-    # certified and the search spends its whole budget
+@pytest.mark.parametrize("rank, first", [(3, 64), (4, 1)])
+def test_search_runs_at_most_64_restarts_at_once(monkeypatch, rank, first):
+    # the square slack has nonnegative rank 4, so no triangle nests and no
+    # restart at r2 = 3 is certified: the search opens every lane at once.
+    # A rank-4 chain marginal after 5 updates is not certified either; its
+    # search opens one lane at first.  Both spend their whole budget
     live = []
     real = likelihood._loglik_rows
 
@@ -506,16 +511,20 @@ def test_search_runs_at_most_64_restarts_at_once(monkeypatch):
         live.append(len(delta))
         return real(w_obs, gather, delta)
 
+    if rank == 3:
+        target = MarginalTable((4, 4), SQUARE_SLACK / SQUARE_SLACK.sum())
+    else:
+        target = marginal_13(joint_from_chain(seeded_chain((5, 4, 5), 1746)))
+    assert marginal_rank(target) == rank
     monkeypatch.setattr(likelihood, "_loglik_rows", recording)
-    target = MarginalTable((4, 4), SQUARE_SLACK / SQUARE_SLACK.sum())
-    report = consistency_check(target, 3, restarts=300, seed=5, maxiter=5)
+    report = consistency_check(target, rank, restarts=300, seed=5, maxiter=5)
     feasible, best, witness, divergences, iterations = _reference_search(
-        target, 3, 300, 1e-8, 5, 5)
+        target, rank, 300, 1e-8, 5, 5)
     # one E-step per iteration, over the restarts running in it
-    joined = _joined(iterations)
+    joined = _joined(iterations, first)
     assert live == [sum(j <= it <= j + n for j, n in zip(joined, iterations))
                     for it in range(max(joined) + 6)]
-    assert live[0] == 1 and max(live) == 64
+    assert live[0] == first and max(live) == 64
     assert not feasible and report.feasible == feasible
     assert np.array_equal(report.best_divergence, best)
     assert _same_params(report.witness, witness)

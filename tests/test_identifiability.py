@@ -130,9 +130,10 @@ def test_rank_two_target_with_three_hidden_states_runs_no_search(monkeypatch):
 
 
 def test_report_lists_the_divergence_of_every_restart_examined():
-    # this target is first certified by restart 4
-    target = marginal_13(joint_from_chain(seeded_chain((5, 3, 5), 1704)))
-    report = consistency_check(target, r2=3, seed=0)
+    # a rank-4 target, which only the search decides, first certified by
+    # restart 4
+    target = marginal_13(joint_from_chain(seeded_chain((5, 4, 5), 1746)))
+    report = consistency_check(target, r2=4, seed=0)
     assert report.feasible
     assert report.restarts_tried == len(report.divergences) == 5
     assert len(report.restart_iterations) == 5
@@ -142,7 +143,7 @@ def test_report_lists_the_divergence_of_every_restart_examined():
     kl = kl_divergence(target, marginal_13(joint_from_chain(report.witness)))
     assert kl == report.best_divergence
     for exact_or_proven in (consistency_check(target, r2=5),
-                            consistency_check(target, r2=2)):
+                            consistency_check(target, r2=3)):
         assert exact_or_proven.restarts_tried == 0
         assert exact_or_proven.divergences == ()
         assert exact_or_proven.restart_iterations == ()
@@ -152,8 +153,8 @@ def test_report_lists_the_divergence_of_every_restart_examined():
                                              (5, False), (6, False)])
 def test_failed_restart_is_raised_only_when_reached(monkeypatch, failing,
                                                     raised):
-    target = marginal_13(joint_from_chain(seeded_chain((5, 3, 5), 1704)))
-    expected = consistency_check(target, r2=3, seed=0)
+    target = marginal_13(joint_from_chain(seeded_chain((5, 4, 5), 1746)))
+    expected = consistency_check(target, r2=4, seed=0)
     real = identifiability._em_batch
     examined = []
 
@@ -166,10 +167,10 @@ def test_failed_restart_is_raised_only_when_reached(monkeypatch, failing,
     monkeypatch.setattr(identifiability, "_em_batch", failing_batch)
     if raised:
         with pytest.raises(GeometryError, match="restart failed"):
-            consistency_check(target, r2=3, seed=0)
+            consistency_check(target, r2=4, seed=0)
     else:
         # restarts after the certified one (4) are never examined
-        report = consistency_check(target, r2=3, seed=0)
+        report = consistency_check(target, r2=4, seed=0)
         assert report.divergences == expected.divergences
         assert report.restart_iterations == expected.restart_iterations
         assert np.array_equal(report.witness.a, expected.witness.a)
