@@ -131,33 +131,34 @@ def _examine(target: np.ndarray, p1: np.ndarray, a: np.ndarray, b: np.ndarray) -
     return p1, a, b, ok, _kl_rows(target, delta).tolist()
 
 
-def _exact_witness(target: MarginalTable, r2: int) -> ChainParams:
+def _exact_witness(target: MarginalTable, r2: int, rank: int) -> ChainParams | None:
     """Chain parameters that reproduce ``target`` exactly, for
-    r2 >= min(r1, r3) or rank <= 2.
+    r2 >= min(r1, r3) or rank <= 3; None if a rank-3 target's
+    :func:`_nested_polygon` finds no polygon.
 
-    The rows of ``b`` are the vertices of a simplex that holds every
+    The rows of ``b`` are the vertices of a polygon that holds every
     conditional row p(Y3 | Y1 = i), and row i of ``a`` holds that row's
     barycentric weights, so a @ b is the conditional table.  The vertices
     are the unit vectors when r2 >= r3 (Y2 copies Y3), the rows themselves
-    when r2 >= r1 (Y2 copies Y1), and otherwise the two ends of the segment
-    the rows of a rank <= 2 target lie on.  Unused states get a zero ``a``
-    column and a uniform ``b`` row; a state of Y1 with zero mass gets a
-    uniform ``a`` row, or its own uniform vertex when Y2 copies Y1.
+    when r2 >= r1 (Y2 copies Y1), the two ends of the segment the rows of a
+    rank <= 2 target lie on, and otherwise the nested polygon's corners.
+    Unused states get a zero ``a`` column and a uniform ``b`` row; a state
+    of Y1 with zero mass gets a uniform ``a`` row, or its own uniform
+    vertex when Y2 copies Y1.
     """
     r1, r3 = target.shape
     p1 = target.cells.sum(axis=1)
     live = p1 > 0.0
     rows = target.cells[live] / p1[live, None]
-    a = np.full((r1, r2), 1.0 / r2)
-    b = np.full((r2, r3), 1.0 / r3)
+    a, b = np.zeros((r1, r2)), np.full((r2, r3), 1.0 / r3)
+    a[~live] = 1.0 / r2
     if r2 >= r3:
-        a[live] = 0.0
         a[live, :r3] = rows
         b[:r3] = np.eye(r3)
     elif r2 >= r1:
         a = np.eye(r1, r2)
         b[np.flatnonzero(live)] = rows
-    else:
+    elif rank <= 2:
         # the rows lie on a segment: project them on its direction
         centred = rows - rows.mean(axis=0)
         s = rows @ np.linalg.svd(centred, full_matrices=False)[2][0]
@@ -165,8 +166,11 @@ def _exact_witness(target: MarginalTable, r2: int) -> ChainParams:
         span = s[hi] - s[lo]
         t = (s - s[lo]) / span if span > 0.0 else np.ones(len(s))
         b[0], b[1] = rows[lo], rows[hi]
-        a[live] = 0.0
         a[live, :2] = np.column_stack([1.0 - t, t])
+    elif (polygon := _nested_polygon(rows, r2)) is None:
+        return None
+    else:
+        b[:len(polygon[0])], a[live] = polygon
     a /= a.sum(axis=1, keepdims=True)
     b /= b.sum(axis=1, keepdims=True)
     return ChainParams(Shape(r1, r2, r3), p1 / p1.sum(), a, b)
@@ -176,42 +180,54 @@ def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:  # u x v in the plane
     return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
 
 
-def _nested_polygon_witness(target: MarginalTable, r2: int) -> ChainParams | None:
-    """Chain parameters that reproduce a rank-3 ``target``, 3 <= r2 <
-    min(r1, r3), through a polygon between the hull P of the rows p(Y3 |
-    Y1 = i) and their plane's cut Q of the simplex (Gillis & Glineur 2012);
-    None if none is found.  A walk from Q's boundary follows the tangent to
-    P, with P on its left, to the boundary, r2 times; its points bound a
-    polygon holding P once it goes round (Aggarwal, Booth, O'Rourke, Suri &
-    Yap 1989).  The walks start at every cut: Q's corners, and the points
-    where the tangent point changes, pulled back r2 steps.  Points within
-    RANK_CUTOFF are one; entries of a and b <= CLAMP_EPS are zero.
-    """
-    r1, r3 = target.shape
-    p1 = target.cells.sum(axis=1)
-    live = p1 > 0.0
-    rows = target.cells[live] / p1[live, None]
+def _hull(points: np.ndarray) -> np.ndarray:
+    """Indices of the corners of the convex hull of ``points`` (n, 2),
+    counterclockwise, collinear points left out (Andrew's monotone chain)."""
+    p, out, floor = points.tolist(), [], 1
+    def left(i, j, k):  # i -> j -> k turns counterclockwise
+        return (p[j][0] - p[i][0]) * (p[k][1] - p[i][1]) > (p[j][1] - p[i][1]) * (p[k][0] - p[i][0])
+    order = sorted(range(len(p)), key=p.__getitem__)
+    for k in order + order[-2::-1]:     # the lower side, then the upper
+        while len(out) > floor and not left(out[-2], out[-1], k):
+            out.pop()
+        out.append(k)
+        floor = len(out) if k == order[-1] else floor
+    return np.array(out[:-1])
+
+
+def _nested_polygon(rows: np.ndarray, r2: int) -> tuple | None:
+    """The corners of a polygon with at most r2 of them between the hull P
+    of the rank-3 ``rows`` and their plane's cut Q of the simplex (Gillis &
+    Glineur 2012), and each row's barycentric weights; None if none is
+    found.  A walk from Q's boundary follows the tangent to P, with P on
+    its left, to the boundary, at most r2 times; its points bound a polygon
+    holding P once it goes round (Aggarwal, Booth, O'Rourke, Suri & Yap
+    1989).  It starts at every cut: Q's corners and where the tangent point
+    changes, pulled back as many steps.  Points within RANK_CUTOFF are one;
+    entries <= CLAMP_EPS are zero.  Memory is bounded; hulls take n log n."""
     mean, near = rows.mean(axis=0), RANK_CUTOFF
     frame = np.linalg.svd(rows - mean, full_matrices=False)[2][:2]
     y = (rows - mean) @ frame.T          # the rows in the plane's 2-d frame
-    # Q's corners, where two lines x_k = c_k + g_k . y = 0 meet inside the
-    # rest, in angle order; a column zero on the whole plane bounds nothing
-    g, c = frame.T[np.hypot(*frame) > near], mean[np.hypot(*frame) > near]
-    det = np.outer(g[:, 0], g[:, 1]) - np.outer(g[:, 1], g[:, 0])
-    meet = np.abs(det) > near
-    v = np.stack([np.outer(g[:, 1], c) - np.outer(c, g[:, 1]), np.outer(
-        c, g[:, 0]) - np.outer(g[:, 0], c)], axis=-1)[meet] / det[meet, None]
-    v = v[(v @ g.T + c >= -near).all(axis=1)]
+    p = y[_hull(y)]                      # P's corners
+    # Q is u_k . y <= 1: x_k = c_k (1 - u_k . y) for the columns not zero on
+    # the plane, c_k > 0; its sides are the corners of the u_k's hull (polar duality)
+    keep = np.hypot(*frame) > near
+    u = -frame.T[keep] / mean[keep, None]
+    u = u[_hull(u)]
+    w, det = np.roll(u, -1, axis=0), _cross(u, np.roll(u, -1, axis=0))
+    meet = det > near * np.hypot(*u.T) * np.hypot(*w.T)    # not one side twice
+    v = np.stack([w[:, 1] - u[:, 1], u[:, 0] - w[:, 0]], axis=1)[meet] / det[meet, None]
     v = v[np.argsort(np.arctan2(v[:, 1], v[:, 0]))]
     v = v[np.hypot(*(v - np.roll(v, 1, axis=0)).T) > near]
     edge = np.roll(v, -1, axis=0) - v
     m, length, angle = len(v), np.hypot(*edge.T), np.arctan2(*v.T[::-1])
+    steps = min(r2, m, len(p))     # a walk from a corner goes round in as many
 
     def leave(z, d):    # where rays z + lam d leave Q: e + t, v[e] + t edge[e]
-        gd = d @ g.T
+        ud = d @ u.T
         with np.errstate(divide="ignore", invalid="ignore"):
-            lam = np.where(gd < -near * np.hypot(*d.T)[:, None] * np.hypot(*g.T),
-                           (z @ g.T + c) / -gd, np.inf).min(axis=1)
+            lam = np.where(ud > near * np.hypot(*d.T)[:, None] * np.hypot(*u.T),
+                           (1.0 - z @ u.T) / ud, np.inf).min(axis=1)
         z = z + np.maximum(lam, 0.0)[:, None] * d
         e = (np.searchsorted(angle, np.arctan2(*z.T[::-1]), side="right") - 1) % m
         t = np.clip(np.einsum("ij,ij->i", z - v[e], edge[e]) / length[e] ** 2, 0, 1)
@@ -219,25 +235,25 @@ def _nested_polygon_witness(target: MarginalTable, r2: int) -> ChainParams | Non
         t = np.where(np.abs(t - np.round(t)) * length[e] <= near, np.round(t), t)
         return e + t, v[e] + t[:, None] * edge[e]
 
-    def walk(s, sign):  # starts s >= 0 and r2 steps, counterclockwise or back
+    def walk(s, sign):  # starts s >= 0 and the steps, counterclockwise or back
+        if len(s) * (len(p) + m) > 2 ** 18:     # in bounded memory: by halves
+            halves = zip(*(walk(part, sign) for part in np.array_split(s, 2)))
+            return [tuple(map(np.concatenate, zip(*step))) for step in halves]
         path = [(s, v[(e := s.astype(int) % m)] + (s % 1)[:, None] * edge[e])]
-        for _ in range(r2):
+        for _ in range(steps):
             s, z = path[-1]
-            # -z . (y - z) and -z x (y - z): the turn from the mean to each row
+            # -z . (p - z) and -z x (p - z): the turn from the mean to each corner
             zz = (z * z).sum(axis=1)[:, None]
-            along, across = zz - z @ y.T, z[:, 1:] * y[:, 0] - z[:, :1] * y[:, 1]
+            along, across = zz - z @ p.T, z[:, 1:] * p[:, 0] - z[:, :1] * p[:, 1]
             turn = sign * np.arctan2(across, along)
             turn[along ** 2 + across ** 2 <= near ** 2 * zz] = np.inf
-            out, z = leave(z, y[np.argmin(turn, axis=1)] - z)
+            out, z = leave(z, p[np.argmin(turn, axis=1)] - z)
             path.append((s + sign * ((sign * (out - s) + near) % m - near), z))
         return path
 
-    # the hull's edges y_i -> y_j, with every row on their left, cut Q
-    i, j = np.nonzero(~np.eye(len(y), dtype=bool))
-    d = y[j] - y[i]
-    hull = (np.hypot(*d.T) > near) & (_cross(d[:, None], y - y[i][:, None])
-                                      >= -near * np.hypot(*d.T)[:, None]).all(axis=1)
-    cuts = np.concatenate([np.arange(m, dtype=float), leave(y[i[hull]], -d[hull])[0]])
+    # P's edges, with P on their left, cut Q where their lines enter it
+    cuts = np.concatenate([np.arange(m, dtype=float),
+                           leave(p, p - np.roll(p, -1, axis=0))[0]])
     cuts = np.concatenate([s for s, _ in walk(cuts, -1)]) % m
     path = walk(cuts, 1)
     # the furthest walk's points up to the step that closes the polygon
@@ -254,16 +270,12 @@ def _nested_polygon_witness(target: MarginalTable, r2: int) -> ChainParams | Non
         w = np.concatenate([1.0 - w.sum(axis=0, keepdims=True), w])
         n = np.argmax(np.where(area > near * np.sqrt((ab * ab).sum(-1) * (
             ac * ac).sum(-1)), w.min(axis=0), -np.inf), axis=0)
-    a, b = np.full((r1, r2), 1.0 / r2), np.full((r2, r3), 1.0 / r3)
-    a[live] = 0.0
-    a[np.flatnonzero(live)[:, None], np.stack([0 * n, n + 1, n + 2], axis=1)] = (
+    weights, corners = np.zeros((len(y), r2)), mean + z @ frame
+    weights[np.arange(len(y))[:, None], np.stack([0 * n, n + 1, n + 2], axis=1)] = (
         w[:, n, np.arange(len(y))].T)
-    b[:len(z)] = mean + z @ frame
-    a[a <= CLAMP_EPS] = 0.0
-    b[b <= CLAMP_EPS] = 0.0
-    a /= a.sum(axis=1, keepdims=True)
-    b /= b.sum(axis=1, keepdims=True)
-    return ChainParams(Shape(r1, r2, r3), p1 / p1.sum(), a, b)
+    for x in (weights, corners):
+        x[x <= CLAMP_EPS] = 0.0
+    return corners, weights
 
 
 def consistency_check(target: MarginalTable, r2: int, restarts: int = 64,
@@ -273,13 +285,11 @@ def consistency_check(target: MarginalTable, r2: int, restarts: int = 64,
 
     The necessary check rank <= r2 short-circuits; it is the only one, since
     the cross-ratio identity of a 3 x 3 target is the same condition, and it
-    needs no SVD when r2 >= min(r1, r3).  A target that passes it is
-    decided exactly when r2 >= min(r1, r3) or its rank is <= 2: the
-    closed-form witness of :func:`_exact_witness` reaches it.  A rank-3
-    target is reported the same way when :func:`_nested_polygon_witness`
-    certifies it.  ``restarts``, ``maxiter`` and ``seed`` are then not used.
-    Only the other targets with 3 <= rank <= r2 < min(r1, r3) run the
-    multistart EM search.
+    needs no SVD when r2 >= min(r1, r3).  A target that passes it with
+    r2 >= min(r1, r3) or rank <= 2 is decided by the closed-form witness of
+    :func:`_exact_witness`, and a rank-3 one too if its nested polygon
+    certifies; ``restarts``, ``maxiter`` and ``seed`` are then not used.
+    The other targets run the multistart EM search.
     Feasible verdicts are certified by the witness parameters: the reported
     divergence is recomputed from them, independently of the construction
     or the search.  Restarts are reduced in seed order and stop early once
@@ -288,8 +298,8 @@ def consistency_check(target: MarginalTable, r2: int, restarts: int = 64,
     The search is one run of the EM kernel, which takes the restarts in
     seed order as lanes free up: one lane at first, twice as many, up to
     64, after each restart that stops uncertified.  At r2 = 3 all 64 open
-    at once: b's rows then span the target's plane, so with no triangle
-    found only a restart within tol of the feasible set could stop early.
+    at once: with no nested triangle only a restart within tol of the
+    feasible set could stop early.
     Every restart follows the arithmetic of a run on its own, and a restart
     that certifies drops only restarts after it, which the reduction never
     reaches; so the report does not depend on the schedule.  An EM run
@@ -321,8 +331,7 @@ def consistency_check(target: MarginalTable, r2: int, restarts: int = 64,
             feasible=False, best_divergence=float("inf"), witness=None,
             necessary_checks=checks, proven_infeasible_by="rank", tol=tol)
 
-    witness = (_exact_witness(target, r2) if rank <= 2 else
-               _nested_polygon_witness(target, r2) if rank == 3 else None)
+    witness = _exact_witness(target, r2, rank) if rank <= 3 else None
     if witness is not None:
         best = kl_divergence(target, marginal_13(joint_from_chain(witness)))
         if rank <= 2 or best < tol:

@@ -1,8 +1,9 @@
 """Rank-3 consistency by a polygon nested between the hull of the rows
 p(Y3 | Y1 = i) and the simplex, found by the tangent walk of
-``identifiability._nested_polygon_witness``."""
+``identifiability._nested_polygon``."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from latentgeom import (  # noqa: E402
     marginal_13,
     marginal_rank,
 )
-from latentgeom.identifiability import _nested_polygon_witness  # noqa: E402
+from latentgeom.identifiability import _exact_witness  # noqa: E402
 from conftest import seeded_chain  # noqa: E402
 
 SEEDS = st.integers(0, 2 ** 32 - 1)
@@ -82,7 +83,7 @@ def test_square_slack_gets_no_triangle_under_any_permutation():
         for cols in itertools.permutations(range(4)):
             cells = SQUARE_SLACK[list(rows)][:, list(cols)]
             target = MarginalTable((4, 4), cells / cells.sum())
-            assert _nested_polygon_witness(target, 3) is None
+            assert _exact_witness(target, 3, 3) is None
 
 
 @pytest.mark.parametrize("scale, nests", [
@@ -95,7 +96,7 @@ def test_shrunk_square_nests_a_triangle_up_to_sqrt2_minus_1(scale, nests):
     # sides, and holds P exactly up to scale sqrt(2) - 1
     rows = scale * SQUARE_SLACK + (1.0 - scale) * SQUARE_SLACK.mean(axis=0)
     target = MarginalTable((4, 4), rows / rows.sum())
-    witness = _nested_polygon_witness(target, 3)
+    witness = _exact_witness(target, 3, 3)
     assert (witness is not None) == nests
     if nests:
         _certified_by_the_walk(target, 3)
@@ -112,6 +113,30 @@ def test_no_polygon_above_three_hidden_states_proves_nothing():
     slack[np.abs(slack) < 1e-12] = 0.0
     target = MarginalTable((6, 6), slack / slack.sum())
     assert marginal_rank(target) == 3
-    assert _nested_polygon_witness(target, 5) is None
+    assert _exact_witness(target, 5, 3) is None
     report = consistency_check(target, 5)
     assert report.feasible and report.restarts_tried >= 1
+
+
+@pytest.mark.parametrize("r1, r3, circle", [
+    (2000, 10, False), (10, 2000, False), (600, 10, True)])
+def test_large_rank_three_tables_are_decided_in_bounded_memory(r1, r3, circle):
+    # the hulls take n log n time and the walk takes its starts in pieces;
+    # on the circle every row is a corner of P
+    rng = np.random.default_rng([r1, r3])
+    if circle:
+        angle = 2 * np.pi * np.arange(r1) / r1
+        a = (1 + np.cos(angle[:, None] - 2 * np.pi * np.arange(3) / 3)) / 3
+    else:
+        a = rng.dirichlet(np.ones(3), size=r1)
+    cells = rng.dirichlet(np.ones(r1))[:, None] * (a @ rng.dirichlet(np.ones(r3), size=3))
+    target = MarginalTable((r1, r3), cells)
+    tracemalloc.start()
+    try:
+        report = consistency_check(target, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.feasible and report.restarts_tried == 0
+    assert report.best_divergence <= 1e-14
+    assert peak < 32 * 2 ** 20
