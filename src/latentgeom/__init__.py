@@ -9,6 +9,8 @@ maxima on observed (Y1, Y3) counts.
 Importing the package loads only :mod:`latentgeom.errors`.  Every other
 public name, and each submodule named in ``_EXPORTS``, is imported on
 first access (PEP 562), so a program pays only for the modules it uses.
+:mod:`model` re-exports the shapes and ``dims`` of :mod:`latentgeom.shapes`,
+which, unlike :mod:`model`, imports no numpy.
 """
 
 import importlib

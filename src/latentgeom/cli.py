@@ -10,7 +10,7 @@ reported cells) are 1-based; the Python API underneath is 0-based.
 
 Exit codes: 0 for completed analyses (an infeasible marginal or a missing
 intersection is a result, not a failure), 2 for usage errors, 3 for
-malformed input files.
+malformed input files and for output that cannot be written.
 
 File formats
 ------------
@@ -30,9 +30,9 @@ table of consistency and emfit, and fig3 --samples, fiber --n and profile
 
 :func:`main` may be called repeatedly in one process; the argument parser
 is built on the first call and shared by the later ones.  The module
-imports only :mod:`model` and :mod:`errors`; each subcommand imports the
-rest of what it uses when it runs, so a start of ``dims`` loads no EM,
-fiber or reparametrisation code.
+imports only :mod:`shapes` and :mod:`errors`; each subcommand imports the
+rest of what it uses, numpy included, when it runs, so a start of ``dims``
+loads no numpy.
 """
 
 from __future__ import annotations
@@ -41,14 +41,12 @@ import argparse
 import functools
 import json
 import math
+import os
 import re
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import model
 from .errors import (
     GeometryError,
     InvalidParameter,
@@ -56,8 +54,10 @@ from .errors import (
     PathExitsPolytope,
     ZeroCell,
 )
+from .shapes import Shape, _check_count, dims
 
 if TYPE_CHECKING:
+    from . import model
     from .fiber import MixingMatrix
     from .likelihood import CountTable
 
@@ -76,19 +76,16 @@ class CliFileError(Exception):
 # ---------------------------------------------------------------------------
 # deterministic rendering
 
-#: the scalar types rendered by :func:`_fmt` (bools are ints)
-_SCALARS = (float, int, np.floating, np.integer, np.bool_)
-
-
 def _fmt(x) -> str:
     if type(x) is float:
         # x - x is 0.0 exactly when x is finite
         return format(x, ".17g") if x - x == 0.0 else json.dumps(str(x))
-    if isinstance(x, (bool, np.bool_)):
+    np = sys.modules.get("numpy")
+    if isinstance(x, bool) or np is not None and isinstance(x, np.bool_):
         return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
+    if isinstance(x, int) or np is not None and isinstance(x, np.integer):
         return str(int(x))
-    if isinstance(x, np.floating):
+    if np is not None and isinstance(x, np.floating):
         return _fmt(float(x))
     raise TypeError(f"cannot format {type(x)!r}")
 
@@ -103,12 +100,12 @@ def _fill(template: str, values: tuple) -> str:
 
 
 @functools.lru_cache(maxsize=256)
-def _layout(shape: tuple[int, ...] | model.Shape, indent: int) -> str:
+def _layout(shape: tuple[int, ...] | Shape, indent: int) -> str:
     """What :func:`_render_json` prints at ``indent`` for a non-empty float
-    array of ``shape`` or for a chain of that :class:`model.Shape`, with a
+    array of ``shape`` or for a chain of that :class:`Shape`, with a
     ``%.17g`` slot per value: in C order, and p1, a, b for a chain."""
     pad, inner = "  " * indent, "  " * (indent + 1)
-    if isinstance(shape, model.Shape):
+    if isinstance(shape, Shape):
         r1, r2, r3 = shape.astuple()
         fields = [f'"shape": [{r1}, {r2}, {r3}]'] + [
             f'"{name}": {_layout(sides, indent + 1)}'
@@ -121,14 +118,21 @@ def _layout(shape: tuple[int, ...] | model.Shape, indent: int) -> str:
 
 
 def _render_json(obj, indent: int = 0) -> str:
-    if isinstance(obj, np.ndarray):
-        if obj.dtype.kind == "f" and obj.ndim and obj.size:
-            return _fill(_layout(obj.shape, indent), tuple(obj.ravel().tolist()))
-        obj = obj.tolist()
-    if isinstance(obj, model.ChainParams):
-        return _fill(_layout(obj.shape, indent), tuple(
-            obj.p1.tolist() + obj.a.ravel().tolist() + obj.b.ravel().tolist()))
-    if isinstance(obj, _SCALARS):
+    # a value can be a numpy array or scalar only once numpy is loaded, and
+    # a chain only once the model module is; the scalars are _fmt's
+    np = sys.modules.get("numpy")
+    scalars = (float, int) if np is None else (
+        float, int, np.floating, np.integer, np.bool_)
+    if np is not None:
+        if isinstance(obj, np.ndarray):
+            if obj.dtype.kind == "f" and obj.ndim and obj.size:
+                return _fill(_layout(obj.shape, indent), tuple(obj.ravel().tolist()))
+            obj = obj.tolist()
+        model = sys.modules.get("latentgeom.model")
+        if model is not None and isinstance(obj, model.ChainParams):
+            return _fill(_layout(obj.shape, indent), tuple(
+                obj.p1.tolist() + obj.a.ravel().tolist() + obj.b.ravel().tolist()))
+    if isinstance(obj, scalars):
         return _fmt(obj)
     if obj is None:
         return "null"
@@ -144,7 +148,7 @@ def _render_json(obj, indent: int = 0) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        if all(isinstance(v, _SCALARS) for v in obj):
+        if all(isinstance(v, scalars) for v in obj):
             return "[" + ", ".join(map(_fmt, obj)) + "]"
         items = [f"{inner}{_render_json(v, indent + 1)}" for v in obj]
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
@@ -152,13 +156,18 @@ def _render_json(obj, indent: int = 0) -> str:
 
 
 def _emit(text: str, output: str | None) -> None:
-    if output is None:
-        sys.stdout.write(text)
-        return
     try:
-        Path(output).write_text(text, encoding="utf-8")
+        if output is None:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        else:
+            Path(output).write_text(text, encoding="utf-8")
     except OSError as exc:
-        raise CliFileError(f"{output}: {exc}") from exc
+        if output is None:
+            # the flush at exit writes what is left to devnull, not fails again
+            with open(os.devnull, "wb") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
+        raise CliFileError(f"{output or '<stdout>'}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -208,16 +217,19 @@ def _shape(data: _Fields, length: int) -> list[int]:
 
 
 def _model(data: _Fields) -> model.ChainParams:
-    return model.ChainParams(model.Shape(*_shape(data, 3)),
+    from . import model
+    return model.ChainParams(Shape(*_shape(data, 3)),
                              data["p1"], data["a"], data["b"])
 
 
 def _joint(data: _Fields) -> model.JointTable:
-    return model.JointTable.from_flat(model.Shape(*_shape(data, 3)),
+    from . import model
+    return model.JointTable.from_flat(Shape(*_shape(data, 3)),
                                       data["cells"])
 
 
 def _marginal(data: _Fields) -> model.MarginalTable:
+    from . import model
     r1, r3 = _shape(data, 2)
     cells = model._reals(data["cells"], "cells must be real numbers")
     return model.MarginalTable((r1, r3), cells.reshape(r1, r3))
@@ -245,6 +257,7 @@ def _check_length(flag: str, value: int) -> None:
 def load_counts(path: str, shape: tuple[int, int] | None = None) -> CountTable:
     """Counts CSV with header ``i,k,count`` and 1-based indices; without
     ``shape``, the largest i and k listed give the table's size."""
+    import numpy as np
     from .likelihood import CountTable
     lines = _read(path).splitlines()
     rows: list[tuple[int, int, int]] = []
@@ -290,7 +303,7 @@ def load_counts(path: str, shape: tuple[int, int] | None = None) -> CountTable:
 # subcommands
 
 def cmd_dims(args: argparse.Namespace) -> int:
-    d = model.dims(model.Shape(args.r1, args.r2, args.r3))
+    d = dims(Shape(args.r1, args.r2, args.r3))
     report = {
         "d": d.d, "t": d.t, "s": d.s, "m": d.m, "fiber": d.fiber,
         "case": d.case.value, "constraints": d.constraint_count,
@@ -300,7 +313,7 @@ def cmd_dims(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    from . import reparam
+    from . import model, reparam
     source = _load(args.file,
                    lambda data: (_model if "p1" in data else _joint)(data))
     if isinstance(source, model.ChainParams):
@@ -321,7 +334,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         "ref_cell": [ref_i, ref_k],
         "ci_residuals": {
             "count": residuals.size,
-            "max_abs": float(np.abs(residuals).max()),
+            "max_abs": float(abs(residuals).max()),
             "values": residuals,
         },
         "marginal": marginal.flat,
@@ -329,7 +342,7 @@ def cmd_check(args: argparse.Namespace) -> int:
             "values": lambdas.values.ravel(),
             "unconstrained_cells": [
                 [int(i) + 1, int(k) + 1]
-                for i, k in np.argwhere(lambdas.unconstrained)
+                for i, k in zip(*lambdas.unconstrained.nonzero())
             ],
         },
     }
@@ -355,7 +368,7 @@ def cmd_fig3(args: argparse.Namespace) -> int:
         points = reparam.binary_fiber_solve(z, c1, c2).points
     except NoRealSolution:
         points = None
-    model._check_count("--samples", args.samples, 0)
+    _check_count("--samples", args.samples, 0)
     _check_length("--samples", args.samples)
     lines = [
         "# binary fiber cross-section at fixed lam(2,1) = c1, lam(1,2) = c2",
@@ -406,7 +419,7 @@ def cmd_vertices(args: argparse.Namespace) -> int:
 
 
 def cmd_consistency(args: argparse.Namespace) -> int:
-    from . import identifiability
+    from . import identifiability, model
     path = args.file
     if path.endswith(".csv"):
         counts = load_counts(path)
@@ -464,7 +477,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
 
 def cmd_emfit(args: argparse.Namespace) -> int:
     from . import likelihood
-    shape = model.Shape(args.r1, args.r2, args.r3)
+    shape = Shape(args.r1, args.r2, args.r3)
     if too_large := (_too_many_cells("counts table", shape.r1, shape.r3)
                      or _too_many_cells("joint table", *shape.astuple())):
         raise CliUsageError(too_large)

@@ -33,12 +33,12 @@ from .model import (
     INTERIOR_EPS,
     SUM_TOL,
     ChainParams,
-    _check_count,
     _fields_eq,
     _frozen,
     _numerical_rank,
     _reals,
 )
+from .shapes import _check_count
 
 #: entries in [-CLAMP_EPS, 0) are roundoff and snap to exact zero
 CLAMP_EPS = 1e-12

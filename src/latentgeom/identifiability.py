@@ -32,12 +32,12 @@ from .model import (
     ChainParams,
     MarginalTable,
     Shape,
-    _check_count,
     _numerical_rank,
     _stochastic,
     joint_from_chain,
     marginal_13,
 )
+from .shapes import _check_count
 
 
 @dataclass(frozen=True)

@@ -32,16 +32,14 @@ from .fiber import MixingMatrix, _mix, _snap, apply_mixing
 from .model import (
     ChainParams,
     Shape,
-    _check_count,
     _fields_eq,
     _frozen,
-    _integer_pair,
-    _is_integer,
     _reals,
     _stochastic,
     joint_from_chain,
     marginal_13,
 )
+from .shapes import _check_count, _integer_pair, _is_integer
 
 NEG_INF = float("-inf")
 #: relative per-step slack on EM monotonicity (double rounding at |ll| scale)

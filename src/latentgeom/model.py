@@ -19,12 +19,12 @@ construction.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from enum import Enum
 from typing import Sequence
 
 import numpy as np
 
 from .errors import BoundaryPoint, InvalidParameter
+from .shapes import Dims, DimsCase, Shape, _integer_pair, dims
 
 #: absolute tolerance for "sums to one" invariants
 SUM_TOL = 1e-12
@@ -81,33 +81,6 @@ def _stochastic(rows: np.ndarray) -> np.ndarray:
             & (np.abs(np.abs(rows).sum(axis=-1) - 1.0).max(axis=-1) <= SUM_TOL))
 
 
-def _is_integer(value) -> bool:
-    """What a size must be: a Python or numpy integer, never a float or a
-    string that int() would truncate or parse, nor a ``bool``."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def _check_count(name: str, value, low: int) -> None:
-    """Reject a size, count or seed that is not an integer by the rule of
-    :func:`_is_integer`, or is below ``low``."""
-    if not _is_integer(value):
-        raise InvalidParameter(f"{name} must be an integer, got {value!r}")
-    if value < low:
-        raise InvalidParameter(f"{name} must be >= {low}, got {value}")
-
-
-def _integer_pair(pair, what: str) -> tuple[int, int]:
-    """The two entries of a table shape or cell index, each an integer by
-    the rule of :func:`_is_integer`."""
-    try:
-        first, second = pair
-    except (TypeError, ValueError):
-        first = second = None
-    if not (_is_integer(first) and _is_integer(second)):
-        raise InvalidParameter(f"{what} must be two integers, got {pair!r}")
-    return int(first), int(second)
-
-
 def _ref_cell(ref_cell, r1: int, r3: int) -> tuple[int, int]:
     """A reference cell (I, K) of an r1 x r3 table: an integer pair inside
     the table."""
@@ -132,28 +105,6 @@ def _check_table(table, shape: tuple[int, ...]) -> None:
         raise InvalidParameter(
             f"cells sum to {float(cells.sum())!r}, not 1 within {SUM_TOL}")
     object.__setattr__(table, "cells", cells)
-
-
-@dataclass(frozen=True)
-class Shape:
-    """Cardinalities (r1, r2, r3) of the three variables; each must be >= 2."""
-
-    r1: int
-    r2: int
-    r3: int
-
-    def __post_init__(self):
-        for name in ("r1", "r2", "r3"):
-            v = getattr(self, name)
-            _check_count(name, v, 2)
-            object.__setattr__(self, name, int(v))
-
-    def astuple(self) -> tuple[int, int, int]:
-        return (self.r1, self.r2, self.r3)
-
-    @property
-    def ncells(self) -> int:
-        return self.r1 * self.r2 * self.r3
 
 
 @dataclass(frozen=True)
@@ -266,68 +217,6 @@ class MarginalTable:
     @property
     def flat(self) -> np.ndarray:
         return self.cells.ravel()
-
-
-class DimsCase(Enum):
-    """Which regime the shape falls in: r2 >= min(r1, r3) or r2 < min(r1, r3)."""
-
-    R2_LARGE = "R2Large"
-    R2_SMALL = "R2Small"
-
-
-@dataclass(frozen=True)
-class Dims:
-    """Dimension bookkeeping for one shape.
-
-    d      ambient simplex dimension r1 r2 r3 - 1
-    t      model dimension r1 r2 + r2 r3 - r2 - 1 (equals d - s)
-    s      number of irredundant quadrics r2 (r1 - 1)(r3 - 1)
-    m      dimension of the marginal space actually reachable
-    fiber  dimension of the unidentifiable set, t - m
-    constraint_count  (r1 - r2)(r3 - r2) marginal constraints in the small-r2
-                      case, 0 otherwise
-    """
-
-    d: int
-    t: int
-    s: int
-    m: int
-    fiber: int
-    case: DimsCase
-    constraint_count: int
-
-    def __post_init__(self):
-        if self.t != self.d - self.s:
-            raise InvalidParameter("t != d - s")
-        if self.fiber != self.t - self.m:
-            raise InvalidParameter("fiber != t - m")
-
-
-def dims(shape: Shape) -> Dims:
-    """Dimension accounting for the chain model at the given shape.
-
-    In the large-r2 case (r2 >= min(r1, r3)) the marginal space is the full
-    simplex, m = r1 r3 - 1, and the fiber picks up the remainder
-    t - m = r2 (r1 + r3 - 1) - r1 r3.  In the small-r2 case the fiber has
-    dimension r2 (r2 - 1) and the marginal loses (r1 - r2)(r3 - r2)
-    dimensions.
-    """
-    r1, r2, r3 = shape.astuple()
-    d = r1 * r2 * r3 - 1
-    t = r1 * r2 + r2 * r3 - r2 - 1
-    s = r2 * (r1 - 1) * (r3 - 1)
-    if r2 >= min(r1, r3):
-        case = DimsCase.R2_LARGE
-        m = r1 * r3 - 1
-        fiber = t - m
-        constraints = 0
-    else:
-        case = DimsCase.R2_SMALL
-        fiber = r2 * (r2 - 1)
-        m = t - fiber
-        constraints = (r1 - r2) * (r3 - r2)
-    return Dims(d=d, t=t, s=s, m=m, fiber=fiber, case=case,
-                constraint_count=constraints)
 
 
 def joint_from_chain(params: ChainParams) -> JointTable:

@@ -46,11 +46,11 @@ from .model import (
     Shape,
     _fields_eq,
     _frozen,
-    _integer_pair,
     _reals,
     _ref_cell,
     marginal_13,
 )
+from .shapes import _integer_pair
 
 #: denominators below this are treated as vanishing
 DENOM_EPS = 1e-12

@@ -9,14 +9,18 @@ import latentgeom
 from latentgeom import ChainParams, JointTable, MarginalTable, Shape, random_chain
 
 
-def run_fresh(*args: str) -> subprocess.CompletedProcess:
+def run_fresh(*args: str, stdout=subprocess.PIPE,
+              **variables: str) -> subprocess.CompletedProcess:
     """``python *args`` in a fresh interpreter that imports the same package
-    as the tests and writes no bytecode, so it compiles what it imports."""
+    as the tests and writes no bytecode, so it compiles what it imports;
+    ``variables`` are set in its environment, and ``stdout`` may be an open
+    file in place of a pipe."""
     package_root = str(Path(latentgeom.__file__).parents[1])
-    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=os.pathsep.join(
-        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, *args], capture_output=True,
-                          text=True, env=env, timeout=120)
+    env = dict(os.environ, **variables, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=os.pathsep.join(filter(
+                   None, [package_root, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, env=env, timeout=120)
 
 
 def seeded_chain(shape: tuple[int, int, int], seed: int,

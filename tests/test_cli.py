@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 
 import numpy as np
 import pytest
@@ -106,6 +107,22 @@ def test_unwritable_output_is_a_file_error(capsys, tmp_path, where):
     assert captured.out == ""
     assert captured.err.startswith(f"latentgeom dims: {target}: ")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+@pytest.mark.parametrize("argv", [
+    ["dims", "3", "2", "3"],
+    # more than the stdout buffer holds: the write fails, not the flush
+    ["fig3", "--z", "1.25", "--c1", "0.3", "--c2", "0.6", "--samples", "2000"],
+])
+def test_full_stdout_is_a_file_error(argv, unbuffered):
+    # one line and exit 3, and the flush at exit neither prints nor fails
+    with open("/dev/full", "w") as full:
+        proc = run_fresh("-m", "latentgeom", *argv, stdout=full,
+                         PYTHONUNBUFFERED=unbuffered)
+    assert (proc.returncode, proc.stderr) == (
+        3, f"latentgeom {argv[0]}: <stdout>: [Errno 28] No space left on device\n")
 
 
 @pytest.mark.parametrize("argv, err", [
@@ -875,10 +892,21 @@ def test_count_totals_past_int64_are_exact(capsys, tmp_path, cells):
 
 # ---------------------------------------------------------------- fresh starts
 
-#: paths whose handler imports its analysis module when it runs, beyond
-#: those test_acceptance.py's determinism check starts; the last six are
-#: file errors (exit 3) met after the handler's imports
+#: a start of each subcommand, which may load numpy only as its handler
+#: runs, and a usage error (exit 2) that loads none; then paths whose
+#: handler imports its analysis module when it runs, beyond those
+#: test_acceptance.py's determinism check starts; the last six are file
+#: errors (exit 3) met after the handler's imports
 FRESH_STARTS = {
+    "dims": ["dims", "4", "3", "4"],
+    "dims-usage": ["dims", "1", "2", "3"],
+    "check": ["check", "{model}"],
+    "fig3": ["fig3", "--z", "1.25", "--c1", "0.3", "--c2", "0.6"],
+    "fiber": ["fiber", "{model}", "--n", "5", "--seed", "3"],
+    "vertices": ["vertices", "{model}"],
+    "consistency": ["consistency", "{marginal}", "--r2", "2"],
+    "profile": ["profile", "{counts}", "{model}", "--steps", "5"],
+    "emfit": ["emfit", "{counts}", "3", "2", "3", "--seed", "8"],
     "profile-q": ["profile", "{counts}", "{model}", "--q", "{q}", "--steps", "5"],
     "check-joint": ["check", "{joint}"],
     "vertices-b": ["vertices", "{model}", "--side", "b"],
@@ -902,16 +930,21 @@ def test_fresh_start_matches_in_process(capsys, tmp_path, model_file,
                                  "cells": [0.5, 0, 0, 0, 0, 0.5, 0, 0]}))
     q = tmp_path / "q.json"
     q.write_text(json.dumps({"q": [[0.9, 0.1], [0.2, 0.8]]}))
+    marginal = tmp_path / "marginal.json"
+    marginal.write_text(json.dumps({"shape": [3, 3], "cells": [1 / 9] * 9}))
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     bad_csv = tmp_path / "bad.csv"
     bad_csv.write_text("i,j,count\n1,1,1\n")
     files = {"model": model_file[0], "counts": counts_file, "slack": slack_file,
-             "joint": joint, "q": q, "bad": bad, "bad_csv": bad_csv}
+             "joint": joint, "q": q, "marginal": marginal, "bad": bad,
+             "bad_csv": bad_csv}
     argv = [arg.format(**files) for arg in FRESH_STARTS[case]]
     code = main(argv)
     captured = capsys.readouterr()
     fresh = run_fresh("-m", "latentgeom", *argv)
     assert (fresh.returncode, fresh.stdout, fresh.stderr) == (
         code, captured.out, captured.err)
-    assert code == (3 if case.endswith("-bad") else 0)
+    assert code == (3 if case.endswith("-bad") else
+                    2 if case.endswith("-usage") else 0)
+    assert captured.err.count("\n") == (code != 0)

@@ -1,5 +1,6 @@
 """What a fresh interpreter loads: ``import latentgeom`` loads only the
-errors module, and every other public name is imported on first access."""
+errors module, every other public name is imported on first access, and a
+``dims`` run loads neither numpy nor the model module."""
 
 import json
 
@@ -10,9 +11,13 @@ from test_model import PUBLIC_NAMES
 
 SUBMODULES = ("model", "fiber", "likelihood", "identifiability", "reparam")
 
-#: appended to a fresh script: print the package modules it loaded
-REPORT = ("\nimport json, sys\nprint(json.dumps(sorted("
-          "m for m in sys.modules if m.startswith('latentgeom'))))")
+#: appended to a fresh script: print the package modules it loaded, and
+#: numpy if it loaded numpy
+REPORT = ("\nimport json, sys\nprint(json.dumps(sorted(m for m in sys.modules "
+          "if m.startswith('latentgeom') or m == 'numpy')))")
+#: what a ``dims`` run loads
+DIMS_MODULES = ["latentgeom", "latentgeom.cli", "latentgeom.errors",
+                "latentgeom.shapes"]
 
 
 def loaded_by(script: str) -> list[str]:
@@ -25,13 +30,12 @@ def test_import_loads_only_errors():
     assert loaded_by("import latentgeom") == ["latentgeom", "latentgeom.errors"]
 
 
-def test_dims_adds_only_cli_and_model():
+def test_dims_loads_neither_numpy_nor_model():
     assert loaded_by("from latentgeom import cli\n"
-                     "assert cli.main(['dims', '3', '2', '3']) == 0") == [
-        "latentgeom", "latentgeom.cli", "latentgeom.errors", "latentgeom.model"]
+                     "assert cli.main(['dims', '3', '2', '3']) == 0") == DIMS_MODULES
 
 
-def test_module_start_of_dims_loads_only_cli_and_model():
+def test_module_start_of_dims_loads_neither_numpy_nor_model():
     # what ``python -m latentgeom dims 3 2 3`` runs, then the modules left
     script = ("import runpy, sys\n"
               "sys.argv = ['latentgeom', 'dims', '3', '2', '3']\n"
@@ -39,8 +43,18 @@ def test_module_start_of_dims_loads_only_cli_and_model():
               "    runpy.run_module('latentgeom', run_name='__main__')\n"
               "except SystemExit as exc:\n"
               "    assert exc.code == 0, exc.code\n")
-    assert loaded_by(script) == [
-        "latentgeom", "latentgeom.cli", "latentgeom.errors", "latentgeom.model"]
+    assert loaded_by(script) == DIMS_MODULES
+
+
+def test_dims_usage_error_is_one_line_without_numpy():
+    script = ("import contextlib, io\n"
+              "from latentgeom import cli\n"
+              "err = io.StringIO()\n"
+              "with contextlib.redirect_stderr(err):\n"
+              "    assert cli.main(['dims', '1', '2', '3']) == 2\n"
+              "assert err.getvalue() == "
+              "'latentgeom dims: r1 must be >= 2, got 1\\n', err.getvalue()\n")
+    assert loaded_by(script) == DIMS_MODULES
 
 
 def test_every_public_name_and_submodule_resolves():
@@ -61,7 +75,7 @@ assert latentgeom.cli is cli
 """
     assert loaded_by(script) == [
         "latentgeom", *(f"latentgeom.{m}" for m in sorted(
-            ["cli", "errors", *SUBMODULES]))]
+            ["cli", "errors", "shapes", *SUBMODULES])), "numpy"]
 
 
 def test_star_import_binds_exactly_all():

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 from latentgeom import (  # noqa: E402
     BoundaryPoint,
     InvalidMixing,
+    InvalidParameter,
     MixingMatrix,
     Shape,
     apply_mixing,
@@ -26,6 +27,7 @@ from latentgeom import (  # noqa: E402
 )
 from latentgeom.fiber import _b_side_interval  # noqa: E402
 from latentgeom.model import INTERIOR_EPS  # noqa: E402
+from latentgeom.shapes import _check_count, _integer_pair, _is_integer  # noqa: E402
 from conftest import pushed_chain, seeded_chain, seeded_joint  # noqa: E402
 
 SEEDS = st.integers(0, 2 ** 32 - 1)
@@ -148,3 +150,46 @@ def test_r2_2_validity_rectangle(r1, r3, seed):
                     (pi_mid, u_lo - step), (pi_mid, bounds.rho_max + step)):
         with pytest.raises(InvalidMixing):
             apply_mixing(params, MixingMatrix.from_pi_rho(pi, rho))
+
+
+NUMPY_INTEGERS = (np.int8, np.int16, np.int32, np.int64,
+                  np.uint8, np.uint16, np.uint32, np.uint64)
+#: what a size, count or seed might be given as
+SIZES = st.one_of(
+    st.integers(-2 ** 70, 2 ** 70), st.booleans(),
+    st.sampled_from(NUMPY_INTEGERS).flatmap(lambda t: st.integers(
+        int(np.iinfo(t).min), int(np.iinfo(t).max)).map(t)),
+    st.booleans().map(np.bool_),
+    st.sampled_from((np.float16, np.float32, np.float64)).flatmap(
+        lambda t: st.floats(width=np.finfo(t).bits).map(t)),
+    st.integers(-2 ** 63, 2 ** 63 - 1).map(np.array),
+    st.lists(st.integers(-9, 9), max_size=3).map(
+        lambda v: np.array(v, dtype=np.int64)),
+    st.floats(), st.text(max_size=4), st.none(),
+)
+
+
+def raised(fn, *args) -> str | None:
+    try:
+        fn(*args)
+    except InvalidParameter as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(value=SIZES, low=st.integers(-3, 3))
+def test_integer_rule_is_the_numpy_rule(value, low):
+    # the rule written with numpy at hand: 0-d integer arrays, which
+    # operator.index would take, are refused like every other array
+    integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    assert _is_integer(value) is integer
+    if not integer:
+        message = f"n must be an integer, got {value!r}"
+    elif value < low:
+        message = f"n must be >= {low}, got {value}"
+    else:
+        message = None
+    assert raised(_check_count, "n", value, low) == message
+    assert raised(_integer_pair, (1, value), "pair") == (
+        None if integer else f"pair must be two integers, got {(1, value)!r}")

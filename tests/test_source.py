@@ -1,6 +1,7 @@
 """Checks read off the package source rather than run."""
 
 import ast
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -63,7 +64,8 @@ def imported_names(scope: ast.AST):
 
 def test_every_imported_name_is_read():
     # an import that nothing reads is dead code, and it costs a cold start
-    # the module's load; the package imports ``errors`` for its namespace
+    # the module's load; the package imports ``errors`` for its namespace,
+    # and ``model`` re-exports the two dimension types of ``shapes``
     unread = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -73,4 +75,35 @@ def test_every_imported_name_is_read():
                      and isinstance(n.ctx, ast.Load)}
             unread += [(path.name, name) for name in imported_names(scope)
                        if name not in reads]
-    assert unread == [("__init__.py", "errors")]
+    assert unread == [("__init__.py", "errors"), ("model.py", "Dims"),
+                      ("model.py", "DimsCase")]
+
+
+def loaded_modules(tree: ast.Module):
+    # the modules a module imports as it loads: its import statements
+    # outside functions and outside ``if TYPE_CHECKING:``
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
+            stack.extend(node.orelse)
+        elif isinstance(node, ast.Import):
+            yield from (a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level:
+            yield from (f"latentgeom.{m}" for m in (
+                [node.module] if node.module else [a.name for a in node.names]))
+        elif isinstance(node, ast.ImportFrom):
+            yield node.module
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def test_dims_path_binds_no_numpy_at_module_level():
+    # a ``dims`` start loads ``cli`` and ``shapes``: neither may load numpy,
+    # nor a package module that does, until a handler runs
+    for name in ("cli.py", "shapes.py"):
+        tree = ast.parse((SRC / name).read_text(encoding="utf-8"))
+        loaded = set(loaded_modules(tree))
+        assert {m for m in loaded if m.partition(".")[0] not in
+                sys.stdlib_module_names} <= {"latentgeom.errors",
+                                             "latentgeom.shapes"}, name
