@@ -22,10 +22,9 @@ __version__ = "0.1.0"
 #: each submodule and the public names it exports
 _EXPORTS = {
     "errors": (
-        "BoundaryPoint", "ConstraintViolation", "DegenerateInput",
-        "GeometryError", "InvalidMixing", "InvalidParameter", "NoRealSolution",
-        "OffVariety", "OutOfUnitBox", "PathExitsPolytope", "RejectionStall",
-        "SingularDenominator", "SingularMixing", "SingularPair", "ZeroCell",
+        "BoundaryPoint", "GeometryError", "InvalidMixing", "InvalidParameter",
+        "NoRealSolution", "OffVariety", "OutOfUnitBox", "PathExitsPolytope",
+        "RejectionStall", "SingularDenominator", "SingularMixing", "ZeroCell",
     ),
     "fiber": (
         "ExtremeMixing", "MixingMatrix", "RhoPiBounds", "apply_mixing",

@@ -19,7 +19,9 @@ class InvalidParameter(GeometryError, ValueError):
 
 
 class BoundaryPoint(GeometryError):
-    """An operation requiring strictly interior parameters met a boundary point."""
+    """The point sits where the operation is undefined: on the boundary,
+    where it needs interior parameters, or on the fiber boundary, where no
+    extreme vertex exists."""
 
 
 class ZeroCell(GeometryError):
@@ -33,55 +35,21 @@ class ZeroCell(GeometryError):
 class NoRealSolution(GeometryError):
     """The fiber quadratic has a negative discriminant for the given inputs."""
 
-    def __init__(self, discriminant: float):
-        self.discriminant = discriminant
-        super().__init__(f"negative discriminant {discriminant:.17g}: no real solution")
-
 
 class OutOfUnitBox(GeometryError):
-    """A solved or scaled coordinate leaves [0, 1]: a fiber solution, or a
-    free parameter of a degenerate family that pushes an entry out."""
-
-    def __init__(self, coordinate: str, value: float, roots=None):
-        self.coordinate = coordinate
-        self.value = value
-        self.roots = roots
-        msg = f"{coordinate} = {value:.17g} lies outside [0, 1]"
-        if roots is not None:
-            msg += f" (roots {roots})"
-        super().__init__(msg)
-
-
-class ConstraintViolation(GeometryError):
-    """A validity inequality of the binary surface fails."""
-
-    def __init__(self, inequality: str):
-        self.inequality = inequality
-        super().__init__(f"constraint violated: {inequality}")
-
-
-class SingularPair(GeometryError):
-    """lam(2,2) = lam(1,2) with z != 1: the surface denominators vanish."""
+    """A solved, scaled or completed coordinate leaves [0, 1]: a fiber
+    solution, a free parameter of a degenerate family that pushes an entry
+    out, or a binary surface point outside its validity window."""
 
 
 class OffVariety(GeometryError):
     """Cross-ratios do not satisfy the rank-2 marginal identity."""
 
-    def __init__(self, residual: float, tol: float):
-        self.residual = residual
-        self.tol = tol
-        super().__init__(
-            f"marginal identity residual {residual:.17g} exceeds tolerance {tol:.17g}"
-        )
-
 
 class SingularDenominator(GeometryError):
-    """A named denominator of the closed-form fiber solver vanishes."""
-
-    def __init__(self, name: str, value: float):
-        self.name = name
-        self.value = value
-        super().__init__(f"denominator {name} = {value:.17g} is too close to zero")
+    """A denominator of a closed-form solver vanishes: a named one of the
+    3 x 2 x 3 fiber solver, or the binary surface's at lam22 = lam12 with
+    z != 1."""
 
 
 class InvalidMixing(GeometryError):
@@ -97,11 +65,7 @@ class InvalidMixing(GeometryError):
 
 
 class SingularMixing(GeometryError):
-    """The mixing matrix is not invertible (|det| <= 1e-12)."""
-
-
-class DegenerateInput(GeometryError):
-    """The parameters already sit on the fiber boundary; no extreme vertex exists."""
+    """The mixing matrix is not invertible (|det| <= ``model.DET_EPS``)."""
 
 
 class PathExitsPolytope(GeometryError):

@@ -22,7 +22,6 @@ import numpy as np
 
 from .errors import (
     BoundaryPoint,
-    DegenerateInput,
     InvalidMixing,
     InvalidParameter,
     RejectionStall,
@@ -30,6 +29,9 @@ from .errors import (
 )
 from . import model
 from .model import (
+    _EPS,
+    CLAMP_EPS,
+    DET_EPS,
     INTERIOR_EPS,
     SUM_TOL,
     ChainParams,
@@ -40,10 +42,6 @@ from .model import (
 )
 from .shapes import _check_count
 
-#: entries in [-CLAMP_EPS, 0) are roundoff and snap to exact zero
-CLAMP_EPS = 1e-12
-#: |det| at or below this counts as singular
-DET_EPS = 1e-12
 #: the fewest proposals :func:`sample_fiber` draws at once
 _BLOCK = 8
 #: the most proposals :func:`sample_fiber` draws at once, and so the longest
@@ -51,8 +49,6 @@ _BLOCK = 8
 _DRAWS = 1024
 #: step-size factor of :func:`sample_fiber` after a rejection
 _SHRINK = 2.0 ** (-1.0 / 3.0)
-#: float64 machine epsilon, the unit of the rounding bound of :func:`_points`
-_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -212,7 +208,7 @@ def apply_mixing(params: ChainParams, q: MixingMatrix) -> ChainParams:
 
     The observed (Y1, Y3) marginal is exactly invariant because the factors
     cancel inside the matrix product.  Entries of a' or b' in
-    [-1e-12, 0) are snapped to exact zero and the row renormalised; larger
+    [-CLAMP_EPS, 0) are snapped to exact zero and the row renormalised; larger
     negativity means q left the validity polytope and raises
     :class:`InvalidMixing` with the most violated entry.  This is the
     stacked kernel behind :func:`sample_fiber` and
@@ -287,13 +283,13 @@ def _b_side_interval(b: np.ndarray) -> tuple[float, int, float, int]:
     Returns (u_lo, k_lo, u_hi, k_hi) where the bounds are attained with an
     exact zero at columns k_lo / k_hi.  Requires the two rows of b to
     differ somewhere on each side; otherwise no mixing can push b to its
-    boundary and :class:`DegenerateInput` is raised.
+    boundary and :class:`BoundaryPoint` is raised.
     """
     b0, b1 = b[0], b[1]
     hi = np.flatnonzero(b0 < b1)
     lo = np.flatnonzero(b0 > b1)
     if not hi.size or not lo.size:
-        raise DegenerateInput(
+        raise BoundaryPoint(
             "rows of p(Y3|Y2) do not straddle; no boundary mixing exists"
         )
     u_his = b1[hi] / (b1[hi] - b0[hi])
@@ -318,7 +314,7 @@ def extreme_mixings(params: ChainParams, side: str = "a") -> list[ExtremeMixing]
 
     Requires r2 = 2 and interior parameters; parameters already on the
     fiber boundary (rho_max = 0 or pi_min = 1) raise
-    :class:`DegenerateInput`, as does a pinched region rho_max = pi_min,
+    :class:`BoundaryPoint`, as does a pinched region rho_max = pi_min,
     where the corner matrix would be singular.
     """
     if params.shape.r2 != 2:
@@ -328,11 +324,11 @@ def extreme_mixings(params: ChainParams, side: str = "a") -> list[ExtremeMixing]
     if side == "a":
         bounds = rho_pi_bounds(params)
         if bounds.rho_max <= 0.0 or bounds.pi_min >= 1.0:
-            raise DegenerateInput(
+            raise BoundaryPoint(
                 "p(Y2|Y1) already touches the boundary; no extreme vertex"
             )
         if bounds.pi_min == bounds.rho_max:
-            raise DegenerateInput(
+            raise BoundaryPoint(
                 "constant p(Y2 = 1|Y1): the validity rectangle pinches to a "
                 "segment and the informative corner is singular"
             )
@@ -341,8 +337,8 @@ def extreme_mixings(params: ChainParams, side: str = "a") -> list[ExtremeMixing]
         mirrored_zeros = (("a", bounds.i_max, 0), ("a", bounds.i_min, 1))
     else:
         if params.min_entry <= 0.0:
-            raise DegenerateInput("b-side construction requires interior "
-                                  "parameters")
+            raise BoundaryPoint("b-side construction requires interior "
+                                "parameters")
         rho, k_lo, pi, k_hi = _b_side_interval(params.b)
         zeros = (("b", 0, k_hi), ("b", 1, k_lo))
         mirrored_zeros = (("b", 0, k_lo), ("b", 1, k_hi))
@@ -466,7 +462,7 @@ def fiber_dimension(params: ChainParams) -> int:
 
     The derivative of q -> (a q^{-1}, q b) at q = I in direction M is
     (-a M, M b), a linear map on the r2 (r2 - 1) dimensional space of
-    zero-row-sum matrices; its numerical rank (relative cutoff 1e-8) is the
+    zero-row-sum matrices; its numerical rank (cutoff ``RANK_CUTOFF``) is the
     orbit dimension.  M is in the kernel exactly when a M = 0 and M b = 0
     (M b = 0 already gives M 1 = M b 1 = 0), so where a and b have full rank
     the orbit dimension is r2 (r2 - 1) - (r2 - min(r1, r2)) (r2 - min(r2, r3)).

@@ -24,10 +24,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameter
-from .fiber import _EPS, CLAMP_EPS
 from .likelihood import (NEG_INF, _at_observed, _check_budget, _em_batch,
                          _observed, _unit_rows)
 from .model import (
+    _EPS,
+    CLAMP_EPS,
     RANK_CUTOFF,
     ChainParams,
     MarginalTable,

@@ -30,6 +30,7 @@ from .errors import (
 )
 from .fiber import MixingMatrix, _mix, _snap, apply_mixing
 from .model import (
+    EM_SLACK,
     ChainParams,
     Shape,
     _fields_eq,
@@ -42,8 +43,6 @@ from .model import (
 from .shapes import _check_count, _integer_pair, _is_integer
 
 NEG_INF = float("-inf")
-#: relative per-step slack on EM monotonicity (double rounding at |ll| scale)
-EM_SLACK = 1e-12
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,44 @@ s = r2 (r1 - 1)(r3 - 1) quadric residuals
 for a fixed reference cell (I, K) and i != I, k != K.  Everything in this
 module is a pure function of immutable values; arrays are frozen after
 construction.
+
+Every tolerance constant of the package is defined here, and each module
+imports the ones it reads by name.  A rounding allowance absorbs float error in a
+statement that is exact in the maths; a modelling threshold is a choice a
+user may revisit.  The last three rows are argument defaults.
+
+============  ======  =========  =============================================
+name          value   kind       what it decides; who reads it
+============  ======  =========  =============================================
+SUM_TOL       1e-12   rounding   a row or table sums to 1 within it; the value
+                                 types, fiber._mix, fiber._points
+CLAMP_EPS     1e-12   rounding   an entry this far past 0 or 1 is snapped or
+                                 clipped, not refused; fiber._mix, _snap,
+                                 _clamp_rows, _exits, _outside_unit_box;
+                                 entries at or below it are 0 in the witness
+                                 of _nested_polygon
+DET_EPS       1e-12   rounding   a divisor this small is 0; MixingMatrix,
+                                 fiber._mix, _exits, solve_fiber_323
+EM_SLACK      1e-12   rounding   a relative EM log-likelihood drop this small
+                                 is no error; likelihood._em_batch
+_EPS          2**-52  rounding   float64 eps, the unit of derived bounds;
+                                 fiber._points, consistency_check's margin
+INTERIOR_EPS  1e-9    modelling  entries above it are interior; jacobian_rank,
+                                 fiber_dimension
+RANK_CUTOFF   1e-8    modelling  relative singular-value cutoff of a rank;
+                                 fiber_dimension, marginal_rank; and as an
+                                 absolute distance, points within it are one
+                                 in _nested_polygon
+IDENTITY_TOL  1e-8    modelling  the rank-2 identity holds within it times
+                                 max(1, max z); solve_fiber_323
+RESIDUAL_TOL  1e-9    modelling  solved quadric residuals vanish within it
+                                 times the same scale; solve_fiber_323
+tol           1e-8    modelling  a KL divergence below it is consistent;
+                                 consistency_check, CLI consistency --tol
+tol           1e-10   modelling  EM stops at a smaller log-likelihood gain;
+                                 em_fit_details, CLI emfit --tol
+tol           1e-12   modelling  the same, in consistency_check's EM search
+============  ======  =========  =============================================
 """
 
 from __future__ import annotations
@@ -26,12 +64,16 @@ import numpy as np
 from .errors import BoundaryPoint, InvalidParameter
 from .shapes import Dims, DimsCase, Shape, _integer_pair, dims
 
-#: absolute tolerance for "sums to one" invariants
+# the tolerances of the module docstring's table
 SUM_TOL = 1e-12
-#: entries must exceed this for a point to count as interior
+CLAMP_EPS = 1e-12
+DET_EPS = 1e-12
+EM_SLACK = 1e-12
+_EPS = float(np.finfo(float).eps)
 INTERIOR_EPS = 1e-9
-#: relative singular-value cutoff for numerical ranks
 RANK_CUTOFF = 1e-8
+IDENTITY_TOL = 1e-8
+RESIDUAL_TOL = 1e-9
 
 
 def _frozen(values, dtype=float) -> np.ndarray:
@@ -112,8 +154,8 @@ class JointTable:
     """Full probability table over (Y1, Y2, Y3).
 
     ``cells[i, j, k]`` holds theta(i, j, k); cells are nonnegative and sum
-    to one within 1e-12.  Zero cells are allowed: boundary points are part
-    of the geometry.
+    to one within ``SUM_TOL``.  Zero cells are allowed: boundary points are
+    part of the geometry.
     """
 
     shape: Shape

@@ -30,16 +30,18 @@ from typing import Literal
 import numpy as np
 
 from .errors import (
-    ConstraintViolation,
     InvalidParameter,
     NoRealSolution,
     OffVariety,
     OutOfUnitBox,
     SingularDenominator,
-    SingularPair,
     ZeroCell,
 )
 from .model import (
+    CLAMP_EPS,
+    DET_EPS,
+    IDENTITY_TOL,
+    RESIDUAL_TOL,
     SUM_TOL,
     JointTable,
     MarginalTable,
@@ -52,21 +54,12 @@ from .model import (
 )
 from .shapes import _integer_pair
 
-#: denominators below this are treated as vanishing
-DENOM_EPS = 1e-12
-#: admission tolerance for the rank-2 marginal identity, scaled by max |z|
-IDENTITY_TOL = 1e-8
-#: acceptance tolerance for solved-field quadric residuals
-RESIDUAL_TOL = 1e-9
-#: roundoff allowed outside [0, 1]; a coordinate within it is clipped
-BOX_TOL = 1e-12
-
 
 def _outside_unit_box(values) -> tuple[int, ...] | None:
-    """Index of the first entry (C order) of ``values`` below -BOX_TOL or
-    above 1 + BOX_TOL, or None; a NaN is not outside."""
+    """Index of the first entry (C order) of ``values`` below -CLAMP_EPS
+    or above 1 + CLAMP_EPS, or None; a NaN is not outside."""
     values = np.asarray(values, dtype=float)
-    outside = (values < -BOX_TOL) | (values > 1.0 + BOX_TOL)
+    outside = (values < -CLAMP_EPS) | (values > 1.0 + CLAMP_EPS)
     if not outside.any():
         return None
     return tuple(int(x) for x in np.argwhere(outside)[0])
@@ -271,7 +264,8 @@ def binary_fiber_solve(z: float, c1: float, c2: float) -> BinaryFiberSolution:
             f"z = {z!r} is too small at c1 = {c1!r}, c2 = {c2!r}: "
             "the fiber quadratic overflows")
     if disc < 0.0:
-        raise NoRealSolution(disc)
+        raise NoRealSolution(
+            f"negative discriminant {disc:.17g}: no real solution")
     sq = math.sqrt(disc)
     if s >= 0.0:
         u = 0.5 * (s + sq)
@@ -280,8 +274,9 @@ def binary_fiber_solve(z: float, c1: float, c2: float) -> BinaryFiberSolution:
     v = p / u if u != 0.0 else 0.0
     lo, hi = (u, v) if u <= v else (v, u)
     if (idx := _outside_unit_box((lo, hi))) is not None:
-        raise OutOfUnitBox(("smaller root", "larger root")[idx[0]],
-                           (lo, hi)[idx[0]], roots=(lo, hi))
+        which = ("smaller root", "larger root")[idx[0]]
+        raise OutOfUnitBox(f"{which} = {(lo, hi)[idx[0]]:.17g} lies outside "
+                           f"[0, 1] (roots {(lo, hi)})")
     lo = min(max(lo, 0.0), 1.0)
     hi = min(max(hi, 0.0), 1.0)
     points = ((lo, hi),) if lo == hi else ((lo, hi), (hi, lo))
@@ -299,11 +294,11 @@ def binary_surface(lam12: float, lam22: float, z: float) -> tuple[float, float]:
     which satisfies both binary quadrics identically.  The output lies in
     [0, 1]^2 exactly when z sits strictly inside the window bounded by
     lam12/lam22 and (1 - lam12)/(1 - lam22); the failing inequality is
-    named in :class:`ConstraintViolation`.  z = 1 is the degenerate quadric
+    named in :class:`OutOfUnitBox`.  z = 1 is the degenerate quadric
     (marginal independence): the formulas' continuous limit
     (lam22, lam12) is returned rather than an error.  An exactly equal
     pair lam22 = lam12 with z != 1 admits no solution at all
-    (:class:`SingularPair`).
+    (:class:`SingularDenominator`).
     """
     for name, v in (("lam12", lam12), ("lam22", lam22)):
         if not (0.0 <= v <= 1.0):
@@ -313,34 +308,29 @@ def binary_surface(lam12: float, lam22: float, z: float) -> tuple[float, float]:
     if lam22 == lam12:
         if z == 1.0:
             return (lam22, lam12)
-        raise SingularPair(
-            f"lam22 = lam12 = {lam22:.17g} with z = {z:.17g} != 1"
-        )
+        raise SingularDenominator(
+            f"lam22 = lam12 = {lam22:.17g} with z = {z:.17g} != 1")
     if z == 1.0:
         # degenerate quadric: lambda(2,1) = lambda(2,2), lambda(1,1) = lambda(1,2)
         return (lam22, lam12)
     if lam22 > lam12:
         if not z * lam22 > lam12:
-            raise ConstraintViolation(
-                f"lam22 > lam12 requires z > lam12/lam22 "
-                f"(z = {z:.17g}, lam12/lam22 = {lam12 / lam22:.17g})"
-            )
+            raise OutOfUnitBox(
+                "constraint violated: lam22 > lam12 requires z > lam12/lam22 "
+                f"(z = {z:.17g}, lam12/lam22 = {lam12 / lam22:.17g})")
         if not z * (1.0 - lam22) < 1.0 - lam12:
-            raise ConstraintViolation(
-                f"lam22 > lam12 requires z < (1 - lam12)/(1 - lam22) "
-                f"(z = {z:.17g})"
-            )
+            raise OutOfUnitBox(
+                "constraint violated: lam22 > lam12 requires "
+                f"z < (1 - lam12)/(1 - lam22) (z = {z:.17g})")
     else:
         if not z * lam22 < lam12:
-            raise ConstraintViolation(
-                f"lam22 < lam12 requires z < lam12/lam22 "
-                f"(z = {z:.17g}, lam12/lam22 = {lam12 / lam22:.17g})"
-            )
+            raise OutOfUnitBox(
+                "constraint violated: lam22 < lam12 requires z < lam12/lam22 "
+                f"(z = {z:.17g}, lam12/lam22 = {lam12 / lam22:.17g})")
         if not z * (1.0 - lam22) > 1.0 - lam12:
-            raise ConstraintViolation(
-                f"lam22 < lam12 requires z > (1 - lam12)/(1 - lam22) "
-                f"(z = {z:.17g})"
-            )
+            raise OutOfUnitBox(
+                "constraint violated: lam22 < lam12 requires "
+                f"z > (1 - lam12)/(1 - lam22) (z = {z:.17g})")
     num = 1.0 - lam12 - z * (1.0 - lam22)
     den = lam22 - lam12
     lam21 = num * lam22 / den
@@ -434,20 +424,22 @@ def solve_fiber_323(z: CrossRatios, lam21: float, lam22: float) -> LambdaField:
             raise InvalidParameter(f"{name} must lie in [0, 1], got {v!r}")
     scale = max(1.0, float(np.abs(z.values).max()))
     ident = marginal_identity_323(z)
-    if abs(ident) > IDENTITY_TOL * scale:
-        raise OffVariety(ident, IDENTITY_TOL * scale)
+    if not (abs(ident) <= IDENTITY_TOL * scale):    # a NaN fails too
+        raise OffVariety(f"marginal identity residual {ident:.17g} exceeds "
+                         f"tolerance {IDENTITY_TOL * scale:.17g}")
     z1, z2, z3, z4 = (float(v) for v in z.values.ravel())
     shape = Shape(3, 2, 3)
 
-    if max(abs(z1 - 1), abs(z2 - 1), abs(z3 - 1), abs(z4 - 1)) < DENOM_EPS \
-            and abs(lam22 - lam21) < DENOM_EPS:
+    if max(abs(z1 - 1), abs(z2 - 1), abs(z3 - 1), abs(z4 - 1)) < DET_EPS \
+            and abs(lam22 - lam21) < DET_EPS:
         # independence: the row-constant completion is the canonical solution
         lam = np.full((3, 3), lam21)
         return _field_from_first_component(shape, z, lam)
 
     def checked_div(num: float, den: float, name: str) -> float:
-        if abs(den) < DENOM_EPS:
-            raise SingularDenominator(name, den)
+        if abs(den) < DET_EPS:
+            raise SingularDenominator(
+                f"denominator {name} = {den:.17g} is too close to zero")
         return num / den
 
     lam = np.empty((3, 3))
@@ -472,13 +464,15 @@ def solve_fiber_323(z: CrossRatios, lam21: float, lam22: float) -> LambdaField:
     lam[2, 2] = checked_div(lam[0, 2] * lam[2, 0], z4 * l00, "z4 lam(1,1)")
 
     if (idx := _outside_unit_box(lam)) is not None:
-        raise OutOfUnitBox(f"lam({idx[0] + 1},{idx[1] + 1})", lam[idx])
+        raise OutOfUnitBox(f"lam({idx[0] + 1},{idx[1] + 1}) = {lam[idx]:.17g} "
+                           "lies outside [0, 1]")
     lam = np.clip(lam, 0.0, 1.0)
 
     res = _quadric_residuals_323(z, lam)
     worst = float(np.abs(res).max())
-    if worst > RESIDUAL_TOL * scale:
-        raise OffVariety(worst, RESIDUAL_TOL * scale)
+    if not (worst <= RESIDUAL_TOL * scale):    # a NaN fails too
+        raise OffVariety(f"marginal identity residual {worst:.17g} exceeds "
+                         f"tolerance {RESIDUAL_TOL * scale:.17g}")
     return _field_from_first_component(shape, z, lam)
 
 
@@ -516,7 +510,8 @@ def degenerate_family_323(z: CrossRatios, lam21: float, lam31: float,
             raise InvalidParameter(f"{name} must lie in [0, 1], got {v!r}")
     scaled = np.array([[lam21], [lam31]], dtype=float) / z.values
     if (idx := _outside_unit_box(scaled)) is not None:
-        raise OutOfUnitBox(f"lam({idx[0] + 2},{idx[1] + 2})", float(scaled[idx]))
+        raise OutOfUnitBox(f"lam({idx[0] + 2},{idx[1] + 2}) = "
+                           f"{float(scaled[idx]):.17g} lies outside [0, 1]")
     mu = np.ones((3, 3))
     mu[1:, 0] = lam21, lam31
     mu[1:, 1:] = np.minimum(scaled, 1.0)

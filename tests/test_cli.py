@@ -948,3 +948,21 @@ def test_fresh_start_matches_in_process(capsys, tmp_path, model_file,
     assert code == (3 if case.endswith("-bad") else
                     2 if case.endswith("-usage") else 0)
     assert captured.err.count("\n") == (code != 0)
+
+
+@pytest.mark.parametrize("argv, function, names", [
+    (["consistency", "t.csv", "--r2", "2"], "consistency_check",
+     ("tol", "restarts", "maxiter", "seed")),
+    (["emfit", "c.csv", "3", "2", "3"], "em_fit_details",
+     ("tol", "maxiter", "seed")),
+])
+def test_cli_defaults_are_the_library_defaults(argv, function, names):
+    # each default is written in the parser and in the signature
+    import inspect
+    import latentgeom
+    from latentgeom.cli import _build_parser
+    args = vars(_build_parser().parse_args(argv))
+    params = inspect.signature(getattr(latentgeom, function)).parameters
+    for name in names:
+        assert args[name] == params[name].default, name
+        assert type(args[name]) is type(params[name].default), name

@@ -4,7 +4,6 @@ import pytest
 from latentgeom import (
     BoundaryPoint,
     ChainParams,
-    DegenerateInput,
     InvalidMixing,
     InvalidParameter,
     MixingMatrix,
@@ -168,7 +167,7 @@ def b_side_interval_loop(b):
     lo_candidates = [(b1[k] / (b1[k] - b0[k]), k)
                      for k in range(b.shape[1]) if b0[k] > b1[k]]
     if not hi_candidates or not lo_candidates:
-        raise DegenerateInput("rows do not straddle")
+        raise BoundaryPoint("rows do not straddle")
     u_hi, k_hi = min(hi_candidates)
     u_lo, k_lo = max(lo_candidates)
     return u_lo, k_lo, u_hi, k_hi
@@ -191,7 +190,7 @@ def test_b_side_interval_equals_loop():
                    for x, y in zip(got, want))
     for b in (np.array([[0.3, 0.7], [0.3, 0.7]]),
               np.array([[0.2, 0.3, 0.5], [0.3, 0.3, 0.4]])[[0, 0]]):
-        with pytest.raises(DegenerateInput):
+        with pytest.raises(BoundaryPoint):
             _b_side_interval(b)
 
 
@@ -201,14 +200,14 @@ def test_extreme_mixings_degenerate_inputs():
         [[0.0, 1.0], [0.6, 0.4]],
         [[0.3, 0.7], [0.8, 0.2]],
     )
-    with pytest.raises(DegenerateInput):
+    with pytest.raises(BoundaryPoint):
         extreme_mixings(boundary)
     pinched = ChainParams(
         Shape(2, 2, 2), [0.5, 0.5],
         [[0.4, 0.6], [0.4, 0.6]],
         [[0.3, 0.7], [0.8, 0.2]],
     )
-    with pytest.raises(DegenerateInput):
+    with pytest.raises(BoundaryPoint):
         extreme_mixings(pinched)
 
 

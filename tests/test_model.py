@@ -500,13 +500,12 @@ def test_consistency_reports_compare_with_and_without_witness():
 #: must be added to or removed from this set in the same change
 PUBLIC_NAMES = {
     "BinaryFiberSolution", "BoundaryPoint", "ChainParams", "ConsistencyReport",
-    "ConstraintViolation", "CountTable", "CrossRatios", "DegenerateInput",
-    "Dims", "DimsCase", "EmFit", "ExtremeMixing", "GeometryError",
-    "InvalidMixing", "InvalidParameter", "JointTable", "LambdaField",
-    "MarginalTable", "MixingMatrix", "NoRealSolution", "OffVariety",
-    "OutOfUnitBox", "PathExitsPolytope", "ProfileTrace", "RejectionStall",
-    "RhoPiBounds", "Shape", "SingularDenominator", "SingularMixing",
-    "SingularPair", "ZeroCell", "apply_mixing", "binary_fiber_solve",
+    "CountTable", "CrossRatios", "Dims", "DimsCase", "EmFit", "ExtremeMixing",
+    "GeometryError", "InvalidMixing", "InvalidParameter", "JointTable",
+    "LambdaField", "MarginalTable", "MixingMatrix", "NoRealSolution",
+    "OffVariety", "OutOfUnitBox", "PathExitsPolytope", "ProfileTrace",
+    "RejectionStall", "RhoPiBounds", "Shape", "SingularDenominator",
+    "SingularMixing", "ZeroCell", "apply_mixing", "binary_fiber_solve",
     "binary_surface", "ci_residuals", "consistency_check", "cross_ratios",
     "degenerate_family_323", "diagonal_marginal", "dims", "em_fit_details",
     "extreme_mixings", "fiber_dimension", "is_regular", "jacobian_rank",
@@ -525,3 +524,86 @@ def test_public_names_are_unique_and_resolve():
         assert getattr(latentgeom, name) is not None, name
     # shape errors are InvalidParameter
     assert not hasattr(latentgeom, "ShapeMismatch")
+
+
+def _pair_chain(a, b):
+    return ChainParams(Shape(2, 2, 2), [0.5, 0.5], a, b)
+
+
+#: a raise site of each message that the merged error classes, and those
+#: without attributes, no longer build themselves, with its exact text
+MERGED_RAISES = {
+    "lower-window": (
+        lambda lg: lg.binary_surface(0.6, 0.8, 0.5), "OutOfUnitBox",
+        "constraint violated: lam22 > lam12 requires z > lam12/lam22 "
+        "(z = 0.5, lam12/lam22 = 0.74999999999999989)"),
+    "upper-window": (
+        lambda lg: lg.binary_surface(0.2, 0.8, 5.0), "OutOfUnitBox",
+        "constraint violated: lam22 > lam12 requires "
+        "z < (1 - lam12)/(1 - lam22) (z = 5)"),
+    "mirrored-upper-window": (
+        lambda lg: lg.binary_surface(0.8, 0.2, 5.0), "OutOfUnitBox",
+        "constraint violated: lam22 < lam12 requires z < lam12/lam22 "
+        "(z = 5, lam12/lam22 = 4)"),
+    "mirrored-lower-window": (
+        lambda lg: lg.binary_surface(0.8, 0.2, 0.2), "OutOfUnitBox",
+        "constraint violated: lam22 < lam12 requires "
+        "z > (1 - lam12)/(1 - lam22) (z = 0.20000000000000001)"),
+    "equal-pair": (
+        lambda lg: lg.binary_surface(0.4, 0.4, 1.3), "SingularDenominator",
+        "lam22 = lam12 = 0.40000000000000002 with z = 1.3 != 1"),
+    "a-on-boundary": (
+        lambda lg: lg.extreme_mixings(_pair_chain(
+            [[0.0, 1.0], [0.6, 0.4]], [[0.3, 0.7], [0.8, 0.2]])),
+        "BoundaryPoint",
+        "p(Y2|Y1) already touches the boundary; no extreme vertex"),
+    "a-pinched": (
+        lambda lg: lg.extreme_mixings(_pair_chain(
+            [[0.4, 0.6], [0.4, 0.6]], [[0.3, 0.7], [0.8, 0.2]])),
+        "BoundaryPoint",
+        "constant p(Y2 = 1|Y1): the validity rectangle pinches to a segment "
+        "and the informative corner is singular"),
+    "b-not-interior": (
+        lambda lg: lg.extreme_mixings(_pair_chain(
+            [[0.4, 0.6], [0.7, 0.3]], [[0.0, 1.0], [0.8, 0.2]]), side="b"),
+        "BoundaryPoint", "b-side construction requires interior parameters"),
+    "b-no-straddle": (
+        lambda lg: lg.extreme_mixings(_pair_chain(
+            [[0.4, 0.6], [0.7, 0.3]], [[0.3, 0.7], [0.3, 0.7]]), side="b"),
+        "BoundaryPoint",
+        "rows of p(Y3|Y2) do not straddle; no boundary mixing exists"),
+    "negative-discriminant": (
+        lambda lg: lg.binary_fiber_solve(0.5, 0.5, 0.5), "NoRealSolution",
+        "negative discriminant -1: no real solution"),
+    "root-outside": (
+        lambda lg: lg.binary_fiber_solve(0.1, 0.9, 0.9), "OutOfUnitBox",
+        "smaller root = 1.0143149884133249 lies outside [0, 1] "
+        "(roots (1.014314988413325, 7.985685011586675))"),
+    "solved-outside": (
+        lambda lg: lg.solve_fiber_323(lg.CrossRatios((3, 3), (0, 0), [
+            [4 / 3, 68 / 33], [12 / 7, 36 / 11]]), 0.2, 0.35),
+        "OutOfUnitBox", "lam(1,1) = -0.066666666666666666 lies outside [0, 1]"),
+    "scaled-outside": (
+        lambda lg: lg.degenerate_family_323(lg.CrossRatios(
+            (3, 3), (0, 0), [[0.5, 2.0], [1.5, 0.8]]), 0.9, 0.3),
+        "OutOfUnitBox", "lam(2,2) = 1.8 lies outside [0, 1]"),
+    "named-denominator": (
+        lambda lg: lg.solve_fiber_323(lg.CrossRatios((3, 3), (0, 0), [
+            [4 / 3, 68 / 33], [12 / 7, 36 / 11]]), 0.4, 0.4),
+        "SingularDenominator",
+        "denominator z1 (lam(2,2) - lam(2,1)) = 0 is too close to zero"),
+    "identity": (
+        lambda lg: lg.solve_fiber_323(lg.CrossRatios(
+            (3, 3), (0, 0), [[2.0, 1.0], [1.0, 2.0]]), 0.3, 0.5),
+        "OffVariety", "marginal identity residual 1 exceeds tolerance 2e-08"),
+}
+
+
+@pytest.mark.parametrize("site", sorted(MERGED_RAISES))
+def test_merged_errors_keep_their_messages(site):
+    import latentgeom
+    call, name, message = MERGED_RAISES[site]
+    with pytest.raises(getattr(latentgeom, name)) as err:
+        call(latentgeom)
+    assert type(err.value) is getattr(latentgeom, name)
+    assert str(err.value) == message

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from latentgeom import (
-    ConstraintViolation,
     CrossRatios,
     InvalidParameter,
     LambdaField,
@@ -12,7 +11,6 @@ from latentgeom import (
     OutOfUnitBox,
     Shape,
     SingularDenominator,
-    SingularPair,
     ZeroCell,
     binary_fiber_solve,
     binary_surface,
@@ -278,16 +276,16 @@ def test_binary_surface_z_one_degenerate_branch():
 
 
 def test_binary_surface_singular_pair():
-    with pytest.raises(SingularPair):
+    with pytest.raises(SingularDenominator):
         binary_surface(0.4, 0.4, 1.3)
 
 
 def test_binary_surface_constraint_violation_names_inequality():
     # l22 > l12 needs z > l12/l22; here z is below the window
-    with pytest.raises(ConstraintViolation) as err:
+    with pytest.raises(OutOfUnitBox) as err:
         binary_surface(0.6, 0.8, 0.5)
     assert "lam12/lam22" in str(err.value)
-    with pytest.raises(ConstraintViolation):
+    with pytest.raises(OutOfUnitBox):
         binary_surface(0.2, 0.8, 5.0)
 
 
@@ -426,6 +424,29 @@ def test_solve_fiber_323_off_variety():
     marg = MarginalTable((3, 3), rng.dirichlet(np.ones(9)).reshape(3, 3))
     with pytest.raises(OffVariety):
         solve_fiber_323(cross_ratios(marg), 0.3, 0.5)
+
+
+def test_solve_fiber_323_overflowing_identity_is_off_variety():
+    # the identity is about -5e400, which overflows to inf - inf = nan; a
+    # NaN must fail the tolerance test, not run the elimination
+    z = CrossRatios((3, 3), (0, 0), [[1e200, 2e200], [3e200, 1e200]])
+    for lam21, lam22 in ((0.3, 0.5), (0.5, 0.5), (0.8, 0.2)):
+        with pytest.raises(OffVariety) as err:
+            solve_fiber_323(z, lam21, lam22)
+        assert str(err.value) == ("marginal identity residual nan exceeds "
+                                  "tolerance 3e+192")
+
+
+def test_solve_fiber_323_nan_residuals_are_off_variety(monkeypatch):
+    from latentgeom import reparam
+    marg, lam = split(joint_from_chain(seeded_chain((3, 2, 3), 500)))
+    z = cross_ratios(marg)
+    free = float(lam.values[1, 0, 0]), float(lam.values[1, 1, 0])
+    solve_fiber_323(z, *free)
+    monkeypatch.setattr(reparam, "_quadric_residuals_323",
+                        lambda z, lam: np.full(8, np.nan))
+    with pytest.raises(OffVariety, match="residual nan exceeds"):
+        solve_fiber_323(z, *free)
 
 
 def test_solve_fiber_323_open_set_of_free_parameters():

@@ -1,6 +1,7 @@
 """Checks read off the package source rather than run."""
 
 import ast
+import re
 import sys
 from collections import Counter
 from pathlib import Path
@@ -107,3 +108,33 @@ def test_dims_path_binds_no_numpy_at_module_level():
         assert {m for m in loaded if m.partition(".")[0] not in
                 sys.stdlib_module_names} <= {"latentgeom.errors",
                                              "latentgeom.shapes"}, name
+
+
+def float_constants(tree: ast.Module):
+    # the module-level names bound to a float literal, negative ones too
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            value = node.value
+            if isinstance(value, ast.UnaryOp) and isinstance(value.op, ast.USub):
+                value = value.operand
+            if isinstance(value, ast.Constant) and type(value.value) is float:
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                yield from (t.id for t in targets if isinstance(t, ast.Name))
+
+
+def test_every_tolerance_is_in_the_model_table():
+    # one tolerance policy: a float constant is defined in ``model`` and has
+    # a row in the table of its docstring
+    found = {(path.name, name) for path in sorted(SRC.glob("*.py"))
+             for name in float_constants(
+                 ast.parse(path.read_text(encoding="utf-8")))}
+    names = {name for _, name in found}
+    assert found == {("model.py", name) for name in names}
+    doc = ast.get_docstring(
+        ast.parse((SRC / "model.py").read_text(encoding="utf-8")))
+    rows = set(re.findall(r"^(\w+) +\S+ +(?:rounding|modelling) ", doc, re.M))
+    assert names <= rows
+    assert names == {"SUM_TOL", "CLAMP_EPS", "DET_EPS", "EM_SLACK",
+                     "INTERIOR_EPS", "RANK_CUTOFF", "IDENTITY_TOL",
+                     "RESIDUAL_TOL"}
