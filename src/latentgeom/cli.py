@@ -377,7 +377,7 @@ def cmd_fig3(args: argparse.Namespace) -> int:
         "curve,x,y",
     ]
     s = 1.0 - (1.0 - c1 - c2) / z
-    p = c1 * c2 / z
+    p = max(0.0, c1 * c2 / z)  # 0.0, not -0.0, when c1 or c2 is -0.0
     xs = [(i + 1) / (args.samples + 1) for i in range(args.samples)]
     xy = "%.17g,%.17g"
     lines += ["line," + _fill(xy, (x, s - x)) for x in xs]

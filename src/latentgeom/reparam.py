@@ -277,8 +277,9 @@ def binary_fiber_solve(z: float, c1: float, c2: float) -> BinaryFiberSolution:
         which = ("smaller root", "larger root")[idx[0]]
         raise OutOfUnitBox(f"{which} = {(lo, hi)[idx[0]]:.17g} lies outside "
                            f"[0, 1] (roots {(lo, hi)})")
-    lo = min(max(lo, 0.0), 1.0)
-    hi = min(max(hi, 0.0), 1.0)
+    # max(0.0, x), not max(x, 0.0), so that a -0.0 root becomes 0.0
+    lo = min(max(0.0, lo), 1.0)
+    hi = min(max(0.0, hi), 1.0)
     points = ((lo, hi),) if lo == hi else ((lo, hi), (hi, lo))
     return BinaryFiberSolution(z=z, c1=c1, c2=c2, points=points)
 

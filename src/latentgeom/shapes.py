@@ -1,9 +1,10 @@
 """Shapes, their dimension count and the rule for what is an integer, with
-no numpy, so a ``dims`` start does not load it; :mod:`model` re-exports them."""
+no numpy, so a ``dims`` start does not load it; :mod:`model` re-exports them.
+``Shape`` and ``Dims`` are not dataclasses, which would load :mod:`inspect`."""
 
 import sys
-from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 
 from .errors import InvalidParameter
 
@@ -39,17 +40,45 @@ def _integer_pair(pair, what: str) -> tuple[int, int]:
     return int(first), int(second)
 
 
-@dataclass(frozen=True)
-class Shape:
+class _Frozen:
+    """A value over the fields its ``__slots__`` name, as a frozen dataclass
+    would be: the same ``repr``, ``==`` with its own class only, ``hash`` of
+    the field tuple, no assignment, and pickle and copy through ``__init__``."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._fields = property(attrgetter(*cls.__slots__))  # the field tuple, in C
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields == other._fields
+
+    def __hash__(self) -> int:
+        return hash(self._fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._fields
+
+
+class Shape(_Frozen):
     """Cardinalities (r1, r2, r3) of the three variables; each must be >= 2."""
 
-    r1: int
-    r2: int
-    r3: int
+    __slots__ = ("r1", "r2", "r3")
 
-    def __post_init__(self):
-        for name in ("r1", "r2", "r3"):
-            v = getattr(self, name)
+    def __init__(self, r1: int, r2: int, r3: int):
+        for name, v in zip(self.__slots__, (r1, r2, r3)):
             _check_count(name, v, 2)
             object.__setattr__(self, name, int(v))
 
@@ -68,8 +97,7 @@ class DimsCase(Enum):
     R2_SMALL = "R2Small"
 
 
-@dataclass(frozen=True)
-class Dims:
+class Dims(_Frozen):
     """Dimension bookkeeping for one shape.
 
     d      ambient simplex dimension r1 r2 r3 - 1
@@ -81,19 +109,16 @@ class Dims:
                       case, 0 otherwise
     """
 
-    d: int
-    t: int
-    s: int
-    m: int
-    fiber: int
-    case: DimsCase
-    constraint_count: int
+    __slots__ = ("d", "t", "s", "m", "fiber", "case", "constraint_count")
 
-    def __post_init__(self):
-        if self.t != self.d - self.s:
+    def __init__(self, d: int, t: int, s: int, m: int, fiber: int,
+                 case: DimsCase, constraint_count: int):
+        if t != d - s:
             raise InvalidParameter("t != d - s")
-        if self.fiber != self.t - self.m:
+        if fiber != t - m:
             raise InvalidParameter("fiber != t - m")
+        for name, v in zip(self.__slots__, (d, t, s, m, fiber, case, constraint_count)):
+            object.__setattr__(self, name, v)
 
 
 def dims(shape: Shape) -> Dims:

@@ -9,17 +9,17 @@ import latentgeom
 from latentgeom import ChainParams, JointTable, MarginalTable, Shape, random_chain
 
 
-def run_fresh(*args: str, stdout=subprocess.PIPE,
+def run_fresh(*args: str, stdout=subprocess.PIPE, python: str = sys.executable,
               **variables: str) -> subprocess.CompletedProcess:
     """``python *args`` in a fresh interpreter that imports the same package
     as the tests and writes no bytecode, so it compiles what it imports;
-    ``variables`` are set in its environment, and ``stdout`` may be an open
-    file in place of a pipe."""
+    ``variables`` are set in its environment, ``stdout`` may be an open
+    file in place of a pipe, and ``python`` names another interpreter."""
     package_root = str(Path(latentgeom.__file__).parents[1])
     env = dict(os.environ, **variables, PYTHONDONTWRITEBYTECODE="1",
                PYTHONPATH=os.pathsep.join(filter(
                    None, [package_root, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, *args], stdout=stdout,
+    return subprocess.run([python, *args], stdout=stdout,
                           stderr=subprocess.PIPE, text=True, env=env, timeout=120)
 
 

@@ -1,16 +1,19 @@
 import hashlib
 import json
 import os
+import shutil
+import sys
 
 import numpy as np
 import pytest
 
 from latentgeom import (
+    ChainParams,
     Shape,
     joint_from_chain,
     marginal_13,
 )
-from latentgeom import likelihood
+from latentgeom import cli, likelihood
 from latentgeom.cli import main
 from conftest import run_fresh, seeded_chain
 
@@ -424,6 +427,66 @@ def test_fig3_overflowing_z_is_a_usage_error(capsys, z):
     assert captured.out == ""
     assert captured.err == (f"latentgeom fig3: z = {float(z)!r} is too small at "
                             "c1 = 0.3, c2 = 0.2: the fiber quadratic overflows\n")
+
+
+@pytest.mark.parametrize("c1, c2", [("-0.0", "0"), ("0", "-0"), ("-0.0", "-0.0"),
+                                    ("-0.0", "0.3"), ("0.3", "-0")])
+def test_fig3_signed_zero_prints_as_zero(capsys, c1, c2):
+    # a -0.0 flag prints what the 0.0 flag prints, on the hyperbola and at
+    # the intersections alike
+    _, out = run(capsys, "fig3", "--z", "2", "--c1", c1, "--c2", c2)
+    _, unsigned = run(capsys, "fig3", "--z", "2", "--c1", c1.lstrip("-"),
+                      "--c2", c2.lstrip("-"))
+    assert out == unsigned
+    assert not any(v == "-0" for ln in out.splitlines() for v in ln.split(","))
+
+
+# ---------------------------------------------------------------- rendering
+
+LAYOUT_ARRAY = """[
+  [
+    [0, 0.25, 0.5],
+    [0.75, 1, 1.25]
+  ],
+  [
+    [1.5, 1.75, 2],
+    [2.25, 2.5, 2.75]
+  ],
+  [
+    [3, 3.25, 3.5],
+    [3.75, 4, 4.25]
+  ]
+]"""
+
+LAYOUT_CHAIN = """{
+  "shape": [3, 2, 3],
+  "p1": [0.5, 0.25, 0.25],
+  "a": [
+    [0.5, 0.5],
+    [0.25, 0.75],
+    [1, 0]
+  ],
+  "b": [
+    [0.5, 0.25, 0.25],
+    [0, 0, 1]
+  ]
+}"""
+
+
+@pytest.mark.parametrize("chain_first", [False, True])
+def test_layout_cache_keeps_array_and_chain_shapes_apart(chain_first):
+    # the layout cache keys an array's shape tuple and a chain's Shape
+    # together, so a Shape equal to (3, 2, 3) would get the array's layout
+    array = np.arange(18, dtype=float).reshape(3, 2, 3) / 4
+    chain = ChainParams(Shape(3, 2, 3), [0.5, 0.25, 0.25],
+                        [[0.5, 0.5], [0.25, 0.75], [1.0, 0.0]],
+                        [[0.5, 0.25, 0.25], [0.0, 0.0, 1.0]])
+    cases = [(array, LAYOUT_ARRAY), (chain, LAYOUT_CHAIN)]
+    cli._layout.cache_clear()
+    for value, golden in cases[::-1] if chain_first else cases:
+        assert cli._render_json(value) == golden
+    for value, golden in cases:
+        assert cli._render_json(value) == golden
 
 
 # ---------------------------------------------------------------- fiber/vertices
@@ -948,6 +1011,37 @@ def test_fresh_start_matches_in_process(capsys, tmp_path, model_file,
     assert code == (3 if case.endswith("-bad") else
                     2 if case.endswith("-usage") else 0)
     assert captured.err.count("\n") == (code != 0)
+
+
+#: the oldest CPython that ``requires-python`` admits, and the minor
+#: versions after it that a test looks for on PATH as ``python3.N``
+OTHER_PYTHONS = [f"python3.{minor}" for minor in range(10, 16)]
+#: prints what an interpreter is, or fails if it cannot start
+WHO = ("import os, sys; print(sys.implementation.name, sys.version_info >= (3, 10),"
+       " os.path.realpath(sys.executable))")
+
+
+@pytest.mark.parametrize("python", OTHER_PYTHONS)
+def test_dims_starts_alike_under_other_pythons(python):
+    # the numpy-free path: dims and its usage error, byte for byte as under
+    # the interpreter running the tests
+    found = shutil.which(python)
+    if found is None:
+        pytest.skip(f"no {python} on PATH")
+    who = run_fresh("-c", WHO, python=found)
+    if who.returncode != 0:
+        pytest.skip(f"{found} does not start (exit {who.returncode})")
+    name, supported, executable = who.stdout.split(maxsplit=2)
+    if name != "cpython" or supported != "True":
+        pytest.skip(f"{found} is not a CPython >= 3.10")
+    if executable.strip() == os.path.realpath(sys.executable):
+        pytest.skip(f"{found} is the interpreter running the tests")
+    for argv, code in ((["dims", "3", "2", "3"], 0), (["dims", "1", "2", "3"], 2)):
+        here = run_fresh("-m", "latentgeom", *argv)
+        there = run_fresh("-m", "latentgeom", *argv, python=found)
+        assert here.returncode == code, here.stderr
+        assert (there.returncode, there.stdout, there.stderr) == (
+            code, here.stdout, here.stderr), argv
 
 
 @pytest.mark.parametrize("argv, function, names", [

@@ -1,6 +1,7 @@
 """What a fresh interpreter loads: ``import latentgeom`` loads only the
 errors module, every other public name is imported on first access, and a
-``dims`` run loads neither numpy nor the model module."""
+``dims`` run loads neither numpy nor the model module, nor :mod:`dataclasses`
+and :mod:`inspect`, which a bare interpreter does not load either."""
 
 import json
 
@@ -18,12 +19,32 @@ REPORT = ("\nimport json, sys\nprint(json.dumps(sorted(m for m in sys.modules "
 #: what a ``dims`` run loads
 DIMS_MODULES = ["latentgeom", "latentgeom.cli", "latentgeom.errors",
                 "latentgeom.shapes"]
+#: standard-library modules a ``dims`` run leaves unloaded: importing
+#: dataclasses loads inspect, and inspect loads ast, dis and tokenize
+UNUSED_STDLIB = ("dataclasses", "inspect")
+#: ``dims 3 2 3`` through ``cli.main``
+DIMS_CALL = ("from latentgeom import cli\n"
+             "assert cli.main(['dims', '3', '2', '3']) == 0")
+#: what ``python -m latentgeom dims 3 2 3`` runs
+DIMS_MODULE_START = ("import runpy, sys\n"
+                     "sys.argv = ['latentgeom', 'dims', '3', '2', '3']\n"
+                     "try:\n"
+                     "    runpy.run_module('latentgeom', run_name='__main__')\n"
+                     "except SystemExit as exc:\n"
+                     "    assert exc.code == 0, exc.code\n")
 
 
-def loaded_by(script: str) -> list[str]:
-    proc = run_fresh("-c", script + REPORT)
+def loaded_by(script: str, report: str = REPORT) -> list[str]:
+    proc = run_fresh("-c", script + report)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+def stdlib_loaded_by(script: str) -> set[str]:
+    """Which of ``UNUSED_STDLIB`` a fresh interpreter has loaded after
+    ``script``."""
+    return set(loaded_by(script, "\nimport json, sys\nprint(json.dumps("
+                         f"[m for m in {UNUSED_STDLIB!r} if m in sys.modules]))"))
 
 
 def test_import_loads_only_errors():
@@ -31,19 +52,18 @@ def test_import_loads_only_errors():
 
 
 def test_dims_loads_neither_numpy_nor_model():
-    assert loaded_by("from latentgeom import cli\n"
-                     "assert cli.main(['dims', '3', '2', '3']) == 0") == DIMS_MODULES
+    assert loaded_by(DIMS_CALL) == DIMS_MODULES
 
 
 def test_module_start_of_dims_loads_neither_numpy_nor_model():
-    # what ``python -m latentgeom dims 3 2 3`` runs, then the modules left
-    script = ("import runpy, sys\n"
-              "sys.argv = ['latentgeom', 'dims', '3', '2', '3']\n"
-              "try:\n"
-              "    runpy.run_module('latentgeom', run_name='__main__')\n"
-              "except SystemExit as exc:\n"
-              "    assert exc.code == 0, exc.code\n")
-    assert loaded_by(script) == DIMS_MODULES
+    assert loaded_by(DIMS_MODULE_START) == DIMS_MODULES
+
+
+@pytest.mark.parametrize("script", [DIMS_CALL, DIMS_MODULE_START],
+                         ids=["cli.main", "runpy"])
+def test_dims_loads_neither_dataclasses_nor_inspect(script):
+    # only what a bare interpreter in the same environment loads already
+    assert stdlib_loaded_by(script) <= stdlib_loaded_by("pass")
 
 
 def test_dims_usage_error_is_one_line_without_numpy():

@@ -195,6 +195,13 @@ def test_binary_fiber_solve_independence():
     assert sol.points[1] == pytest.approx((0.6, 0.3), abs=1e-15)
 
 
+@pytest.mark.parametrize("c1, c2", [(-0.0, 0.0), (0.0, -0.0), (-0.0, 0.3)])
+def test_binary_fiber_solve_signed_zero(c1, c2):
+    # a -0.0 input gives the roots of 0.0, not a -0.0 root
+    points = binary_fiber_solve(2.0, c1, c2).points
+    assert repr(points) == repr(binary_fiber_solve(2.0, abs(c1), abs(c2)).points)
+
+
 def test_binary_fiber_solve_negative_discriminant():
     # (1 - (1-c1-c2)/z)^2 - 4 c1 c2 / z = 0.765625 - 0.9 < 0
     with pytest.raises(NoRealSolution):
