@@ -376,8 +376,7 @@ def cmd_fig3(args: argparse.Namespace) -> int:
         "(or columns) maps z to 1/z",
         "curve,x,y",
     ]
-    s = 1.0 - (1.0 - c1 - c2) / z
-    p = max(0.0, c1 * c2 / z)  # 0.0, not -0.0, when c1 or c2 is -0.0
+    s, p = reparam._sum_product(z, c1, c2)
     xs = [(i + 1) / (args.samples + 1) for i in range(args.samples)]
     xy = "%.17g,%.17g"
     lines += ["line," + _fill(xy, (x, s - x)) for x in xs]

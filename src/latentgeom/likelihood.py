@@ -168,6 +168,20 @@ def _unit_rows(p1: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple:
             b / b.sum(axis=2, keepdims=True))
 
 
+def _workspace(shape: Shape, w_row: np.ndarray, weights: np.ndarray,
+               n: int) -> tuple:
+    """The working arrays of ``n`` running restarts (see :func:`_em_batch`),
+    with a copy of ``w_row`` and ``weights`` for each."""
+    r1, r2, r3 = shape.astuple()
+    cells, delta = np.empty((n, r1, r2, r3)), np.empty((n, r1, 1, r3))
+    return (np.empty((n, r1, 1, 1)), np.empty((n, r1, r2, 1)),
+            np.empty((n, 1, r2, r3)), np.empty((n, r1, r2, 1)), cells,
+            [cells[:, :, j:j + 1] for j in range(r2)], delta,
+            delta.reshape(n, -1), np.empty((n, r1, 1, 1)),
+            np.empty((n, 1, r2, 1)), w_row[None].repeat(n, 0),
+            np.repeat(weights[None, :, None], r2, 2).repeat(n, 0))
+
+
 def _em_batch(weights: np.ndarray, shape: Shape,
               rngs: Iterable[np.random.Generator], maxiter: int, tol: float,
               trace: list[float] | None = None,
@@ -210,6 +224,16 @@ def _em_batch(weights: np.ndarray, shape: Shape,
     the log-likelihood), j rows (``a_rows``) and (j, k) blocks (``p1``) are
     pairwise.  The restart axis is outermost, so each restart's sums cover
     its own contiguous block in the order of a run on its own.
+
+    The products, quotients and sums write with ``out=`` into the arrays
+    of :func:`_workspace`: p1, a, b, p1 a, the cells (nhat in place) with
+    their j slices, delta with its flat view, and the row sums of a and b,
+    with a_mass and b_mass summed into a and b; only the log-likelihood
+    terms and the guards of zero cells and rows are fresh.  An element or a
+    run's sum comes out the same in a given array as in a fresh one
+    (``tests/test_numpy_orders.py``), so no bit changes.  The workspace is
+    rebuilt when the running restarts change; a restart that left took the
+    last M-step, unread (0/0 after a zero cell), once its iterate was copied.
     """
     r1, r2, r3 = shape.astuple()
     rngs = iter(rngs)
@@ -222,39 +246,30 @@ def _em_batch(weights: np.ndarray, shape: Shape,
     finals: list[tuple] = []  # start, then (p1, a, b, loglik, updates, converged)
     errors: dict[int, GeometryError] = {}
     examined = math.inf          # how many restarts the results cover
-    live: list[int] = []         # restart index of each working row
-    born: list[int] = []         # iteration at which each working row joined
-    ll_old: list[float] = []     # last values of the rows that joined before
-    p1, a, b = (np.empty((0, r1, 1, 1)), np.empty((0, r1, r2, 1)),
-                np.empty((0, 1, r2, r3)))
-    # the weights of every working restart, laid out like the terms of the
-    # log-likelihood and like nhat: a product of equal shapes skips numpy's
-    # broadcasting machinery
-    w_all = w_obs = np.empty((0, len(w_row)))
-    w_rijk_all = w_rijk = np.empty((0, r1, r2, r3))
+    live: list[int] = []         # restart index of each running restart
+    born: list[int] = []         # iteration at which each one joined
+    rows: list[int] = []         # its row in the workspace
+    ll_old: list[float] = []     # last values of the ones that joined before
+    p1 = a = b = np.empty((0, 1, 1, 1))  # no running restart yet
 
-    def leave(rows, converged):
-        """Store and drop the restarts at ``rows`` and any after a certified
-        one; returns the values of the rows left."""
-        nonlocal p1, a, b, cells, delta, ll, w_obs, w_rijk, examined, lanes
-        values = ll.tolist()
-        for n in np.flatnonzero(rows).tolist():
-            k = live[n]
-            finals[k] = (p1[n].reshape(r1), a[n].reshape(r1, r2),
-                         b[n].reshape(r2, r3), values[n], it - born[n],
-                         converged)
+    def leave(stops, converged):
+        """Copy out and store the iterates of the running restarts flagged
+        in ``stops``, and drop them and any after a certified one."""
+        nonlocal examined, lanes
+        for n in compress(range(len(rows)), stops):
+            k, w = live[n], rows[n]
+            finals[k] = (p1[w, :, 0, 0].copy(), a[w, :, :, 0].copy(),
+                         b[w, 0].copy(), values[n], it - born[n], converged)
             if certifies is not None and certifies(*finals[k][:4]):
                 examined = min(examined, k + 1)
             else:
                 lanes = min(2 * lanes, 64)
-        keep = ~rows & (np.array(live) < examined)
-        p1, a, b, cells, delta, ll = (x[keep] for x in (p1, a, b, cells, delta, ll))
-        for x in (live, born, ll_old):
-            x[:] = compress(x, keep.tolist())
-        w_obs, w_rijk = w_all[:len(live)], w_rijk_all[:len(live)]
-        return ll.tolist()
+        keep = [not stop and k < examined for stop, k in zip(stops, live)]
+        for x in (live, born, rows, ll_old, values):
+            x[:] = compress(x, keep)
 
-    with np.errstate(divide="ignore"):
+    add, multiply, divide, reduce = np.add, np.multiply, np.divide, np.add.reduce
+    with np.errstate(divide="ignore", invalid="ignore"):
         for it in count():
             # draw the starts of the next restarts into the free lanes
             first = len(finals)
@@ -268,29 +283,28 @@ def _em_batch(weights: np.ndarray, shape: Shape,
                 finals.append((rng.dirichlet(np.ones(r1)),
                                rng.dirichlet(np.ones(r2), size=r1),
                                rng.dirichlet(np.ones(r3), size=r2)))
-            if len(finals) > first:
-                p1, a, b = (np.concatenate((x, np.reshape(new, (-1, *x.shape[1:]))))
-                            for x, new in zip((p1, a, b), zip(*finals[first:])))
-                if len(live) > len(w_all):
-                    w_all = np.tile(w_row, (lanes, 1))
-                    w_rijk_all = np.broadcast_to(weights[:, None, :],
-                                                 (lanes, r1, r2, r3)).copy()
-                w_obs, w_rijk = w_all[:len(live)], w_rijk_all[:len(live)]
             if not live:
                 break
-            cells = p1 * a * b
+            if len(live) != len(p1) or len(finals) > first:
+                ws = _workspace(shape, w_row, weights, len(live))
+                for x, old in zip(ws, (p1, a, b)):
+                    x[:len(rows)] = old[rows]
+                for x, new in zip(ws, zip(*finals[first:])):
+                    x[len(rows):] = np.reshape(new, x[len(rows):].shape)
+                (p1, a, b, pa, cells, slices, delta, flat, a_rows, b_rows,
+                 w_obs, w_rijk) = ws
+                rows = list(range(len(live)))
+            multiply(multiply(p1, a, out=pa), b, out=cells)
             # the sum over j, slice by slice as numpy sums a strided axis
-            delta = cells[:, :, :1] + cells[:, :, 1:2]           # (r, i, 1, k)
-            for j in range(2, r2):
-                np.add(delta, cells[:, :, j:j + 1], out=delta)
-            ll = _loglik_rows(w_obs, gather, delta)
-            values = ll.tolist()
-            # the rows that joined maxiter iterations ago, a prefix, report
-            # their final iterates' values
-            due = born.count(it - maxiter)
-            if due or NEG_INF in values:
-                values = leave((ll == NEG_INF) | (np.arange(len(live)) < due),
-                               False)
+            add(slices[0], slices[1], out=delta)
+            for cells_j in slices[2:]:
+                add(delta, cells_j, out=delta)
+            values = _loglik_rows(w_obs, gather, flat).tolist()
+            # the rows that joined maxiter iterations ago (the oldest come
+            # first) report their final iterates' values
+            if it - born[0] == maxiter or NEG_INF in values:
+                leave([it - t == maxiter or v == NEG_INF
+                       for t, v in zip(born, values)], False)
             if trace is not None:
                 trace.extend(values)
             # with EM_SLACK >= 0 a decrease beyond it is a gain below tol;
@@ -298,37 +312,34 @@ def _em_batch(weights: np.ndarray, shape: Shape,
             if ll_old and (EM_SLACK < 0.0
                            or min(map(sub, values, ll_old)) < tol):
                 old = np.array(ll_old)
-                head = ll[:len(old)]
+                head = np.array(values[:len(old)])
                 floor = old - EM_SLACK * np.maximum(1.0, np.abs(old))
                 for r in np.flatnonzero(head < floor).tolist():
                     errors[live[r]] = GeometryError(
                         f"EM log-likelihood decreased: {float(old[r])!r}"
-                        f" -> {float(ll[r])!r}")
-                stops = np.zeros(len(live), dtype=bool)
-                stops[:len(old)] = (head < floor) | (head - old < tol)
-                values = leave(stops, True)
+                        f" -> {float(head[r])!r}")
+                stops = ((head < floor) | (head - old < tol)).tolist()
+                leave(stops + [False] * (len(live) - len(old)), True)
             ll_old = values
             if not live:
                 continue
             safe = delta if gather is None else np.where(delta > 0.0, delta, 1.0)
             # responsibilities, then expected counts, in the cells' memory
-            nhat = np.multiply(np.divide(cells, safe, out=cells), w_rijk,
-                               out=cells)
-            p1 = np.divide(np.add.reduce(nhat, (2, 3), keepdims=True), total)
-            a_mass = np.add.reduce(nhat, 3, keepdims=True)
-            a_rows = np.add.reduce(a_mass, 2, keepdims=True)
+            multiply(divide(cells, safe, out=cells), w_rijk, out=cells)
+            divide(reduce(cells, (2, 3), keepdims=True, out=p1), total, out=p1)
+            # the row masses of a and b, in their memory, then their sums
+            reduce(reduce(cells, 3, keepdims=True, out=a), 2, keepdims=True, out=a_rows)
             if a_rows_positive:
-                a = np.divide(a_mass, a_rows)
+                divide(a, a_rows, out=a)
             else:
-                a = np.where(a_rows > 0.0,
-                             a_mass / np.where(a_rows > 0, a_rows, 1.0), 1.0 / r2)
-            b_mass = np.add.reduce(nhat, 1, keepdims=True)
-            b_rows = np.add.reduce(b_mass, 3, keepdims=True)
+                a[...] = np.where(a_rows > 0.0,
+                                  a / np.where(a_rows > 0, a_rows, 1.0), 1.0 / r2)
+            reduce(reduce(cells, 1, keepdims=True, out=b), 3, keepdims=True, out=b_rows)
             if np.count_nonzero(b_rows) == b_rows.size:
-                b = np.divide(b_mass, b_rows)
+                divide(b, b_rows, out=b)
             else:
-                b = np.where(b_rows > 0.0,
-                             b_mass / np.where(b_rows > 0, b_rows, 1.0), 1.0 / r3)
+                b[...] = np.where(b_rows > 0.0,
+                                  b / np.where(b_rows > 0, b_rows, 1.0), 1.0 / r3)
     return _EmRuns(*map(np.array, zip(*finals[:examined])),
                    {k: e for k, e in errors.items() if k < examined})
 

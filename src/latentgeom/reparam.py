@@ -236,6 +236,11 @@ class BinaryFiberSolution:
     points: tuple[tuple[float, float], ...]
 
 
+def _sum_product(z: float, c1: float, c2: float) -> tuple[float, float]:
+    """S and P of :func:`binary_fiber_solve`, with a -0.0 product as 0.0."""
+    return 1.0 - (1.0 - c1 - c2) / z, max(0.0, c1 * c2 / z)
+
+
 def binary_fiber_solve(z: float, c1: float, c2: float) -> BinaryFiberSolution:
     """Solve the binary fiber slice with lambda(2,1) = c1, lambda(1,2) = c2.
 
@@ -256,8 +261,7 @@ def binary_fiber_solve(z: float, c1: float, c2: float) -> BinaryFiberSolution:
     for name, c in (("c1", c1), ("c2", c2)):
         if not (0.0 <= c <= 1.0):
             raise InvalidParameter(f"{name} must lie in [0, 1], got {c!r}")
-    s = 1.0 - (1.0 - c1 - c2) / z
-    p = c1 * c2 / z
+    s, p = _sum_product(z, c1, c2)
     disc = s * s - 4.0 * p
     if not math.isfinite(disc):  # also when s or p overflowed
         raise InvalidParameter(

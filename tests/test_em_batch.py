@@ -354,6 +354,9 @@ STARTS = [
     ([1 / 3] * 3, [[0.5, 0.5]] * 3, [[1 / 3] * 3] * 2),
     # hidden state 1 is never used: its b row has zero mass
     ([0.4, 0.4, 0.2], [[1.0, 0.0]] * 3, [[0.3, 0.3, 0.4], [0.2, 0.3, 0.5]]),
+    # an interior start that stops at an iteration of its own
+    ([0.6, 0.3, 0.1], [[0.8, 0.2], [0.1, 0.9], [0.4, 0.6]],
+     [[0.5, 0.4, 0.1], [0.1, 0.3, 0.6]]),
 ]
 
 
@@ -366,22 +369,25 @@ STARTS = [
 def test_restarts_in_one_batch_follow_the_reference(counts, zero, maxiter):
     weights = np.array(counts, dtype=float)
     shape = Shape(3, 2, 3)
-    runs = _em_batch(weights, shape, [_FixedStart(*s) for s in STARTS],
-                     maxiter, 1e-12)
-    for r, start in enumerate(STARTS):
-        if r in zero:
-            with pytest.raises(_Zero):
-                _reference_run(weights, shape, _FixedStart(*start), maxiter,
-                               1e-12)
-            assert runs.loglik[r] == float("-inf")
-            continue
-        params, ll, iterations, converged = _reference_run(
-            weights, shape, _FixedStart(*start), maxiter, 1e-12)
-        assert _same_params(runs.params(shape, r), params)
-        assert np.array_equal(runs.loglik[r], ll)
-        assert runs.iterations[r] == iterations
-        assert runs.converged[r] == converged
-    assert not runs.errors
+    # one lane at first, and all four lanes at once, where restarts stop
+    # while others run on and take another M-step in the same arrays
+    for lanes in (1, 4):
+        runs = _em_batch(weights, shape, [_FixedStart(*s) for s in STARTS],
+                         maxiter, 1e-12, lanes=lanes)
+        for r, start in enumerate(STARTS):
+            if r in zero:
+                with pytest.raises(_Zero):
+                    _reference_run(weights, shape, _FixedStart(*start),
+                                   maxiter, 1e-12)
+                assert runs.loglik[r] == float("-inf")
+                continue
+            params, ll, iterations, converged = _reference_run(
+                weights, shape, _FixedStart(*start), maxiter, 1e-12)
+            assert _same_params(runs.params(shape, r), params)
+            assert np.array_equal(runs.loglik[r], ll)
+            assert runs.iterations[r] == iterations
+            assert runs.converged[r] == converged
+        assert not runs.errors
 
 
 def test_late_joiners_follow_the_reference():
@@ -531,3 +537,33 @@ def test_search_runs_at_most_64_restarts_at_once(monkeypatch, rank, first):
     assert np.array_equal(report.divergences, divergences)
     assert report.restarts_tried == 300
     assert report.restart_iterations == iterations
+
+
+def test_workspace_is_built_once_per_change_of_the_running_restarts(
+        monkeypatch):
+    builds = []
+    real = likelihood._workspace
+
+    def recording(shape, w_row, weights, n):
+        builds.append(n)
+        return real(shape, w_row, weights, n)
+
+    monkeypatch.setattr(likelihood, "_workspace", recording)
+    counts = [[4, 1, 0], [2, 5, 1], [0, 3, 6]]
+    fit = em_fit_details(CountTable((3, 3), counts), Shape(3, 2, 3),
+                         maxiter=300)
+    assert fit.iterations > 1 and builds == [1]
+    # restarts that stop at different iterations, one of them at once on a
+    # zero cell: a restart runs from the iteration it joins to the one in
+    # which it stops, and the workspace follows each change of that set
+    builds.clear()
+    runs = _em_batch(np.array(counts, dtype=float), Shape(3, 2, 3),
+                     [_FixedStart(*s) for s in STARTS], 60, 1e-12)
+    stops = runs.iterations.tolist()
+    assert len(set(stops)) > 2
+    joined = _joined(stops)
+    running = [frozenset(k for k, (j, n) in enumerate(zip(joined, stops))
+                         if j <= it <= j + n)
+               for it in range(max(map(sum, zip(joined, stops))) + 1)]
+    assert builds == [len(now) for before, now
+                      in zip([frozenset()] + running, running) if now != before]

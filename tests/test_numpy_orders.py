@@ -1,0 +1,94 @@
+"""The numpy behaviour that the EM kernel's bitwise contract rests on.
+
+``likelihood._em_batch`` promises that every restart's iterates are bitwise
+those of a run on its own.  Its docstring says why: numpy adds a strided
+axis, and a contiguous run of fewer than 8 terms, left to right; it sums a
+longer contiguous run pairwise; and a ufunc or a sum gives the same bits
+whether it writes a fresh array, a reused ``out=`` buffer, a ``keepdims``
+output, a view or its own input.  This test checks each claim on the
+installed numpy, so an upgrade that breaks one fails here by name.
+"""
+
+import numpy as np
+
+
+def _bits(x):
+    return np.ascontiguousarray(x).tobytes()
+
+
+def _left_to_right(x, axis):
+    """The sum along ``axis``, one slice after another in index order."""
+    x = np.moveaxis(x, axis, 0)
+    total = x[0].copy()
+    for term in x[1:]:
+        total = total + term
+    return total
+
+
+def _outputs(op, shape):
+    """``op(out)`` into a reused buffer full of NaNs and into a prefix view
+    of a larger one."""
+    reused = np.full(shape, np.nan)
+    op(reused)
+    view = np.full((2 * shape[0], *shape[1:]), np.nan)[:shape[0]]
+    op(view)
+    return reused, view
+
+
+def test_numpy_keeps_the_orders_and_outputs_the_em_kernel_relies_on():
+    rng = np.random.default_rng(2501)
+
+    def positive(*shape):           # wide range: any change of order shows
+        return np.exp(rng.normal(0.0, 6.0, size=shape))
+
+    # fewer than 8 contiguous terms, and a strided axis of any length, are
+    # added left to right
+    for n in range(1, 8):
+        x = positive(40, n)
+        assert _bits(np.add.reduce(x, 1)) == _bits(_left_to_right(x, 1))
+    for n in (2, 3, 7, 8, 9, 20):
+        x = positive(n, 40)
+        assert _bits(np.add.reduce(x, 0)) == _bits(_left_to_right(x, 0))
+    # from 8 contiguous terms the sum is pairwise, 8 ways at once: here
+    # ((1 + u) + 2u) + (2u + 2u) with 2u = 2**-52, where left to right
+    # every u rounds away
+    x = np.array([1.0] + [2.0 ** -53] * 7)
+    assert np.add.reduce(x) == 1.0 + 3 * 2.0 ** -52
+    assert _left_to_right(x, 0) == 1.0
+
+    # the kernel's own calls, at shapes with runs shorter and longer than 8
+    for r, r1, r2, r3 in [(1, 3, 2, 3), (4, 5, 3, 9), (3, 2, 9, 12)]:
+        p1, a, b = positive(r, r1, 1, 1), positive(r, r1, r2, 1), positive(r, 1, r2, r3)
+        w = positive(r, r1, r2, r3)
+        cells = p1 * a * b
+        delta = positive(r, r1, 1, r3)
+        flat = delta.reshape(r, -1)
+        a_rows, b_rows = a.sum(2, keepdims=True), b.sum(3, keepdims=True)
+        ufuncs = [(np.multiply, p1, a), (np.multiply, p1 * a, b),
+                  (np.add, cells[:, :, :1], cells[:, :, 1:2]),
+                  (np.divide, cells, delta), (np.multiply, cells, w),
+                  (np.divide, p1, 17.0), (np.divide, a, a_rows),
+                  (np.divide, b, b_rows), (np.log, flat),
+                  (np.multiply, w.reshape(r, -1)[:, :r1 * r3], flat)]
+        for ufunc, *args in ufuncs:
+            fresh = ufunc(*args)
+            for out in _outputs(lambda out: ufunc(*args, out=out), fresh.shape):
+                assert _bits(out) == _bits(fresh)
+            # in the memory of its first input, as the kernel's quotients are
+            if args[0].shape == fresh.shape:
+                own = args[0].copy()
+                ufunc(own, *args[1:], out=own)
+                assert _bits(own) == _bits(fresh)
+        # the sums: over (j, k) blocks, k rows, j rows, the i axis and the
+        # log-likelihood's rows; a block sums as its flattened run does
+        sums = [(cells, (2, 3)), (cells, 3), (a, 2), (cells, 1), (b, 3),
+                (flat, 1)]
+        for x, axis in sums:
+            fresh = np.add.reduce(x, axis, keepdims=True)
+            assert _bits(fresh) == _bits(np.add.reduce(x, axis))
+            for out in _outputs(lambda out: np.add.reduce(
+                    x, axis, keepdims=True, out=out), fresh.shape):
+                assert _bits(out) == _bits(fresh)
+        assert _bits(np.add.reduce(cells, (2, 3))) == _bits(
+            np.add.reduce(cells.reshape(r, r1, -1), 2))
+        assert _bits(np.add.reduce(cells, 1)) == _bits(_left_to_right(cells, 1))

@@ -202,6 +202,17 @@ def test_binary_fiber_solve_signed_zero(c1, c2):
     assert repr(points) == repr(binary_fiber_solve(2.0, abs(c1), abs(c2)).points)
 
 
+@pytest.mark.parametrize("c1, c2", [(-0.0, 0.0), (0.0, -0.0), (-0.0, 0.3)])
+def test_binary_fiber_solve_signed_zero_names_the_unsigned_roots(c1, c2):
+    # roots that leave the unit box read as those of 0.0 too: the solver
+    # shares fig3's product, with a -0.0 product taken as 0.0
+    with pytest.raises(OutOfUnitBox) as signed:
+        binary_fiber_solve(0.25, c1, c2)
+    with pytest.raises(OutOfUnitBox) as unsigned:
+        binary_fiber_solve(0.25, abs(c1), abs(c2))
+    assert str(signed.value) == str(unsigned.value)
+
+
 def test_binary_fiber_solve_negative_discriminant():
     # (1 - (1-c1-c2)/z)^2 - 4 c1 c2 / z = 0.765625 - 0.9 < 0
     with pytest.raises(NoRealSolution):
