@@ -196,11 +196,7 @@ def _points(params: ChainParams, a: np.ndarray, b: np.ndarray) -> list[ChainPara
                 and (rows.shape[2] + 1) * _EPS <= model.SUM_TOL):
             return [ChainParams(params.shape, params.p1, *ab) for ab in zip(a, b)]
     a.flags.writeable = b.flags.writeable = False
-    points = [object.__new__(ChainParams) for _ in range(len(a))]
-    for point, ak, bk in zip(points, a, b):
-        # the fields a frozen dataclass's __init__ would set, in one update
-        point.__dict__.update(shape=params.shape, p1=params.p1, a=ak, b=bk)
-    return points
+    return [ChainParams._checked(params.shape, params.p1, ak, bk) for ak, bk in zip(a, b)]
 
 
 def apply_mixing(params: ChainParams, q: MixingMatrix) -> ChainParams:
@@ -495,4 +491,4 @@ def fiber_dimension(params: ChainParams) -> int:
     mb = np.einsum("jJ,lk->jlJk", eye, params.b[:-1] - params.b[-1])
     count = r2 * (r2 - 1)
     return _numerical_rank(np.hstack([minus_am.reshape(count, -1),
-                                      mb.reshape(count, -1)]))
+                                      mb.reshape(count, -1)]))[0]

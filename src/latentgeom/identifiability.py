@@ -1,24 +1,23 @@
 """Deciding whether an observed marginal admits a hidden-variable chain model.
 
-A necessary check runs first and can prove infeasibility outright: the
-marginal matrix must have ordinary rank <= r2 (it factors through an
-r2-state variable).  The rank-2 cross-ratio identity of a positive 3 x 3
-marginal equals delta00 det(delta) / (delta10 delta20 delta01 delta02), so
-it vanishes exactly when the rank is <= 2 and is not checked separately.
-When r2 >= min(r1, r3), or when the rank is <= 2 (a nonnegative matrix of
-rank <= 2 has equal nonnegative rank, Cohen & Rothblum 1993), an exact
-witness is written down directly: the rows of p(Y3 | Y2) are the vertices
-of a simplex holding every row p(Y3 | Y1 = i), and p(Y2 | Y1) holds their
-barycentric weights.  At rank 3 a tangent walk looks for such a polygon
-nested between the rows' hull and the simplex.  Only a rank-3 target it
-does not certify and 4 <= rank <= r2 < min(r1, r3) run a multistart EM
-search minimising KL(target || model marginal); "infeasible" then means
-"not found within budget" and the report distinguishes the two situations
-through ``proven_infeasible_by``.
+A necessary check runs first and can prove infeasibility outright: a
+marginal of an r2-state chain has rank <= r2, so a table whose singular
+values past the r2-th bound every such marginal's divergence above tol is
+infeasible (the rank-2 cross-ratio identity of a positive 3 x 3 marginal,
+delta00 det(delta) / (delta10 delta20 delta01 delta02), is the same
+condition).  When r2 >= min(r1, r3), or the rank is <= 2 (then the
+nonnegative rank, Cohen & Rothblum 1993), an exact witness is written down:
+the rows of p(Y3 | Y2) are the vertices of a simplex holding every row
+p(Y3 | Y1 = i), and p(Y2 | Y1) holds their barycentric weights.  At rank
+3 <= r2 a tangent walk looks for such a polygon nested between the rows'
+hull and the simplex.  Every other target runs a multistart EM search minimising
+KL(target || model marginal); "infeasible" then means "not found within
+budget", which ``proven_infeasible_by`` tells apart.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,15 +44,16 @@ from .shapes import _check_count
 class ConsistencyReport:
     """Outcome of a feasibility decision.
 
-    ``feasible`` implies ``best_divergence < tol``; a failed necessary
-    check forces infeasibility and is named in ``proven_infeasible_by``,
-    while ``proven_infeasible_by = None`` with ``feasible = False`` only
-    means the search budget was exhausted.  ``divergences`` holds the final
-    KL divergence of each EM restart the search examined, in seed order
-    (inf for a restart stopped by a zero-probability observed cell); it is
-    empty when no search ran.  ``restart_iterations`` holds, aligned with
-    ``divergences``, the number of EM updates each of those restarts made
-    before it stopped.
+    ``feasible`` implies ``best_divergence < tol``; a failed necessary check
+    forces infeasibility and is named in ``proven_infeasible_by``, while
+    ``proven_infeasible_by = None`` with ``feasible = False`` only means the
+    search budget was exhausted.  ``divergences`` holds the final KL
+    divergence of each EM restart the search examined, in seed order (inf
+    for a restart stopped by a zero-probability observed cell; none when no
+    search ran), and ``restart_iterations`` the EM updates each made before
+    it stopped.  ``divergence_bound`` is below the divergence of every chain
+    with r2 states (0 when r2 >= min(r1, r3)); the ``"rank"`` check fails
+    when it exceeds tol, not whenever the rank exceeds r2.
     """
 
     feasible: bool
@@ -64,6 +64,7 @@ class ConsistencyReport:
     tol: float
     divergences: tuple[float, ...] = ()
     restart_iterations: tuple[int, ...] = ()
+    divergence_bound: float = 0.0
 
     def __post_init__(self):
         if self.feasible and not self.best_divergence < self.tol:
@@ -92,7 +93,7 @@ def diagonal_marginal(r1: int, r3: int) -> MarginalTable:
 
 def marginal_rank(target: MarginalTable) -> int:
     """Ordinary matrix rank with the package-wide relative SVD cutoff."""
-    return _numerical_rank(target.cells)
+    return _numerical_rank(target.cells)[0]
 
 
 def _kl_rows(target: np.ndarray, delta: np.ndarray) -> np.ndarray:
@@ -102,7 +103,7 @@ def _kl_rows(target: np.ndarray, delta: np.ndarray) -> np.ndarray:
     q = _at_observed(gather, delta)
     with np.errstate(divide="ignore", invalid="ignore"):
         kl = np.add.reduce(p * (np.log(p) - np.log(q)), 1)
-        return np.where((q <= 0.0).any(axis=1), np.inf,
+        return np.where(np.logical_or.reduce(q <= 0.0, 1), np.inf,
                         np.where(kl > 0.0, kl, 0.0))
 
 
@@ -118,22 +119,20 @@ def kl_divergence(target: MarginalTable, model: MarginalTable) -> float:
     return float(_kl_rows(target.cells, model.cells[None])[0])
 
 
-def _examine(target: np.ndarray, p1: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple:
-    """For the final p1, a and b of a stack of EM restarts: those rows
-    renormalised, the mask of the restarts that ``ChainParams``,
-    ``joint_from_chain`` and ``marginal_13`` accept, and each divergence from
-    ``target``, each with the arithmetic of those and :func:`kl_divergence`."""
-    p1, a, b = _unit_rows(p1, a, b)
+def _certify(target: np.ndarray, p1: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple:
+    """For stacks of p1, a and b: the mask of the members that ``ChainParams``,
+    ``joint_from_chain`` and ``marginal_13`` accept and each divergence from
+    ``target``, with the arithmetic of those and :func:`kl_divergence`."""
     cells = np.einsum("ri,rij,rjk->rijk", p1, a, b)
-    delta = cells.sum(axis=2)
+    delta = np.add.reduce(cells, 2)
     ok = (_stochastic(p1[:, None]) & _stochastic(a) & _stochastic(b)
           & _stochastic(cells.reshape(len(p1), 1, -1))
           & _stochastic(delta.reshape(len(p1), 1, -1))).tolist()
-    return p1, a, b, ok, _kl_rows(target, delta).tolist()
+    return ok, _kl_rows(target, delta).tolist()
 
 
-def _exact_witness(target: MarginalTable, r2: int, rank: int) -> ChainParams | None:
-    """Chain parameters that reproduce ``target`` exactly, for
+def _exact_witness(target: MarginalTable, r2: int, rank: int) -> tuple | None:
+    """The p1, a and b of a chain that reproduces ``target`` exactly, for
     r2 >= min(r1, r3) or rank <= 3; None if a rank-3 target's
     :func:`_nested_polygon` finds no polygon.
 
@@ -148,33 +147,34 @@ def _exact_witness(target: MarginalTable, r2: int, rank: int) -> ChainParams | N
     vertex when Y2 copies Y1.
     """
     r1, r3 = target.shape
-    p1 = target.cells.sum(axis=1)
+    p1 = np.add.reduce(target.cells, 1)    # as .sum(axis=1), without its wrapper
     live = p1 > 0.0
-    rows = target.cells[live] / p1[live, None]
     a, b = np.zeros((r1, r2)), np.full((r2, r3), 1.0 / r3)
     a[~live] = 1.0 / r2
+    live = slice(None) if live.all() else live      # no boolean gathers
+    rows = target.cells[live] / p1[live, None]
     if r2 >= r3:
         a[live, :r3] = rows
         b[:r3] = np.eye(r3)
     elif r2 >= r1:
         a = np.eye(r1, r2)
-        b[np.flatnonzero(live)] = rows
+        b[:r1][live] = rows
     elif rank <= 2:
         # the rows lie on a segment: project them on its direction
-        centred = rows - rows.mean(axis=0)
+        centred = rows - np.add.reduce(rows, 0) / len(rows)    # the mean's bits
         s = rows @ np.linalg.svd(centred, full_matrices=False)[2][0]
-        lo, hi = int(np.argmin(s)), int(np.argmax(s))
+        lo, hi = int(s.argmin()), int(s.argmax())
         span = s[hi] - s[lo]
         t = (s - s[lo]) / span if span > 0.0 else np.ones(len(s))
         b[0], b[1] = rows[lo], rows[hi]
-        a[live, :2] = np.column_stack([1.0 - t, t])
+        a[live, 0], a[live, 1] = 1.0 - t, t
     elif (polygon := _nested_polygon(rows, r2)) is None:
         return None
     else:
         b[:len(polygon[0])], a[live] = polygon
-    a /= a.sum(axis=1, keepdims=True)
-    b /= b.sum(axis=1, keepdims=True)
-    return ChainParams(Shape(r1, r2, r3), p1 / p1.sum(), a, b)
+    a /= np.add.reduce(a, 1, keepdims=True)
+    b /= np.add.reduce(b, 1, keepdims=True)
+    return p1 / np.add.reduce(p1), a, b
 
 
 def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:  # u x v in the plane
@@ -284,28 +284,33 @@ def consistency_check(target: MarginalTable, r2: int, restarts: int = 64,
                       maxiter: int = 500) -> ConsistencyReport:
     """Decide whether ``target`` is reachable by a chain model with r2 states.
 
-    The necessary check rank <= r2 short-circuits; it is the only one, since
-    the cross-ratio identity of a 3 x 3 target is the same condition, and it
-    needs no SVD when r2 >= min(r1, r3).  A target that passes it with
-    r2 >= min(r1, r3) or rank <= 2 is decided by the closed-form witness of
-    :func:`_exact_witness`, and a rank-3 one too if its nested polygon
-    certifies; ``restarts``, ``maxiter`` and ``seed`` are then not used.
-    The other targets run the multistart EM search.
-    Feasible verdicts are certified by the witness parameters: the reported
-    divergence is recomputed from them, independently of the construction
-    or the search.  Restarts are reduced in seed order and stop early once
-    one beats the tolerance, so the report is deterministic for a given seed.
+    By Eckart-Young and Pinsker, every chain's divergence is at least half
+    the sum of the target's squared singular values past the r2-th (no SVD
+    when r2 >= min(r1, r3)).  LAPACK's singular values are exact for a table
+    within p eps ||target||_2 (Users' Guide 4.9, p a modest function of the
+    shape); assuming it within r1 r3 eps in the Frobenius norm, the
+    half-sum's root moves by as much (Mirsky) and, as ||target||_F <= 1, the
+    half-sum by 2 r1 r3 eps at most.  A computed divergence under tol (< 1/2
+    for a proof), r1 r3 log terms with |H| <= log(r1 r3) and |L| <= |H| + 1,
+    is within 4 r1 r3 eps (1 + log(r1 r3)) of the true one.  Less 4 r1 r3
+    eps (2 + log(r1 r3)), the half-sum is ``divergence_bound``: a rank above
+    r2 proves infeasibility when it exceeds tol, and otherwise goes to the
+    search.  A target with r2 >= min(r1, r3) or rank <= 2, or of rank 3 <=
+    r2 with a nested polygon that certifies, is decided by the witness of
+    :func:`_exact_witness`, without ``restarts``, ``maxiter`` or ``seed``.
+    :func:`_certify` certifies every witness with the value types'
+    arithmetic: one its masks reject is rebuilt through them, which raises
+    their error; one that passes becomes a ``ChainParams`` once, unchecked.
 
     The search is one run of the EM kernel, which takes the restarts in
     seed order as lanes free up: one lane at first, twice as many, up to
     64, after each restart that stops uncertified.  At r2 = 3 all 64 open
     at once: with no nested triangle only a restart within tol of the
-    feasible set could stop early.
-    Every restart follows the arithmetic of a run on its own, and a restart
-    that certifies drops only restarts after it, which the reduction never
-    reaches; so the report does not depend on the schedule.  An EM run
-    whose log-likelihood decreases raises :class:`GeometryError` when the
-    reduction reaches it.
+    feasible set could stop early.  Every restart follows the arithmetic of
+    a run on its own, and a restart that certifies drops only restarts
+    after it, which the reduction never reaches; so the report does not
+    depend on the schedule.  An EM run whose log-likelihood decreases
+    raises :class:`GeometryError` when the reduction reaches it.
 
     A stopped restart is first tested on the log-likelihood L the kernel
     computed.  Its divergence is H - L' for H = sum p log p and L' the
@@ -316,63 +321,65 @@ def consistency_check(target: MarginalTable, r2: int, restarts: int = 64,
     terms, are within (r1 r3 + 3) eps of |H|, |L| and |H| + |L|.  As
     r2 >= 3 and r1, r3 >= 4, all of it is below 2 r1 r2 r3 eps (1 + |H| +
     |L|), half the margin: a restart with L <= H - tol - margin cannot
-    certify, and one above it is checked exactly.  The divergences are
-    computed once, at the end, by :func:`_examine`; a restart its masks
-    reject is built on its own, which raises the value type's error.
+    certify, and one above it is checked exactly, as all are at the end.
     """
     _check_count("r2", r2, 2)
     _check_count("restarts", restarts, 1)
     _check_count("seed", seed, 0)
     _check_budget(maxiter, tol)
     r1, r3 = target.shape
-    rank = 0 if r2 >= min(r1, r3) else marginal_rank(target)  # 0: exact, no SVD
-    checks = {"rank": rank <= r2}
+    rank, sv = (0, ()) if r2 >= min(r1, r3) else _numerical_rank(target.cells)
+    bound = max(math.fsum(s * s for s in sv[r2:]) / 2
+                - 4 * r1 * r3 * _EPS * (2.0 + math.log(r1 * r3)), 0.0)
+    checks = {"rank": rank <= r2 or bound <= tol}
     if not checks["rank"]:
-        return ConsistencyReport(
-            feasible=False, best_divergence=float("inf"), witness=None,
-            necessary_checks=checks, proven_infeasible_by="rank", tol=tol)
-
-    witness = _exact_witness(target, r2, rank) if rank <= 3 else None
-    if witness is not None:
-        best = kl_divergence(target, marginal_13(joint_from_chain(witness)))
-        if rank <= 2 or best < tol:
-            return ConsistencyReport(
-                feasible=bool(best < tol), best_divergence=best, witness=witness,
-                necessary_checks=checks, proven_infeasible_by=None, tol=tol)
+        return ConsistencyReport(False, float("inf"), None, checks, "rank", tol,
+                                 divergence_bound=bound)
 
     shape = Shape(r1, r2, r3)
+    found = _exact_witness(target, r2, rank) if rank <= min(r2, 3) else None
+    if found is not None:
+        (ok,), (best,) = _certify(target.cells, *(x[None] for x in found))
+        if not ok:      # the masks are exact, so this raises
+            marginal_13(joint_from_chain(ChainParams(shape, *found)))
+        if rank <= 2 or best < tol:
+            for rows in found:      # as ChainParams freezes its rows
+                rows.flags.writeable = False
+            witness = ChainParams._checked(shape, *found)
+            return ConsistencyReport(bool(best < tol), best, witness, checks, None, tol,
+                                     divergence_bound=bound)
+
     p = target.cells[target.cells > 0.0]
     entropy = float(p @ np.log(p))
 
     def certifies(p1, a, b, ll):     # the docstring's bound, then exactly
         margin = 4 * r1 * r2 * r3 * _EPS * (1.0 + abs(entropy) + abs(ll))
-        return (ll > entropy - tol - margin and _examine(
-            target.cells, p1[None], a[None], b[None])[4][0] < tol)
+        return (ll > entropy - tol - margin and _certify(
+            target.cells, *_unit_rows(p1[None], a[None], b[None]))[1][0] < tol)
 
     runs = _em_batch(target.cells, shape,
                      (np.random.default_rng([seed, k]) for k in range(restarts)),
                      maxiter, tol=1e-12, certifies=certifies,
                      lanes=64 if r2 == 3 else 1)
-    p1, a, b, ok, kls = _examine(target.cells, runs.p1, runs.a, runs.b)
+    p1, a, b = _unit_rows(runs.p1, runs.a, runs.b)
+    ok, kls = _certify(target.cells, p1, a, b)
     best, witness, divergences = float("inf"), None, []
     for r, kl in enumerate(kls):
         if r in runs.errors:
             raise runs.errors[r]
         if runs.loglik[r] == NEG_INF:
             kl = float("inf")
-        elif not ok[r]:
-            # the masks are exact, so this raises
+        elif not ok[r]:     # the masks are exact, so this raises
             marginal_13(joint_from_chain(ChainParams(shape, p1[r], a[r], b[r])))
         divergences.append(kl)
         if kl < best:
             best, witness = kl, ChainParams(shape, p1[r], a[r], b[r])
         if best < tol:
             break
-    return ConsistencyReport(
-        feasible=bool(best < tol), best_divergence=best, witness=witness,
-        necessary_checks=checks, proven_infeasible_by=None, tol=tol,
-        divergences=tuple(divergences),
-        restart_iterations=tuple(runs.iterations[:len(divergences)].tolist()))
+    return ConsistencyReport(bool(best < tol), best, witness, checks, None, tol,
+                             tuple(divergences),
+                             tuple(runs.iterations[:len(divergences)].tolist()), bound)
+
 
 def is_regular(params: ChainParams) -> bool:
     """True iff p(Y2|Y1) or p(Y3|Y2) is strictly positive throughout."""

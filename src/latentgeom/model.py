@@ -35,7 +35,7 @@ DET_EPS       1e-12   rounding   a divisor this small is 0; MixingMatrix,
 EM_SLACK      1e-12   rounding   a relative EM log-likelihood drop this small
                                  is no error; likelihood._em_batch
 _EPS          2**-52  rounding   float64 eps, the unit of derived bounds;
-                                 fiber._points, consistency_check's margin
+                                 fiber._points, consistency_check's margins
 INTERIOR_EPS  1e-9    modelling  entries above it are interior; jacobian_rank,
                                  fiber_dimension
 RANK_CUTOFF   1e-8    modelling  relative singular-value cutoff of a rank;
@@ -115,12 +115,13 @@ def _stochastic(rows: np.ndarray) -> np.ndarray:
     """Per member of a stack of row blocks (..., n, m): every row
     nonnegative and summing to 1 within ``SUM_TOL``; a NaN or an infinity
     fails.  The one probability-row test of the package: the value types
-    run it on a stack of one, the stacked fiber walks on many."""
+    run it on a stack of one, the fiber walks and certifications on many."""
     # min and max propagate a NaN, which then fails the comparison; the
     # sums run over |rows|, equal to rows wherever the min test passes, so
     # that a row holding both infinities sums to inf, not with a warning to NaN
-    return ((rows.min(axis=(-2, -1)) >= 0.0)
-            & (np.abs(np.abs(rows).sum(axis=-1) - 1.0).max(axis=-1) <= SUM_TOL))
+    sums = np.add.reduce(np.abs(rows), -1)      # the ufuncs behind .sum, .min and .max
+    return ((np.minimum.reduce(rows, (-2, -1)) >= 0.0)
+            & (np.maximum.reduce(np.abs(sums - 1.0), -1) <= SUM_TOL))
 
 
 def _ref_cell(ref_cell, r1: int, r3: int) -> tuple[int, int]:
@@ -231,6 +232,13 @@ class ChainParams:
             _check_rows(name, rows.reshape(-1, rows.shape[-1]))
             object.__setattr__(self, name, _frozen(rows))
 
+    @classmethod
+    def _checked(cls, shape: Shape, p1: np.ndarray, a: np.ndarray, b: np.ndarray):
+        """The point of frozen float rows that passed these checks."""
+        point = object.__new__(cls)
+        point.__dict__.update(shape=shape, p1=p1, a=a, b=b)  # as __init__ sets them
+        return point
+
     @property
     def min_entry(self) -> float:
         return float(min(self.p1.min(), self.a.min(), self.b.min()))
@@ -293,12 +301,11 @@ def ci_residuals(joint: JointTable, ref_cell: tuple[int, int] = (0, 0)) -> np.nd
     return res[:, np.arange(r1) != ref_i][:, :, np.arange(r3) != ref_k].ravel()
 
 
-def _numerical_rank(mat: np.ndarray) -> int:
-    """Count singular values above ``RANK_CUTOFF`` times the largest."""
-    sv = np.linalg.svd(mat, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return 0
-    return int(np.sum(sv > RANK_CUTOFF * sv[0]))
+def _numerical_rank(mat: np.ndarray) -> tuple[int, list[float]]:
+    """Singular values above ``RANK_CUTOFF`` times the largest: their count,
+    and all of them as floats, largest first."""
+    sv = np.linalg.svd(mat, compute_uv=False).tolist()
+    return (sum(s > RANK_CUTOFF * sv[0] for s in sv) if sv and sv[0] else 0), sv
 
 
 def jacobian_rank(params: ChainParams) -> int:

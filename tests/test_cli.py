@@ -15,7 +15,7 @@ from latentgeom import (
 )
 from latentgeom import cli, likelihood
 from latentgeom.cli import main
-from conftest import run_fresh, seeded_chain
+from conftest import run_fresh, seeded_chain, seeded_marginal
 
 
 @pytest.fixture()
@@ -584,6 +584,26 @@ def test_consistency_search_stdout_golden(capsys, slack_file):
     assert json.loads(out)["feasible"] is False
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "0c2b8c92c506403f65baf6f747cb6d0bf775025ee29dd353edf9fa3b58ad5491")
+
+
+@pytest.mark.parametrize("cells, r2, digest", [
+    # a rank-2 chain marginal: the segment witness
+    (lambda: marginal_13(joint_from_chain(seeded_chain((3, 2, 3), 2027))).cells,
+     "2", "de5b7bcef2e5b7e0f019ade610f43c6fbe8b10cd81e1fe0b7499de7a6fb6060d"),
+    # r2 >= min(r1, r3): Y2 copies Y1
+    (lambda: seeded_marginal((3, 5), 2027).cells,
+     "3", "8f60aab58364ad3d270768bedc9b3c28a2bb2a4423af0d4a317764fcbdd85afb"),
+], ids=["segment", "y2-copies-y1"])
+def test_consistency_closed_form_stdout_golden(capsys, tmp_path, cells, r2, digest):
+    # the digests of the value-type certification that _certify replaced
+    cells = cells()
+    path = tmp_path / "marg.json"
+    path.write_text(json.dumps({"shape": list(cells.shape),
+                                "cells": list(cells.ravel())}))
+    code, out = run(capsys, "consistency", str(path), "--r2", r2)
+    assert code == 0
+    assert json.loads(out)["feasible"] is True
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_consistency_rank_four_search_stdout_golden(capsys, cube_file):
