@@ -100,7 +100,7 @@ def _kl_rows(target: np.ndarray, delta: np.ndarray) -> np.ndarray:
     """:func:`kl_divergence` of the ``target`` cells to each member of a
     stack of marginals ``delta`` (K, r1, r3)."""
     p, gather = _observed(target)
-    q = _at_observed(gather, delta)
+    q = _at_observed(gather, delta.reshape(len(delta), -1))
     with np.errstate(divide="ignore", invalid="ignore"):
         kl = np.add.reduce(p * (np.log(p) - np.log(q)), 1)
         return np.where(np.logical_or.reduce(q <= 0.0, 1), np.inf,

@@ -83,33 +83,36 @@ class CountTable:
 
 
 def _observed(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """The positive cell weights and their flat indices (None when every
-    cell is positive): the arguments of :func:`_loglik_rows`."""
+    """The positive cell weights and their flat indices, or the flat cells
+    themselves and None when every cell is positive: the arguments of
+    :func:`_loglik_rows`."""
     observed = weights > 0
-    return weights[observed], None if observed.all() else np.flatnonzero(observed)
+    return ((weights.ravel(), None) if observed.all()
+            else (weights[observed], np.flatnonzero(observed)))
 
 
-def _at_observed(gather: np.ndarray | None, delta: np.ndarray) -> np.ndarray:
+def _at_observed(gather: np.ndarray | None, rows: np.ndarray,
+                 out: np.ndarray | None = None) -> np.ndarray:
     """The cells at the flat indices ``gather`` (all cells if None) of each
-    member of a stack of marginals ``delta`` (K, r1, r3), one row each."""
-    flat = delta.reshape(len(delta), -1)
-    # rows must be C-contiguous: numpy sums a contiguous row pairwise, as
-    # it sums the 1-d terms of a single table, and a strided one in order;
-    # a boolean mask would give strided rows
-    return flat if gather is None else flat.take(gather, axis=1)
+    row of flat marginals ``rows`` (K, r1 r3), into ``out`` if given."""
+    # C-contiguous rows, which a boolean mask would not give: numpy sums a
+    # contiguous row pairwise, as the 1-d terms of one table, a strided one
+    # in order; "clip" (valid indices) writes ``out`` without a buffer copy
+    return rows if gather is None else rows.take(gather, 1, out, "clip")
 
 
 def _loglik_rows(w_obs: np.ndarray, gather: np.ndarray | None,
-                 delta: np.ndarray) -> np.ndarray:
-    """Observed-cell log-likelihood sum w log delta of each member of a
-    stack of marginals ``delta`` (K, r1, r3), over the cells at the flat
-    indices ``gather`` (all cells if None) with weights ``w_obs``, one row
-    of them or one for each member.
+                 rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Observed-cell log-likelihood sum w log delta of each row of flat
+    marginals ``rows`` (K, r1 r3), over the cells at the flat indices
+    ``gather`` (all cells if None) with weights ``w_obs``, one row of them
+    or one for each member; the terms go to ``out`` if given.
 
     -inf exactly when an observed cell has zero probability; the caller
     silences the divide warning of log(0).
     """
-    return np.add.reduce(w_obs * np.log(_at_observed(gather, delta)), 1)
+    terms = np.log(_at_observed(gather, rows, out), out)
+    return np.add.reduce(np.multiply(w_obs, terms, out), 1)
 
 
 def loglik(counts: CountTable, params: ChainParams) -> float:
@@ -122,7 +125,7 @@ def loglik(counts: CountTable, params: ChainParams) -> float:
         )
     delta = marginal_13(joint_from_chain(params)).cells
     with np.errstate(divide="ignore"):
-        return float(_loglik_rows(*_observed(counts.counts), delta[None])[0])
+        return float(_loglik_rows(*_observed(counts.counts), delta.reshape(1, -1))[0])
 
 
 def _check_budget(maxiter: int, tol: float) -> None:
@@ -170,16 +173,19 @@ def _unit_rows(p1: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple:
 
 def _workspace(shape: Shape, w_row: np.ndarray, weights: np.ndarray,
                n: int) -> tuple:
-    """The working arrays of ``n`` running restarts (see :func:`_em_batch`),
-    with a copy of ``w_row`` and ``weights`` for each."""
+    """The working arrays of ``n`` running restarts and their views (see
+    :func:`_em_batch`), with a copy of ``w_row`` and ``weights`` for each."""
     r1, r2, r3 = shape.astuple()
-    cells, delta = np.empty((n, r1, r2, r3)), np.empty((n, r1, 1, r3))
-    return (np.empty((n, r1, 1, 1)), np.empty((n, r1, r2, 1)),
-            np.empty((n, 1, r2, r3)), np.empty((n, r1, r2, 1)), cells,
-            [cells[:, :, j:j + 1] for j in range(r2)], delta,
-            delta.reshape(n, -1), np.empty((n, r1, 1, 1)),
-            np.empty((n, 1, r2, 1)), w_row[None].repeat(n, 0),
-            np.repeat(weights[None, :, None], r2, 2).repeat(n, 0))
+    p1, a, b = np.empty((n, r1, 1, 1)), np.empty((n, r1, r2, 1)), np.empty((n, 1, r2, r3))
+    joint, delta = np.empty((n, r1, r2, r3)), np.empty((n * r1, 1, r3))
+    cells, w_obs = joint.reshape(n * r1, r2, r3), w_row[None].repeat(n, 0)
+    a_rows, b_rows = np.empty((n * r1, 1)), np.empty((n * r2, 1))
+    return (p1, a, b, np.empty_like(a), joint, cells, cells[:, :1], cells[:, 1:2],
+            [cells[:, j:j + 1] for j in range(2, r2)], delta, delta.reshape(n, -1),
+            np.empty_like(w_obs), w_obs, np.tile(weights[:, None], (n, r2, 1)),
+            a_rows, b_rows, cells.reshape(n * r1, -1), p1.ravel(),
+            cells.reshape(-1, r3), a.ravel(), a.reshape(-1, r2), a_rows.ravel(),
+            cells.reshape(n, r1, -1), b.reshape(n, -1), b.reshape(-1, r3), b_rows.ravel())
 
 
 def _em_batch(weights: np.ndarray, shape: Shape,
@@ -210,34 +216,33 @@ def _em_batch(weights: np.ndarray, shape: Shape,
     drops those after it, and the results end with the first that
     certifies.
 
-    The order of every sum is fixed by the memory layout.  numpy adds
+    The order of every sum is fixed by the memory layout: numpy adds
     along a strided axis one slice after another, in index order, and sums
     a contiguous run pairwise (8 ways at once from 8 terms on).  The
-    working arrays keep the axes (r, i, j, k) of the joint table, with
-    size 1 where a factor does not vary: p1 is (r, i, 1, 1), a is
-    (r, i, j, 1) and b is (r, 1, j, k).  So ``cells = p1 a b`` is
-    (p1 a) b, the product order of ``einsum``, laid out in (r, i, j, k)
-    order like the expected counts ``nhat``, and the products, quotients
-    and M-step sums need no views or transposes.  The sums
-    over j (``delta``, by slice adds) and over i (``b_mass``) are
-    sequential; those over the contiguous k rows (``a_mass``, ``b_rows``,
-    the log-likelihood), j rows (``a_rows``) and (j, k) blocks (``p1``) are
-    pairwise.  The restart axis is outermost, so each restart's sums cover
-    its own contiguous block in the order of a run on its own.
+    working arrays keep the axes (r, i, j, k) of the joint table, size 1
+    where a factor does not vary: p1 (r, i, 1, 1), a (r, i, j, 1) and b
+    (r, 1, j, k), so ``joint = p1 a b`` is (p1 a) b, the product order of
+    ``einsum``, laid out like the expected counts.  Its view ``cells``
+    (r i, j, k) gives ``delta`` by slice adds over j, and the middle axis
+    of (r, i, j k) the b masses, both in order; the rows of the 2-d views
+    (r i, j k), (r i j, k), (r i, j) and (r j, k) give p1, the a masses
+    and the row sums of a and b, pairwise like the log-likelihood's
+    (r, cells) terms.  With the restart axis outermost, each restart's
+    sums cover their own contiguous runs, as in a run on its own.
 
-    The products, quotients and sums write with ``out=`` into the arrays
-    of :func:`_workspace`: p1, a, b, p1 a, the cells (nhat in place) with
-    their j slices, delta with its flat view, and the row sums of a and b,
-    with a_mass and b_mass summed into a and b; only the log-likelihood
-    terms and the guards of zero cells and rows are fresh.  An element or a
-    run's sum comes out the same in a given array as in a fresh one
-    (``tests/test_numpy_orders.py``), so no bit changes.  The workspace is
-    rebuilt when the running restarts change; a restart that left took the
-    last M-step, unread (0/0 after a zero cell), once its iterate was copied.
+    Every product, quotient, log and sum writes through a positional
+    ``out`` into :func:`_workspace`, built when the running restarts change;
+    the log-likelihood terms are gathered into its buffer when a cell is
+    unobserved.  An unobserved cell is not divided: it keeps p1 a b, which
+    its zero weight zeroes as it zeroes the quotient (0/1 where delta is
+    0).  A value or a run's sum is the same in a given array or view as in
+    a fresh one (``tests/test_numpy_orders.py``), so no bit changes.  A
+    restart that left took the last M-step, unread (0/0 after a zero
+    cell), once its iterate was copied.
     """
     r1, r2, r3 = shape.astuple()
     rngs = iter(rngs)
-    total = float(weights.sum())
+    total = np.array(float(weights.sum()))      # a 0-d divisor costs less
     # with every cell observed (gather None) every delta is positive
     w_row, gather = _observed(weights)
     # a row mass of a sums w(i, k) lambda_j(i, k) with max_j lambda >= 1/r2:
@@ -251,11 +256,12 @@ def _em_batch(weights: np.ndarray, shape: Shape,
     rows: list[int] = []         # its row in the workspace
     ll_old: list[float] = []     # last values of the ones that joined before
     p1 = a = b = np.empty((0, 1, 1, 1))  # no running restart yet
+    changed = True               # a restart left: lanes may be free
 
     def leave(stops, converged):
         """Copy out and store the iterates of the running restarts flagged
         in ``stops``, and drop them and any after a certified one."""
-        nonlocal examined, lanes
+        nonlocal examined, lanes, changed
         for n in compress(range(len(rows)), stops):
             k, w = live[n], rows[n]
             finals[k] = (p1[w, :, 0, 0].copy(), a[w, :, :, 0].copy(),
@@ -267,50 +273,58 @@ def _em_batch(weights: np.ndarray, shape: Shape,
         keep = [not stop and k < examined for stop, k in zip(stops, live)]
         for x in (live, born, rows, ll_old, values):
             x[:] = compress(x, keep)
+        changed = True
 
     add, multiply, divide, reduce = np.add, np.multiply, np.divide, np.add.reduce
     with np.errstate(divide="ignore", invalid="ignore"):
         for it in count():
-            # draw the starts of the next restarts into the free lanes
-            first = len(finals)
-            while len(live) < lanes and len(finals) < examined:
-                rng = next(rngs, None)
-                if rng is None:
-                    examined = len(finals)
+            if changed:
+                # draw the starts of the next restarts into the free lanes
+                first = len(finals)
+                while len(live) < lanes and len(finals) < examined:
+                    rng = next(rngs, None)
+                    if rng is None:
+                        examined = len(finals)
+                        break
+                    live.append(len(finals))
+                    born.append(it)
+                    finals.append((rng.dirichlet(np.ones(r1)),
+                                   rng.dirichlet(np.ones(r2), size=r1),
+                                   rng.dirichlet(np.ones(r3), size=r2)))
+                if not live:
                     break
-                live.append(len(finals))
-                born.append(it)
-                finals.append((rng.dirichlet(np.ones(r1)),
-                               rng.dirichlet(np.ones(r2), size=r1),
-                               rng.dirichlet(np.ones(r3), size=r2)))
-            if not live:
-                break
-            if len(live) != len(p1) or len(finals) > first:
-                ws = _workspace(shape, w_row, weights, len(live))
-                for x, old in zip(ws, (p1, a, b)):
-                    x[:len(rows)] = old[rows]
-                for x, new in zip(ws, zip(*finals[first:])):
-                    x[len(rows):] = np.reshape(new, x[len(rows):].shape)
-                (p1, a, b, pa, cells, slices, delta, flat, a_rows, b_rows,
-                 w_obs, w_rijk) = ws
-                rows = list(range(len(live)))
-            multiply(multiply(p1, a, out=pa), b, out=cells)
+                if len(live) != len(p1) or len(finals) > first:
+                    ws = _workspace(shape, w_row, weights, len(live))
+                    for x, old in zip(ws, (p1, a, b)):
+                        x[:len(rows)] = old[rows]
+                    for x, new in zip(ws, zip(*finals[first:])):
+                        x[len(rows):] = np.reshape(new, x[len(rows):].shape)
+                    (p1, a, b, pa, joint, cells, cells_0, cells_1, cells_rest,
+                     delta, flat, terms, w_obs, w_rijk, a_rows, b_rows,
+                     cells_i, p1_i, cells_ij, a_ij, a_i, a_rows_i, cells_r,
+                     b_jk, b_j, b_rows_j) = ws
+                    guard = {} if gather is None else {"where": w_rijk > 0.0}
+                    rows = list(range(len(live)))
+                # the oldest running restart, the first, reaches maxiter first
+                changed, stop = False, born[0] + maxiter
+            multiply(multiply(p1, a, pa), b, joint)
             # the sum over j, slice by slice as numpy sums a strided axis
-            add(slices[0], slices[1], out=delta)
-            for cells_j in slices[2:]:
-                add(delta, cells_j, out=delta)
-            values = _loglik_rows(w_obs, gather, flat).tolist()
-            # the rows that joined maxiter iterations ago (the oldest come
-            # first) report their final iterates' values
-            if it - born[0] == maxiter or NEG_INF in values:
+            add(cells_0, cells_1, delta)
+            for cells_j in cells_rest:
+                add(delta, cells_j, delta)
+            values = _loglik_rows(w_obs, gather, flat, terms).tolist()
+            # the rows that joined maxiter iterations ago report their final
+            # iterates' values
+            if it == stop or NEG_INF in values:
                 leave([it - t == maxiter or v == NEG_INF
                        for t, v in zip(born, values)], False)
             if trace is not None:
                 trace.extend(values)
             # with EM_SLACK >= 0 a decrease beyond it is a gain below tol;
             # the rows that joined in this iteration have no previous value
-            if ll_old and (EM_SLACK < 0.0
-                           or min(map(sub, values, ll_old)) < tol):
+            if ll_old and (EM_SLACK < 0.0 or (
+                    values[0] - ll_old[0] if len(ll_old) == 1
+                    else min(map(sub, values, ll_old))) < tol):
                 old = np.array(ll_old)
                 head = np.array(values[:len(old)])
                 floor = old - EM_SLACK * np.maximum(1.0, np.abs(old))
@@ -323,23 +337,24 @@ def _em_batch(weights: np.ndarray, shape: Shape,
             ll_old = values
             if not live:
                 continue
-            safe = delta if gather is None else np.where(delta > 0.0, delta, 1.0)
             # responsibilities, then expected counts, in the cells' memory
-            multiply(divide(cells, safe, out=cells), w_rijk, out=cells)
-            divide(reduce(cells, (2, 3), keepdims=True, out=p1), total, out=p1)
-            # the row masses of a and b, in their memory, then their sums
-            reduce(reduce(cells, 3, keepdims=True, out=a), 2, keepdims=True, out=a_rows)
+            multiply(divide(cells, delta, cells, **guard), w_rijk, cells)
+            divide(reduce(cells_i, 1, None, p1_i), total, p1_i)
+            # the row masses of a and b, then their sums
+            reduce(cells_ij, 1, None, a_ij)
+            reduce(a_i, 1, None, a_rows_i)
             if a_rows_positive:
-                divide(a, a_rows, out=a)
+                divide(a_i, a_rows, a_i)
             else:
-                a[...] = np.where(a_rows > 0.0,
-                                  a / np.where(a_rows > 0, a_rows, 1.0), 1.0 / r2)
-            reduce(reduce(cells, 1, keepdims=True, out=b), 3, keepdims=True, out=b_rows)
+                a_i[...] = np.where(a_rows > 0.0,
+                                    a_i / np.where(a_rows > 0, a_rows, 1.0), 1.0 / r2)
+            reduce(cells_r, 1, None, b_jk)
+            reduce(b_j, 1, None, b_rows_j)
             if np.count_nonzero(b_rows) == b_rows.size:
-                divide(b, b_rows, out=b)
+                divide(b_j, b_rows, b_j)
             else:
-                b[...] = np.where(b_rows > 0.0,
-                                  b / np.where(b_rows > 0, b_rows, 1.0), 1.0 / r3)
+                b_j[...] = np.where(b_rows > 0.0,
+                                    b_j / np.where(b_rows > 0, b_rows, 1.0), 1.0 / r3)
     return _EmRuns(*map(np.array, zip(*finals[:examined])),
                    {k: e for k, e in errors.items() if k < examined})
 
@@ -463,7 +478,7 @@ def profile_along_fiber(counts: CountTable, params: ChainParams,
         a, b = _snap(mixed.a), _snap(mixed.b)
         cells = np.einsum("i,kij,kjl->kijl", params.p1, a, b)
         delta = cells.sum(axis=2)
-        ll = _loglik_rows(*_observed(counts.counts), delta)
+        ll = _loglik_rows(*_observed(counts.counts), delta.reshape(steps, -1))
     min_entry = np.minimum(np.minimum(params.p1.min(), a.min(axis=(1, 2))),
                            b.min(axis=(1, 2)))
     # the steps on which apply_mixing and loglik raise nothing: the kernel's

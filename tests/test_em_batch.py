@@ -513,9 +513,9 @@ def test_search_runs_at_most_64_restarts_at_once(monkeypatch, rank, first):
     live = []
     real = likelihood._loglik_rows
 
-    def recording(w_obs, gather, delta):
-        live.append(len(delta))
-        return real(w_obs, gather, delta)
+    def recording(w_obs, gather, rows, out=None):
+        live.append(len(rows))
+        return real(w_obs, gather, rows, out)
 
     if rank == 3:
         target = MarginalTable((4, 4), SQUARE_SLACK / SQUARE_SLACK.sum())

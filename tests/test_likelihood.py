@@ -26,7 +26,7 @@ from latentgeom import (
     rho_pi_bounds,
     sample_fiber,
 )
-from latentgeom.likelihood import _em_batch
+from latentgeom.likelihood import _em_batch, _observed
 from conftest import seeded_chain, seeded_marginal
 
 
@@ -81,6 +81,23 @@ def test_loglik_equals_masked_sum_bitwise():
         got = loglik(counts, params)
         assert type(got) is float
         assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+def test_all_positive_weights_are_observed_in_place():
+    # every cell observed: the flat cells themselves, no gathered copy
+    weights = np.array([[4.0, 1.0, 2.0], [2.0, 5.0, 1.0]])
+    w_obs, gather = _observed(weights)
+    assert gather is None
+    assert np.shares_memory(w_obs, weights)
+    assert w_obs.tolist() == [4.0, 1.0, 2.0, 2.0, 5.0, 1.0]
+
+
+def test_zero_weights_are_gathered_out():
+    weights = np.array([[4.0, 0.0, 2.0], [0.0, 5.0, 1.0]])
+    w_obs, gather = _observed(weights)
+    assert gather.tolist() == [0, 2, 4, 5]
+    assert not np.shares_memory(w_obs, weights)
+    assert w_obs.tolist() == [4.0, 2.0, 5.0, 1.0]
 
 
 def test_loglik_shape_mismatch():

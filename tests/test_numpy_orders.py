@@ -92,3 +92,77 @@ def test_numpy_keeps_the_orders_and_outputs_the_em_kernel_relies_on():
         assert _bits(np.add.reduce(cells, (2, 3))) == _bits(
             np.add.reduce(cells.reshape(r, r1, -1), 2))
         assert _bits(np.add.reduce(cells, 1)) == _bits(_left_to_right(cells, 1))
+
+
+def test_row_views_and_reused_buffers_give_the_bits_of_the_4d_calls():
+    # the kernel's sums run over 2-d row views and the (r, i, j k) view,
+    # its quotients over 2-d and 3-d views, its log-likelihood terms in one
+    # reused buffer, and its zero-cell guard as a mask on the quotient:
+    # each gives the bits of the 4-d call or the fresh temporaries
+    rng = np.random.default_rng(2801)
+
+    def positive(*shape):
+        return np.exp(rng.normal(0.0, 6.0, size=shape))
+
+    for r, r1, r2, r3 in [(1, 3, 2, 3), (4, 5, 3, 9), (3, 2, 9, 12)]:
+        p1, a, b = positive(r, r1, 1, 1), positive(r, r1, r2, 1), positive(r, 1, r2, r3)
+        cells = p1 * a * b
+        a_rows, b_rows = a.sum(2, keepdims=True), b.sum(3, keepdims=True)
+        for x, axis, view in [(cells, (2, 3), cells.reshape(r * r1, -1)),
+                              (cells, 3, cells.reshape(-1, r3)),
+                              (a, 2, a.reshape(-1, r2)),
+                              (cells, 1, cells.reshape(r, r1, -1)),
+                              (b, 3, b.reshape(-1, r3))]:
+            fresh = np.add.reduce(x, axis, keepdims=True)
+            for out in _outputs(lambda out: np.add.reduce(
+                    view, 1, None, out), view.shape[:1] + view.shape[2:]):
+                assert _bits(out) == _bits(fresh)
+        for x, rows, x2, rows2 in [(a, a_rows, a.reshape(-1, r2), a_rows.reshape(-1, 1)),
+                                   (b, b_rows, b.reshape(-1, r3), b_rows.reshape(-1, 1))]:
+            fresh = x / rows
+            for out in _outputs(lambda out: np.divide(x2, rows2, out), x2.shape):
+                assert _bits(out) == _bits(fresh)
+        # the sum over j by slice adds of the (r i, j, k) view, and the
+        # quotient of that view by the (r i, 1, k) marginal
+        by_i = cells.reshape(r * r1, r2, r3)
+        delta = by_i[:, 0:1] + by_i[:, 1:2]
+        for j in range(2, r2):
+            delta = delta + by_i[:, j:j + 1]
+        want = cells[:, :, 0:1] + cells[:, :, 1:2]
+        for j in range(2, r2):
+            want = want + cells[:, :, j:j + 1]
+        assert _bits(delta) == _bits(want)
+        fresh = cells / want
+        for out in _outputs(lambda out: np.divide(by_i, delta, out), by_i.shape):
+            assert _bits(out) == _bits(fresh)
+
+        # the log-likelihood terms: gathered (or not) into a reused buffer,
+        # then log and weight product in place
+        flat = positive(r, r1 * r3)
+        flat[:, ::3] = 0.0
+        gather = np.flatnonzero(rng.random(r1 * r3) < 0.7)
+        for cols in (None, gather):
+            x = flat if cols is None else flat.take(cols, axis=1)
+            w = positive(r, x.shape[1])
+            buf = np.full(x.shape, np.nan)
+            src = flat if cols is None else flat.take(cols, 1, buf, "clip")
+            with np.errstate(divide="ignore"):     # log(0) = -inf
+                fresh = w * np.log(x)
+                np.multiply(w, np.log(src, buf), buf)
+            assert _bits(buf) == _bits(fresh)
+            assert _bits(np.add.reduce(buf, 1)) == _bits(np.add.reduce(fresh, 1))
+
+        # zero-weight cells: the quotient masked to the observed cells, times
+        # the weights, equals the quotient by the guarded marginal (a cell
+        # is exactly 0 wherever its marginal is)
+        p1[0, 0] = 0.0
+        b[..., 0] = 0.0
+        cells = p1 * a * b
+        delta = cells.sum(2, keepdims=True)
+        w = np.repeat(positive(r, r1, 1, r3), r2, 2)
+        w[:, :, :, ::2] = 0.0
+        w[:, 0] = 0.0
+        fresh = cells / np.where(delta > 0.0, delta, 1.0) * w
+        with np.errstate(divide="ignore", invalid="ignore"):
+            got = np.multiply(np.divide(cells, delta, cells.copy(), where=w > 0.0), w)
+        assert _bits(got) == _bits(fresh)
