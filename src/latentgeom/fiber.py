@@ -458,14 +458,14 @@ def fiber_dimension(params: ChainParams) -> int:
 
     The derivative of q -> (a q^{-1}, q b) at q = I in direction M is
     (-a M, M b), a linear map on the r2 (r2 - 1) dimensional space of
-    zero-row-sum matrices; its numerical rank (cutoff ``RANK_CUTOFF``) is the
-    orbit dimension.  M is in the kernel exactly when a M = 0 and M b = 0
-    (M b = 0 already gives M 1 = M b 1 = 0), so where a and b have full rank
-    the orbit dimension is r2 (r2 - 1) - (r2 - min(r1, r2)) (r2 - min(r2, r3)).
-    That is ``dims(...).fiber`` when r2 <= min(r1, r3) or r2 >= max(r1, r3).
-    When min(r1, r3) < r2 < max(r1, r3) it is smaller by
-    (max(r1, r3) - r2) (r2 - min(r1, r3)): at 6x4x3 the orbit has dimension
-    12 and the fiber 14, as the mixing action does not reach all of it.
+    zero-row-sum matrices.  Its kernel, a M = 0 and M b = 0 (M b = 0 gives
+    M 1 = M b 1 = 0), is ker(a) (x) ker(b^T), so the orbit dimension is
+    r2 (r2 - 1) - (r2 - rank a) (r2 - rank b), with the ranks of the factors
+    at the cutoff ``RANK_CUTOFF``; no tangent matrix is built.  For a and b
+    of full rank that is ``dims(...).fiber`` when r2 <= min(r1, r3) or
+    r2 >= max(r1, r3), and smaller by (max(r1, r3) - r2) (r2 - min(r1, r3))
+    in between: at 6x4x3 the orbit has dimension 12 and the fiber 14, as
+    the mixing action does not reach all of it.
 
     Parameters with boundary zeros raise :class:`BoundaryPoint`, except for
     one-sided degeneracy (p1 interior and exactly one of a, b interior),
@@ -484,11 +484,5 @@ def fiber_dimension(params: ChainParams) -> int:
             raise BoundaryPoint("fiber dimension requires (one-sided) interior "
                                 "parameters")
     r2 = params.shape.r2
-    eye = np.eye(r2)
-    # the rows -a M and M b for the basis M = e_j (e_l - e_last)^T, l < last
-    diffs = eye[:-1] - eye[-1]
-    minus_am = np.einsum("ij,lc->jlic", -params.a, diffs)
-    mb = np.einsum("jJ,lk->jlJk", eye, params.b[:-1] - params.b[-1])
-    count = r2 * (r2 - 1)
-    return _numerical_rank(np.hstack([minus_am.reshape(count, -1),
-                                      mb.reshape(count, -1)]))[0]
+    return r2 * (r2 - 1) - ((r2 - _numerical_rank(params.a)[0])
+                            * (r2 - _numerical_rank(params.b)[0]))

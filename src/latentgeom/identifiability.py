@@ -34,8 +34,6 @@ from .model import (
     Shape,
     _numerical_rank,
     _stochastic,
-    joint_from_chain,
-    marginal_13,
 )
 from .shapes import _check_count
 
@@ -120,14 +118,12 @@ def kl_divergence(target: MarginalTable, model: MarginalTable) -> float:
 
 
 def _certify(target: np.ndarray, p1: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple:
-    """For stacks of p1, a and b: the mask of the members that ``ChainParams``,
-    ``joint_from_chain`` and ``marginal_13`` accept and each divergence from
-    ``target``, with the arithmetic of those and :func:`kl_divergence`."""
-    cells = np.einsum("ri,rij,rjk->rijk", p1, a, b)
-    delta = np.add.reduce(cells, 2)
-    ok = (_stochastic(p1[:, None]) & _stochastic(a) & _stochastic(b)
-          & _stochastic(cells.reshape(len(p1), 1, -1))
-          & _stochastic(delta.reshape(len(p1), 1, -1))).tolist()
+    """For stacks of p1, a and b: the mask of the members that ``ChainParams``
+    accepts and each divergence from ``target``, with the arithmetic of
+    ``marginal_13(joint_from_chain(...))`` and :func:`kl_divergence`.  The
+    forward maps check nothing: a chain's tables follow from its rows."""
+    delta = np.add.reduce(np.einsum("ri,rij,rjk->rijk", p1, a, b), 2)
+    ok = (_stochastic(p1[:, None]) & _stochastic(a) & _stochastic(b)).tolist()
     return ok, _kl_rows(target, delta).tolist()
 
 
@@ -299,8 +295,9 @@ def consistency_check(target: MarginalTable, r2: int, restarts: int = 64,
     r2 with a nested polygon that certifies, is decided by the witness of
     :func:`_exact_witness`, without ``restarts``, ``maxiter`` or ``seed``.
     :func:`_certify` certifies every witness with the value types'
-    arithmetic: one its masks reject is rebuilt through them, which raises
-    their error; one that passes becomes a ``ChainParams`` once, unchecked.
+    arithmetic: one its masks reject is rebuilt as a ``ChainParams``, which
+    raises its error; one that passes becomes a ``ChainParams`` once,
+    unchecked.
 
     The search is one run of the EM kernel, which takes the restarts in
     seed order as lanes free up: one lane at first, twice as many, up to
@@ -341,7 +338,7 @@ def consistency_check(target: MarginalTable, r2: int, restarts: int = 64,
     if found is not None:
         (ok,), (best,) = _certify(target.cells, *(x[None] for x in found))
         if not ok:      # the masks are exact, so this raises
-            marginal_13(joint_from_chain(ChainParams(shape, *found)))
+            ChainParams(shape, *found)
         if rank <= 2 or best < tol:
             for rows in found:      # as ChainParams freezes its rows
                 rows.flags.writeable = False
@@ -370,7 +367,7 @@ def consistency_check(target: MarginalTable, r2: int, restarts: int = 64,
         if runs.loglik[r] == NEG_INF:
             kl = float("inf")
         elif not ok[r]:     # the masks are exact, so this raises
-            marginal_13(joint_from_chain(ChainParams(shape, p1[r], a[r], b[r])))
+            ChainParams(shape, p1[r], a[r], b[r])
         divergences.append(kl)
         if kl < best:
             best, witness = kl, ChainParams(shape, p1[r], a[r], b[r])

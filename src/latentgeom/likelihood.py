@@ -448,8 +448,9 @@ def profile_along_fiber(counts: CountTable, params: ChainParams,
     prefix rows and the exit parameter.
 
     All steps go through one stacked call of the mixing kernel, one
-    stacked log-likelihood and the probability-row test of the value
-    types, each member with the arithmetic and summation order of
+    stacked log-likelihood and the probability-row test of the value types
+    on the moved a and b (p1 does not move, and tables are not checked),
+    each member with the arithmetic and summation order of
     :func:`apply_mixing` and :func:`loglik` on its own.  The first step the
     stack rejects is evaluated on its own, which raises its error, or
     starts the bisection, exactly as a step-by-step walk would; so the
@@ -476,17 +477,13 @@ def profile_along_fiber(counts: CountTable, params: ChainParams,
     # steps the kernel rejects carry placeholders that may divide by zero
     with np.errstate(divide="ignore", invalid="ignore"):
         a, b = _snap(mixed.a), _snap(mixed.b)
-        cells = np.einsum("i,kij,kjl->kijl", params.p1, a, b)
-        delta = cells.sum(axis=2)
+        delta = np.einsum("i,kij,kjl->kijl", params.p1, a, b).sum(axis=2)
         ll = _loglik_rows(*_observed(counts.counts), delta.reshape(steps, -1))
     min_entry = np.minimum(np.minimum(params.p1.min(), a.min(axis=(1, 2))),
                            b.min(axis=(1, 2)))
     # the steps on which apply_mixing and loglik raise nothing: the kernel's
-    # clamp test and the checks of ChainParams, JointTable and MarginalTable
-    ok = (mixed.valid & _stochastic(params.p1[None]) & _stochastic(a)
-          & _stochastic(b)
-          & _stochastic(cells.reshape(steps, 1, -1))
-          & _stochastic(delta.reshape(steps, 1, -1)))
+    # clamp test and the row checks of ChainParams on the moved a and b
+    ok = mixed.valid & _stochastic(a) & _stochastic(b)
     first = steps if ok.all() else int(np.argmin(ok))
     rows = list(zip(ts[:first].tolist(), ll[:first].tolist(),
                     min_entry[:first].tolist()))

@@ -23,8 +23,10 @@ user may revisit.  The last three rows are argument defaults.
 ============  ======  =========  =============================================
 name          value   kind       what it decides; who reads it
 ============  ======  =========  =============================================
-SUM_TOL       1e-12   rounding   a row or table sums to 1 within it; the value
-                                 types, fiber._mix, fiber._points
+SUM_TOL       1e-12   rounding   a given row or table sums to 1 within it; the
+                                 value types, fiber._mix, fiber._points; one
+                                 built from checked factors is not checked: a
+                                 forward map's within 3 SUM_TOL plus rounding
 CLAMP_EPS     1e-12   rounding   an entry this far past 0 or 1 is snapped or
                                  clipped, not refused; fiber._mix, _snap,
                                  _clamp_rows, _exits, _outside_unit_box;
@@ -39,9 +41,9 @@ _EPS          2**-52  rounding   float64 eps, the unit of derived bounds;
 INTERIOR_EPS  1e-9    modelling  entries above it are interior; jacobian_rank,
                                  fiber_dimension
 RANK_CUTOFF   1e-8    modelling  relative singular-value cutoff of a rank;
-                                 fiber_dimension, marginal_rank; and as an
-                                 absolute distance, points within it are one
-                                 in _nested_polygon
+                                 fiber_dimension's of a and b, marginal_rank;
+                                 and as an absolute distance, points within
+                                 it are one in _nested_polygon
 IDENTITY_TOL  1e-8    modelling  the rank-2 identity holds within it times
                                  max(1, max z); solve_fiber_323
 RESIDUAL_TOL  1e-9    modelling  solved quadric residuals vanish within it
@@ -99,6 +101,18 @@ def _reals(values, message: str, floats: bool = True) -> np.ndarray:
     return out.astype(float, copy=False) if floats else out
 
 
+class _Value:
+    """A value type that can be built from fields known to pass its checks."""
+
+    @classmethod
+    def _checked(cls, *values):
+        """The value of fields, in declaration order, that pass the checks
+        of ``__post_init__`` and are as it leaves them (arrays frozen)."""
+        value = object.__new__(cls)
+        value.__dict__.update(zip(cls.__dataclass_fields__, values))  # as __init__ sets them
+        return value
+
+
 def _fields_eq(self, other) -> bool:
     """Field-wise ``==`` for dataclasses with array fields: arrays compare
     with ``np.array_equal``, every other field with ``==``."""
@@ -151,12 +165,13 @@ def _check_table(table, shape: tuple[int, ...]) -> None:
 
 
 @dataclass(frozen=True)
-class JointTable:
+class JointTable(_Value):
     """Full probability table over (Y1, Y2, Y3).
 
     ``cells[i, j, k]`` holds theta(i, j, k); cells are nonnegative and sum
-    to one within ``SUM_TOL``.  Zero cells are allowed: boundary points are
-    part of the geometry.
+    to one within ``SUM_TOL``, or 3 ``SUM_TOL`` from :func:`joint_from_chain`
+    and 2 from ``merge``, plus rounding.  Zero cells are allowed: boundary
+    points are part of the geometry.
     """
 
     shape: Shape
@@ -204,7 +219,7 @@ def _check_rows(name: str, rows: np.ndarray) -> None:
 
 
 @dataclass(frozen=True)
-class ChainParams:
+class ChainParams(_Value):
     """Minimal chain parametrisation: p(Y1), p(Y2|Y1) and p(Y3|Y2).
 
     ``p1`` has length r1, ``a`` is the r1 x r2 row-stochastic table
@@ -232,13 +247,6 @@ class ChainParams:
             _check_rows(name, rows.reshape(-1, rows.shape[-1]))
             object.__setattr__(self, name, _frozen(rows))
 
-    @classmethod
-    def _checked(cls, shape: Shape, p1: np.ndarray, a: np.ndarray, b: np.ndarray):
-        """The point of frozen float rows that passed these checks."""
-        point = object.__new__(cls)
-        point.__dict__.update(shape=shape, p1=p1, a=a, b=b)  # as __init__ sets them
-        return point
-
     @property
     def min_entry(self) -> float:
         return float(min(self.p1.min(), self.a.min(), self.b.min()))
@@ -249,8 +257,9 @@ class ChainParams:
 
 
 @dataclass(frozen=True)
-class MarginalTable:
-    """Observed two-way table delta(i, k) = p(Y1 = i, Y3 = k)."""
+class MarginalTable(_Value):
+    """Observed two-way table delta(i, k) = p(Y1 = i, Y3 = k), summing to
+    one within ``SUM_TOL``, or from :func:`marginal_13` as its joint does."""
 
     shape: tuple[int, int]
     cells: np.ndarray
@@ -270,15 +279,15 @@ class MarginalTable:
 
 
 def joint_from_chain(params: ChainParams) -> JointTable:
-    """Forward map theta(i, j, k) = p1(i) a(i, j) b(j, k)."""
+    """Forward map theta(i, j, k) = p1(i) a(i, j) b(j, k) of checked rows."""
     cells = np.einsum("i,ij,jk->ijk", params.p1, params.a, params.b)
-    return JointTable(params.shape, cells)
+    return JointTable._checked(params.shape, _frozen(cells))
 
 
 def marginal_13(joint: JointTable) -> MarginalTable:
     """Sum out the hidden variable: delta(i, k) = sum_j theta(i, j, k)."""
     r1, _, r3 = joint.shape.astuple()
-    return MarginalTable((r1, r3), joint.cells.sum(axis=1))
+    return MarginalTable._checked((r1, r3), _frozen(joint.cells.sum(axis=1)))
 
 
 def ci_residuals(joint: JointTable, ref_cell: tuple[int, int] = (0, 0)) -> np.ndarray:

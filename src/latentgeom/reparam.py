@@ -55,6 +55,13 @@ from .model import (
 from .shapes import _integer_pair
 
 
+def _check_unit(**values: float) -> None:
+    """Refuse the first named value outside [0, 1], or a NaN."""
+    for name, v in values.items():
+        if not (0.0 <= v <= 1.0):
+            raise InvalidParameter(f"{name} must lie in [0, 1], got {v!r}")
+
+
 def _outside_unit_box(values) -> tuple[int, ...] | None:
     """Index of the first entry (C order) of ``values`` below -CLAMP_EPS
     or above 1 + CLAMP_EPS, or None; a NaN is not outside."""
@@ -133,7 +140,7 @@ def merge(marginal: MarginalTable, lambdas: LambdaField) -> JointTable:
             f"({r1}, {r3})"
         )
     cells = (marginal.cells[:, :, None] * lambdas.values).transpose(0, 2, 1)
-    return JointTable(lambdas.shape, cells)
+    return JointTable._checked(lambdas.shape, _frozen(cells))    # not a view
 
 
 @dataclass(frozen=True)
@@ -258,9 +265,7 @@ def binary_fiber_solve(z: float, c1: float, c2: float) -> BinaryFiberSolution:
     """
     if not (math.isfinite(z) and z > 0):
         raise InvalidParameter(f"z must be a positive real, got {z!r}")
-    for name, c in (("c1", c1), ("c2", c2)):
-        if not (0.0 <= c <= 1.0):
-            raise InvalidParameter(f"{name} must lie in [0, 1], got {c!r}")
+    _check_unit(c1=c1, c2=c2)
     s, p = _sum_product(z, c1, c2)
     disc = s * s - 4.0 * p
     if not math.isfinite(disc):  # also when s or p overflowed
@@ -305,9 +310,7 @@ def binary_surface(lam12: float, lam22: float, z: float) -> tuple[float, float]:
     pair lam22 = lam12 with z != 1 admits no solution at all
     (:class:`SingularDenominator`).
     """
-    for name, v in (("lam12", lam12), ("lam22", lam22)):
-        if not (0.0 <= v <= 1.0):
-            raise InvalidParameter(f"{name} must lie in [0, 1], got {v!r}")
+    _check_unit(lam12=lam12, lam22=lam22)
     if not (math.isfinite(z) and z > 0):
         raise InvalidParameter(f"z must be a positive real, got {z!r}")
     if lam22 == lam12:
@@ -424,9 +427,7 @@ def solve_fiber_323(z: CrossRatios, lam21: float, lam22: float) -> LambdaField:
     """
     if z.values.shape != (2, 2):
         raise InvalidParameter("solver requires a 3 x 3 marginal's cross-ratios")
-    for name, v in (("lam21", lam21), ("lam22", lam22)):
-        if not (0.0 <= v <= 1.0):
-            raise InvalidParameter(f"{name} must lie in [0, 1], got {v!r}")
+    _check_unit(lam21=lam21, lam22=lam22)
     scale = max(1.0, float(np.abs(z.values).max()))
     ident = marginal_identity_323(z)
     if not (abs(ident) <= IDENTITY_TOL * scale):    # a NaN fails too
@@ -510,9 +511,7 @@ def degenerate_family_323(z: CrossRatios, lam21: float, lam31: float,
         raise InvalidParameter("family requires a 3 x 3 marginal's cross-ratios")
     if branch not in ("ones", "zeros"):
         raise InvalidParameter(f"branch must be 'ones' or 'zeros', got {branch!r}")
-    for name, v in (("lam21", lam21), ("lam31", lam31)):
-        if not (0.0 <= v <= 1.0):
-            raise InvalidParameter(f"{name} must lie in [0, 1], got {v!r}")
+    _check_unit(lam21=lam21, lam31=lam31)
     scaled = np.array([[lam21], [lam31]], dtype=float) / z.values
     if (idx := _outside_unit_box(scaled)) is not None:
         raise OutOfUnitBox(f"lam({idx[0] + 2},{idx[1] + 2}) = "

@@ -160,6 +160,27 @@ def test_check_model_report(capsys, model_file):
     assert len(data["cross_ratios"]) == 2
 
 
+@pytest.mark.parametrize("command", ["check", "profile"])
+def test_model_at_the_row_sum_edge_runs(capsys, tmp_path, command):
+    # every row sums to 1 + 0.9e-12, within SUM_TOL, and the joint to
+    # 1 + 2.7e-12: the model is accepted in process and in a fresh start
+    row = [0.5, 0.5 + 0.9e-12]
+    path = tmp_path / "edge.json"
+    path.write_text(json.dumps({"shape": [2, 2, 2], "p1": row, "a": [row, row],
+                                "b": [row, row]}))
+    argv = ["check", str(path)]
+    if command == "profile":
+        (tmp_path / "counts.csv").write_text(
+            "i,k,count\n1,1,3\n1,2,1\n2,1,2\n2,2,4\n")
+        (tmp_path / "q.json").write_text(json.dumps({"q": [[0.9, 0.1], [0.1, 0.9]]}))
+        argv = ["profile", str(tmp_path / "counts.csv"), str(path),
+                "--q", str(tmp_path / "q.json"), "--steps", "3"]
+    code, out = run(capsys, *argv)
+    assert code == 0
+    fresh = run_fresh("-m", "latentgeom", *argv)
+    assert (fresh.returncode, fresh.stdout, fresh.stderr) == (0, out, "")
+
+
 def test_check_joint_with_zero_cell(capsys, tmp_path):
     flat = [0.0] * 8
     flat[0] = 0.5

@@ -211,8 +211,8 @@ def test_closed_form_verdict_makes_no_round_trip(monkeypatch, target, r2, svds):
         report.witness.p1, report.witness.a, report.witness.b))
 
 
-#: (target, r2) whose witness fails exactly one of the five checks once
-#: SUM_TOL is the largest row-sum deviation of the other four
+#: (target, r2) whose witness misses exactly one of five sums by the most:
+#: those of p1, a and b, its joint and its marginal
 ONE_FAILING_CHECK = {
     "p1": (lambda: marginal_13(joint_from_chain(seeded_chain((3, 2, 3), 62))), 2),
     "a": (lambda: seeded_marginal((4, 3), 43), 3),
@@ -231,8 +231,9 @@ def _deviations(witness):
             for name, x in blocks.items()}
 
 
-@pytest.mark.parametrize("failing", ONE_FAILING_CHECK)
-def test_a_failed_mask_raises_the_value_type_error(monkeypatch, failing):
+def _sum_tol_below(monkeypatch, failing):
+    """The target, r2 and witness of ``ONE_FAILING_CHECK[failing]``, with
+    SUM_TOL set to the largest deviation of the other four sums."""
     build, r2 = ONE_FAILING_CHECK[failing]
     target = build()
     witness = _reference_witness(target, r2, marginal_rank(target))
@@ -240,6 +241,12 @@ def test_a_failed_mask_raises_the_value_type_error(monkeypatch, failing):
     sum_tol = max(d for name, d in deviations.items() if name != failing)
     assert deviations[failing] > sum_tol
     monkeypatch.setattr(model, "SUM_TOL", sum_tol)
+    return target, r2, witness
+
+
+@pytest.mark.parametrize("failing", ["p1", "a", "b"])
+def test_a_failed_mask_raises_the_value_type_error(monkeypatch, failing):
+    target, r2, witness = _sum_tol_below(monkeypatch, failing)
     with pytest.raises(InvalidParameter) as expected:
         marginal_13(joint_from_chain(ChainParams(
             witness.shape, witness.p1, witness.a, witness.b)))
@@ -248,6 +255,20 @@ def test_a_failed_mask_raises_the_value_type_error(monkeypatch, failing):
         consistency_check(target, r2)
     assert str(raised.value) == str(expected.value)
     assert counts["_checked"] == 0      # no witness before the masks pass
+
+
+@pytest.mark.parametrize("past", ["joint", "marginal"])
+def test_table_sums_past_sum_tol_are_accepted_as_by_the_value_types(
+        monkeypatch, past):
+    # a chain's tables are built from its checked rows and not checked
+    # again: the value types accept the witness whatever its joint or
+    # marginal sums to, and consistency_check reports the same bits
+    target, r2, witness = _sum_tol_below(monkeypatch, past)
+    marginal_13(joint_from_chain(ChainParams(
+        witness.shape, witness.p1, witness.a, witness.b)))     # raises nothing
+    expected = _reference_verdict(target, r2)
+    assert expected is not None
+    _assert_as_reference(target, r2, expected)
 
 
 # ---------------------------------------------------------------- rank bound

@@ -289,31 +289,60 @@ def test_orbit_rank_falls_short_of_fiber_between_r1_and_r3(shape, orbit):
         assert fiber_dimension(params) == orbit == dims(params.shape).fiber - gap
 
 
+def tangent_rank(params):
+    """The rank of the orbit's tangent map M -> (-a M, M b), one row per
+    basis matrix M = e_j (e_l - e_last)^T of the zero-row-sum space."""
+    from latentgeom.model import _numerical_rank
+    r2 = params.shape.r2
+    rows = []
+    for j in range(r2):
+        for l in range(r2 - 1):
+            m = np.zeros((r2, r2))
+            m[j, l], m[j, r2 - 1] = 1.0, -1.0
+            rows.append(np.concatenate([(-params.a @ m).ravel(),
+                                        (m @ params.b).ravel()]))
+    return _numerical_rank(np.vstack(rows))[0]
+
+
 @pytest.mark.parametrize("shape", [(3, 2, 3), (4, 3, 4), (2, 4, 3),
                                    (6, 5, 7)])
-def test_fiber_dimension_rows_equal_loop_reference(monkeypatch, shape):
-    from latentgeom import fiber
-
-    def loop_rows(params):
-        r2 = params.shape.r2
-        rows = []
-        for j in range(r2):
-            for l in range(r2 - 1):
-                m = np.zeros((r2, r2))
-                m[j, l], m[j, r2 - 1] = 1.0, -1.0
-                rows.append(np.concatenate([(-params.a @ m).ravel(),
-                                            (m @ params.b).ravel()]))
-        return np.vstack(rows)
-
-    seen = []
-    real = fiber._numerical_rank
-    monkeypatch.setattr(fiber, "_numerical_rank",
-                        lambda rows: seen.append(rows) or real(rows))
+def test_fiber_dimension_rows_equal_loop_reference(shape):
     for seed in range(3):
         params = seeded_chain(shape, 450 + seed)
-        rank = fiber_dimension(params)
-        assert np.array_equal(seen[-1], loop_rows(params))
-        assert rank == real(loop_rows(params))[0]
+        assert fiber_dimension(params) == tangent_rank(params)
+
+
+def _repeat_rows(rows, distinct):
+    """``rows`` with every row past the first ``distinct`` a copy of one of
+    them, renormalised: rank at most ``distinct``."""
+    rows = rows.copy()
+    rows[distinct:] = rows[np.arange(distinct, len(rows)) % distinct]
+    return rows / rows.sum(axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("kind", ["generic", "equal rows in a", "equal rows in b"])
+def test_fiber_dimension_is_the_tangent_rank_on_every_small_shape(kind):
+    # every shape with sides 2..7, the between case min(r1, r3) < r2 <
+    # max(r1, r3) among them; equal rows make a or b exactly rank-deficient
+    import itertools
+    between = kernels = 0
+    for seed, shape in enumerate(itertools.product(range(2, 8), repeat=3)):
+        params = seeded_chain(shape, 9100 + seed)
+        rng = np.random.default_rng(seed)
+        r1, r2, r3 = shape
+        if kind == "equal rows in a":
+            params = ChainParams(params.shape, params.p1, _repeat_rows(
+                params.a, int(rng.integers(1, r1))), params.b)
+        elif kind == "equal rows in b":
+            params = ChainParams(params.shape, params.p1, params.a,
+                                 _repeat_rows(params.b, int(rng.integers(1, r2))))
+        kernel = (r2 - np.linalg.matrix_rank(params.a)) * (
+            r2 - np.linalg.matrix_rank(params.b))
+        assert fiber_dimension(params) == tangent_rank(params) == (
+            r2 * (r2 - 1) - kernel)
+        between += min(r1, r3) < r2 < max(r1, r3)
+        kernels += kernel > 0
+    assert between and kernels
 
 
 def test_fiber_dimension_boundary_and_one_sided():

@@ -20,9 +20,12 @@ from latentgeom import (
     dims,
     jacobian_rank,
     joint_from_chain,
+    loglik,
     marginal_13,
+    merge,
+    split,
 )
-from latentgeom.model import RANK_CUTOFF
+from latentgeom.model import RANK_CUTOFF, SUM_TOL
 from conftest import pushed_chain, seeded_chain, seeded_joint
 
 SWEEP = [(r1, r2, r3) for r1 in range(2, 7) for r2 in range(2, 7)
@@ -173,9 +176,41 @@ def test_chain_params_validates_rows():
 
 
 def test_values_are_frozen():
+    # the computed tables too: float64, read-only and owning their cells
     params = seeded_chain((2, 2, 2), 0)
-    with pytest.raises(ValueError):
-        params.a[0, 0] = 0.5
+    joint = joint_from_chain(params)
+    marginal, lambdas = split(joint)
+    for values in (params.a, joint.cells, marginal_13(joint).cells,
+                   merge(marginal, lambdas).cells):
+        assert values.dtype == np.float64 and values.flags.owndata
+        with pytest.raises(ValueError):
+            values[(0,) * values.ndim] = 0.5
+
+
+#: a row that passes SUM_TOL with most of it to spare
+EDGE_ROW = [0.5, 0.5 + 0.9e-12]
+
+
+def test_tables_of_checked_rows_are_not_checked_again():
+    # every row of this chain sums to 1 within SUM_TOL, and its joint, their
+    # product, to 1 + 2.7e-12: a table of checked rows is accepted
+    params = ChainParams(Shape(2, 2, 2), EDGE_ROW, [EDGE_ROW] * 2,
+                         [EDGE_ROW] * 2)
+    joint = joint_from_chain(params)
+    assert abs(joint.cells.sum() - 1.0) > 2 * SUM_TOL
+    assert np.array_equal(
+        joint.cells, np.einsum("i,ij,jk->ijk", params.p1, params.a, params.b))
+    counts = CountTable((2, 2), [[3, 1], [2, 4]])
+    assert loglik(counts, params) == pytest.approx(10 * np.log(0.25))
+
+
+def test_merge_accepts_checked_factors_at_the_sum_edge():
+    marginal = MarginalTable((2, 2), [[0.25, 0.25], [0.25, 0.25 + 0.9e-12]])
+    lambdas = LambdaField(Shape(2, 2, 2), np.array([[EDGE_ROW] * 2] * 2))
+    joint = merge(marginal, lambdas)
+    assert abs(joint.cells.sum() - 1.0) > SUM_TOL
+    assert np.array_equal(joint.cells, (marginal.cells[:, :, None]
+                                        * lambdas.values).transpose(0, 2, 1))
 
 
 # ---------------------------------------------------------------- forward map
