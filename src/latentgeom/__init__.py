@@ -24,7 +24,7 @@ _EXPORTS = {
     "errors": (
         "BoundaryPoint", "GeometryError", "InvalidMixing", "InvalidParameter",
         "NoRealSolution", "OffVariety", "OutOfUnitBox", "PathExitsPolytope",
-        "RejectionStall", "SingularDenominator", "SingularMixing", "ZeroCell",
+        "SingularDenominator", "SingularMixing", "ZeroCell",
     ),
     "fiber": (
         "ExtremeMixing", "MixingMatrix", "RhoPiBounds", "apply_mixing",

@@ -55,7 +55,7 @@ class SingularDenominator(GeometryError):
 class InvalidMixing(GeometryError):
     """A mixing matrix maps the parameters outside the validity polytope."""
 
-    def __init__(self, matrix: str, index: tuple[int, int], value: float):
+    def __init__(self, matrix: str, index: tuple[int, ...], value: float):
         self.matrix = matrix
         self.index = index
         self.value = value
@@ -82,4 +82,4 @@ class PathExitsPolytope(GeometryError):
 
 
 class RejectionStall(UserWarning):
-    """Fiber rejection sampling fell below the acceptance floor; partial output."""
+    """Never issued: :func:`~latentgeom.fiber.sample_fiber` does not reject."""

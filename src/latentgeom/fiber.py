@@ -6,7 +6,8 @@ marginal exactly unchanged.  Matrices keeping (a', b') entrywise
 nonnegative form the validity polytope; for r2 = 2 it is described in
 closed form by the (pi, rho) parametrisation with rows (pi, 1 - pi) and
 (rho, 1 - rho).  Pushing (pi, rho) to the polytope corners produces the
-maximally informative boundary representations with structural zeros.  The
+maximally informative boundary representations with structural zeros;
+:func:`sample_fiber` moves along exact chords of rank-one mixings.  The
 tangent rank of the action at the identity is the dimension of the orbit,
 which fills the fiber (``dims(...).fiber``) unless
 min(r1, r3) < r2 < max(r1, r3); see :func:`fiber_dimension`.
@@ -24,7 +25,6 @@ from .errors import (
     BoundaryPoint,
     InvalidMixing,
     InvalidParameter,
-    RejectionStall,
     SingularMixing,
 )
 from . import model
@@ -42,13 +42,8 @@ from .model import (
 )
 from .shapes import _check_count
 
-#: the fewest proposals :func:`sample_fiber` draws at once
-_BLOCK = 8
-#: the most proposals :func:`sample_fiber` draws at once, and so the longest
-#: path :func:`_walk` checks in one kernel call
+#: the most points :func:`sample_fiber` moves at once
 _DRAWS = 1024
-#: step-size factor of :func:`sample_fiber` after a rejection
-_SHRINK = 2.0 ** (-1.0 / 3.0)
 
 
 @dataclass(frozen=True)
@@ -172,7 +167,7 @@ def _clamp_rows(name: str, rows: np.ndarray) -> np.ndarray:
 
 def _points(params: ChainParams, a: np.ndarray, b: np.ndarray) -> list[ChainParams]:
     """The points (params.p1, a[k], b[k]) for stacks of rows ``a`` and ``b``
-    that :func:`_snap` built from kernel results that passed the clamp test.
+    that :func:`_snap` built from rows that passed the clamp test.
 
     Equal to ``ChainParams(params.shape, params.p1, a[k], b[k])``, but they
     share ``params.shape`` and the frozen ``params.p1``, freeze ``a`` and
@@ -207,10 +202,9 @@ def apply_mixing(params: ChainParams, q: MixingMatrix) -> ChainParams:
     [-CLAMP_EPS, 0) are snapped to exact zero and the row renormalised; larger
     negativity means q left the validity polytope and raises
     :class:`InvalidMixing` with the most violated entry.  This is the
-    stacked kernel behind :func:`sample_fiber` and
-    :func:`~latentgeom.likelihood.profile_along_fiber` run on a stack of
-    one, so all three give the same bits for the same q.  A singular q
-    never gets here: :class:`MixingMatrix` rejects it.
+    stacked kernel of :func:`~latentgeom.likelihood.profile_along_fiber` on
+    a stack of one, so both give the same bits for the same q.  A singular
+    q never gets here: :class:`MixingMatrix` rejects it.
     """
     r2 = params.shape.r2
     if q.size != r2:
@@ -346,111 +340,56 @@ def extreme_mixings(params: ChainParams, side: str = "a") -> list[ExtremeMixing]
     ]
 
 
-def _exits(params: ChainParams, draws: np.ndarray) -> np.ndarray:
-    """The verdicts :func:`_walk` predicts for each direction M of ``draws``:
-    rows (exit, lo, hi), where q = I + t M is predicted valid for t < exit or
-    lo <= t <= hi.  The forms a (I + t C) + CLAMP_EPS (1 + t tr M)
-    (C = tr(M) I - M is the t-term of adj q), 1 + t tr M - DET_EPS and the
-    exact b + t M b + CLAMP_EPS are each c (1 + t s), c > 0, with a root
-    t = -1 / s for s < 0 (inf for s >= 0); exit is the least root.  The
-    first two are first order in t, and exact at r2 = 2, where
-    det q = 1 + t tr M as det M = 0.  There the branch det q < -DET_EPS is
-    valid too, where every a-side form is <= 0 and every b-side form >= 0:
-    from lo, the largest root of the a-side forms and of 1 + t tr M + DET_EPS,
-    to hi, the least b-side root.  For r2 >= 3, lo = hi = inf."""
-    count, r2 = draws.shape[:2]
-    trace = np.trace(draws, axis1=1, axis2=2)[:, None, None]
-    a_side = ((params.a @ (trace * np.eye(r2) - draws) + CLAMP_EPS * trace)
-              / (params.a + CLAMP_EPS)).reshape(count, -1)
-    b_side = (draws @ params.b / (params.b + CLAMP_EPS)).reshape(count, -1)
-    # the root of a slope is monotone in it: the least root is that of the
-    # least slope, the largest that of the largest
-    slopes = np.zeros((3, count))
-    slopes[0] = np.concatenate([a_side, b_side, trace[:, 0] / (1.0 - DET_EPS)],
-                               axis=1).min(axis=1)
-    if r2 == 2:
-        slopes[1] = np.concatenate([a_side, trace[:, 0] / (1.0 + DET_EPS)],
-                                   axis=1).max(axis=1)
-        slopes[2] = b_side.min(axis=1)
-    with np.errstate(divide="ignore"):
-        return np.where(slopes < 0.0, -1.0 / slopes, np.inf).T
+def _move(a: np.ndarray, b: np.ndarray, w: np.ndarray, j: int, u: np.ndarray) -> None:
+    """Move each point (a[k], b[k]) of the stack in place by q = I + t e_j w[k]^T,
+    t the fraction u[k] of the way along its exact chord.
 
-
-def _walk(params: ChainParams, n: int, rng: np.random.Generator,
-          cap: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """:func:`sample_fiber`'s walk: returns the unclamped a' and b' of the
-    accepted proposals and the attempt count.  It accepts a step where
-    :func:`_exits` predicts a valid q, checks that path in one kernel call
-    and keeps it up to the first verdict the kernel overrules, or raises at
-    a bad q.  A path no longer than twice the stretch last kept, or 8
-    blocks, bounds the kernel work a misprediction wastes."""
-    r2 = params.shape.r2
-    rows = [(np.empty((0, *params.a.shape)), np.empty((0, *params.b.shape)))]
-    t, got, attempts, exits, span = 0.5, 0, 0, [], _DRAWS
-    while got < n and attempts < cap:
-        if not exits:
-            # about what the rest needs at the walk's 25% acceptance
-            size = min(5 * (n - got) + _BLOCK, _DRAWS)
-            draws = rng.standard_normal((size, r2, r2))
-            draws -= draws.mean(axis=2, keepdims=True)
-            exits = _exits(params, draws).tolist()
-        steps, guesses, ahead = [], [], got
-        for exit_t, lo, hi in exits[:min(span, cap - attempts)]:
-            steps.append(t)
-            guesses.append(ok := t < exit_t or lo <= t <= hi)
-            t = min(t * 2.0, 4.0) if ok else max(t * _SHRINK, 1e-8)
-            if ok and (ahead := ahead + 1) == n:
-                break
-        qs = np.eye(r2) + (np.array(steps)[:, None, None]
-                           * draws[:len(steps)])
-        mixed = _mix(params, qs)
-        wrong = np.flatnonzero((mixed.valid != guesses) | mixed.bad)
-        used = int(wrong[0]) + 1 if wrong.size else len(steps)
-        if mixed.bad[used - 1]:
-            MixingMatrix(qs[used - 1])    # raises the InvalidParameter
-        keep = mixed.valid[:used]
-        rows.append((mixed.a[:used][keep], mixed.b[:used][keep]))
-        t = steps[used - 1]
-        t = min(t * 2.0, 4.0) if keep[-1] else max(t * _SHRINK, 1e-8)
-        got += int(np.count_nonzero(keep))
-        attempts += used
-        span = max(2 * used, 8 * _BLOCK)
-        draws, exits = draws[used:], exits[used:]
-    a, b = zip(*rows)
-    return np.concatenate(a), np.concatenate(b), attempts
+    w 1 = 0 keeps q 1 = 1.  By Sherman-Morrison a q^{-1} = (a + t S) /
+    (1 + t w_j), S = w_j a - a[:, j] w^T; q b moves row j to b[j] + t w^T b.
+    An entry c + t d of these numerators is >= 0 on one side of -1 / (d / c)
+    (of 0 if rounding left c at 0), and column j of S is 0, so the chord
+    keeps 1 + t w_j > 0.  Slopes -+DET_EPS cut a chord nothing else bounds
+    (equal rows of b) at |t| = 1 / DET_EPS.  Scaling row j of b to sum 1 and
+    column j of a by its sum keeps a b, and row-sum rounding from growing.
+    """
+    step = a * w[:, j, None, None] - a[:, :, j, None] * w[:, None, :]
+    shift = (w[:, :, None] * b).sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slopes = np.concatenate([(step / a).reshape(len(a), -1), shift / b[:, j],
+                                 np.broadcast_to([-DET_EPS, DET_EPS], (len(a), 2))], 1)
+    lo, hi = -1.0 / slopes.max(axis=1), -1.0 / slopes.min(axis=1)
+    t = lo + u * (hi - lo)
+    a[...] = (a + t[:, None, None] * step) / (1.0 + t * w[:, j])[:, None, None]
+    b[:, j] += t[:, None] * shift
+    sums = b[:, j].sum(axis=1, keepdims=True)
+    b[:, j] /= sums
+    a[:, :, j] *= sums
 
 
 def sample_fiber(params: ChainParams, n: int, seed: int = 0) -> list[ChainParams]:
-    """Draw n points of the fiber through ``params`` by rejection.
+    """Draw n points of the fiber through ``params``, without rejection.
 
-    Proposals are q = I + t M with M a seeded standard-normal matrix
-    recentred to zero row sums; t adapts towards roughly 25% acceptance
-    (doubled on acceptance, shrunk by 2^(-1/3) on rejection).  If fewer
-    than n points are accepted within the cap of max(200, 100 n) attempts,
-    a :class:`RejectionStall` warning reports the acceptance rate and the
-    accepted points are returned as-is.
-
-    One kernel call checks a whole path of predicted verdicts, and a
-    verdict the kernel overrules ends the path there.  The accepted rows
-    are snapped in one stack per factor, and the points, the attempt count,
-    the warning and any error are exactly those of one attempt at a time.
+    Each point takes one sweep of hit-and-run steps on exact chords (Smith
+    1984) from ``params``: :func:`_move` for j = 0 .. r2 - 1, with w standard
+    normal but for its last entry, minus the sum of the others, and u
+    uniform.  At r2 = 2 the moves set pi, then rho, uniform on the rectangle
+    ``[pi_min, u_hi] x [u_lo, rho_max]`` of :class:`RhoPiBounds`, the
+    identity's branch (``permute_latent`` gives the mirrored one).  For
+    r2 >= 3 the law is that of one sweep.  Points move in stacks of at most
+    ``_DRAWS``; a failed clamp test raises :class:`InvalidMixing`.
     """
     _check_count("n", n, 0)
     _check_count("seed", seed, 0)
     if params.min_entry <= 0.0:
         raise BoundaryPoint("fiber sampling requires interior parameters")
-    a, b, attempts = _walk(params, n, np.random.default_rng(seed),
-                           max(200, 100 * n))
-    # the accepted rows passed the clamp test: snapping is all that is left
-    out = _points(params, _snap(a), _snap(b))
-    if len(out) < n:
-        warnings.warn(
-            RejectionStall(
-                f"accepted {len(out)}/{n} fiber points in {attempts} attempts "
-                f"({len(out) / attempts:.1%} acceptance)"
-            )
-        )
-    return out
+    rng, r2 = np.random.default_rng(seed), params.shape.r2
+    a, b = np.repeat(params.a[None], n, axis=0), np.repeat(params.b[None], n, axis=0)
+    for start in range(0, n, _DRAWS):
+        w = rng.standard_normal((min(n - start, _DRAWS), r2, r2))
+        w[:, :, -1] = -w[:, :, :-1].sum(axis=2)
+        for j, u in enumerate(rng.random((len(w), r2)).T):
+            _move(a[start:start + _DRAWS], b[start:start + _DRAWS], w[:, j], j, u)
+    return _points(params, _clamp_rows("a", a), _clamp_rows("b", b)) if n else []
 
 
 def fiber_dimension(params: ChainParams) -> int:

@@ -29,11 +29,12 @@ SUM_TOL       1e-12   rounding   a given row or table sums to 1 within it; the
                                  forward map's within 3 SUM_TOL plus rounding
 CLAMP_EPS     1e-12   rounding   an entry this far past 0 or 1 is snapped or
                                  clipped, not refused; fiber._mix, _snap,
-                                 _clamp_rows, _exits, _outside_unit_box;
+                                 _clamp_rows, the clamp test of apply_mixing
+                                 and sample_fiber, _outside_unit_box;
                                  entries at or below it are 0 in the witness
                                  of _nested_polygon
 DET_EPS       1e-12   rounding   a divisor this small is 0; MixingMatrix,
-                                 fiber._mix, _exits, solve_fiber_323
+                                 fiber._mix, _move's chord cut, solve_fiber_323
 EM_SLACK      1e-12   rounding   a relative EM log-likelihood drop this small
                                  is no error; likelihood._em_batch
 _EPS          2**-52  rounding   float64 eps, the unit of derived bounds;
@@ -129,7 +130,7 @@ def _stochastic(rows: np.ndarray) -> np.ndarray:
     """Per member of a stack of row blocks (..., n, m): every row
     nonnegative and summing to 1 within ``SUM_TOL``; a NaN or an infinity
     fails.  The one probability-row test of the package: the value types
-    run it on a stack of one, the fiber walks and certifications on many."""
+    run it on a stack of one, profile paths and certifications on many."""
     # min and max propagate a NaN, which then fails the comparison; the
     # sums run over |rows|, equal to rows wherever the min test passes, so
     # that a row holding both infinities sums to inf, not with a warning to NaN

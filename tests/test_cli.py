@@ -740,14 +740,15 @@ def test_byte_identical_reruns(capsys, model_file, counts_file):
 
 
 #: stdout sha256 of the subcommands that print many floats, recorded before
-#: arrays, models and CSV rows were formatted through cached templates
+#: arrays, models and CSV rows were formatted through cached templates; the
+#: fiber points are those of the sampler's sweep of exact chords
 STDOUT_GOLDENS = {
     "fiber-323-n50": (
         ["fiber", "{model}", "--n", "50"],
-        "efa2c3a49a36c26e224a8eea94f90f204135899cab98bbabc15023894f543383"),
+        "3b2ad6376667f176114c43bfba6f2bf1ac119a555194358c6ed68df8f4920782"),
     "fiber-434-n10": (
         ["fiber", "{wide}", "--n", "10"],
-        "1e86d4d548a33ab6ccda9381250fd3f4620097da0eb67ed8e1532afd10955cb4"),
+        "c519c7966a5add45992271719df18f6f457297e9dd440f9bdb1d68e3cd0b567f"),
     "vertices": (
         ["vertices", "{model}"],
         "3f0b1307abc41854bd11654a8338e8eb063098e7bdc1e02985f523a46b3ff47a"),

@@ -7,7 +7,6 @@ from latentgeom import (
     InvalidMixing,
     InvalidParameter,
     MixingMatrix,
-    RejectionStall,
     Shape,
     SingularMixing,
     apply_mixing,
@@ -238,19 +237,71 @@ def test_sample_fiber_deterministic():
         assert np.array_equal(x.a, y.a) and np.array_equal(x.b, y.b)
 
 
-def test_sample_fiber_stall_warns_and_returns_partial(monkeypatch):
-    # the adaptive step keeps interior models from stalling, so force
-    # rejection to exercise the reporting path: with CLAMP_EPS = -1 the
-    # clamp test rejects any a' with an entry below 1
+def test_sample_fiber_clamp_failure_raises_without_a_warning(monkeypatch):
+    # no chain fails the clamp test, so force it: with CLAMP_EPS = -1 the
+    # test refuses any a' with an entry below 1, and the sample is an
+    # error, never a short list
+    import warnings
+
     import latentgeom.fiber as fiber_mod
 
     monkeypatch.setattr(fiber_mod, "CLAMP_EPS", -1.0)
     params = seeded_chain((2, 2, 2), 10)
-    with pytest.warns(RejectionStall) as record:
-        points = fiber_mod.sample_fiber(params, 5, seed=1)
-    assert points == []
-    # every attempt up to the cap of max(200, 100 n) was made
-    assert "accepted 0/5 fiber points in 500 attempts" in str(record[0].message)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(InvalidMixing) as err:
+            fiber_mod.sample_fiber(params, 5, seed=1)
+    assert caught == []
+    assert err.value.matrix == "a" and err.value.value >= 0.0
+
+
+def test_sample_fiber_past_one_stack_returns_every_point(monkeypatch):
+    # points move in stacks of at most _DRAWS: n = _DRAWS + 3 takes a full
+    # stack and a stack of 3, and every point is valid
+    import latentgeom.fiber as fiber_mod
+
+    stacks = []
+    real = fiber_mod._move
+    monkeypatch.setattr(fiber_mod, "_move", lambda a, b, w, j, u:
+                        stacks.append(len(a)) or real(a, b, w, j, u))
+    params = seeded_chain((4, 3, 5), 12)
+    n = fiber_mod._DRAWS + 3
+    points = sample_fiber(params, n, seed=12)
+    assert len(points) == n
+    assert stacks == [fiber_mod._DRAWS] * 3 + [3] * 3
+    base = marginal_of(params)
+    for moved in points:
+        assert moved.a.min() >= 0.0 and moved.b.min() >= 0.0
+        assert np.abs(marginal_of(moved) - base).max() < 1e-12
+    # the last stack draws its own directions
+    assert not np.array_equal(points[-1].b, points[-1 - fiber_mod._DRAWS].b)
+
+
+def test_sample_fiber_is_uniform_on_the_r2_2_rectangle():
+    # at r2 = 2 a sweep sets pi, then rho, of q = b' b^+ uniformly on the
+    # rectangle [pi_min, u_hi] x [u_lo, rho_max]: a chi-square test on a
+    # 5 x 5 grid of it, df = 24, against its 0.999 quantile 51.18
+    from latentgeom.fiber import _b_side_interval
+
+    params = seeded_chain((3, 2, 3), 30)
+    bounds = rho_pi_bounds(params)
+    u_lo, _, u_hi, _ = _b_side_interval(params.b)
+    points = sample_fiber(params, 20000, seed=30)
+    q = np.array([p.b for p in points]) @ np.linalg.pinv(params.b)
+    pi, rho = q[:, 0, 0], q[:, 1, 0]
+    assert (pi >= bounds.pi_min - 1e-9).all() and (pi <= u_hi + 1e-9).all()
+    assert (rho >= u_lo - 1e-9).all() and (rho <= bounds.rho_max + 1e-9).all()
+
+    def chi_square(pi, rho):
+        counts, _, _ = np.histogram2d(pi, rho, bins=5, range=[
+            [bounds.pi_min, u_hi], [u_lo, bounds.rho_max]])
+        expected = len(pi) / 25
+        return ((counts - expected) ** 2 / expected).sum()
+
+    assert chi_square(pi, rho) < 51.18
+    # a law that squeezes either side by 5% fails the same test
+    assert chi_square(pi.min() + 0.95 * (pi - pi.min()), rho) > 51.18
+    assert chi_square(pi, rho.min() + 0.95 * (rho - rho.min())) > 51.18
 
 
 # ---------------------------------------------------------------- orbit rank

@@ -1,11 +1,13 @@
-"""The stacked mixing kernel against the serial fiber walks it replaced.
+"""The stacked fiber kernels against serial references.
 
-``serial_sample_fiber`` proposes one attempt at a time and
-``serial_profile_along_fiber`` evaluates one step at a time, both with the
-serial ``apply_mixing`` arithmetic (a determinant, then the analytic inverse
-for r2 = 2 or one ``solve``, then the clamp).  The library's stacked walks
-must match them bit for bit: the same points, the same trace, the same
-prefix and ``exit_t``, the same warnings and the same errors.
+``serial_profile_along_fiber`` evaluates one step at a time with the serial
+``apply_mixing`` arithmetic (a determinant, then the analytic inverse for
+r2 = 2 or one ``solve``, then the clamp), and the library's stacked walk must
+match it bit for bit: the same trace, the same prefix and ``exit_t``, the
+same warnings and the same errors.  ``serial_sweep`` moves one point
+at a time, one chord at a time: it finds each chord from its constraints
+one by one and applies the move as a :class:`MixingMatrix`, and
+``sample_fiber`` must give its points to rounding.
 """
 
 import warnings
@@ -20,7 +22,6 @@ from latentgeom import (
     InvalidParameter,
     MixingMatrix,
     PathExitsPolytope,
-    RejectionStall,
     Shape,
     SingularMixing,
     apply_mixing,
@@ -33,9 +34,10 @@ from latentgeom import (
 )
 from latentgeom import fiber
 from latentgeom.fiber import CLAMP_EPS, DET_EPS
+from latentgeom.model import SUM_TOL
 
 pytest.importorskip("hypothesis")
-from hypothesis import example, given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
 SEEDS = st.integers(0, 2 ** 32 - 1)
 
@@ -72,31 +74,42 @@ def serial_apply_mixing(params, q):
                        serial_clamp_rows("b", b_new))
 
 
-def serial_sample_fiber(params, n, seed=0, steps_seen=None):
-    """One attempt at a time; ``steps_seen`` collects every step size t."""
-    r2 = params.shape.r2
+def serial_chord(params, w, j):
+    """The t for which q = I + t e_j w^T keeps a q^{-1} and q b
+    nonnegative and det q > 0, each constraint c + t d >= 0 on its own; the
+    cut at |t| = 1 / DET_EPS bounds a chord that nothing else does."""
+    a, b = params.a, params.b
+    constraints = [(1.0, w[j])]
+    constraints += [(a[i, k], a[i, k] * w[j] - a[i, j] * w[k])
+                    for i in range(len(a)) for k in range(len(w))]
+    constraints += [(b[j, k], w @ b[:, k]) for k in range(b.shape[1])]
+    lo, hi = -1.0 / DET_EPS, 1.0 / DET_EPS
+    for c, d in constraints:
+        if d > 0.0:
+            lo = max(lo, -c / d)
+        elif d < 0.0:
+            hi = min(hi, -c / d)
+    return lo, hi
+
+
+def serial_sweep(params, n, seed=0):
+    """One point at a time, one chord at a time, each move through
+    ``apply_mixing``; the draws are those of ``sample_fiber``."""
     rng = np.random.default_rng(seed)
-    eye = np.eye(r2)
+    r2 = params.shape.r2
     out = []
-    t = 0.5
-    cap = max(200, 100 * n)
-    attempts = 0
-    while len(out) < n and attempts < cap:
-        attempts += 1
-        if steps_seen is not None:
-            steps_seen.append(t)
-        m = rng.standard_normal((r2, r2))
-        m -= m.mean(axis=1, keepdims=True)
-        try:
-            q = MixingMatrix(eye + t * m)
-            out.append(serial_apply_mixing(params, q))
-            t = min(t * 2.0, 4.0)
-        except (SingularMixing, InvalidMixing):
-            t = max(t * 2.0 ** (-1.0 / 3.0), 1e-8)
-    if len(out) < n:
-        warnings.warn(RejectionStall(
-            f"accepted {len(out)}/{n} fiber points in {attempts} attempts "
-            f"({len(out) / attempts:.1%} acceptance)"))
+    for start in range(0, n, fiber._DRAWS):
+        w = rng.standard_normal((min(n - start, fiber._DRAWS), r2, r2))
+        w[:, :, -1] = -w[:, :, :-1].sum(axis=2)
+        u = rng.random((len(w), r2))
+        for k in range(len(w)):
+            point = params
+            for j in range(r2):
+                lo, hi = serial_chord(point, w[k, j], j)
+                q = np.eye(r2)
+                q[j] += (lo + u[k, j] * (hi - lo)) * w[k, j]
+                point = apply_mixing(point, MixingMatrix(q))
+            out.append(point)
     return out
 
 
@@ -140,15 +153,19 @@ def bits(values):
     return np.asarray(values, dtype=float).tobytes()
 
 
-def sample_outcome(fn, params, n, seed):
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
-            points = fn(params, n, seed=seed)
-        except InvalidParameter as exc:
-            return ("error", str(exc))
-    return ([(bits(p.p1), bits(p.a), bits(p.b)) for p in points],
-            [(w.category, str(w.message)) for w in caught])
+def sample_outcome(params, n, seed):
+    """The points of ``sample_fiber``, which must issue no warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return sample_fiber(params, n, seed=seed)
+
+
+def assert_points_close(ours, theirs):
+    assert len(ours) == len(theirs)
+    for x, y in zip(ours, theirs):
+        assert np.array_equal(x.p1, y.p1)
+        assert np.abs(x.a - y.a).max() < 1e-12
+        assert np.abs(x.b - y.b).max() < 1e-12
 
 
 def profile_outcome(fn, counts, params, q_end, steps):
@@ -222,15 +239,15 @@ SHAPES = dict(r1=st.integers(2, 8), r2=st.integers(2, 5), r3=st.integers(2, 8))
 # ------------------------------------------------------------ sample_fiber
 
 @settings(max_examples=60, deadline=None)
-@given(**SHAPES, n=st.integers(0, 60), seed=SEEDS)
+@given(**SHAPES, n=st.integers(0, 12), seed=SEEDS)
 # the cli's fiber command samples 50 points of a 3 x 2 x 3 chain
 @example(r1=3, r2=2, r3=3, n=50, seed=0)
 @example(r1=3, r2=2, r3=3, n=50, seed=2 ** 32 - 1)
 def test_sample_fiber_matches_serial(r1, r2, r3, n, seed):
     params = random_chain(Shape(r1, r2, r3), np.random.default_rng(seed),
                           min_entry=1e-3)
-    assert (sample_outcome(sample_fiber, params, n, seed)
-            == sample_outcome(serial_sample_fiber, params, n, seed))
+    assert_points_close(sample_outcome(params, n, seed),
+                        serial_sweep(params, n, seed))
 
 
 @settings(max_examples=40, deadline=None)
@@ -239,88 +256,95 @@ def test_sample_fiber_matches_serial(r1, r2, r3, n, seed):
 def test_sample_fiber_near_boundary_matches_serial(r1, r2, r3, n, seed, floor):
     params = near_boundary_chain((r1, r2, r3), np.random.default_rng(seed),
                                  floor)
-    assert (sample_outcome(sample_fiber, params, n, seed)
-            == sample_outcome(serial_sample_fiber, params, n, seed))
+    # rows of b pinned alike are all equal, and then rounding alone sets
+    # where each move goes on chords up to 2e12 long: the rows-of-b test
+    # below checks that those points are valid all the same
+    assume(np.ptp(params.b, axis=0).max() > 1e-3)
+    assert_points_close(sample_outcome(params, n, seed),
+                        serial_sweep(params, n, seed))
 
 
-def flat_chain(shape, rng):
-    """A chain with identical rows in a and in b: q b = b for every q, so
-    large steps are often accepted."""
-    params = random_chain(Shape(*shape), rng, min_entry=0.05)
-    r1, r2, _ = shape
-    return ChainParams(params.shape, params.p1, np.tile(params.a[0], (r1, 1)),
-                       np.tile(params.b[0], (r2, 1)))
+def marginal(params):
+    return (params.p1[:, None] * params.a) @ params.b
 
 
-def test_sample_fiber_reaches_step_floor_cap_and_attempt_cap():
-    # the schedule's edges, at r2 = 2 and r2 = 3: t pinned at its 1e-8 floor by
-    # a chain near the boundary, t at its cap of 4 on a flat chain, and the
-    # attempt cap with a stall
-    edges = set()
-    for seed in range(6):
-        rng = np.random.default_rng(seed)
-        flat = flat_chain((3, 2, 3), rng)
-        near = near_boundary_chain((5, 3, 5), rng, 1e-13)
-        near_binary = near_boundary_chain(
-            (3, 2, 3), np.random.default_rng(100 + seed), 1e-13)
-        flat_3 = flat_chain((3, 3, 3), np.random.default_rng(200 + seed))
-        for params in (near, flat, near_binary, flat_3):
-            seen = []
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                serial_sample_fiber(params, 10, seed=seed, steps_seen=seen)
-            r2 = params.shape.r2
-            edges |= {("floor", r2)} if 1e-8 in seen else set()
-            edges |= {("cap", r2)} if 4.0 in seen else set()
-            edges |= {("stall", r2)} if caught else set()
-            assert (sample_outcome(sample_fiber, params, 10, seed)
-                    == sample_outcome(serial_sample_fiber, params, 10, seed))
-    assert {("floor", 2), ("floor", 3), ("cap", 2), ("cap", 3), ("stall", 2),
-            ("stall", 3)} <= edges
+#: shapes where r2 > min(r1, r3), where the rows of a or of b are dependent
+DEPENDENT_SHAPES = [(5, 3, 2), (2, 5, 2), (6, 4, 3), (3, 4, 6)]
 
 
-def row_sum_cases():
-    return [(random_chain(Shape(r1, r2, r1), np.random.default_rng(seed),
-                          min_entry=0.02), seed)
-            for seed, (r1, r2) in enumerate([(3, 2), (4, 3), (6, 4), (5, 5)])]
+@settings(max_examples=60, deadline=None)
+@given(shape=st.sampled_from(DEPENDENT_SHAPES) | st.tuples(*SHAPES.values()),
+       n=st.integers(0, 40), seed=SEEDS,
+       floor=st.sampled_from([1e-3, 1e-7, 1e-13]))
+def test_sample_fiber_keeps_the_marginal(shape, n, seed, floor):
+    # exactly n points, on the fiber to rounding, nonnegative, fixed by the
+    # seed and with no warning, also where r2 exceeds r1 or r3
+    params = near_boundary_chain(shape, np.random.default_rng(seed), floor)
+    points = sample_outcome(params, n, seed)
+    assert len(points) == n
+    for point in points:
+        assert point.a.min() >= 0.0 and point.b.min() >= 0.0
+        assert np.abs(marginal(point) - marginal(params)).max() < 1e-12
+    again = sample_fiber(params, n, seed=seed)
+    assert [(bits(p.a), bits(p.b)) for p in points] == [
+        (bits(p.a), bits(p.b)) for p in again]
 
 
-def row_sum_errors(monkeypatch, sum_tol, cases):
-    """Check each case against the serial walk with ``fiber.SUM_TOL`` at
-    ``sum_tol``; returns how many of them raised."""
-    errors = 0
-    with monkeypatch.context() as patch:
-        patch.setattr(fiber, "SUM_TOL", sum_tol)
-        for params, seed in cases:
-            for n in (1, 5, 20):
-                ours = sample_outcome(sample_fiber, params, n, seed)
-                assert ours == sample_outcome(serial_sample_fiber, params, n,
-                                              seed)
-                errors += ours[0] == "error"
-    return errors
+@pytest.mark.parametrize("ties", ["equal", "one ulp"])
+@pytest.mark.parametrize("r2", [2, 3, 5])
+def test_sample_fiber_on_rows_of_b_that_do_not_bound_the_chord(r2, ties):
+    # rows of b all equal leave a chord that only the cut at 1 / DET_EPS
+    # bounds; rows one ulp apart give chords longer than the cut.  The points
+    # keep the marginal all the same: each move rescales row j of b to sum 1
+    rng = np.random.default_rng(r2)
+    params = random_chain(Shape(4, r2, 3), rng, min_entry=0.05)
+    b = np.tile(params.b[0], (r2, 1))
+    if ties == "one ulp":
+        b[0, 0] = np.nextafter(b[0, 0], 1.0)
+        b[0, 1] = np.nextafter(b[0, 1], 0.0)
+    params = ChainParams(params.shape, params.p1, params.a, b)
+    for point in sample_outcome(params, 200, r2):
+        assert point.a.min() >= 0.0 and point.b.min() >= 0.0
+        assert np.abs(marginal(point) - marginal(params)).max() < 1e-12
 
 
-@pytest.mark.parametrize("sum_tol", [-1.0, 1e-17])
-def test_sample_fiber_row_sum_errors_match_serial(monkeypatch, sum_tol):
-    # a row-sum tolerance below rounding makes MixingMatrix reject some
-    # proposals (all of them at -1) with InvalidParameter: the stacked walk
-    # must raise exactly where the serial one does, and not before
-    assert row_sum_errors(monkeypatch, sum_tol, row_sum_cases())
+@pytest.mark.parametrize("shape", [(3, 2, 3), (5, 2, 9), *DEPENDENT_SHAPES,
+                                   (10, 3, 10), (30, 5, 30)])
+def test_each_chord_end_puts_a_zero_in_a_or_b(shape):
+    # a move to either end of its chord, from interior points, drives an
+    # entry of a' or b' to 0 within CLAMP_EPS, and keeps the rest valid
+    rng = np.random.default_rng(sum(shape))
+    params = [random_chain(Shape(*shape), rng, min_entry=1e-3)
+              for _ in range(20)]
+    r2 = shape[1]
+    w = rng.standard_normal((20, r2))
+    w[:, -1] = -w[:, :-1].sum(axis=1)
+    for j in range(r2):
+        for end in (0.0, 1.0):
+            a = np.stack([p.a for p in params])
+            b = np.stack([p.b for p in params])
+            fiber._move(a, b, w, j, np.full(20, end))
+            lows = np.minimum(a.min(axis=(1, 2)), b.min(axis=(1, 2)))
+            assert (np.abs(lows) <= CLAMP_EPS).all()
+            for p, ak, bk in zip(params, a, b):
+                assert np.abs(ak.sum(axis=1) - 1.0).max() <= SUM_TOL
+                assert np.abs(bk.sum(axis=1) - 1.0).max() <= SUM_TOL
+                assert np.abs((p.p1[:, None] * ak) @ bk - marginal(p)).max() < 1e-12
 
 
-# ------------------------------------------------------------ predicted paths
+# ------------------------------------------------------------ kernel stacks
 
 @pytest.mark.parametrize("r2", [2, 3, 4, 5])
 def test_kernel_members_equal_their_stacks_of_one(r2):
-    # the walk runs the kernel on paths of up to _DRAWS attempts
-    # and keeps a prefix: each member must get the bits of a stack of one,
-    # valid, outside the polytope, singular or bad alike
+    # the profile runs the kernel on a stack of its steps: each member,
+    # up to a stack of _DRAWS, must get the bits of a stack of one, valid,
+    # outside the polytope, singular or bad alike
     rng = np.random.default_rng(r2)
     params = random_chain(Shape(int(rng.integers(2, 31)), r2,
                                 int(rng.integers(2, 31))), rng, min_entry=1e-3)
     m = rng.standard_normal((fiber._DRAWS, r2, r2))
     m -= m.mean(axis=2, keepdims=True)
-    # steps from 1e-4 to 4, the walk's cap
+    # steps from 1e-4 to 4
     qs = np.eye(r2) + 4.0 ** rng.uniform(-6.6, 1.0, (fiber._DRAWS, 1, 1)) * m
     qs[1::7] = np.full((r2, r2), 1.0 / r2)
     qs[2::11, 0, 0] += 1.0
@@ -337,57 +361,6 @@ def test_kernel_members_equal_their_stacks_of_one(r2):
     assert singular.any() and not mixed.valid[singular].any()
     assert mixed.valid.any() and mixed.bad.any()
     assert (~mixed.valid & ~mixed.bad & ~singular).any()
-
-
-@pytest.mark.parametrize("guess", ["accept", "reject", "random"])
-def test_sample_fiber_outcome_does_not_depend_on_the_exit_prediction(
-        monkeypatch, guess):
-    # every verdict that steers the walk is the kernel's, so a prediction
-    # that is always or randomly wrong costs kernel calls, never bits
-    rng = np.random.default_rng(18)
-    monkeypatch.setattr(fiber, "_exits", {
-        "accept": lambda params, draws: np.full((len(draws), 3), np.inf),
-        "reject": lambda params, draws: np.zeros((len(draws), 3)),
-        "random": lambda params, draws: rng.uniform(0.0, 4.0, (len(draws), 3)),
-    }[guess])
-    # (shape, floor of the near-boundary chain, or 0 for a plain one)
-    cases = [((4, 3, 5), 0), ((10, 3, 10), 1e-7), ((6, 4, 3), 0),
-             ((5, 5, 7), 1e-7), ((30, 5, 30), 0), ((3, 6, 4), 1e-7),
-             ((3, 2, 3), 0), ((4, 2, 3), 1e-13), ((12, 2, 7), 0),
-             ((5, 2, 9), 1e-7)]
-    for seed, (shape, floor) in enumerate(cases):
-        chain_rng = np.random.default_rng(seed)
-        params = (near_boundary_chain(shape, chain_rng, floor) if floor
-                  else random_chain(Shape(*shape), chain_rng, min_entry=1e-3))
-        for n in (0, 1, 10, 25):
-            assert (sample_outcome(sample_fiber, params, n, seed)
-                    == sample_outcome(serial_sample_fiber, params, n, seed))
-    for sum_tol in (-1.0, 1e-17):
-        assert row_sum_errors(monkeypatch, sum_tol, row_sum_cases())
-
-
-def test_walk_makes_one_kernel_call_for_a_typical_sample(monkeypatch):
-    # at 10 x 3 x 10 the predicted path of n = 10 holds up, so one kernel
-    # call serves the sample.  At 3 x 2 x 3 a path of n = 50 holds up too,
-    # as steps past det q = 0 are predicted on the branch det q < 0.  At
-    # n = 400 no stack exceeds _DRAWS, which bounds the memory of a large
-    # sample
-    stacks = []
-    real = fiber._mix
-    monkeypatch.setattr(fiber, "_mix",
-                        lambda p, qs: stacks.append(len(qs)) or real(p, qs))
-    binary = random_chain(Shape(3, 2, 3), np.random.default_rng(5),
-                          min_entry=0.02)
-    assert len(sample_fiber(binary, 50, seed=5)) == 50
-    assert len(stacks) == 1
-    stacks.clear()
-    params = random_chain(Shape(10, 3, 10), np.random.default_rng(0),
-                          min_entry=1e-3)
-    assert len(sample_fiber(params, 10, seed=0)) == 10
-    assert len(stacks) == 1
-    stacks.clear()
-    assert len(sample_fiber(params, 400, seed=1)) == 400
-    assert max(stacks) == fiber._DRAWS
 
 
 # ------------------------------------------------------------ profile_along_fiber
@@ -531,9 +504,7 @@ def test_fiber_points_equal_checked_chain_params(r1, r2, r3, seed, floor):
     # frozen, and shares the input's shape and p1
     rng = np.random.default_rng(seed)
     params = near_boundary_chain((r1, r2, r3), rng, floor)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RejectionStall)
-        points = sample_fiber(params, 5, seed=seed)
+    points = sample_outcome(params, 5, seed)
     m = rng.standard_normal((r2, r2))
     m -= m.mean(axis=1, keepdims=True)
     points.append(apply_mixing(

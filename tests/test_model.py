@@ -539,7 +539,7 @@ PUBLIC_NAMES = {
     "GeometryError", "InvalidMixing", "InvalidParameter", "JointTable",
     "LambdaField", "MarginalTable", "MixingMatrix", "NoRealSolution",
     "OffVariety", "OutOfUnitBox", "PathExitsPolytope", "ProfileTrace",
-    "RejectionStall", "RhoPiBounds", "Shape", "SingularDenominator",
+    "RhoPiBounds", "Shape", "SingularDenominator",
     "SingularMixing", "ZeroCell", "apply_mixing", "binary_fiber_solve",
     "binary_surface", "ci_residuals", "consistency_check", "cross_ratios",
     "degenerate_family_323", "diagonal_marginal", "dims", "em_fit_details",
