@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -62,10 +61,11 @@ class MixingMatrix:
         q = _reals(self.q, "entries of q must be real numbers")
         if q.ndim != 2 or q.shape[0] != q.shape[1] or q.shape[0] < 2:
             raise InvalidParameter(f"q must be square of size >= 2, got {q.shape}")
-        if not np.isfinite(q).all():
+        # a min and a max that a NaN or an infinity fails, then the row sums
+        if not -np.inf < np.minimum.reduce(q, None) <= np.maximum.reduce(q, None) < np.inf:
             raise InvalidParameter("q contains non-finite entries")
-        sums = q.sum(axis=1)
-        if (np.abs(sums - 1.0) > SUM_TOL).any():
+        sums = np.add.reduce(q, 1)
+        if not np.maximum.reduce(np.abs(sums - 1.0)) <= SUM_TOL:
             which = int(np.flatnonzero(np.abs(sums - 1.0) > SUM_TOL)[0])
             raise InvalidParameter(
                 f"row {which} of q sums to {float(sums[which])!r}, not 1"
@@ -93,58 +93,46 @@ class MixingMatrix:
         return float(np.linalg.det(self.q))
 
 
-class _Mixed(NamedTuple):
-    """The action of a stack of K mixing matrices, stack axis first.
+def _act(a: np.ndarray, b: np.ndarray, qs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The action (a q^{-1}, q b) of every matrix of the stack ``qs``
+    (K, r2, r2), each invertible, with the analytic inverse for r2 = 2 and
+    one LAPACK solve otherwise."""
+    if qs.shape[1] == 2:
+        # analytic inverse keeps boundary zeros exact: row i of a q^{-1}
+        # is ((a_i0 - rho)/(pi - rho), (pi - a_i0)/(pi - rho))
+        pi, rho = qs[:, 0, 0, None], qs[:, 1, 0, None]
+        col, spread = a[:, 0], pi - rho
+        moved = np.empty((len(qs), len(col), 2))
+        np.divide(col - rho, spread, out=moved[:, :, 0])
+        np.divide(pi - col, spread, out=moved[:, :, 1])
+    else:
+        moved = np.linalg.solve(qs.transpose(0, 2, 1), a.T).transpose(0, 2, 1)
+    return moved, qs @ b
 
-    ``a`` and ``b`` are a q^{-1} and q b before clamping.  ``bad`` marks a q
-    that :class:`MixingMatrix` rejects with :class:`InvalidParameter` (a
-    non-finite entry or a row sum off 1); ``valid`` marks a q with
-    |det| > DET_EPS whose action passes the clamp test of
-    :func:`_clamp_rows`.  A bad or singular q is replaced by the identity
-    before solving, so its ``a`` and ``b`` are placeholders.
+
+def _mix(params: ChainParams, qs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Apply every matrix of the stack ``qs`` (K, r2, r2) to ``params``:
+    a q^{-1} and q b before clamping, and the mask of each q that
+    :class:`MixingMatrix` accepts and whose action passes the clamp test of
+    :func:`_clamp_rows`; any other q acts as the identity, a placeholder.
+    Each member gets exactly the arithmetic of a stack of one, the same
+    determinant and :func:`_act`, whatever the other members are.
     """
-
-    a: np.ndarray       # (K, r1, r2)
-    b: np.ndarray       # (K, r2, r3)
-    bad: np.ndarray     # (K,)
-    valid: np.ndarray   # (K,)
-
-
-def _mix(params: ChainParams, qs: np.ndarray) -> _Mixed:
-    """Apply every matrix of the stack ``qs`` (K, r2, r2) to ``params``.
-
-    Each member gets exactly the arithmetic of a stack of one: the same
-    determinant, the same analytic inverse for r2 = 2 and the same LAPACK
-    solve otherwise, so results do not depend on the other members.
-    """
-    count, r2 = qs.shape[:2]
     # the placeholders may divide by zero where the serial checks would
     # have stopped first
     with np.errstate(divide="ignore", invalid="ignore"):
         # a non-finite entry makes its row sum non-finite, so one test
-        # covers both checks of MixingMatrix
-        bad = ~(np.abs(qs.sum(axis=2) - 1.0) <= SUM_TOL).all(axis=1)
-        det = np.linalg.det(qs)
-        invertible = ~bad & (np.abs(det) > DET_EPS)
+        # covers both checks of MixingMatrix before the determinant's
+        invertible = ((np.abs(qs.sum(axis=2) - 1.0) <= SUM_TOL).all(axis=1)
+                      & (np.abs(np.linalg.det(qs)) > DET_EPS))
         if not invertible.all():
-            qs = np.where(invertible[:, None, None], qs, np.eye(r2))
-        if r2 == 2:
-            # analytic inverse keeps boundary zeros exact: row i of a q^{-1}
-            # is ((a_i0 - rho)/(pi - rho), (pi - a_i0)/(pi - rho))
-            pi, rho = qs[:, 0, 0, None], qs[:, 1, 0, None]
-            col = params.a[:, 0]
-            a = np.empty((count, len(col), 2))
-            a[:, :, 0] = (col - rho) / (pi - rho)
-            a[:, :, 1] = (pi - col) / (pi - rho)
-        else:
-            a = np.linalg.solve(qs.transpose(0, 2, 1),
-                                params.a.T).transpose(0, 2, 1)
-        b = qs @ params.b
+            qs = np.where(invertible[:, None, None], qs, np.eye(qs.shape[1]))
+        a, b = _act(params.a, params.b, qs)
         # the clamp tests of a and b reject a worst entry below -CLAMP_EPS,
         # never a NaN, which fmin passes over
         valid = invertible & ~(np.fmin(a.min(axis=(1, 2)), b.min(axis=(1, 2)))
                                < -CLAMP_EPS)
-    return _Mixed(a, b, bad, valid)
+    return a, b, valid
 
 
 def _snap(rows: np.ndarray) -> np.ndarray:
@@ -157,17 +145,21 @@ def _snap(rows: np.ndarray) -> np.ndarray:
 
 
 def _clamp_rows(name: str, rows: np.ndarray) -> np.ndarray:
-    """Snap roundoff negatives to exact zero, reject real ones, renormalise."""
-    worst = float(rows.min())
+    """Snap roundoff negatives to exact zero, reject real ones, renormalise.
+    C-ordered rows above 0 skip :func:`_snap`'s copy, whose row sums they
+    share; other layouts may sum a long row in another order."""
+    worst = float(np.minimum.reduce(rows, None))
     if worst < -CLAMP_EPS:
         idx = tuple(int(x) for x in np.argwhere(rows == rows.min())[0])
         raise InvalidMixing(name, idx, worst)
+    if worst > 0.0 and rows.flags.c_contiguous:
+        return rows / np.add.reduce(rows, -1, keepdims=True)
     return _snap(rows)
 
 
 def _points(params: ChainParams, a: np.ndarray, b: np.ndarray) -> list[ChainParams]:
     """The points (params.p1, a[k], b[k]) for stacks of rows ``a`` and ``b``
-    that :func:`_snap` built from rows that passed the clamp test.
+    that :func:`_clamp_rows` built from rows that passed its test.
 
     Equal to ``ChainParams(params.shape, params.p1, a[k], b[k])``, but they
     share ``params.shape`` and the frozen ``params.p1``, freeze ``a`` and
@@ -187,7 +179,7 @@ def _points(params: ChainParams, a: np.ndarray, b: np.ndarray) -> list[ChainPara
     first point that fails one.
     """
     for rows in (a, b):
-        if not (abs(float(rows.sum()) - len(rows) * rows.shape[1]) <= 0.5
+        if not (abs(float(np.add.reduce(rows, None)) - len(rows) * rows.shape[1]) <= 0.5
                 and (rows.shape[2] + 1) * _EPS <= model.SUM_TOL):
             return [ChainParams(params.shape, params.p1, *ab) for ab in zip(a, b)]
     a.flags.writeable = b.flags.writeable = False
@@ -201,17 +193,17 @@ def apply_mixing(params: ChainParams, q: MixingMatrix) -> ChainParams:
     cancel inside the matrix product.  Entries of a' or b' in
     [-CLAMP_EPS, 0) are snapped to exact zero and the row renormalised; larger
     negativity means q left the validity polytope and raises
-    :class:`InvalidMixing` with the most violated entry.  This is the
-    stacked kernel of :func:`~latentgeom.likelihood.profile_along_fiber` on
-    a stack of one, so both give the same bits for the same q.  A singular
-    q never gets here: :class:`MixingMatrix` rejects it.
+    :class:`InvalidMixing` with the most violated entry.  The action is
+    :func:`_act` on a stack of one, as in the stacked :func:`_mix` of
+    :func:`~latentgeom.likelihood.profile_along_fiber`, so both give the
+    same bits for the same q; :class:`MixingMatrix` has proven q finite,
+    with unit row sums and |det| > DET_EPS, so nothing else is computed.
     """
     r2 = params.shape.r2
     if q.size != r2:
         raise InvalidParameter(f"q is {q.size} x {q.size}, model has r2 = {r2}")
-    mixed = _mix(params, q.q[None])
-    return _points(params, _clamp_rows("a", mixed.a[0])[None],
-                   _clamp_rows("b", mixed.b[0])[None])[0]
+    a, b = _act(params.a, params.b, q.q[None])
+    return _points(params, _clamp_rows("a", a[0])[None], _clamp_rows("b", b[0])[None])[0]
 
 
 @dataclass(frozen=True)
@@ -248,8 +240,8 @@ def rho_pi_bounds(params: ChainParams) -> RhoPiBounds:
     if params.shape.r2 != 2:
         raise InvalidParameter("rho/pi bounds are defined for r2 = 2 only")
     col = params.a[:, 0]
-    i_min = int(np.argmin(col))
-    i_max = int(np.argmax(col))
+    i_min = int(col.argmin())
+    i_max = int(col.argmax())
     return RhoPiBounds(rho_max=float(col[i_min]), pi_min=float(col[i_max]),
                        i_min=i_min, i_max=i_max)
 
@@ -340,7 +332,8 @@ def extreme_mixings(params: ChainParams, side: str = "a") -> list[ExtremeMixing]
     ]
 
 
-def _move(a: np.ndarray, b: np.ndarray, w: np.ndarray, j: int, u: np.ndarray) -> None:
+def _move(a: np.ndarray, b: np.ndarray, w: np.ndarray, j: int, u: np.ndarray,
+          work: tuple[np.ndarray, ...]) -> None:
     """Move each point (a[k], b[k]) of the stack in place by q = I + t e_j w[k]^T,
     t the fraction u[k] of the way along its exact chord.
 
@@ -351,19 +344,36 @@ def _move(a: np.ndarray, b: np.ndarray, w: np.ndarray, j: int, u: np.ndarray) ->
     keeps 1 + t w_j > 0.  Slopes -+DET_EPS cut a chord nothing else bounds
     (equal rows of b) at |t| = 1 / DET_EPS.  Scaling row j of b to sum 1 and
     column j of a by its sum keeps a b, and row-sum rounding from growing.
+
+    ``work`` is :func:`_workspace`; the caller ignores division by zero
+    and invalid values, as c may be 0.
     """
-    step = a * w[:, j, None, None] - a[:, :, j, None] * w[:, None, :]
-    shift = (w[:, :, None] * b).sum(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        slopes = np.concatenate([(step / a).reshape(len(a), -1), shift / b[:, j],
-                                 np.broadcast_to([-DET_EPS, DET_EPS], (len(a), 2))], 1)
-    lo, hi = -1.0 / slopes.max(axis=1), -1.0 / slopes.min(axis=1)
+    slopes, step, prod = work
+    count, cells = len(a), step[0].size
+    aj, bj = a[:, :, j], b[:, j]
+    np.multiply(a, w[:, j, None, None], out=step)
+    np.multiply(aj[:, :, None], w[:, None, :], out=prod)
+    np.subtract(step, prod, out=step)
+    shift = np.add.reduce(w[:, :, None] * b, 1)
+    np.divide(step.reshape(count, cells), a.reshape(count, cells), out=slopes[:, :cells])
+    np.divide(shift, bj, out=slopes[:, cells:-2])
+    lo, hi = -1.0 / np.maximum.reduce(slopes, 1), -1.0 / np.minimum.reduce(slopes, 1)
     t = lo + u * (hi - lo)
-    a[...] = (a + t[:, None, None] * step) / (1.0 + t * w[:, j])[:, None, None]
-    b[:, j] += t[:, None] * shift
-    sums = b[:, j].sum(axis=1, keepdims=True)
-    b[:, j] /= sums
-    a[:, :, j] *= sums
+    np.multiply(t[:, None, None], step, out=prod)
+    np.add(a, prod, out=prod)
+    np.divide(prod, (1.0 + t * w[:, j])[:, None, None], out=a)
+    np.add(bj, t[:, None] * shift, out=bj)
+    sums = np.add.reduce(bj, 1, keepdims=True)
+    np.divide(bj, sums, out=bj)
+    np.multiply(aj, sums, out=aj)
+
+
+def _workspace(count: int, r1: int, r2: int, r3: int) -> tuple[np.ndarray, ...]:
+    """:func:`_move`'s buffers on a stack of ``count`` points: rows of slopes
+    d / c ending in the cut slopes -+DET_EPS, then S and t S."""
+    slopes = np.empty((count, r1 * r2 + r3 + 2))
+    slopes[:, -2:] = -DET_EPS, DET_EPS
+    return slopes, *np.empty((2, count, r1, r2))
 
 
 def sample_fiber(params: ChainParams, n: int, seed: int = 0) -> list[ChainParams]:
@@ -382,13 +392,17 @@ def sample_fiber(params: ChainParams, n: int, seed: int = 0) -> list[ChainParams
     _check_count("seed", seed, 0)
     if params.min_entry <= 0.0:
         raise BoundaryPoint("fiber sampling requires interior parameters")
-    rng, r2 = np.random.default_rng(seed), params.shape.r2
-    a, b = np.repeat(params.a[None], n, axis=0), np.repeat(params.b[None], n, axis=0)
-    for start in range(0, n, _DRAWS):
-        w = rng.standard_normal((min(n - start, _DRAWS), r2, r2))
-        w[:, :, -1] = -w[:, :, :-1].sum(axis=2)
-        for j, u in enumerate(rng.random((len(w), r2)).T):
-            _move(a[start:start + _DRAWS], b[start:start + _DRAWS], w[:, j], j, u)
+    rng, (r1, r2, r3) = np.random.default_rng(seed), params.shape.astuple()
+    a, b = np.empty((n, r1, r2)), np.empty((n, r2, r3))
+    a[...], b[...] = params.a, params.b
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for start in range(0, n, _DRAWS):
+            w = rng.standard_normal((min(n - start, _DRAWS), r2, r2))
+            np.negative(np.add.reduce(w[:, :, :-1], 2), out=w[:, :, -1])
+            stack = a[start:start + _DRAWS], b[start:start + _DRAWS]
+            work = _workspace(len(w), r1, r2, r3)
+            for j, u in enumerate(rng.random((len(w), r2)).T):
+                _move(*stack, w[:, j], j, u, work)
     return _points(params, _clamp_rows("a", a), _clamp_rows("b", b)) if n else []
 
 
@@ -410,9 +424,9 @@ def fiber_dimension(params: ChainParams) -> int:
     one-sided degeneracy (p1 interior and exactly one of a, b interior),
     which is allowed with a warning since the rank may or may not drop.
     """
-    p1_ok = params.p1.min() > INTERIOR_EPS
-    a_ok = params.a.min() > INTERIOR_EPS
-    b_ok = params.b.min() > INTERIOR_EPS
+    p1_ok = np.minimum.reduce(params.p1, None) > INTERIOR_EPS
+    a_ok = np.minimum.reduce(params.a, None) > INTERIOR_EPS
+    b_ok = np.minimum.reduce(params.b, None) > INTERIOR_EPS
     if not (p1_ok and a_ok and b_ok):
         if p1_ok and (a_ok or b_ok):
             warnings.warn(

@@ -473,17 +473,17 @@ def profile_along_fiber(counts: CountTable, params: ChainParams,
         loglik(counts, apply_mixing(params, q))
 
     ts = np.linspace(0.0, 1.0, steps)
-    mixed = _mix(params, _q_path(q_end.q, ts))
+    a, b, valid = _mix(params, _q_path(q_end.q, ts))
     # steps the kernel rejects carry placeholders that may divide by zero
     with np.errstate(divide="ignore", invalid="ignore"):
-        a, b = _snap(mixed.a), _snap(mixed.b)
+        a, b = _snap(a), _snap(b)
         delta = np.einsum("i,kij,kjl->kijl", params.p1, a, b).sum(axis=2)
         ll = _loglik_rows(*_observed(counts.counts), delta.reshape(steps, -1))
     min_entry = np.minimum(np.minimum(params.p1.min(), a.min(axis=(1, 2))),
                            b.min(axis=(1, 2)))
     # the steps on which apply_mixing and loglik raise nothing: the kernel's
     # clamp test and the row checks of ChainParams on the moved a and b
-    ok = mixed.valid & _stochastic(a) & _stochastic(b)
+    ok = valid & _stochastic(a) & _stochastic(b)
     first = steps if ok.all() else int(np.argmin(ok))
     rows = list(zip(ts[:first].tolist(), ll[:first].tolist(),
                     min_entry[:first].tolist()))

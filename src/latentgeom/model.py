@@ -30,11 +30,12 @@ SUM_TOL       1e-12   rounding   a given row or table sums to 1 within it; the
 CLAMP_EPS     1e-12   rounding   an entry this far past 0 or 1 is snapped or
                                  clipped, not refused; fiber._mix, _snap,
                                  _clamp_rows, the clamp test of apply_mixing
-                                 and sample_fiber, _outside_unit_box;
-                                 entries at or below it are 0 in the witness
-                                 of _nested_polygon
+                                 and sample_fiber, LambdaField,
+                                 _outside_unit_box; entries at or below it
+                                 are 0 in the witness of _nested_polygon
 DET_EPS       1e-12   rounding   a divisor this small is 0; MixingMatrix,
-                                 fiber._mix, _move's chord cut, solve_fiber_323
+                                 fiber._mix, the chord cut that _workspace
+                                 gives _move, solve_fiber_323
 EM_SLACK      1e-12   rounding   a relative EM log-likelihood drop this small
                                  is no error; likelihood._em_batch
 _EPS          2**-52  rounding   float64 eps, the unit of derived bounds;
@@ -250,7 +251,8 @@ class ChainParams(_Value):
 
     @property
     def min_entry(self) -> float:
-        return float(min(self.p1.min(), self.a.min(), self.b.min()))
+        return float(min(np.minimum.reduce(self.p1, None), np.minimum.reduce(self.a, None),
+                         np.minimum.reduce(self.b, None)))
 
     @property
     def interior(self) -> bool:

@@ -94,12 +94,15 @@ class LambdaField:
             raise InvalidParameter(
                 f"values have shape {values.shape}, expected ({r1}, {r3}, {r2})"
             )
-        if not np.isfinite(values).all():
-            raise InvalidParameter("values contain non-finite entries")
-        if (idx := _outside_unit_box(values)) is not None:
+        # a min and a max that a NaN or an infinity fails, then the sums
+        lo, hi = np.minimum.reduce(values, None), np.maximum.reduce(values, None)
+        if not -CLAMP_EPS <= lo <= hi <= 1.0 + CLAMP_EPS:
+            if not np.isfinite(values).all():
+                raise InvalidParameter("values contain non-finite entries")
+            idx = _outside_unit_box(values)
             raise InvalidParameter(f"values{idx} = {float(values[idx])!r} outside [0, 1]")
-        sums = values.sum(axis=2)
-        if (np.abs(sums - 1.0) > SUM_TOL).any():
+        sums = np.add.reduce(values, 2)
+        if not np.maximum.reduce(np.abs(sums - 1.0), None) <= SUM_TOL:
             idx = tuple(int(x) for x in np.argwhere(np.abs(sums - 1.0) > SUM_TOL)[0])
             raise InvalidParameter(f"lambda slice {idx} sums to {float(sums[idx])!r}")
         flags = self.unconstrained
@@ -110,7 +113,9 @@ class LambdaField:
             raise InvalidParameter(
                 f"unconstrained flags have shape {flags.shape}, expected ({r1}, {r3})"
             )
-        object.__setattr__(self, "values", _frozen(np.clip(values, 0.0, 1.0)))
+        # entries in (0, 1] are their own clip
+        object.__setattr__(self, "values", _frozen(
+            values if lo > 0.0 and hi <= 1.0 else np.clip(values, 0.0, 1.0)))
         object.__setattr__(self, "unconstrained", _frozen(flags, dtype=bool))
 
 
@@ -125,9 +130,11 @@ def split(joint: JointTable) -> tuple[MarginalTable, LambdaField]:
     marginal = marginal_13(joint)
     delta = marginal.cells
     zero = delta == 0.0
-    safe = np.where(zero, 1.0, delta)
+    interior = np.minimum.reduce(delta, None) > 0.0
+    safe = delta if interior else np.where(zero, 1.0, delta)
     lam = joint.cells.transpose(0, 2, 1) / safe[:, :, None]
-    lam[zero] = 1.0 / r2
+    if not interior:
+        lam[zero] = 1.0 / r2
     return marginal, LambdaField(joint.shape, lam, zero)
 
 
@@ -171,7 +178,9 @@ class CrossRatios:
             raise InvalidParameter(
                 f"values have shape {values.shape}, expected ({r1 - 1}, {r3 - 1})"
             )
-        if not np.isfinite(values).all() or (values <= 0).any():
+        # a NaN or an infinity fails; an empty table passes, as it did
+        if not (0.0 < np.minimum.reduce(values, None, initial=np.inf)
+                and np.maximum.reduce(values, None, initial=0.0) < np.inf):
             raise InvalidParameter("cross-ratios must be finite and positive")
         object.__setattr__(self, "marginal_shape", (r1, r3))
         object.__setattr__(self, "ref_cell", ref)
@@ -220,9 +229,9 @@ def cross_ratios(marginal: MarginalTable,
     r1, r3 = marginal.shape
     ref_i, ref_k = _ref_cell(ref_cell, r1, r3)
     d = marginal.cells
-    zero = np.argwhere(d == 0.0)
-    if zero.size:
-        raise ZeroCell((int(zero[0][0]), int(zero[0][1])))
+    if not np.minimum.reduce(d, None) > 0.0:    # the cells are checked: >= 0
+        zero = np.argwhere(d == 0.0)[0]
+        raise ZeroCell((int(zero[0]), int(zero[1])))
     values = d[ref_i, ref_k] * d / (d[ref_i, None, :] * d[:, ref_k, None])
     values = values[np.arange(r1) != ref_i][:, np.arange(r3) != ref_k]
     return CrossRatios((r1, r3), (ref_i, ref_k), values)

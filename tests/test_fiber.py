@@ -262,8 +262,8 @@ def test_sample_fiber_past_one_stack_returns_every_point(monkeypatch):
 
     stacks = []
     real = fiber_mod._move
-    monkeypatch.setattr(fiber_mod, "_move", lambda a, b, w, j, u:
-                        stacks.append(len(a)) or real(a, b, w, j, u))
+    monkeypatch.setattr(fiber_mod, "_move", lambda a, b, w, j, u, work:
+                        stacks.append(len(a)) or real(a, b, w, j, u, work))
     params = seeded_chain((4, 3, 5), 12)
     n = fiber_mod._DRAWS + 3
     points = sample_fiber(params, n, seed=12)

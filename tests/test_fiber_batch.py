@@ -323,7 +323,7 @@ def test_each_chord_end_puts_a_zero_in_a_or_b(shape):
         for end in (0.0, 1.0):
             a = np.stack([p.a for p in params])
             b = np.stack([p.b for p in params])
-            fiber._move(a, b, w, j, np.full(20, end))
+            fiber._move(a, b, w, j, np.full(20, end), fiber._workspace(20, *shape))
             lows = np.minimum(a.min(axis=(1, 2)), b.min(axis=(1, 2)))
             assert (np.abs(lows) <= CLAMP_EPS).all()
             for p, ak, bk in zip(params, a, b):
@@ -355,12 +355,16 @@ def test_kernel_members_equal_their_stacks_of_one(r2):
         for k in range(size):
             assert ([bits(field[k]) for field in mixed]
                     == [bits(field[0]) for field in alone[k]])
+    # the members MixingMatrix refuses with InvalidParameter: a non-finite
+    # entry or a row sum off 1
+    bad = ~(np.abs(qs.sum(axis=2) - 1.0) <= SUM_TOL).all(axis=1)
+    valid = mixed[-1]
     singular = np.zeros(fiber._DRAWS, dtype=bool)
     singular[1::7] = True
-    singular &= ~mixed.bad
-    assert singular.any() and not mixed.valid[singular].any()
-    assert mixed.valid.any() and mixed.bad.any()
-    assert (~mixed.valid & ~mixed.bad & ~singular).any()
+    singular &= ~bad
+    assert singular.any() and not valid[singular].any()
+    assert valid.any() and bad.any() and not valid[bad].any()
+    assert (~valid & ~bad & ~singular).any()
 
 
 # ------------------------------------------------------------ profile_along_fiber
@@ -488,9 +492,11 @@ def test_kernel_masks_singular_and_bad_members_without_warnings(r2):
     qs = np.stack([eye, singular, off_sum, nonfinite, eye])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        mixed = fiber._mix(params, qs)
-    assert mixed.valid.tolist() == [True, False, False, False, True]
-    assert mixed.bad.tolist() == [False, False, True, True, False]
+        _, _, valid = fiber._mix(params, qs)
+    assert valid.tolist() == [True, False, False, False, True]
+    for q in (off_sum, nonfinite):
+        with pytest.raises(InvalidParameter):
+            MixingMatrix(q)
     with pytest.raises(SingularMixing):
         MixingMatrix(singular)
 

@@ -1,4 +1,5 @@
-"""The numpy behaviour that the EM kernel's bitwise contract rests on.
+"""The numpy behaviour that the bitwise contracts of the EM kernel and of
+the fiber's chord sweep rest on.
 
 ``likelihood._em_batch`` promises that every restart's iterates are bitwise
 those of a run on its own.  Its docstring says why: numpy adds a strided
@@ -6,7 +7,8 @@ axis, and a contiguous run of fewer than 8 terms, left to right; it sums a
 longer contiguous run pairwise; and a ufunc or a sum gives the same bits
 whether it writes a fresh array, a reused ``out=`` buffer, a ``keepdims``
 output, a view or its own input.  This test checks each claim on the
-installed numpy, so an upgrade that breaks one fails here by name.
+installed numpy, so an upgrade that breaks one fails here by name; the last
+test does the same for the buffers of ``fiber._move`` and ``_clamp_rows``.
 """
 
 import numpy as np
@@ -166,3 +168,61 @@ def test_row_views_and_reused_buffers_give_the_bits_of_the_4d_calls():
         with np.errstate(divide="ignore", invalid="ignore"):
             got = np.multiply(np.divide(cells, delta, cells.copy(), where=w > 0.0), w)
         assert _bits(got) == _bits(fresh)
+
+
+def test_the_chord_sweep_buffers_give_the_bits_of_fresh_arrays():
+    # fiber._move divides into column blocks of one slopes buffer whose
+    # last two columns hold the cut slopes, where it concatenated fresh
+    # quotients and a broadcast; it updates a, b[:, j] and a[:, :, j] in
+    # place through out=; and fiber._clamp_rows divides C-ordered rows above
+    # 0 by their sums without _snap's copy.  Each gives the fresh bits, and
+    # the row extremes of a row holding a NaN are NaN either way
+    from latentgeom.fiber import DET_EPS, _clamp_rows, _snap
+
+    rng = np.random.default_rng(3202)
+    for count, r1, r2, r3 in [(1, 3, 2, 3), (10, 5, 3, 9), (7, 4, 9, 12)]:
+        a, b = rng.random((count, r1, r2)), rng.random((count, r2, r3))
+        step, shift = rng.normal(size=(count, r1, r2)), rng.normal(size=(count, r3))
+        a[0, 0, 1] = step[0, 0, 1] = 0.0                # 0 / 0: NaN
+        a[-1, 1, 0] = b[-1, 0, 2] = 0.0                 # x / 0: an infinity
+        cells, j = r1 * r2, 1
+        with np.errstate(divide="ignore", invalid="ignore"):
+            fresh = np.concatenate([(step / a).reshape(count, -1), shift / b[:, j],
+                                    np.broadcast_to([-DET_EPS, DET_EPS], (count, 2))], 1)
+            slopes = np.full((2 * count, cells + r3 + 2), np.nan)[:count]
+            slopes[:, -2:] = -DET_EPS, DET_EPS
+            np.divide(step.reshape(count, cells), a.reshape(count, cells),
+                      out=slopes[:, :cells])
+            np.divide(shift, b[:, j], out=slopes[:, cells:-2])
+        assert _bits(slopes) == _bits(fresh)
+        for reduce, method in ((np.maximum.reduce, fresh.max), (np.minimum.reduce, fresh.min)):
+            assert _bits(reduce(slopes, 1)) == _bits(method(axis=1))
+            assert np.isnan(reduce(slopes, 1)[0]) and not np.isnan(reduce(slopes, 1)[1:]).any()
+
+        t = rng.normal(size=count)
+        den = (1.0 + t * rng.normal(size=count))[:, None, None]
+        want_a = (a + t[:, None, None] * step) / den
+        prod, moved = np.multiply(t[:, None, None], step), a.copy()
+        np.add(moved, prod, out=prod)
+        np.divide(prod, den, out=moved)
+        assert _bits(moved) == _bits(want_a)
+        want_b, got_b = b.copy(), b.copy()
+        want_b[:, j] += t[:, None] * shift
+        want_sums = want_b[:, j].sum(axis=1, keepdims=True)
+        want_b[:, j] /= want_sums
+        want_a[:, :, j] *= want_sums
+        bj, aj = got_b[:, j], moved[:, :, j]
+        np.add(bj, t[:, None] * shift, out=bj)
+        sums = np.add.reduce(bj, 1, keepdims=True)
+        np.divide(bj, sums, out=bj)
+        np.multiply(aj, sums, out=aj)
+        assert _bits(got_b) == _bits(want_b) and _bits(moved) == _bits(want_a)
+
+    for m in (2, 3, 7, 8, 9, 20):
+        rows = np.exp(rng.normal(0.0, 6.0, size=(5, 4, m)))
+        assert rows.flags.c_contiguous and rows.min() > 0.0
+        quotient = rows / rows.sum(-1, keepdims=True)
+        assert _bits(quotient) == _bits(_snap(rows)) == _bits(_clamp_rows("a", rows))
+        # a transposed layout takes the copy, whose sums it shares
+        flipped = np.ascontiguousarray(rows.transpose(0, 2, 1)).transpose(0, 2, 1)
+        assert _bits(_clamp_rows("a", flipped)) == _bits(_snap(rows))

@@ -17,9 +17,11 @@ from latentgeom import (
     MixingMatrix,
     ProfileTrace,
     Shape,
+    ZeroCell,
     apply_mixing,
     binary_surface,
     ci_residuals,
+    cross_ratios,
     degenerate_family_323,
     extreme_mixings,
     joint_from_chain,
@@ -106,6 +108,20 @@ REFUSALS = {
     "random chain": (lambda: random_chain(Shape(2, 2, 2),
                                           np.random.default_rng(0), 0.9),
                      InvalidParameter, "could not draw a row with min entry > 0.9"),
+    # inputs that fail in more than one way name the first failure of the
+    # checks in their documented order
+    "lambda nan and 2": (lambda: LambdaField(Shape(2, 2, 2), [[[2.0, -1.0], [0.5, 0.5]],
+                                                            [[NAN, 0.5], [0.5, 0.5]]]),
+                         InvalidParameter, "values contain non-finite entries"),
+    "cross-ratio nan": (lambda: CrossRatios((2, 3), (0, 0), [[-1.0, NAN]]),
+                        InvalidParameter, "cross-ratios must be finite and positive"),
+    "q both infinities": (lambda: MixingMatrix([[0.3, 0.3], [np.inf, -np.inf]]),
+                          InvalidParameter, "q contains non-finite entries"),
+    "q off sum and singular": (lambda: MixingMatrix([[0.5, 0.5], [0.55, 0.55]]),
+                               InvalidParameter, "row 1 of q sums to 1.1, not 1"),
+    "cross-ratio zero cell": (lambda: cross_ratios(MarginalTable(
+        (2, 3), [[0.2, 0.2, 0.0], [0.0, 0.3, 0.3]]), (1, 1)), ZeroCell,
+        "marginal cell (i=0, k=2) is zero (0-based)"),
     "feasible report": (lambda: _report(True, 1e-8, {"rank": True}),
                         InvalidParameter,
                         "feasible report requires divergence < tol"),

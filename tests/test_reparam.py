@@ -104,6 +104,17 @@ def test_unconstrained_flags_keep_their_values():
         LambdaField(Shape(2, 2, 2), np.full((2, 2, 2), 0.5), [True, False])
 
 
+def test_lambda_values_within_clamp_eps_of_the_box_are_clipped_into_it():
+    # entries in [-CLAMP_EPS, 0) and (1, 1 + CLAMP_EPS] are clipped, not
+    # refused; a field of entries in (0, 1] is kept as given
+    edge = np.array([[[1.0 + 5e-13, -5e-13], [0.5, 0.5]], [[0.25, 0.75], [0.5, 0.5]]])
+    lam = LambdaField(Shape(2, 2, 2), edge)
+    assert lam.values[0, 0].tolist() == [1.0, 0.0]
+    assert np.array_equal(lam.values[1:], edge[1:])
+    inner = LambdaField(Shape(2, 2, 2), edge[[1, 1]])
+    assert np.array_equal(inner.values, edge[[1, 1]]) and not inner.values.flags.writeable
+
+
 def test_merge_shape_mismatch():
     lam = LambdaField(Shape(2, 2, 2), np.full((2, 2, 2), 0.5))
     marg = MarginalTable((2, 3), np.full((2, 3), 1 / 6))
