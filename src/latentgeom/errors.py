@@ -72,7 +72,7 @@ class PathExitsPolytope(GeometryError):
     """A fiber path leaves the validity polytope before t = 1.
 
     Carries the valid prefix of the trace as ``(t, loglik, min_entry)``
-    triples together with the bisected exit parameter.
+    triples and ``exit_t``, the last valid path parameter before an exit.
     """
 
     def __init__(self, prefix, exit_t: float):

@@ -113,7 +113,8 @@ def _act(a: np.ndarray, b: np.ndarray, qs: np.ndarray) -> tuple[np.ndarray, np.n
 def _mix(params: ChainParams, qs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Apply every matrix of the stack ``qs`` (K, r2, r2) to ``params``:
     a q^{-1} and q b before clamping, and the mask of each q that
-    :class:`MixingMatrix` accepts and whose action passes the clamp test of
+    :class:`MixingMatrix` accepts with det q > DET_EPS, the identity's side
+    of the singular matrices, and whose action passes the clamp test of
     :func:`_clamp_rows`; any other q acts as the identity, a placeholder.
     Each member gets exactly the arithmetic of a stack of one, the same
     determinant and :func:`_act`, whatever the other members are.
@@ -124,7 +125,7 @@ def _mix(params: ChainParams, qs: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
         # a non-finite entry makes its row sum non-finite, so one test
         # covers both checks of MixingMatrix before the determinant's
         invertible = ((np.abs(qs.sum(axis=2) - 1.0) <= SUM_TOL).all(axis=1)
-                      & (np.abs(np.linalg.det(qs)) > DET_EPS))
+                      & (np.linalg.det(qs) > DET_EPS))
         if not invertible.all():
             qs = np.where(invertible[:, None, None], qs, np.eye(qs.shape[1]))
         a, b = _act(params.a, params.b, qs)

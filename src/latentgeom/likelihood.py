@@ -23,12 +23,11 @@ import numpy as np
 
 from .errors import (
     GeometryError,
-    InvalidMixing,
     InvalidParameter,
     PathExitsPolytope,
     SingularMixing,
 )
-from .fiber import MixingMatrix, _mix, _snap, apply_mixing
+from .fiber import MixingMatrix, _mix, _snap
 from .model import (
     EM_SLACK,
     ChainParams,
@@ -437,24 +436,28 @@ def _q_path(q_end: np.ndarray, ts: np.ndarray) -> np.ndarray:
     return (1.0 - ts) * np.eye(q_end.shape[0]) + ts * q_end
 
 
+#: points of each scan that narrows the exit bracket of a profile path
+_SCAN = 16
+
+
 def profile_along_fiber(counts: CountTable, params: ChainParams,
                         q_end: MixingMatrix, steps: int) -> ProfileTrace:
     """Trace the log-likelihood along the straight path to ``q_end``.
 
     Because every valid q(t) preserves the marginal, the trace is a flat
     ridge: max - min stays at rounding level however degenerate the
-    endpoint.  If some q(t) leaves the validity polytope the exit point is
-    located by bisection and :class:`PathExitsPolytope` carries the valid
-    prefix rows and the exit parameter.
+    endpoint.  If some q(t) leaves the validity polytope,
+    :class:`PathExitsPolytope` carries the valid prefix rows and ``exit_t``.
 
-    All steps go through one stacked call of the mixing kernel, one
-    stacked log-likelihood and the probability-row test of the value types
-    on the moved a and b (p1 does not move, and tables are not checked),
-    each member with the arithmetic and summation order of
-    :func:`apply_mixing` and :func:`loglik` on its own.  The first step the
-    stack rejects is evaluated on its own, which raises its error, or
-    starts the bisection, exactly as a step-by-step walk would; so the
-    trace, the prefix and ``exit_t`` are bitwise those of that walk.
+    All steps go through one stacked call of the mixing kernel :func:`_mix`,
+    which accepts q with det q > DET_EPS only, the identity's side of the
+    singular matrices, one stacked log-likelihood and the row test of the
+    value types on the moved a and b (p1 does not move, and tables are not
+    checked), each member with the arithmetic of
+    :func:`~latentgeom.fiber.apply_mixing` and :func:`loglik` on its own.
+    The first step that fails raises what a step-by-step walk raises there.
+    ``exit_t`` is the last float the kernel accepts before the first it
+    rejects, on the first crossing that scans of ``_SCAN`` points see.
     """
     _check_count("steps", steps, 2)
     if q_end.size != params.shape.r2:
@@ -466,14 +469,9 @@ def profile_along_fiber(counts: CountTable, params: ChainParams,
         raise InvalidParameter(
             "counts lie outside the support of the starting model"
         )
-
-    def evaluate(t: float) -> None:
-        """Raise what one step of a step-by-step walk raises at ``t``."""
-        q = MixingMatrix(_q_path(q_end.q, np.array([t]))[0])
-        loglik(counts, apply_mixing(params, q))
-
     ts = np.linspace(0.0, 1.0, steps)
-    a, b, valid = _mix(params, _q_path(q_end.q, ts))
+    qs = _q_path(q_end.q, ts)
+    a, b, valid = _mix(params, qs)
     # steps the kernel rejects carry placeholders that may divide by zero
     with np.errstate(divide="ignore", invalid="ignore"):
         a, b = _snap(a), _snap(b)
@@ -482,28 +480,27 @@ def profile_along_fiber(counts: CountTable, params: ChainParams,
     min_entry = np.minimum(np.minimum(params.p1.min(), a.min(axis=(1, 2))),
                            b.min(axis=(1, 2)))
     # the steps on which apply_mixing and loglik raise nothing: the kernel's
-    # clamp test and the row checks of ChainParams on the moved a and b
+    # mask and the row checks of ChainParams on the moved a and b
     ok = valid & _stochastic(a) & _stochastic(b)
     first = steps if ok.all() else int(np.argmin(ok))
     rows = list(zip(ts[:first].tolist(), ll[:first].tolist(),
                     min_entry[:first].tolist()))
     if first < steps:
-        # the mask is exact, so this step raises
-        try:
-            evaluate(float(ts[first]))
-        except (InvalidMixing, SingularMixing):
-            lo = float(ts[first - 1]) if first > 0 else 0.0
-            hi = float(ts[first])
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                try:
-                    evaluate(mid)
-                    lo = mid
-                except (InvalidMixing, SingularMixing):
-                    hi = mid
-                if hi - lo < 1e-12:
-                    break
-            raise PathExitsPolytope(rows, lo)
+        if valid[first]:
+            # a moved row fails the row test, which raises here
+            ChainParams(params.shape, params.p1, a[first], b[first])
+        # rows of q off 1 raise here, and a singular q is an exit
+        with contextlib.suppress(SingularMixing):
+            MixingMatrix(qs[first])
+        # q = I passes the mask, so first >= 1; each scan keeps the cell
+        # before its first rejected point, until the cell stops shrinking
+        lo, hi = ts[first - 1], ts[first]
+        while True:
+            grid = np.linspace(lo, hi, _SCAN)
+            k = int(np.argmin(_mix(params, _q_path(q_end.q, grid))[2]))
+            if grid[k - 1] == lo and grid[k] == hi:
+                raise PathExitsPolytope(rows, float(lo))
+            lo, hi = grid[k - 1], grid[k]
     arr = np.array(rows)
     return ProfileTrace(t=arr[:, 0], loglik=arr[:, 1], min_entry=arr[:, 2],
                         start=params, q_end=q_end)

@@ -322,14 +322,12 @@ def binary_surface(lam12: float, lam22: float, z: float) -> tuple[float, float]:
     _check_unit(lam12=lam12, lam22=lam22)
     if not (math.isfinite(z) and z > 0):
         raise InvalidParameter(f"z must be a positive real, got {z!r}")
-    if lam22 == lam12:
-        if z == 1.0:
-            return (lam22, lam12)
-        raise SingularDenominator(
-            f"lam22 = lam12 = {lam22:.17g} with z = {z:.17g} != 1")
     if z == 1.0:
         # degenerate quadric: lambda(2,1) = lambda(2,2), lambda(1,1) = lambda(1,2)
         return (lam22, lam12)
+    if lam22 == lam12:
+        raise SingularDenominator(
+            f"lam22 = lam12 = {lam22:.17g} with z = {z:.17g} != 1")
     if lam22 > lam12:
         if not z * lam22 > lam12:
             raise OutOfUnitBox(

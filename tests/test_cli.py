@@ -9,6 +9,8 @@ import pytest
 
 from latentgeom import (
     ChainParams,
+    MixingMatrix,
+    PathExitsPolytope,
     Shape,
     joint_from_chain,
     marginal_13,
@@ -673,7 +675,14 @@ def test_profile_exit_marker(capsys, model_file, counts_file, tmp_path):
     code, out = run(capsys, "profile", counts_file, path, "--steps", "8",
                     "--q", str(qpath))
     assert code == 0
-    assert out.splitlines()[-1].startswith("# path exits polytope at t=")
+    marker, _, printed = out.splitlines()[-1].partition("t=")
+    assert marker == "# path exits polytope at "
+    # the printed t round-trips to the library's exit_t
+    with pytest.raises(PathExitsPolytope) as err:
+        likelihood.profile_along_fiber(
+            cli.load_counts(counts_file, shape=(3, 3)), params,
+            MixingMatrix(json.loads(qpath.read_text())["q"]), 8)
+    assert float(printed) == err.value.exit_t
 
 
 def test_emfit_summary(capsys, counts_file, tmp_path):
@@ -741,7 +750,8 @@ def test_byte_identical_reruns(capsys, model_file, counts_file):
 
 #: stdout sha256 of the subcommands that print many floats, recorded before
 #: arrays, models and CSV rows were formatted through cached templates; the
-#: fiber points are those of the sampler's sweep of exact chords
+#: fiber points are those of the sampler's sweep of exact chords, and the
+#: exit of profile-exit is the last float the mixing kernel accepts
 STDOUT_GOLDENS = {
     "fiber-323-n50": (
         ["fiber", "{model}", "--n", "50"],
@@ -760,7 +770,7 @@ STDOUT_GOLDENS = {
         "7e8dbe504fcd67df630ec0a28b79542c1673daac040a91e216abf69499d72201"),
     "profile-exit": (
         ["profile", "{counts}", "{model}", "--steps", "8", "--q", "{q}"],
-        "56b80cd2e51812f9fbe02fdd17123b84c69d2ab439ecd07c9e0b354b32c6d24c"),
+        "e1bc9781fece03fb3ca0a2ffd1e4bb8a0e1b945c4dc8f98dc7a66fd9b090eed2"),
     "fig3": (
         ["fig3", "--z", "1.25", "--c1", "0.3", "--c2", "0.6"],
         "8c174436c230419b078fabd108e74fad0927a0bfc06043b6a18c1e68ead950cc"),

@@ -1,15 +1,17 @@
 """The stacked fiber kernels against serial references.
 
 ``serial_profile_along_fiber`` evaluates one step at a time with the serial
-``apply_mixing`` arithmetic (a determinant, then the analytic inverse for
-r2 = 2 or one ``solve``, then the clamp), and the library's stacked walk must
-match it bit for bit: the same trace, the same prefix and ``exit_t``, the
-same warnings and the same errors.  ``serial_sweep`` moves one point
+``apply_mixing`` arithmetic (a determinant, which must exceed DET_EPS, then
+the analytic inverse for r2 = 2 or one ``solve``, then the clamp), and
+scans an exit one point at a time; the library's stacked walk must match
+it bit for bit: the same trace, the same prefix and ``exit_t``, the same
+warnings and the same errors.  ``serial_sweep`` moves one point
 at a time, one chord at a time: it finds each chord from its constraints
 one by one and applies the move as a :class:`MixingMatrix`, and
 ``sample_fiber`` must give its points to rounding.
 """
 
+import functools
 import warnings
 
 import numpy as np
@@ -32,7 +34,7 @@ from latentgeom import (
     random_chain,
     sample_fiber,
 )
-from latentgeom import fiber
+from latentgeom import fiber, likelihood
 from latentgeom.fiber import CLAMP_EPS, DET_EPS
 from latentgeom.model import SUM_TOL
 
@@ -56,11 +58,13 @@ def serial_clamp_rows(name, rows):
     return out / out.sum(axis=1, keepdims=True)
 
 
-def serial_apply_mixing(params, q):
+def serial_action(params, q):
+    """The clamped rows of a q^{-1} and q b for det q > DET_EPS, the
+    identity's side of the singular matrices."""
     r2 = params.shape.r2
     det = q.det
-    if abs(det) <= DET_EPS:
-        raise SingularMixing(f"|det q| = {abs(det):.3e} <= {DET_EPS}")
+    if det <= DET_EPS:
+        raise SingularMixing(f"det q = {det:.3e} <= {DET_EPS}")
     if r2 == 2:
         pi = float(q.q[0, 0])
         rho = float(q.q[1, 0])
@@ -70,8 +74,11 @@ def serial_apply_mixing(params, q):
     else:
         a_new = np.linalg.solve(q.q.T, params.a.T).T
     b_new = q.q @ params.b
-    return ChainParams(params.shape, params.p1, serial_clamp_rows("a", a_new),
-                       serial_clamp_rows("b", b_new))
+    return serial_clamp_rows("a", a_new), serial_clamp_rows("b", b_new)
+
+
+def serial_apply_mixing(params, q):
+    return ChainParams(params.shape, params.p1, *serial_action(params, q))
 
 
 def serial_chord(params, w, j):
@@ -113,37 +120,45 @@ def serial_sweep(params, n, seed=0):
     return out
 
 
-def serial_profile_along_fiber(counts, params, q_end, steps):
+def serial_profile_along_fiber(counts, params, q_end, steps, applied=None):
+    """One step at a time, each through ``serial_apply_mixing`` and
+    ``loglik``; the mixing of every step is appended to ``applied``.  At
+    the first step outside the polytope, scans of ``likelihood._SCAN``
+    points, one point at a time, narrow the exit down to the cell before
+    each scan's first point outside."""
     r2 = params.shape.r2
     if not np.isfinite(loglik(counts, params)):
         raise InvalidParameter("counts lie outside the support of the "
                                "starting model")
 
-    def evaluate(t):
-        q = MixingMatrix((1.0 - t) * np.eye(r2) + t * q_end.q)
-        moved = serial_apply_mixing(params, q)
-        return (loglik(counts, moved),
-                float(min(moved.p1.min(), moved.a.min(), moved.b.min())))
+    def mixing(t):
+        return MixingMatrix((1.0 - t) * np.eye(r2) + t * q_end.q)
+
+    def accepts(t):
+        try:
+            serial_action(params, mixing(t))
+        except (InvalidParameter, InvalidMixing, SingularMixing):
+            return False
+        return True
 
     rows = []
     ts = np.linspace(0.0, 1.0, steps)
     for idx, t in enumerate(ts):
         try:
-            ll, me = evaluate(float(t))
+            q = mixing(float(t))
+            if applied is not None:
+                applied.append(q.q)
+            moved = serial_apply_mixing(params, q)
         except (InvalidMixing, SingularMixing):
-            lo = float(ts[idx - 1]) if idx > 0 else 0.0
-            hi = float(t)
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                try:
-                    evaluate(mid)
-                    lo = mid
-                except (InvalidMixing, SingularMixing):
-                    hi = mid
-                if hi - lo < 1e-12:
-                    break
-            raise PathExitsPolytope(rows, lo)
-        rows.append((float(t), ll, me))
+            lo, hi = float(ts[idx - 1]), float(t)
+            while True:
+                grid = np.linspace(lo, hi, likelihood._SCAN)
+                k = next(k for k, x in enumerate(grid) if not accepts(float(x)))
+                if (grid[k - 1], grid[k]) == (lo, hi):
+                    raise PathExitsPolytope(rows, lo)
+                lo, hi = float(grid[k - 1]), float(grid[k])
+        rows.append((float(t), loglik(counts, moved),
+                     float(min(moved.p1.min(), moved.a.min(), moved.b.min()))))
     return np.array(rows)
 
 
@@ -222,11 +237,26 @@ def path_end(params, rng, kind):
         return MixingMatrix.from_pi_rho(pi, rho)
     m = rng.standard_normal((r2, r2))
     m -= m.mean(axis=1, keepdims=True)
+    if kind == "boundary exit":
+        # from a start with a zero in a, say a_ij: a q(t)^{-1} moves it by
+        # -t (a m)_ij to first order, so the path leaves at once when
+        # (a m)_ij > 0
+        i, j = np.argwhere(params.a == 0.0)[0]
+        m *= np.sign(params.a[i] @ m[:, j])
     if kind == "interior":
         # |t s M| <= 0.3 min_entry in the max-row-sum norm keeps every q(t)
         # of the path in the polytope
         return MixingMatrix(eye + interior_scale(params, m) * m)
     return MixingMatrix(eye + rng.uniform(0.01, 2.0) * m)
+
+
+def boundary_start(params, rng):
+    """``params`` with one entry of a set to 0 and its row renormalised."""
+    a = params.a.copy()
+    i, j = int(rng.integers(len(a))), int(rng.integers(a.shape[1]))
+    a[i, j] = 0.0
+    a[i] /= a[i].sum()
+    return ChainParams(params.shape, params.p1, a, params.b)
 
 
 def interior_scale(params, m):
@@ -372,10 +402,12 @@ def test_kernel_members_equal_their_stacks_of_one(r2):
 @settings(max_examples=80, deadline=None)
 @given(**SHAPES, steps=st.integers(2, 30), seed=SEEDS,
        kind=st.sampled_from(["vertex", "exit", "singular", "interior",
-                             "random"]))
+                             "random", "boundary exit"]))
 def test_profile_matches_serial(r1, r2, r3, steps, seed, kind):
     rng = np.random.default_rng(seed)
     params = random_chain(Shape(r1, r2, r3), rng, min_entry=1e-3)
+    if kind == "boundary exit":
+        params = boundary_start(params, rng)
     counts = counts_for(params, rng)
     q_end = path_end(params, rng, kind)
     assert (profile_outcome(profile_along_fiber, counts, params, q_end, steps)
@@ -398,7 +430,7 @@ def test_profile_exit_path_keeps_prefix_and_exit_t():
 def test_profile_row_sum_errors_match_serial(monkeypatch):
     # a row-sum tolerance below rounding makes ChainParams, JointTable or
     # MarginalTable reject some steps with InvalidParameter: the stacked
-    # walk must hand exactly those steps to the step-by-step walk
+    # walk must raise at exactly those steps what the step-by-step walk does
     import latentgeom.model as model_mod
     cases = []
     for seed in range(40):
@@ -410,6 +442,10 @@ def test_profile_row_sum_errors_match_serial(monkeypatch):
     monkeypatch.setattr(model_mod, "SUM_TOL", 1e-17)
     moved_rows_rejected = 0
     for counts, params, q_end in cases:
+        if not model_mod._stochastic(params.p1[None]):
+            # not a chain at the lowered SUM_TOL: the serial walk re-reads
+            # p1 at every step, the stack never, as no step changes it
+            continue
         ours = profile_outcome(profile_along_fiber, counts, params, q_end, 17)
         assert ours == profile_outcome(serial_profile_along_fiber, counts,
                                        params, q_end, 17)
@@ -422,10 +458,8 @@ def test_profile_table_sum_errors_match_serial(monkeypatch):
     # below rounding, a step whose rows of a and b sum to 1 exactly can
     # still have a joint or marginal table that does not: the forward maps
     # do not check it again, so neither walk refuses such a step.  The
-    # messages of two refused steps often read the same, so the mixing each
-    # walk applied last, the one that raised, must match too
-    import sys
-    import latentgeom.likelihood as likelihood_mod
+    # messages of two refused steps often read the same, so the moved rows
+    # each walk refused, those of the step that raised, must match too
     import latentgeom.model as model_mod
     cases = []
     for seed in range(40):
@@ -434,12 +468,13 @@ def test_profile_table_sum_errors_match_serial(monkeypatch):
         params = random_chain(Shape(r1, r2, r3), rng, min_entry=0.02)
         cases.append((counts_for(params, rng), params,
                       path_end(params, rng, "interior")))
-    applied = []
-    for module, name in ((likelihood_mod, "apply_mixing"),
-                         (sys.modules[__name__], "serial_apply_mixing")):
-        real = getattr(module, name)
-        monkeypatch.setattr(module, name, lambda p, q, real=real:
-                            applied.append(q.q) or real(p, q))
+    # the stacked walk builds ChainParams only from the rows that raise;
+    # the serial walk hands the mixing of every step to ``applied``
+    refused, applied = [], []
+    real = likelihood.ChainParams
+    monkeypatch.setattr(likelihood, "ChainParams", lambda shape, p1, a, b:
+                        refused.append((a, b)) or real(shape, p1, a, b))
+    serial = functools.partial(serial_profile_along_fiber, applied=applied)
     monkeypatch.setattr(model_mod, "SUM_TOL", 1e-17)
     tables_past = 0
     for counts, params, q_end in cases:
@@ -447,15 +482,17 @@ def test_profile_table_sum_errors_match_serial(monkeypatch):
             # not a chain at the lowered SUM_TOL: the serial walk re-reads
             # p1 at every step, the stack never, as no step changes it
             continue
-        outcomes = []
-        for fn in (profile_along_fiber, serial_profile_along_fiber):
-            applied.clear()
-            outcome = profile_outcome(fn, counts, params, q_end, 17)
-            outcomes.append((outcome, applied[-1].tobytes()
-                             if applied and outcome[0] == "error" else None))
-        assert outcomes[0] == outcomes[1]
-        if outcomes[0][0][0] == "trace":    # applied holds every serial step
-            for q in applied[:]:
+        refused.clear()
+        applied.clear()
+        ours = profile_outcome(profile_along_fiber, counts, params, q_end, 17)
+        theirs = profile_outcome(serial, counts, params, q_end, 17)
+        assert ours == theirs
+        if ours[0] == "error":
+            assert len(refused) == 1
+            moved = serial_action(params, MixingMatrix(applied[-1]))
+            assert [bits(x) for x in refused[0]] == [bits(x) for x in moved]
+        if ours[0] == "trace":    # applied holds every serial step
+            for q in applied:
                 cells = joint_from_chain(
                     serial_apply_mixing(params, MixingMatrix(q))).cells
                 tables_past += not (model_mod._stochastic(cells.reshape(1, -1))

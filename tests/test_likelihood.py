@@ -8,11 +8,14 @@ from latentgeom import (
     ChainParams,
     CountTable,
     GeometryError,
+    InvalidMixing,
     InvalidParameter,
     MarginalTable,
     MixingMatrix,
     PathExitsPolytope,
     Shape,
+    SingularMixing,
+    apply_mixing,
     consistency_check,
     em_fit_details,
     extreme_mixings,
@@ -27,6 +30,7 @@ from latentgeom import (
     sample_fiber,
 )
 from latentgeom.likelihood import _em_batch, _observed
+from latentgeom.model import DET_EPS
 from conftest import seeded_chain, seeded_marginal
 
 
@@ -275,10 +279,75 @@ def test_profile_path_exit_reports_prefix_and_t():
     assert 1 <= len(exc.prefix) < 20
     assert exc.prefix[-1][0] <= exc.exit_t
     # the exit point is the last valid parameter on the segment
-    from latentgeom import apply_mixing
     r2 = params.shape.r2
     q_ok = MixingMatrix((1 - exc.exit_t) * np.eye(r2) + exc.exit_t * bad.q)
     apply_mixing(params, q_ok)
+
+
+def accepts(params, q_end, t):
+    """Whether a step-by-step walk keeps q(t) = (1 - t) I + t Q:
+    apply_mixing accepts it, on the identity's side det q > DET_EPS of the
+    singular matrices."""
+    try:
+        q = MixingMatrix((1.0 - t) * np.eye(q_end.size) + t * q_end.q)
+        apply_mixing(params, q)
+    except (InvalidMixing, SingularMixing):
+        return False
+    return q.det > DET_EPS
+
+
+def assert_first_crossing(params, q_end, exit_t):
+    # exit_t is the last float accepted before a rejected one, and the path
+    # up to it stays in the polytope
+    assert accepts(params, q_end, exit_t)
+    assert not accepts(params, q_end, float(np.nextafter(exit_t, 1.0)))
+    assert all(accepts(params, q_end, float(t))
+               for t in np.linspace(0.0, exit_t, 50))
+
+
+def test_profile_exit_is_the_first_crossing_whatever_the_steps():
+    # the path crosses a singular q at t = 0.25 onto the mirrored branch,
+    # and leaves the polytope long before
+    params = random_chain(Shape(3, 2, 3), np.random.default_rng(0),
+                          min_entry=1e-3)
+    counts = CountTable((3, 3), np.ones((3, 3), dtype=int))
+    q_end = MixingMatrix.from_pi_rho(-1.0, 2.0)
+    found = []
+    for steps in (2, 3, 33):
+        with pytest.raises(PathExitsPolytope) as err:
+            profile_along_fiber(counts, params, q_end, steps)
+        found.append(err.value)
+    assert [[row[0] for row in exc.prefix] for exc in found] == [[0.0]] * 3
+    assert len({exc.exit_t for exc in found}) == 1
+    assert found[0].exit_t == pytest.approx(0.0020532723351, abs=1e-12)
+    assert_first_crossing(params, q_end, found[0].exit_t)
+
+
+@pytest.mark.parametrize("r2", [2, 3, 4, 5])
+def test_profile_exits_from_boundary_starts_are_first_crossings(r2):
+    # a zero in a, its row renormalised, on random paths of length up to 2
+    rng = np.random.default_rng(r2)
+    found = 0
+    for _ in range(10):
+        shape = Shape(int(rng.integers(2, 7)), r2, int(rng.integers(2, 7)))
+        params = random_chain(shape, rng, min_entry=1e-3)
+        a = params.a.copy()
+        i, j = int(rng.integers(shape.r1)), int(rng.integers(r2))
+        a[i, j] = 0.0
+        a[i] /= a[i].sum()
+        params = ChainParams(shape, params.p1, a, params.b)
+        counts = CountTable((shape.r1, shape.r3),
+                            np.ones((shape.r1, shape.r3), dtype=int))
+        m = rng.standard_normal((r2, r2))
+        m -= m.mean(axis=1, keepdims=True)
+        q_end = MixingMatrix(np.eye(r2) + rng.uniform(0.5, 2.0) * m)
+        for steps in (2, 3, 33):
+            try:
+                profile_along_fiber(counts, params, q_end, steps)
+            except PathExitsPolytope as exc:
+                assert_first_crossing(params, q_end, exc.exit_t)
+                found += 1
+    assert found
 
 
 def test_profile_requires_finite_start():

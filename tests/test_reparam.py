@@ -302,6 +302,8 @@ def test_binary_surface_z_one_degenerate_branch():
     assert (l21, l11) == (0.7, 0.3)
     r7, r8 = binary_system_residuals(l11, l21, 0.3, 0.7, 1.0)
     assert r7 == 0.0 and r8 == 0.0
+    # z = 1 takes an equal pair too, which any other z refuses
+    assert binary_surface(0.4, 0.4, 1.0) == (0.4, 0.4)
 
 
 def test_binary_surface_singular_pair():

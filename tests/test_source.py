@@ -123,6 +123,38 @@ def float_constants(tree: ast.Module):
                 yield from (t.id for t in targets if isinstance(t, ast.Name))
 
 
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def tol_values(tree: ast.Module):
+    # the nodes that give a tol its value: the default of a parameter named
+    # tol, a tol= keyword and the default= of a --tol option
+    for node in ast.walk(tree):
+        if isinstance(node, FUNCTIONS):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            pairs = [*zip(positional[len(positional) - len(args.defaults):],
+                          args.defaults),
+                     *zip(args.kwonlyargs, args.kw_defaults)]
+            yield from (value for arg, value in pairs if arg.arg == "tol")
+        elif isinstance(node, ast.Call):
+            option = [getattr(a, "value", None) for a in node.args[:1]] == ["--tol"]
+            yield from (k.value for k in node.keywords
+                        if k.arg == "tol" or option and k.arg == "default")
+
+
+def small_float_literals(tree: ast.Module):
+    # float literals in (0, 1e-6] inside a function, its signature included
+    seen = set()
+    for function in ast.walk(tree):
+        if isinstance(function, FUNCTIONS):
+            for node in ast.walk(function):
+                if (isinstance(node, ast.Constant) and type(node.value) is float
+                        and 0.0 < node.value <= 1e-6 and id(node) not in seen):
+                    seen.add(id(node))
+                    yield node
+
+
 def test_every_tolerance_is_in_the_model_table():
     # one tolerance policy: a float constant is defined in ``model`` and has
     # a row in the table of its docstring
@@ -138,3 +170,19 @@ def test_every_tolerance_is_in_the_model_table():
     assert names == {"SUM_TOL", "CLAMP_EPS", "DET_EPS", "EM_SLACK",
                      "INTERIOR_EPS", "RANK_CUTOFF", "IDENTITY_TOL",
                      "RESIDUAL_TOL"}
+    # and a float literal at or below 1e-6 inside a function is the value
+    # of a tol, one that the table lists in a tol row
+    tol_rows = {float(value) for value in
+                re.findall(r"^tol +(\S+) +modelling ", doc, re.M)}
+    literals = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        tols = {id(node) for node in tol_values(tree)}
+        for node in small_float_literals(tree):
+            where = f"{path.name}:{node.lineno}"
+            assert id(node) in tols, f"{where}: {node.value!r} is not a tol"
+            assert node.value in tol_rows, f"{where}: no tol row for {node.value!r}"
+            literals.append((path.name, node.value))
+    assert sorted(literals) == [
+        ("cli.py", 1e-10), ("cli.py", 1e-08), ("identifiability.py", 1e-12),
+        ("identifiability.py", 1e-08), ("likelihood.py", 1e-10)]
