@@ -2,9 +2,11 @@
 
 Each digest is the sha256 of the bytes of every output array, in a fixed
 order, recorded before the fiber and reparam layers lost their per-call
-machinery.  A change of one bit in a fiber point, a mixed chain, a lambda
-field or a cross-ratio table fails here by shape and call; the CLI goldens
-of ``test_cli.py`` reach only 3x2x3 and 4x3x4.
+machinery, and for the forward map, the CI residuals, the 3x3x2 solver and
+the extreme mixings before those lost theirs.  A change of one bit in a
+fiber point, a mixed chain, a lambda field, a cross-ratio table, a joint or
+marginal table or its strides fails here by shape and call; the CLI
+goldens of ``test_cli.py`` reach only 3x2x3 and 4x3x4.
 """
 
 import hashlib
@@ -14,14 +16,20 @@ import pytest
 
 from latentgeom import (
     ChainParams,
+    CrossRatios,
     JointTable,
     MixingMatrix,
     Shape,
     apply_mixing,
+    ci_residuals,
     cross_ratios,
+    degenerate_family_323,
     extreme_mixings,
     joint_from_chain,
+    marginal_13,
+    quadric_residuals_323,
     sample_fiber,
+    solve_fiber_323,
     split,
 )
 from conftest import seeded_chain, seeded_joint
@@ -34,6 +42,10 @@ def _digest(arrays) -> str:
     for x in arrays:
         h.update(np.ascontiguousarray(x).tobytes())
     return h.hexdigest()
+
+
+def _strides(x):
+    return np.array(x.strides, dtype=np.int64)
 
 
 def _chain(shape):
@@ -81,9 +93,57 @@ def split_outputs(shape):
     yield from (marginal.cells, lambdas.values, lambdas.unconstrained)
 
 
+def joint_from_chain_outputs(shape):
+    joint = joint_from_chain(_chain(shape))
+    yield from (joint.cells, _strides(joint.cells))
+    for table in (joint, seeded_joint(shape, sum(shape))):
+        marginal = marginal_13(table)
+        yield from (marginal.cells, _strides(marginal.cells))
+
+
+def ci_residuals_outputs(shape):
+    r1, _, r3 = shape
+    refs = [(0, 0), (r1 - 1, r3 - 1)] + ([(1, 1)] if min(r1, r3) >= 3 else [])
+    for joint in (joint_from_chain(_chain(shape)), seeded_joint(shape, sum(shape))):
+        for ref in refs:
+            yield ci_residuals(joint, ref)
+
+
 OUTPUTS = {"sample_fiber": sample_fiber_outputs,
            "apply_mixing": apply_mixing_outputs,
-           "split": split_outputs}
+           "split": split_outputs,
+           "joint_from_chain": joint_from_chain_outputs,
+           "ci_residuals": ci_residuals_outputs}
+
+
+def solve_fiber_323_outputs(shape):
+    # the solved field at the true free values, the constant field of the
+    # independent marginal, and the frame's other readers, at two cells
+    marginal, lambdas = split(joint_from_chain(_chain(shape)))
+    first = lambdas.values[:, :, 0]
+    for ref in ((0, 0), (1, 2)):
+        z = cross_ratios(marginal, ref)
+        i, k, k2 = z.rows[0], ref[1], z.cols[0]
+        fields = [solve_fiber_323(z, float(first[i, k]), float(first[i, k2])),
+                  solve_fiber_323(CrossRatios((3, 3), ref, np.ones((2, 2))), 0.4, 0.4)]
+        fields += [degenerate_family_323(z, 0.01, 0.02, branch)
+                   for branch in ("ones", "zeros")]
+        for field in fields:
+            yield from (field.values, field.unconstrained, _strides(field.values),
+                        _strides(field.unconstrained), quadric_residuals_323(z, field))
+
+
+def extreme_mixings_outputs(shape):
+    for params in (_chain(shape), seeded_chain(shape, sum(shape))):
+        for side in "ab":
+            for vertex in extreme_mixings(params, side):
+                yield from (vertex.q.q, _strides(vertex.q.q), np.frombuffer(
+                    repr((vertex.branch, vertex.zeros)).encode(), np.uint8))
+
+
+#: outputs defined at some shapes of the ladder only
+CLOSED_FORMS = {"solve_fiber_323": (solve_fiber_323_outputs, [(3, 2, 3)]),
+                "extreme_mixings": (extreme_mixings_outputs, [(3, 2, 3), (5, 2, 5)])}
 
 DIGESTS = {
     ("apply_mixing", (3, 2, 3)):
@@ -122,6 +182,36 @@ DIGESTS = {
         "0cf529afbc970835b4ce3eb5af30f41c3ab36c2c3eeb91d3ae9a3e1d35920ecf",
     ("split", (2, 3, 5)):
         "ab56f3c7afdd092a71f8b5e64d38cee92bee313ceb5cf64b2c251076c3608c51",
+    ("ci_residuals", (3, 2, 3)):
+        "29452fc0c30818000f85fa79bb4c6f2f7f8262cf60cd5d3c4b54d8dfe127bca3",
+    ("ci_residuals", (5, 2, 5)):
+        "689bd2d43198d85b1cf74a4ff26caac214d782dd845577c539cd19e41f2382db",
+    ("ci_residuals", (10, 3, 10)):
+        "e0fe453b0db201dd9748668cd8e3f6470030804c7528321932864685a97d0a4c",
+    ("ci_residuals", (30, 5, 30)):
+        "54ebd3cd51ff4366f63ed73c82d2add9a0c643099d9e53d2a75e9eb8b6d24eb0",
+    ("ci_residuals", (6, 4, 3)):
+        "b105ed3452065ac6058af4293e95e1aa23b724411d28d18e14c930d941d6bdb2",
+    ("ci_residuals", (2, 3, 5)):
+        "87e2229cfb9c8a41d718fcc495ed7fb06c2d7720c2f0932c0e0aeada584d194c",
+    ("joint_from_chain", (3, 2, 3)):
+        "18cc743c51583f24603246da99e4ce3828ccece119b92a3cb962f96c92a3dadb",
+    ("joint_from_chain", (5, 2, 5)):
+        "5218186732f48d752833c4ea06eb993e6e041158cb654cc5a03e650ca99eba96",
+    ("joint_from_chain", (10, 3, 10)):
+        "22813007fce09de92c10263b7917899218b3f268b7590a454fb5b22153c64ac3",
+    ("joint_from_chain", (30, 5, 30)):
+        "03f91139edee89ab5429b1feb9a5bd78743ccf658155516eb3366683361446a8",
+    ("joint_from_chain", (6, 4, 3)):
+        "74b08e5dae801c4523058f04618c4d051a28a77e42c03e5d1f23e694d88f75ea",
+    ("joint_from_chain", (2, 3, 5)):
+        "8704556784c2632c2f52dbd446af5372d2e1259989cd4f5c938f93b784920c5b",
+    ("extreme_mixings", (3, 2, 3)):
+        "79224e033bd1f5129e6f140ab1d6b5e5ebee13facbf16ab1af90b2591cb65082",
+    ("extreme_mixings", (5, 2, 5)):
+        "cb2056ad0f580791b1f182d540f9fe52c76d1169809ed1751e9834f5c996bc8e",
+    ("solve_fiber_323", (3, 2, 3)):
+        "cb3b1ae6359290dedc258711107691e5d970adabc36d55134e2ba08fa7e315ce",
 }
 
 
@@ -129,3 +219,10 @@ DIGESTS = {
 @pytest.mark.parametrize("call", sorted(OUTPUTS))
 def test_geometry_outputs_are_bitwise_pinned(call, shape):
     assert _digest(OUTPUTS[call](shape)) == DIGESTS[call, shape]
+
+
+@pytest.mark.parametrize("call, shape", [
+    (call, shape) for call, (_, shapes) in sorted(CLOSED_FORMS.items())
+    for shape in shapes], ids=lambda x: "x".join(map(str, x)) if isinstance(x, tuple) else x)
+def test_closed_form_outputs_are_bitwise_pinned(call, shape):
+    assert _digest(CLOSED_FORMS[call][0](shape)) == DIGESTS[call, shape]
