@@ -26,18 +26,18 @@ from .errors import (
     InvalidParameter,
     SingularMixing,
 )
-from . import model
 from .model import (
-    _EPS,
     CLAMP_EPS,
     DET_EPS,
     INTERIOR_EPS,
     SUM_TOL,
     ChainParams,
+    _Value,
     _fields_eq,
     _frozen,
     _numerical_rank,
     _reals,
+    _unit_rows_proven,
 )
 from .shapes import _check_count
 
@@ -45,8 +45,15 @@ from .shapes import _check_count
 _DRAWS = 1024
 
 
+def _nonsingular(q: np.ndarray) -> None:
+    """Refuse a q with |det q| <= DET_EPS."""
+    det = float(np.linalg.det(q))
+    if abs(det) <= DET_EPS:
+        raise SingularMixing(f"|det q| = {abs(det):.3e} <= {DET_EPS}")
+
+
 @dataclass(frozen=True)
-class MixingMatrix:
+class MixingMatrix(_Value):
     """Invertible matrix with unit row sums acting on the latent labels.
 
     Entries may be any reals; whether the action keeps the parameters
@@ -70,9 +77,7 @@ class MixingMatrix:
             raise InvalidParameter(
                 f"row {which} of q sums to {float(sums[which])!r}, not 1"
             )
-        det = float(np.linalg.det(q))
-        if abs(det) <= DET_EPS:
-            raise SingularMixing(f"|det q| = {abs(det):.3e} <= {DET_EPS}")
+        _nonsingular(q)
         object.__setattr__(self, "q", _frozen(q))
 
     @classmethod
@@ -168,21 +173,13 @@ def _points(params: ChainParams, a: np.ndarray, b: np.ndarray) -> list[ChainPara
     shapes are those of ``params``.  If the snapped array holds no NaN,
     neither did its input (a NaN spreads along its row through the row
     sum), so the clamp test saw its true minimum and every entry became
-    >= 0.  Each row was then divided by its own sum s: if s overflowed, the
-    row is all zeros; otherwise it sums to 1 within (r - 1/2) eps <
-    (r + 1) eps to first order, for rows of length r ((r - 1) eps / 2 each
-    from the sum s and from summing the quotients, eps / 2 from the
-    division).  A NaN makes a stack's sum NaN, and an all-zero row takes
-    it about 1 below its N rows (the rest, and their sum, are off by about
-    2 N r eps), so one sum per factor rules both out.  Where it does not,
-    or (r + 1) eps exceeds ``model.SUM_TOL`` read at call time, every point
-    goes through :class:`ChainParams`, whose checks raise the error of the
-    first point that fails one.
+    >= 0; each row was then divided by its own sum, which is the proof of
+    :func:`~latentgeom.model._unit_rows_proven`.  Where it does not hold,
+    every point goes through :class:`ChainParams`, whose checks raise the
+    error of the first point that fails one.
     """
-    for rows in (a, b):
-        if not (abs(float(np.add.reduce(rows, None)) - len(rows) * rows.shape[1]) <= 0.5
-                and (rows.shape[2] + 1) * _EPS <= model.SUM_TOL):
-            return [ChainParams(params.shape, params.p1, *ab) for ab in zip(a, b)]
+    if not _unit_rows_proven(a, b):
+        return [ChainParams(params.shape, params.p1, *ab) for ab in zip(a, b)]
     a.flags.writeable = b.flags.writeable = False
     return [ChainParams._checked(params.shape, params.p1, ak, bk) for ak, bk in zip(a, b)]
 
@@ -284,6 +281,18 @@ def _b_side_interval(b: np.ndarray) -> tuple[float, int, float, int]:
     return u_lo, k_lo, u_hi, k_hi
 
 
+def _corner(pi: float, rho: float) -> MixingMatrix:
+    """``MixingMatrix.from_pi_rho(pi, rho)`` for pi and rho in [0, 1], as
+    :class:`RhoPiBounds` proves of the a-side corners.  Every entry lies in
+    [0, 1], so q is finite, and each row x + (1 - x) sums to 1 within eps
+    (eps / 2 from the subtraction and from the sum): of the checks only
+    the determinant test is left."""
+    q = np.array([[pi, 1.0 - pi], [rho, 1.0 - rho]])
+    _nonsingular(q)
+    q.flags.writeable = False
+    return MixingMatrix._checked(q)
+
+
 def extreme_mixings(params: ChainParams, side: str = "a") -> list[ExtremeMixing]:
     """The boundary mixings that make a transformed factor degenerate.
 
@@ -318,6 +327,7 @@ def extreme_mixings(params: ChainParams, side: str = "a") -> list[ExtremeMixing]
         pi, rho = bounds.pi_min, bounds.rho_max
         zeros = (("a", bounds.i_min, 0), ("a", bounds.i_max, 1))
         mirrored_zeros = (("a", bounds.i_max, 0), ("a", bounds.i_min, 1))
+        mixing = _corner
     else:
         if params.min_entry <= 0.0:
             raise BoundaryPoint("b-side construction requires interior "
@@ -325,11 +335,10 @@ def extreme_mixings(params: ChainParams, side: str = "a") -> list[ExtremeMixing]
         rho, k_lo, pi, k_hi = _b_side_interval(params.b)
         zeros = (("b", 0, k_hi), ("b", 1, k_lo))
         mirrored_zeros = (("b", 0, k_lo), ("b", 1, k_hi))
+        mixing = MixingMatrix.from_pi_rho
     return [
-        ExtremeMixing(q=MixingMatrix.from_pi_rho(pi, rho), branch="main",
-                      zeros=zeros),
-        ExtremeMixing(q=MixingMatrix.from_pi_rho(rho, pi), branch="mirrored",
-                      zeros=mirrored_zeros),
+        ExtremeMixing(q=mixing(pi, rho), branch="main", zeros=zeros),
+        ExtremeMixing(q=mixing(rho, pi), branch="mirrored", zeros=mirrored_zeros),
     ]
 
 

@@ -296,8 +296,8 @@ def consistency_check(target: MarginalTable, r2: int, restarts: int = 64,
     :func:`_exact_witness`, without ``restarts``, ``maxiter`` or ``seed``.
     :func:`_certify` certifies every witness with the value types'
     arithmetic: one its masks reject is rebuilt as a ``ChainParams``, which
-    raises its error; one that passes becomes a ``ChainParams`` once,
-    unchecked.
+    raises its error; the masks are the proof of one that passes, which
+    becomes a ``ChainParams`` once, unchecked.
 
     The search is one run of the EM kernel, which takes the restarts in
     seed order as lanes free up: one lane at first, twice as many, up to

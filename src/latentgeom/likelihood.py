@@ -36,6 +36,7 @@ from .model import (
     _frozen,
     _reals,
     _stochastic,
+    _unit_rows_proven,
     joint_from_chain,
     marginal_13,
 )
@@ -159,8 +160,17 @@ class _EmRuns(NamedTuple):
     errors: dict[int, GeometryError]
 
     def params(self, shape: Shape, r: int) -> ChainParams:
-        """Chain parameters of restart ``r``, rows renormalised."""
-        return ChainParams(shape, *(x[r] for x in _unit_rows(self.p1, self.a, self.b)))
+        """Chain parameters of restart ``r``, rows renormalised.  They are
+        frozen in place and not checked again where the proof of
+        :func:`~latentgeom.model._unit_rows_proven` holds: EM's rows are
+        products, sums and quotients of weights and rows >= 0, so their
+        entries are >= 0 or NaN, and each is divided by its own sum here."""
+        rows = [x[r] for x in _unit_rows(self.p1, self.a, self.b)]
+        if not _unit_rows_proven(*rows):
+            return ChainParams(shape, *rows)
+        for x in rows:
+            x.flags.writeable = False
+        return ChainParams._checked(shape, *rows)
 
 
 def _unit_rows(p1: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple:

@@ -24,22 +24,26 @@ user may revisit.  The last three rows are argument defaults.
 name          value   kind       what it decides; who reads it
 ============  ======  =========  =============================================
 SUM_TOL       1e-12   rounding   a given row or table sums to 1 within it; the
-                                 value types, fiber._mix, fiber._points; one
-                                 built from checked factors is not checked: a
-                                 forward map's within 3 SUM_TOL plus rounding
+                                 value types, fiber._mix, _unit_rows_proven,
+                                 split; one built from checked factors is
+                                 not checked: a forward map's within
+                                 3 SUM_TOL plus rounding
 CLAMP_EPS     1e-12   rounding   an entry this far past 0 or 1 is snapped or
                                  clipped, not refused; fiber._mix, _snap,
                                  _clamp_rows, the clamp test of apply_mixing
                                  and sample_fiber, LambdaField,
-                                 _outside_unit_box; entries at or below it
-                                 are 0 in the witness of _nested_polygon
-DET_EPS       1e-12   rounding   a divisor this small is 0; MixingMatrix,
+                                 _outside_unit_box, solve_fiber_323; entries
+                                 at or below it are 0 in the witness of
+                                 _nested_polygon
+DET_EPS       1e-12   rounding   a divisor this small is 0; fiber._nonsingular
+                                 (MixingMatrix, the a-side corners),
                                  fiber._mix, the chord cut that _workspace
                                  gives _move, solve_fiber_323
 EM_SLACK      1e-12   rounding   a relative EM log-likelihood drop this small
                                  is no error; likelihood._em_batch
 _EPS          2**-52  rounding   float64 eps, the unit of derived bounds;
-                                 fiber._points, consistency_check's margins
+                                 _unit_rows_proven, split,
+                                 consistency_check's margins
 INTERIOR_EPS  1e-9    modelling  entries above it are interior; jacobian_rank,
                                  fiber_dimension
 RANK_CUTOFF   1e-8    modelling  relative singular-value cutoff of a rank;
@@ -109,7 +113,8 @@ class _Value:
     @classmethod
     def _checked(cls, *values):
         """The value of fields, in declaration order, that pass the checks
-        of ``__post_init__`` and are as it leaves them (arrays frozen)."""
+        of ``__post_init__`` and are as it leaves them (arrays frozen).
+        Each caller's docstring gives the proof that they do."""
         value = object.__new__(cls)
         value.__dict__.update(zip(cls.__dataclass_fields__, values))  # as __init__ sets them
         return value
@@ -140,6 +145,23 @@ def _stochastic(rows: np.ndarray) -> np.ndarray:
             & (np.maximum.reduce(np.abs(sums - 1.0), -1) <= SUM_TOL))
 
 
+def _unit_rows_proven(*stacks: np.ndarray) -> bool:
+    """True if stacks of rows, each row divided by its own sum of entries
+    that are >= 0 or NaN, pass :func:`_stochastic` with one sum per stack.
+
+    A row whose sum s overflowed is all zeros; any other row has entries
+    >= 0 and sums to 1 within (r - 1/2) eps < (r + 1) eps to first order,
+    for rows of length r ((r - 1) eps / 2 each from the sum s and from
+    summing the quotients, eps / 2 from the division).  A NaN makes a
+    stack's sum NaN, and an all-zero row takes it about 1 below its N rows
+    (the rest, and their sum, are off by about 2 N r eps), so one sum per
+    stack rules both out.  False where it does not, or where (r + 1) eps
+    exceeds ``SUM_TOL``: the caller then checks every row.
+    """
+    return all(abs(float(np.add.reduce(rows, None)) - rows.size // rows.shape[-1]) <= 0.5
+               and (rows.shape[-1] + 1) * _EPS <= SUM_TOL for rows in stacks)
+
+
 def _ref_cell(ref_cell, r1: int, r3: int) -> tuple[int, int]:
     """A reference cell (I, K) of an r1 x r3 table: an integer pair inside
     the table."""
@@ -147,6 +169,20 @@ def _ref_cell(ref_cell, r1: int, r3: int) -> tuple[int, int]:
     if not (0 <= ref[0] < r1 and 0 <= ref[1] < r3):
         raise InvalidParameter(f"reference cell {ref} out of range")
     return ref
+
+
+def _ref_frame(ref: tuple[int, int], r1: int, r3: int) -> tuple:
+    """The indices ``rows, cols`` of an r1 x r3 table that move the
+    reference cell (I, K) to (0, 0), the other rows and columns after it
+    in ascending order: ``x[rows, cols]`` reads ``x`` in that frame,
+    ``[1:, 1:]`` of it drops the reference row and column, and assigning
+    to it writes a frame back.  At (0, 0) both are basic slices, so the
+    frame is a view of ``x``."""
+    i, k = ref
+    if not (i or k):
+        return slice(None), slice(None)
+    return (np.array([i, *range(i), *range(i + 1, r1)])[:, None],
+            np.array([k, *range(k), *range(k + 1, r3)]))
 
 
 def _check_table(table, shape: tuple[int, ...]) -> None:
@@ -282,15 +318,27 @@ class MarginalTable(_Value):
 
 
 def joint_from_chain(params: ChainParams) -> JointTable:
-    """Forward map theta(i, j, k) = p1(i) a(i, j) b(j, k) of checked rows."""
+    """Forward map theta(i, j, k) = p1(i) a(i, j) b(j, k) of checked rows.
+
+    The checked rows prove the table, which is not checked again, and its
+    new array is frozen in place: products of entries >= 0 are >= 0 and
+    finite, and the table sums to the product of the row sums, within
+    3 ``SUM_TOL`` of 1 plus rounding."""
     cells = np.einsum("i,ij,jk->ijk", params.p1, params.a, params.b)
-    return JointTable._checked(params.shape, _frozen(cells))
+    cells.flags.writeable = False
+    return JointTable._checked(params.shape, cells)
 
 
 def marginal_13(joint: JointTable) -> MarginalTable:
-    """Sum out the hidden variable: delta(i, k) = sum_j theta(i, j, k)."""
+    """Sum out the hidden variable: delta(i, k) = sum_j theta(i, j, k).
+
+    The checked joint proves the table, which is not checked again, and
+    its new array is frozen in place: sums of the joint's cells are >= 0
+    and sum to its total."""
     r1, _, r3 = joint.shape.astuple()
-    return MarginalTable._checked((r1, r3), _frozen(joint.cells.sum(axis=1)))
+    cells = joint.cells.sum(axis=1)
+    cells.flags.writeable = False
+    return MarginalTable._checked((r1, r3), cells)
 
 
 def ci_residuals(joint: JointTable, ref_cell: tuple[int, int] = (0, 0)) -> np.ndarray:
@@ -304,13 +352,10 @@ def ci_residuals(joint: JointTable, ref_cell: tuple[int, int] = (0, 0)) -> np.nd
     (ascending, skipping K).  Zero cells are allowed; the residuals stay
     defined on the boundary.
     """
-    r1, r2, r3 = joint.shape.astuple()
-    ref_i, ref_k = _ref_cell(ref_cell, r1, r3)
-    th = joint.cells.transpose(1, 0, 2)
-    # every (j, i, k); the residuals at i = I or k = K vanish and are dropped
-    res = (th[:, ref_i, None, ref_k, None] * th
-           - th[:, ref_i, None, :] * th[:, :, ref_k, None])
-    return res[:, np.arange(r1) != ref_i][:, :, np.arange(r3) != ref_k].ravel()
+    r1, _, r3 = joint.shape.astuple()
+    rows, cols = _ref_frame(_ref_cell(ref_cell, r1, r3), r1, r3)
+    th = joint.cells.transpose(1, 0, 2)[:, rows, cols]    # (j, i, k), (I, K) at (0, 0)
+    return (th[:, :1, :1] * th[:, 1:, 1:] - th[:, :1, 1:] * th[:, 1:, :1]).ravel()
 
 
 def _numerical_rank(mat: np.ndarray) -> tuple[int, list[float]]:

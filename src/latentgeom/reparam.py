@@ -43,13 +43,16 @@ from .model import (
     IDENTITY_TOL,
     RESIDUAL_TOL,
     SUM_TOL,
+    _EPS,
     JointTable,
     MarginalTable,
     Shape,
+    _Value,
     _fields_eq,
     _frozen,
     _reals,
     _ref_cell,
+    _ref_frame,
     marginal_13,
 )
 from .shapes import _integer_pair
@@ -73,7 +76,7 @@ def _outside_unit_box(values) -> tuple[int, ...] | None:
 
 
 @dataclass(frozen=True)
-class LambdaField:
+class LambdaField(_Value):
     """Hidden conditionals lambda_j(i, k), stored as values[i, k, j].
 
     For every (i, k) the j-slice is a probability vector.  Cells where the
@@ -125,6 +128,15 @@ def split(joint: JointTable) -> tuple[MarginalTable, LambdaField]:
     Where delta(i, k) = 0 the conditional is undefined; those slices are
     set uniform and flagged so downstream code cannot mistake the filler
     for information.
+
+    The checked joint proves the field, which is not checked again, and
+    its new arrays are frozen in place.  A rounded sum of entries >= 0 is
+    at least each of them, so each theta(i, j, k) / delta(i, k) lies in
+    [0, 1], where ``np.clip`` keeps every bit; each slice then sums to 1
+    within (r2 - 1/2) eps < (r2 + 1) eps to first order ((r2 - 1) eps / 2
+    each from delta and from the slice sum, eps / 2 from the division), as
+    does a slice of r2 entries 1 / r2.  Where (r2 + 1) eps exceeds
+    ``SUM_TOL``, :class:`LambdaField` checks the field.
     """
     r1, r2, r3 = joint.shape.astuple()
     marginal = marginal_13(joint)
@@ -135,11 +147,18 @@ def split(joint: JointTable) -> tuple[MarginalTable, LambdaField]:
     lam = joint.cells.transpose(0, 2, 1) / safe[:, :, None]
     if not interior:
         lam[zero] = 1.0 / r2
-    return marginal, LambdaField(joint.shape, lam, zero)
+    if not (r2 + 1) * _EPS <= SUM_TOL:
+        return marginal, LambdaField(joint.shape, lam, zero)
+    lam.flags.writeable = zero.flags.writeable = False
+    return marginal, LambdaField._checked(joint.shape, lam, zero)
 
 
 def merge(marginal: MarginalTable, lambdas: LambdaField) -> JointTable:
-    """Inverse of :func:`split`: theta(i, j, k) = delta(i, k) lambda_j(i, k)."""
+    """Inverse of :func:`split`: theta(i, j, k) = delta(i, k) lambda_j(i, k).
+
+    The checked marginal and field prove the table, which is not checked
+    again: products of entries >= 0, summing to 1 within 2 ``SUM_TOL``
+    plus rounding."""
     r1, r2, r3 = lambdas.shape.astuple()
     if marginal.shape != (r1, r3):
         raise InvalidParameter(
@@ -150,8 +169,16 @@ def merge(marginal: MarginalTable, lambdas: LambdaField) -> JointTable:
     return JointTable._checked(lambdas.shape, _frozen(cells))    # not a view
 
 
+def _check_ratios(values: np.ndarray) -> None:
+    """Refuse cross-ratios that are not all finite and above 0; a NaN
+    fails, an empty table passes."""
+    if not (0.0 < np.minimum.reduce(values, None, initial=np.inf)
+            and np.maximum.reduce(values, None, initial=0.0) < np.inf):
+        raise InvalidParameter("cross-ratios must be finite and positive")
+
+
 @dataclass(frozen=True)
-class CrossRatios:
+class CrossRatios(_Value):
     """Cross-ratios z(i, k) of a marginal relative to a reference cell.
 
     z(i, k) = delta(I, K) delta(i, k) / (delta(I, k) delta(i, K)) for
@@ -178,10 +205,7 @@ class CrossRatios:
             raise InvalidParameter(
                 f"values have shape {values.shape}, expected ({r1 - 1}, {r3 - 1})"
             )
-        # a NaN or an infinity fails; an empty table passes, as it did
-        if not (0.0 < np.minimum.reduce(values, None, initial=np.inf)
-                and np.maximum.reduce(values, None, initial=0.0) < np.inf):
-            raise InvalidParameter("cross-ratios must be finite and positive")
+        _check_ratios(values)
         object.__setattr__(self, "marginal_shape", (r1, r3))
         object.__setattr__(self, "ref_cell", ref)
         object.__setattr__(self, "values", _frozen(values))
@@ -225,16 +249,25 @@ def cross_ratios(marginal: MarginalTable,
 
     Raises :class:`ZeroCell` naming the first offending cell if any entry
     involved in a ratio (in practice: any cell of the table) is zero.
+
+    The table is built once: the marginal proves its shape and the
+    reference cell is checked here, so of :class:`CrossRatios`' checks only
+    the finite-and-positive test is left, which a product that underflows
+    or a quotient that overflows can fail.
     """
     r1, r3 = marginal.shape
-    ref_i, ref_k = _ref_cell(ref_cell, r1, r3)
+    ref = _ref_cell(ref_cell, r1, r3)
     d = marginal.cells
     if not np.minimum.reduce(d, None) > 0.0:    # the cells are checked: >= 0
         zero = np.argwhere(d == 0.0)[0]
         raise ZeroCell((int(zero[0]), int(zero[1])))
-    values = d[ref_i, ref_k] * d / (d[ref_i, None, :] * d[:, ref_k, None])
-    values = values[np.arange(r1) != ref_i][:, np.arange(r3) != ref_k]
-    return CrossRatios((r1, r3), (ref_i, ref_k), values)
+    rows, cols = _ref_frame(ref, r1, r3)
+    d = d[rows, cols]
+    # in Fortran order, the layout of every table cross_ratios returns
+    values = np.asfortranarray(d[0, 0] * d[1:, 1:] / (d[0, None, 1:] * d[1:, 0, None]))
+    _check_ratios(values)
+    values.flags.writeable = False
+    return CrossRatios._checked((r1, r3), ref, values)
 
 
 @dataclass(frozen=True)
@@ -367,43 +400,41 @@ def marginal_identity_323(z: CrossRatios) -> float:
     """
     if z.values.shape != (2, 2):
         raise InvalidParameter("identity requires a 3 x 3 marginal's cross-ratios")
-    z1, z2, z3, z4 = (float(v) for v in z.values.ravel())
+    (z1, z2), (z3, z4) = z.values.tolist()
     return z1 * z4 - z2 * z3 - (z1 + z4) + (z2 + z3)
 
 
-def _quadric_residuals_323(z: CrossRatios, lam: np.ndarray) -> np.ndarray:
+def _quadric_residuals_323(z: CrossRatios, lam: list) -> list[float]:
     """The eight quadric residuals in z-form for a 3 x 3 x 2 lambda slice.
 
-    ``lam[i, k]`` is the first-component conditional in the frame where the
-    reference cell is (0, 0).  For each (i, k) in {1, 2}^2:
+    ``lam[i][k]`` is the first-component conditional in the frame where the
+    reference cell is (0, 0), a float.  For each (i, k) in {1, 2}^2:
 
         z(i,k) lam(0,0) lam(i,k) - lam(0,k) lam(i,0)          (j = 1)
         z(i,k) (1-lam(0,0))(1-lam(i,k)) - (1-lam(0,k))(1-lam(i,0))  (j = 2)
     """
-    zv = z.values
-    out = np.empty(8)
-    pos = 0
-    for i in (1, 2):
-        for k in (1, 2):
-            zz = zv[i - 1, k - 1]
-            out[pos] = zz * lam[0, 0] * lam[i, k] - lam[0, k] * lam[i, 0]
-            out[pos + 1] = (zz * (1 - lam[0, 0]) * (1 - lam[i, k])
-                            - (1 - lam[0, k]) * (1 - lam[i, 0]))
-            pos += 2
+    out = []
+    for i, zrow in zip((1, 2), z.values.tolist()):
+        for k, zz in zip((1, 2), zrow):
+            out.append(zz * lam[0][0] * lam[i][k] - lam[0][k] * lam[i][0])
+            out.append(zz * (1 - lam[0][0]) * (1 - lam[i][k])
+                       - (1 - lam[0][k]) * (1 - lam[i][0]))
     return out
 
 
-def _frame_index(z: CrossRatios) -> tuple[np.ndarray, np.ndarray]:
-    """``np.ix_`` index of the frame that moves the reference cell to
-    (0, 0): ``x[_frame_index(z)]`` is the 3 x 3 array ``x`` in that frame."""
-    return np.ix_((z.ref_cell[0], *z.rows), (z.ref_cell[1], *z.cols))
-
-
-def _field_from_first_component(shape: Shape, z: CrossRatios,
-                                lam: np.ndarray) -> LambdaField:
+def _field_from_first_component(shape: Shape, z: CrossRatios, lam) -> LambdaField:
+    """The field of first components ``lam`` (3 x 3, in the frame of ``z``)
+    and second components 1 - lam, built once on the proof that ``lam``
+    lies in [0, 1], as :func:`solve_fiber_323` makes it: there ``np.clip``
+    keeps every bit, each 1 - lam lies there too, each slice
+    lam + (1 - lam) sums to 1 within eps (eps / 2 from the subtraction and
+    from the sum), and no cell is unconstrained."""
     values = np.empty((3, 3, 2))
-    values[_frame_index(z)] = np.stack([lam, 1.0 - lam], axis=-1)
-    return LambdaField(shape, values)
+    rows, cols = _ref_frame(z.ref_cell, 3, 3)
+    values[rows, cols, 0] = lam
+    values[:, :, 1] = 1.0 - values[:, :, 0]
+    values.flags.writeable = False
+    return LambdaField._checked(shape, values, _frozen(np.zeros((3, 3)), bool))
 
 
 def solve_fiber_323(z: CrossRatios, lam21: float, lam22: float) -> LambdaField:
@@ -431,23 +462,27 @@ def solve_fiber_323(z: CrossRatios, lam21: float, lam22: float) -> LambdaField:
     leave [0, 1] name the coordinate in :class:`OutOfUnitBox`.  The fully
     independent marginal (all z = 1) with equal free parameters yields the
     constant field.
+
+    The nine values are Python floats, with the bits of float64
+    arithmetic, until the field is written.  The free values are checked
+    to lie in [0, 1], and the solved ones are clipped into it after the
+    residual test, which a NaN in any of the nine fails.
     """
     if z.values.shape != (2, 2):
         raise InvalidParameter("solver requires a 3 x 3 marginal's cross-ratios")
     _check_unit(lam21=lam21, lam22=lam22)
-    scale = max(1.0, float(np.abs(z.values).max()))
+    (z1, z2), (z3, z4) = z.values.tolist()
+    scale = max(1.0, z1, z2, z3, z4)    # the cross-ratios are positive
     ident = marginal_identity_323(z)
     if not (abs(ident) <= IDENTITY_TOL * scale):    # a NaN fails too
         raise OffVariety(f"marginal identity residual {ident:.17g} exceeds "
                          f"tolerance {IDENTITY_TOL * scale:.17g}")
-    z1, z2, z3, z4 = (float(v) for v in z.values.ravel())
     shape = Shape(3, 2, 3)
 
     if max(abs(z1 - 1), abs(z2 - 1), abs(z3 - 1), abs(z4 - 1)) < DET_EPS \
             and abs(lam22 - lam21) < DET_EPS:
         # independence: the row-constant completion is the canonical solution
-        lam = np.full((3, 3), lam21)
-        return _field_from_first_component(shape, z, lam)
+        return _field_from_first_component(shape, z, [[lam21] * 3] * 3)
 
     def checked_div(num: float, den: float, name: str) -> float:
         if abs(den) < DET_EPS:
@@ -455,35 +490,31 @@ def solve_fiber_323(z: CrossRatios, lam21: float, lam22: float) -> LambdaField:
                 f"denominator {name} = {den:.17g} is too close to zero")
         return num / den
 
-    lam = np.empty((3, 3))
-    lam[1, 0] = lam21
-    lam[1, 1] = lam22
     phi1 = 1.0 - lam21 - z1 * (1.0 - lam22)
-    lam[0, 0] = checked_div(lam21 * phi1, z1 * (lam22 - lam21),
-                            "z1 (lam(2,2) - lam(2,1))")
-    lam[0, 1] = checked_div(lam22 * phi1, lam22 - lam21,
-                            "lam(2,2) - lam(2,1)")
-    l00 = lam[0, 0]
+    l00 = checked_div(lam21 * phi1, z1 * (lam22 - lam21),
+                      "z1 (lam(2,2) - lam(2,1))")
+    l01 = checked_div(lam22 * phi1, lam22 - lam21, "lam(2,2) - lam(2,1)")
     phi2 = 1.0 - lam21 - z2 * (1.0 - l00)
-    lam[1, 2] = checked_div(lam21 * phi2, z2 * (l00 - lam21),
-                            "z2 (lam(1,1) - lam(2,1))")
-    lam[0, 2] = checked_div(l00 * phi2, l00 - lam21,
-                            "lam(1,1) - lam(2,1)")
-    phi3 = 1.0 - lam[0, 1] - z3 * (1.0 - l00)
-    lam[2, 1] = checked_div(lam[0, 1] * phi3, z3 * (l00 - lam[0, 1]),
-                            "z3 (lam(1,1) - lam(1,2))")
-    lam[2, 0] = checked_div(l00 * phi3, l00 - lam[0, 1],
-                            "lam(1,1) - lam(1,2)")
-    lam[2, 2] = checked_div(lam[0, 2] * lam[2, 0], z4 * l00, "z4 lam(1,1)")
+    l12 = checked_div(lam21 * phi2, z2 * (l00 - lam21),
+                      "z2 (lam(1,1) - lam(2,1))")
+    l02 = checked_div(l00 * phi2, l00 - lam21, "lam(1,1) - lam(2,1)")
+    phi3 = 1.0 - l01 - z3 * (1.0 - l00)
+    l21 = checked_div(l01 * phi3, z3 * (l00 - l01), "z3 (lam(1,1) - lam(1,2))")
+    l20 = checked_div(l00 * phi3, l00 - l01, "lam(1,1) - lam(1,2)")
+    l22 = checked_div(l02 * l20, z4 * l00, "z4 lam(1,1)")
+    lam = [[l00, l01, l02], [lam21, lam22, l12], [l20, l21, l22]]
 
-    if (idx := _outside_unit_box(lam)) is not None:
-        raise OutOfUnitBox(f"lam({idx[0] + 1},{idx[1] + 1}) = {lam[idx]:.17g} "
-                           "lies outside [0, 1]")
-    lam = np.clip(lam, 0.0, 1.0)
+    for i, row in enumerate(lam):
+        for k, v in enumerate(row):     # a NaN is not outside
+            if v < -CLAMP_EPS or v > 1.0 + CLAMP_EPS:
+                raise OutOfUnitBox(f"lam({i + 1},{k + 1}) = {v:.17g} "
+                                   "lies outside [0, 1]")
+    # as np.clip: -0.0 and a NaN are kept
+    lam = [[min(max(v, 0.0), 1.0) for v in row] for row in lam]
 
-    res = _quadric_residuals_323(z, lam)
-    worst = float(np.abs(res).max())
-    if not (worst <= RESIDUAL_TOL * scale):    # a NaN fails too
+    worst = max(map(abs, _quadric_residuals_323(z, lam)),
+                key=lambda r: (r != r, r))      # a NaN first, and it fails
+    if not worst <= RESIDUAL_TOL * scale:
         raise OffVariety(f"marginal identity residual {worst:.17g} exceeds "
                          f"tolerance {RESIDUAL_TOL * scale:.17g}")
     return _field_from_first_component(shape, z, lam)
@@ -493,8 +524,11 @@ def quadric_residuals_323(z: CrossRatios, lambdas: LambdaField) -> np.ndarray:
     """Evaluate the eight z-form quadric residuals on a full lambda field."""
     if lambdas.shape.astuple() != (3, 2, 3):
         raise InvalidParameter("residuals require shape (3, 2, 3)")
-    lam = lambdas.values[:, :, 0][_frame_index(z)]
-    return _quadric_residuals_323(z, lam)
+    if z.values.shape != (2, 2):
+        raise InvalidParameter("residuals require a 3 x 3 marginal's cross-ratios")
+    rows, cols = _ref_frame(z.ref_cell, 3, 3)
+    lam = lambdas.values[rows, cols, 0]
+    return np.array(_quadric_residuals_323(z, lam.tolist()))
 
 
 def degenerate_family_323(z: CrossRatios, lam21: float, lam31: float,
@@ -528,5 +562,6 @@ def degenerate_family_323(z: CrossRatios, lam21: float, lam31: float,
     mu[1:, 1:] = np.minimum(scaled, 1.0)
     pair = [1.0 - mu, mu] if branch == "ones" else [mu, 1.0 - mu]
     values = np.empty((3, 3, 2))
-    values[_frame_index(z)] = np.stack(pair, axis=-1)
+    rows, cols = _ref_frame(z.ref_cell, 3, 3)
+    values[rows, cols] = np.stack(pair, axis=-1)
     return LambdaField(Shape(3, 2, 3), values)

@@ -95,6 +95,9 @@ REFUSALS = {
                    "solver requires a 3 x 3 marginal's cross-ratios"),
     "residuals 3x2x3": (lambda: quadric_residuals_323(Z_ONES, LAMBDAS_222),
                         InvalidParameter, "residuals require shape (3, 2, 3)"),
+    "residuals 3x3": (lambda: quadric_residuals_323(Z_2X2, LambdaField(
+        Shape(3, 2, 3), np.full((3, 3, 2), 0.5))), InvalidParameter,
+        "residuals require a 3 x 3 marginal's cross-ratios"),
     "family 3x3": (lambda: degenerate_family_323(Z_2X2, 0.5, 0.5),
                    InvalidParameter,
                    "family requires a 3 x 3 marginal's cross-ratios"),

@@ -186,3 +186,47 @@ def test_every_tolerance_is_in_the_model_table():
     assert sorted(literals) == [
         ("cli.py", 1e-10), ("cli.py", 1e-08), ("identifiability.py", 1e-12),
         ("identifiability.py", 1e-08), ("likelihood.py", 1e-10)]
+
+
+#: every construction of a value type that skips its checks, by module and
+#: function: each call of ``_checked`` and each ``object.__new__``
+UNCHECKED = {
+    ("fiber.py", "_corner"),
+    ("fiber.py", "_points"),
+    ("identifiability.py", "consistency_check"),
+    ("likelihood.py", "_EmRuns.params"),
+    ("model.py", "_Value._checked"),
+    ("model.py", "joint_from_chain"),
+    ("model.py", "marginal_13"),
+    ("reparam.py", "_field_from_first_component"),
+    ("reparam.py", "cross_ratios"),
+    ("reparam.py", "merge"),
+    ("reparam.py", "split"),
+}
+
+
+def unchecked_sites(scope: ast.AST, names: tuple = (), doc: str | None = None):
+    # (qualified name, docstring) of the innermost function around each
+    # unchecked construction in ``scope``
+    for node in ast.iter_child_nodes(scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = ast.get_docstring(node) if isinstance(node, FUNCTIONS) else doc
+            yield from unchecked_sites(node, (*names, node.name), inner)
+            continue
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and (
+                node.func.attr == "_checked" or node.func.attr == "__new__"
+                and ast.unparse(node.func.value) == "object"):
+            yield ".".join(names), doc
+        yield from unchecked_sites(node, names, doc)
+
+
+def test_every_unchecked_construction_is_listed_with_its_proof():
+    # a value built without its checks needs a proof that it would pass
+    # them: a new site fails here until it is listed, and the docstring of
+    # its function must give the proof
+    found = {(path.name, name): doc for path in sorted(SRC.glob("*.py"))
+             for name, doc in unchecked_sites(
+                 ast.parse(path.read_text(encoding="utf-8")))}
+    assert set(found) == UNCHECKED
+    assert [site for site, doc in found.items()
+            if not re.search(r"\bpro(?:of|ve[sn]?)\b", doc or "")] == []
