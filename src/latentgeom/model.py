@@ -172,12 +172,10 @@ def _ref_cell(ref_cell, r1: int, r3: int) -> tuple[int, int]:
 
 
 def _ref_frame(ref: tuple[int, int], r1: int, r3: int) -> tuple:
-    """The indices ``rows, cols`` of an r1 x r3 table that move the
-    reference cell (I, K) to (0, 0), the other rows and columns after it
-    in ascending order: ``x[rows, cols]`` reads ``x`` in that frame,
-    ``[1:, 1:]`` of it drops the reference row and column, and assigning
-    to it writes a frame back.  At (0, 0) both are basic slices, so the
-    frame is a view of ``x``."""
+    """Indices ``rows, cols`` that move the reference cell (I, K) of an
+    r1 x r3 table to (0, 0), the others following in order: ``x[rows, cols]``
+    reads that frame, ``[1:, 1:]`` of it drops (I, K)'s row and column, and
+    assigning to it writes one back.  At (0, 0) they are plain slices."""
     i, k = ref
     if not (i or k):
         return slice(None), slice(None)
@@ -320,10 +318,8 @@ class MarginalTable(_Value):
 def joint_from_chain(params: ChainParams) -> JointTable:
     """Forward map theta(i, j, k) = p1(i) a(i, j) b(j, k) of checked rows.
 
-    The checked rows prove the table, which is not checked again, and its
-    new array is frozen in place: products of entries >= 0 are >= 0 and
-    finite, and the table sums to the product of the row sums, within
-    3 ``SUM_TOL`` of 1 plus rounding."""
+    The checked rows prove the table (finite entries >= 0, summing to 1
+    within 3 ``SUM_TOL`` plus rounding), which is frozen in place."""
     cells = np.einsum("i,ij,jk->ijk", params.p1, params.a, params.b)
     cells.flags.writeable = False
     return JointTable._checked(params.shape, cells)
@@ -332,9 +328,8 @@ def joint_from_chain(params: ChainParams) -> JointTable:
 def marginal_13(joint: JointTable) -> MarginalTable:
     """Sum out the hidden variable: delta(i, k) = sum_j theta(i, j, k).
 
-    The checked joint proves the table, which is not checked again, and
-    its new array is frozen in place: sums of the joint's cells are >= 0
-    and sum to its total."""
+    The checked joint proves the table (sums of its cells, with its total),
+    which is frozen in place."""
     r1, _, r3 = joint.shape.astuple()
     cells = joint.cells.sum(axis=1)
     cells.flags.writeable = False

@@ -132,11 +132,11 @@ def split(joint: JointTable) -> tuple[MarginalTable, LambdaField]:
     The checked joint proves the field, which is not checked again, and
     its new arrays are frozen in place.  A rounded sum of entries >= 0 is
     at least each of them, so each theta(i, j, k) / delta(i, k) lies in
-    [0, 1], where ``np.clip`` keeps every bit; each slice then sums to 1
-    within (r2 - 1/2) eps < (r2 + 1) eps to first order ((r2 - 1) eps / 2
-    each from delta and from the slice sum, eps / 2 from the division), as
-    does a slice of r2 entries 1 / r2.  Where (r2 + 1) eps exceeds
-    ``SUM_TOL``, :class:`LambdaField` checks the field.
+    [0, 1]; each slice then sums to 1 within (r2 - 1/2) eps < (r2 + 1) eps
+    to first order ((r2 - 1) eps / 2 each from delta and from the slice
+    sum, eps / 2 from the division), as does a slice of r2 entries 1 / r2.
+    Where an entry is 0 (numpy versions differ on clipping -0.0) or
+    (r2 + 1) eps exceeds ``SUM_TOL``, :class:`LambdaField` checks the field.
     """
     r1, r2, r3 = joint.shape.astuple()
     marginal = marginal_13(joint)
@@ -147,7 +147,7 @@ def split(joint: JointTable) -> tuple[MarginalTable, LambdaField]:
     lam = joint.cells.transpose(0, 2, 1) / safe[:, :, None]
     if not interior:
         lam[zero] = 1.0 / r2
-    if not (r2 + 1) * _EPS <= SUM_TOL:
+    if not (np.minimum.reduce(lam, None) > 0.0 and (r2 + 1) * _EPS <= SUM_TOL):
         return marginal, LambdaField(joint.shape, lam, zero)
     lam.flags.writeable = zero.flags.writeable = False
     return marginal, LambdaField._checked(joint.shape, lam, zero)
@@ -156,9 +156,8 @@ def split(joint: JointTable) -> tuple[MarginalTable, LambdaField]:
 def merge(marginal: MarginalTable, lambdas: LambdaField) -> JointTable:
     """Inverse of :func:`split`: theta(i, j, k) = delta(i, k) lambda_j(i, k).
 
-    The checked marginal and field prove the table, which is not checked
-    again: products of entries >= 0, summing to 1 within 2 ``SUM_TOL``
-    plus rounding."""
+    The checked marginal and field prove the table: entries >= 0, summing
+    to 1 within 2 ``SUM_TOL`` plus rounding."""
     r1, r2, r3 = lambdas.shape.astuple()
     if marginal.shape != (r1, r3):
         raise InvalidParameter(
@@ -250,10 +249,9 @@ def cross_ratios(marginal: MarginalTable,
     Raises :class:`ZeroCell` naming the first offending cell if any entry
     involved in a ratio (in practice: any cell of the table) is zero.
 
-    The table is built once: the marginal proves its shape and the
-    reference cell is checked here, so of :class:`CrossRatios`' checks only
-    the finite-and-positive test is left, which a product that underflows
-    or a quotient that overflows can fail.
+    The marginal proves the table's shape and the reference cell is checked
+    here, so of :class:`CrossRatios`' checks only the finite-and-positive
+    test is left, which an underflow or an overflow can fail.
     """
     r1, r3 = marginal.shape
     ref = _ref_cell(ref_cell, r1, r3)
@@ -425,14 +423,17 @@ def _quadric_residuals_323(z: CrossRatios, lam: list) -> list[float]:
 def _field_from_first_component(shape: Shape, z: CrossRatios, lam) -> LambdaField:
     """The field of first components ``lam`` (3 x 3, in the frame of ``z``)
     and second components 1 - lam, built once on the proof that ``lam``
-    lies in [0, 1], as :func:`solve_fiber_323` makes it: there ``np.clip``
-    keeps every bit, each 1 - lam lies there too, each slice
-    lam + (1 - lam) sums to 1 within eps (eps / 2 from the subtraction and
-    from the sum), and no cell is unconstrained."""
+    lies in [0, 1], as :func:`solve_fiber_323` makes it: so does each
+    1 - lam, each slice lam + (1 - lam) sums to 1 within eps (eps / 2 from
+    the subtraction and from the sum), and no cell is unconstrained.  A
+    field with an entry at 0 goes through :class:`LambdaField`, whose
+    ``np.clip`` of -0.0 differs between numpy versions."""
     values = np.empty((3, 3, 2))
     rows, cols = _ref_frame(z.ref_cell, 3, 3)
     values[rows, cols, 0] = lam
     values[:, :, 1] = 1.0 - values[:, :, 0]
+    if not np.minimum.reduce(values, None) > 0.0:
+        return LambdaField(shape, values)
     values.flags.writeable = False
     return LambdaField._checked(shape, values, _frozen(np.zeros((3, 3)), bool))
 
@@ -509,7 +510,7 @@ def solve_fiber_323(z: CrossRatios, lam21: float, lam22: float) -> LambdaField:
             if v < -CLAMP_EPS or v > 1.0 + CLAMP_EPS:
                 raise OutOfUnitBox(f"lam({i + 1},{k + 1}) = {v:.17g} "
                                    "lies outside [0, 1]")
-    # as np.clip: -0.0 and a NaN are kept
+    # as numpy 2's np.clip: -0.0 and a NaN are kept
     lam = [[min(max(v, 0.0), 1.0) for v in row] for row in lam]
 
     worst = max(map(abs, _quadric_residuals_323(z, lam)),

@@ -75,14 +75,17 @@ def assert_same_value(fast, slow):
 
 @settings(max_examples=60, deadline=None)
 @given(r1=st.integers(2, 6), r2=st.integers(2, 5), r3=st.integers(2, 6),
-       seed=SEEDS, zeros=st.integers(0, 3), negative=st.booleans())
-def test_split_equals_the_checked_field(r1, r2, r3, seed, zeros, negative):
-    # zero marginal cells leave uniform slices, and -0.0 cells -0.0 entries
+       seed=SEEDS, zeros=st.integers(0, 3), zero_cell=st.booleans(),
+       negative=st.booleans())
+def test_split_equals_the_checked_field(r1, r2, r3, seed, zeros, zero_cell, negative):
+    # zero marginal cells leave uniform slices, a zero cell a zero entry,
+    # and -0.0 cells -0.0 entries
     rng = np.random.default_rng(seed)
     cells = rng.dirichlet(np.ones(r1 * r2 * r3)).reshape(r1, r2, r3)
     for _ in range(zeros):
         cells[rng.integers(r1), :, rng.integers(r3)] = 0.0
-    cells[rng.integers(r1), rng.integers(r2), rng.integers(r3)] = 0.0
+    if zero_cell:
+        cells[rng.integers(r1), rng.integers(r2), rng.integers(r3)] = 0.0
     cells /= cells.sum()
     if negative:
         cells[cells == 0.0] = -0.0
