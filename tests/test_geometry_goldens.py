@@ -109,11 +109,23 @@ def ci_residuals_outputs(shape):
             yield ci_residuals(joint, ref)
 
 
+def layout_outputs(shape):
+    # the strides of the tables split and cross_ratios return, which the
+    # digests of their values do not see
+    r1, _, r3 = shape
+    for joint in (joint_from_chain(_chain(shape)), seeded_joint(shape, sum(shape))):
+        marginal, lambdas = split(joint)
+        yield from map(_strides, (marginal.cells, lambdas.values, lambdas.unconstrained))
+        for ref in ((0, 0), (r1 - 1, r3 - 1), (r1 // 2, 0)):
+            yield _strides(cross_ratios(marginal, ref).values)
+
+
 OUTPUTS = {"sample_fiber": sample_fiber_outputs,
            "apply_mixing": apply_mixing_outputs,
            "split": split_outputs,
            "joint_from_chain": joint_from_chain_outputs,
-           "ci_residuals": ci_residuals_outputs}
+           "ci_residuals": ci_residuals_outputs,
+           "layout": layout_outputs}
 
 
 def solve_fiber_323_outputs(shape):
@@ -206,6 +218,18 @@ DIGESTS = {
         "74b08e5dae801c4523058f04618c4d051a28a77e42c03e5d1f23e694d88f75ea",
     ("joint_from_chain", (2, 3, 5)):
         "8704556784c2632c2f52dbd446af5372d2e1259989cd4f5c938f93b784920c5b",
+    ("layout", (3, 2, 3)):
+        "02cf1eb16892197372ea10b7badd08928e68ca88676b020710650c74dee022fe",
+    ("layout", (5, 2, 5)):
+        "8609ad3c7faf2c39e314ee7982e9e50f583a71d07d522d1d384ed8d2faa7dce9",
+    ("layout", (10, 3, 10)):
+        "4983073fd9c344905d23fd339efc202c0c1e19db78a3fc8524924e71863c327b",
+    ("layout", (30, 5, 30)):
+        "c399a9b044e56ded9e46a7e6edab1514cb8c6484d1cd9e1693d48c4c37b91910",
+    ("layout", (6, 4, 3)):
+        "aa2e93b6953462dc0f961e1b2964b20231c5dc481f19568e3475f71c6e461226",
+    ("layout", (2, 3, 5)):
+        "15ceae7fb03b6dbf50bf0f02f5a8b08e78e6e2f07a2b31dd66b08c45eb49ad2a",
     ("extreme_mixings", (3, 2, 3)):
         "79224e033bd1f5129e6f140ab1d6b5e5ebee13facbf16ab1af90b2591cb65082",
     ("extreme_mixings", (5, 2, 5)):
