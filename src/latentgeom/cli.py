@@ -1,7 +1,8 @@
 """Command-line surface: file ingestion, analyses, CSV/JSON emission.
 
-Every subcommand is a pure function of its inputs; fiber, consistency
-and emfit, the subcommands that draw random numbers, also take --seed.
+Every subcommand's handler is a pure function of its inputs that returns
+its output text, which :func:`main` alone writes; fiber, consistency and
+emfit, the subcommands that draw random numbers, also take --seed.
 Repeated runs are byte-identical.  Floats print with 17 significant digits
 so values round-trip exactly: a finite x as ``'%.17g' % x``, the same text as
 ``format(x, '.17g')``, and one ``%`` fills the layout of a whole float array,
@@ -302,17 +303,16 @@ def load_counts(path: str, shape: tuple[int, int] | None = None) -> CountTable:
 # ---------------------------------------------------------------------------
 # subcommands
 
-def cmd_dims(args: argparse.Namespace) -> int:
+def cmd_dims(args: argparse.Namespace) -> str:
     d = dims(Shape(args.r1, args.r2, args.r3))
     report = {
         "d": d.d, "t": d.t, "s": d.s, "m": d.m, "fiber": d.fiber,
         "case": d.case.value, "constraints": d.constraint_count,
     }
-    _emit(_render_json(report) + "\n", args.output)
-    return 0
+    return _render_json(report) + "\n"
 
 
-def cmd_check(args: argparse.Namespace) -> int:
+def cmd_check(args: argparse.Namespace) -> str:
     from . import model, reparam
     source = _load(args.file,
                    lambda data: (_model if "p1" in data else _joint)(data))
@@ -356,11 +356,10 @@ def cmd_check(args: argparse.Namespace) -> int:
         report["cross_ratios"] = None
         report["zero_cell"] = [exc.cell[0] + 1, exc.cell[1] + 1]
         report["identity_residual_323"] = None
-    _emit(_render_json(report) + "\n", args.output)
-    return 0
+    return _render_json(report) + "\n"
 
 
-def cmd_fig3(args: argparse.Namespace) -> int:
+def cmd_fig3(args: argparse.Namespace) -> str:
     from . import reparam
     z, c1, c2 = args.z, args.c1, args.c2
     # the solver validates z, c1 and c2 before the curves divide by z
@@ -385,20 +384,18 @@ def cmd_fig3(args: argparse.Namespace) -> int:
         lines.append("# warning: no real intersection")
     else:
         lines += ["intersection," + _fill(xy, point) for point in points]
-    _emit("\n".join(lines) + "\n", args.output)
-    return 0
+    return "\n".join(lines) + "\n"
 
 
-def cmd_fiber(args: argparse.Namespace) -> int:
+def cmd_fiber(args: argparse.Namespace) -> str:
     from .fiber import sample_fiber
     params = _load(args.file, _model)
     _check_length("--n", args.n)
     points = sample_fiber(params, args.n, seed=args.seed)
-    _emit(_render_json(points) + "\n", args.output)
-    return 0
+    return _render_json(points) + "\n"
 
 
-def cmd_vertices(args: argparse.Namespace) -> int:
+def cmd_vertices(args: argparse.Namespace) -> str:
     from .fiber import extreme_mixings
     params = _load(args.file, _model)
     out = []
@@ -413,11 +410,10 @@ def cmd_vertices(args: argparse.Namespace) -> int:
                 for mat, r, c in vertex.zeros
             ],
         })
-    _emit(_render_json(out) + "\n", args.output)
-    return 0
+    return _render_json(out) + "\n"
 
 
-def cmd_consistency(args: argparse.Namespace) -> int:
+def cmd_consistency(args: argparse.Namespace) -> str:
     from . import identifiability, model
     path = args.file
     if path.endswith(".csv"):
@@ -442,11 +438,10 @@ def cmd_consistency(args: argparse.Namespace) -> int:
         "tol": report.tol,
         "witness": report.witness,
     }
-    _emit(_render_json(payload) + "\n", args.output)
-    return 0
+    return _render_json(payload) + "\n"
 
 
-def cmd_profile(args: argparse.Namespace) -> int:
+def cmd_profile(args: argparse.Namespace) -> str:
     from . import likelihood
     from .fiber import extreme_mixings
     params = _load(args.model, _model)
@@ -470,11 +465,10 @@ def cmd_profile(args: argparse.Namespace) -> int:
     except PathExitsPolytope as exc:
         lines += [_fill(row, values) for values in exc.prefix]
         lines.append(f"# path exits polytope at t={_fmt(exc.exit_t)}")
-    _emit("\n".join(lines) + "\n", args.output)
-    return 0
+    return "\n".join(lines) + "\n"
 
 
-def cmd_emfit(args: argparse.Namespace) -> int:
+def cmd_emfit(args: argparse.Namespace) -> str:
     from . import likelihood
     shape = Shape(args.r1, args.r2, args.r3)
     if too_large := (_too_many_cells("counts table", shape.r1, shape.r3)
@@ -493,8 +487,7 @@ def cmd_emfit(args: argparse.Namespace) -> int:
             "total_count": counts.total,
         },
     }
-    _emit(_render_json(payload) + "\n", args.output)
-    return 0
+    return _render_json(payload) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -621,7 +614,8 @@ def main(argv: list[str] | None = None) -> int:
         if not 0 <= seed < 2 ** 64:
             raise CliUsageError(
                 f"--seed must be an unsigned 64-bit integer, got {seed}")
-        return _HANDLERS[args.command](args)
+        _emit(_HANDLERS[args.command](args), args.output)
+        return 0
     except (CliUsageError, GeometryError) as exc:
         # bad flag values, and analysis errors the report cannot carry
         print(f"latentgeom {args.command}: {exc}", file=sys.stderr)

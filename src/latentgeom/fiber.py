@@ -37,6 +37,7 @@ from .model import (
     _frozen,
     _numerical_rank,
     _reals,
+    _unit_rows,
     _unit_rows_proven,
 )
 from .shapes import _check_count
@@ -101,7 +102,7 @@ class MixingMatrix(_Value):
 def _act(a: np.ndarray, b: np.ndarray, qs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The action (a q^{-1}, q b) of every matrix of the stack ``qs``
     (K, r2, r2), each invertible, with the analytic inverse for r2 = 2 and
-    one LAPACK solve otherwise."""
+    one LAPACK solve otherwise, its transpose copied to C order."""
     if qs.shape[1] == 2:
         # analytic inverse keeps boundary zeros exact: row i of a q^{-1}
         # is ((a_i0 - rho)/(pi - rho), (pi - a_i0)/(pi - rho))
@@ -111,7 +112,7 @@ def _act(a: np.ndarray, b: np.ndarray, qs: np.ndarray) -> tuple[np.ndarray, np.n
         np.divide(col - rho, spread, out=moved[:, :, 0])
         np.divide(pi - col, spread, out=moved[:, :, 1])
     else:
-        moved = np.linalg.solve(qs.transpose(0, 2, 1), a.T).transpose(0, 2, 1)
+        moved = np.linalg.solve(qs.transpose(0, 2, 1), a.T).transpose(0, 2, 1).copy()
     return moved, qs @ b
 
 
@@ -142,24 +143,21 @@ def _mix(params: ChainParams, qs: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
 
 
 def _snap(rows: np.ndarray) -> np.ndarray:
-    """Snap entries in [-CLAMP_EPS, 0], -0.0 included, to exact zero and
-    renormalise along the last axis: every entry the clamp test accepts
-    ends nonnegative."""
-    out = rows.copy()
-    out[(out >= -CLAMP_EPS) & (out <= 0.0)] = 0.0
-    return out / out.sum(axis=-1, keepdims=True)
+    """Snap entries in [-CLAMP_EPS, 0], -0.0 included, to exact zero in a
+    copy, unless all are above 0, and renormalise with ``_unit_rows``:
+    every entry the clamp test accepts ends nonnegative."""
+    if not np.minimum.reduce(rows, None) > 0.0:
+        rows = rows.copy()
+        rows[(rows >= -CLAMP_EPS) & (rows <= 0.0)] = 0.0
+    return _unit_rows(rows)[0]
 
 
 def _clamp_rows(name: str, rows: np.ndarray) -> np.ndarray:
-    """Snap roundoff negatives to exact zero, reject real ones, renormalise.
-    C-ordered rows above 0 skip :func:`_snap`'s copy, whose row sums they
-    share; other layouts may sum a long row in another order."""
+    """Snap roundoff negatives to exact zero, reject real ones, renormalise."""
     worst = float(np.minimum.reduce(rows, None))
     if worst < -CLAMP_EPS:
         idx = tuple(int(x) for x in np.argwhere(rows == rows.min())[0])
         raise InvalidMixing(name, idx, worst)
-    if worst > 0.0 and rows.flags.c_contiguous:
-        return rows / np.add.reduce(rows, -1, keepdims=True)
     return _snap(rows)
 
 
@@ -168,19 +166,19 @@ def _points(params: ChainParams, a: np.ndarray, b: np.ndarray) -> list[ChainPara
     that :func:`_clamp_rows` built from rows that passed its test.
 
     Equal to ``ChainParams(params.shape, params.p1, a[k], b[k])``, but they
-    share ``params.shape`` and the frozen ``params.p1``, freeze ``a`` and
-    ``b`` in place and skip the checks the construction proves.  The
+    share ``params.shape``, the frozen ``params.p1`` and the frozen ``a``
+    and ``b``, and skip the checks the construction proves.  The
     shapes are those of ``params``.  If the snapped array holds no NaN,
     neither did its input (a NaN spreads along its row through the row
     sum), so the clamp test saw its true minimum and every entry became
-    >= 0; each row was then divided by its own sum, which is the proof of
+    >= 0; :func:`~latentgeom.model._unit_rows` then divided each row by
+    its own sum, which is the proof of
     :func:`~latentgeom.model._unit_rows_proven`.  Where it does not hold,
     every point goes through :class:`ChainParams`, whose checks raise the
     error of the first point that fails one.
     """
     if not _unit_rows_proven(a, b):
         return [ChainParams(params.shape, params.p1, *ab) for ab in zip(a, b)]
-    a.flags.writeable = b.flags.writeable = False
     return [ChainParams._checked(params.shape, params.p1, ak, bk) for ak, bk in zip(a, b)]
 
 

@@ -23,8 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameter
-from .likelihood import (NEG_INF, _at_observed, _check_budget, _em_batch,
-                         _observed, _unit_rows)
+from .likelihood import NEG_INF, _at_observed, _check_budget, _em_batch, _observed
 from .model import (
     _EPS,
     CLAMP_EPS,
@@ -34,6 +33,7 @@ from .model import (
     Shape,
     _numerical_rank,
     _stochastic,
+    _unit_rows,
 )
 from .shapes import _check_count
 
@@ -140,7 +140,7 @@ def _exact_witness(target: MarginalTable, r2: int, rank: int) -> tuple | None:
     rank <= 2 target lie on, and otherwise the nested polygon's corners.
     Unused states get a zero ``a`` column and a uniform ``b`` row; a state
     of Y1 with zero mass gets a uniform ``a`` row, or its own uniform
-    vertex when Y2 copies Y1.
+    vertex when Y2 copies Y1.  Every row is then divided by its sum.
     """
     r1, r3 = target.shape
     p1 = np.add.reduce(target.cells, 1)    # as .sum(axis=1), without its wrapper
@@ -148,7 +148,7 @@ def _exact_witness(target: MarginalTable, r2: int, rank: int) -> tuple | None:
     a, b = np.zeros((r1, r2)), np.full((r2, r3), 1.0 / r3)
     a[~live] = 1.0 / r2
     live = slice(None) if live.all() else live      # no boolean gathers
-    rows = target.cells[live] / p1[live, None]
+    (rows,) = _unit_rows(target.cells[live])
     if r2 >= r3:
         a[live, :r3] = rows
         b[:r3] = np.eye(r3)
@@ -168,9 +168,7 @@ def _exact_witness(target: MarginalTable, r2: int, rank: int) -> tuple | None:
         return None
     else:
         b[:len(polygon[0])], a[live] = polygon
-    a /= np.add.reduce(a, 1, keepdims=True)
-    b /= np.add.reduce(b, 1, keepdims=True)
-    return p1 / np.add.reduce(p1), a, b
+    return _unit_rows(p1, a, b)
 
 
 def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:  # u x v in the plane
@@ -296,8 +294,8 @@ def consistency_check(target: MarginalTable, r2: int, restarts: int = 64,
     :func:`_exact_witness`, without ``restarts``, ``maxiter`` or ``seed``.
     :func:`_certify` certifies every witness with the value types'
     arithmetic: one its masks reject is rebuilt as a ``ChainParams``, which
-    raises its error; the masks are the proof of one that passes, which
-    becomes a ``ChainParams`` once, unchecked.
+    raises its error; the masks are the proof of one that passes, whose
+    frozen rows become a ``ChainParams`` once, unchecked.
 
     The search is one run of the EM kernel, which takes the restarts in
     seed order as lanes free up: one lane at first, twice as many, up to
@@ -339,9 +337,7 @@ def consistency_check(target: MarginalTable, r2: int, restarts: int = 64,
         (ok,), (best,) = _certify(target.cells, *(x[None] for x in found))
         if not ok:      # the masks are exact, so this raises
             ChainParams(shape, *found)
-        if rank <= 2 or best < tol:
-            for rows in found:      # as ChainParams freezes its rows
-                rows.flags.writeable = False
+        if rank <= 2 or best < tol:     # found's rows are frozen
             witness = ChainParams._checked(shape, *found)
             return ConsistencyReport(bool(best < tol), best, witness, checks, None, tol,
                                      divergence_bound=bound)
@@ -358,21 +354,23 @@ def consistency_check(target: MarginalTable, r2: int, restarts: int = 64,
                      (np.random.default_rng([seed, k]) for k in range(restarts)),
                      maxiter, tol=1e-12, certifies=certifies,
                      lanes=64 if r2 == 3 else 1)
-    p1, a, b = _unit_rows(runs.p1, runs.a, runs.b)
-    ok, kls = _certify(target.cells, p1, a, b)
-    best, witness, divergences = float("inf"), None, []
+    ok, kls = _certify(target.cells, runs.p1, runs.a, runs.b)
+    best, at, divergences = float("inf"), None, []
     for r, kl in enumerate(kls):
         if r in runs.errors:
             raise runs.errors[r]
         if runs.loglik[r] == NEG_INF:
             kl = float("inf")
         elif not ok[r]:     # the masks are exact, so this raises
-            ChainParams(shape, p1[r], a[r], b[r])
+            ChainParams(shape, runs.p1[r], runs.a[r], runs.b[r])
         divergences.append(kl)
         if kl < best:
-            best, witness = kl, ChainParams(shape, p1[r], a[r], b[r])
+            best, at = kl, r
         if best < tol:
             break
+    # the masks passed the frozen rows of the best restart, if any
+    witness = None if at is None else ChainParams._checked(
+        shape, runs.p1[at], runs.a[at], runs.b[at])
     return ConsistencyReport(bool(best < tol), best, witness, checks, None, tol,
                              tuple(divergences),
                              tuple(runs.iterations[:len(divergences)].tolist()), bound)

@@ -36,6 +36,7 @@ from .model import (
     _frozen,
     _reals,
     _stochastic,
+    _unit_rows,
     _unit_rows_proven,
     joint_from_chain,
     marginal_13,
@@ -143,7 +144,8 @@ def _check_budget(maxiter: int, tol: float) -> None:
 
 
 class _EmRuns(NamedTuple):
-    """Final iterates of R EM restarts, restart axis first.
+    """Final iterates of R EM restarts, restart axis first, as
+    :func:`~latentgeom.model._unit_rows` leaves them.
 
     ``loglik`` is -inf for a restart whose E-step met a zero-probability
     observed cell; ``iterations`` counts the updates a restart made before
@@ -160,24 +162,14 @@ class _EmRuns(NamedTuple):
     errors: dict[int, GeometryError]
 
     def params(self, shape: Shape, r: int) -> ChainParams:
-        """Chain parameters of restart ``r``, rows renormalised.  They are
-        frozen in place and not checked again where the proof of
-        :func:`~latentgeom.model._unit_rows_proven` holds: EM's rows are
-        products, sums and quotients of weights and rows >= 0, so their
-        entries are >= 0 or NaN, and each is divided by its own sum here."""
-        rows = [x[r] for x in _unit_rows(self.p1, self.a, self.b)]
+        """Chain parameters of restart ``r``, not checked again where the
+        proof of :func:`~latentgeom.model._unit_rows_proven` holds: EM's
+        rows are products, sums and quotients of weights and rows >= 0, so
+        their entries are >= 0 or NaN, and each was divided by its own sum."""
+        rows = (self.p1[r], self.a[r], self.b[r])
         if not _unit_rows_proven(*rows):
             return ChainParams(shape, *rows)
-        for x in rows:
-            x.flags.writeable = False
         return ChainParams._checked(shape, *rows)
-
-
-def _unit_rows(p1: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple:
-    """Stacks of p1, a and b, each row divided by its sum."""
-    return (p1 / p1.sum(axis=1, keepdims=True),
-            a / a.sum(axis=2, keepdims=True),
-            b / b.sum(axis=2, keepdims=True))
 
 
 def _workspace(shape: Shape, w_row: np.ndarray, weights: np.ndarray,
@@ -364,7 +356,8 @@ def _em_batch(weights: np.ndarray, shape: Shape,
             else:
                 b_j[...] = np.where(b_rows > 0.0,
                                     b_j / np.where(b_rows > 0, b_rows, 1.0), 1.0 / r3)
-    return _EmRuns(*map(np.array, zip(*finals[:examined])),
+    p1, a, b, *rest = map(np.array, zip(*finals[:examined]))
+    return _EmRuns(*_unit_rows(p1, a, b), *rest,
                    {k: e for k, e in errors.items() if k < examined})
 
 

@@ -12,8 +12,8 @@ s = r2 (r1 - 1)(r3 - 1) quadric residuals
     theta(I, j, K) theta(i, j, k) - theta(I, j, k) theta(i, j, K) = 0
 
 for a fixed reference cell (I, K) and i != I, k != K.  Everything in this
-module is a pure function of immutable values; arrays are frozen after
-construction.
+module is a pure function of immutable values, whose arrays are frozen.
+Every array a public function of the package returns is C-ordered.
 
 Every tolerance constant of the package is defined here, and each module
 imports the ones it reads by name.  A rounding allowance absorbs float error in a
@@ -85,7 +85,7 @@ RESIDUAL_TOL = 1e-9
 
 
 def _frozen(values, dtype=float) -> np.ndarray:
-    out = np.array(values, dtype=dtype)
+    out = np.array(values, dtype=dtype, order="C")
     out.flags.writeable = False
     return out
 
@@ -146,7 +146,7 @@ def _stochastic(rows: np.ndarray) -> np.ndarray:
 
 
 def _unit_rows_proven(*stacks: np.ndarray) -> bool:
-    """True if stacks of rows, each row divided by its own sum of entries
+    """True if stacks of rows that :func:`_unit_rows` divided, from entries
     that are >= 0 or NaN, pass :func:`_stochastic` with one sum per stack.
 
     A row whose sum s overflowed is all zeros; any other row has entries
@@ -160,6 +160,17 @@ def _unit_rows_proven(*stacks: np.ndarray) -> bool:
     """
     return all(abs(float(np.add.reduce(rows, None)) - rows.size // rows.shape[-1]) <= 0.5
                and (rows.shape[-1] + 1) * _EPS <= SUM_TOL for rows in stacks)
+
+
+def _unit_rows(*stacks: np.ndarray) -> list[np.ndarray]:
+    """Each stack with every row (last axis) divided by its own sum, frozen:
+    the premise of :func:`_unit_rows_proven`, and the package's one
+    renormalisation.  C-ordered stacks give C-ordered quotients, and each
+    row the bits of dividing it on its own."""
+    out = [rows / np.add.reduce(rows, -1, keepdims=True) for rows in stacks]
+    for rows in out:
+        rows.flags.writeable = False
+    return out
 
 
 def _ref_cell(ref_cell, r1: int, r3: int) -> tuple[int, int]:

@@ -144,7 +144,7 @@ def split(joint: JointTable) -> tuple[MarginalTable, LambdaField]:
     zero = delta == 0.0
     interior = np.minimum.reduce(delta, None) > 0.0
     safe = delta if interior else np.where(zero, 1.0, delta)
-    lam = joint.cells.transpose(0, 2, 1) / safe[:, :, None]
+    lam = np.divide(joint.cells.transpose(0, 2, 1), safe[:, :, None], order="C")
     if not interior:
         lam[zero] = 1.0 / r2
     if not (np.minimum.reduce(lam, None) > 0.0 and (r2 + 1) * _EPS <= SUM_TOL):
@@ -157,15 +157,16 @@ def merge(marginal: MarginalTable, lambdas: LambdaField) -> JointTable:
     """Inverse of :func:`split`: theta(i, j, k) = delta(i, k) lambda_j(i, k).
 
     The checked marginal and field prove the table: entries >= 0, summing
-    to 1 within 2 ``SUM_TOL`` plus rounding."""
+    to 1 within 2 ``SUM_TOL`` plus rounding.  It is written in C order."""
     r1, r2, r3 = lambdas.shape.astuple()
     if marginal.shape != (r1, r3):
         raise InvalidParameter(
             f"marginal shape {marginal.shape} does not match lambda field "
             f"({r1}, {r3})"
         )
-    cells = (marginal.cells[:, :, None] * lambdas.values).transpose(0, 2, 1)
-    return JointTable._checked(lambdas.shape, _frozen(cells))    # not a view
+    cells = np.multiply(marginal.cells[:, None, :], lambdas.values.transpose(0, 2, 1), order="C")
+    cells.flags.writeable = False
+    return JointTable._checked(lambdas.shape, cells)
 
 
 def _check_ratios(values: np.ndarray) -> None:
@@ -261,8 +262,9 @@ def cross_ratios(marginal: MarginalTable,
         raise ZeroCell((int(zero[0]), int(zero[1])))
     rows, cols = _ref_frame(ref, r1, r3)
     d = d[rows, cols]
-    # in Fortran order, the layout of every table cross_ratios returns
-    values = np.asfortranarray(d[0, 0] * d[1:, 1:] / (d[0, None, 1:] * d[1:, 0, None]))
+    # products that underflow to 0 are refused below, without a warning
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        values = d[0, 0] * d[1:, 1:] / (d[0, None, 1:] * d[1:, 0, None])
     _check_ratios(values)
     values.flags.writeable = False
     return CrossRatios._checked((r1, r3), ref, values)

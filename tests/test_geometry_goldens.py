@@ -6,7 +6,9 @@ machinery, and for the forward map, the CI residuals, the 3x3x2 solver and
 the extreme mixings before those lost theirs.  A change of one bit in a
 fiber point, a mixed chain, a lambda field, a cross-ratio table, a joint or
 marginal table or its strides fails here by shape and call; the CLI
-goldens of ``test_cli.py`` reach only 3x2x3 and 4x3x4.
+goldens of ``test_cli.py`` reach only 3x2x3 and 4x3x4.  Every array field
+the geometry builders return is C-contiguous, so C order and its shape
+fix its strides.
 """
 
 import hashlib
@@ -16,17 +18,21 @@ import pytest
 
 from latentgeom import (
     ChainParams,
+    CountTable,
     CrossRatios,
     JointTable,
     MixingMatrix,
     Shape,
     apply_mixing,
     ci_residuals,
+    consistency_check,
     cross_ratios,
     degenerate_family_323,
+    em_fit_details,
     extreme_mixings,
     joint_from_chain,
     marginal_13,
+    merge,
     quadric_residuals_323,
     sample_fiber,
     solve_fiber_323,
@@ -109,23 +115,11 @@ def ci_residuals_outputs(shape):
             yield ci_residuals(joint, ref)
 
 
-def layout_outputs(shape):
-    # the strides of the tables split and cross_ratios return, which the
-    # digests of their values do not see
-    r1, _, r3 = shape
-    for joint in (joint_from_chain(_chain(shape)), seeded_joint(shape, sum(shape))):
-        marginal, lambdas = split(joint)
-        yield from map(_strides, (marginal.cells, lambdas.values, lambdas.unconstrained))
-        for ref in ((0, 0), (r1 - 1, r3 - 1), (r1 // 2, 0)):
-            yield _strides(cross_ratios(marginal, ref).values)
-
-
 OUTPUTS = {"sample_fiber": sample_fiber_outputs,
            "apply_mixing": apply_mixing_outputs,
            "split": split_outputs,
            "joint_from_chain": joint_from_chain_outputs,
-           "ci_residuals": ci_residuals_outputs,
-           "layout": layout_outputs}
+           "ci_residuals": ci_residuals_outputs}
 
 
 def solve_fiber_323_outputs(shape):
@@ -218,18 +212,6 @@ DIGESTS = {
         "74b08e5dae801c4523058f04618c4d051a28a77e42c03e5d1f23e694d88f75ea",
     ("joint_from_chain", (2, 3, 5)):
         "8704556784c2632c2f52dbd446af5372d2e1259989cd4f5c938f93b784920c5b",
-    ("layout", (3, 2, 3)):
-        "02cf1eb16892197372ea10b7badd08928e68ca88676b020710650c74dee022fe",
-    ("layout", (5, 2, 5)):
-        "8609ad3c7faf2c39e314ee7982e9e50f583a71d07d522d1d384ed8d2faa7dce9",
-    ("layout", (10, 3, 10)):
-        "4983073fd9c344905d23fd339efc202c0c1e19db78a3fc8524924e71863c327b",
-    ("layout", (30, 5, 30)):
-        "c399a9b044e56ded9e46a7e6edab1514cb8c6484d1cd9e1693d48c4c37b91910",
-    ("layout", (6, 4, 3)):
-        "aa2e93b6953462dc0f961e1b2964b20231c5dc481f19568e3475f71c6e461226",
-    ("layout", (2, 3, 5)):
-        "15ceae7fb03b6dbf50bf0f02f5a8b08e78e6e2f07a2b31dd66b08c45eb49ad2a",
     ("extreme_mixings", (3, 2, 3)):
         "79224e033bd1f5129e6f140ab1d6b5e5ebee13facbf16ab1af90b2591cb65082",
     ("extreme_mixings", (5, 2, 5)):
@@ -250,3 +232,56 @@ def test_geometry_outputs_are_bitwise_pinned(call, shape):
     for shape in shapes], ids=lambda x: "x".join(map(str, x)) if isinstance(x, tuple) else x)
 def test_closed_form_outputs_are_bitwise_pinned(call, shape):
     assert _digest(CLOSED_FORMS[call][0](shape)) == DIGESTS[call, shape]
+
+
+def built_values(shape):
+    """The values the geometry builders return at ``shape``: the forward
+    map, value types built from Fortran-ordered arrays, split and merge,
+    cross-ratios, the mixings, an EM fit and a consistency witness, and at
+    3x2x3 the solvers and their merges."""
+    r1, r2, r3 = shape
+    params = _chain(shape)
+    joint = joint_from_chain(params)
+    yield params, joint
+    # value types given Fortran-ordered arrays store them in C order
+    yield (JointTable(Shape(*shape), np.asfortranarray(joint.cells)),
+           ChainParams(params.shape, params.p1, *map(np.asfortranarray, (params.a, params.b))))
+    for table in (joint, seeded_joint(shape, sum(shape))):
+        marginal, lambdas = split(table)
+        yield marginal_13(table), marginal, lambdas, merge(marginal, lambdas)
+        yield [cross_ratios(marginal, ref) for ref in ((0, 0), (r1 - 1, r3 - 1), (r1 // 2, 0))]
+    yield list(apply_mixing_outputs(shape)), sample_fiber(params, 3, seed=1)
+    if r2 == 2:
+        yield [vertex.q for side in "ab" for vertex in extreme_mixings(params, side)]
+    if shape == (3, 2, 3):
+        z = cross_ratios(marginal_13(joint))
+        first = split(joint)[1].values[:, :, 0]
+        fields = [solve_fiber_323(z, float(first[1, 0]), float(first[1, 1])),
+                  degenerate_family_323(z, 0.01, 0.02)]
+        yield fields, [merge(marginal_13(joint), field) for field in fields]
+    counts = CountTable((r1, r3), np.rint(1000 * marginal_13(joint).cells).astype(int) + 1)
+    yield em_fit_details(counts, Shape(*shape), maxiter=5).params
+    # an exact witness, and where r2 < min(r1, r3) the search's on a generic table
+    target = marginal_13(seeded_joint(shape, sum(shape)))
+    yield [consistency_check(marginal, r2, restarts=2, maxiter=5, tol=tol).witness
+           for marginal, tol in ((marginal_13(joint), 1e-8), (target, 1.0))]
+
+
+def arrays(value):
+    """Every array in ``value``: itself, or the fields of a value type, or
+    the members of a list or tuple."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (list, tuple)):
+        for member in value:
+            yield from arrays(member)
+    elif hasattr(value, "__dataclass_fields__"):
+        for name in value.__dataclass_fields__:
+            yield from arrays(getattr(value, name))
+
+
+@pytest.mark.parametrize("shape", SHAPES, ids=lambda s: "x".join(map(str, s)))
+def test_geometry_outputs_are_c_contiguous(shape):
+    found = list(arrays(list(built_values(shape))))
+    assert len(found) > 20
+    assert [x.strides for x in found if not x.flags.c_contiguous] == []

@@ -203,16 +203,19 @@ def test_restart_certified_by_one_ulp_stops_the_search(monkeypatch):
 
 def test_restart_the_stacked_checks_reject_raises_the_value_type_error(
         monkeypatch):
-    # restart 1 gets a negative p1 entry: its marginal leaves the support,
-    # so it is no new best, and it still raises what its ChainParams raises
+    # restart 1 gets a unit p1 row with a negative entry: its marginal
+    # leaves the support, so it is no new best, and it still raises what
+    # its ChainParams raises; the kernel's stacks are frozen, so the
+    # corrupted one is a copy
     slack = np.array([[0, 1, 0, 1], [1, 0, 0, 1], [1, 0, 1, 0], [0, 1, 1, 0]])
     target = MarginalTable((4, 4), slack / slack.sum())
     real = identifiability._em_batch
 
     def corrupting_batch(*args, **kwargs):
         runs = real(*args, **kwargs)
-        runs.p1[1] = [-1.0, 2.0, 1.0, 1.0]
-        return runs
+        p1 = runs.p1.copy()
+        p1[1] = np.array([-1.0, 2.0, 1.0, 1.0]) / 3.0
+        return runs._replace(p1=p1)
 
     monkeypatch.setattr(identifiability, "_em_batch", corrupting_batch)
     with pytest.raises(InvalidParameter, match=r"p1\(0, 0\) is negative"):

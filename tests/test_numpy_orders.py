@@ -8,7 +8,9 @@ longer contiguous run pairwise; and a ufunc or a sum gives the same bits
 whether it writes a fresh array, a reused ``out=`` buffer, a ``keepdims``
 output, a view or its own input.  This test checks each claim on the
 installed numpy, so an upgrade that breaks one fails here by name; the last
-test does the same for the buffers of ``fiber._move`` and ``_clamp_rows``.
+tests do the same for the buffers of ``fiber._move``, for the one row
+division ``model._unit_rows`` and for the C-ordered stacks of
+``fiber._act``.
 """
 
 import numpy as np
@@ -173,11 +175,10 @@ def test_row_views_and_reused_buffers_give_the_bits_of_the_4d_calls():
 def test_the_chord_sweep_buffers_give_the_bits_of_fresh_arrays():
     # fiber._move divides into column blocks of one slopes buffer whose
     # last two columns hold the cut slopes, where it concatenated fresh
-    # quotients and a broadcast; it updates a, b[:, j] and a[:, :, j] in
-    # place through out=; and fiber._clamp_rows divides C-ordered rows above
-    # 0 by their sums without _snap's copy.  Each gives the fresh bits, and
-    # the row extremes of a row holding a NaN are NaN either way
-    from latentgeom.fiber import DET_EPS, _clamp_rows, _snap
+    # quotients and a broadcast; and it updates a, b[:, j] and a[:, :, j] in
+    # place through out=.  Each gives the fresh bits, and the row extremes
+    # of a row holding a NaN are NaN either way
+    from latentgeom.fiber import DET_EPS
 
     rng = np.random.default_rng(3202)
     for count, r1, r2, r3 in [(1, 3, 2, 3), (10, 5, 3, 9), (7, 4, 9, 12)]:
@@ -218,11 +219,38 @@ def test_the_chord_sweep_buffers_give_the_bits_of_fresh_arrays():
         np.multiply(aj, sums, out=aj)
         assert _bits(got_b) == _bits(want_b) and _bits(moved) == _bits(want_a)
 
-    for m in (2, 3, 7, 8, 9, 20):
+
+def test_unit_rows_divide_each_c_ordered_row_as_on_its_own():
+    # model._unit_rows, the package's one row division, gives each row of
+    # a C-ordered stack the bits of dividing it by its own sum, a run added
+    # left to right below 8 entries and pairwise from 8; fiber._snap and
+    # _clamp_rows divide rows above 0 by it, without a copy
+    from latentgeom.fiber import _clamp_rows, _snap
+    from latentgeom.model import _unit_rows
+
+    rng = np.random.default_rng(3501)
+    for m in range(2, 21):
         rows = np.exp(rng.normal(0.0, 6.0, size=(5, 4, m)))
-        assert rows.flags.c_contiguous and rows.min() > 0.0
-        quotient = rows / rows.sum(-1, keepdims=True)
-        assert _bits(quotient) == _bits(_snap(rows)) == _bits(_clamp_rows("a", rows))
-        # a transposed layout takes the copy, whose sums it shares
-        flipped = np.ascontiguousarray(rows.transpose(0, 2, 1)).transpose(0, 2, 1)
-        assert _bits(_clamp_rows("a", flipped)) == _bits(_snap(rows))
+        want = np.array([[row / np.add.reduce(row) for row in block] for block in rows])
+        got, flat = _unit_rows(rows, rows[0, 0])
+        assert got.flags.c_contiguous and _bits(got) == _bits(want)
+        assert _bits(flat) == _bits(want[0, 0])
+        assert _bits(_snap(rows)) == _bits(_clamp_rows("a", rows)) == _bits(want)
+
+
+def test_the_mixing_action_returns_c_ordered_stacks():
+    # fiber._act copies LAPACK's transposed solve to C order, with its
+    # bits; the r2 = 2 inverse and q b are written in C order
+    from latentgeom.fiber import _act
+
+    rng = np.random.default_rng(3502)
+    for r2 in range(2, 10):
+        a, b = rng.dirichlet(np.ones(r2), size=6), rng.dirichlet(np.ones(5), size=r2)
+        m = rng.standard_normal((3, r2, r2))
+        qs = np.eye(r2) + 0.1 * (m - m.mean(axis=2, keepdims=True))
+        moved, mixed = _act(a, b, qs)
+        assert moved.flags.c_contiguous and mixed.flags.c_contiguous
+        assert _bits(mixed) == _bits(qs @ b)
+        if r2 > 2:
+            want = np.linalg.solve(qs.transpose(0, 2, 1), a.T).transpose(0, 2, 1)
+            assert not want.flags.c_contiguous and _bits(moved) == _bits(want)

@@ -23,6 +23,7 @@ from latentgeom import (
     MarginalTable,
     MixingMatrix,
     Shape,
+    consistency_check,
     cross_ratios,
     em_fit_details,
     extreme_mixings,
@@ -106,8 +107,7 @@ def test_cross_ratios_equal_the_checked_table_at_every_cell(r1, r3, seed, scale)
     cells[-1, -1] *= scale
     marginal = MarginalTable((r1, r3), cells / cells.sum())
     for ref in np.ndindex(r1, r3):
-        with np.errstate(divide="ignore"):
-            fast, slow = both(CrossRatios, cross_ratios, marginal, ref)
+        fast, slow = both(CrossRatios, cross_ratios, marginal, ref)
         assert_same_value(fast, slow)
 
 
@@ -157,6 +157,21 @@ def test_solve_fiber_323_equals_the_checked_field(seed, ref, jitter):
     for args in ((z, *free), (CrossRatios((3, 3), ref, np.ones((2, 2))), free[0], free[0])):
         fast, slow = both(LambdaField, solve_fiber_323, *args)
         assert_same_value(fast, slow)
+
+
+@settings(max_examples=15, deadline=None)
+@given(r1=st.integers(2, 5), r2=st.integers(2, 3), r3=st.integers(2, 5),
+       seed=SEEDS, zeros=st.booleans(), tol=st.sampled_from([1e-8, 1e-2, 1.0]))
+def test_consistency_witness_equals_the_checked_chain(r1, r2, r3, seed, zeros, tol):
+    # exact witnesses, and at a loose tol the search's best restart
+    rng = np.random.default_rng(seed)
+    cells = rng.dirichlet(np.ones(r1 * r3)).reshape(r1, r3)
+    if zeros:
+        cells[rng.integers(r1), :] = 0.0
+    target = MarginalTable((r1, r3), cells / cells.sum())
+    fast, slow = both(ChainParams, consistency_check, target, r2, 3, tol,
+                      seed % 1000, 20)
+    assert_same_value(fast, slow)
 
 
 @settings(max_examples=15, deadline=None)

@@ -125,6 +125,14 @@ REFUSALS = {
     "cross-ratio zero cell": (lambda: cross_ratios(MarginalTable(
         (2, 3), [[0.2, 0.2, 0.0], [0.0, 0.3, 0.3]]), (1, 1)), ZeroCell,
         "marginal cell (i=0, k=2) is zero (0-based)"),
+    # positive cells whose products underflow: x / 0, and 0 / 0, refused
+    # without a warning
+    "cross-ratio underflow": (lambda: cross_ratios(MarginalTable(
+        (2, 2), [[0.5 - 1e-200, 1e-200], [1e-200, 0.5 - 1e-200]])),
+        InvalidParameter, "cross-ratios must be finite and positive"),
+    "cross-ratio underflow 0/0": (lambda: cross_ratios(MarginalTable(
+        (3, 3), [[1e-170, 1e-170, 0.2], [1e-170, 1e-170, 0.2], [0.2, 0.2, 0.2]])),
+        InvalidParameter, "cross-ratios must be finite and positive"),
     "feasible report": (lambda: _report(True, 1e-8, {"rank": True}),
                         InvalidParameter,
                         "feasible report requires divergence < tol"),
