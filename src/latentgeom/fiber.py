@@ -142,11 +142,13 @@ def _mix(params: ChainParams, qs: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
     return a, b, valid
 
 
-def _snap(rows: np.ndarray) -> np.ndarray:
+def _snap(rows: np.ndarray, worst: float | None = None) -> np.ndarray:
     """Snap entries in [-CLAMP_EPS, 0], -0.0 included, to exact zero in a
-    copy, unless all are above 0, and renormalise with ``_unit_rows``:
-    every entry the clamp test accepts ends nonnegative."""
-    if not np.minimum.reduce(rows, None) > 0.0:
+    copy unless ``worst``, their minimum if given, is above 0; renormalise
+    with ``_unit_rows``: every entry the clamp test accepts ends >= 0."""
+    if worst is None:
+        worst = np.minimum.reduce(rows, None)
+    if not worst > 0.0:
         rows = rows.copy()
         rows[(rows >= -CLAMP_EPS) & (rows <= 0.0)] = 0.0
     return _unit_rows(rows)[0]
@@ -156,9 +158,9 @@ def _clamp_rows(name: str, rows: np.ndarray) -> np.ndarray:
     """Snap roundoff negatives to exact zero, reject real ones, renormalise."""
     worst = float(np.minimum.reduce(rows, None))
     if worst < -CLAMP_EPS:
-        idx = tuple(int(x) for x in np.argwhere(rows == rows.min())[0])
+        idx = tuple(int(x) for x in np.argwhere(rows == worst)[0])
         raise InvalidMixing(name, idx, worst)
-    return _snap(rows)
+    return _snap(rows, worst)
 
 
 def _points(params: ChainParams, a: np.ndarray, b: np.ndarray) -> list[ChainParams]:

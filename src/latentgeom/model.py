@@ -31,8 +31,8 @@ SUM_TOL       1e-12   rounding   a given row or table sums to 1 within it; the
 CLAMP_EPS     1e-12   rounding   an entry this far past 0 or 1 is snapped or
                                  clipped, not refused; fiber._mix, _snap,
                                  _clamp_rows, the clamp test of apply_mixing
-                                 and sample_fiber, LambdaField,
-                                 _outside_unit_box, solve_fiber_323; entries
+                                 and sample_fiber, _outside_unit_box, the
+                                 box test of the reparam solvers; entries
                                  at or below it are 0 in the witness of
                                  _nested_polygon
 DET_EPS       1e-12   rounding   a divisor this small is 0; fiber._nonsingular
@@ -251,7 +251,9 @@ class JointTable(_Value):
 
 
 def _check_rows(name: str, rows: np.ndarray) -> None:
-    if _stochastic(rows):
+    """Refuse a stack of rows (last axis) that :func:`_stochastic` fails,
+    naming the first failing entry or row in the shape given."""
+    if _stochastic(rows.reshape(-1, rows.shape[-1])):
         return
     if not np.isfinite(rows).all():
         raise InvalidParameter(f"{name} contains non-finite values")

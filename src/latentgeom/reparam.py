@@ -48,6 +48,7 @@ from .model import (
     MarginalTable,
     Shape,
     _Value,
+    _check_rows,
     _fields_eq,
     _frozen,
     _reals,
@@ -65,21 +66,19 @@ def _check_unit(**values: float) -> None:
             raise InvalidParameter(f"{name} must lie in [0, 1], got {v!r}")
 
 
-def _outside_unit_box(values) -> tuple[int, ...] | None:
-    """Index of the first entry (C order) of ``values`` below -CLAMP_EPS
-    or above 1 + CLAMP_EPS, or None; a NaN is not outside."""
-    values = np.asarray(values, dtype=float)
-    outside = (values < -CLAMP_EPS) | (values > 1.0 + CLAMP_EPS)
-    if not outside.any():
-        return None
-    return tuple(int(x) for x in np.argwhere(outside)[0])
+def _outside_unit_box(values) -> int | None:
+    """Position of the first float of ``values`` below -CLAMP_EPS or above
+    1 + CLAMP_EPS, or None (a NaN is not): the closed-form solvers' box test."""
+    return next((n for n, v in enumerate(values)
+                 if v < -CLAMP_EPS or v > 1.0 + CLAMP_EPS), None)
 
 
 @dataclass(frozen=True)
 class LambdaField(_Value):
     """Hidden conditionals lambda_j(i, k), stored as values[i, k, j].
 
-    For every (i, k) the j-slice is a probability vector.  Cells where the
+    For every (i, k) the j-slice is a probability vector, which the row
+    test of the value types checks; nothing is clipped.  Cells where the
     generating marginal had delta(i, k) = 0 carry no information; they are
     filled uniformly and flagged in ``unconstrained``.
     """
@@ -97,17 +96,7 @@ class LambdaField(_Value):
             raise InvalidParameter(
                 f"values have shape {values.shape}, expected ({r1}, {r3}, {r2})"
             )
-        # a min and a max that a NaN or an infinity fails, then the sums
-        lo, hi = np.minimum.reduce(values, None), np.maximum.reduce(values, None)
-        if not -CLAMP_EPS <= lo <= hi <= 1.0 + CLAMP_EPS:
-            if not np.isfinite(values).all():
-                raise InvalidParameter("values contain non-finite entries")
-            idx = _outside_unit_box(values)
-            raise InvalidParameter(f"values{idx} = {float(values[idx])!r} outside [0, 1]")
-        sums = np.add.reduce(values, 2)
-        if not np.maximum.reduce(np.abs(sums - 1.0), None) <= SUM_TOL:
-            idx = tuple(int(x) for x in np.argwhere(np.abs(sums - 1.0) > SUM_TOL)[0])
-            raise InvalidParameter(f"lambda slice {idx} sums to {float(sums[idx])!r}")
+        _check_rows("values", values)
         flags = self.unconstrained
         flags = np.zeros((r1, r3), bool) if flags is None else np.asarray(flags)
         if flags.dtype != bool:
@@ -116,9 +105,7 @@ class LambdaField(_Value):
             raise InvalidParameter(
                 f"unconstrained flags have shape {flags.shape}, expected ({r1}, {r3})"
             )
-        # entries in (0, 1] are their own clip
-        object.__setattr__(self, "values", _frozen(
-            values if lo > 0.0 and hi <= 1.0 else np.clip(values, 0.0, 1.0)))
+        object.__setattr__(self, "values", _frozen(values))
         object.__setattr__(self, "unconstrained", _frozen(flags, dtype=bool))
 
 
@@ -135,8 +122,8 @@ def split(joint: JointTable) -> tuple[MarginalTable, LambdaField]:
     [0, 1]; each slice then sums to 1 within (r2 - 1/2) eps < (r2 + 1) eps
     to first order ((r2 - 1) eps / 2 each from delta and from the slice
     sum, eps / 2 from the division), as does a slice of r2 entries 1 / r2.
-    Where an entry is 0 (numpy versions differ on clipping -0.0) or
-    (r2 + 1) eps exceeds ``SUM_TOL``, :class:`LambdaField` checks the field.
+    Where (r2 + 1) eps exceeds ``SUM_TOL``, :class:`LambdaField` checks
+    the field.
     """
     r1, r2, r3 = joint.shape.astuple()
     marginal = marginal_13(joint)
@@ -147,7 +134,7 @@ def split(joint: JointTable) -> tuple[MarginalTable, LambdaField]:
     lam = np.divide(joint.cells.transpose(0, 2, 1), safe[:, :, None], order="C")
     if not interior:
         lam[zero] = 1.0 / r2
-    if not (np.minimum.reduce(lam, None) > 0.0 and (r2 + 1) * _EPS <= SUM_TOL):
+    if (r2 + 1) * _EPS > SUM_TOL:
         return marginal, LambdaField(joint.shape, lam, zero)
     lam.flags.writeable = zero.flags.writeable = False
     return marginal, LambdaField._checked(joint.shape, lam, zero)
@@ -324,9 +311,9 @@ def binary_fiber_solve(z: float, c1: float, c2: float) -> BinaryFiberSolution:
         u = 0.5 * (s - sq)
     v = p / u if u != 0.0 else 0.0
     lo, hi = (u, v) if u <= v else (v, u)
-    if (idx := _outside_unit_box((lo, hi))) is not None:
-        which = ("smaller root", "larger root")[idx[0]]
-        raise OutOfUnitBox(f"{which} = {(lo, hi)[idx[0]]:.17g} lies outside "
+    if (n := _outside_unit_box((lo, hi))) is not None:
+        which = ("smaller root", "larger root")[n]
+        raise OutOfUnitBox(f"{which} = {(lo, hi)[n]:.17g} lies outside "
                            f"[0, 1] (roots {(lo, hi)})")
     # max(0.0, x), not max(x, 0.0), so that a -0.0 root becomes 0.0
     lo = min(max(0.0, lo), 1.0)
@@ -427,15 +414,11 @@ def _field_from_first_component(shape: Shape, z: CrossRatios, lam) -> LambdaFiel
     and second components 1 - lam, built once on the proof that ``lam``
     lies in [0, 1], as :func:`solve_fiber_323` makes it: so does each
     1 - lam, each slice lam + (1 - lam) sums to 1 within eps (eps / 2 from
-    the subtraction and from the sum), and no cell is unconstrained.  A
-    field with an entry at 0 goes through :class:`LambdaField`, whose
-    ``np.clip`` of -0.0 differs between numpy versions."""
+    the subtraction and from the sum), and no cell is unconstrained."""
     values = np.empty((3, 3, 2))
     rows, cols = _ref_frame(z.ref_cell, 3, 3)
     values[rows, cols, 0] = lam
     values[:, :, 1] = 1.0 - values[:, :, 0]
-    if not np.minimum.reduce(values, None) > 0.0:
-        return LambdaField(shape, values)
     values.flags.writeable = False
     return LambdaField._checked(shape, values, _frozen(np.zeros((3, 3)), bool))
 
@@ -468,8 +451,8 @@ def solve_fiber_323(z: CrossRatios, lam21: float, lam22: float) -> LambdaField:
 
     The nine values are Python floats, with the bits of float64
     arithmetic, until the field is written.  The free values are checked
-    to lie in [0, 1], and the solved ones are clipped into it after the
-    residual test, which a NaN in any of the nine fails.
+    to lie in [0, 1]; the solved ones pass :func:`_outside_unit_box` and are
+    clipped into it before the residual test, which a NaN in any fails.
     """
     if z.values.shape != (2, 2):
         raise InvalidParameter("solver requires a 3 x 3 marginal's cross-ratios")
@@ -507,12 +490,10 @@ def solve_fiber_323(z: CrossRatios, lam21: float, lam22: float) -> LambdaField:
     l22 = checked_div(l02 * l20, z4 * l00, "z4 lam(1,1)")
     lam = [[l00, l01, l02], [lam21, lam22, l12], [l20, l21, l22]]
 
-    for i, row in enumerate(lam):
-        for k, v in enumerate(row):     # a NaN is not outside
-            if v < -CLAMP_EPS or v > 1.0 + CLAMP_EPS:
-                raise OutOfUnitBox(f"lam({i + 1},{k + 1}) = {v:.17g} "
-                                   "lies outside [0, 1]")
-    # as numpy 2's np.clip: -0.0 and a NaN are kept
+    if (n := _outside_unit_box(v for row in lam for v in row)) is not None:
+        raise OutOfUnitBox(f"lam({n // 3 + 1},{n % 3 + 1}) = "
+                           f"{lam[n // 3][n % 3]:.17g} lies outside [0, 1]")
+    # into [0, 1], keeping -0.0 and a NaN
     lam = [[min(max(v, 0.0), 1.0) for v in row] for row in lam]
 
     worst = max(map(abs, _quadric_residuals_323(z, lam)),
@@ -557,9 +538,9 @@ def degenerate_family_323(z: CrossRatios, lam21: float, lam31: float,
         raise InvalidParameter(f"branch must be 'ones' or 'zeros', got {branch!r}")
     _check_unit(lam21=lam21, lam31=lam31)
     scaled = np.array([[lam21], [lam31]], dtype=float) / z.values
-    if (idx := _outside_unit_box(scaled)) is not None:
-        raise OutOfUnitBox(f"lam({idx[0] + 2},{idx[1] + 2}) = "
-                           f"{float(scaled[idx]):.17g} lies outside [0, 1]")
+    if (n := _outside_unit_box(scaled.ravel().tolist())) is not None:
+        raise OutOfUnitBox(f"lam({n // 2 + 2},{n % 2 + 2}) = "
+                           f"{scaled.flat[n]:.17g} lies outside [0, 1]")
     mu = np.ones((3, 3))
     mu[1:, 0] = lam21, lam31
     mu[1:, 1:] = np.minimum(scaled, 1.0)

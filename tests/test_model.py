@@ -71,9 +71,9 @@ def test_table_shapes_are_integers_not_truncated(shape):
     (lambda: MixingMatrix([[0.5, 0.4], [0.2, 0.8]]),
      "row 0 of q sums to 0.9, not 1"),
     (lambda: LambdaField(Shape(2, 2, 2), np.full((2, 2, 2), 0.25)),
-     "lambda slice (0, 0) sums to 0.5"),
+     "row 0 of values sums to 0.5, not 1"),
     (lambda: LambdaField(Shape(2, 2, 2), np.full((2, 2, 2), 1.5)),
-     "values(0, 0, 0) = 1.5 outside [0, 1]"),
+     "row 0 of values sums to 3.0, not 1"),
 ], ids=["a-row-sum", "a-negative", "cell-negative", "q-row-sum",
         "lambda-slice-sum", "lambda-outside"])
 def test_value_messages_print_plain_floats(build, message):

@@ -83,7 +83,7 @@ REFUSALS = {
                         InvalidParameter, "lambda values must be real numbers"),
     "lambda non-finite": (lambda: LambdaField(Shape(2, 2, 2),
                                               [[[NAN, 0.5]] * 2] * 2),
-                          InvalidParameter, "values contain non-finite entries"),
+                          InvalidParameter, "values contains non-finite values"),
     "cross-ratio non-real": (lambda: CrossRatios((2, 2), (0, 0), [[1j]]),
                              InvalidParameter, "cross-ratios must be real numbers"),
     "cross-ratio non-finite": (lambda: CrossRatios((2, 2), (0, 0), [[np.inf]]),
@@ -115,7 +115,7 @@ REFUSALS = {
     # checks in their documented order
     "lambda nan and 2": (lambda: LambdaField(Shape(2, 2, 2), [[[2.0, -1.0], [0.5, 0.5]],
                                                             [[NAN, 0.5], [0.5, 0.5]]]),
-                         InvalidParameter, "values contain non-finite entries"),
+                         InvalidParameter, "values contains non-finite values"),
     "cross-ratio nan": (lambda: CrossRatios((2, 3), (0, 0), [[-1.0, NAN]]),
                         InvalidParameter, "cross-ratios must be finite and positive"),
     "q both infinities": (lambda: MixingMatrix([[0.3, 0.3], [np.inf, -np.inf]]),

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latentgeom import (
     CrossRatios,
@@ -24,6 +26,8 @@ from latentgeom import (
     solve_fiber_323,
     split,
 )
+from latentgeom.model import CLAMP_EPS, _stochastic
+from latentgeom.reparam import _outside_unit_box
 from conftest import seeded_chain, seeded_joint, seeded_marginal
 
 
@@ -104,15 +108,68 @@ def test_unconstrained_flags_keep_their_values():
         LambdaField(Shape(2, 2, 2), np.full((2, 2, 2), 0.5), [True, False])
 
 
-def test_lambda_values_within_clamp_eps_of_the_box_are_clipped_into_it():
-    # entries in [-CLAMP_EPS, 0) and (1, 1 + CLAMP_EPS] are clipped, not
-    # refused; a field of entries in (0, 1] is kept as given
-    edge = np.array([[[1.0 + 5e-13, -5e-13], [0.5, 0.5]], [[0.25, 0.75], [0.5, 0.5]]])
+#: entries at and around the edges of [0, 1], and ones no row holds
+EDGES = [-CLAMP_EPS, -5e-13, -0.0, 0.0, 5e-13, 0.5, 1.0 - 5e-13, 1.0, 1.0 + 5e-13,
+         1.0 + CLAMP_EPS, 1.5, np.nan, np.inf]
+#: how an edit places one: whole slices twice as often as single entries,
+#: which rarely leave a row that sums to 1
+EDITS = ["pair", "alone"] * 2 + ["entry"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(r1=st.integers(2, 3), r2=st.integers(2, 4), r3=st.integers(2, 3),
+       seed=st.integers(0, 2 ** 32 - 1), scale=st.sampled_from([1.0, 1.0 + 2e-12]),
+       edits=st.lists(st.tuples(st.integers(0, 47), st.sampled_from(EDGES),
+                                st.sampled_from(EDITS)),
+                      max_size=3))
+def test_lambda_field_takes_exactly_the_stacks_of_probability_rows(r1, r2, r3, seed,
+                                                                    scale, edits):
+    # an edit puts an edge entry x into a random row, or makes its slice
+    # (x, 1 - x, 0, ...) or (x, 0, ...); the field is accepted exactly
+    # when the package's row test accepts every slice, and is then kept bit
+    # for bit
+    values = np.random.default_rng(seed).dirichlet(np.ones(r2), (r1, r3)) * scale
+    rows = values.reshape(-1, r2)
+    for pos, x, how in edits:
+        row, j = divmod(pos % rows.size, r2)
+        if how != "entry":
+            rows[row] = 0.0
+            rows[row, (j + 1) % r2] = 1.0 - x if how == "pair" else 0.0
+        rows[row, j] = x
+    try:
+        lam = LambdaField(Shape(r1, r2, r3), values)
+    except InvalidParameter:
+        assert not _stochastic(rows)
+    else:
+        assert _stochastic(rows)
+        assert lam.values.tobytes() == values.tobytes()
+        assert lam.values.flags.c_contiguous and not lam.values.flags.writeable
+
+
+def test_lambda_values_past_the_box_are_kept_or_refused_never_clipped():
+    # -CLAMP_EPS is a negative entry; 1 + 5e-13 beside 0.0 sums to 1
+    # within SUM_TOL and is kept as given
+    edge = np.array([[[1.0 + CLAMP_EPS, -CLAMP_EPS], [0.5, 0.5]],
+                     [[0.25, 0.75], [0.5, 0.5]]])
+    with pytest.raises(InvalidParameter,
+                       match=r"^values\(0, 0, 1\) is negative: -1e-12$"):
+        LambdaField(Shape(2, 2, 2), edge)
+    edge[0, 0] = 1.0 + 5e-13, 0.0
     lam = LambdaField(Shape(2, 2, 2), edge)
-    assert lam.values[0, 0].tolist() == [1.0, 0.0]
-    assert np.array_equal(lam.values[1:], edge[1:])
-    inner = LambdaField(Shape(2, 2, 2), edge[[1, 1]])
-    assert np.array_equal(inner.values, edge[[1, 1]]) and not inner.values.flags.writeable
+    assert lam.values[0, 0].tolist() == [1.0 + 5e-13, 0.0]
+    assert lam.values.tobytes() == edge.tobytes() and not lam.values.flags.writeable
+
+
+def test_the_solvers_box_is_the_unit_interval_widened_by_clamp_eps():
+    # both ends are inside and the next float outward from each is not; a
+    # NaN is not outside, and the first entry outside is the one named
+    lo, hi = -CLAMP_EPS, 1.0 + CLAMP_EPS
+    below, above = float(np.nextafter(lo, -np.inf)), float(np.nextafter(hi, np.inf))
+    assert _outside_unit_box([lo, hi, -0.0, 0.0, 1.0, np.nan]) is None
+    assert _outside_unit_box([]) is None
+    assert _outside_unit_box([below]) == 0
+    assert _outside_unit_box([0.5, above]) == 1
+    assert _outside_unit_box(iter([np.nan, hi, 2.0, below, 3.0])) == 2
 
 
 def test_merge_shape_mismatch():

@@ -230,3 +230,34 @@ def test_every_unchecked_construction_is_listed_with_its_proof():
     assert set(found) == UNCHECKED
     assert [site for site, doc in found.items()
             if not re.search(r"\bpro(?:of|ve[sn]?)\b", doc or "")] == []
+
+
+def function_nodes(scope: ast.AST, names: tuple = ()):
+    # (qualified name of the innermost def or class, node) for every node
+    # inside a def or class of ``scope``
+    for node in ast.iter_child_nodes(scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from function_nodes(node, (*names, node.name))
+            continue
+        if names:
+            yield ".".join(names), node
+        yield from function_nodes(node, names)
+
+
+def test_value_types_refuse_rather_than_clip_and_one_function_tests_the_box():
+    # a value type refuses an entry it does not accept: no __post_init__
+    # clips; and 1 + CLAMP_EPS, the top of the widened unit box, is read
+    # only by the solvers' one box test
+    clips, tops = [], []
+    for path in sorted(SRC.glob("*.py")):
+        for name, node in function_nodes(ast.parse(path.read_text(encoding="utf-8"))):
+            # np.clip, or an array's .clip
+            if (name.endswith("__post_init__") and isinstance(node, ast.Call)
+                    and ast.unparse(node.func).rpartition(".")[2] == "clip"):
+                clips.append((path.name, name))
+            if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)
+                    and sorted(map(ast.unparse, (node.left, node.right)))
+                    in (["1", "CLAMP_EPS"], ["1.0", "CLAMP_EPS"])):
+                tops.append((path.name, name, ast.unparse(node)))
+    assert clips == []
+    assert tops == [("reparam.py", "_outside_unit_box", "1.0 + CLAMP_EPS")]
