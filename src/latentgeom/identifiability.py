@@ -33,6 +33,7 @@ from .model import (
     Shape,
     _numerical_rank,
     _stochastic,
+    _unit_chain,
     _unit_rows,
 )
 from .shapes import _check_count
@@ -117,14 +118,11 @@ def kl_divergence(target: MarginalTable, model: MarginalTable) -> float:
     return float(_kl_rows(target.cells, model.cells[None])[0])
 
 
-def _certify(target: np.ndarray, p1: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple:
-    """For stacks of p1, a and b: the mask of the members that ``ChainParams``
-    accepts and each divergence from ``target``, with the arithmetic of
-    ``marginal_13(joint_from_chain(...))`` and :func:`kl_divergence`.  The
-    forward maps check nothing: a chain's tables follow from its rows."""
+def _divergences(target: np.ndarray, p1: np.ndarray, a: np.ndarray, b: np.ndarray) -> list:
+    """The divergence from ``target`` of each chain of stacks p1, a and b, with the
+    arithmetic of ``marginal_13(joint_from_chain(...))`` and :func:`kl_divergence`."""
     delta = np.add.reduce(np.einsum("ri,rij,rjk->rijk", p1, a, b), 2)
-    ok = (_stochastic(p1[:, None]) & _stochastic(a) & _stochastic(b)).tolist()
-    return ok, _kl_rows(target, delta).tolist()
+    return _kl_rows(target, delta).tolist()
 
 
 def _exact_witness(target: MarginalTable, r2: int, rank: int) -> tuple | None:
@@ -140,14 +138,16 @@ def _exact_witness(target: MarginalTable, r2: int, rank: int) -> tuple | None:
     rank <= 2 target lie on, and otherwise the nested polygon's corners.
     Unused states get a zero ``a`` column and a uniform ``b`` row; a state
     of Y1 with zero mass gets a uniform ``a`` row, or its own uniform
-    vertex when Y2 copies Y1.  Every row is then divided by its sum.
+    vertex when Y2 copies Y1.  ``_unit_rows`` divides every row by its sum,
+    from entries >= 0 or NaN (rounding keeps the segment's t in [0, 1]).
     """
     r1, r3 = target.shape
     p1 = np.add.reduce(target.cells, 1)    # as .sum(axis=1), without its wrapper
-    live = p1 > 0.0
     a, b = np.zeros((r1, r2)), np.full((r2, r3), 1.0 / r3)
-    a[~live] = 1.0 / r2
-    live = slice(None) if live.all() else live      # no boolean gathers
+    if (live := p1 > 0.0).all():
+        live = slice(None)      # no boolean gathers
+    else:
+        a[~live] = 1.0 / r2
     (rows,) = _unit_rows(target.cells[live])
     if r2 >= r3:
         a[live, :r3] = rows
@@ -292,10 +292,9 @@ def consistency_check(target: MarginalTable, r2: int, restarts: int = 64,
     search.  A target with r2 >= min(r1, r3) or rank <= 2, or of rank 3 <=
     r2 with a nested polygon that certifies, is decided by the witness of
     :func:`_exact_witness`, without ``restarts``, ``maxiter`` or ``seed``.
-    :func:`_certify` certifies every witness with the value types'
-    arithmetic: one its masks reject is rebuilt as a ``ChainParams``, which
-    raises its error; the masks are the proof of one that passes, whose
-    frozen rows become a ``ChainParams`` once, unchecked.
+    Its rows, like the best restart's, become a ``ChainParams`` through
+    :func:`~latentgeom.model._unit_chain`; the search ends with the row
+    test of every restart it examined: one that fails raises its error.
 
     The search is one run of the EM kernel, which takes the restarts in
     seed order as lanes free up: one lane at first, twice as many, up to
@@ -334,11 +333,9 @@ def consistency_check(target: MarginalTable, r2: int, restarts: int = 64,
     shape = Shape(r1, r2, r3)
     found = _exact_witness(target, r2, rank) if rank <= min(r2, 3) else None
     if found is not None:
-        (ok,), (best,) = _certify(target.cells, *(x[None] for x in found))
-        if not ok:      # the masks are exact, so this raises
-            ChainParams(shape, *found)
-        if rank <= 2 or best < tol:     # found's rows are frozen
-            witness = ChainParams._checked(shape, *found)
+        witness = _unit_chain(shape, *found)
+        (best,) = _divergences(target.cells, *(x[None] for x in found))
+        if rank <= 2 or best < tol:
             return ConsistencyReport(bool(best < tol), best, witness, checks, None, tol,
                                      divergence_bound=bound)
 
@@ -347,30 +344,29 @@ def consistency_check(target: MarginalTable, r2: int, restarts: int = 64,
 
     def certifies(p1, a, b, ll):     # the docstring's bound, then exactly
         margin = 4 * r1 * r2 * r3 * _EPS * (1.0 + abs(entropy) + abs(ll))
-        return (ll > entropy - tol - margin and _certify(
-            target.cells, *_unit_rows(p1[None], a[None], b[None]))[1][0] < tol)
+        return (ll > entropy - tol - margin and _divergences(
+            target.cells, *_unit_rows(p1[None], a[None], b[None]))[0] < tol)
 
     runs = _em_batch(target.cells, shape,
                      (np.random.default_rng([seed, k]) for k in range(restarts)),
                      maxiter, tol=1e-12, certifies=certifies,
                      lanes=64 if r2 == 3 else 1)
-    ok, kls = _certify(target.cells, runs.p1, runs.a, runs.b)
+    ok = (_stochastic(runs.p1[:, None]) & _stochastic(runs.a) & _stochastic(runs.b)).tolist()
+    kls = _divergences(target.cells, runs.p1, runs.a, runs.b)
     best, at, divergences = float("inf"), None, []
     for r, kl in enumerate(kls):
         if r in runs.errors:
             raise runs.errors[r]
         if runs.loglik[r] == NEG_INF:
             kl = float("inf")
-        elif not ok[r]:     # the masks are exact, so this raises
+        elif not ok[r]:     # the row test is exact, so this raises
             ChainParams(shape, runs.p1[r], runs.a[r], runs.b[r])
         divergences.append(kl)
         if kl < best:
             best, at = kl, r
         if best < tol:
             break
-    # the masks passed the frozen rows of the best restart, if any
-    witness = None if at is None else ChainParams._checked(
-        shape, runs.p1[at], runs.a[at], runs.b[at])
+    witness = None if at is None else runs.params(shape, at)
     return ConsistencyReport(bool(best < tol), best, witness, checks, None, tol,
                              tuple(divergences),
                              tuple(runs.iterations[:len(divergences)].tolist()), bound)

@@ -36,8 +36,8 @@ from .model import (
     _frozen,
     _reals,
     _stochastic,
+    _unit_chain,
     _unit_rows,
-    _unit_rows_proven,
     joint_from_chain,
     marginal_13,
 )
@@ -162,14 +162,9 @@ class _EmRuns(NamedTuple):
     errors: dict[int, GeometryError]
 
     def params(self, shape: Shape, r: int) -> ChainParams:
-        """Chain parameters of restart ``r``, not checked again where the
-        proof of :func:`~latentgeom.model._unit_rows_proven` holds: EM's
-        rows are products, sums and quotients of weights and rows >= 0, so
-        their entries are >= 0 or NaN, and each was divided by its own sum."""
-        rows = (self.p1[r], self.a[r], self.b[r])
-        if not _unit_rows_proven(*rows):
-            return ChainParams(shape, *rows)
-        return ChainParams._checked(shape, *rows)
+        """Chain parameters of restart ``r`` by :func:`~latentgeom.model._unit_chain`:
+        EM's rows are products, sums and quotients of entries >= 0, each divided by its sum."""
+        return _unit_chain(shape, self.p1[r], self.a[r], self.b[r])
 
 
 def _workspace(shape: Shape, w_row: np.ndarray, weights: np.ndarray,

@@ -306,6 +306,15 @@ class ChainParams(_Value):
         return self.min_entry > 0.0
 
 
+def _unit_chain(shape: Shape, p1: np.ndarray, a: np.ndarray, b: np.ndarray) -> ChainParams:
+    """``ChainParams(shape, p1, a, b)`` of rows :func:`_unit_rows` divided from
+    entries >= 0 or NaN: unchecked where that proof of :func:`_unit_rows_proven`
+    holds, else checked, which raises the error of the first row that fails."""
+    if _unit_rows_proven(p1, a, b):
+        return ChainParams._checked(shape, p1, a, b)
+    return ChainParams(shape, p1, a, b)
+
+
 @dataclass(frozen=True)
 class MarginalTable(_Value):
     """Observed two-way table delta(i, k) = p(Y1 = i, Y3 = k), summing to

@@ -1,11 +1,12 @@
 """Closed-form consistency verdicts against the value types, bitwise.
 
 ``_reference_witness`` and ``_reference_verdict`` are the closed-form
-branch that ``identifiability._certify`` replaced: the witness built as a
+branch written with the value types: the witness built as a checked
 ``ChainParams`` and its divergence computed through ``joint_from_chain``,
 ``marginal_13`` and ``kl_divergence``.  Every report field must be the
-same bits, and the certification must make no such round trip.  The rank
-proof's divergence bound is checked against chains near the target.
+same bits, and the verdict must make no such round trip and run no row
+test: the witness's rows carry the proof of ``_unit_rows_proven``.  The
+rank proof's divergence bound is checked against chains near the target.
 """
 
 import math
@@ -164,6 +165,27 @@ def test_nested_polygon_verdicts_are_the_value_types_bits(target):
     _assert_as_reference(target, 3, expected)
 
 
+def _assert_witness_rows_proven(target, r2):
+    r1, r3 = target.shape
+    rank = 0 if r2 >= min(r1, r3) else marginal_rank(target)
+    assume(rank <= min(r2, 3))
+    found = identifiability._exact_witness(target, r2, rank)
+    assume(found is not None)
+    assert model._unit_rows_proven(*found)
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=closed_form_targets())
+def test_closed_form_witness_rows_carry_their_proof(case):
+    _assert_witness_rows_proven(*case)
+
+
+@settings(max_examples=100, deadline=None)
+@given(target=rank_three_marginals(4))
+def test_nested_polygon_witness_rows_carry_their_proof(target):
+    _assert_witness_rows_proven(target, 3)
+
+
 @pytest.mark.parametrize("scale", [0.3, (2 ** 0.5 - 1) * (1 - 1e-9)])
 def test_shrunk_square_verdicts_are_the_value_types_bits(scale):
     rows = scale * SQUARE_SLACK + (1.0 - scale) * SQUARE_SLACK.mean(axis=0)
@@ -174,7 +196,8 @@ def test_shrunk_square_verdicts_are_the_value_types_bits(scale):
 
 
 def _spy(monkeypatch):
-    """Count SVDs, value-type checks and unchecked ``ChainParams``."""
+    """Count SVDs, value-type checks, unchecked ``ChainParams`` and the
+    row tests that ``identifiability`` runs itself."""
     counts = Counter()
 
     def counting(name, real):
@@ -189,6 +212,8 @@ def _spy(monkeypatch):
                             counting(cls.__name__, cls.__post_init__))
     monkeypatch.setattr(ChainParams, "_checked", staticmethod(
         counting("_checked", ChainParams._checked)))
+    monkeypatch.setattr(identifiability, "_stochastic",
+                        counting("_stochastic", identifiability._stochastic))
     return counts
 
 
@@ -205,6 +230,7 @@ def test_closed_form_verdict_makes_no_round_trip(monkeypatch, target, r2, svds):
     counts = _spy(monkeypatch)
     report = consistency_check(target, r2)
     assert report.feasible and report.restarts_tried == 0
+    assert counts["_stochastic"] == 0
     assert counts == Counter({"svd": svds, "_checked": 1} if svds else {"_checked": 1})
     assert type(report.witness) is ChainParams
     assert not any(x.flags.writeable for x in (

@@ -193,9 +193,8 @@ def test_every_tolerance_is_in_the_model_table():
 UNCHECKED = {
     ("fiber.py", "_corner"),
     ("fiber.py", "_points"),
-    ("identifiability.py", "consistency_check"),
-    ("likelihood.py", "_EmRuns.params"),
     ("model.py", "_Value._checked"),
+    ("model.py", "_unit_chain"),
     ("model.py", "joint_from_chain"),
     ("model.py", "marginal_13"),
     ("reparam.py", "_field_from_first_component"),
