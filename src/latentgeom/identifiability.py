@@ -95,10 +95,9 @@ def marginal_rank(target: MarginalTable) -> int:
     return _numerical_rank(target.cells)[0]
 
 
-def _kl_rows(target: np.ndarray, delta: np.ndarray) -> np.ndarray:
-    """:func:`kl_divergence` of the ``target`` cells to each member of a
-    stack of marginals ``delta`` (K, r1, r3)."""
-    p, gather = _observed(target)
+def _kl_rows(p: np.ndarray, gather: np.ndarray | None, delta: np.ndarray) -> np.ndarray:
+    """:func:`kl_divergence` of the target's cells ``p`` at ``gather``, as ``_observed``
+    gives them, to each member of a stack of marginals ``delta`` (K, r1, r3)."""
     q = _at_observed(gather, delta.reshape(len(delta), -1))
     with np.errstate(divide="ignore", invalid="ignore"):
         kl = np.add.reduce(p * (np.log(p) - np.log(q)), 1)
@@ -115,14 +114,14 @@ def kl_divergence(target: MarginalTable, model: MarginalTable) -> float:
     if target.shape != model.shape:
         raise InvalidParameter(
             f"target has shape {target.shape}, model has shape {model.shape}")
-    return float(_kl_rows(target.cells, model.cells[None])[0])
+    return float(_kl_rows(*_observed(target.cells), model.cells[None])[0])
 
 
-def _divergences(target: np.ndarray, p1: np.ndarray, a: np.ndarray, b: np.ndarray) -> list:
-    """The divergence from ``target`` of each chain of stacks p1, a and b, with the
-    arithmetic of ``marginal_13(joint_from_chain(...))`` and :func:`kl_divergence`."""
+def _divergences(observed: tuple, p1: np.ndarray, a: np.ndarray, b: np.ndarray) -> list:
+    """The divergence from the target's cells ``observed`` of each chain of stacks p1, a and
+    b, with the arithmetic of ``marginal_13(joint_from_chain(...))`` and :func:`kl_divergence`."""
     delta = np.add.reduce(np.einsum("ri,rij,rjk->rijk", p1, a, b), 2)
-    return _kl_rows(target, delta).tolist()
+    return _kl_rows(*observed, delta).tolist()
 
 
 def _exact_witness(target: MarginalTable, r2: int, rank: int) -> tuple | None:
@@ -330,29 +329,28 @@ def consistency_check(target: MarginalTable, r2: int, restarts: int = 64,
         return ConsistencyReport(False, float("inf"), None, checks, "rank", tol,
                                  divergence_bound=bound)
 
-    shape = Shape(r1, r2, r3)
+    shape, observed = Shape(r1, r2, r3), _observed(target.cells)
     found = _exact_witness(target, r2, rank) if rank <= min(r2, 3) else None
     if found is not None:
         witness = _unit_chain(shape, *found)
-        (best,) = _divergences(target.cells, *(x[None] for x in found))
+        (best,) = _divergences(observed, *(x[None] for x in found))
         if rank <= 2 or best < tol:
             return ConsistencyReport(bool(best < tol), best, witness, checks, None, tol,
                                      divergence_bound=bound)
 
-    p = target.cells[target.cells > 0.0]
-    entropy = float(p @ np.log(p))
+    entropy = float(observed[0] @ np.log(observed[0]))
 
     def certifies(p1, a, b, ll):     # the docstring's bound, then exactly
         margin = 4 * r1 * r2 * r3 * _EPS * (1.0 + abs(entropy) + abs(ll))
         return (ll > entropy - tol - margin and _divergences(
-            target.cells, *_unit_rows(p1[None], a[None], b[None]))[0] < tol)
+            observed, *_unit_rows(p1[None], a[None], b[None]))[0] < tol)
 
     runs = _em_batch(target.cells, shape,
                      (np.random.default_rng([seed, k]) for k in range(restarts)),
                      maxiter, tol=1e-12, certifies=certifies,
                      lanes=64 if r2 == 3 else 1)
     ok = (_stochastic(runs.p1[:, None]) & _stochastic(runs.a) & _stochastic(runs.b)).tolist()
-    kls = _divergences(target.cells, runs.p1, runs.a, runs.b)
+    kls = _divergences(observed, runs.p1, runs.a, runs.b)
     best, at, divergences = float("inf"), None, []
     for r, kl in enumerate(kls):
         if r in runs.errors:

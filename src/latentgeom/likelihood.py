@@ -168,20 +168,30 @@ class _EmRuns(NamedTuple):
 
 
 def _workspace(shape: Shape, w_row: np.ndarray, weights: np.ndarray,
-               n: int) -> tuple:
-    """The working arrays of ``n`` running restarts and their views (see
-    :func:`_em_batch`), with a copy of ``w_row`` and ``weights`` for each."""
+               n: int) -> list:
+    """The buffers of ``n`` restarts for :func:`_em_batch`, with a copy for
+    each of ``w_row``, delta's lift (1 at a cell of zero weight) and ``weights``."""
     r1, r2, r3 = shape.astuple()
-    p1, a, b = np.empty((n, r1, 1, 1)), np.empty((n, r1, r2, 1)), np.empty((n, 1, r2, r3))
-    joint, delta = np.empty((n, r1, r2, r3)), np.empty((n * r1, 1, r3))
-    cells, w_obs = joint.reshape(n * r1, r2, r3), w_row[None].repeat(n, 0)
-    a_rows, b_rows = np.empty((n * r1, 1)), np.empty((n * r2, 1))
-    return (p1, a, b, np.empty_like(a), joint, cells, cells[:, :1], cells[:, 1:2],
+    return [*map(np.empty, ((n, r1, 1, 1), (n, r1, r2, 1), (n, 1, r2, r3),
+                            (n, r1, r2, 1), (n, r1, r2, r3), (n, r1, 1, r3),
+                            (n, r1), (n, r2), (n, len(w_row)))),
+            *(np.repeat(x[None], n, 0) for x in (w_row, np.where(weights > 0.0, 0.0, 1.0)[:, None],
+                                                 np.broadcast_to(weights[:, None], (r1, r2, r3))))]
+
+
+def _views(shape: Shape, buffers: list, n: int) -> tuple:
+    """The working arrays of the first ``n`` restarts of ``buffers`` and their views."""
+    r1, r2, r3 = shape.astuple()
+    p1, a, b, pa, joint, delta, a_rows, b_rows, terms, w_obs, lift, w = (
+        x[:n] for x in buffers)
+    cells, delta = joint.reshape(n * r1, r2, r3), delta.reshape(n * r1, 1, r3)
+    return (p1, a, b, pa, joint, cells, cells[:, :1], cells[:, 1:2],
             [cells[:, j:j + 1] for j in range(2, r2)], delta, delta.reshape(n, -1),
-            np.empty_like(w_obs), w_obs, np.tile(weights[:, None], (n, r2, 1)),
-            a_rows, b_rows, cells.reshape(n * r1, -1), p1.ravel(),
-            cells.reshape(-1, r3), a.ravel(), a.reshape(-1, r2), a_rows.ravel(),
-            cells.reshape(n, r1, -1), b.reshape(n, -1), b.reshape(-1, r3), b_rows.ravel())
+            terms, w_obs, lift.reshape(delta.shape), w.reshape(cells.shape),
+            a_rows.reshape(-1, 1), b_rows.reshape(-1, 1), cells.reshape(n * r1, -1),
+            p1.ravel(), cells.reshape(-1, r3), a.ravel(), a.reshape(-1, r2),
+            a_rows.ravel(), cells.reshape(n, r1, -1), b.reshape(n, -1),
+            b.reshape(-1, r3), b_rows.ravel())
 
 
 def _em_batch(weights: np.ndarray, shape: Shape,
@@ -192,7 +202,9 @@ def _em_batch(weights: np.ndarray, shape: Shape,
     """EM runs on nonnegative cell weights (counts or probabilities), one
     restart per generator, advanced together on a leading restart axis.
 
-    Each restart starts from flat-Dirichlet rows drawn from its generator.
+    Each restart starts from flat-Dirichlet rows: r1 + r1 r2 + r2 r3
+    standard exponentials from its generator, each row times the reciprocal
+    of its in-order sum (the arithmetic of ``Generator.dirichlet``).
     E-step: responsibilities lambda_j(i, k) from the current parameters;
     M-step: closed-form row updates of p1, a, b.  A restart stops when its
     log-likelihood gains less than ``tol`` (converged, reporting the iterate
@@ -226,15 +238,19 @@ def _em_batch(weights: np.ndarray, shape: Shape,
     (r, cells) terms.  With the restart axis outermost, each restart's
     sums cover their own contiguous runs, as in a run on its own.
 
-    Every product, quotient, log and sum writes through a positional
-    ``out`` into :func:`_workspace`, built when the running restarts change;
-    the log-likelihood terms are gathered into its buffer when a cell is
-    unobserved.  An unobserved cell is not divided: it keeps p1 a b, which
-    its zero weight zeroes as it zeroes the quotient (0/1 where delta is
-    0).  A value or a run's sum is the same in a given array or view as in
-    a fresh one (``tests/test_numpy_orders.py``), so no bit changes.  A
-    restart that left took the last M-step, unread (0/0 after a zero
-    cell), once its iterate was copied.
+    Every product, quotient, log and sum writes through a positional ``out``
+    into the buffers of :func:`_workspace`, allocated when the running
+    restarts outnumber them.  When those change, the restarts that stay are
+    compacted to the front and the starts of those that join follow,
+    normalised as one block, and :func:`_views` views the prefix as a fresh
+    array is laid out.  The log-likelihood reads delta, which is then lifted
+    by 1 at the unobserved cells: an observed cell divides by delta + 0.0,
+    which is delta, and an unobserved one's finite quotient times its zero
+    weight is +0.0, as the kept p1 a b times 0 was.  A value or a run's sum
+    is the same in a given array or view as in a fresh one
+    (``tests/test_numpy_orders.py``), so no bit changes.  A restart that
+    left took the last M-step, unread (0/0 after a zero cell), once its
+    iterate was copied.
     """
     r1, r2, r3 = shape.astuple()
     rngs = iter(rngs)
@@ -244,14 +260,15 @@ def _em_batch(weights: np.ndarray, shape: Shape,
     # a row mass of a sums w(i, k) lambda_j(i, k) with max_j lambda >= 1/r2:
     # positive for every row holding a weight of normal size
     a_rows_positive = bool((weights.max(axis=1) >= np.finfo(float).tiny).all())
-    finals: list[tuple] = []  # start, then (p1, a, b, loglik, updates, converged)
+    finals: list = []  # start's draws, then (p1, a, b, loglik, updates, converged)
     errors: dict[int, GeometryError] = {}
     examined = math.inf          # how many restarts the results cover
     live: list[int] = []         # restart index of each running restart
     born: list[int] = []         # iteration at which each one joined
-    rows: list[int] = []         # its row in the workspace
+    rows: list[int] = []         # its row in the buffers
     ll_old: list[float] = []     # last values of the ones that joined before
     p1 = a = b = np.empty((0, 1, 1, 1))  # no running restart yet
+    buffers, draws = [p1], r1 + r1 * r2 + r2 * r3    # nor buffers for one
     changed = True               # a restart left: lanes may be free
 
     def leave(stops, converged):
@@ -284,23 +301,26 @@ def _em_batch(weights: np.ndarray, shape: Shape,
                         break
                     live.append(len(finals))
                     born.append(it)
-                    finals.append((rng.dirichlet(np.ones(r1)),
-                                   rng.dirichlet(np.ones(r2), size=r1),
-                                   rng.dirichlet(np.ones(r3), size=r2)))
+                    finals.append(rng.standard_exponential(draws))
                 if not live:
                     break
                 if len(live) != len(p1) or len(finals) > first:
-                    ws = _workspace(shape, w_row, weights, len(live))
-                    for x, old in zip(ws, (p1, a, b)):
-                        x[:len(rows)] = old[rows]
-                    for x, new in zip(ws, zip(*finals[first:])):
-                        x[len(rows):] = np.reshape(new, x[len(rows):].shape)
+                    n, kept = len(live), len(rows)
+                    if n > len(buffers[0]):
+                        buffers = _workspace(shape, w_row, weights, n)
+                    for x, old in zip(buffers, (p1, a, b)):
+                        x[:kept] = old[rows]
+                    if len(finals) > first:     # the starts of those that joined
+                        e = np.hsplit(np.reshape(finals[first:], (-1, draws)), [r1, r1 + r1 * r2])
+                        for x, part, axis in zip(buffers, e, (1, 2, 3)):
+                            new = x[kept:n]
+                            new[...] = part.reshape(new.shape)
+                            new *= 1.0 / np.add.accumulate(new, axis).take([-1], axis)
                     (p1, a, b, pa, joint, cells, cells_0, cells_1, cells_rest,
-                     delta, flat, terms, w_obs, w_rijk, a_rows, b_rows,
+                     delta, flat, terms, w_obs, delta_lift, w_rijk, a_rows, b_rows,
                      cells_i, p1_i, cells_ij, a_ij, a_i, a_rows_i, cells_r,
-                     b_jk, b_j, b_rows_j) = ws
-                    guard = {} if gather is None else {"where": w_rijk > 0.0}
-                    rows = list(range(len(live)))
+                     b_jk, b_j, b_rows_j) = _views(shape, buffers, n)
+                    rows = list(range(n))
                 # the oldest running restart, the first, reaches maxiter first
                 changed, stop = False, born[0] + maxiter
             multiply(multiply(p1, a, pa), b, joint)
@@ -334,7 +354,9 @@ def _em_batch(weights: np.ndarray, shape: Shape,
             if not live:
                 continue
             # responsibilities, then expected counts, in the cells' memory
-            multiply(divide(cells, delta, cells, **guard), w_rijk, cells)
+            if gather is not None:
+                add(delta, delta_lift, delta)
+            multiply(divide(cells, delta, cells), w_rijk, cells)
             divide(reduce(cells_i, 1, None, p1_i), total, p1_i)
             # the row masses of a and b, then their sums
             reduce(cells_ij, 1, None, a_ij)

@@ -333,16 +333,26 @@ def test_batch_of_64_restarts_equals_serial_reference(shape):
 
 class _FixedStart:
     """Stands in for a generator: hands out given starting rows in the
-    order p1, the rows of a, the rows of b."""
+    order p1, the rows of a, the rows of b, normalised as numpy's Dirichlet
+    arithmetic normalises exponential draws: each row times the reciprocal
+    of its in-order sum.  ``dirichlet`` returns the rows normalised, and
+    ``standard_exponential`` returns them all as they are, for the caller
+    to normalise, so both give one start the same bits."""
 
     def __init__(self, p1, a, b):
         self.rows = [np.asarray(p1, float), *np.asarray(a, float),
                      *np.asarray(b, float)]
 
     def dirichlet(self, alpha, size=None):
-        if size is None:
-            return self.rows.pop(0)
-        return np.array([self.rows.pop(0) for _ in range(size)])
+        rows = np.array([row * (1.0 / np.add.accumulate(row)[-1])
+                         for row in self.rows[:size or 1]])
+        del self.rows[:size or 1]
+        return rows[0] if size is None else rows
+
+    def standard_exponential(self, size):
+        draws, self.rows = np.concatenate(self.rows), []
+        assert len(draws) == size
+        return draws
 
 
 STARTS = [
@@ -539,31 +549,85 @@ def test_search_runs_at_most_64_restarts_at_once(monkeypatch, rank, first):
     assert report.restart_iterations == iterations
 
 
-def test_workspace_is_built_once_per_change_of_the_running_restarts(
+def _recording(monkeypatch, name):
+    """The restart counts ``likelihood.<name>`` is called with."""
+    calls, real = [], getattr(likelihood, name)
+
+    def recording(*args):
+        calls.append(args[-1])
+        return real(*args)
+
+    monkeypatch.setattr(likelihood, name, recording)
+    return calls
+
+
+def _changes(joined, stops):
+    """The restart counts of the running sets at each change of them: a
+    restart runs from the iteration it joins to the one in which it stops."""
+    running = [frozenset(k for k, (j, n) in enumerate(zip(joined, stops))
+                         if j <= it <= j + n)
+               for it in range(max(map(sum, zip(joined, stops))) + 1)]
+    return [len(now) for before, now in zip([frozenset()] + running, running)
+            if now != before]
+
+
+def _grown(counts):
+    """The counts that exceed every count before them."""
+    return [n for k, n in enumerate(counts) if n > max(counts[:k], default=0)]
+
+
+def test_buffers_grow_past_their_count_and_views_follow_the_running_restarts(
         monkeypatch):
-    builds = []
-    real = likelihood._workspace
-
-    def recording(shape, w_row, weights, n):
-        builds.append(n)
-        return real(shape, w_row, weights, n)
-
-    monkeypatch.setattr(likelihood, "_workspace", recording)
+    buffers = _recording(monkeypatch, "_workspace")
+    views = _recording(monkeypatch, "_views")
     counts = [[4, 1, 0], [2, 5, 1], [0, 3, 6]]
     fit = em_fit_details(CountTable((3, 3), counts), Shape(3, 2, 3),
                          maxiter=300)
-    assert fit.iterations > 1 and builds == [1]
+    assert fit.iterations > 1 and buffers == views == [1]
     # restarts that stop at different iterations, one of them at once on a
-    # zero cell: a restart runs from the iteration it joins to the one in
-    # which it stops, and the workspace follows each change of that set
-    builds.clear()
+    # zero cell, while the lanes double: buffers are allocated when the
+    # running restarts outgrow them, and views are taken at each change of
+    # the running set
+    buffers.clear()
+    views.clear()
     runs = _em_batch(np.array(counts, dtype=float), Shape(3, 2, 3),
                      [_FixedStart(*s) for s in STARTS], 60, 1e-12)
     stops = runs.iterations.tolist()
     assert len(set(stops)) > 2
-    joined = _joined(stops)
-    running = [frozenset(k for k, (j, n) in enumerate(zip(joined, stops))
-                         if j <= it <= j + n)
-               for it in range(max(map(sum, zip(joined, stops))) + 1)]
-    assert builds == [len(now) for before, now
-                      in zip([frozenset()] + running, running) if now != before]
+    assert views == _changes(_joined(stops), stops)
+    assert buffers == _grown(views) and len(buffers) < len(views)
+
+
+@pytest.mark.parametrize("counts", [
+    [[4, 1, 0], [2, 5, 1], [0, 3, 6]],
+    [[4, 1, 2], [2, 5, 1], [1, 3, 6]],
+])
+def test_restarts_joining_as_others_leave_reuse_the_buffers(monkeypatch, counts):
+    # four lanes at first: restarts 1 and 3 stop after two updates, and in
+    # the next iteration restart 4 joins the two still running, which the
+    # buffers of four hold compacted to the front
+    buffers = _recording(monkeypatch, "_workspace")
+    views = _recording(monkeypatch, "_views")
+    weights = np.array(counts, dtype=float)
+    shape = Shape(3, 2, 3)
+    starts = [STARTS[0], STARTS[3], STARTS[4], STARTS[2], STARTS[4]]
+    trace = []
+    runs = _em_batch(weights, shape, [_FixedStart(*s) for s in starts], 60,
+                     1e-12, trace, lanes=4)
+    traces, stops = [], []
+    for r, start in enumerate(starts):
+        traces.append([])
+        params, ll, iterations, converged = _reference_run(
+            weights, shape, _FixedStart(*start), 60, 1e-12, traces[-1])
+        assert _same_params(runs.params(shape, r), params)
+        assert np.array_equal(runs.loglik[r], ll)
+        assert runs.iterations[r] == iterations
+        assert runs.converged[r] == converged
+        stops.append(iterations)
+    assert stops[1] == stops[3] == 2 and min(stops[0], stops[2]) > 2
+    joined = _joined(stops, 4)
+    assert joined == [0, 0, 0, 0, 3]
+    assert trace == _interleaved(traces, joined)
+    assert buffers == [4] and views[:2] == [4, 3]
+    assert views == _changes(joined, stops)
+    assert not runs.errors

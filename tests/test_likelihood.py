@@ -233,6 +233,12 @@ def test_em_gives_up_after_16_zero_responsibility_restarts(monkeypatch):
             row[0], row[1] = 0.0, 2.0 * row[1]
             return row
 
+        def standard_exponential(self, size):
+            # p1 first: Y1 = 0 gets no mass
+            draws = np.ones(size)
+            draws[0] = 0.0
+            return draws
+
     seeds = []
 
     def default_rng(seed):

@@ -6,11 +6,15 @@ those of a run on its own.  Its docstring says why: numpy adds a strided
 axis, and a contiguous run of fewer than 8 terms, left to right; it sums a
 longer contiguous run pairwise; and a ufunc or a sum gives the same bits
 whether it writes a fresh array, a reused ``out=`` buffer, a ``keepdims``
-output, a view or its own input.  This test checks each claim on the
-installed numpy, so an upgrade that breaks one fails here by name; the last
-tests do the same for the buffers of ``fiber._move``, for the one row
-division ``model._unit_rows`` and for the C-ordered stacks of
-``fiber._act``.
+output, a view or its own input.  Two more facts let it divide every cell
+and draw a start at once: a quotient by delta lifted by 1 at the cells of
+zero weight, times the weights, has the bits of the quotient masked to the
+weighted cells; and ``Generator.dirichlet`` with unit weights is the
+generator's exponential draws, each row times the reciprocal of its
+in-order sum.  This test checks each claim on the installed numpy, so an
+upgrade that breaks one fails here by name; the last tests do the same for
+the buffers of ``fiber._move``, for the one row division
+``model._unit_rows`` and for the C-ordered stacks of ``fiber._act``.
 """
 
 import numpy as np
@@ -101,7 +105,8 @@ def test_numpy_keeps_the_orders_and_outputs_the_em_kernel_relies_on():
 def test_row_views_and_reused_buffers_give_the_bits_of_the_4d_calls():
     # the kernel's sums run over 2-d row views and the (r, i, j k) view,
     # its quotients over 2-d and 3-d views, its log-likelihood terms in one
-    # reused buffer, and its zero-cell guard as a mask on the quotient:
+    # reused buffer, and a zero-cell guard as a mask on the quotient (which
+    # the kernel's lifted quotient equals, in the test after this one):
     # each gives the bits of the 4-d call or the fresh temporaries
     rng = np.random.default_rng(2801)
 
@@ -170,6 +175,66 @@ def test_row_views_and_reused_buffers_give_the_bits_of_the_4d_calls():
         with np.errstate(divide="ignore", invalid="ignore"):
             got = np.multiply(np.divide(cells, delta, cells.copy(), where=w > 0.0), w)
         assert _bits(got) == _bits(fresh)
+
+
+def test_the_lifted_quotient_times_the_weights_is_the_masked_one():
+    # the kernel adds 1 to delta at the cells of zero weight and divides
+    # every cell: an observed cell divides by delta + 0.0, which is delta,
+    # and an unobserved one gives a finite quotient that its zero weight
+    # makes +0.0, as it made the kept p1 a b.  Here with an unobserved cell
+    # of marginal 0 and observed cells near underflow
+    rng = np.random.default_rng(3801)
+    tiny = np.finfo(float).tiny
+    for r, r1, r2, r3 in [(1, 3, 2, 3), (4, 5, 3, 9), (3, 2, 9, 12)]:
+        p1, a = rng.random((r, r1, 1, 1)), rng.random((r, r1, r2, 1))
+        b = rng.random((r, 1, r2, r3))
+        p1[0, 0] = 0.0                       # a row of zero marginals
+        b[:, :, :, 0] = 0.0                  # a column of them
+        p1[-1, -1] *= tiny                   # subnormal cells and marginals
+        b[:, :, :, -1] *= 4.0 * tiny
+        cells = p1 * a * b
+        delta = cells.sum(2, keepdims=True)
+        w = np.repeat(rng.random((r1, 1, r3)) * np.exp(rng.normal(0.0, 6.0, (r1, 1, r3))),
+                      r2, 1)
+        w[0, :, 0] = 0.0                     # unobserved, marginal 0
+        w[-1, :, 1] = 0.0                    # unobserved, marginal > 0
+        w[-1, :, -1] = tiny                  # observed near underflow
+        lift = np.where(w[:, :1] > 0.0, 0.0, 1.0)
+        assert (delta[:, 0, :, 0] == 0.0).all() and (delta[:, -1, :, 1] > 0.0).all()
+        with np.errstate(divide="ignore", invalid="ignore"):
+            want = np.multiply(np.divide(cells, delta, cells.copy(), where=w > 0.0), w)
+            lifted = delta + lift
+            got = np.divide(cells, lifted) * w
+        assert _bits(np.where(lift > 0.0, delta, lifted)) == _bits(delta)
+        assert _bits(got) == _bits(want)
+        unobserved = got[:, w == 0.0]
+        assert (unobserved == 0.0).all() and not np.signbit(unobserved).any()
+
+
+def test_dirichlet_is_the_normalised_exponential_draws():
+    # Generator.dirichlet(np.ones(k)) draws k standard exponentials and
+    # multiplies them by the reciprocal of their in-order sum, so one
+    # standard_exponential block, normalised row by row, gives the three
+    # Dirichlet draws of a start; k = 2..12 takes the rows past the 8 terms
+    # from which add.reduce sums pairwise
+    for seed in (0, 1, 38, 2 ** 32 - 1, [7, 3]):
+        for k in range(2, 13):
+            for m in (1, 4, 64):
+                want = np.random.default_rng(seed).dirichlet(np.ones(k), size=m)
+                e = np.random.default_rng(seed).standard_exponential((m, k))
+                got = e * (1.0 / np.add.accumulate(e, 1)[:, -1:])
+                assert _bits(got) == _bits(want)
+        for r1, r2, r3 in [(3, 2, 3), (4, 3, 4), (12, 9, 10)]:
+            rng, block = np.random.default_rng(seed), np.random.default_rng(seed)
+            want = [rng.dirichlet(np.ones(r1)), rng.dirichlet(np.ones(r2), size=r1),
+                    rng.dirichlet(np.ones(r3), size=r2)]
+            e = block.standard_exponential(r1 + r1 * r2 + r2 * r3)
+            for part, k, x in zip(np.split(e, [r1, r1 + r1 * r2]), (r1, r2, r3), want):
+                rows = part.reshape(-1, k)
+                got = rows * (1.0 / np.add.accumulate(rows, 1)[:, -1:])
+                assert _bits(got) == _bits(x)
+            # and the generators end in the same state
+            assert rng.random() == block.random()
 
 
 def test_the_chord_sweep_buffers_give_the_bits_of_fresh_arrays():

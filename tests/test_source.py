@@ -260,3 +260,17 @@ def test_value_types_refuse_rather_than_clip_and_one_function_tests_the_box():
                 tops.append((path.name, name, ast.unparse(node)))
     assert clips == []
     assert tops == [("reparam.py", "_outside_unit_box", "1.0 + CLAMP_EPS")]
+
+
+def test_the_em_kernel_divides_unmasked_and_draws_each_start_once():
+    # _em_batch lifts delta at the unobserved cells instead of masking its
+    # quotient, and draws a restart's start as one block of exponentials
+    # instead of three Dirichlet calls: no where= keyword (nor a ** that
+    # could carry one) and no read of a name "dirichlet"
+    tree = ast.parse((SRC / "likelihood.py").read_text(encoding="utf-8"))
+    (kernel,) = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+                 and node.name == "_em_batch"]
+    keywords = [k.arg for node in ast.walk(kernel) if isinstance(node, ast.Call)
+                for k in node.keywords]
+    assert "where" not in keywords and None not in keywords
+    assert loaded_names(kernel)["dirichlet"] == 0
