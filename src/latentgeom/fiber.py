@@ -30,15 +30,16 @@ from .model import (
     CLAMP_EPS,
     DET_EPS,
     INTERIOR_EPS,
-    SUM_TOL,
     ChainParams,
     _Value,
+    _check_sums,
     _fields_eq,
     _frozen,
     _numerical_rank,
     _reals,
+    _sums_to_one,
+    _unit_chains,
     _unit_rows,
-    _unit_rows_proven,
 )
 from .shapes import _check_count
 
@@ -72,12 +73,7 @@ class MixingMatrix(_Value):
         # a min and a max that a NaN or an infinity fails, then the row sums
         if not -np.inf < np.minimum.reduce(q, None) <= np.maximum.reduce(q, None) < np.inf:
             raise InvalidParameter("q contains non-finite entries")
-        sums = np.add.reduce(q, 1)
-        if not np.maximum.reduce(np.abs(sums - 1.0)) <= SUM_TOL:
-            which = int(np.flatnonzero(np.abs(sums - 1.0) > SUM_TOL)[0])
-            raise InvalidParameter(
-                f"row {which} of q sums to {float(sums[which])!r}, not 1"
-            )
+        _check_sums("q", q)
         _nonsingular(q)
         object.__setattr__(self, "q", _frozen(q))
 
@@ -130,7 +126,7 @@ def _mix(params: ChainParams, qs: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
     with np.errstate(divide="ignore", invalid="ignore"):
         # a non-finite entry makes its row sum non-finite, so one test
         # covers both checks of MixingMatrix before the determinant's
-        invertible = ((np.abs(qs.sum(axis=2) - 1.0) <= SUM_TOL).all(axis=1)
+        invertible = (_sums_to_one(qs.sum(axis=2)).all(axis=1)
                       & (np.linalg.det(qs) > DET_EPS))
         if not invertible.all():
             qs = np.where(invertible[:, None, None], qs, np.eye(qs.shape[1]))
@@ -163,27 +159,6 @@ def _clamp_rows(name: str, rows: np.ndarray) -> np.ndarray:
     return _snap(rows, worst)
 
 
-def _points(params: ChainParams, a: np.ndarray, b: np.ndarray) -> list[ChainParams]:
-    """The points (params.p1, a[k], b[k]) for stacks of rows ``a`` and ``b``
-    that :func:`_clamp_rows` built from rows that passed its test.
-
-    Equal to ``ChainParams(params.shape, params.p1, a[k], b[k])``, but they
-    share ``params.shape``, the frozen ``params.p1`` and the frozen ``a``
-    and ``b``, and skip the checks the construction proves.  The
-    shapes are those of ``params``.  If the snapped array holds no NaN,
-    neither did its input (a NaN spreads along its row through the row
-    sum), so the clamp test saw its true minimum and every entry became
-    >= 0; :func:`~latentgeom.model._unit_rows` then divided each row by
-    its own sum, which is the proof of
-    :func:`~latentgeom.model._unit_rows_proven`.  Where it does not hold,
-    every point goes through :class:`ChainParams`, whose checks raise the
-    error of the first point that fails one.
-    """
-    if not _unit_rows_proven(a, b):
-        return [ChainParams(params.shape, params.p1, *ab) for ab in zip(a, b)]
-    return [ChainParams._checked(params.shape, params.p1, ak, bk) for ak, bk in zip(a, b)]
-
-
 def apply_mixing(params: ChainParams, q: MixingMatrix) -> ChainParams:
     """Transform the parameters along the fiber: a' = a q^{-1}, b' = q b.
 
@@ -201,7 +176,8 @@ def apply_mixing(params: ChainParams, q: MixingMatrix) -> ChainParams:
     if q.size != r2:
         raise InvalidParameter(f"q is {q.size} x {q.size}, model has r2 = {r2}")
     a, b = _act(params.a, params.b, q.q[None])
-    return _points(params, _clamp_rows("a", a[0])[None], _clamp_rows("b", b[0])[None])[0]
+    return _unit_chains(params.shape, params.p1, _clamp_rows("a", a[0])[None],
+                        _clamp_rows("b", b[0])[None])[0]
 
 
 @dataclass(frozen=True)
@@ -413,7 +389,8 @@ def sample_fiber(params: ChainParams, n: int, seed: int = 0) -> list[ChainParams
             work = _workspace(len(w), r1, r2, r3)
             for j, u in enumerate(rng.random((len(w), r2)).T):
                 _move(*stack, w[:, j], j, u, work)
-    return _points(params, _clamp_rows("a", a), _clamp_rows("b", b)) if n else []
+    return _unit_chains(params.shape, params.p1, _clamp_rows("a", a),
+                        _clamp_rows("b", b)) if n else []
 
 
 def fiber_dimension(params: ChainParams) -> int:

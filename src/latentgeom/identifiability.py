@@ -33,7 +33,7 @@ from .model import (
     Shape,
     _numerical_rank,
     _stochastic,
-    _unit_chain,
+    _unit_chains,
     _unit_rows,
 )
 from .shapes import _check_count
@@ -292,7 +292,7 @@ def consistency_check(target: MarginalTable, r2: int, restarts: int = 64,
     r2 with a nested polygon that certifies, is decided by the witness of
     :func:`_exact_witness`, without ``restarts``, ``maxiter`` or ``seed``.
     Its rows, like the best restart's, become a ``ChainParams`` through
-    :func:`~latentgeom.model._unit_chain`; the search ends with the row
+    :func:`~latentgeom.model._unit_chains`; the search ends with the row
     test of every restart it examined: one that fails raises its error.
 
     The search is one run of the EM kernel, which takes the restarts in
@@ -332,7 +332,7 @@ def consistency_check(target: MarginalTable, r2: int, restarts: int = 64,
     shape, observed = Shape(r1, r2, r3), _observed(target.cells)
     found = _exact_witness(target, r2, rank) if rank <= min(r2, 3) else None
     if found is not None:
-        witness = _unit_chain(shape, *found)
+        witness = _unit_chains(shape, found[0], found[1][None], found[2][None])[0]
         (best,) = _divergences(observed, *(x[None] for x in found))
         if rank <= 2 or best < tol:
             return ConsistencyReport(bool(best < tol), best, witness, checks, None, tol,

@@ -32,11 +32,12 @@ from .model import (
     EM_SLACK,
     ChainParams,
     Shape,
+    _check_shape,
     _fields_eq,
     _frozen,
     _reals,
     _stochastic,
-    _unit_chain,
+    _unit_chains,
     _unit_rows,
     joint_from_chain,
     marginal_13,
@@ -58,10 +59,7 @@ class CountTable:
     def __post_init__(self):
         shape = _integer_pair(self.shape, "counts shape")
         counts = _reals(self.counts, "counts must be integers", floats=False)
-        if counts.shape != shape:
-            raise InvalidParameter(
-                f"counts have shape {counts.shape}, expected {shape}"
-            )
+        _check_shape("counts", counts, shape)
         if not np.issubdtype(counts.dtype, np.integer):
             # a bool is no count, as it is no size
             if counts.dtype == bool or not np.all(counts == np.floor(counts)):
@@ -162,9 +160,9 @@ class _EmRuns(NamedTuple):
     errors: dict[int, GeometryError]
 
     def params(self, shape: Shape, r: int) -> ChainParams:
-        """Chain parameters of restart ``r`` by :func:`~latentgeom.model._unit_chain`:
+        """Chain parameters of restart ``r`` by :func:`~latentgeom.model._unit_chains`:
         EM's rows are products, sums and quotients of entries >= 0, each divided by its sum."""
-        return _unit_chain(shape, self.p1[r], self.a[r], self.b[r])
+        return _unit_chains(shape, self.p1[r], self.a[r:r + 1], self.b[r:r + 1])[0]
 
 
 def _workspace(shape: Shape, w_row: np.ndarray, weights: np.ndarray,

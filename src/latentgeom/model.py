@@ -16,18 +16,21 @@ module is a pure function of immutable values, whose arrays are frozen.
 Every array a public function of the package returns is C-ordered.
 
 Every tolerance constant of the package is defined here, and each module
-imports the ones it reads by name.  A rounding allowance absorbs float error in a
+imports the ones it reads by name; ``SUM_TOL`` is read here only, so that a
+changed value reaches every row-sum test.  A rounding allowance absorbs float error in a
 statement that is exact in the maths; a modelling threshold is a choice a
 user may revisit.  The last three rows are argument defaults.
 
 ============  ======  =========  =============================================
 name          value   kind       what it decides; who reads it
 ============  ======  =========  =============================================
-SUM_TOL       1e-12   rounding   a given row or table sums to 1 within it; the
-                                 value types, fiber._mix, _unit_rows_proven,
-                                 split; one built from checked factors is
-                                 not checked: a forward map's within
-                                 3 SUM_TOL plus rounding
+SUM_TOL       1e-12   rounding   a given row or table sums to 1 within it;
+                                 read here only, when called: _sums_to_one
+                                 (the value types, fiber._mix) and
+                                 _quotient_rows_pass (_unit_chains, split);
+                                 one built from checked factors is not
+                                 checked: a forward map's within 3 SUM_TOL
+                                 plus rounding
 CLAMP_EPS     1e-12   rounding   an entry this far past 0 or 1 is snapped or
                                  clipped, not refused; fiber._mix, _snap,
                                  _clamp_rows, the clamp test of apply_mixing
@@ -42,8 +45,8 @@ DET_EPS       1e-12   rounding   a divisor this small is 0; fiber._nonsingular
 EM_SLACK      1e-12   rounding   a relative EM log-likelihood drop this small
                                  is no error; likelihood._em_batch
 _EPS          2**-52  rounding   float64 eps, the unit of derived bounds;
-                                 _unit_rows_proven, split,
-                                 consistency_check's margins
+                                 _quotient_rows_pass, consistency_check's
+                                 margins
 INTERIOR_EPS  1e-9    modelling  entries above it are interior; jacobian_rank,
                                  fiber_dimension
 RANK_CUTOFF   1e-8    modelling  relative singular-value cutoff of a rank;
@@ -132,39 +135,37 @@ def _fields_eq(self, other) -> bool:
     return True
 
 
+def _sums_to_one(sums: np.ndarray) -> np.ndarray:
+    """Per row sum: within ``SUM_TOL`` of 1, as the constant reads when
+    called; a NaN fails.  The package's one row-sum rule."""
+    return np.abs(sums - 1.0) <= SUM_TOL
+
+
+def _quotient_rows_pass(length: int) -> bool:
+    """True if every row of ``length`` entries >= 0, each divided by their
+    rounded sum, passes :func:`_sums_to_one`: to first order such a row
+    sums to 1 within (length - 1/2) eps < (length + 1) eps ((length - 1)
+    eps / 2 each from the sum and from summing the quotients, eps / 2 from
+    the division), which is tested against ``SUM_TOL``."""
+    return (length + 1) * _EPS <= SUM_TOL
+
+
 def _stochastic(rows: np.ndarray) -> np.ndarray:
     """Per member of a stack of row blocks (..., n, m): every row
-    nonnegative and summing to 1 within ``SUM_TOL``; a NaN or an infinity
-    fails.  The one probability-row test of the package: the value types
-    run it on a stack of one, profile paths and certifications on many."""
-    # min and max propagate a NaN, which then fails the comparison; the
-    # sums run over |rows|, equal to rows wherever the min test passes, so
-    # that a row holding both infinities sums to inf, not with a warning to NaN
-    sums = np.add.reduce(np.abs(rows), -1)      # the ufuncs behind .sum, .min and .max
+    nonnegative and summing to 1 by :func:`_sums_to_one`; a NaN or an
+    infinity fails.  The one probability-row test of the package: the value
+    types run it on a stack of one, profile paths and certifications on many."""
+    # min propagates a NaN, which then fails the comparison; the sums run
+    # over |rows|, equal to rows wherever the min test passes, so that a
+    # row holding both infinities sums to inf, not with a warning to NaN
+    sums = np.add.reduce(np.abs(rows), -1)      # the ufuncs behind .sum, .min and .all
     return ((np.minimum.reduce(rows, (-2, -1)) >= 0.0)
-            & (np.maximum.reduce(np.abs(sums - 1.0), -1) <= SUM_TOL))
-
-
-def _unit_rows_proven(*stacks: np.ndarray) -> bool:
-    """True if stacks of rows that :func:`_unit_rows` divided, from entries
-    that are >= 0 or NaN, pass :func:`_stochastic` with one sum per stack.
-
-    A row whose sum s overflowed is all zeros; any other row has entries
-    >= 0 and sums to 1 within (r - 1/2) eps < (r + 1) eps to first order,
-    for rows of length r ((r - 1) eps / 2 each from the sum s and from
-    summing the quotients, eps / 2 from the division).  A NaN makes a
-    stack's sum NaN, and an all-zero row takes it about 1 below its N rows
-    (the rest, and their sum, are off by about 2 N r eps), so one sum per
-    stack rules both out.  False where it does not, or where (r + 1) eps
-    exceeds ``SUM_TOL``: the caller then checks every row.
-    """
-    return all(abs(float(np.add.reduce(rows, None)) - rows.size // rows.shape[-1]) <= 0.5
-               and (rows.shape[-1] + 1) * _EPS <= SUM_TOL for rows in stacks)
+            & np.logical_and.reduce(_sums_to_one(sums), -1))
 
 
 def _unit_rows(*stacks: np.ndarray) -> list[np.ndarray]:
     """Each stack with every row (last axis) divided by its own sum, frozen:
-    the premise of :func:`_unit_rows_proven`, and the package's one
+    the premise of :func:`_unit_chains`, and the package's one
     renormalisation.  C-ordered stacks give C-ordered quotients, and each
     row the bits of dividing it on its own."""
     out = [rows / np.add.reduce(rows, -1, keepdims=True) for rows in stacks]
@@ -194,21 +195,45 @@ def _ref_frame(ref: tuple[int, int], r1: int, r3: int) -> tuple:
             np.array([k, *range(k), *range(k + 1, r3)]))
 
 
+def _check_shape(name: str, values: np.ndarray, shape: tuple[int, ...]) -> None:
+    """Refuse ``values`` unless it has the given shape."""
+    if values.shape != shape:
+        raise InvalidParameter(f"{name} has shape {values.shape}, expected {shape}")
+
+
+def _check_sums(name: str, rows: np.ndarray) -> None:
+    """Refuse a stack of rows (N, m) with a sum that :func:`_sums_to_one`
+    fails, naming the first."""
+    sums = np.add.reduce(rows, -1)
+    ok = _sums_to_one(sums)
+    if not ok.all():
+        which = int(np.argmin(ok))
+        raise InvalidParameter(f"row {which} of {name} sums to {float(sums[which])!r}, not 1")
+
+
+def _check_rows(name: str, values: np.ndarray, length: int | None = None) -> np.ndarray:
+    """``values`` frozen if its rows of ``length`` entries (by default its
+    last axis) pass :func:`_stochastic`; else refuse the first non-finite or
+    negative entry, indexed in ``values``, then the first row whose sum is
+    off 1.  A probability table is one row of all its cells."""
+    rows = values.reshape(-1, length or values.shape[-1])
+    if _stochastic(rows):
+        return _frozen(values)
+    if not np.isfinite(values).all():
+        raise InvalidParameter(f"{name} contains non-finite values")
+    if (values < 0).any():
+        idx = np.argwhere(values < 0)[0].tolist()
+        raise InvalidParameter(f"{name}({', '.join(map(str, idx))}) is negative: "
+                               f"{float(values[tuple(idx)])!r}")
+    _check_sums(name, rows)
+
+
 def _check_table(table, shape: tuple[int, ...]) -> None:
-    """Freeze and validate the ``cells`` of a probability table: the given
-    shape, then :func:`_stochastic` on the cells as one row."""
-    cells = _frozen(_reals(table.cells, "cells must be real numbers"))
-    if cells.shape != shape:
-        raise InvalidParameter(f"cells have shape {cells.shape}, expected {shape}")
-    if not _stochastic(cells.reshape(1, -1)):
-        if not np.isfinite(cells).all():
-            raise InvalidParameter("cells contain non-finite values")
-        if (cells < 0).any():
-            idx = tuple(int(x) for x in np.argwhere(cells < 0)[0])
-            raise InvalidParameter(f"cell {idx} is negative: {float(cells[idx])!r}")
-        raise InvalidParameter(
-            f"cells sum to {float(cells.sum())!r}, not 1 within {SUM_TOL}")
-    object.__setattr__(table, "cells", cells)
+    """Validate and freeze the ``cells`` of a probability table: the given
+    shape, then :func:`_check_rows` on the cells as one row."""
+    cells = _reals(table.cells, "cells must be real numbers")
+    _check_shape("cells", cells, shape)
+    object.__setattr__(table, "cells", _check_rows("cells", cells, cells.size))
 
 
 @dataclass(frozen=True)
@@ -250,23 +275,6 @@ class JointTable(_Value):
         return bool((self.cells > 0).all())
 
 
-def _check_rows(name: str, rows: np.ndarray) -> None:
-    """Refuse a stack of rows (last axis) that :func:`_stochastic` fails,
-    naming the first failing entry or row in the shape given."""
-    if _stochastic(rows.reshape(-1, rows.shape[-1])):
-        return
-    if not np.isfinite(rows).all():
-        raise InvalidParameter(f"{name} contains non-finite values")
-    if (rows < 0).any():
-        idx = tuple(int(x) for x in np.argwhere(rows < 0)[0])
-        raise InvalidParameter(f"{name}{idx} is negative: {float(rows[idx])!r}")
-    sums = rows.sum(axis=-1)
-    which = int(np.flatnonzero(np.abs(sums.ravel() - 1.0) > SUM_TOL)[0])
-    raise InvalidParameter(
-        f"row {which} of {name} sums to {float(sums.ravel()[which])!r}, not 1"
-    )
-
-
 @dataclass(frozen=True)
 class ChainParams(_Value):
     """Minimal chain parametrisation: p(Y1), p(Y2|Y1) and p(Y3|Y2).
@@ -289,12 +297,9 @@ class ChainParams(_Value):
                   for name in ("p1", "a", "b")}
         for (name, rows), shape in zip(arrays.items(),
                                        ((r1,), (r1, r2), (r2, r3))):
-            if rows.shape != shape:
-                raise InvalidParameter(
-                    f"{name} has shape {rows.shape}, expected {shape}")
+            _check_shape(name, rows, shape)
         for name, rows in arrays.items():
-            _check_rows(name, rows.reshape(-1, rows.shape[-1]))
-            object.__setattr__(self, name, _frozen(rows))
+            object.__setattr__(self, name, _check_rows(name, rows))
 
     @property
     def min_entry(self) -> float:
@@ -306,13 +311,26 @@ class ChainParams(_Value):
         return self.min_entry > 0.0
 
 
-def _unit_chain(shape: Shape, p1: np.ndarray, a: np.ndarray, b: np.ndarray) -> ChainParams:
-    """``ChainParams(shape, p1, a, b)`` of rows :func:`_unit_rows` divided from
-    entries >= 0 or NaN: unchecked where that proof of :func:`_unit_rows_proven`
-    holds, else checked, which raises the error of the first row that fails."""
-    if _unit_rows_proven(p1, a, b):
-        return ChainParams._checked(shape, p1, a, b)
-    return ChainParams(shape, p1, a, b)
+def _unit_chains(shape: Shape, p1: np.ndarray, a: np.ndarray,
+                 b: np.ndarray) -> list[ChainParams]:
+    """``ChainParams(shape, p1, a[k], b[k])`` for each k of the stacks ``a``
+    and ``b``, sharing ``shape`` and ``p1``, where each row is one that
+    :func:`_unit_rows` divided and froze, from entries >= 0 or in a stack
+    that holds a NaN (the clamp test of ``fiber`` passes every entry of a
+    stack with one); ``p1`` may also be a checked chain's.
+
+    The proof that they pass the checks: such a row passes them where
+    :func:`_quotient_rows_pass` holds for its length, unless its sum
+    overflowed and it is all zeros.  That takes its stack's sum about 1
+    below its N rows (the others are off by about 2 N r eps, for rows of
+    length r), and a NaN, which spreads along its row through the row sum,
+    makes it NaN; so one sum per stack rules out both.  Elsewhere every
+    chain goes through the checks, and the first that fails raises its error.
+    """
+    if all(abs(float(np.add.reduce(rows, None)) - rows.size // rows.shape[-1]) <= 0.5
+           and _quotient_rows_pass(rows.shape[-1]) for rows in (p1, a, b)):
+        return [ChainParams._checked(shape, p1, ak, bk) for ak, bk in zip(a, b)]
+    return [ChainParams(shape, p1, ak, bk) for ak, bk in zip(a, b)]
 
 
 @dataclass(frozen=True)

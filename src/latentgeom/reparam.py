@@ -42,15 +42,15 @@ from .model import (
     DET_EPS,
     IDENTITY_TOL,
     RESIDUAL_TOL,
-    SUM_TOL,
-    _EPS,
     JointTable,
     MarginalTable,
     Shape,
     _Value,
     _check_rows,
+    _check_shape,
     _fields_eq,
     _frozen,
+    _quotient_rows_pass,
     _reals,
     _ref_cell,
     _ref_frame,
@@ -92,20 +92,14 @@ class LambdaField(_Value):
     def __post_init__(self):
         r1, r2, r3 = self.shape.astuple()
         values = _reals(self.values, "lambda values must be real numbers")
-        if values.shape != (r1, r3, r2):
-            raise InvalidParameter(
-                f"values have shape {values.shape}, expected ({r1}, {r3}, {r2})"
-            )
-        _check_rows("values", values)
+        _check_shape("values", values, (r1, r3, r2))
+        values = _check_rows("values", values)
         flags = self.unconstrained
         flags = np.zeros((r1, r3), bool) if flags is None else np.asarray(flags)
         if flags.dtype != bool:
             raise InvalidParameter("unconstrained flags must be booleans")
-        if flags.shape != (r1, r3):
-            raise InvalidParameter(
-                f"unconstrained flags have shape {flags.shape}, expected ({r1}, {r3})"
-            )
-        object.__setattr__(self, "values", _frozen(values))
+        _check_shape("unconstrained", flags, (r1, r3))
+        object.__setattr__(self, "values", values)
         object.__setattr__(self, "unconstrained", _frozen(flags, dtype=bool))
 
 
@@ -119,11 +113,10 @@ def split(joint: JointTable) -> tuple[MarginalTable, LambdaField]:
     The checked joint proves the field, which is not checked again, and
     its new arrays are frozen in place.  A rounded sum of entries >= 0 is
     at least each of them, so each theta(i, j, k) / delta(i, k) lies in
-    [0, 1]; each slice then sums to 1 within (r2 - 1/2) eps < (r2 + 1) eps
-    to first order ((r2 - 1) eps / 2 each from delta and from the slice
-    sum, eps / 2 from the division), as does a slice of r2 entries 1 / r2.
-    Where (r2 + 1) eps exceeds ``SUM_TOL``, :class:`LambdaField` checks
-    the field.
+    [0, 1]; each slice is divided by delta(i, k), its rounded sum, so it
+    passes the row-sum rule where :func:`~latentgeom.model._quotient_rows_pass`
+    holds for r2, as does a slice of r2 entries 1 / r2.  Elsewhere
+    :class:`LambdaField` checks the field.
     """
     r1, r2, r3 = joint.shape.astuple()
     marginal = marginal_13(joint)
@@ -134,7 +127,7 @@ def split(joint: JointTable) -> tuple[MarginalTable, LambdaField]:
     lam = np.divide(joint.cells.transpose(0, 2, 1), safe[:, :, None], order="C")
     if not interior:
         lam[zero] = 1.0 / r2
-    if (r2 + 1) * _EPS > SUM_TOL:
+    if not _quotient_rows_pass(r2):
         return marginal, LambdaField(joint.shape, lam, zero)
     lam.flags.writeable = zero.flags.writeable = False
     return marginal, LambdaField._checked(joint.shape, lam, zero)
@@ -188,10 +181,7 @@ class CrossRatios(_Value):
         r1, r3 = _integer_pair(self.marginal_shape, "marginal shape")
         ref = _ref_cell(self.ref_cell, r1, r3)
         values = _reals(self.values, "cross-ratios must be real numbers")
-        if values.shape != (r1 - 1, r3 - 1):
-            raise InvalidParameter(
-                f"values have shape {values.shape}, expected ({r1 - 1}, {r3 - 1})"
-            )
+        _check_shape("values", values, (r1 - 1, r3 - 1))
         _check_ratios(values)
         object.__setattr__(self, "marginal_shape", (r1, r3))
         object.__setattr__(self, "ref_cell", ref)

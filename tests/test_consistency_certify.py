@@ -5,7 +5,7 @@ branch written with the value types: the witness built as a checked
 ``ChainParams`` and its divergence computed through ``joint_from_chain``,
 ``marginal_13`` and ``kl_divergence``.  Every report field must be the
 same bits, and the verdict must make no such round trip and run no row
-test: the witness's rows carry the proof of ``_unit_rows_proven``.  The
+test: the witness's rows carry the proof of ``_unit_chains``.  The
 rank proof's divergence bound is checked against chains near the target.
 """
 
@@ -171,7 +171,9 @@ def _assert_witness_rows_proven(target, r2):
     assume(rank <= min(r2, 3))
     found = identifiability._exact_witness(target, r2, rank)
     assume(found is not None)
-    assert model._unit_rows_proven(*found)
+    p1, a, b = found
+    (witness,) = model._unit_chains(Shape(r1, r2, r3), p1, a[None], b[None])
+    assert witness.p1 is p1     # built unchecked: the checks would copy p1
 
 
 @settings(max_examples=400, deadline=None)

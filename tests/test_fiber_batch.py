@@ -34,7 +34,7 @@ from latentgeom import (
     random_chain,
     sample_fiber,
 )
-from latentgeom import fiber, likelihood
+from latentgeom import fiber, likelihood, model
 from latentgeom.fiber import CLAMP_EPS, DET_EPS
 from latentgeom.model import SUM_TOL
 
@@ -428,9 +428,11 @@ def test_profile_exit_path_keeps_prefix_and_exit_t():
 
 
 def test_profile_row_sum_errors_match_serial(monkeypatch):
-    # a row-sum tolerance below rounding makes ChainParams, JointTable or
-    # MarginalTable reject some steps with InvalidParameter: the stacked
-    # walk must raise at exactly those steps what the step-by-step walk does
+    # a row-sum tolerance below rounding makes MixingMatrix, ChainParams,
+    # JointTable or MarginalTable reject some steps with InvalidParameter:
+    # the stacked walk must raise at exactly those steps what the
+    # step-by-step walk does.  Every row-sum test reads model.SUM_TOL, so
+    # the stacked q test and MixingMatrix refuse the same rows of q
     import latentgeom.model as model_mod
     cases = []
     for seed in range(40):
@@ -440,7 +442,7 @@ def test_profile_row_sum_errors_match_serial(monkeypatch):
         cases.append((counts_for(params, rng), params,
                       path_end(params, rng, kind)))
     monkeypatch.setattr(model_mod, "SUM_TOL", 1e-17)
-    moved_rows_rejected = 0
+    moved_rows_rejected = q_rows_rejected = 0
     for counts, params, q_end in cases:
         if not model_mod._stochastic(params.p1[None]):
             # not a chain at the lowered SUM_TOL: the serial walk re-reads
@@ -451,7 +453,8 @@ def test_profile_row_sum_errors_match_serial(monkeypatch):
                                        params, q_end, 17)
         moved_rows_rejected += ours[0] == "error" and (" of a " in ours[1]
                                                        or " of b " in ours[1])
-    assert moved_rows_rejected
+        q_rows_rejected += ours[0] == "error" and " of q sums to " in ours[1]
+    assert moved_rows_rejected and q_rows_rejected
 
 
 def test_profile_table_sum_errors_match_serial(monkeypatch):
@@ -466,8 +469,12 @@ def test_profile_table_sum_errors_match_serial(monkeypatch):
         rng = np.random.default_rng(seed)
         r1, r2, r3 = (int(x) for x in rng.integers(2, [6, 4, 6]))
         params = random_chain(Shape(r1, r2, r3), rng, min_entry=0.02)
-        cases.append((counts_for(params, rng), params,
-                      path_end(params, rng, "interior")))
+        # q on a grid of 2**-20: its rows, and those of each q(t) at
+        # t = k / 16 (17 steps), sum to 1 exactly, so MixingMatrix passes
+        # them at any SUM_TOL and the walks reach the moved rows and tables
+        q = np.round(path_end(params, rng, "interior").q * 2.0 ** 20) / 2.0 ** 20
+        q[:, -1] = 1.0 - q[:, :-1].sum(axis=1)
+        cases.append((counts_for(params, rng), params, MixingMatrix(q)))
     # the stacked walk builds ChainParams only from the rows that raise;
     # the serial walk hands the mixing of every step to ``applied``
     refused, applied = [], []
@@ -558,11 +565,17 @@ def test_fiber_points_equal_checked_chain_params(r1, r2, r3, seed, floor):
         assert not (point.a.flags.writeable or point.b.flags.writeable)
 
 
+def model_chains(params, a, b):
+    """The points (params.p1, a[k], b[k]) the fiber kernels build, by
+    ``model._unit_chains``."""
+    return model._unit_chains(params.shape, params.p1, a, b)
+
+
 def point_outcome(params, a, b):
-    """What fiber._points, on a stack of one, and ChainParams each make of
-    the rows a and b."""
+    """What model._unit_chains, on a stack of one, and ChainParams each make
+    of the rows a and b."""
     outcomes = []
-    for build in (lambda p, a, b: fiber._points(p, a[None], b[None])[0],
+    for build in (lambda p, a, b: model_chains(p, a[None], b[None])[0],
                   lambda p, a, b: ChainParams(p.shape, p.p1, a, b)):
         try:
             point = build(params, a.copy(), b.copy())
@@ -614,18 +627,18 @@ def test_stacked_points_fall_back_to_chain_params_one_by_one(monkeypatch):
         overflowed = fiber._snap(np.array([[1e308, 1e308, 1.0],
                                            [0.2, 0.3, 0.5]]))
     with pytest.raises(InvalidParameter, match="a contains non-finite"):
-        fiber._points(params, np.stack([params.a, nan_a, params.a]),
+        model_chains(params, np.stack([params.a, nan_a, params.a]),
                       np.stack([params.b, params.b, overflowed]))
     with pytest.raises(InvalidParameter, match="row 0 of b sums to"):
-        fiber._points(params, np.stack([params.a, params.a, nan_a]),
+        model_chains(params, np.stack([params.a, params.a, nan_a]),
                       np.stack([params.b, overflowed, params.b]))
     a, b = np.stack([params.a, params.a[::-1]]), np.stack([params.b] * 2)
-    fast = fiber._points(params, a.copy(), b.copy())
+    fast = model_chains(params, a.copy(), b.copy())
     assert all(p.p1 is params.p1 for p in fast)
     # below the (r + 1) eps bound every point is checked; these rows sum
     # to 1 exactly, so each passes
     monkeypatch.setattr(model_mod, "SUM_TOL", 5e-16)
-    slow = fiber._points(params, a.copy(), b.copy())
+    slow = model_chains(params, a.copy(), b.copy())
     assert all(p.p1 is not params.p1 for p in slow)
     assert [(bits(p.a), bits(p.b)) for p in slow] == [
         (bits(p.a), bits(p.b)) for p in fast]

@@ -218,7 +218,7 @@ def test_restart_the_stacked_checks_reject_raises_the_value_type_error(
         return runs._replace(p1=p1)
 
     monkeypatch.setattr(identifiability, "_em_batch", corrupting_batch)
-    with pytest.raises(InvalidParameter, match=r"p1\(0, 0\) is negative"):
+    with pytest.raises(InvalidParameter, match=r"p1\(0\) is negative"):
         consistency_check(target, r2=3, restarts=3, maxiter=5)
 
 

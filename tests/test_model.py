@@ -67,7 +67,7 @@ def test_table_shapes_are_integers_not_truncated(shape):
     (lambda: ChainParams(Shape(2, 2, 2), [0.5, 0.5], [[1.25, -0.25]] * 2,
                          [[0.5, 0.5]] * 2), "a(0, 1) is negative: -0.25"),
     (lambda: MarginalTable((2, 2), [[0.75, -0.25], [0.25, 0.25]]),
-     "cell (0, 1) is negative: -0.25"),
+     "cells(0, 1) is negative: -0.25"),
     (lambda: MixingMatrix([[0.5, 0.4], [0.2, 0.8]]),
      "row 0 of q sums to 0.9, not 1"),
     (lambda: LambdaField(Shape(2, 2, 2), np.full((2, 2, 2), 0.25)),

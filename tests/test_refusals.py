@@ -56,7 +56,7 @@ def _report(feasible, divergence, checks):
 
 REFUSALS = {
     "counts shape": (lambda: CountTable((2, 3), [[1, 2], [3, 4]]),
-                     InvalidParameter, "counts have shape (2, 2), expected (2, 3)"),
+                     InvalidParameter, "counts has shape (2, 2), expected (2, 3)"),
     "negative counts": (lambda: CountTable((2, 2), [[1, -2], [3, 4]]),
                         InvalidParameter, "counts must be nonnegative"),
     "zero total": (lambda: CountTable((2, 2), [[0, 0], [0, 0]]),
@@ -147,6 +147,16 @@ def test_refusal_message(case):
     build, error, message = REFUSALS[case]
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         build()
+
+
+def test_q_row_of_finite_entries_summing_to_nan_is_refused_by_its_sum():
+    # numpy sums 8 entries pairwise, here (1e308 + 1e308) + (-1e308 - 1e308)
+    # = inf - inf: the row-sum rule refuses a NaN sum as any sum off 1
+    q = np.eye(8)
+    q[0] = [1e308, 1e308, 0.0, 0.0, -1e308, -1e308, 0.0, 1.0]
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            InvalidParameter, match=r"^row 0 of q sums to nan, not 1$"):
+        MixingMatrix(q)
 
 
 @pytest.mark.parametrize("value", [-0.5, 1.5, NAN])

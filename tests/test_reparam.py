@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from latentgeom import (
     CrossRatios,
     InvalidParameter,
+    JointTable,
     LambdaField,
     MarginalTable,
     NoRealSolution,
@@ -104,7 +105,7 @@ def test_unconstrained_flags_keep_their_values():
     flags = [[True, False], [np.False_, np.True_]]
     lam = LambdaField(Shape(2, 2, 2), np.full((2, 2, 2), 0.5), flags)
     assert lam.unconstrained.tolist() == [[True, False], [False, True]]
-    with pytest.raises(InvalidParameter, match=r"flags have shape \(2,\)"):
+    with pytest.raises(InvalidParameter, match=r"^unconstrained has shape \(2,\), expected \(2, 2\)$"):
         LambdaField(Shape(2, 2, 2), np.full((2, 2, 2), 0.5), [True, False])
 
 
@@ -144,6 +145,37 @@ def test_lambda_field_takes_exactly_the_stacks_of_probability_rows(r1, r2, r3, s
         assert _stochastic(rows)
         assert lam.values.tobytes() == values.tobytes()
         assert lam.values.flags.c_contiguous and not lam.values.flags.writeable
+
+
+@settings(max_examples=200, deadline=None)
+@given(r1=st.integers(2, 3), r2=st.integers(2, 4), r3=st.integers(2, 3),
+       seed=st.integers(0, 2 ** 32 - 1), scale=st.sampled_from([1.0, 1.0 + 2e-12]),
+       edits=st.lists(st.tuples(st.integers(0, 47), st.sampled_from(EDGES),
+                                st.sampled_from(EDITS)),
+                      max_size=3))
+def test_tables_take_exactly_the_cells_that_are_one_probability_row(r1, r2, r3, seed,
+                                                                    scale, edits):
+    # the edits of the field's property on the flat cells, where a whole
+    # slice is the whole table: a JointTable, and a MarginalTable of the
+    # same cells, is accepted exactly when the package's row test accepts
+    # its cells as one row, and is then kept bit for bit
+    cells = np.random.default_rng(seed).dirichlet(np.ones(r1 * r2 * r3)) * scale
+    for pos, x, how in edits:
+        j = pos % cells.size
+        if how != "entry":
+            cells[:] = 0.0
+            cells[(j + 1) % cells.size] = 1.0 - x if how == "pair" else 0.0
+        cells[j] = x
+    for build in (lambda: JointTable(Shape(r1, r2, r3), cells.reshape(r1, r2, r3)),
+                  lambda: MarginalTable((r1 * r2, r3), cells.reshape(r1 * r2, r3))):
+        try:
+            stored = build().cells
+        except InvalidParameter:
+            assert not _stochastic(cells[None])
+        else:
+            assert _stochastic(cells[None])
+            assert stored.tobytes() == cells.tobytes()
+            assert stored.flags.c_contiguous and not stored.flags.writeable
 
 
 def test_lambda_values_past_the_box_are_kept_or_refused_never_clipped():

@@ -192,9 +192,8 @@ def test_every_tolerance_is_in_the_model_table():
 #: function: each call of ``_checked`` and each ``object.__new__``
 UNCHECKED = {
     ("fiber.py", "_corner"),
-    ("fiber.py", "_points"),
     ("model.py", "_Value._checked"),
-    ("model.py", "_unit_chain"),
+    ("model.py", "_unit_chains"),
     ("model.py", "joint_from_chain"),
     ("model.py", "marginal_13"),
     ("reparam.py", "_field_from_first_component"),
@@ -274,3 +273,25 @@ def test_the_em_kernel_divides_unmasked_and_draws_each_start_once():
                 for k in node.keywords]
     assert "where" not in keywords and None not in keywords
     assert loaded_names(kernel)["dirichlet"] == 0
+
+
+def sum_tol_reads(tree: ast.AST) -> list:
+    # each read or import of SUM_TOL, bare or as an attribute
+    return [n for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and n.id == "SUM_TOL" and isinstance(n.ctx, ast.Load)
+            or isinstance(n, ast.Attribute) and n.attr == "SUM_TOL"
+            or isinstance(n, ast.alias) and n.name == "SUM_TOL"]
+
+
+def test_sum_tol_is_read_in_model_only_and_when_called():
+    # every row-sum test reads model.SUM_TOL as it runs, so a changed value
+    # (monkeypatched in the tests) reaches all of them: no other module
+    # imports or reads it, and model reads it in function bodies only, not
+    # in a default bound as the module loads
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    assert {name for name, tree in trees.items() if sum_tol_reads(tree)} == {"model.py"}
+    bodies = {id(node) for function in ast.walk(trees["model.py"])
+              if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
+              for statement in function.body for node in ast.walk(statement)}
+    assert all(id(node) in bodies for node in sum_tol_reads(trees["model.py"]))
