@@ -628,10 +628,10 @@ def test_stacked_points_fall_back_to_chain_params_one_by_one(monkeypatch):
                                            [0.2, 0.3, 0.5]]))
     with pytest.raises(InvalidParameter, match="a contains non-finite"):
         model_chains(params, np.stack([params.a, nan_a, params.a]),
-                      np.stack([params.b, params.b, overflowed]))
+                     np.stack([params.b, params.b, overflowed]))
     with pytest.raises(InvalidParameter, match="row 0 of b sums to"):
         model_chains(params, np.stack([params.a, params.a, nan_a]),
-                      np.stack([params.b, overflowed, params.b]))
+                     np.stack([params.b, overflowed, params.b]))
     a, b = np.stack([params.a, params.a[::-1]]), np.stack([params.b] * 2)
     fast = model_chains(params, a.copy(), b.copy())
     assert all(p.p1 is params.p1 for p in fast)
